@@ -35,6 +35,13 @@ cargo build --release --offline --workspace
 echo "== cargo test =="
 cargo test -q --offline --workspace
 
+echo "== benchmark package tests =="
+# The repo benchmark (BENCHMARK.json + benchmark/) is a package of its
+# own outside this workspace, reaching the crates through their public
+# functions only — so the step above neither compiles it nor notices a
+# renamed function it calls. Unit tests plus a 1/20-scale smoke run, ~2 s.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== determinism: 1-thread vs default sweep =="
 ./target/release/repro --quick --seed 2014 fig6 | grep -v '^#' > /tmp/ci_fig6_default.txt
 RAYON_NUM_THREADS=1 ./target/release/repro --quick --seed 2014 fig6 | grep -v '^#' > /tmp/ci_fig6_single.txt

@@ -15,11 +15,10 @@
 //!
 //! The answer is the candidate with the lowest upper bound. Zone forecasts
 //! are computed once and shared across all `n` (they do not depend on the
-//! node count), and in parallel across zones with rayon — the dominant
-//! cost is the semi-Markov forward evolution per zone.
+//! node count); the semi-Markov forward evolution per zone is the dominant
+//! cost of a decision.
 
 use obs::Obs;
-use rayon::prelude::*;
 use spot_market::Price;
 
 use crate::service::ServiceSpec;
@@ -257,7 +256,7 @@ impl JupiterStrategy {
         // mostly revisit the same handful of ladder levels.
         let forecasts: Vec<_> = match self.estimator {
             Estimator::Expectation => zones
-                .par_iter()
+                .iter()
                 .map(|z| {
                     let f = forecast_micros.time(|| z.forecast(horizon_minutes));
                     if f.is_some() {
@@ -302,24 +301,15 @@ impl JupiterStrategy {
             let f = forecasts[zi].as_ref().expect("slots exist only when forecast does");
             *cell.get_or_init(|| z.model.fp_from_forecast(f, bid, z.spot_price))
         };
-        // The minimal feasible bid at `target`, mirroring
-        // `ZoneState::min_bid` with the FP lookups served from the grid.
+        // The minimal feasible bid at `target`: `ZoneState::min_bid` with
+        // the FP lookups served from the grid.
         let expectation_min_bid = |zi: usize, target: f64| -> Option<Price> {
             let z = &zones[zi];
             let f = forecasts[zi].as_ref()?;
-            let mut best: Option<Price> = None;
-            for (slot, b) in std::iter::once(z.spot_price)
-                .chain(f.levels().iter().copied())
-                .enumerate()
-            {
-                if b < z.spot_price || b >= z.on_demand {
-                    continue;
-                }
-                if expectation_fp(zi, slot, b) <= target {
-                    best = Some(best.map_or(b, |prev: Price| prev.min(b)));
-                }
-            }
-            best
+            f.bid_candidates(z.spot_price, z.on_demand)
+                .filter(|&(slot, b)| expectation_fp(zi, slot, b) <= target)
+                .map(|(_, b)| b)
+                .min()
         };
         let absorbing_fp = |zi: usize, bid: Price| -> f64 {
             let z = &zones[zi];
@@ -385,7 +375,6 @@ impl JupiterStrategy {
                     .filter_map(|zi| expectation_min_bid(zi, fp_target).map(|b| pool_bid(zi, b)))
                     .collect(),
                 Estimator::Absorbing => (0..zones.len())
-                    .into_par_iter()
                     .filter_map(|zi| absorbing_min_bid(zi, fp_target).map(|b| pool_bid(zi, b)))
                     .collect(),
             };

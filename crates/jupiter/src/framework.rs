@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use obs::Obs;
-use rayon::prelude::*;
 use spot_market::{InstanceType, Price, PriceTrace, Zone};
 use spot_model::{FailureModel, FailureModelConfig, FrozenKernel};
 
@@ -101,7 +100,9 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
         fit_micros.time(|| model.observe(trace));
     }
 
-    /// Train all pools from a common history source in parallel.
+    /// Train all pools from a common history source. Fresh batch training
+    /// replaces a pool's existing model; use [`Self::observe`] for
+    /// incremental updates.
     pub fn train_all<'a, I>(&mut self, histories: I)
     where
         I: IntoIterator<Item = (Zone, InstanceType, &'a PriceTrace)>,
@@ -109,19 +110,10 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
         let cfg = self.model_config;
         let fit_micros = self.obs.histogram("jupiter.kernel_fit_micros");
         let zones_trained = self.obs.counter("jupiter.zones_trained");
-        let items: Vec<(Zone, InstanceType, &PriceTrace)> = histories.into_iter().collect();
-        let trained: Vec<(Zone, InstanceType, FailureModel)> = items
-            .into_par_iter()
-            .map(|(zone, ty, trace)| {
-                let model = fit_micros.time(|| FailureModel::from_trace(trace, cfg));
-                (zone, ty, model)
-            })
-            .collect();
-        zones_trained.add(trained.len() as u64);
-        for (zone, ty, model) in trained {
-            // Merge with any existing model by re-inserting (fresh batch
-            // training replaces; use `observe` for incremental updates).
+        for (zone, ty, trace) in histories {
+            let model = fit_micros.time(|| FailureModel::from_trace(trace, cfg));
             self.models.insert((zone, ty), model);
+            zones_trained.inc();
         }
     }
 

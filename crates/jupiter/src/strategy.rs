@@ -38,16 +38,8 @@ impl ZoneState<'_> {
     /// The minimal bid meeting `target_fp` from a precomputed forecast,
     /// capped strictly below on-demand; `None` when infeasible.
     pub fn min_bid(&self, forecast: &Forecast, target_fp: f64) -> Option<Price> {
-        let candidates = std::iter::once(self.spot_price)
-            .chain(forecast.levels().iter().copied())
-            .filter(|&b| b >= self.spot_price && b < self.on_demand);
-        let mut best: Option<Price> = None;
-        for b in candidates {
-            if self.model.fp_from_forecast(forecast, b, self.spot_price) <= target_fp {
-                best = Some(best.map_or(b, |prev: Price| prev.min(b)));
-            }
-        }
-        best
+        self.model
+            .min_bid_from_forecast(forecast, target_fp, self.spot_price, self.on_demand)
     }
 }
 

@@ -107,14 +107,15 @@ impl FailureModel {
     /// Forecast the next `horizon_minutes` given the current market state
     /// (`current_price`, held for `current_age_minutes` so far). The
     /// forecast answers out-of-bid fractions for *any* bid, which makes
-    /// minimum-bid searches cheap.
+    /// minimum-bid searches cheap. `None` when the model is untrained or
+    /// the horizon is zero (there is no interval to average over).
     pub fn forecast(
         &self,
         current_price: Price,
         current_age_minutes: u32,
         horizon_minutes: u32,
     ) -> Option<Forecast> {
-        if !self.is_trained() {
+        if !self.is_trained() || horizon_minutes == 0 {
             return None;
         }
         let state = self.kernel.nearest_state(current_price)?;
@@ -131,7 +132,8 @@ impl FailureModel {
     /// interval (Eq. 14 composed over the interval, Eq. 5 discretized):
     ///
     /// * `bid < current_price` → 1.0 (the request isn't even granted);
-    /// * untrained model → 1.0 (be conservative without data);
+    /// * untrained model or zero horizon → 1.0 (be conservative without
+    ///   data or an interval);
     /// * otherwise `1 − (1 − FP⁰)(1 − E[fraction of minutes out-of-bid])`.
     pub fn estimate_fp(
         &self,
@@ -160,7 +162,8 @@ impl FailureModel {
 
     /// Absorbing-failure variant for the ablation: probability that the
     /// instance does **not** survive the whole interval (out-of-bid at any
-    /// point, or baseline failure).
+    /// point, or baseline failure). Conservative 1.0 in the same cases as
+    /// [`Self::estimate_fp`].
     pub fn estimate_fp_absorbing(
         &self,
         bid: Price,
@@ -168,7 +171,7 @@ impl FailureModel {
         current_age_minutes: u32,
         horizon_minutes: u32,
     ) -> f64 {
-        if bid < current_price || !self.is_trained() {
+        if bid < current_price || !self.is_trained() || horizon_minutes == 0 {
             return 1.0;
         }
         let Some(state) = self.kernel.nearest_state(current_price) else {
@@ -190,11 +193,6 @@ impl FailureModel {
     /// (the bidding framework caps at the on-demand price, §4.2). Returns
     /// `None` when no such bid exists — the zone cannot meet the target
     /// this interval.
-    ///
-    /// Only the kernel's price levels need to be examined: between levels
-    /// the out-of-bid fraction is constant, so any feasible bid can be
-    /// lowered to a level price (or to the current price) without changing
-    /// its failure estimate.
     pub fn min_bid_for_fp(
         &self,
         target_fp: f64,
@@ -204,19 +202,23 @@ impl FailureModel {
         cap: Price,
     ) -> Option<Price> {
         let f = self.forecast(current_price, current_age_minutes, horizon_minutes)?;
-        let candidates = std::iter::once(current_price)
-            .chain(f.levels().iter().copied())
-            .filter(|&b| b >= current_price && b < cap);
-        let mut best: Option<Price> = None;
-        for b in candidates {
-            if self.fp_from_forecast(&f, b, current_price) <= target_fp {
-                best = Some(match best {
-                    Some(prev) => prev.min(b),
-                    None => b,
-                });
-            }
-        }
-        best
+        self.min_bid_from_forecast(&f, target_fp, current_price, cap)
+    }
+
+    /// [`Self::min_bid_for_fp`] from a pre-computed forecast: the cheapest
+    /// of [`Forecast::bid_candidates`] whose failure probability is ≤
+    /// `target_fp`.
+    pub fn min_bid_from_forecast(
+        &self,
+        f: &Forecast,
+        target_fp: f64,
+        current_price: Price,
+        cap: Price,
+    ) -> Option<Price> {
+        f.bid_candidates(current_price, cap)
+            .map(|(_, bid)| bid)
+            .filter(|&bid| self.fp_from_forecast(f, bid, current_price) <= target_fp)
+            .min()
     }
 
     /// The minimal bid whose **absorbing** failure probability (the
@@ -301,6 +303,58 @@ mod tests {
         assert!(!m.is_trained());
         assert_eq!(m.estimate_fp(p(1.0), p(0.01), 0, 60), 1.0);
         assert!(m.min_bid_for_fp(0.5, p(0.01), 0, 60, p(1.0)).is_none());
+    }
+
+    #[test]
+    fn zero_horizon_is_answered_not_asserted() {
+        // No interval to average over: no forecast, and every estimate
+        // falls back to the conservative 1.0 instead of panicking.
+        let m = model();
+        assert!(m.forecast(p(0.01), 0, 0).is_none());
+        assert_eq!(m.estimate_fp(p(0.02), p(0.01), 0, 0), 1.0);
+        assert_eq!(m.estimate_fp_absorbing(p(0.02), p(0.01), 0, 0), 1.0);
+        assert!(m.min_bid_for_fp(0.5, p(0.01), 0, 0, p(0.044)).is_none());
+        assert!(m
+            .min_bid_for_fp_absorbing(0.5, p(0.01), 0, 0, p(0.044))
+            .is_none());
+    }
+
+    #[test]
+    fn empty_kernel_is_answered_not_asserted() {
+        let m = FailureModel::new(FailureModelConfig::default());
+        assert!(m.forecast(p(0.01), 0, 60).is_none());
+        assert_eq!(m.estimate_fp_absorbing(p(1.0), p(0.01), 0, 60), 1.0);
+        assert!(m
+            .min_bid_for_fp_absorbing(0.5, p(0.01), 0, 60, p(1.0))
+            .is_none());
+        // States but no completed sojourn is still untrained.
+        let flat = PriceTrace::new(
+            vec![PricePoint {
+                minute: 0,
+                price: p(0.01),
+            }],
+            100,
+        );
+        let m = FailureModel::from_trace(&flat, FailureModelConfig::default());
+        assert!(m.forecast(p(0.01), 0, 60).is_none());
+        assert_eq!(m.estimate_fp(p(1.0), p(0.01), 0, 60), 1.0);
+    }
+
+    #[test]
+    fn min_bid_from_forecast_matches_the_forecasting_search() {
+        let m = model();
+        let f = m.forecast(p(0.01), 0, 480).unwrap();
+        for (target, cap) in [(0.02, 0.044), (0.5, 0.044), (0.02, 0.015), (0.02, 0.02)] {
+            assert_eq!(
+                m.min_bid_from_forecast(&f, target, p(0.01), p(cap)),
+                m.min_bid_for_fp(target, p(0.01), 0, 480, p(cap)),
+                "target {target} cap {cap}"
+            );
+        }
+        assert_eq!(
+            m.min_bid_from_forecast(&f, 0.02, p(0.01), p(0.044)),
+            Some(p(0.02))
+        );
     }
 
     #[test]

@@ -511,6 +511,44 @@ impl FrozenKernel {
         })
     }
 
+    /// Every age index `a < max_age` at which state `i` has an
+    /// exact-sojourn conditional — the cells where
+    /// [`Self::exact_next_state_dist`]`(i, a + 1)` answers `Some` — in
+    /// ascending `a`, each with its `(j, p_j > 0)` entries in ascending
+    /// `j`. One walk over the state's sorted transition runs instead of a
+    /// pair of binary searches per age; forecast-table construction uses
+    /// this. Ages past [`MAX_SOJOURN_MINUTES`] share the final (clamped)
+    /// sojourn bucket, exactly as the per-age query clamps them.
+    pub(crate) fn exact_dists_up_to(
+        &self,
+        i: u16,
+        max_age: usize,
+    ) -> impl Iterator<Item = (usize, impl Iterator<Item = (usize, f64)> + '_)> + '_ {
+        const LAST: usize = MAX_SOJOURN_MINUTES - 1;
+        self.states[i as usize]
+            .trans
+            .chunk_by(|x, y| x.0 == y.0)
+            .filter_map(|run| {
+                let total: u64 = run.iter().map(|&(_, _, c)| c).sum();
+                (total >= 3).then_some((run, total))
+            })
+            .flat_map(move |(run, total)| {
+                let k0 = run[0].0 as usize;
+                // A run past `max_age` covers no age: its range is empty.
+                let end = if k0 == LAST {
+                    max_age
+                } else {
+                    (k0 + 1).min(max_age)
+                };
+                (k0..end).map(move |a| {
+                    let dist = run
+                        .iter()
+                        .map(move |&(_, j, c)| (j as usize, c as f64 / total as f64));
+                    (a, dist)
+                })
+            })
+    }
+
     /// Marginal next-state distribution `P(j | i)`, falling back to
     /// "uniform over adjacent states" when `i` was never seen completing a
     /// sojourn. Always sums to 1 for a non-empty state space.
@@ -704,6 +742,48 @@ mod tests {
         // Unseen sojourn (τ=2) backs off to the marginal, still → B.
         let d = k.next_state_dist(a, 2);
         assert!((d[1] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exact_dists_walk_equals_per_age_queries() {
+        // A(5) ↔ B(3) for support at short sojourns, plus A holding past
+        // MAX_SOJOURN_MINUTES three times so the clamped final bucket is
+        // supported and must answer for every age beyond it.
+        let mut points = Vec::new();
+        let mut t = 0;
+        for cycle in 0..12u64 {
+            let stay = if cycle % 4 == 0 { 400 + cycle } else { 5 };
+            points.push(PricePoint {
+                minute: t,
+                price: p(0.01),
+            });
+            t += stay;
+            points.push(PricePoint {
+                minute: t,
+                price: p(0.02),
+            });
+            t += 3;
+        }
+        let k = FrozenKernel::from_trace(&PriceTrace::new(points, t));
+        let beyond = MAX_SOJOURN_MINUTES + 40;
+        for max_age in [2usize, 5, 180, MAX_SOJOURN_MINUTES, beyond] {
+            for i in 0..k.n_states() as u16 {
+                let walked: Vec<(usize, Vec<(usize, f64)>)> = k
+                    .exact_dists_up_to(i, max_age)
+                    .map(|(a, dist)| (a, dist.collect()))
+                    .collect();
+                let queried: Vec<(usize, Vec<(usize, f64)>)> = (0..max_age)
+                    .filter_map(|a| {
+                        let dist = k.exact_next_state_dist(i, a as u32 + 1)?;
+                        let sparse = dist.into_iter().enumerate().filter(|&(_, p)| p > 0.0);
+                        Some((a, sparse.collect()))
+                    })
+                    .collect();
+                assert_eq!(walked, queried, "state {i} max_age {max_age}");
+            }
+        }
+        // The clamped bucket really is exercised.
+        assert_eq!(k.exact_dists_up_to(0, beyond).count(), 1 + 41);
     }
 
     #[test]
