@@ -8,6 +8,7 @@ use jupiter::{
     BiddingFramework, BiddingStrategy, ExhaustiveSolver, ExtraStrategy, JupiterStrategy,
     ServiceSpec,
 };
+use replay::lifecycle::snapshots_at;
 use spot_market::{InstanceType, Market};
 use std::hint::black_box;
 
@@ -18,18 +19,10 @@ fn framework_for<S: BiddingStrategy>(
     let ty = InstanceType::M1Small;
     let mut fw = BiddingFramework::new(ServiceSpec::lock_service(), strategy);
     let now = market.horizon() - 1;
-    let mut snapshots = Vec::new();
     for &zone in market.zones() {
-        let t = market.trace(zone, ty);
-        fw.observe(zone, ty, t);
-        snapshots.push(MarketSnapshot {
-            zone,
-            instance_type: ty,
-            spot_price: t.price_at(now),
-            sojourn_age: t.sojourn_age_at(now) as u32,
-        });
+        fw.observe(zone, ty, market.trace(zone, ty));
     }
-    (fw, snapshots)
+    (fw, snapshots_at(market, &[ty], now))
 }
 
 fn jupiter_decide(c: &mut Criterion) {

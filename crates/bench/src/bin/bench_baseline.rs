@@ -29,13 +29,10 @@
 use std::time::Instant;
 
 use bench::bench_market;
-use jupiter::{ExtraStrategy, JupiterStrategy, ModelStore, ServiceSpec};
+use jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
 use obs::{Obs, TraceContext};
-use replay::fleet::fleet_replay_observed;
 use replay::service_level::{lock_service_replay_observed, ServiceReplayConfig};
-use replay::{
-    replay_repair_stored, replay_strategy_stored, RepairConfig, ReplayConfig, Scenario, SweepSpec,
-};
+use replay::{fleet_replay, RepairConfig, Replay, ReplayConfig, Scenario, SweepSpec};
 
 const DEFAULT_BASELINE: &str = "BENCH_replay.json";
 const DEFAULT_THRESHOLD: f64 = 0.75;
@@ -94,15 +91,9 @@ fn run_all(only: Option<&str>) -> Vec<TargetResult> {
             |obs| {
                 let market = bench_market(3, 8);
                 let spec = ServiceSpec::lock_service();
-                let store = ModelStore::with_obs(obs.clone());
-                let result = replay_strategy_stored(
-                    &market,
-                    &spec,
-                    JupiterStrategy::new().with_obs(obs.clone()),
-                    ReplayConfig::new(train, train + eval, 6),
-                    &store,
-                    obs,
-                );
+                let result = Replay::new(&market, &spec, ReplayConfig::new(train, train + eval, 6))
+                    .obs(obs)
+                    .run(JupiterStrategy::new().with_obs(obs.clone()));
                 assert!(result.window_minutes > 0);
             },
         ));
@@ -119,16 +110,10 @@ fn run_all(only: Option<&str>) -> Vec<TargetResult> {
             |obs| {
                 let market = bench_market(3, 8);
                 let spec = ServiceSpec::lock_service();
-                let store = ModelStore::with_obs(obs.clone());
-                let result = replay_repair_stored(
-                    &market,
-                    &spec,
-                    ExtraStrategy::new(0, 0.2),
-                    ReplayConfig::new(train, train + eval, 6),
-                    RepairConfig::hybrid(),
-                    &store,
-                    obs,
-                );
+                let result = Replay::new(&market, &spec, ReplayConfig::new(train, train + eval, 6))
+                    .repair(RepairConfig::hybrid())
+                    .obs(obs)
+                    .run(ExtraStrategy::new(0, 0.2));
                 assert!(result.window_minutes > 0);
             },
         ));
@@ -157,7 +142,7 @@ fn run_all(only: Option<&str>) -> Vec<TargetResult> {
             |obs| {
                 let market = bench_market(3, 8);
                 let spec = ServiceSpec::lock_service();
-                let fleet = fleet_replay_observed(
+                let fleet = fleet_replay(
                     &market,
                     &spec,
                     2,
@@ -257,7 +242,7 @@ fn run_all(only: Option<&str>) -> Vec<TargetResult> {
             &["replay.bids_placed", "replay.death.", "autoscale.", "model_store."],
             |obs| {
                 use replay::experiments::{diurnal_rate, PER_STRENGTH_THROUGHPUT};
-                use replay::{demand_series, replay_autoscale_stored, AutoScaler, AutoscaleConfig};
+                use replay::{demand_series, AutoScaler, AutoscaleConfig};
                 use spot_market::{InstanceType, Market, MarketConfig};
                 let mut cfg = MarketConfig::hetero_paper(8, train + eval);
                 cfg.zones.truncate(8);
@@ -279,18 +264,10 @@ fn run_all(only: Option<&str>) -> Vec<TargetResult> {
                     },
                     demand,
                 );
-                let store = ModelStore::with_obs(obs.clone());
-                let result = replay_autoscale_stored(
-                    &market,
-                    &spec,
-                    JupiterStrategy::new().with_obs(obs.clone()),
-                    ReplayConfig::new(train, train + eval, 3),
-                    RepairConfig::off(),
-                    |_| 180,
-                    &store,
-                    &mut scaler,
-                    obs,
-                );
+                let result = Replay::new(&market, &spec, ReplayConfig::new(train, train + eval, 3))
+                    .autoscaler(&mut scaler)
+                    .obs(obs)
+                    .run(JupiterStrategy::new().with_obs(obs.clone()));
                 assert!(result.window_minutes > 0);
                 let (outs, _ins) = scaler.scale_events();
                 assert!(outs >= 1, "diurnal demand must force a scale-out");
@@ -312,16 +289,12 @@ fn run_all(only: Option<&str>) -> Vec<TargetResult> {
                 use spot_market::BidEra;
                 let market = bench_market(3, 8);
                 let spec = ServiceSpec::lock_service();
-                let store = ModelStore::with_obs(obs.clone());
-                let result = replay_repair_stored(
-                    &market,
-                    &spec,
-                    ExtraStrategy::new(0, 0.2),
-                    ReplayConfig::new(train, train + eval, 6).with_era(BidEra::CapacityReclaim),
-                    RepairConfig::migrate(),
-                    &store,
-                    obs,
-                );
+                let config =
+                    ReplayConfig::new(train, train + eval, 6).with_era(BidEra::CapacityReclaim);
+                let result = Replay::new(&market, &spec, config)
+                    .repair(RepairConfig::migrate())
+                    .obs(obs)
+                    .run(ExtraStrategy::new(0, 0.2));
                 assert!(result.window_minutes > 0);
             },
         ));

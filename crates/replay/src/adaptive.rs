@@ -8,12 +8,8 @@
 //! within the interval* stays near a target: fast-moving markets re-bid
 //! hourly, quiet ones stretch toward the 12-hour cap.
 
-use jupiter::{BiddingStrategy, ModelStore, ServiceSpec};
-use obs::Obs;
+use jupiter::ServiceSpec;
 use spot_market::Market;
-
-use crate::lifecycle::{replay_schedule_stored, ReplayConfig};
-use crate::results::ReplayResult;
 
 /// Parameters of the adaptive interval rule.
 #[derive(Clone, Copy, Debug)]
@@ -69,48 +65,10 @@ pub fn adaptive_interval(
     hours.clamp(cfg.min_hours, cfg.max_hours) * 60
 }
 
-/// Replay a strategy under the adaptive interval schedule.
-pub fn replay_adaptive<S: BiddingStrategy>(
-    market: &Market,
-    spec: &ServiceSpec,
-    strategy: S,
-    config: ReplayConfig,
-    adaptive: AdaptiveConfig,
-) -> ReplayResult {
-    let store = ModelStore::new();
-    replay_adaptive_stored(market, spec, strategy, config, adaptive, &store, &Obs::disabled())
-}
-
-/// [`replay_adaptive`] with the training fit served from a shared
-/// [`ModelStore`], so an adaptive run alongside fixed-interval cells of
-/// the same scenario reuses their per-zone kernels.
-pub fn replay_adaptive_stored<S: BiddingStrategy>(
-    market: &Market,
-    spec: &ServiceSpec,
-    strategy: S,
-    mut config: ReplayConfig,
-    adaptive: AdaptiveConfig,
-    store: &ModelStore,
-    obs: &Obs,
-) -> ReplayResult {
-    config.interval_hours = adaptive.min_hours.max(1);
-    let spec_cloned = spec.clone();
-    let mut result = replay_schedule_stored(
-        market,
-        spec,
-        strategy,
-        config,
-        |boundary| adaptive_interval(market, &spec_cloned, &adaptive, boundary),
-        store,
-        obs,
-    );
-    result.strategy = format!("{} [adaptive]", result.strategy);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::{Replay, ReplayConfig};
     use jupiter::ExtraStrategy;
     use spot_market::{InstanceType, MarketConfig};
 
@@ -147,13 +105,9 @@ mod tests {
         let market = market();
         let spec = ServiceSpec::lock_service();
         let config = ReplayConfig::new(7 * 24 * 60, 9 * 24 * 60, 6);
-        let r = replay_adaptive(
-            &market,
-            &spec,
-            ExtraStrategy::new(0, 0.2),
-            config,
-            AdaptiveConfig::default(),
-        );
+        let r = Replay::new(&market, &spec, config)
+            .adaptive(AdaptiveConfig::default())
+            .run(ExtraStrategy::new(0, 0.2));
         assert!(r.strategy.contains("[adaptive]"));
         assert_eq!(r.window_minutes, 2 * 24 * 60);
         assert!(!r.intervals.is_empty());

@@ -141,7 +141,7 @@ pub fn capacity_fault_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::{replay_strategy, ReplayConfig};
+    use crate::lifecycle::{Replay, ReplayConfig};
     use jupiter::{ExtraStrategy, ServiceSpec};
     use spot_market::{InstanceType, Market, MarketConfig};
 
@@ -155,7 +155,7 @@ mod tests {
         let config = ReplayConfig::new(eval_start, 14 * 24 * 60, 3);
         // A deliberately low bid premium so out-of-bid kills actually occur.
         (
-            replay_strategy(&market, &spec, ExtraStrategy::new(0, 0.02), config),
+            Replay::new(&market, &spec, config).run(ExtraStrategy::new(0, 0.02)),
             eval_start,
         )
     }
@@ -227,16 +227,9 @@ mod tests {
         let eval_start = 7 * 24 * 60;
         let config = ReplayConfig::new(eval_start, 14 * 24 * 60, 3)
             .with_era(BidEra::CapacityReclaim);
-        let store = jupiter::ModelStore::new();
-        let result = crate::lifecycle::replay_repair_stored(
-            &market,
-            &spec,
-            ExtraStrategy::new(0, 0.2),
-            config,
-            RepairConfig::migrate(),
-            &store,
-            &obs::Obs::disabled(),
-        );
+        let result = Replay::new(&market, &spec, config)
+            .repair(RepairConfig::migrate())
+            .run(ExtraStrategy::new(0, 0.2));
         let raw = market_fault_schedule(&result, eval_start, 5);
         let compressed = capacity_fault_schedule(&result, eval_start, 5);
         // Same action sequence, only the clock is compressed.

@@ -603,7 +603,6 @@ pub struct OptimalityRow {
 /// Ablation: Jupiter's greedy cost vs the exact NLP optimum on small
 /// (7-zone) instances sampled weekly across the evaluation span.
 pub fn ablation_greedy_vs_exact(scale: &Scale) -> Vec<OptimalityRow> {
-    use jupiter::framework::MarketSnapshot;
     let ty = InstanceType::M1Small;
     let mut cfg = MarketConfig::paper(scale.seed, scale.horizon_minutes());
     // Seven zones: enough slack for the greedy to find 5-7 feasible
@@ -642,19 +641,7 @@ pub fn ablation_greedy_vs_exact(scale: &Scale) -> Vec<OptimalityRow> {
     let mut rows = Vec::new();
     let mut minute = train_end;
     while minute < scale.horizon_minutes() {
-        let snapshots: Vec<MarketSnapshot> = market
-            .zones()
-            .iter()
-            .map(|&z| {
-                let t = market.trace(z, ty);
-                MarketSnapshot {
-                    zone: z,
-                    instance_type: ty,
-                    spot_price: t.price_at(minute),
-                    sojourn_age: t.sojourn_age_at(minute) as u32,
-                }
-            })
-            .collect();
+        let snapshots = crate::lifecycle::snapshots_at(&market, &[ty], minute);
         let greedy = greedy_fw.decide(&snapshots, 360);
         let exact = exact_fw.decide(&snapshots, 360);
         if greedy.n() > 0 && exact.n() > 0 {
@@ -995,7 +982,7 @@ pub const PER_STRENGTH_THROUGHPUT: f64 = 12.5;
 /// than peak provisioning.
 pub fn autoscale_report(scale: &Scale) -> AutoscaleReport {
     use crate::autoscale::{demand_series, AutoScaler, AutoscaleConfig};
-    use crate::lifecycle::{on_demand_baseline_cost, replay_repair_stored, ReplayConfig};
+    use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
 
     let mut cfg = MarketConfig::hetero_paper(scale.seed, scale.horizon_minutes());
     cfg.zones.truncate(scale.zones);
@@ -1024,31 +1011,18 @@ pub fn autoscale_report(scale: &Scale) -> AutoscaleReport {
 
     let store = jupiter::ModelStore::new();
     let config = ReplayConfig::new(eval_start, eval_end, 3);
-    let interval = config.interval_hours * 60;
     let obs = obs::Obs::simulated().0;
-    let result = crate::lifecycle::replay_autoscale_stored(
-        &market,
-        &spec,
-        JupiterStrategy::new(),
-        config,
-        crate::repair::RepairConfig::off(),
-        |_| interval,
-        &store,
-        &mut scaler,
-        &obs,
-    );
+    let result = Replay::new(&market, &spec, config)
+        .store(&store)
+        .autoscaler(&mut scaler)
+        .obs(&obs)
+        .run(JupiterStrategy::new());
     let (scale_outs, scale_ins) = scaler.scale_events();
 
     let static_spec = spec.clone().with_min_strength(peak_strength);
-    let static_result = replay_repair_stored(
-        &market,
-        &static_spec,
-        JupiterStrategy::new(),
-        config,
-        crate::repair::RepairConfig::off(),
-        &store,
-        &obs::Obs::disabled(),
-    );
+    let static_result = Replay::new(&market, &static_spec, config)
+        .store(&store)
+        .run(JupiterStrategy::new());
     let baseline_cost = on_demand_baseline_cost(&market, &spec, config);
     AutoscaleReport {
         result,

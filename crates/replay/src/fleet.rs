@@ -14,7 +14,7 @@ use jupiter::{BiddingStrategy, ServiceSpec};
 use obs::Obs;
 use spot_market::{Market, Price, Termination};
 
-use crate::lifecycle::{replay_strategy_observed, ReplayConfig};
+use crate::lifecycle::{Replay, ReplayConfig};
 use crate::results::ReplayResult;
 
 /// The outcome of replaying `groups` identical service groups.
@@ -35,25 +35,10 @@ pub struct FleetResult {
 /// `make_strategy(group_index)` builds each group's strategy; identical
 /// strategies produce identical bid schedules (and therefore perfectly
 /// correlated failures — the honest model for same-zone deployments).
+/// Each group's replay records into the shared `obs`, and the fleet level
+/// adds a counter for instances that died in the same minute they were
+/// granted (bids that only just covered the request-time price).
 pub fn fleet_replay<S, F>(
-    market: &Market,
-    spec: &ServiceSpec,
-    groups: usize,
-    config: ReplayConfig,
-    make_strategy: F,
-) -> FleetResult
-where
-    S: BiddingStrategy,
-    F: FnMut(usize) -> S,
-{
-    fleet_replay_observed(market, spec, groups, config, make_strategy, &Obs::disabled())
-}
-
-/// [`fleet_replay`] with observability: each group's replay records into
-/// the shared [`Obs`], and the fleet level adds a counter for instances
-/// that died in the same minute they were granted (bids that only just
-/// covered the request-time price).
-pub fn fleet_replay_observed<S, F>(
     market: &Market,
     spec: &ServiceSpec,
     groups: usize,
@@ -67,7 +52,11 @@ where
 {
     assert!(groups >= 1, "a fleet needs at least one group");
     let results: Vec<ReplayResult> = (0..groups)
-        .map(|g| replay_strategy_observed(market, spec, make_strategy(g), config, obs))
+        .map(|g| {
+            Replay::new(market, spec, config)
+                .obs(obs)
+                .run(make_strategy(g))
+        })
         .collect();
 
     obs.counter("fleet.granted_and_killed_same_minute")
@@ -101,11 +90,12 @@ pub(crate) fn count_zero_lifetime(results: &[ReplayResult]) -> usize {
 /// per-interval uptime; computed interval-by-interval to stay exact for
 /// heterogeneous strategies too.
 ///
-/// Groups that fail to line up — a missing interval or a disagreeing
-/// interval start — are treated as *down* for that interval and counted
-/// in `fleet.interval_missing_group` / `fleet.interval_misaligned`.
-/// These used to be `debug_assert`s, which made release builds silently
-/// drop the evidence that the aggregate was conservative.
+/// A group with no interval at a position counts as *down* for it
+/// (`fleet.interval_missing_group`). A group whose interval at that
+/// position starts at a different minute is only counted
+/// (`fleet.interval_misaligned`); its uptime still enters the minimum, so
+/// for misaligned schedules the aggregate is an approximation, not a
+/// bound.
 pub(crate) fn aggregate_all_up(results: &[ReplayResult], obs: &Obs) -> u64 {
     let missing_group = obs.counter("fleet.interval_missing_group");
     let misaligned = obs.counter("fleet.interval_misaligned");
@@ -239,8 +229,9 @@ mod tests {
         let m = market();
         let spec = ServiceSpec::lock_service();
         let config = ReplayConfig::new(7 * 24 * 60, 10 * 24 * 60, 6);
-        let one = fleet_replay(&m, &spec, 1, config, |_| ExtraStrategy::new(0, 0.2));
-        let three = fleet_replay(&m, &spec, 3, config, |_| ExtraStrategy::new(0, 0.2));
+        let off = Obs::disabled();
+        let one = fleet_replay(&m, &spec, 1, config, |_| ExtraStrategy::new(0, 0.2), &off);
+        let three = fleet_replay(&m, &spec, 3, config, |_| ExtraStrategy::new(0, 0.2), &off);
         // Deterministic strategies: every group identical.
         assert_eq!(three.total_cost, one.total_cost * 3);
         assert!((three.all_up_availability - one.all_up_availability).abs() < 1e-12);
@@ -258,7 +249,8 @@ mod tests {
             Box::new(ExtraStrategy::new(0, 0.1)),
         ];
         let mut iter = strategies.into_iter();
-        let fleet = fleet_replay(&m, &spec, 2, config, |_| iter.next().expect("two"));
+        let off = Obs::disabled();
+        let fleet = fleet_replay(&m, &spec, 2, config, |_| iter.next().expect("two"), &off);
         let weakest = fleet
             .groups
             .iter()

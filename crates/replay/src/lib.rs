@@ -23,6 +23,12 @@
 //!    ("cost and availability … are certained with the given spot prices
 //!    data").
 //!
+//! One replay is one [`Replay`] builder chain —
+//! `Replay::new(&market, &spec, config).run(strategy)`, optionally with
+//! `.repair(..)`, `.schedule(..)` / `.adaptive(..)`, `.store(..)`,
+//! `.autoscaler(..)` and `.obs(..)` in between; [`Scenario`] runs a grid of
+//! them over one shared market and model store.
+//!
 //! [`experiments`] packages the paper's figures (4 through 9 plus the
 //! headline savings and the ablations) as callable drivers returning
 //! structured rows; [`service_level`] replays shorter windows against the
@@ -40,14 +46,11 @@ pub mod results;
 pub mod scenario;
 pub mod service_level;
 
-pub use adaptive::{replay_adaptive, replay_adaptive_stored, AdaptiveConfig};
+pub use adaptive::AdaptiveConfig;
 pub use autoscale::{demand_series, AutoScaler, AutoscaleConfig, ObservedInterval, ScaleAction};
 pub use chaos::{capacity_fault_schedule, market_fault_schedule};
-pub use fleet::{fleet_replay, fleet_replay_observed, FleetResult};
-pub use lifecycle::{
-    replay_autoscale_stored, replay_repair_stored, replay_strategy, replay_strategy_observed,
-    replay_strategy_stored, InstanceRecord, ReplayConfig,
-};
+pub use fleet::{fleet_replay, FleetResult};
+pub use lifecycle::{InstanceRecord, Replay, ReplayConfig};
 pub use repair::{RepairConfig, RepairPolicy};
 pub use results::{IntervalOutcome, ReplayResult};
 pub use scenario::{CellOutcome, Scenario, StrategyFactory, SweepSpec};

@@ -74,7 +74,7 @@ pub struct ReplayResult {
     /// Per-interval details.
     pub intervals: Vec<IntervalOutcome>,
     /// Final metrics snapshot, when the replay ran with an enabled
-    /// [`obs::Obs`] (see `replay_strategy_observed`); `None` otherwise.
+    /// [`obs::Obs`] (see [`crate::Replay::obs`]); `None` otherwise.
     pub metrics: Option<obs::MetricsSnapshot>,
     /// Recorded time series (per-zone prices and bids, fleet size,
     /// interval cost, availability, deaths — see the series table in

@@ -31,8 +31,8 @@ use obs::Obs;
 use rayon::prelude::*;
 use spot_market::{BidEra, InstanceType, Market, Price};
 
-use crate::adaptive::{replay_adaptive_stored, AdaptiveConfig};
-use crate::lifecycle::{on_demand_baseline_cost, replay_repair_stored, ReplayConfig};
+use crate::adaptive::AdaptiveConfig;
+use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
 
@@ -243,15 +243,11 @@ impl Scenario {
                 } else {
                     spec.service.clone().with_pools(&spec.pools[p])
                 };
-                let result = replay_repair_stored(
-                    &self.market,
-                    &service,
-                    strategy,
-                    self.config(h).with_era(era),
-                    repair,
-                    &self.store,
-                    &cell_obs,
-                );
+                let result = Replay::new(&self.market, &service, self.config(h).with_era(era))
+                    .repair(repair)
+                    .store(&self.store)
+                    .obs(&cell_obs)
+                    .run(strategy);
                 (
                     CellOutcome {
                         interval_hours: h,
@@ -306,15 +302,11 @@ impl Scenario {
         strategy: S,
         adaptive: AdaptiveConfig,
     ) -> ReplayResult {
-        replay_adaptive_stored(
-            &self.market,
-            service,
-            strategy,
-            self.config(adaptive.min_hours.max(1)),
-            adaptive,
-            &self.store,
-            &Obs::disabled(),
-        )
+        let config = self.config(adaptive.min_hours.max(1));
+        Replay::new(&self.market, service, config)
+            .adaptive(adaptive)
+            .store(&self.store)
+            .run(strategy)
     }
 
     /// The on-demand baseline cost over this scenario's window.
@@ -385,12 +377,7 @@ mod tests {
         let market = scenario_market();
         let config = ReplayConfig::new(2 * 7 * 24 * 60, 3 * 7 * 24 * 60, 6);
         let service = ServiceSpec::lock_service();
-        let direct = crate::lifecycle::replay_strategy(
-            &market,
-            &service,
-            JupiterStrategy::new(),
-            config,
-        );
+        let direct = Replay::new(&market, &service, config).run(JupiterStrategy::new());
         let scenario = Scenario::new(market, 2 * 7 * 24 * 60, 3 * 7 * 24 * 60);
         let spec = SweepSpec::new(service)
             .strategy(|_| Box::new(JupiterStrategy::new()))

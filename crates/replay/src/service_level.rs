@@ -16,13 +16,13 @@
 
 use std::collections::HashMap;
 
-use jupiter::framework::MarketSnapshot;
 use jupiter::{BiddingFramework, BiddingStrategy, ServiceSpec};
 use obs::{Obs, SloSpec, SloTracker};
 use paxos::{ClientOp, Cluster, LockCmd, LockService, ReplicaConfig};
 use simnet::{NetworkConfig, NodeId, SimTime};
 use spot_market::{Market, Price, Zone};
 
+use crate::lifecycle::snapshots_at;
 
 /// Service-level replay parameters.
 #[derive(Clone, Copy, Debug)]
@@ -185,21 +185,7 @@ pub fn lock_service_replay_observed<S: BiddingStrategy>(
     }
 
     // The protocol cluster. Node 0..n₀ are created per the first decision.
-    let snapshot = |minute: u64| -> Vec<MarketSnapshot> {
-        market
-            .zones()
-            .iter()
-            .map(|&z| {
-                let t = market.trace(z, ty);
-                MarketSnapshot {
-                    zone: z,
-                    instance_type: ty,
-                    spot_price: t.price_at(minute),
-                    sojourn_age: t.sojourn_age_at(minute) as u32,
-                }
-            })
-            .collect()
-    };
+    let snapshot = |minute: u64| snapshots_at(market, &[ty], minute);
     let interval_min = config.interval_hours * 60;
     let first = framework.decide(&snapshot(config.eval_start), interval_min as u32);
     assert!(first.n() > 0, "strategy found no initial deployment");
@@ -454,21 +440,7 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
     for &z in market.zones() {
         framework.observe(z, ty, &market.trace(z, ty).window(0, config.eval_start));
     }
-    let snapshot = |minute: u64| -> Vec<MarketSnapshot> {
-        market
-            .zones()
-            .iter()
-            .map(|&z| {
-                let t = market.trace(z, ty);
-                MarketSnapshot {
-                    zone: z,
-                    instance_type: ty,
-                    spot_price: t.price_at(minute),
-                    sojourn_age: t.sojourn_age_at(minute) as u32,
-                }
-            })
-            .collect()
-    };
+    let snapshot = |minute: u64| snapshots_at(market, &[ty], minute);
     let interval_min = config.interval_hours * 60;
     let pick = |decision: &jupiter::BidDecision| -> Vec<(Zone, Price)> {
         decision.bids.iter().map(|b| (b.zone, b.bid)).take(5).collect()

@@ -177,10 +177,10 @@ fn report_out_pos(args: &[String]) -> Option<usize> {
 /// Chrome-trace JSON next to the report; the audit log and fired alerts
 /// as versioned JSONL.
 fn report_pass(seed: u64, path: &str) {
-    use jupiter::{JupiterStrategy, ModelStore, ServiceSpec};
+    use jupiter::{JupiterStrategy, ServiceSpec};
     use obs::{alerts_jsonl, audit_jsonl, chrome_trace_json, Obs};
     use replay::service_level::{lock_service_replay_observed, ServiceReplayConfig};
-    use replay::{replay_repair_stored, RepairConfig, ReplayConfig};
+    use replay::{RepairConfig, Replay, ReplayConfig};
     use spot_market::{InstanceType, Market, MarketConfig};
 
     println!("\n== Report pass: recorded Jupiter replay → {path} ==");
@@ -217,16 +217,10 @@ fn report_pass(seed: u64, path: &str) {
         service.ops_completed, service.crashes
     );
 
-    let store = ModelStore::with_obs(obs.clone());
-    let result = replay_repair_stored(
-        &market,
-        &spec,
-        JupiterStrategy::new().with_obs(obs.clone()),
-        ReplayConfig::new(train, train + eval, 6),
-        RepairConfig::hybrid(),
-        &store,
-        &obs,
-    );
+    let result = Replay::new(&market, &spec, ReplayConfig::new(train, train + eval, 6))
+        .repair(RepairConfig::hybrid())
+        .obs(&obs)
+        .run(JupiterStrategy::new().with_obs(obs.clone()));
 
     let snapshot = obs.metrics.snapshot();
     let events = obs.trace.events();
@@ -291,7 +285,7 @@ fn metrics_pass(seed: u64, path: &str) {
     use jupiter::{JupiterStrategy, ServiceSpec};
     use obs::Obs;
     use replay::service_level::{lock_service_replay_observed, ServiceReplayConfig};
-    use replay::{replay_strategy_observed, ReplayConfig};
+    use replay::{Replay, ReplayConfig};
     use spot_market::{InstanceType, Market, MarketConfig};
 
     println!("\n== Instrumented pass: market replay + service-level Paxos replay ==");
@@ -326,13 +320,9 @@ fn metrics_pass(seed: u64, path: &str) {
         service.ops_completed, service.crashes, service.reconfigs
     );
 
-    let replayed = replay_strategy_observed(
-        &market,
-        &spec,
-        JupiterStrategy::new().with_obs(obs.clone()),
-        ReplayConfig::new(train, train + eval, 6),
-        &obs,
-    );
+    let replayed = Replay::new(&market, &spec, ReplayConfig::new(train, train + eval, 6))
+        .obs(&obs)
+        .run(JupiterStrategy::new().with_obs(obs.clone()));
     println!(
         "market replay:   cost ${:.2}, availability {:.6}, {} kills",
         replayed.total_cost.as_dollars(),

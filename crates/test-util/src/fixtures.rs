@@ -4,7 +4,7 @@
 use jupiter::{ExtraStrategy, ModelStore, ServiceSpec};
 use obs::Obs;
 use paxos::{Cluster, LockService, ReplicaConfig};
-use replay::{replay_repair_stored, RepairConfig, ReplayConfig, ReplayResult};
+use replay::{RepairConfig, Replay, ReplayConfig, ReplayResult};
 use simnet::NetworkConfig;
 use spot_market::{InstanceType, Market, MarketConfig};
 use storage::{RsCluster, RsConfig};
@@ -65,24 +65,14 @@ pub fn repair_pair(
     let spec = ServiceSpec::lock_service();
     let config = ReplayConfig::new(eval_start, market.horizon(), interval_hours);
     let store = ModelStore::new();
-    let off = replay_repair_stored(
-        market,
-        &spec,
-        ExtraStrategy::new(0, 0.02),
-        config,
-        RepairConfig::off(),
-        &store,
-        &Obs::disabled(),
-    );
-    let repaired = replay_repair_stored(
-        market,
-        &spec,
-        ExtraStrategy::new(0, 0.02),
-        config,
-        repair,
-        &store,
-        obs,
-    );
+    let off = Replay::new(market, &spec, config)
+        .store(&store)
+        .run(ExtraStrategy::new(0, 0.02));
+    let repaired = Replay::new(market, &spec, config)
+        .repair(repair)
+        .store(&store)
+        .obs(obs)
+        .run(ExtraStrategy::new(0, 0.02));
     (off, repaired)
 }
 

@@ -5,13 +5,10 @@
 //! cargo run --release --example autoscaler
 //! ```
 
-use spot_jupiter::jupiter::{JupiterStrategy, ModelStore, ServiceSpec};
+use spot_jupiter::jupiter::{JupiterStrategy, ServiceSpec};
 use spot_jupiter::obs::Obs;
 use spot_jupiter::replay::experiments::{diurnal_rate, PER_STRENGTH_THROUGHPUT};
-use spot_jupiter::replay::{
-    demand_series, replay_autoscale_stored, AutoScaler, AutoscaleConfig, RepairConfig,
-    ReplayConfig,
-};
+use spot_jupiter::replay::{demand_series, AutoScaler, AutoscaleConfig, Replay, ReplayConfig};
 use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig};
 
 fn main() {
@@ -45,17 +42,11 @@ fn main() {
         demand,
     );
     let (obs, _clock) = Obs::simulated();
-    let result = replay_autoscale_stored(
-        &market,
-        &spec,
-        JupiterStrategy::new(),
-        ReplayConfig::new(train, market.horizon(), 3),
-        RepairConfig::off(),
-        |_| 180,
-        &ModelStore::new(),
-        &mut scaler,
-        &obs,
-    );
+    let config = ReplayConfig::new(train, market.horizon(), 3);
+    let result = Replay::new(&market, &spec, config)
+        .autoscaler(&mut scaler)
+        .obs(&obs)
+        .run(JupiterStrategy::new());
 
     println!("\nper-pool allocation:");
     println!(

@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use spot_jupiter::jupiter::framework::MarketSnapshot;
 use spot_jupiter::jupiter::{BiddingFramework, JupiterStrategy, ServiceSpec};
+use spot_jupiter::replay::lifecycle::snapshots_at;
 use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig};
 
 fn main() {
@@ -25,17 +25,10 @@ fn main() {
     // One failure model per zone, trained from the full history.
     let mut fw = BiddingFramework::new(spec, JupiterStrategy::new());
     let now = market.horizon() - 1;
-    let mut snapshots = Vec::new();
     for &zone in market.zones() {
-        let trace = market.trace(zone, ty);
-        fw.observe(zone, ty, trace);
-        snapshots.push(MarketSnapshot {
-            zone,
-            instance_type: ty,
-            spot_price: trace.price_at(now),
-            sojourn_age: trace.sojourn_age_at(now) as u32,
-        });
+        fw.observe(zone, ty, market.trace(zone, ty));
     }
+    let snapshots = snapshots_at(&market, &[ty], now);
 
     // Bid for the next 6-hour interval.
     let decision = fw.decide(&snapshots, 360);

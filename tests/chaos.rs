@@ -12,12 +12,12 @@
 //! * Reproduction is byte-for-byte: the same schedule always yields the
 //!   same simulator fingerprint (asserted below).
 
-use spot_jupiter::jupiter::{ExtraStrategy, ModelStore, ServiceSpec};
+use spot_jupiter::jupiter::{ExtraStrategy, ServiceSpec};
 use spot_jupiter::obs::{AuditKind, Obs};
-use spot_jupiter::replay::lifecycle::{
-    on_demand_baseline_cost, replay_repair_stored, replay_strategy,
+use spot_jupiter::replay::lifecycle::on_demand_baseline_cost;
+use spot_jupiter::replay::{
+    capacity_fault_schedule, market_fault_schedule, RepairConfig, Replay, ReplayConfig,
 };
-use spot_jupiter::replay::{capacity_fault_schedule, market_fault_schedule, RepairConfig, ReplayConfig};
 use spot_jupiter::simnet::{ChaosAction, ChaosEvent, ChaosPlan, ChaosSchedule, SimTime};
 use spot_jupiter::spot_market::BidEra;
 use test_util::{
@@ -327,7 +327,7 @@ fn market_derived_churn_preserves_lock_safety() {
     let spec = ServiceSpec::lock_service();
     let eval_start = 7 * 24 * 60;
     let config = ReplayConfig::new(eval_start, 14 * 24 * 60, 3);
-    let result = replay_strategy(&market, &spec, ExtraStrategy::new(0, 0.02), config);
+    let result = Replay::new(&market, &spec, config).run(ExtraStrategy::new(0, 0.02));
     let schedule = market_fault_schedule(&result, eval_start, 5);
     let crashes = schedule
         .events
@@ -394,17 +394,11 @@ fn capacity_migration_sweep() {
         let market = quick_market(seed, 2, 8);
         let config =
             ReplayConfig::new(eval_start, 14 * 24 * 60, 3).with_era(BidEra::CapacityReclaim);
-        let store = ModelStore::new();
         let (obs, _clock) = Obs::simulated();
-        let result = replay_repair_stored(
-            &market,
-            &spec,
-            ExtraStrategy::new(0, 0.2),
-            config,
-            RepairConfig::migrate(),
-            &store,
-            &obs,
-        );
+        let result = Replay::new(&market, &spec, config)
+            .repair(RepairConfig::migrate())
+            .obs(&obs)
+            .run(ExtraStrategy::new(0, 0.2));
         for r in &result.audit {
             if let AuditKind::Migration { action, .. } = &r.kind {
                 match action.as_str() {

@@ -2,10 +2,9 @@
 //! through failure model, bidding, replay accounting and the live
 //! services.
 
-use spot_jupiter::jupiter::framework::MarketSnapshot;
 use spot_jupiter::jupiter::{BiddingFramework, ExtraStrategy, JupiterStrategy, ServiceSpec};
 use spot_jupiter::replay::experiments::{self, Scale};
-use spot_jupiter::replay::lifecycle::{on_demand_baseline_cost, replay_strategy};
+use spot_jupiter::replay::lifecycle::{on_demand_baseline_cost, snapshots_at, Replay};
 use spot_jupiter::replay::ReplayConfig;
 use spot_jupiter::spot_market::{InstanceType, Termination};
 use test_util::quick_market;
@@ -20,9 +19,9 @@ fn jupiter_beats_heuristics_on_the_paper_metric() {
     let train = 2 * 7 * 24 * 60;
     let config = ReplayConfig::new(train, 3 * 7 * 24 * 60, 6);
 
-    let jupiter = replay_strategy(&market, &spec, JupiterStrategy::new(), config);
-    let extra0 = replay_strategy(&market, &spec, ExtraStrategy::new(0, 0.2), config);
-    let extra2 = replay_strategy(&market, &spec, ExtraStrategy::new(2, 0.2), config);
+    let jupiter = Replay::new(&market, &spec, config).run(JupiterStrategy::new());
+    let extra0 = Replay::new(&market, &spec, config).run(ExtraStrategy::new(0, 0.2));
+    let extra2 = Replay::new(&market, &spec, config).run(ExtraStrategy::new(2, 0.2));
     let baseline = on_demand_baseline_cost(&market, &spec, config);
 
     assert!(
@@ -73,7 +72,7 @@ fn billing_invariants_hold_across_a_replay() {
     let market = quick_market(11, 2, 8);
     let spec = ServiceSpec::lock_service();
     let config = ReplayConfig::new(7 * 24 * 60, 2 * 7 * 24 * 60, 3);
-    let r = replay_strategy(&market, &spec, ExtraStrategy::new(0, 0.1), config);
+    let r = Replay::new(&market, &spec, config).run(ExtraStrategy::new(0, 0.1));
     for rec in &r.instances {
         // Out-of-bid kills end at a minute where the price exceeds the bid.
         if rec.termination == Termination::Provider {
@@ -119,17 +118,10 @@ fn decision_respects_all_constraints() {
     let spec = ServiceSpec::lock_service();
     let mut fw = BiddingFramework::new(spec.clone(), JupiterStrategy::new());
     let now = market.horizon() - 1;
-    let mut snapshots = Vec::new();
     for &zone in market.zones() {
-        let t = market.trace(zone, ty);
-        fw.observe(zone, ty, t);
-        snapshots.push(MarketSnapshot {
-            zone,
-            instance_type: ty,
-            spot_price: t.price_at(now),
-            sojourn_age: t.sojourn_age_at(now) as u32,
-        });
+        fw.observe(zone, ty, market.trace(zone, ty));
     }
+    let snapshots = snapshots_at(&market, &[ty], now);
     let decision = fw.decide(&snapshots, 360);
     assert!(decision.n() > 0, "feasible at this scale");
     for pb in &decision.bids {

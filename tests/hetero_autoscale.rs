@@ -3,14 +3,14 @@
 //! diurnal load deterministically without oscillating, and the hetero
 //! sweep grid is independent of the rayon thread count.
 
-use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ModelStore, ServiceSpec};
+use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
 use spot_jupiter::obs::{AuditKind, Obs};
 use spot_jupiter::replay::experiments::{
     diurnal_rate, lock_sweep, Scale, PER_STRENGTH_THROUGHPUT,
 };
 use spot_jupiter::replay::{
-    demand_series, replay_autoscale_stored, AutoScaler, AutoscaleConfig, RepairConfig,
-    ReplayConfig, ReplayResult, Scenario, SweepSpec,
+    demand_series, AutoScaler, AutoscaleConfig, Replay, ReplayConfig, ReplayResult, Scenario,
+    SweepSpec,
 };
 use spot_jupiter::spot_market::InstanceType;
 use test_util::hetero_market_days;
@@ -60,17 +60,10 @@ fn autoscale_run(seed: u64) -> (ReplayResult, (u64, u64), Vec<(String, String)>)
         demand,
     );
     let (obs, _clock) = Obs::simulated();
-    let r = replay_autoscale_stored(
-        &m,
-        &spec,
-        JupiterStrategy::new(),
-        ReplayConfig::new(train, m.horizon(), 3),
-        RepairConfig::off(),
-        |_| 180,
-        &ModelStore::new(),
-        &mut scaler,
-        &obs,
-    );
+    let r = Replay::new(&m, &spec, ReplayConfig::new(train, m.horizon(), 3))
+        .autoscaler(&mut scaler)
+        .obs(&obs)
+        .run(JupiterStrategy::new());
     let decisions: Vec<(String, String)> = obs
         .audit
         .snapshot()

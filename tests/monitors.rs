@@ -7,7 +7,7 @@
 
 use spot_jupiter::jupiter::{ExtraStrategy, ServiceSpec};
 use spot_jupiter::obs::{AuditKind, Obs, Severity};
-use spot_jupiter::replay::{replay_strategy_observed, ReplayConfig, ReplayResult};
+use spot_jupiter::replay::{Replay, ReplayConfig, ReplayResult};
 use spot_jupiter::spot_market::Termination;
 use test_util::market_days;
 
@@ -22,7 +22,9 @@ fn monitored_replay(seed: u64) -> ReplayResult {
     let spec = ServiceSpec::lock_service();
     let config = ReplayConfig::new(2 * 24 * 60, 7 * 24 * 60, 3);
     let (obs, _clock) = Obs::simulated();
-    replay_strategy_observed(&market, &spec, ExtraStrategy::new(0, 0.02), config, &obs)
+    Replay::new(&market, &spec, config)
+        .obs(&obs)
+        .run(ExtraStrategy::new(0, 0.02))
 }
 
 #[test]

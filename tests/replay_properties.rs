@@ -2,10 +2,9 @@
 //! engine under randomized markets and strategies.
 
 use proptest::prelude::*;
-use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ModelStore, ServiceSpec};
+use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
 use spot_jupiter::obs::{AuditKind, Obs};
-use spot_jupiter::replay::lifecycle::{replay_repair_stored, replay_strategy};
-use spot_jupiter::replay::{RepairConfig, ReplayConfig};
+use spot_jupiter::replay::{RepairConfig, Replay, ReplayConfig};
 use spot_jupiter::spot_market::{BidEra, InstanceType, Price, Termination};
 use test_util::{derive_seed, hetero_market_days, market_days as market};
 
@@ -25,7 +24,7 @@ proptest! {
         let spec = ServiceSpec::lock_service();
         let train = 3 * 24 * 60;
         let config = ReplayConfig::new(train, 6 * 24 * 60, interval);
-        let r = replay_strategy(&m, &spec, ExtraStrategy::new(extra, portion), config);
+        let r = Replay::new(&m, &spec, config).run(ExtraStrategy::new(extra, portion));
 
         // Window accounting.
         prop_assert_eq!(r.window_minutes, 3 * 24 * 60);
@@ -58,7 +57,7 @@ proptest! {
         prop_assert_eq!(total, r.total_cost);
 
         // Determinism: the same inputs replay identically.
-        let r2 = replay_strategy(&m, &spec, ExtraStrategy::new(extra, portion), config);
+        let r2 = Replay::new(&m, &spec, config).run(ExtraStrategy::new(extra, portion));
         prop_assert_eq!(r.total_cost, r2.total_cost);
         prop_assert_eq!(r.up_minutes, r2.up_minutes);
         prop_assert_eq!(r.instances.len(), r2.instances.len());
@@ -82,15 +81,10 @@ proptest! {
         let config = ReplayConfig::new(3 * 24 * 60, 6 * 24 * 60, interval);
         let repair = if hybrid { RepairConfig::hybrid() } else { RepairConfig::reactive() };
         let (obs, _clock) = Obs::simulated();
-        let r = replay_repair_stored(
-            &m,
-            &spec,
-            ExtraStrategy::new(0, portion),
-            config,
-            repair,
-            &ModelStore::new(),
-            &obs,
-        );
+        let r = Replay::new(&m, &spec, config)
+            .repair(repair)
+            .obs(&obs)
+            .run(ExtraStrategy::new(0, portion));
 
         // No double-billing: the ledger splits exactly into spot and
         // on-demand charges, record by record.
@@ -163,15 +157,10 @@ proptest! {
         let config = ReplayConfig::new(3 * 24 * 60, 6 * 24 * 60, 6);
         let repair = if hybrid { RepairConfig::hybrid() } else { RepairConfig::off() };
         let (obs, _clock) = Obs::simulated();
-        let r = replay_repair_stored(
-            &m,
-            &spec,
-            JupiterStrategy::new(),
-            config,
-            repair,
-            &ModelStore::new(),
-            &obs,
-        );
+        let r = Replay::new(&m, &spec, config)
+            .repair(repair)
+            .obs(&obs)
+            .run(JupiterStrategy::new());
 
         // total = Σ per-(zone, type) pool charges = Σ spot + Σ on-demand.
         let pooled = r
@@ -271,15 +260,10 @@ proptest! {
             .with_era(BidEra::CapacityReclaim);
         let run = |repair: RepairConfig| {
             let (obs, _clock) = Obs::simulated();
-            replay_repair_stored(
-                &m,
-                &spec,
-                ExtraStrategy::new(0, 0.1),
-                config,
-                repair,
-                &ModelStore::new(),
-                &obs,
-            )
+            Replay::new(&m, &spec, config)
+                .repair(repair)
+                .obs(&obs)
+                .run(ExtraStrategy::new(0, 0.1))
         };
         let r = run(RepairConfig::migrate());
 
@@ -348,8 +332,8 @@ proptest! {
         let m = market(seed, 6, 5);
         let spec = ServiceSpec::lock_service();
         let config = ReplayConfig::new(2 * 24 * 60, 5 * 24 * 60, 3);
-        let low = replay_strategy(&m, &spec, ExtraStrategy::new(0, 0.05), config);
-        let high = replay_strategy(&m, &spec, ExtraStrategy::new(0, 0.6), config);
+        let low = Replay::new(&m, &spec, config).run(ExtraStrategy::new(0, 0.05));
+        let high = Replay::new(&m, &spec, config).run(ExtraStrategy::new(0, 0.6));
         prop_assert!(
             high.availability() >= low.availability() - 1e-12,
             "higher bids reduced availability: {} vs {}",
@@ -378,15 +362,10 @@ fn migration_never_loses_to_reactive_at_equal_seeds() {
             ReplayConfig::new(3 * 24 * 60, 6 * 24 * 60, 3).with_era(BidEra::CapacityReclaim);
         let run = |repair: RepairConfig| {
             let (obs, _clock) = Obs::simulated();
-            replay_repair_stored(
-                &m,
-                &spec,
-                ExtraStrategy::new(0, 0.1),
-                config,
-                repair,
-                &ModelStore::new(),
-                &obs,
-            )
+            Replay::new(&m, &spec, config)
+                .repair(repair)
+                .obs(&obs)
+                .run(ExtraStrategy::new(0, 0.1))
         };
         let reactive = run(RepairConfig::reactive());
         let migrate = run(RepairConfig::migrate());
