@@ -11,28 +11,24 @@ use rand_chacha::ChaCha8Rng;
 use simnet::{Context, NodeId, SimTime, TimerToken};
 
 use crate::ballot::Slot;
-use crate::msg::{ClientOp, Msg};
-use crate::replica::StateMachine;
+use crate::msg::Msg;
+use crate::replica::sim_micros;
+use crate::service::Service;
 
 const TICK_TOKEN: TimerToken = TimerToken(1);
 
-/// Sim-time milliseconds as trace microseconds.
-fn sim_micros(t: SimTime) -> u64 {
-    t.as_millis().saturating_mul(1_000)
-}
-
 /// One completed (or still outstanding) operation in the client history.
 #[derive(Clone, Debug)]
-pub struct CompletedOp<SM: StateMachine> {
+pub struct CompletedOp<S: Service> {
     /// Request id.
     pub req_id: u64,
     /// The submitted operation.
-    pub op: ClientOp<SM::Command>,
+    pub op: S::Op,
     /// When the client first issued it.
     pub issued_at: SimTime,
     /// Completion time and response (`None` while outstanding; the inner
     /// response is `None` for reconfigurations).
-    pub completed: Option<(SimTime, Option<SM::Response>)>,
+    pub completed: Option<(SimTime, Option<S::Resp>)>,
 }
 
 /// In-flight bookkeeping.
@@ -53,16 +49,15 @@ struct InFlight {
 
 /// Client actor state.
 #[derive(Clone, Debug)]
-pub struct ClientState<SM: StateMachine> {
+pub struct ClientState<S: Service> {
     me: NodeId,
     servers: Vec<NodeId>,
     tick: SimTime,
-    timeout: SimTime,
     next_req: u64,
-    queue: VecDeque<ClientOp<SM::Command>>,
+    queue: VecDeque<S::Op>,
     inflight: Option<InFlight>,
     leader_hint: Option<NodeId>,
-    history: Vec<CompletedOp<SM>>,
+    history: Vec<CompletedOp<S>>,
     /// Route read-only commands to followers as local reads.
     local_reads: bool,
     /// Session floor: the highest applied index any acknowledged
@@ -76,7 +71,7 @@ pub struct ClientState<SM: StateMachine> {
     obs: Obs,
 }
 
-impl<SM: StateMachine> ClientState<SM> {
+impl<S: Service> ClientState<S> {
     /// A client that talks to `servers`.
     pub fn new(me: NodeId, servers: Vec<NodeId>, seed: u64) -> Self {
         assert!(!servers.is_empty(), "client needs at least one server");
@@ -84,7 +79,6 @@ impl<SM: StateMachine> ClientState<SM> {
             me,
             servers,
             tick: SimTime::from_millis(100),
-            timeout: SimTime::from_millis(1_000),
             next_req: 1,
             queue: VecDeque::new(),
             inflight: None,
@@ -92,7 +86,7 @@ impl<SM: StateMachine> ClientState<SM> {
             history: Vec::new(),
             local_reads: false,
             floor: 0,
-            rng: ChaCha8Rng::seed_from_u64(seed ^ (me.0 as u64).wrapping_mul(0x51_7C_C1_B7)),
+            rng: ChaCha8Rng::seed_from_u64(seed ^ (me.0 as u64).wrapping_mul(S::CLIENT_SALT)),
             obs: Obs::disabled(),
         }
     }
@@ -104,8 +98,9 @@ impl<SM: StateMachine> ClientState<SM> {
         self
     }
 
-    /// Route read-only commands ([`StateMachine::is_read_only`]) to
-    /// followers as local reads (builder-style). Requires the replicas
+    /// Route operations the service can serve from applied state
+    /// ([`Service::read_request`]) to followers as local reads
+    /// (builder-style). Requires the replicas
     /// to run with `local_reads` enabled too; a timed-out read falls
     /// back to the serialized leader path either way.
     pub fn with_local_reads(mut self, enabled: bool) -> Self {
@@ -119,7 +114,7 @@ impl<SM: StateMachine> ClientState<SM> {
     }
 
     /// Queue an operation for submission (fired from the next tick).
-    pub fn submit(&mut self, op: ClientOp<SM::Command>) -> u64 {
+    pub fn submit(&mut self, op: S::Op) -> u64 {
         let req_id = self.next_req;
         self.next_req += 1;
         self.queue.push_back(op);
@@ -137,7 +132,7 @@ impl<SM: StateMachine> ClientState<SM> {
     }
 
     /// The full request history.
-    pub fn history(&self) -> &[CompletedOp<SM>] {
+    pub fn history(&self) -> &[CompletedOp<S>] {
         &self.history
     }
 
@@ -146,7 +141,7 @@ impl<SM: StateMachine> ClientState<SM> {
         self.queue.len() + usize::from(self.inflight.is_some())
     }
 
-    fn send_current(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn send_current(&mut self, ctx: &mut Context<Msg<S>>) {
         let Some(f) = &mut self.inflight else { return };
         let entry = self
             .history
@@ -159,19 +154,9 @@ impl<SM: StateMachine> ClientState<SM> {
             // Local read: spread across all replicas (not just the
             // leader), carrying the session floor.
             let target = self.servers[f.target % self.servers.len()];
-            let ClientOp::App(cmd) = entry.op.clone() else {
-                unreachable!("read flag only set for App ops");
-            };
-            ctx.send_traced(
-                target,
-                Msg::ReadRequest {
-                    client: self.me,
-                    req_id: f.req_id,
-                    cmd,
-                    floor: self.floor,
-                },
-                trace,
-            );
+            let read = S::read_request(self.me, f.req_id, &entry.op, self.floor)
+                .expect("read flag only set for readable ops");
+            ctx.send_traced(target, Msg::Ext(read), trace);
             return;
         }
         let target = match self.leader_hint {
@@ -190,21 +175,18 @@ impl<SM: StateMachine> ClientState<SM> {
     }
 
     /// Boot: arm the tick.
-    pub fn on_start(&mut self, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
         ctx.set_timer(self.tick, TICK_TOKEN);
     }
 
     /// Tick: launch queued work, retransmit timed-out requests.
-    pub fn on_timer(&mut self, _t: TimerToken, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_timer(&mut self, _t: TimerToken, ctx: &mut Context<Msg<S>>) {
         ctx.set_timer(self.tick, TICK_TOKEN);
         if self.inflight.is_none() {
             if let Some(op) = self.queue.pop_front() {
                 let req_id = self.next_issue_id();
-                let read = self.local_reads
-                    && match &op {
-                        ClientOp::App(cmd) => SM::is_read_only(cmd),
-                        ClientOp::Reconfig { .. } => false,
-                    };
+                let read =
+                    self.local_reads && S::read_request(self.me, req_id, &op, self.floor).is_some();
                 self.history.push(CompletedOp {
                     req_id,
                     op,
@@ -237,7 +219,7 @@ impl<SM: StateMachine> ClientState<SM> {
         let timed_out = self
             .inflight
             .as_ref()
-            .map(|f| ctx.now.saturating_sub(f.last_sent) >= self.timeout)
+            .map(|f| ctx.now.saturating_sub(f.last_sent) >= S::CLIENT_TIMEOUT)
             .unwrap_or(false);
         if timed_out {
             if let Some(f) = &mut self.inflight {
@@ -270,10 +252,13 @@ impl<SM: StateMachine> ClientState<SM> {
     }
 
     /// Message dispatch (responses only).
-    pub fn on_message(&mut self, from: NodeId, msg: Msg<SM>, _ctx: &mut Context<Msg<SM>>) {
+    pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, _ctx: &mut Context<Msg<S>>) {
         let (req_id, resp, at, from_leader) = match msg {
             Msg::Response { req_id, resp, at } => (req_id, resp, at, true),
-            Msg::ReadResponse { req_id, resp, at } => (req_id, Some(resp), at, false),
+            Msg::Ext(ext) => match S::read_reply(ext) {
+                Some((req_id, resp, at)) => (req_id, Some(resp), at, false),
+                None => return,
+            },
             _ => return,
         };
         let matches = self
@@ -285,7 +270,7 @@ impl<SM: StateMachine> ClientState<SM> {
             let f = self.inflight.take().expect("matched above");
             if from_leader {
                 // Only log-serialized responses identify the leader; a
-                // ReadResponse may come from any follower.
+                // read reply may come from any follower.
                 self.leader_hint = Some(from);
             }
             self.floor = self.floor.max(at);

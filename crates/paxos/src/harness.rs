@@ -2,12 +2,16 @@
 //! membership, and interrogate replicas — the API the examples, tests and
 //! the replay harness use.
 
+use std::collections::BTreeMap;
+
 use simnet::{ChaosAction, NetworkConfig, NodeId, SimTime, Simulation};
 
 use crate::client::ClientState;
-use crate::msg::ClientOp;
 use crate::node::PaxosNode;
-use crate::replica::{Replica, ReplicaConfig, StateMachine};
+use crate::open_loop::OpenLoopClient;
+use crate::replica::{sim_micros, Replica, ReplicaConfig};
+use crate::service::Service;
+use crate::smr::{SmHost, StateMachine};
 
 /// Sim time with zero drain progress after which the harness liveness
 /// watchdog fires `watchdog.liveness`: 30 sim-seconds, comfortably past
@@ -15,16 +19,16 @@ use crate::replica::{Replica, ReplicaConfig, StateMachine};
 /// convention.
 pub const LIVENESS_STALL_BOUND: u64 = 30_000_000;
 
-/// A Paxos cluster under simulation: replicas, clients, and the driver
-/// conveniences around them.
-pub struct Cluster<SM: StateMachine> {
+/// A consensus cluster under simulation: replicas, clients, and the
+/// driver conveniences around them.
+pub struct Cluster<S: Service> {
     /// The underlying simulation (exposed for fault injection).
-    pub sim: Simulation<PaxosNode<SM>>,
+    pub sim: Simulation<PaxosNode<S>>,
     servers: Vec<NodeId>,
     clients: Vec<NodeId>,
     replica_cfg: ReplicaConfig,
-    /// Pristine state machine, cloned for chaos-driven restarts.
-    initial_sm: SM,
+    /// Pristine service state, cloned for chaos-driven restarts.
+    pristine: S::Host,
     seed: u64,
 }
 
@@ -37,6 +41,45 @@ impl<SM: StateMachine> Cluster<SM> {
         net: NetworkConfig,
         seed: u64,
     ) -> Self {
+        let host = SmHost::new(sm, &replica_cfg.obs);
+        Cluster::with_service(n, host, replica_cfg, net, seed)
+    }
+
+    /// Restart a crashed replica with an empty state machine clone — it
+    /// rejoins and catches up from the log. `view` is the membership it
+    /// should assume (typically another replica's current view).
+    pub fn restart(&mut self, id: NodeId, sm: SM, view: Vec<NodeId>) {
+        let host = SmHost::new(sm, &self.replica_cfg.obs);
+        self.restart_with(id, host, view);
+    }
+
+    /// Launch a brand-new replica (a fresh spot instance) that expects to
+    /// be added to the view via reconfiguration. Returns its node id.
+    pub fn spawn_server(&mut self, sm: SM) -> NodeId {
+        let id = NodeId(self.sim.node_count());
+        let mut view = self.current_view().unwrap_or_else(|| self.servers.clone());
+        if !view.contains(&id) {
+            view.push(id);
+        }
+        let host = SmHost::new(sm, &self.replica_cfg.obs);
+        let got = self
+            .sim
+            .add_node(PaxosNode::Server(self.fresh_replica(id, host, view)));
+        assert_eq!(got, id);
+        self.servers.push(id);
+        id
+    }
+}
+
+impl<S: Service> Cluster<S> {
+    /// Build a cluster of `n` replicas, each hosting a clone of `host`.
+    pub fn with_service(
+        n: usize,
+        host: S::Host,
+        replica_cfg: ReplicaConfig,
+        net: NetworkConfig,
+        seed: u64,
+    ) -> Self {
         assert!(n >= 1, "need at least one replica");
         let mut sim = Simulation::new(net, seed);
         // Network faults (drops, duplicates, delay spikes) emit
@@ -45,7 +88,7 @@ impl<SM: StateMachine> Cluster<SM> {
         sim.set_tracer(replica_cfg.obs.trace.clone());
         let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
         for &id in &ids {
-            let replica = Replica::new(id, ids.clone(), sm.clone(), replica_cfg.clone(), seed);
+            let replica = Replica::new(id, ids.clone(), host.clone(), replica_cfg.clone(), seed);
             let got = sim.add_node(PaxosNode::Server(replica));
             assert_eq!(got, id);
         }
@@ -54,7 +97,7 @@ impl<SM: StateMachine> Cluster<SM> {
             servers: ids,
             clients: Vec::new(),
             replica_cfg,
-            initial_sm: sm,
+            pristine: host,
             seed,
         }
     }
@@ -81,13 +124,10 @@ impl<SM: StateMachine> Cluster<SM> {
     }
 
     /// Add an open-loop workload session playing `schedule` (sorted by
-    /// arrival time); see [`crate::open_loop::OpenLoopClient`].
-    pub fn add_open_loop(
-        &mut self,
-        schedule: Vec<(SimTime, SM::Command)>,
-    ) -> NodeId {
+    /// arrival time); see [`OpenLoopClient`].
+    pub fn add_open_loop(&mut self, schedule: Vec<(SimTime, S::Cmd)>) -> NodeId {
         let id = NodeId(self.sim.node_count());
-        let session = crate::open_loop::OpenLoopClient::new(id, self.servers.clone(), schedule)
+        let session = OpenLoopClient::new(id, self.servers.clone(), schedule)
             .with_obs(self.replica_cfg.obs.clone());
         let got = self.sim.add_node(PaxosNode::OpenLoop(session));
         assert_eq!(got, id);
@@ -96,7 +136,7 @@ impl<SM: StateMachine> Cluster<SM> {
 
     /// Queue an operation on `client`; it is issued at the client's next
     /// tick and retried until a leader applies it.
-    pub fn submit(&mut self, client: NodeId, op: ClientOp<SM::Command>) -> u64 {
+    pub fn submit(&mut self, client: NodeId, op: S::Op) -> u64 {
         self.sim
             .actor_mut(client)
             .and_then(PaxosNode::as_client_mut)
@@ -119,10 +159,7 @@ impl<SM: StateMachine> Cluster<SM> {
                 .and_then(PaxosNode::as_client)
                 .map(|c| c.outstanding())
                 .unwrap_or(0);
-            watchdog.observe(
-                self.sim.now().as_millis().saturating_mul(1_000),
-                outstanding as u64,
-            );
+            watchdog.observe(sim_micros(self.sim.now()), outstanding as u64);
             if outstanding == 0 {
                 return true;
             }
@@ -134,19 +171,26 @@ impl<SM: StateMachine> Cluster<SM> {
         }
     }
 
+    /// The last completed response on `client`.
+    pub fn last_response(&self, client: NodeId) -> Option<S::Resp> {
+        self.sim
+            .actor(client)
+            .and_then(PaxosNode::as_client)
+            .and_then(|c| c.history().last())
+            .and_then(|h| h.completed.clone())
+            .and_then(|(_, r)| r)
+    }
+
     /// The replica currently leading, if any replica believes it leads.
     pub fn leader(&self) -> Option<NodeId> {
         self.servers.iter().copied().find(|&id| {
-            self.sim
-                .actor(id)
-                .and_then(PaxosNode::as_server)
-                .map(|r| r.is_leader() && !r.is_retired())
-                .unwrap_or(false)
+            self.replica(id)
+                .is_some_and(|r| r.is_leader() && !r.is_retired())
         })
     }
 
     /// Immutable replica access.
-    pub fn replica(&self, id: NodeId) -> Option<&Replica<SM>> {
+    pub fn replica(&self, id: NodeId) -> Option<&Replica<S>> {
         self.sim.actor(id).and_then(PaxosNode::as_server)
     }
 
@@ -155,46 +199,36 @@ impl<SM: StateMachine> Cluster<SM> {
         self.sim.crash(id);
     }
 
-    /// Restart a crashed replica with an empty state machine clone — it
-    /// rejoins and catches up from the log. `view` is the membership it
-    /// should assume (typically another replica's current view).
-    pub fn restart(&mut self, id: NodeId, sm: SM, view: Vec<NodeId>) {
-        let replica = Replica::new(
+    fn fresh_replica(&self, id: NodeId, host: S::Host, view: Vec<NodeId>) -> Replica<S> {
+        Replica::new(
             id,
             view,
-            sm,
+            host,
             self.replica_cfg.clone(),
             self.seed ^ id.0 as u64,
-        );
+        )
+    }
+
+    /// Restart a crashed replica slot with fresh service state `host` —
+    /// it rejoins and catches up from the log. `view` is the membership
+    /// it should assume (typically another replica's current view).
+    pub fn restart_with(&mut self, id: NodeId, host: S::Host, view: Vec<NodeId>) {
+        let replica = self.fresh_replica(id, host, view);
         self.sim.restart(id, PaxosNode::Server(replica));
     }
 
-    /// Launch a brand-new replica (a fresh spot instance) that expects to
-    /// be added to the view via reconfiguration. Returns its node id.
-    pub fn spawn_server(&mut self, sm: SM) -> NodeId {
-        let id = NodeId(self.sim.node_count());
-        let mut view = self.current_view().unwrap_or_else(|| self.servers.clone());
-        if !view.contains(&id) {
-            view.push(id);
-        }
-        let replica = Replica::new(
-            id,
-            view,
-            sm,
-            self.replica_cfg.clone(),
-            self.seed ^ id.0 as u64,
-        );
-        let got = self.sim.add_node(PaxosNode::Server(replica));
-        assert_eq!(got, id);
-        self.servers.push(id);
-        id
+    /// Restart a crashed replica slot whose disk is gone: pristine
+    /// service state, the most advanced live replica's view.
+    pub fn restart_pristine(&mut self, id: NodeId) {
+        let view = self.current_view().unwrap_or_else(|| self.servers.clone());
+        self.restart_with(id, self.pristine.clone(), view);
     }
 
     /// The membership view of the most advanced live replica.
     pub fn current_view(&self) -> Option<Vec<NodeId>> {
         self.servers
             .iter()
-            .filter_map(|&id| self.sim.actor(id).and_then(PaxosNode::as_server))
+            .filter_map(|&id| self.replica(id))
             .filter(|r| !r.is_retired())
             .max_by_key(|r| (r.view_id(), r.commit_index()))
             .map(|r| r.view().to_vec())
@@ -241,13 +275,9 @@ impl<SM: StateMachine> Cluster<SM> {
                             r.reboot();
                             self.sim.restart(*id, PaxosNode::Server(r));
                         }
-                        _ => {
-                            // No disk to recover (e.g. restarted before):
-                            // rejoin pristine and catch up from peers.
-                            let view =
-                                self.current_view().unwrap_or_else(|| self.servers.clone());
-                            self.restart(*id, self.initial_sm.clone(), view);
-                        }
+                        // No disk to recover (e.g. restarted before):
+                        // rejoin pristine and catch up from peers.
+                        _ => self.restart_pristine(*id),
                     }
                 }
             }
@@ -271,29 +301,38 @@ impl<SM: StateMachine> Cluster<SM> {
         }
     }
 
-    /// Check that all live replicas agree on the chosen log prefix (the
-    /// fundamental Paxos safety property). Returns the shortest common
-    /// applied length, panicking on divergence.
-    pub fn assert_log_agreement(&self) -> usize {
-        let prefixes: Vec<_> = self
-            .servers
-            .iter()
-            .filter_map(|&id| self.sim.actor(id).and_then(PaxosNode::as_server))
-            .map(|r| r.applied_prefix())
-            .collect();
-        let min_len = prefixes.iter().map(Vec::len).min().unwrap_or(0);
-        for i in 0..min_len {
-            let (slot0, v0) = &prefixes[0][i];
-            for p in &prefixes[1..] {
-                let (slot, v) = &p[i];
-                assert_eq!(slot0, slot, "slot order divergence at {i}");
-                assert_eq!(
-                    format!("{v0:?}"),
-                    format!("{v:?}"),
-                    "value divergence at slot {slot0}"
-                );
+    /// Check that all live replicas agree on every chosen slot they
+    /// still hold (the fundamental Paxos safety property). Logs are
+    /// aligned by slot number: replicas compact at different times, so
+    /// index `i` of one retained log is not index `i` of another.
+    /// Returns the shortest applied length.
+    pub fn check_log_agreement(&self) -> Result<usize, String> {
+        let mut agreed: BTreeMap<_, (NodeId, S::Wire)> = BTreeMap::new();
+        let mut shortest: Option<u64> = None;
+        for &id in &self.servers {
+            let Some(r) = self.replica(id) else {
+                continue;
+            };
+            shortest = Some(shortest.map_or(r.commit_index(), |s| s.min(r.commit_index())));
+            for (slot, value) in r.applied_prefix() {
+                match agreed.get(&slot) {
+                    Some((first, v)) if !S::same_decision(v, &value) => {
+                        return Err(format!(
+                            "log divergence at slot {slot}: {first} has {v:?}, {id} has {value:?}"
+                        ));
+                    }
+                    Some(_) => {}
+                    None => {
+                        agreed.insert(slot, (id, value));
+                    }
+                }
             }
         }
-        min_len
+        Ok(shortest.unwrap_or(0) as usize)
+    }
+
+    /// [`Cluster::check_log_agreement`], panicking on divergence.
+    pub fn assert_log_agreement(&self) -> usize {
+        self.check_log_agreement().unwrap_or_else(|e| panic!("{e}"))
     }
 }

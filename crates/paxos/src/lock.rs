@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use simnet::NodeId;
 
-use crate::replica::StateMachine;
+use crate::smr::StateMachine;
 
 /// Lock-service commands.
 ///

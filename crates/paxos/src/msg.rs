@@ -5,7 +5,7 @@ use simnet::NodeId;
 pub use quorum::QuorumRule;
 
 use crate::ballot::{Ballot, Slot};
-use crate::replica::StateMachine;
+use crate::service::Service;
 
 /// An operation a client may submit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,44 +70,47 @@ pub enum Command<C> {
 }
 
 /// A slot's accepted (not necessarily chosen) state, carried in promises.
+/// `W` is the service's wire value ([`Service::Wire`]).
 #[derive(Clone, Debug)]
-pub struct AcceptedEntry<C> {
+pub struct AcceptedEntry<W> {
     /// The slot this entry belongs to.
     pub slot: Slot,
     /// The ballot at which it was accepted.
     pub ballot: Ballot,
-    /// The value.
-    pub value: Command<C>,
+    /// The acceptor's wire value.
+    pub value: W,
 }
 
-/// A chosen slot value, carried in promises, commits and catch-up replies.
+/// A chosen slot value, carried in promises, commits and catch-up
+/// replies, in the wire form meant for the destination.
 #[derive(Clone, Debug)]
-pub struct ChosenEntry<C> {
+pub struct ChosenEntry<W> {
     /// The slot.
     pub slot: Slot,
     /// The chosen value.
-    pub value: Command<C>,
+    pub value: W,
 }
 
-/// A state snapshot replacing the compacted log prefix: the applied state
-/// machine plus everything a replica needs to resume from `applied`.
+/// A state snapshot replacing the compacted log prefix: the applied
+/// service state plus everything a replica needs to resume from `applied`.
 #[derive(Clone, Debug)]
-pub struct SnapshotData<SM: StateMachine> {
-    /// Every slot below this is applied into `sm`.
+pub struct SnapshotData<S: Service> {
+    /// Every slot below this is applied into `state`.
     pub applied: Slot,
     /// The membership view as of `applied`.
     pub view: Vec<NodeId>,
     /// Number of reconfigurations applied.
     pub view_id: u64,
-    /// The state machine at `applied`.
-    pub sm: SM,
+    /// The service's applied state at `applied`.
+    pub state: S::Snap,
     /// The exactly-once cache at `applied`.
-    pub dedup: Vec<(NodeId, u64, Option<SM::Response>)>,
+    pub dedup: Vec<(NodeId, u64, Option<S::Resp>)>,
 }
 
-/// The protocol messages. `SM` fixes both command and response types.
+/// The protocol messages. `S` fixes the value, command and response
+/// types and the service-only messages.
 #[derive(Clone, Debug)]
-pub enum Msg<SM: StateMachine> {
+pub enum Msg<S: Service> {
     /// Phase-1a: a candidate asks for promises from `from_slot` on.
     Prepare {
         /// The candidate's ballot.
@@ -120,15 +123,16 @@ pub enum Msg<SM: StateMachine> {
         /// The ballot being promised.
         ballot: Ballot,
         /// Accepted-but-not-chosen entries at or above `from_slot`.
-        accepted: Vec<AcceptedEntry<SM::Command>>,
+        accepted: Vec<AcceptedEntry<S::Wire>>,
         /// Chosen entries at or above the candidate's `from_slot` (and
-        /// above the acceptor's compaction floor).
-        chosen: Vec<ChosenEntry<SM::Command>>,
+        /// above the acceptor's compaction floor), reshaped for the
+        /// candidate.
+        chosen: Vec<ChosenEntry<S::Wire>>,
         /// The acceptor's first unchosen slot.
         commit_index: Slot,
         /// The acceptor's snapshot, included when the candidate asked for
         /// slots below the acceptor's compaction floor.
-        snapshot: Option<SnapshotData<SM>>,
+        snapshot: Option<SnapshotData<S>>,
     },
     /// Phase-2a: accept request for one slot.
     Accept {
@@ -136,8 +140,8 @@ pub enum Msg<SM: StateMachine> {
         ballot: Ballot,
         /// Target slot.
         slot: Slot,
-        /// Proposed value.
-        value: Command<SM::Command>,
+        /// Proposed value, in the destination's wire form.
+        value: S::Wire,
     },
     /// Phase-2b: the acceptor accepted.
     Accepted {
@@ -154,7 +158,7 @@ pub enum Msg<SM: StateMachine> {
     /// Leader → all: a value is chosen.
     Commit {
         /// The chosen entry.
-        entry: ChosenEntry<SM::Command>,
+        entry: ChosenEntry<S::Wire>,
     },
     /// Leader liveness + commit-index gossip.
     Heartbeat {
@@ -171,9 +175,9 @@ pub enum Msg<SM: StateMachine> {
     /// Response to [`Msg::CatchupRequest`].
     CatchupReply {
         /// A snapshot, when the requested slots were compacted away.
-        snapshot: Option<SnapshotData<SM>>,
+        snapshot: Option<SnapshotData<S>>,
         /// A batch of chosen entries (above the snapshot, if any).
-        entries: Vec<ChosenEntry<SM::Command>>,
+        entries: Vec<ChosenEntry<S::Wire>>,
     },
     /// Client → replica (possibly forwarded): submit an operation.
     Request {
@@ -182,48 +186,28 @@ pub enum Msg<SM: StateMachine> {
         /// Client-local request id.
         req_id: u64,
         /// The operation.
-        op: ClientOp<SM::Command>,
+        op: S::Op,
     },
     /// Replica → client: the operation was applied.
     Response {
         /// Echoed request id.
         req_id: u64,
-        /// The state machine's response (`None` for reconfigurations).
-        resp: Option<SM::Response>,
+        /// The service's response (`None` for reconfigurations).
+        resp: Option<S::Resp>,
         /// The responder's applied index after this operation took
         /// effect. Clients carry the maximum seen as their session
         /// `floor`, which gates follower-served reads (session
         /// monotonicity).
         at: Slot,
     },
-    /// Client → replica: a read-only command the replica may answer
-    /// locally from its applied state, without going through the log.
-    ReadRequest {
-        /// The originating client.
-        client: NodeId,
-        /// Client-local request id.
-        req_id: u64,
-        /// The read-only command ([`StateMachine::is_read_only`]).
-        cmd: SM::Command,
-        /// The client's session floor: the applied index its last
-        /// acknowledged write reached. The replica must not answer
-        /// until its own applied index is at least this.
-        floor: Slot,
-    },
-    /// Replica → client: a locally served read.
-    ReadResponse {
-        /// Echoed request id.
-        req_id: u64,
-        /// The read's result, evaluated at the replica's applied state.
-        resp: SM::Response,
-        /// The replica's applied index at evaluation time.
-        at: Slot,
-    },
+    /// A message only this service exchanges ([`Service::Ext`]).
+    Ext(S::Ext),
 }
 
-/// Message kind names, indexed by [`Msg::kind_index`]. Used to label
-/// per-type observability counters.
-pub const MSG_KINDS: [&str; 13] = [
+/// Kind names of the messages every service exchanges, indexed by
+/// [`Msg::kind_index`]; a service's own kinds ([`Service::EXT_KINDS`])
+/// follow. Used to label per-type observability counters.
+pub const MSG_KINDS: [&str; 11] = [
     "prepare",
     "promise",
     "accept",
@@ -235,17 +219,11 @@ pub const MSG_KINDS: [&str; 13] = [
     "catchup_reply",
     "request",
     "response",
-    "read_request",
-    "read_response",
 ];
 
-impl<SM: StateMachine> Msg<SM> {
-    /// Stable snake_case name of this message's variant.
-    pub fn kind(&self) -> &'static str {
-        MSG_KINDS[self.kind_index()]
-    }
-
-    /// Index of this variant into [`MSG_KINDS`].
+impl<S: Service> Msg<S> {
+    /// Index of this variant into [`MSG_KINDS`] followed by
+    /// [`Service::EXT_KINDS`].
     pub fn kind_index(&self) -> usize {
         match self {
             Msg::Prepare { .. } => 0,
@@ -259,8 +237,7 @@ impl<SM: StateMachine> Msg<SM> {
             Msg::CatchupReply { .. } => 8,
             Msg::Request { .. } => 9,
             Msg::Response { .. } => 10,
-            Msg::ReadRequest { .. } => 11,
-            Msg::ReadResponse { .. } => 12,
+            Msg::Ext(e) => MSG_KINDS.len() + S::ext_kind(e),
         }
     }
 }

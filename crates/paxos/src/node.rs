@@ -5,25 +5,26 @@ use simnet::{Actor, Context, NodeId, TimerToken};
 use crate::client::ClientState;
 use crate::msg::Msg;
 use crate::open_loop::OpenLoopClient;
-use crate::replica::{Replica, StateMachine};
+use crate::replica::Replica;
+use crate::service::Service;
 
-/// A node in a Paxos simulation: server replica or client.
+/// A node in a consensus simulation: server replica or client.
 // Replica state dwarfs client state by design; one enum per simulation
 // node is the simnet contract, and nodes are few.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
-pub enum PaxosNode<SM: StateMachine> {
+pub enum PaxosNode<S: Service> {
     /// A replica participating in consensus.
-    Server(Replica<SM>),
+    Server(Replica<S>),
     /// A closed-loop client.
-    Client(ClientState<SM>),
+    Client(ClientState<S>),
     /// An open-loop workload session.
-    OpenLoop(OpenLoopClient<SM>),
+    OpenLoop(OpenLoopClient<S>),
 }
 
-impl<SM: StateMachine> PaxosNode<SM> {
+impl<S: Service> PaxosNode<S> {
     /// The replica state, if this is a server.
-    pub fn as_server(&self) -> Option<&Replica<SM>> {
+    pub fn as_server(&self) -> Option<&Replica<S>> {
         match self {
             PaxosNode::Server(r) => Some(r),
             _ => None,
@@ -31,7 +32,7 @@ impl<SM: StateMachine> PaxosNode<SM> {
     }
 
     /// Mutable replica state, if this is a server.
-    pub fn as_server_mut(&mut self) -> Option<&mut Replica<SM>> {
+    pub fn as_server_mut(&mut self) -> Option<&mut Replica<S>> {
         match self {
             PaxosNode::Server(r) => Some(r),
             _ => None,
@@ -39,7 +40,7 @@ impl<SM: StateMachine> PaxosNode<SM> {
     }
 
     /// The client state, if this is a client.
-    pub fn as_client(&self) -> Option<&ClientState<SM>> {
+    pub fn as_client(&self) -> Option<&ClientState<S>> {
         match self {
             PaxosNode::Client(c) => Some(c),
             _ => None,
@@ -47,7 +48,7 @@ impl<SM: StateMachine> PaxosNode<SM> {
     }
 
     /// Mutable client state, if this is a client.
-    pub fn as_client_mut(&mut self) -> Option<&mut ClientState<SM>> {
+    pub fn as_client_mut(&mut self) -> Option<&mut ClientState<S>> {
         match self {
             PaxosNode::Client(c) => Some(c),
             _ => None,
@@ -55,7 +56,7 @@ impl<SM: StateMachine> PaxosNode<SM> {
     }
 
     /// The open-loop session state, if this is one.
-    pub fn as_open_loop(&self) -> Option<&OpenLoopClient<SM>> {
+    pub fn as_open_loop(&self) -> Option<&OpenLoopClient<S>> {
         match self {
             PaxosNode::OpenLoop(c) => Some(c),
             _ => None,
@@ -63,7 +64,7 @@ impl<SM: StateMachine> PaxosNode<SM> {
     }
 
     /// Mutable open-loop session state, if this is one.
-    pub fn as_open_loop_mut(&mut self) -> Option<&mut OpenLoopClient<SM>> {
+    pub fn as_open_loop_mut(&mut self) -> Option<&mut OpenLoopClient<S>> {
         match self {
             PaxosNode::OpenLoop(c) => Some(c),
             _ => None,
@@ -71,10 +72,10 @@ impl<SM: StateMachine> PaxosNode<SM> {
     }
 }
 
-impl<SM: StateMachine> Actor for PaxosNode<SM> {
-    type Msg = Msg<SM>;
+impl<S: Service> Actor for PaxosNode<S> {
+    type Msg = Msg<S>;
 
-    fn on_start(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
         match self {
             PaxosNode::Server(r) => r.on_start(ctx),
             PaxosNode::Client(c) => c.on_start(ctx),
@@ -82,7 +83,7 @@ impl<SM: StateMachine> Actor for PaxosNode<SM> {
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: Msg<SM>, ctx: &mut Context<Msg<SM>>) {
+    fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
         match self {
             PaxosNode::Server(r) => r.on_message(from, msg, ctx),
             PaxosNode::Client(c) => c.on_message(from, msg, ctx),
@@ -90,7 +91,7 @@ impl<SM: StateMachine> Actor for PaxosNode<SM> {
         }
     }
 
-    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<SM>>) {
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<S>>) {
         match self {
             PaxosNode::Server(r) => r.on_timer(token, ctx),
             PaxosNode::Client(c) => c.on_timer(token, ctx),

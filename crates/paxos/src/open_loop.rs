@@ -21,8 +21,9 @@ use obs::{FieldValue, Obs, SpanHandle};
 use simnet::{Context, NodeId, SimTime, TimerToken};
 
 use crate::ballot::Slot;
-use crate::msg::{ClientOp, Msg};
-use crate::replica::StateMachine;
+use crate::msg::Msg;
+use crate::replica::sim_micros;
+use crate::service::Service;
 
 /// Arrival-release timer (tokens 0–2 belong to the replica and the
 /// closed-loop client).
@@ -30,36 +31,30 @@ const ARRIVAL_TOKEN: TimerToken = TimerToken(3);
 /// Retransmission check timer.
 const RETRY_TOKEN: TimerToken = TimerToken(4);
 
-/// Sim-time milliseconds as trace microseconds.
-fn sim_micros(t: SimTime) -> u64 {
-    t.as_millis().saturating_mul(1_000)
-}
-
 /// One scheduled operation and its outcome.
 #[derive(Clone, Debug)]
-pub struct OpenOp<SM: StateMachine> {
+pub struct OpenOp<S: Service> {
     /// The command.
-    pub cmd: SM::Command,
+    pub cmd: S::Cmd,
     /// Scheduled arrival time (latency is measured from here).
     pub scheduled: SimTime,
     /// Completion time and response, once acknowledged.
-    pub completed: Option<(SimTime, SM::Response)>,
+    pub completed: Option<(SimTime, S::Resp)>,
     /// Whether this was routed as a follower-local read.
     pub read: bool,
 }
 
-/// An open-loop session actor driving one Paxos cluster.
+/// An open-loop session actor driving one cluster.
 #[derive(Clone, Debug)]
-pub struct OpenLoopClient<SM: StateMachine> {
+pub struct OpenLoopClient<S: Service> {
     me: NodeId,
     servers: Vec<NodeId>,
-    timeout: SimTime,
     local_reads: bool,
     /// Open a causal `client.request` root span for every Nth launched
     /// operation (0 disables tracing entirely). Sampling keeps the
     /// bounded trace ring representative at 100k-request scale.
     trace_every: u64,
-    records: Vec<OpenOp<SM>>,
+    records: Vec<OpenOp<S>>,
     /// Scheduled times still waiting for their arrival timer, oldest
     /// first (parallel prefix of `records`).
     pending_arrivals: VecDeque<SimTime>,
@@ -81,10 +76,10 @@ pub struct OpenLoopClient<SM: StateMachine> {
     obs: Obs,
 }
 
-impl<SM: StateMachine> OpenLoopClient<SM> {
+impl<S: Service> OpenLoopClient<S> {
     /// A session that plays `schedule` (must be sorted by time) against
     /// `servers`. `req_id`s are assigned in schedule order starting at 1.
-    pub fn new(me: NodeId, servers: Vec<NodeId>, schedule: Vec<(SimTime, SM::Command)>) -> Self {
+    pub fn new(me: NodeId, servers: Vec<NodeId>, schedule: Vec<(SimTime, S::Cmd)>) -> Self {
         assert!(!servers.is_empty(), "session needs at least one server");
         debug_assert!(
             schedule.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -103,7 +98,6 @@ impl<SM: StateMachine> OpenLoopClient<SM> {
         OpenLoopClient {
             me,
             servers,
-            timeout: SimTime::from_millis(1_000),
             local_reads: false,
             trace_every: 1,
             records,
@@ -135,12 +129,6 @@ impl<SM: StateMachine> OpenLoopClient<SM> {
         self
     }
 
-    /// Retransmission timeout.
-    pub fn with_timeout(mut self, timeout: SimTime) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
     /// Trace every Nth operation (0 traces none).
     pub fn with_trace_every(mut self, every: u64) -> Self {
         self.trace_every = every;
@@ -148,7 +136,7 @@ impl<SM: StateMachine> OpenLoopClient<SM> {
     }
 
     /// Every scheduled operation and its outcome.
-    pub fn records(&self) -> &[OpenOp<SM>] {
+    pub fn records(&self) -> &[OpenOp<S>] {
         &self.records
     }
 
@@ -177,59 +165,48 @@ impl<SM: StateMachine> OpenLoopClient<SM> {
         self.floor
     }
 
-    fn arm_next_arrival(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn arm_next_arrival(&mut self, ctx: &mut Context<Msg<S>>) {
         if let Some(&next) = self.pending_arrivals.front() {
             ctx.set_timer(next.saturating_sub(ctx.now), ARRIVAL_TOKEN);
         }
     }
 
-    fn send_current(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn send_current(&mut self, ctx: &mut Context<Msg<S>>) {
         let Some(idx) = self.current else { return };
         self.last_sent = ctx.now;
         let trace = match &self.span {
             Some(span) => span.context(),
             None => ctx.trace(),
         };
-        let rec = &self.records[idx];
+        let op = S::op(self.records[idx].cmd.clone());
         let req_id = idx as u64 + 1;
         if self.read_in_flight {
             let target = self.servers[self.target % self.servers.len()];
-            ctx.send_traced(
-                target,
-                Msg::ReadRequest {
-                    client: self.me,
-                    req_id,
-                    cmd: rec.cmd.clone(),
-                    floor: self.floor,
-                },
-                trace,
-            );
+            let read = S::read_request(self.me, req_id, &op, self.floor)
+                .expect("read flag only set for readable ops");
+            ctx.send_traced(target, Msg::Ext(read), trace);
         } else {
             let target = match self.leader_hint {
                 Some(l) if self.servers.contains(&l) => l,
                 _ => self.servers[self.target % self.servers.len()],
             };
-            ctx.send_traced(
-                target,
-                Msg::Request {
-                    client: self.me,
-                    req_id,
-                    op: ClientOp::App(rec.cmd.clone()),
-                },
-                trace,
-            );
+            let client = self.me;
+            ctx.send_traced(target, Msg::Request { client, req_id, op }, trace);
         }
-        ctx.set_timer(self.timeout, RETRY_TOKEN);
+        ctx.set_timer(S::CLIENT_TIMEOUT, RETRY_TOKEN);
     }
 
     /// Put the next released record on the wire if the slot is free.
-    fn try_launch(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn try_launch(&mut self, ctx: &mut Context<Msg<S>>) {
         if self.current.is_some() || self.launched >= self.arrived {
             return;
         }
         let idx = self.launched;
         self.launched += 1;
-        let read = self.local_reads && SM::is_read_only(&self.records[idx].cmd);
+        let read = self.local_reads && {
+            let op = S::op(self.records[idx].cmd.clone());
+            S::read_request(self.me, idx as u64 + 1, &op, self.floor).is_some()
+        };
         self.records[idx].read = read;
         self.read_in_flight = read;
         self.current = Some(idx);
@@ -252,12 +229,12 @@ impl<SM: StateMachine> OpenLoopClient<SM> {
     }
 
     /// Boot: arm the first arrival.
-    pub fn on_start(&mut self, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
         self.arm_next_arrival(ctx);
     }
 
     /// Timers: arrival releases and retransmission checks.
-    pub fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<S>>) {
         match token {
             ARRIVAL_TOKEN => {
                 while self
@@ -275,7 +252,7 @@ impl<SM: StateMachine> OpenLoopClient<SM> {
                 if self.current.is_none() {
                     return; // stale timer from a completed op
                 }
-                if ctx.now.saturating_sub(self.last_sent) >= self.timeout {
+                if ctx.now.saturating_sub(self.last_sent) >= S::CLIENT_TIMEOUT {
                     self.retransmits += 1;
                     self.target += 1;
                     self.leader_hint = None;
@@ -299,10 +276,13 @@ impl<SM: StateMachine> OpenLoopClient<SM> {
     }
 
     /// Message dispatch (responses only).
-    pub fn on_message(&mut self, from: NodeId, msg: Msg<SM>, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
         let (req_id, resp, at, from_leader) = match msg {
             Msg::Response { req_id, resp, at } => (req_id, resp, at, true),
-            Msg::ReadResponse { req_id, resp, at } => (req_id, Some(resp), at, false),
+            Msg::Ext(ext) => match S::read_reply(ext) {
+                Some((req_id, resp, at)) => (req_id, Some(resp), at, false),
+                None => return,
+            },
             _ => return,
         };
         let Some(idx) = self.current else { return };

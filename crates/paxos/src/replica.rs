@@ -1,4 +1,6 @@
-//! The replica: acceptor + proposer + learner + state-machine host.
+//! The replica core: acceptor + proposer + learner of one Multi-Paxos
+//! log, hosting a [`Service`].
+#![deny(clippy::too_many_lines)]
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
@@ -8,38 +10,8 @@ use rand_chacha::ChaCha8Rng;
 use simnet::{Context, NodeId, SimTime, TimerToken};
 
 use crate::ballot::{Ballot, Slot};
-use crate::msg::{
-    AcceptedEntry, BatchEntry, ChosenEntry, ClientOp, Command, Msg, QuorumRule, SnapshotData,
-    MSG_KINDS,
-};
-
-/// A deterministic replicated state machine.
-pub trait StateMachine: Clone {
-    /// Commands the machine applies.
-    type Command: Clone + std::fmt::Debug;
-    /// Responses it produces.
-    type Response: Clone + std::fmt::Debug;
-
-    /// Apply one command, mutating the state and producing a response.
-    /// Must be deterministic: identical command sequences yield identical
-    /// states on every replica.
-    fn apply(&mut self, cmd: &Self::Command) -> Self::Response;
-
-    /// Whether `cmd` leaves the state unchanged when applied. Read-only
-    /// commands may be served by followers from their applied prefix
-    /// (session monotonicity, gated by the client's floor) instead of
-    /// going through the log. Must agree with [`StateMachine::peek`]:
-    /// `is_read_only(cmd)` implies `peek(cmd)` returns `Some`.
-    fn is_read_only(_cmd: &Self::Command) -> bool {
-        false
-    }
-
-    /// Evaluate a read-only command against the current state without
-    /// mutating it. Returns `None` for commands that are not read-only.
-    fn peek(&self, _cmd: &Self::Command) -> Option<Self::Response> {
-        None
-    }
-}
+use crate::msg::{AcceptedEntry, ChosenEntry, Msg, QuorumRule, SnapshotData, MSG_KINDS};
+use crate::service::{Compose, PendingOp, Service};
 
 /// Static replica configuration.
 #[derive(Clone, Debug)]
@@ -72,10 +44,10 @@ pub struct ReplicaConfig {
     /// With a bound, excess requests queue at the leader and are
     /// batched into slots as the window frees up.
     pub pipeline: usize,
-    /// Serve read-only commands ([`StateMachine::is_read_only`]) from
-    /// the local applied state instead of the log. Guarantees session
-    /// monotonicity (a read never precedes the issuing client's last
-    /// acknowledged write), not full linearizability.
+    /// Serve read-only commands ([`crate::StateMachine::is_read_only`])
+    /// from the local applied state instead of the log. Guarantees
+    /// session monotonicity (a read never precedes the issuing client's
+    /// last acknowledged write), not full linearizability.
     pub local_reads: bool,
     /// Observability sink (metrics + tracing). Disabled by default; when
     /// enabled the replica counts messages by kind, tracks elections and
@@ -108,12 +80,15 @@ const BATCH_TOKEN: TimerToken = TimerToken(2);
 
 /// The proposer's phase.
 #[derive(Clone, Debug)]
-enum Phase<C> {
+enum Phase<W> {
     /// Passive: following a (possibly unknown) leader.
     Follower,
     /// Campaigning: collecting promises for `ballot`.
     Preparing {
-        promises: HashMap<NodeId, (Vec<AcceptedEntry<C>>, Slot)>,
+        /// Ordered by node, not hashed: the catch-up peer after a
+        /// takeover is picked by walking this map, and a hasher-ordered
+        /// walk would break ties differently from run to run.
+        promises: BTreeMap<NodeId, (Vec<AcceptedEntry<W>>, Slot)>,
     },
     /// Leading: the stable proposer for `ballot`.
     Leading,
@@ -121,8 +96,8 @@ enum Phase<C> {
 
 /// An in-flight proposal at the leader.
 #[derive(Clone, Debug)]
-struct Proposal<C> {
-    value: Command<C>,
+struct Proposal<V> {
+    value: V,
     acks: HashSet<NodeId>,
     sent_at: SimTime,
     /// Open per-operation propose span, a causal child of the request
@@ -132,14 +107,15 @@ struct Proposal<C> {
     span: SpanHandle,
 }
 
-/// Pre-resolved instrument handles for the replica's hot paths, so the
-/// per-message cost is an atomic add (or a `None` check when disabled)
-/// instead of a registry lookup.
+/// Pre-resolved instrument handles and trace-point names for the
+/// replica's hot paths, so the per-message cost is an atomic add (or a
+/// `None` check when disabled) instead of a registry lookup.
 #[derive(Clone, Debug)]
 struct ReplicaMetrics {
     obs: Obs,
-    sent: [Counter; MSG_KINDS.len()],
-    recv: [Counter; MSG_KINDS.len()],
+    /// By [`Msg::kind_index`].
+    sent: Vec<Counter>,
+    recv: Vec<Counter>,
     elections: Counter,
     leadership: Counter,
     ballot_round: Gauge,
@@ -147,66 +123,60 @@ struct ReplicaMetrics {
     phase2_micros: Histogram,
     batches_proposed: Counter,
     batched_ops: Counter,
-    reads_local: Counter,
-    reads_deferred: Counter,
+    election: String,
+    takeover: String,
+    propose: String,
+    quorum_wait: String,
+    commit: String,
+    apply: String,
+    batch_join: String,
 }
 
 impl ReplicaMetrics {
-    fn new(obs: Obs) -> Self {
+    fn new<S: Service>(obs: Obs) -> Self {
+        let name = |what: &str| format!("{}.{what}", S::PREFIX);
+        let by_kind = |dir: &str| {
+            MSG_KINDS
+                .iter()
+                .chain(S::EXT_KINDS)
+                .map(|kind| obs.counter(&name(&format!("{dir}.{kind}"))))
+                .collect()
+        };
         ReplicaMetrics {
-            sent: std::array::from_fn(|i| obs.counter(&format!("paxos.msg_sent.{}", MSG_KINDS[i]))),
-            recv: std::array::from_fn(|i| obs.counter(&format!("paxos.msg_recv.{}", MSG_KINDS[i]))),
-            elections: obs.counter("paxos.elections_started"),
-            leadership: obs.counter("paxos.leadership_acquired"),
-            ballot_round: obs.gauge("paxos.ballot_round"),
-            phase1_micros: obs.histogram("paxos.phase1_micros"),
-            phase2_micros: obs.histogram("paxos.phase2_micros"),
-            batches_proposed: obs.counter("paxos.batches_proposed"),
-            batched_ops: obs.counter("paxos.batched_ops"),
-            reads_local: obs.counter("paxos.reads_local"),
-            reads_deferred: obs.counter("paxos.reads_deferred"),
+            sent: by_kind("msg_sent"),
+            recv: by_kind("msg_recv"),
+            elections: obs.counter(&name("elections_started")),
+            leadership: obs.counter(&name("leadership_acquired")),
+            ballot_round: obs.gauge(&name("ballot_round")),
+            phase1_micros: obs.histogram(&name("phase1_micros")),
+            phase2_micros: obs.histogram(&name("phase2_micros")),
+            batches_proposed: obs.counter(&name("batches_proposed")),
+            batched_ops: obs.counter(&name("batched_ops")),
+            election: name("election"),
+            takeover: name("takeover"),
+            propose: name("propose"),
+            quorum_wait: name("quorum_wait"),
+            commit: name("commit"),
+            apply: name("apply"),
+            batch_join: name("batch_join"),
             obs,
         }
     }
 }
 
 /// Sim-time milliseconds as trace microseconds.
-fn sim_micros(t: SimTime) -> u64 {
+pub(crate) fn sim_micros(t: SimTime) -> u64 {
     t.as_millis().saturating_mul(1_000)
-}
-
-/// A client request parked at the leader: waiting for leadership, for a
-/// reconfiguration to commit, for the pipeline window to free up, or for
-/// its batch to fill.
-#[derive(Clone, Debug)]
-struct PendingOp<C> {
-    client: NodeId,
-    req_id: u64,
-    op: ClientOp<C>,
-    trace: TraceContext,
-    /// Arrival time, for the batch linger policy.
-    at: SimTime,
-}
-
-/// A follower-local read parked until the applied prefix reaches the
-/// issuing client's session floor. Volatile: cleared on reboot (the
-/// client retransmits and eventually falls back to the leader).
-#[derive(Clone, Debug)]
-struct WaitingRead<C> {
-    client: NodeId,
-    req_id: u64,
-    cmd: C,
-    floor: Slot,
 }
 
 /// Per-slot acceptor state.
 #[derive(Clone, Debug)]
-struct SlotState<C> {
-    accepted: Option<(Ballot, Command<C>)>,
-    chosen: Option<Command<C>>,
+struct SlotState<W> {
+    accepted: Option<(Ballot, W)>,
+    chosen: Option<W>,
 }
 
-impl<C> Default for SlotState<C> {
+impl<W> Default for SlotState<W> {
     fn default() -> Self {
         SlotState {
             accepted: None,
@@ -215,51 +185,45 @@ impl<C> Default for SlotState<C> {
     }
 }
 
-/// A Multi-Paxos replica hosting a [`StateMachine`].
+/// A Multi-Paxos replica hosting a [`Service`].
 #[derive(Clone, Debug)]
-pub struct Replica<SM: StateMachine> {
-    me: NodeId,
-    cfg: ReplicaConfig,
+pub struct Replica<S: Service> {
+    pub(crate) me: NodeId,
+    pub(crate) cfg: ReplicaConfig,
     /// Current membership view, sorted.
-    view: Vec<NodeId>,
+    pub(crate) view: Vec<NodeId>,
     /// Number of reconfigurations applied.
-    view_id: u64,
+    pub(crate) view_id: u64,
     /// True once this replica applied its own removal.
-    retired: bool,
+    pub(crate) retired: bool,
 
-    sm: SM,
-    /// Per-slot protocol state (pruned below `applied`).
-    slots: BTreeMap<Slot, SlotState<SM::Command>>,
+    pub(crate) svc: S::Host,
+    /// Per-slot protocol state (pruned below `floor`).
+    slots: BTreeMap<Slot, SlotState<S::Wire>>,
     /// First unchosen slot (everything below is chosen).
     commit_index: Slot,
     /// First unapplied slot (`applied ≤ commit_index`).
-    applied: Slot,
+    pub(crate) applied: Slot,
     /// Compaction floor: slots below this were pruned into the snapshot
-    /// implied by the live state machine.
-    floor: Slot,
+    /// implied by the live service state.
+    pub(crate) floor: Slot,
     /// Exactly-once cache: client → (last applied req_id, response).
-    dedup: HashMap<NodeId, (u64, Option<SM::Response>)>,
+    pub(crate) dedup: HashMap<NodeId, (u64, Option<S::Resp>)>,
 
     /// Highest ballot promised (acceptor duty).
     promised: Ballot,
     /// Our own ballot when campaigning or leading.
     ballot: Ballot,
-    phase: Phase<SM::Command>,
+    phase: Phase<S::Wire>,
     /// Who we believe leads (for request forwarding).
     leader: Option<NodeId>,
     /// In-flight proposals (leader only).
-    proposals: BTreeMap<Slot, Proposal<SM::Command>>,
+    proposals: BTreeMap<Slot, Proposal<S::Value>>,
     /// Next free slot (leader only).
     next_slot: Slot,
-    /// Requests waiting for leadership, for a reconfig to commit, for
-    /// the pipeline window, or for their batch to fill — each with the
-    /// causal trace it arrived under.
-    pending: VecDeque<PendingOp<SM::Command>>,
-    /// True while a Reconfig proposal is in flight (stalls later ones).
-    reconfig_in_flight: bool,
-    /// Follower-local reads waiting for the applied prefix to reach
-    /// their session floor; drained in one combined pass per advance.
-    waiting_reads: Vec<WaitingRead<SM::Command>>,
+    /// Requests waiting for leadership, for a service barrier, for the
+    /// pipeline window, or for their batch to fill.
+    pending: VecDeque<PendingOp<S::Op>>,
 
     election_deadline: SimTime,
     last_heartbeat_sent: SimTime,
@@ -269,22 +233,22 @@ pub struct Replica<SM: StateMachine> {
     phase1_open: Option<(SpanHandle, SimTime)>,
 }
 
-impl<SM: StateMachine> Replica<SM> {
-    /// Create a replica with the given identity, initial view, state
-    /// machine and RNG seed (used only for election jitter).
-    pub fn new(me: NodeId, view: Vec<NodeId>, sm: SM, cfg: ReplicaConfig, seed: u64) -> Self {
+impl<S: Service> Replica<S> {
+    /// Create a replica with the given identity, initial view, service
+    /// state and RNG seed (used only for election jitter).
+    pub fn new(me: NodeId, view: Vec<NodeId>, svc: S::Host, cfg: ReplicaConfig, seed: u64) -> Self {
         let mut view = view;
         view.sort_unstable();
         view.dedup();
         assert!(view.contains(&me) || view.is_empty(), "replica not in view");
-        let metrics = ReplicaMetrics::new(cfg.obs.clone());
+        let metrics = ReplicaMetrics::new::<S>(cfg.obs.clone());
         Replica {
             me,
             cfg,
             view,
             view_id: 0,
             retired: false,
-            sm,
+            svc,
             slots: BTreeMap::new(),
             commit_index: 0,
             applied: 0,
@@ -297,11 +261,9 @@ impl<SM: StateMachine> Replica<SM> {
             proposals: BTreeMap::new(),
             next_slot: 0,
             pending: VecDeque::new(),
-            reconfig_in_flight: false,
-            waiting_reads: Vec::new(),
             election_deadline: SimTime::ZERO,
             last_heartbeat_sent: SimTime::ZERO,
-            rng: ChaCha8Rng::seed_from_u64(seed ^ (me.0 as u64).wrapping_mul(0x9E37_79B9)),
+            rng: ChaCha8Rng::seed_from_u64(seed ^ (me.0 as u64).wrapping_mul(S::REPLICA_SALT)),
             metrics,
             phase1_open: None,
         }
@@ -339,9 +301,14 @@ impl<SM: StateMachine> Replica<SM> {
         self.commit_index
     }
 
-    /// The hosted state machine (applied prefix).
-    pub fn state_machine(&self) -> &SM {
-        &self.sm
+    /// The hosted service state.
+    pub fn service(&self) -> &S::Host {
+        &self.svc
+    }
+
+    /// Mutable service state (for the service's own hooks).
+    pub fn service_mut(&mut self) -> &mut S::Host {
+        &mut self.svc
     }
 
     /// The compaction floor: slots below this are no longer in the log.
@@ -349,13 +316,38 @@ impl<SM: StateMachine> Replica<SM> {
         self.floor
     }
 
+    /// Whether this replica applied its own removal from the view.
+    pub fn is_retired(&self) -> bool {
+        self.retired
+    }
+
+    /// The applied part of the chosen log still held (slots at or above
+    /// the compaction floor), as this replica stores it.
+    pub fn applied_prefix(&self) -> Vec<(Slot, S::Wire)> {
+        self.slots
+            .range(..self.applied)
+            .filter_map(|(s, st)| st.chosen.clone().map(|v| (*s, v)))
+            .collect()
+    }
+
+    /// The quorum size under the configured rule and the current view.
+    pub fn quorum(&self) -> usize {
+        self.cfg.quorum.quorum_size(self.view.len())
+    }
+
+    fn idx_of(&self, node: NodeId) -> Option<usize> {
+        self.view.iter().position(|&n| n == node)
+    }
+
+    // ---------------------------------------------------------- snapshots
+
     /// Package the applied state as a snapshot.
-    fn snapshot(&self) -> SnapshotData<SM> {
+    pub(crate) fn snapshot(&self) -> SnapshotData<S> {
         SnapshotData {
             applied: self.applied,
             view: self.view.clone(),
             view_id: self.view_id,
-            sm: self.sm.clone(),
+            state: S::snapshot(&self.svc),
             dedup: self
                 .dedup
                 .iter()
@@ -365,11 +357,11 @@ impl<SM: StateMachine> Replica<SM> {
     }
 
     /// Adopt a snapshot that is ahead of the local applied prefix.
-    fn install_snapshot(&mut self, snap: SnapshotData<SM>, now: SimTime) {
+    fn install_snapshot(&mut self, snap: SnapshotData<S>, now: SimTime) {
         if snap.applied <= self.applied {
             return;
         }
-        self.sm = snap.sm;
+        S::restore(&mut self.svc, snap.state);
         self.dedup = snap
             .dedup
             .into_iter()
@@ -382,10 +374,7 @@ impl<SM: StateMachine> Replica<SM> {
         self.applied = snap.applied;
         self.commit_index = self.commit_index.max(snap.applied);
         self.floor = self.floor.max(snap.applied);
-        let cut: Vec<Slot> = self.slots.range(..snap.applied).map(|(&s, _)| s).collect();
-        for s in cut {
-            self.slots.remove(&s);
-        }
+        self.slots = self.slots.split_off(&snap.applied);
         if !self.view.contains(&self.me) {
             self.retired = true;
             self.step_down(now);
@@ -401,57 +390,52 @@ impl<SM: StateMachine> Replica<SM> {
             return;
         }
         self.floor = self.applied;
-        let cut: Vec<Slot> = self.slots.range(..self.floor).map(|(&s, _)| s).collect();
-        for s in cut {
-            self.slots.remove(&s);
-        }
-    }
-
-    /// Whether this replica applied its own removal from the view.
-    pub fn is_retired(&self) -> bool {
-        self.retired
-    }
-
-    /// The chosen log prefix as applied commands (for consistency checks).
-    pub fn applied_prefix(&self) -> Vec<(Slot, Command<SM::Command>)> {
-        self.slots
-            .iter()
-            .filter(|(s, _)| **s < self.applied)
-            .filter_map(|(s, st)| st.chosen.clone().map(|v| (*s, v)))
-            .collect()
-    }
-
-    fn quorum(&self) -> usize {
-        self.cfg.quorum.quorum_size(self.view.len())
+        self.slots = self.slots.split_off(&self.floor);
     }
 
     // ------------------------------------------------------ observability
 
-    /// Send one message, counting it by kind.
-    fn send_msg(&self, ctx: &mut Context<Msg<SM>>, to: NodeId, msg: Msg<SM>) {
+    /// Send one message, counting it by kind; it continues the causal
+    /// chain of the message being handled.
+    pub fn send_msg(&self, ctx: &mut Context<Msg<S>>, to: NodeId, msg: Msg<S>) {
+        self.send_msg_traced(ctx, to, msg, ctx.trace());
+    }
+
+    /// [`Replica::send_msg`] under an explicit trace context, so
+    /// per-operation protocol traffic (Accepts, Commits, retries) stays
+    /// parented under the operation's propose span rather than whatever
+    /// message happened to trigger the send.
+    fn send_msg_traced(
+        &self,
+        ctx: &mut Context<Msg<S>>,
+        to: NodeId,
+        msg: Msg<S>,
+        trace: TraceContext,
+    ) {
         self.metrics.sent[msg.kind_index()].inc();
-        ctx.send(to, msg);
+        ctx.send_traced(to, msg, trace);
     }
 
     /// Broadcast to the view (self excluded, matching
     /// [`Context::broadcast`]), counting each copy by kind.
-    fn broadcast_msg(&self, ctx: &mut Context<Msg<SM>>, msg: Msg<SM>) {
+    pub fn broadcast_msg(&self, ctx: &mut Context<Msg<S>>, msg: Msg<S>) {
         let fanout = self.view.iter().filter(|&&p| p != self.me).count();
         self.metrics.sent[msg.kind_index()].add(fanout as u64);
         ctx.broadcast(self.view.iter(), msg);
     }
 
-    /// [`Replica::broadcast_msg`] under an explicit trace context, so
-    /// per-operation protocol traffic (Accepts, Commits) stays parented
-    /// under the operation's propose span rather than whatever message
-    /// happened to trigger the broadcast.
-    fn broadcast_msg_traced(&self, ctx: &mut Context<Msg<SM>>, msg: Msg<SM>, trace: TraceContext) {
-        let me = self.me;
-        let fanout = self.view.iter().filter(|&&p| p != me).count();
-        self.metrics.sent[msg.kind_index()].add(fanout as u64);
-        for &p in &self.view {
-            if p != me {
-                ctx.send_traced(p, msg.clone(), trace);
+    /// Send every peer its own wire form of `value`, wrapped by `msg`,
+    /// under `trace`.
+    fn send_wires(
+        &self,
+        ctx: &mut Context<Msg<S>>,
+        value: &S::Value,
+        trace: TraceContext,
+        msg: impl Fn(S::Wire) -> Msg<S>,
+    ) {
+        for (idx, &peer) in self.view.iter().enumerate() {
+            if peer != self.me {
+                self.send_msg_traced(ctx, peer, msg(S::wire_for(value, idx)), trace);
             }
         }
     }
@@ -468,39 +452,32 @@ impl<SM: StateMachine> Replica<SM> {
         self.election_deadline = now + lo + SimTime::from_millis(jitter);
     }
 
-    fn step_down(&mut self, now: SimTime) {
-        if let Some((span, _)) = self.phase1_open.take() {
-            self.metrics
-                .obs
-                .trace
-                .span_close(span, "paxos.election", &[("won", FieldValue::Bool(false))]);
-        }
-        let open_spans: Vec<(SpanHandle, SpanHandle)> = self
-            .proposals
-            .values()
-            .map(|p| (p.span, p.propose_span))
-            .collect();
-        for (span, propose_span) in open_spans {
-            self.metrics.obs.trace.span_close(
-                span,
-                "paxos.quorum_wait",
-                &[("aborted", FieldValue::Bool(true))],
-            );
-            self.metrics.obs.trace.span_close(
-                propose_span,
-                "paxos.propose",
-                &[("aborted", FieldValue::Bool(true))],
-            );
+    fn close_election_span(&mut self, won: bool) -> Option<SimTime> {
+        let (span, started) = self.phase1_open.take()?;
+        let m = &self.metrics;
+        m.obs
+            .trace
+            .span_close(span, &m.election, &[("won", FieldValue::Bool(won))]);
+        Some(started)
+    }
+
+    pub(crate) fn step_down(&mut self, now: SimTime) {
+        self.close_election_span(false);
+        let m = &self.metrics;
+        let aborted = [("aborted", FieldValue::Bool(true))];
+        for p in self.proposals.values() {
+            m.obs.trace.span_close(p.span, &m.quorum_wait, &aborted);
+            m.obs.trace.span_close(p.propose_span, &m.propose, &aborted);
         }
         self.phase = Phase::Follower;
         self.proposals.clear();
-        self.reconfig_in_flight = false;
+        S::stepped_down(&mut self.svc, &mut self.pending);
         self.reset_election_deadline(now);
     }
 
     /// Recover after a crash: drop volatile (in-memory) state, keep the
     /// durable (on-disk) state — `promised`, accepted/chosen slots, the
-    /// applied state machine and the exactly-once cache.
+    /// applied service state and the exactly-once cache.
     ///
     /// Paxos quorum intersection is only sound if acceptor state survives
     /// restarts: a node that re-promises with an empty accepted set can
@@ -513,13 +490,13 @@ impl<SM: StateMachine> Replica<SM> {
         self.leader = None;
         // In-flight client requests died with the process; clients retry.
         self.pending.clear();
-        self.waiting_reads.clear();
+        S::rebooted(&mut self.svc);
         // `on_start` re-arms the tick timer and election deadline at boot.
     }
 
     // ----------------------------------------------------------- election
 
-    fn start_election(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn start_election(&mut self, ctx: &mut Context<Msg<S>>) {
         if self.retired || !self.view.contains(&self.me) {
             return;
         }
@@ -530,7 +507,7 @@ impl<SM: StateMachine> Replica<SM> {
         };
         self.promised = self.ballot;
         self.leader = None;
-        let mut promises = HashMap::new();
+        let mut promises = BTreeMap::new();
         promises.insert(
             self.me,
             (self.accepted_tail(self.commit_index), self.commit_index),
@@ -539,15 +516,10 @@ impl<SM: StateMachine> Replica<SM> {
         self.reset_election_deadline(ctx.now);
         self.metrics.elections.inc();
         self.metrics.ballot_round.set(round as f64);
-        if let Some((span, _)) = self.phase1_open.take() {
-            // A re-election supersedes the previous campaign.
-            self.metrics
-                .obs
-                .trace
-                .span_close(span, "paxos.election", &[("won", FieldValue::Bool(false))]);
-        }
+        // A re-election supersedes the previous campaign.
+        self.close_election_span(false);
         let span = self.metrics.obs.trace.span_open(
-            "paxos.election",
+            &self.metrics.election,
             &[
                 ("node", FieldValue::U64(self.me.0 as u64)),
                 ("round", FieldValue::U64(round)),
@@ -563,13 +535,11 @@ impl<SM: StateMachine> Replica<SM> {
         self.try_become_leader(ctx);
     }
 
-    fn accepted_tail(&self, from: Slot) -> Vec<AcceptedEntry<SM::Command>> {
+    fn accepted_tail(&self, from: Slot) -> Vec<AcceptedEntry<S::Wire>> {
         self.slots
             .range(from..)
+            .filter(|(_, st)| st.chosen.is_none())
             .filter_map(|(&slot, st)| {
-                if st.chosen.is_some() {
-                    return None;
-                }
                 st.accepted.as_ref().map(|(ballot, value)| AcceptedEntry {
                     slot,
                     ballot: *ballot,
@@ -579,47 +549,54 @@ impl<SM: StateMachine> Replica<SM> {
             .collect()
     }
 
-    fn chosen_tail(&self, from: Slot) -> Vec<ChosenEntry<SM::Command>> {
-        self.slots
-            .range(from..)
-            .filter_map(|(&slot, st)| {
-                st.chosen.as_ref().map(|value| ChosenEntry {
-                    slot,
-                    value: value.clone(),
-                })
+    /// The chosen entries from `from` on, each reshaped for `dest`.
+    pub(crate) fn chosen_tail(
+        &self,
+        from: Slot,
+        dest: NodeId,
+    ) -> impl Iterator<Item = ChosenEntry<S::Wire>> + '_ {
+        let dest_idx = self.idx_of(dest);
+        self.slots.range(from..).filter_map(move |(&slot, st)| {
+            st.chosen.as_ref().map(|v| ChosenEntry {
+                slot,
+                value: S::reshape(&self.svc, v, slot, dest_idx),
             })
-            .collect()
+        })
     }
 
-    fn try_become_leader(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn try_become_leader(&mut self, ctx: &mut Context<Msg<S>>) {
         let quorum = self.quorum();
-        let Phase::Preparing { promises } = &self.phase else {
-            return;
-        };
-        if promises.len() < quorum {
-            return;
+        match &self.phase {
+            Phase::Preparing { promises } if promises.len() >= quorum => {}
+            _ => return,
         }
-        let promises = promises.clone();
-        // Merge accepted values: per slot, keep the highest-ballot value.
-        let mut merged: BTreeMap<Slot, (Ballot, Command<SM::Command>)> = BTreeMap::new();
+        let Phase::Preparing { promises } = std::mem::replace(&mut self.phase, Phase::Leading)
+        else {
+            unreachable!("matched above");
+        };
+        // Per slot: the highest ballot and every copy accepted at it.
+        let mut merged: BTreeMap<Slot, (Ballot, Vec<&S::Wire>)> = BTreeMap::new();
         let mut max_commit = self.commit_index;
-        for (accepted, ci) in promises.values() {
-            max_commit = max_commit.max(*ci);
+        // The lowest-numbered peer at the highest commit index.
+        let mut best_peer = self.me;
+        for (&peer, (accepted, ci)) in &promises {
+            if *ci > max_commit {
+                max_commit = *ci;
+                best_peer = peer;
+            }
             for e in accepted {
-                let replace = merged
-                    .get(&e.slot)
-                    .map(|(b, _)| *b < e.ballot)
-                    .unwrap_or(true);
-                if replace {
-                    merged.insert(e.slot, (e.ballot, e.value.clone()));
+                let m = merged.entry(e.slot).or_insert((Ballot::BOTTOM, Vec::new()));
+                if e.ballot > m.0 {
+                    *m = (e.ballot, vec![&e.value]);
+                } else if e.ballot == m.0 {
+                    m.1.push(&e.value);
                 }
             }
         }
-        self.phase = Phase::Leading;
         self.leader = Some(self.me);
         self.metrics.leadership.inc();
         self.metrics.obs.trace.event(
-            "paxos.takeover",
+            &self.metrics.takeover,
             &[
                 ("node", FieldValue::U64(self.me.0 as u64)),
                 ("round", FieldValue::U64(self.ballot.round)),
@@ -631,28 +608,29 @@ impl<SM: StateMachine> Replica<SM> {
                 ),
                 (
                     "promisers",
-                    FieldValue::U64(promises.keys().fold(0u64, |m, n| m | (1 << (n.0 as u64 % 64)))),
+                    FieldValue::U64(
+                        promises
+                            .keys()
+                            .fold(0u64, |m, n| m | (1 << (n.0 as u64 % 64))),
+                    ),
                 ),
             ],
         );
-        if let Some((span, started)) = self.phase1_open.take() {
+        if let Some(started) = self.close_election_span(true) {
             self.metrics
                 .phase1_micros
                 .record(sim_micros(ctx.now.saturating_sub(started)));
-            self.metrics
-                .obs
-                .trace
-                .span_close(span, "paxos.election", &[("won", FieldValue::Bool(true))]);
         }
         self.last_heartbeat_sent = SimTime::ZERO; // heartbeat asap
-                                                  // Re-propose merged values, fill gaps with no-ops up to the top.
+
+        // Re-propose merged values, fill gaps with no-ops up to the top.
         // Fresh proposals must start past every slot already decided, not
         // just past the merged *accepted* entries: a chosen slot adopted
         // from a promise can sit beyond a gap (commit_index stalls at the
         // gap), and a peer's commit index proves everything below it was
         // chosen somewhere. Assigning a fresh command to such a slot would
         // overwrite a decided value.
-        let top = merged.keys().next_back().copied().map(|s| s + 1).unwrap_or(0);
+        let top = merged.keys().next_back().map(|s| s + 1).unwrap_or(0);
         let chosen_top = self
             .slots
             .iter()
@@ -660,22 +638,14 @@ impl<SM: StateMachine> Replica<SM> {
             .find(|(_, st)| st.chosen.is_some())
             .map(|(&s, _)| s + 1)
             .unwrap_or(0);
-        self.next_slot = self
-            .commit_index
-            .max(top)
-            .max(chosen_top)
-            .max(max_commit);
-        let mut to_propose: Vec<(Slot, Command<SM::Command>)> = Vec::new();
-        for slot in self.commit_index..self.next_slot {
-            if self.slot_state(slot).chosen.is_some() {
-                continue;
-            }
-            let value = merged
-                .get(&slot)
-                .map(|(_, v)| v.clone())
-                .unwrap_or(Command::Noop);
-            to_propose.push((slot, value));
-        }
+        self.next_slot = self.commit_index.max(top).max(chosen_top).max(max_commit);
+        let to_propose: Vec<(Slot, S::Value)> = (self.commit_index..self.next_slot)
+            .filter(|slot| self.slots.get(slot).is_none_or(|st| st.chosen.is_none()))
+            .map(|slot| {
+                let copies = merged.get(&slot).map_or(&[][..], |(_, copies)| copies);
+                (slot, S::recover(&self.svc, copies))
+            })
+            .collect();
         for (slot, value) in to_propose {
             // Re-proposals triggered by the view change are causally the
             // election's work: parent them under whatever message closed
@@ -684,18 +654,14 @@ impl<SM: StateMachine> Replica<SM> {
             self.send_accepts(slot, value, trace, ctx);
         }
         // Lagging behind a peer's commit index: fetch the chosen prefix.
-        if max_commit > self.commit_index {
-            if let Some((&peer, _)) = promises.iter().find(|(_, (_, ci))| *ci >= max_commit) {
-                if peer != self.me {
-                    self.send_msg(
-                        ctx,
-                        peer,
-                        Msg::CatchupRequest {
-                            from_slot: self.commit_index,
-                        },
-                    );
-                }
-            }
+        if best_peer != self.me {
+            self.send_msg(
+                ctx,
+                best_peer,
+                Msg::CatchupRequest {
+                    from_slot: self.commit_index,
+                },
+            );
         }
         self.flush_pending(ctx);
         self.send_heartbeat(ctx);
@@ -703,28 +669,28 @@ impl<SM: StateMachine> Replica<SM> {
 
     // --------------------------------------------------------- proposing
 
-    fn slot_state(&mut self, slot: Slot) -> &mut SlotState<SM::Command> {
+    fn slot_state(&mut self, slot: Slot) -> &mut SlotState<S::Wire> {
         self.slots.entry(slot).or_default()
     }
 
     fn send_accepts(
         &mut self,
         slot: Slot,
-        value: Command<SM::Command>,
+        value: S::Value,
         trace: TraceContext,
-        ctx: &mut Context<Msg<SM>>,
+        ctx: &mut Context<Msg<S>>,
     ) {
         let ballot = self.ballot;
         // Self-accept immediately.
-        let st = self.slot_state(slot);
-        st.accepted = Some((ballot, value.clone()));
+        let my_idx = self.idx_of(self.me).expect("a leader is in its view");
+        self.slot_state(slot).accepted = Some((ballot, S::wire_for(&value, my_idx)));
         let mut acks = HashSet::new();
         acks.insert(self.me);
         // Per-operation spans: the propose span is a causal child of the
         // request (or election) that produced the value; the quorum wait
-        // nests inside it and the phase-2 broadcast rides its context.
+        // nests inside it and the phase-2 sends ride its context.
         let propose_span = self.metrics.obs.trace.span_open_causal(
-            "paxos.propose",
+            &self.metrics.propose,
             trace,
             &[
                 ("slot", FieldValue::U64(slot)),
@@ -732,28 +698,24 @@ impl<SM: StateMachine> Replica<SM> {
             ],
         );
         let span = self.metrics.obs.trace.span_open_causal(
-            "paxos.quorum_wait",
+            &self.metrics.quorum_wait,
             propose_span.context(),
             &[("slot", FieldValue::U64(slot))],
         );
+        self.send_wires(ctx, &value, span.context(), |value| Msg::Accept {
+            ballot,
+            slot,
+            value,
+        });
         self.proposals.insert(
             slot,
             Proposal {
-                value: value.clone(),
+                value,
                 acks,
                 sent_at: ctx.now,
                 propose_span,
                 span,
             },
-        );
-        self.broadcast_msg_traced(
-            ctx,
-            Msg::Accept {
-                ballot,
-                slot,
-                value,
-            },
-            span.context(),
         );
         self.maybe_choose(slot, ctx);
     }
@@ -765,223 +727,30 @@ impl<SM: StateMachine> Replica<SM> {
         self.cfg.batch_max_ops > 1 || self.cfg.pipeline > 0
     }
 
-    /// Whether a proposal for `(client, req_id)` is already in flight.
-    fn in_flight_dup(&self, client: NodeId, req_id: u64) -> bool {
-        self.proposals.values().any(|p| match &p.value {
-            Command::App {
-                client: c,
-                req_id: r,
-                ..
-            }
-            | Command::Reconfig {
-                client: c,
-                req_id: r,
-                ..
-            } => *c == client && *r == req_id,
-            Command::Batch(entries) => entries
-                .iter()
-                .any(|e| e.client == client && e.req_id == req_id),
-            Command::Noop => false,
-        })
-    }
-
-    fn flush_pending(&mut self, ctx: &mut Context<Msg<SM>>) {
-        if !matches!(self.phase, Phase::Leading) {
-            return;
-        }
-        if self.batching_enabled() {
-            self.maybe_flush_batches(true, ctx);
-            return;
-        }
-        while !self.reconfig_in_flight {
-            let Some(p) = self.pending.pop_front() else {
-                break;
-            };
-            self.propose_op(p.client, p.req_id, p.op, p.trace, ctx);
-        }
-    }
-
-    /// Queue one request for batched proposing (dedup/stale/duplicate
-    /// checks up front, mirroring [`Replica::propose_op`]).
-    fn enqueue_op(
-        &mut self,
-        client: NodeId,
-        req_id: u64,
-        op: ClientOp<SM::Command>,
-        trace: TraceContext,
-        ctx: &mut Context<Msg<SM>>,
-    ) {
+    /// Exactly-once admission: answer a retransmission of the last
+    /// applied request from the cache, drop stale ones and duplicates of
+    /// an in-flight proposal (it will answer). `false` means settled.
+    fn admit(&mut self, client: NodeId, req_id: u64, ctx: &mut Context<Msg<S>>) -> bool {
         if let Some((last, resp)) = self.dedup.get(&client) {
             if *last == req_id {
                 let resp = resp.clone();
                 let at = self.applied;
                 self.send_msg(ctx, client, Msg::Response { req_id, resp, at });
-                return;
+                return false;
             }
             if *last > req_id {
-                return; // stale duplicate
+                return false; // stale duplicate
             }
         }
-        if self.in_flight_dup(client, req_id)
-            || self
-                .pending
-                .iter()
-                .any(|p| p.client == client && p.req_id == req_id)
-        {
-            return; // retransmission of something already queued
-        }
-        self.pending.push_back(PendingOp {
-            client,
-            req_id,
-            op,
-            trace,
-            at: ctx.now,
-        });
-        self.maybe_flush_batches(false, ctx);
+        !self
+            .proposals
+            .values()
+            .any(|p| S::carries(&p.value, client, req_id))
     }
 
-    /// Drain the pending queue into slot proposals: full batches go out
-    /// immediately, a partial batch lingers up to `batch_delay` (unless
-    /// `force`), and the pipeline cap bounds in-flight proposals. Called
-    /// on request arrival, on the linger timer, when a slot is chosen,
-    /// and (forced) at leadership acquisition.
-    fn maybe_flush_batches(&mut self, force: bool, ctx: &mut Context<Msg<SM>>) {
-        if !matches!(self.phase, Phase::Leading) {
-            return;
-        }
-        let max_ops = self.cfg.batch_max_ops.max(1);
-        loop {
-            if self.reconfig_in_flight || self.pending.is_empty() {
-                return;
-            }
-            if self.cfg.pipeline > 0 && self.proposals.len() >= self.cfg.pipeline {
-                return; // window full; maybe_choose re-flushes on commit
-            }
-            // A reconfiguration is never batched: propose it alone.
-            if matches!(
-                self.pending.front().map(|p| &p.op),
-                Some(ClientOp::Reconfig { .. })
-            ) {
-                let p = self.pending.pop_front().expect("checked non-empty");
-                self.propose_op(p.client, p.req_id, p.op, p.trace, ctx);
-                continue;
-            }
-            let apps = self
-                .pending
-                .iter()
-                .take_while(|p| matches!(p.op, ClientOp::App(_)))
-                .count();
-            let oldest = self.pending.front().map(|p| p.at).unwrap_or(ctx.now);
-            let age = ctx.now.saturating_sub(oldest);
-            if !force && apps < max_ops && age < self.cfg.batch_delay {
-                // Linger: re-check when the oldest entry's delay expires.
-                let wait = self.cfg.batch_delay.saturating_sub(age);
-                ctx.set_timer(wait.max(SimTime::from_millis(1)), BATCH_TOKEN);
-                return;
-            }
-            let take = apps.min(max_ops);
-            let mut entries: Vec<BatchEntry<SM::Command>> = Vec::with_capacity(take);
-            let mut trace: Option<TraceContext> = None;
-            for _ in 0..take {
-                let p = self.pending.pop_front().expect("counted above");
-                let ClientOp::App(cmd) = p.op else {
-                    unreachable!("take_while yields only App ops");
-                };
-                // The batch's protocol traffic is parented under the
-                // first entry's trace; later joiners get a causal marker
-                // in their own traces instead.
-                if trace.is_none() {
-                    trace = Some(p.trace);
-                } else {
-                    self.metrics.obs.trace.event_causal(
-                        "paxos.batch_join",
-                        p.trace,
-                        &[("req_id", FieldValue::U64(p.req_id))],
-                    );
-                }
-                entries.push(BatchEntry {
-                    client: p.client,
-                    req_id: p.req_id,
-                    cmd,
-                });
-            }
-            self.metrics.batches_proposed.inc();
-            self.metrics.batched_ops.add(entries.len() as u64);
-            let value = if entries.len() == 1 {
-                let e = entries.pop().expect("len checked");
-                Command::App {
-                    client: e.client,
-                    req_id: e.req_id,
-                    cmd: e.cmd,
-                }
-            } else {
-                Command::Batch(entries)
-            };
-            while self
-                .slots
-                .get(&self.next_slot)
-                .is_some_and(|st| st.chosen.is_some())
-            {
-                self.next_slot += 1;
-            }
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            self.send_accepts(slot, value, trace.expect("take >= 1"), ctx);
-        }
-    }
-
-    fn propose_op(
-        &mut self,
-        client: NodeId,
-        req_id: u64,
-        op: ClientOp<SM::Command>,
-        trace: TraceContext,
-        ctx: &mut Context<Msg<SM>>,
-    ) {
-        // Dedup retransmissions of the last applied request.
-        if let Some((last, resp)) = self.dedup.get(&client) {
-            if *last == req_id {
-                let resp = resp.clone();
-                let at = self.applied;
-                self.send_msg(ctx, client, Msg::Response { req_id, resp, at });
-                return;
-            }
-            if *last > req_id {
-                return; // stale duplicate
-            }
-        }
-        // Duplicate of an in-flight proposal: ignore (it will answer).
-        if self.in_flight_dup(client, req_id) {
-            return;
-        }
-        let value = match op {
-            ClientOp::App(cmd) => Command::App {
-                client,
-                req_id,
-                cmd,
-            },
-            ClientOp::Reconfig { add, remove } => {
-                if self.reconfig_in_flight {
-                    self.pending.push_back(PendingOp {
-                        client,
-                        req_id,
-                        op: ClientOp::Reconfig { add, remove },
-                        trace,
-                        at: ctx.now,
-                    });
-                    return;
-                }
-                self.reconfig_in_flight = true;
-                Command::Reconfig {
-                    client,
-                    req_id,
-                    add,
-                    remove,
-                }
-            }
-        };
-        // Never allocate a slot that is already decided (a commit adopted
-        // from a peer can land beyond the contiguous prefix).
+    /// Never allocate a slot that is already decided (a commit adopted
+    /// from a peer can land beyond the contiguous prefix).
+    fn allocate_slot(&mut self) -> Slot {
         while self
             .slots
             .get(&self.next_slot)
@@ -991,56 +760,144 @@ impl<SM: StateMachine> Replica<SM> {
         }
         let slot = self.next_slot;
         self.next_slot += 1;
+        slot
+    }
+
+    pub(crate) fn flush_pending(&mut self, ctx: &mut Context<Msg<S>>) {
+        if !self.is_leader() {
+            return;
+        }
+        if self.batching_enabled() {
+            self.maybe_flush_batches(true, ctx);
+            return;
+        }
+        while !S::barrier(&self.svc, None) {
+            let Some(p) = self.pending.pop_front() else {
+                break;
+            };
+            self.propose_op(p, ctx);
+        }
+    }
+
+    /// The classic path: one admitted request, one slot.
+    fn propose_op(&mut self, p: PendingOp<S::Op>, ctx: &mut Context<Msg<S>>) {
+        if !self.admit(p.client, p.req_id, ctx) {
+            return;
+        }
+        if S::barrier(&self.svc, Some(&p.op)) {
+            self.pending.push_back(p);
+            return;
+        }
+        let trace = p.trace;
+        let value = S::value(&mut self.svc, vec![p]);
+        let slot = self.allocate_slot();
         self.send_accepts(slot, value, trace, ctx);
     }
 
-    fn maybe_choose(&mut self, slot: Slot, ctx: &mut Context<Msg<SM>>) {
+    /// Queue one admitted request for batched proposing.
+    fn enqueue_op(&mut self, p: PendingOp<S::Op>, ctx: &mut Context<Msg<S>>) {
+        if !self.admit(p.client, p.req_id, ctx)
+            || self
+                .pending
+                .iter()
+                .any(|q| q.client == p.client && q.req_id == p.req_id)
+        {
+            return; // settled, or a retransmission of something queued
+        }
+        self.pending.push_back(p);
+        self.maybe_flush_batches(false, ctx);
+    }
+
+    /// Drain the pending queue into slot proposals: full batches go out
+    /// immediately, a partial batch lingers up to `batch_delay` (unless
+    /// `force`), and the pipeline cap bounds in-flight proposals. Called
+    /// on request arrival, on the linger timer, when a slot is chosen,
+    /// and (forced) at leadership acquisition.
+    fn maybe_flush_batches(&mut self, force: bool, ctx: &mut Context<Msg<S>>) {
+        let max_ops = self.cfg.batch_max_ops.max(1);
+        loop {
+            if !self.is_leader() || self.pending.is_empty() || S::barrier(&self.svc, None) {
+                return;
+            }
+            if self.cfg.pipeline > 0 && self.proposals.len() >= self.cfg.pipeline {
+                return; // window full; maybe_choose re-flushes on commit
+            }
+            let (take, full) = match S::compose(&self.pending, max_ops) {
+                Compose::Alone => {
+                    let p = self.pending.pop_front().expect("checked non-empty");
+                    self.propose_op(p, ctx);
+                    continue;
+                }
+                Compose::Batch { take, full } => (take, full),
+            };
+            let oldest = self.pending.front().expect("checked non-empty").at;
+            let age = ctx.now.saturating_sub(oldest);
+            if !force && !full && age < self.cfg.batch_delay {
+                // Linger: re-check when the oldest entry's delay expires.
+                let wait = self.cfg.batch_delay.saturating_sub(age);
+                ctx.set_timer(wait.max(SimTime::from_millis(1)), BATCH_TOKEN);
+                return;
+            }
+            let ops: Vec<PendingOp<S::Op>> = self.pending.drain(..take).collect();
+            // The batch's protocol traffic is parented under the first
+            // entry's trace; later joiners get a causal marker in their
+            // own traces instead.
+            let trace = ops[0].trace;
+            for p in &ops[1..] {
+                self.metrics.obs.trace.event_causal(
+                    &self.metrics.batch_join,
+                    p.trace,
+                    &[
+                        ("client", FieldValue::U64(p.client.0 as u64)),
+                        ("req_id", FieldValue::U64(p.req_id)),
+                    ],
+                );
+            }
+            self.metrics.batches_proposed.inc();
+            self.metrics.batched_ops.add(ops.len() as u64);
+            let value = S::value(&mut self.svc, ops);
+            let slot = self.allocate_slot();
+            self.send_accepts(slot, value, trace, ctx);
+        }
+    }
+
+    fn maybe_choose(&mut self, slot: Slot, ctx: &mut Context<Msg<S>>) {
         let quorum = self.quorum();
-        let Some(p) = self.proposals.get(&slot) else {
-            return;
-        };
-        if p.acks.len() < quorum {
+        if self
+            .proposals
+            .get(&slot)
+            .is_none_or(|p| p.acks.len() < quorum)
+        {
             return;
         }
         let p = self.proposals.remove(&slot).expect("checked above");
-        let value = p.value;
-        self.metrics
-            .phase2_micros
+        let m = &self.metrics;
+        m.phase2_micros
             .record(sim_micros(ctx.now.saturating_sub(p.sent_at)));
-        self.metrics.obs.trace.span_close(
+        m.obs.trace.span_close(
             p.span,
-            "paxos.quorum_wait",
+            &m.quorum_wait,
             &[
                 ("slot", FieldValue::U64(slot)),
                 ("acks", FieldValue::U64(p.acks.len() as u64)),
             ],
         );
         let propose_ctx = p.propose_span.context();
-        self.metrics.obs.trace.event_causal(
-            "paxos.commit",
-            propose_ctx,
-            &[("slot", FieldValue::U64(slot))],
-        );
-        self.metrics
-            .obs
-            .trace
-            .span_close(p.propose_span, "paxos.propose", &[("slot", FieldValue::U64(slot))]);
-        // Chosen values are write-once (mirroring `note_chosen`): if a
-        // commit for this slot was adopted while our proposal was in
-        // flight, Paxos guarantees the values agree — keep and re-announce
-        // the stored one rather than trusting the in-flight copy.
+        let at_slot = [("slot", FieldValue::U64(slot))];
+        m.obs.trace.event_causal(&m.commit, propose_ctx, &at_slot);
+        m.obs.trace.span_close(p.propose_span, &m.propose, &at_slot);
+        // Chosen values are write-once (as in `note_chosen`): if a commit
+        // for this slot was adopted while our proposal was in flight,
+        // Paxos guarantees the decisions agree — keep the stored entry.
+        let my_idx = self.idx_of(self.me).expect("a leader is in its view");
         let st = self.slot_state(slot);
         if st.chosen.is_none() {
-            st.chosen = Some(value);
+            st.chosen = Some(S::wire_for(&p.value, my_idx));
         }
-        let value = st.chosen.clone().expect("just set");
-        self.broadcast_msg_traced(
-            ctx,
-            Msg::Commit {
-                entry: ChosenEntry { slot, value },
-            },
-            propose_ctx,
-        );
+        S::chosen(&mut self.svc, slot, &p.value);
+        self.send_wires(ctx, &p.value, propose_ctx, |value| Msg::Commit {
+            entry: ChosenEntry { slot, value },
+        });
         self.advance(ctx);
         // A slot just left the pipeline window: queued requests may go.
         if self.batching_enabled() {
@@ -1050,186 +907,69 @@ impl<SM: StateMachine> Replica<SM> {
 
     // ----------------------------------------------------------- learning
 
-    fn note_chosen(&mut self, entry: ChosenEntry<SM::Command>, ctx: &mut Context<Msg<SM>>) {
-        let st = self.slot_state(entry.slot);
-        if st.chosen.is_none() {
-            st.chosen = Some(entry.value);
+    fn note_chosen(&mut self, entry: ChosenEntry<S::Wire>, ctx: &mut Context<Msg<S>>) {
+        match &mut self.slot_state(entry.slot).chosen {
+            Some(existing) => S::absorb(existing, entry.value),
+            empty => *empty = Some(entry.value),
         }
         self.advance(ctx);
     }
 
     /// Apply every contiguously chosen slot, then compact when due.
-    fn advance(&mut self, ctx: &mut Context<Msg<SM>>) {
-        loop {
-            let Some(value) = self
-                .slots
-                .get(&self.commit_index)
-                .and_then(|st| st.chosen.clone())
-            else {
-                break;
-            };
+    fn advance(&mut self, ctx: &mut Context<Msg<S>>) {
+        while let Some(value) = self
+            .slots
+            .get(&self.commit_index)
+            .and_then(|st| st.chosen.clone())
+        {
             let slot = self.commit_index;
             self.commit_index += 1;
-            self.apply(slot, value, ctx);
+            debug_assert_eq!(slot, self.applied, "out-of-order apply");
+            self.applied = slot + 1;
+            // Applies triggered by a traced Commit/Accepted land inside
+            // the operation's trace; catch-up applies carry their own
+            // context.
+            self.metrics.obs.trace.event_causal(
+                &self.metrics.apply,
+                ctx.trace(),
+                &[
+                    ("slot", FieldValue::U64(slot)),
+                    ("node", FieldValue::U64(self.me.0 as u64)),
+                ],
+            );
+            S::apply(self, slot, value, ctx);
         }
         self.maybe_compact();
-        self.serve_waiting_reads(ctx);
+        S::advanced(self, ctx);
     }
 
-    /// The flat-combining pass: one scan at the current applied point
-    /// answers every parked read whose session floor has been reached.
-    fn serve_waiting_reads(&mut self, ctx: &mut Context<Msg<SM>>) {
-        if self.waiting_reads.is_empty() {
-            return;
-        }
-        let applied = self.applied;
-        let (ready, still): (Vec<_>, Vec<_>) = self
-            .waiting_reads
-            .drain(..)
-            .partition(|r| r.floor <= applied);
-        self.waiting_reads = still;
-        for r in ready {
-            self.serve_read(r.client, r.req_id, &r.cmd, ctx);
-        }
-    }
-
-    /// Answer a read-only command from the local applied state.
-    fn serve_read(
+    /// Record `resp` as `client`'s latest answer unless a later request
+    /// of theirs already applied, and (at the leader) send it. The
+    /// applied index already points past the containing slot, so it
+    /// doubles as the response's `at`.
+    pub fn finish(
         &mut self,
         client: NodeId,
         req_id: u64,
-        cmd: &SM::Command,
-        ctx: &mut Context<Msg<SM>>,
+        resp: Option<S::Resp>,
+        ctx: &mut Context<Msg<S>>,
     ) {
-        let resp = self
-            .sm
-            .peek(cmd)
-            .expect("is_read_only commands must be peekable");
-        let at = self.applied;
-        self.metrics.reads_local.inc();
-        self.send_msg(ctx, client, Msg::ReadResponse { req_id, resp, at });
-    }
-
-    fn apply(&mut self, slot: Slot, value: Command<SM::Command>, ctx: &mut Context<Msg<SM>>) {
-        debug_assert_eq!(slot, self.applied, "out-of-order apply");
-        self.applied = slot + 1;
-        // Applies triggered by a traced Commit/Accepted land inside the
-        // operation's trace; catch-up applies carry their own context.
-        self.metrics.obs.trace.event_causal(
-            "paxos.apply",
-            ctx.trace(),
-            &[
-                ("slot", FieldValue::U64(slot)),
-                ("node", FieldValue::U64(self.me.0 as u64)),
-            ],
-        );
-        match value {
-            Command::Noop => {}
-            Command::App {
-                client,
-                req_id,
-                cmd,
-            } => {
-                self.apply_app(client, req_id, &cmd, ctx);
-            }
-            Command::Batch(entries) => {
-                // Atomic within the slot: every entry applies (in order)
-                // before the next slot is considered.
-                for e in entries {
-                    self.apply_app(e.client, e.req_id, &e.cmd, ctx);
-                }
-            }
-            Command::Reconfig {
-                client,
-                req_id,
-                add,
-                remove,
-            } => {
-                let mut joiners = Vec::new();
-                for n in add {
-                    if !self.view.contains(&n) {
-                        self.view.push(n);
-                        joiners.push(n);
-                    }
-                }
-                self.view.retain(|n| !remove.contains(n));
-                self.view.sort_unstable();
-                self.view_id += 1;
-                self.dedup.insert(client, (req_id, None));
-                if !self.view.contains(&self.me) {
-                    self.retired = true;
-                    self.step_down(ctx.now);
-                }
-                if matches!(self.phase, Phase::Leading) {
-                    self.reconfig_in_flight = false;
-                    let at = self.applied;
-                    self.send_msg(
-                        ctx,
-                        client,
-                        Msg::Response {
-                            req_id,
-                            resp: None,
-                            at,
-                        },
-                    );
-                    // New members need the history to join the view: the
-                    // snapshot for the compacted prefix plus the live tail.
-                    let snapshot = (self.floor > 0).then(|| self.snapshot());
-                    let entries = self.chosen_tail(self.floor);
-                    for peer in joiners {
-                        if peer != self.me {
-                            self.send_msg(
-                                ctx,
-                                peer,
-                                Msg::CatchupReply {
-                                    snapshot: snapshot.clone(),
-                                    entries: entries.clone(),
-                                },
-                            );
-                        }
-                    }
-                    self.flush_pending(ctx);
-                }
-            }
-        }
-    }
-
-    /// Apply one application command with exactly-once semantics and
-    /// (at the leader) answer the client. Shared by singleton and
-    /// batched slot values; `self.applied` already points past the
-    /// containing slot, so it doubles as the response's `at`.
-    fn apply_app(
-        &mut self,
-        client: NodeId,
-        req_id: u64,
-        cmd: &SM::Command,
-        ctx: &mut Context<Msg<SM>>,
-    ) {
-        let already = self
+        if self
             .dedup
             .get(&client)
-            .map(|(last, _)| *last >= req_id)
-            .unwrap_or(false);
-        let resp = if already {
-            self.dedup.get(&client).and_then(|(_, r)| r.clone())
-        } else {
-            let r = self.sm.apply(cmd);
-            self.dedup.insert(client, (req_id, Some(r.clone())));
-            Some(r)
-        };
-        if matches!(self.phase, Phase::Leading) {
+            .is_none_or(|(last, _)| *last < req_id)
+        {
+            self.dedup.insert(client, (req_id, resp.clone()));
+        }
+        if self.is_leader() {
             let at = self.applied;
-            self.send_msg(
-                ctx,
-                client,
-                Msg::Response { req_id, resp, at },
-            );
+            self.send_msg(ctx, client, Msg::Response { req_id, resp, at });
         }
     }
 
     // ---------------------------------------------------------- heartbeat
 
-    fn send_heartbeat(&mut self, ctx: &mut Context<Msg<SM>>) {
+    fn send_heartbeat(&mut self, ctx: &mut Context<Msg<S>>) {
         self.last_heartbeat_sent = ctx.now;
         self.broadcast_msg(
             ctx,
@@ -1243,13 +983,13 @@ impl<SM: StateMachine> Replica<SM> {
     // ---------------------------------------------------- actor callbacks
 
     /// Boot: arm the tick timer and stagger the first election.
-    pub fn on_start(&mut self, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
         self.reset_election_deadline(ctx.now);
         ctx.set_timer(self.cfg.tick, TICK_TOKEN);
     }
 
     /// Periodic bookkeeping.
-    pub fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<S>>) {
         self.sync_obs_time(ctx.now);
         if token == BATCH_TOKEN {
             // A batch linger expired; flush whatever is due.
@@ -1260,91 +1000,56 @@ impl<SM: StateMachine> Replica<SM> {
         if self.retired {
             return;
         }
-        match self.phase {
-            Phase::Leading => {
-                if ctx.now.saturating_sub(self.last_heartbeat_sent) >= self.cfg.heartbeat_every {
-                    self.send_heartbeat(ctx);
-                }
-                // Backstop for the linger timer (lost across reboots).
-                if self.batching_enabled() && !self.pending.is_empty() {
-                    self.maybe_flush_batches(false, ctx);
-                }
-                // Re-broadcast stale proposals. Retries are causally part
-                // of the original quorum wait, not the timer that noticed
-                // the staleness.
-                let stale: Vec<(Slot, Command<SM::Command>, TraceContext)> = self
-                    .proposals
-                    .iter()
-                    .filter(|(_, p)| ctx.now.saturating_sub(p.sent_at) >= self.cfg.proposal_retry)
-                    .map(|(&s, p)| (s, p.value.clone(), p.span.context()))
-                    .collect();
-                let ballot = self.ballot;
-                for (slot, value, trace) in stale {
-                    if let Some(p) = self.proposals.get_mut(&slot) {
-                        p.sent_at = ctx.now;
-                    }
-                    self.broadcast_msg_traced(
-                        ctx,
-                        Msg::Accept {
-                            ballot,
-                            slot,
-                            value,
-                        },
-                        trace,
-                    );
-                }
+        if !self.is_leader() {
+            if ctx.now >= self.election_deadline {
+                self.start_election(ctx);
             }
-            _ => {
-                if ctx.now >= self.election_deadline {
-                    self.start_election(ctx);
-                }
-            }
+            return;
         }
+        if ctx.now.saturating_sub(self.last_heartbeat_sent) >= self.cfg.heartbeat_every {
+            self.send_heartbeat(ctx);
+        }
+        // Backstop for the linger timer (lost across reboots).
+        if self.batching_enabled() && !self.pending.is_empty() {
+            self.maybe_flush_batches(false, ctx);
+        }
+        // Re-send stale proposals. Retries are causally part of the
+        // original quorum wait, not the timer that noticed the staleness.
+        let stale: Vec<Slot> = self
+            .proposals
+            .iter()
+            .filter(|(_, p)| ctx.now.saturating_sub(p.sent_at) >= self.cfg.proposal_retry)
+            .map(|(&s, _)| s)
+            .collect();
+        let ballot = self.ballot;
+        for slot in stale {
+            self.proposals
+                .get_mut(&slot)
+                .expect("stale slot present")
+                .sent_at = ctx.now;
+            let p = &self.proposals[&slot];
+            self.send_wires(ctx, &p.value, p.span.context(), |value| Msg::Accept {
+                ballot,
+                slot,
+                value,
+            });
+        }
+        S::tick(self, ctx);
     }
 
     /// Message dispatch.
-    pub fn on_message(&mut self, from: NodeId, msg: Msg<SM>, ctx: &mut Context<Msg<SM>>) {
+    pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
         self.sync_obs_time(ctx.now);
         self.metrics.recv[msg.kind_index()].inc();
         if self.retired {
             // A retired node still answers catch-up (it has the history).
             if let Msg::CatchupRequest { from_slot } = msg {
-                let snapshot = (from_slot < self.floor).then(|| self.snapshot());
-                let entries = self.chosen_tail(from_slot.max(self.floor));
-                self.send_msg(ctx, from, Msg::CatchupReply { snapshot, entries });
+                self.on_catchup_request(from, from_slot, usize::MAX, ctx);
             }
             return;
         }
         match msg {
-            Msg::Prepare { ballot, from_slot } => {
-                if ballot >= self.promised {
-                    self.promised = ballot;
-                    if ballot.node != self.me {
-                        if matches!(self.phase, Phase::Leading | Phase::Preparing { .. }) {
-                            self.step_down(ctx.now);
-                        }
-                        self.leader = None;
-                        self.reset_election_deadline(ctx.now);
-                    }
-                    let snapshot = (from_slot < self.floor).then(|| self.snapshot());
-                    let reply = Msg::Promise {
-                        ballot,
-                        accepted: self.accepted_tail(from_slot),
-                        chosen: self.chosen_tail(from_slot),
-                        commit_index: self.commit_index,
-                        snapshot,
-                    };
-                    self.send_msg(ctx, from, reply);
-                } else {
-                    self.send_msg(
-                        ctx,
-                        from,
-                        Msg::Reject {
-                            promised: self.promised,
-                        },
-                    );
-                }
-            }
+            Msg::Prepare { ballot, from_slot } => self.on_prepare(from, ballot, from_slot, ctx),
             Msg::Promise {
                 ballot,
                 accepted,
@@ -1353,13 +1058,9 @@ impl<SM: StateMachine> Replica<SM> {
                 snapshot,
             } => {
                 // Adopt state regardless of phase: a snapshot first (it
-                // may cover compacted history), then any chosen entries.
-                if let Some(snap) = snapshot {
-                    self.install_snapshot(snap, ctx.now);
-                }
-                for e in chosen {
-                    self.note_chosen(e, ctx);
-                }
+                // may cover compacted history), then any chosen entries
+                // (the sender reshaped them for us).
+                self.on_catchup_reply(snapshot, chosen, ctx);
                 if ballot != self.ballot {
                     return;
                 }
@@ -1372,30 +1073,9 @@ impl<SM: StateMachine> Replica<SM> {
                 ballot,
                 slot,
                 value,
-            } => {
-                if ballot >= self.promised {
-                    self.promised = ballot;
-                    if ballot.node != self.me {
-                        if matches!(self.phase, Phase::Leading | Phase::Preparing { .. }) {
-                            self.step_down(ctx.now);
-                        }
-                        self.leader = Some(ballot.node);
-                        self.reset_election_deadline(ctx.now);
-                    }
-                    self.slot_state(slot).accepted = Some((ballot, value));
-                    self.send_msg(ctx, from, Msg::Accepted { ballot, slot });
-                } else {
-                    self.send_msg(
-                        ctx,
-                        from,
-                        Msg::Reject {
-                            promised: self.promised,
-                        },
-                    );
-                }
-            }
+            } => self.on_accept(from, ballot, slot, value, ctx),
             Msg::Accepted { ballot, slot } => {
-                if ballot == self.ballot && matches!(self.phase, Phase::Leading) {
+                if ballot == self.ballot && self.is_leader() {
                     if let Some(p) = self.proposals.get_mut(&slot) {
                         p.acks.insert(from);
                         self.maybe_choose(slot, ctx);
@@ -1406,115 +1086,164 @@ impl<SM: StateMachine> Replica<SM> {
                 if promised > self.promised {
                     self.promised = promised;
                 }
-                if promised > self.ballot
-                    && matches!(self.phase, Phase::Leading | Phase::Preparing { .. })
-                {
+                if promised > self.ballot && !matches!(self.phase, Phase::Follower) {
                     self.step_down(ctx.now);
                 }
             }
-            Msg::Commit { entry } => {
-                self.note_chosen(entry, ctx);
-            }
+            Msg::Commit { entry } => self.note_chosen(entry, ctx),
             Msg::Heartbeat {
                 ballot,
                 commit_index,
-            } => {
-                if ballot >= self.promised {
-                    self.promised = ballot;
-                    if ballot.node != self.me {
-                        if matches!(self.phase, Phase::Leading | Phase::Preparing { .. }) {
-                            self.step_down(ctx.now);
-                        }
-                        self.leader = Some(ballot.node);
-                    }
-                    self.reset_election_deadline(ctx.now);
-                    if commit_index > self.commit_index {
-                        self.send_msg(
-                            ctx,
-                            ballot.node,
-                            Msg::CatchupRequest {
-                                from_slot: self.commit_index,
-                            },
-                        );
-                    }
-                }
-            }
+            } => self.on_heartbeat(ballot, commit_index, ctx),
             Msg::CatchupRequest { from_slot } => {
-                let snapshot = (from_slot < self.floor).then(|| self.snapshot());
-                let mut entries = self.chosen_tail(from_slot.max(self.floor));
-                entries.truncate(self.cfg.catchup_batch);
-                self.send_msg(ctx, from, Msg::CatchupReply { snapshot, entries });
+                self.on_catchup_request(from, from_slot, self.cfg.catchup_batch, ctx);
             }
             Msg::CatchupReply { snapshot, entries } => {
-                if let Some(snap) = snapshot {
-                    self.install_snapshot(snap, ctx.now);
-                }
-                for e in entries {
-                    self.note_chosen(e, ctx);
-                }
+                self.on_catchup_reply(snapshot, entries, ctx);
             }
-            Msg::Request { client, req_id, op } => {
-                self.handle_request(client, req_id, op, ctx);
+            Msg::Request { client, req_id, op } => self.handle_request(client, req_id, op, ctx),
+            Msg::Response { .. } => {} // replicas never receive responses
+            Msg::Ext(ext) => S::on_ext(self, from, ext, ctx),
+        }
+    }
+
+    /// Acceptor duty: promise `ballot` unless a higher one is promised.
+    /// A foreign ballot deposes us and sets the believed leader.
+    fn promise(&mut self, ballot: Ballot, leader: Option<NodeId>, now: SimTime) -> bool {
+        if ballot < self.promised {
+            return false;
+        }
+        self.promised = ballot;
+        if ballot.node != self.me {
+            if !matches!(self.phase, Phase::Follower) {
+                self.step_down(now);
             }
-            Msg::ReadRequest {
-                client,
-                req_id,
-                cmd,
-                floor,
-            } => {
-                if self.cfg.local_reads && SM::is_read_only(&cmd) {
-                    if self.applied >= floor {
-                        self.serve_read(client, req_id, &cmd, ctx);
-                    } else {
-                        // Behind the client's session: park until the
-                        // applied prefix catches up (served in the next
-                        // combined pass), preserving monotonicity.
-                        self.metrics.reads_deferred.inc();
-                        self.waiting_reads.push(WaitingRead {
-                            client,
-                            req_id,
-                            cmd,
-                            floor,
-                        });
-                    }
-                } else {
-                    // Local reads disabled (or not actually read-only):
-                    // serialize through the log like any other request.
-                    self.handle_request(client, req_id, ClientOp::App(cmd), ctx);
-                }
-            }
-            Msg::Response { .. } | Msg::ReadResponse { .. } => {
-                // Replicas never receive responses; ignore.
-            }
+            self.leader = leader;
+        }
+        true
+    }
+
+    /// Nack `from`: we have promised a higher ballot.
+    fn reject(&self, from: NodeId, ctx: &mut Context<Msg<S>>) {
+        let promised = self.promised;
+        self.send_msg(ctx, from, Msg::Reject { promised });
+    }
+
+    fn on_prepare(
+        &mut self,
+        from: NodeId,
+        ballot: Ballot,
+        from_slot: Slot,
+        ctx: &mut Context<Msg<S>>,
+    ) {
+        if !self.promise(ballot, None, ctx.now) {
+            return self.reject(from, ctx);
+        }
+        if ballot.node != self.me {
+            self.reset_election_deadline(ctx.now);
+        }
+        let reply = Msg::Promise {
+            ballot,
+            accepted: self.accepted_tail(from_slot),
+            chosen: self.chosen_tail(from_slot, from).collect(),
+            commit_index: self.commit_index,
+            snapshot: (from_slot < self.floor).then(|| self.snapshot()),
+        };
+        self.send_msg(ctx, from, reply);
+    }
+
+    fn on_accept(
+        &mut self,
+        from: NodeId,
+        ballot: Ballot,
+        slot: Slot,
+        value: S::Wire,
+        ctx: &mut Context<Msg<S>>,
+    ) {
+        if !self.promise(ballot, Some(ballot.node), ctx.now) {
+            return self.reject(from, ctx);
+        }
+        if ballot.node != self.me {
+            self.reset_election_deadline(ctx.now);
+        }
+        self.slot_state(slot).accepted = Some((ballot, value));
+        self.send_msg(ctx, from, Msg::Accepted { ballot, slot });
+    }
+
+    fn on_heartbeat(&mut self, ballot: Ballot, commit_index: Slot, ctx: &mut Context<Msg<S>>) {
+        if !self.promise(ballot, Some(ballot.node), ctx.now) {
+            return;
+        }
+        self.reset_election_deadline(ctx.now);
+        if commit_index > self.commit_index {
+            self.send_msg(
+                ctx,
+                ballot.node,
+                Msg::CatchupRequest {
+                    from_slot: self.commit_index,
+                },
+            );
+        }
+    }
+
+    fn on_catchup_request(
+        &mut self,
+        from: NodeId,
+        from_slot: Slot,
+        limit: usize,
+        ctx: &mut Context<Msg<S>>,
+    ) {
+        let reply = Msg::CatchupReply {
+            snapshot: (from_slot < self.floor).then(|| self.snapshot()),
+            entries: self
+                .chosen_tail(from_slot.max(self.floor), from)
+                .take(limit)
+                .collect(),
+        };
+        self.send_msg(ctx, from, reply);
+    }
+
+    fn on_catchup_reply(
+        &mut self,
+        snapshot: Option<SnapshotData<S>>,
+        entries: Vec<ChosenEntry<S::Wire>>,
+        ctx: &mut Context<Msg<S>>,
+    ) {
+        if let Some(snap) = snapshot {
+            self.install_snapshot(snap, ctx.now);
+        }
+        for e in entries {
+            self.note_chosen(e, ctx);
         }
     }
 
     /// Route one client operation: propose (or enqueue for batching)
     /// when leading, forward to the believed leader otherwise.
-    fn handle_request(
+    pub(crate) fn handle_request(
         &mut self,
         client: NodeId,
         req_id: u64,
-        op: ClientOp<SM::Command>,
-        ctx: &mut Context<Msg<SM>>,
+        op: S::Op,
+        ctx: &mut Context<Msg<S>>,
     ) {
-        match self.phase {
-            Phase::Leading => {
-                let trace = ctx.trace();
-                if self.batching_enabled() {
-                    self.enqueue_op(client, req_id, op, trace, ctx);
-                } else {
-                    self.propose_op(client, req_id, op, trace, ctx);
-                }
+        if self.is_leader() {
+            let p = PendingOp {
+                client,
+                req_id,
+                op,
+                trace: ctx.trace(),
+                at: ctx.now,
+            };
+            if self.batching_enabled() {
+                self.enqueue_op(p, ctx);
+            } else {
+                self.propose_op(p, ctx);
             }
-            _ => {
-                if let Some(leader) = self.leader {
-                    if leader != self.me {
-                        self.send_msg(ctx, leader, Msg::Request { client, req_id, op });
-                    }
-                }
-                // No leader known: drop; the client retransmits.
+        } else if let Some(leader) = self.leader {
+            if leader != self.me {
+                self.send_msg(ctx, leader, Msg::Request { client, req_id, op });
             }
         }
+        // No leader known: drop; the client retransmits.
     }
 }

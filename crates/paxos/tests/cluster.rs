@@ -29,22 +29,7 @@ fn release(owner: NodeId, name: &str) -> ClientOp<LockCmd> {
 }
 
 fn last_resp(c: &Cluster<LockService>, client: NodeId) -> Option<LockResp> {
-    c.replica_hist(client)
-}
-
-trait HistExt {
-    fn replica_hist(&self, client: NodeId) -> Option<LockResp>;
-}
-
-impl HistExt for Cluster<LockService> {
-    fn replica_hist(&self, client: NodeId) -> Option<LockResp> {
-        self.sim
-            .actor(client)
-            .and_then(paxos::PaxosNode::as_client)
-            .and_then(|c| c.history().last())
-            .and_then(|h| h.completed.clone())
-            .and_then(|(_, r)| r)
-    }
+    c.last_response(client)
 }
 
 #[test]

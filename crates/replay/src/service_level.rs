@@ -514,7 +514,8 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
                 .run_until(to_sim(kill_minute - config.eval_start));
             let upto = (op_counter + 8).min(total_ops);
             submit_some(&mut cluster, &mut op_counter, &mut expected, upto);
-            cluster.crash(cluster.servers()[slot]);
+            let victim = cluster.servers()[slot];
+            cluster.crash(victim);
             dead.push(slot);
             crashes += 1;
             crash_series.record(kill_minute, crashes as f64);
@@ -559,7 +560,8 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
                     continue;
                 };
                 if !dead.contains(&slot) {
-                    cluster.crash(cluster.servers()[slot]);
+                    let victim = cluster.servers()[slot];
+                    cluster.crash(victim);
                 } else {
                     dead.retain(|&s| s != slot);
                 }
@@ -596,7 +598,7 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
     // Replay the history to know what each get should have returned.
     let mut shadow: std::collections::HashMap<String, u8> = Default::default();
     for op in &history {
-        match (&op.cmd, &op.completed) {
+        match (&op.op, &op.completed) {
             (_, None) => unfinished += 1,
             (StoreCmd::Put { key, object }, Some(_)) => {
                 completed += 1;
@@ -607,8 +609,8 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
                 reads += 1;
                 let want = shadow.get(key).copied();
                 let got = match resp {
-                    StoreResp::Value { object: Some(o) } => o.first().copied(),
-                    StoreResp::Value { object: None } => None,
+                    Some(StoreResp::Value { object: Some(o) }) => o.first().copied(),
+                    Some(StoreResp::Value { object: None }) => None,
                     _ => Some(0xFF),
                 };
                 if want == got {

@@ -1,202 +1,47 @@
 //! Driver helpers for RS-Paxos clusters.
 
-use simnet::{ChaosAction, NetworkConfig, NodeId, SimTime, Simulation};
+use std::ops::{Deref, DerefMut};
 
-use crate::client::RsClientState;
-use crate::msg::{StoreCmd, StoreResp};
-use crate::replica::{RsConfig, RsReplica};
-use crate::RsNode;
+use paxos::Cluster;
+use simnet::{NetworkConfig, NodeId};
 
-/// An RS-Paxos storage cluster under simulation.
-pub struct RsCluster {
-    /// The underlying simulation (exposed for fault injection).
-    pub sim: Simulation<RsNode>,
-    servers: Vec<NodeId>,
-    clients: Vec<NodeId>,
-    cfg: RsConfig,
-    seed: u64,
-}
+use crate::service::{RsConfig, RsService};
+
+/// An RS-Paxos storage cluster under simulation: a [`Cluster`] of
+/// [`RsService`] replicas (every driver helper is the shared one) built
+/// from an [`RsConfig`].
+pub struct RsCluster(Cluster<RsService>);
 
 impl RsCluster {
     /// Build a θ(m, n) storage cluster of `n` replicas.
     pub fn new(n: usize, cfg: RsConfig, net: NetworkConfig, seed: u64) -> Self {
         assert!(n >= cfg.m, "need at least m replicas");
-        let mut sim = Simulation::new(net, seed);
-        // Network faults (drops, duplicates, delay spikes) emit
-        // visibility events into the same trace ring the replicas use,
-        // so orphaned request spans point at their cause.
-        sim.set_tracer(cfg.obs.trace.clone());
-        let ids: Vec<NodeId> = (0..n).map(NodeId).collect();
-        for &id in &ids {
-            let r = RsReplica::new(id, ids.clone(), cfg.clone(), seed);
-            let got = sim.add_node(RsNode::Server(r));
-            assert_eq!(got, id);
-        }
-        RsCluster {
-            sim,
-            servers: ids,
-            clients: Vec::new(),
-            cfg,
+        RsCluster(Cluster::with_service(
+            n,
+            RsService::new(&cfg, n),
+            cfg.core(),
+            net,
             seed,
-        }
-    }
-
-    /// The server ids.
-    pub fn servers(&self) -> &[NodeId] {
-        &self.servers
-    }
-
-    /// The client ids.
-    pub fn clients(&self) -> &[NodeId] {
-        &self.clients
-    }
-
-    /// Add a closed-loop client.
-    pub fn add_client(&mut self) -> NodeId {
-        let id = NodeId(self.sim.node_count());
-        let c = RsClientState::new(id, self.servers.clone(), self.seed)
-            .with_obs(self.cfg.obs.clone());
-        let got = self.sim.add_node(RsNode::Client(c));
-        assert_eq!(got, id);
-        self.clients.push(id);
-        id
-    }
-
-    /// Add an open-loop workload session playing `schedule` (sorted by
-    /// arrival time); see [`crate::open_loop::RsOpenLoopClient`].
-    pub fn add_open_loop(&mut self, schedule: Vec<(SimTime, StoreCmd)>) -> NodeId {
-        let id = NodeId(self.sim.node_count());
-        let session = crate::open_loop::RsOpenLoopClient::new(id, self.servers.clone(), schedule)
-            .with_obs(self.cfg.obs.clone());
-        let got = self.sim.add_node(RsNode::OpenLoop(session));
-        assert_eq!(got, id);
-        id
-    }
-
-    /// Queue a command on `client`.
-    pub fn submit(&mut self, client: NodeId, cmd: StoreCmd) {
-        self.sim
-            .actor_mut(client)
-            .and_then(RsNode::as_client_mut)
-            .expect("client exists")
-            .submit(cmd);
-    }
-
-    /// Run until `client` drains or `deadline`; true when drained. A
-    /// liveness watchdog fires `watchdog.liveness` into the config's
-    /// alert sink if commands sit outstanding with no progress for
-    /// [`paxos::harness::LIVENESS_STALL_BOUND`] of sim time.
-    pub fn run_until_drained(&mut self, client: NodeId, deadline: SimTime) -> bool {
-        let mut watchdog = obs::LivenessWatchdog::new(
-            self.cfg.obs.alerts.clone(),
-            paxos::harness::LIVENESS_STALL_BOUND,
-        );
-        loop {
-            let outstanding = self
-                .sim
-                .actor(client)
-                .and_then(RsNode::as_client)
-                .map(RsClientState::outstanding)
-                .unwrap_or(0);
-            watchdog.observe(
-                self.sim.now().as_millis().saturating_mul(1_000),
-                outstanding as u64,
-            );
-            if outstanding == 0 {
-                return true;
-            }
-            if self.sim.now() >= deadline {
-                return false;
-            }
-            let next = self.sim.now() + SimTime::from_millis(100);
-            self.sim.run_until(next.min(deadline));
-        }
-    }
-
-    /// The last completed response on `client`.
-    pub fn last_response(&self, client: NodeId) -> Option<StoreResp> {
-        self.sim
-            .actor(client)
-            .and_then(RsNode::as_client)
-            .and_then(|c| c.history().last())
-            .and_then(|h| h.completed.clone())
-            .map(|(_, r)| r)
-    }
-
-    /// The current leader, if any.
-    pub fn leader(&self) -> Option<NodeId> {
-        self.servers.iter().copied().find(|&id| {
-            self.sim
-                .actor(id)
-                .and_then(RsNode::as_server)
-                .map(RsReplica::is_leader)
-                .unwrap_or(false)
-        })
-    }
-
-    /// Crash a replica.
-    pub fn crash(&mut self, id: NodeId) {
-        self.sim.crash(id);
+        ))
     }
 
     /// Restart a crashed replica slot (a replacement instance taking over
     /// the same shard index; it recovers the log via catch-up).
     pub fn restart(&mut self, id: NodeId) {
-        let r = RsReplica::new(
-            id,
-            self.servers.clone(),
-            self.cfg.clone(),
-            self.seed ^ id.0 as u64,
-        );
-        self.sim.restart(id, RsNode::Server(r));
+        self.0.restart_pristine(id);
     }
+}
 
-    /// Immutable replica access.
-    pub fn replica(&self, id: NodeId) -> Option<&RsReplica> {
-        self.sim.actor(id).and_then(RsNode::as_server)
+impl Deref for RsCluster {
+    type Target = Cluster<RsService>;
+
+    fn deref(&self) -> &Cluster<RsService> {
+        &self.0
     }
+}
 
-    /// Execute one fault-schedule action against this cluster — same
-    /// contract as `paxos::harness::Cluster::apply_chaos`: a crash stops a
-    /// replica dead, a restart reboots it with durable state (promises,
-    /// slot log, shard store) intact and volatile leadership state lost,
-    /// partitions only separate replicas (all other nodes are appended to
-    /// every side), and inapplicable actions are no-ops.
-    pub fn apply_chaos(&mut self, action: &ChaosAction) {
-        match action {
-            ChaosAction::Crash(id) => {
-                if self.sim.is_up(*id) {
-                    self.crash(*id);
-                }
-            }
-            ChaosAction::Restart(id) => {
-                if !self.sim.is_up(*id) {
-                    match self.sim.take_crashed(*id) {
-                        Some(RsNode::Server(mut r)) => {
-                            r.reboot();
-                            self.sim.restart(*id, RsNode::Server(r));
-                        }
-                        _ => self.restart(*id),
-                    }
-                }
-            }
-            ChaosAction::Partition(groups) => {
-                let mut groups = groups.clone();
-                let listed: Vec<NodeId> = groups.iter().flatten().copied().collect();
-                for n in 0..self.sim.node_count() {
-                    let id = NodeId(n);
-                    if !listed.contains(&id) {
-                        for g in &mut groups {
-                            g.push(id);
-                        }
-                    }
-                }
-                self.sim.partition(groups);
-            }
-            ChaosAction::Heal => self.sim.heal(),
-            ChaosAction::SetLinkChaos(chaos) => self.sim.set_link_chaos(chaos.clone()),
-            ChaosAction::ClearLinkChaos => self.sim.clear_link_chaos(),
-            ChaosAction::ClockSkew(id, ms) => self.sim.skew_clock(*id, *ms),
-        }
+impl DerefMut for RsCluster {
+    fn deref_mut(&mut self) -> &mut Cluster<RsService> {
+        &mut self.0
     }
 }

@@ -9,7 +9,8 @@
 //! one failure, not two) — exactly the trade-off the paper's availability
 //! analysis must capture.
 //!
-//! Protocol sketch (a single-leader Multi-Paxos variant):
+//! The protocol is the `paxos` replica core with the RS codec plugged
+//! into its three value seams ([`RsService`]):
 //!
 //! * The leader encodes each `Put` into `n` shards and sends acceptor `i`
 //!   only shard `i`; a slot is chosen once `q` acceptors accept.
@@ -22,106 +23,42 @@
 //! * `Get` is serialized through the log; the leader answers from its
 //!   object cache, or gathers `m` shards from peers and reconstructs.
 //!
+//! Everything else — elections, slot allocation, batching, heartbeats,
+//! catch-up, the exactly-once cache, the messages, the node enum, the
+//! clients and the cluster harness — is the core's, instantiated with
+//! [`RsService`]; the `Rs*` names below instantiate its types.
+//!
 //! Membership is fixed per deployment (shard index = position in the
 //! view); replacing an instance is modelled as crash + restart of a slot,
 //! which matches the replay harness's accounting. The full add/remove view
 //! change lives in the plain Paxos lock service.
 
-pub mod client;
 pub mod harness;
 pub mod msg;
-pub mod open_loop;
-pub mod replica;
+pub mod service;
 pub mod store;
 
-pub use client::{RsClientState, RsCompletedOp};
 pub use harness::RsCluster;
-pub use msg::{RsMsg, StoreCmd, StoreResp};
+pub use msg::{ShardMsg, SlotValue, StoreCmd, StoreResp, WireValue};
 pub use open_loop::{RsOpenLoopClient, RsOpenOp};
-pub use replica::{RsConfig, RsReplica};
+pub use service::{RsConfig, RsReplica, RsService};
 pub use store::ShardStore;
 
-use simnet::Actor;
-
+/// The messages of an RS-Paxos simulation.
+pub type RsMsg = paxos::Msg<RsService>;
 /// A node in an RS-Paxos simulation: server replica or client.
-// Replica state dwarfs client state by design; nodes are few.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-pub enum RsNode {
-    /// A storage replica.
-    Server(RsReplica),
-    /// A closed-loop client.
-    Client(RsClientState),
-    /// An open-loop workload session.
-    OpenLoop(RsOpenLoopClient),
-}
+pub type RsNode = paxos::PaxosNode<RsService>;
+/// Closed-loop storage client actor state.
+pub type RsClientState = paxos::ClientState<RsService>;
+/// One operation in a closed-loop storage client's history.
+pub type RsCompletedOp = paxos::CompletedOp<RsService>;
 
-impl RsNode {
-    /// The replica, if a server.
-    pub fn as_server(&self) -> Option<&RsReplica> {
-        match self {
-            RsNode::Server(r) => Some(r),
-            _ => None,
-        }
-    }
+/// The open-loop storage session, under the path `paxos::open_loop` has.
+pub mod open_loop {
+    use crate::RsService;
 
-    /// The client state, if a client.
-    pub fn as_client(&self) -> Option<&RsClientState> {
-        match self {
-            RsNode::Client(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Mutable client state, if a client.
-    pub fn as_client_mut(&mut self) -> Option<&mut RsClientState> {
-        match self {
-            RsNode::Client(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// The open-loop session state, if this is one.
-    pub fn as_open_loop(&self) -> Option<&RsOpenLoopClient> {
-        match self {
-            RsNode::OpenLoop(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Mutable open-loop session state, if this is one.
-    pub fn as_open_loop_mut(&mut self) -> Option<&mut RsOpenLoopClient> {
-        match self {
-            RsNode::OpenLoop(c) => Some(c),
-            _ => None,
-        }
-    }
-}
-
-impl Actor for RsNode {
-    type Msg = RsMsg;
-
-    fn on_start(&mut self, ctx: &mut simnet::Context<RsMsg>) {
-        match self {
-            RsNode::Server(r) => r.on_start(ctx),
-            RsNode::Client(c) => c.on_start(ctx),
-            RsNode::OpenLoop(c) => c.on_start(ctx),
-        }
-    }
-
-    fn on_message(&mut self, from: simnet::NodeId, msg: RsMsg, ctx: &mut simnet::Context<RsMsg>) {
-        match self {
-            RsNode::Server(r) => r.on_message(from, msg, ctx),
-            RsNode::Client(c) => c.on_message(from, msg, ctx),
-            RsNode::OpenLoop(c) => c.on_message(from, msg, ctx),
-        }
-    }
-
-    fn on_timer(&mut self, token: simnet::TimerToken, ctx: &mut simnet::Context<RsMsg>) {
-        match self {
-            RsNode::Server(r) => r.on_timer(token, ctx),
-            RsNode::Client(c) => c.on_timer(token, ctx),
-            RsNode::OpenLoop(c) => c.on_timer(token, ctx),
-        }
-    }
+    /// An open-loop session actor driving one RS-Paxos cluster.
+    pub type RsOpenLoopClient = paxos::OpenLoopClient<RsService>;
+    /// One scheduled storage operation and its outcome.
+    pub type RsOpenOp = paxos::OpenOp<RsService>;
 }

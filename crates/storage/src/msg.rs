@@ -1,11 +1,7 @@
-//! RS-Paxos wire messages.
+//! RS-Paxos commands, slot values and service-only messages.
 
 use bytes::Bytes;
-use paxos::Ballot;
 use simnet::NodeId;
-
-/// A log slot index.
-pub type Slot = u64;
 
 /// Client-visible store commands.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -133,101 +129,19 @@ pub enum WireValue {
     Noop,
 }
 
-/// An accepted entry reported in a promise.
+/// The messages only storage replicas exchange: gathering shards for a
+/// read the leader cannot serve from its object cache.
 #[derive(Clone, Debug)]
-pub struct RsAccepted {
-    /// Slot.
-    pub slot: Slot,
-    /// Ballot at which the shard was accepted.
-    pub ballot: Ballot,
-    /// The acceptor's wire value (its own shard for puts).
-    pub value: WireValue,
-}
-
-/// A chosen entry for commit/catch-up, tailored per destination (each
-/// replica receives its own shard when the sender can produce it).
-#[derive(Clone, Debug)]
-pub struct RsChosen {
-    /// Slot.
-    pub slot: Slot,
-    /// The destination's wire value (`PutShard` with the *destination's*
-    /// shard index, or a data-free marker).
-    pub value: WireValue,
-}
-
-/// RS-Paxos protocol messages.
-#[derive(Clone, Debug)]
-pub enum RsMsg {
-    /// Phase-1a.
-    Prepare {
-        /// Candidate ballot.
-        ballot: Ballot,
-        /// First slot the candidate is missing.
-        from_slot: Slot,
-    },
-    /// Phase-1b.
-    Promise {
-        /// Promised ballot.
-        ballot: Ballot,
-        /// Accepted-but-unchosen shard entries.
-        accepted: Vec<RsAccepted>,
-        /// Chosen entries at or above `from_slot` (sender's shards).
-        chosen: Vec<RsChosen>,
-        /// The acceptor's first unchosen slot.
-        commit_index: Slot,
-    },
-    /// Phase-2a: accept one slot's shard.
-    Accept {
-        /// Leader ballot.
-        ballot: Ballot,
-        /// Slot.
-        slot: Slot,
-        /// The destination's shard (or data-free marker).
-        value: WireValue,
-    },
-    /// Phase-2b.
-    Accepted {
-        /// Echoed ballot.
-        ballot: Ballot,
-        /// Echoed slot.
-        slot: Slot,
-    },
-    /// Nack with the higher promised ballot.
-    Reject {
-        /// Promised ballot.
-        promised: Ballot,
-    },
-    /// A chosen slot (destination-specific shard).
-    Commit {
-        /// The chosen entry.
-        entry: RsChosen,
-    },
-    /// Leader liveness + commit gossip.
-    Heartbeat {
-        /// Leader ballot.
-        ballot: Ballot,
-        /// Leader's first unchosen slot.
-        commit_index: Slot,
-    },
-    /// Ask the leader for chosen entries from `from_slot`.
-    CatchupRequest {
-        /// First missing slot.
-        from_slot: Slot,
-    },
-    /// Catch-up batch.
-    CatchupReply {
-        /// Chosen entries, destination-specific.
-        entries: Vec<RsChosen>,
-    },
+pub enum ShardMsg {
     /// Leader → replica: send me your shard of `(key, version)`.
-    ShardPull {
+    Pull {
         /// Object key.
         key: String,
         /// Version (slot of the put).
         version: u64,
     },
     /// Replica → leader: here is my shard.
-    ShardPush {
+    Push {
         /// Object key.
         key: String,
         /// Version.
@@ -237,64 +151,4 @@ pub enum RsMsg {
         /// Shard bytes.
         shard: Bytes,
     },
-    /// Client → replica: submit a command.
-    Request {
-        /// Originating client.
-        client: NodeId,
-        /// Client request id.
-        req_id: u64,
-        /// The command.
-        cmd: StoreCmd,
-    },
-    /// Replica → client.
-    Response {
-        /// Echoed request id.
-        req_id: u64,
-        /// The response.
-        resp: StoreResp,
-    },
-}
-
-/// Message kind names, indexed by [`RsMsg::kind_index`]. Used to label
-/// per-type observability counters.
-pub const RS_MSG_KINDS: [&str; 13] = [
-    "prepare",
-    "promise",
-    "accept",
-    "accepted",
-    "reject",
-    "commit",
-    "heartbeat",
-    "catchup_request",
-    "catchup_reply",
-    "shard_pull",
-    "shard_push",
-    "request",
-    "response",
-];
-
-impl RsMsg {
-    /// Stable snake_case name of this message's variant.
-    pub fn kind(&self) -> &'static str {
-        RS_MSG_KINDS[self.kind_index()]
-    }
-
-    /// Index of this variant into [`RS_MSG_KINDS`].
-    pub fn kind_index(&self) -> usize {
-        match self {
-            RsMsg::Prepare { .. } => 0,
-            RsMsg::Promise { .. } => 1,
-            RsMsg::Accept { .. } => 2,
-            RsMsg::Accepted { .. } => 3,
-            RsMsg::Reject { .. } => 4,
-            RsMsg::Commit { .. } => 5,
-            RsMsg::Heartbeat { .. } => 6,
-            RsMsg::CatchupRequest { .. } => 7,
-            RsMsg::CatchupReply { .. } => 8,
-            RsMsg::ShardPull { .. } => 9,
-            RsMsg::ShardPush { .. } => 10,
-            RsMsg::Request { .. } => 11,
-            RsMsg::Response { .. } => 12,
-        }
-    }
 }

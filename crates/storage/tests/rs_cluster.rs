@@ -66,11 +66,12 @@ fn replicas_store_shards_not_full_copies() {
     let obj = object(3, 3_000);
     c.submit(client, put("big", obj.clone()));
     assert!(c.run_until_drained(client, SimTime::from_secs(30)));
-    c.sim.run_until(c.sim.now() + SimTime::from_secs(5));
+    let settled = c.sim.now() + SimTime::from_secs(5);
+    c.sim.run_until(settled);
     // Each replica holds ~len/3 (+ framing), nowhere near the full object.
     let mut stored = 0usize;
     for &s in c.servers() {
-        let store = c.replica(s).unwrap().store();
+        let store = c.replica(s).unwrap().service().store();
         if let Some(e) = store.get("big") {
             if let Some(shard) = &e.shard {
                 assert!(
@@ -154,13 +155,14 @@ fn restarted_replica_relearns_its_shards() {
     c.submit(client, put("k2", object(6, 500)));
     assert!(c.run_until_drained(client, SimTime::from_secs(60)));
     c.restart(victim);
-    c.sim.run_until(c.sim.now() + SimTime::from_secs(30));
+    let settled = c.sim.now() + SimTime::from_secs(30);
+    c.sim.run_until(settled);
     let r = c.replica(victim).unwrap();
     assert!(r.commit_index() >= 2, "caught up: {}", r.commit_index());
     // It re-learned the keys; bytes may be absent for pre-crash entries
     // the leader could re-encode (it has the objects cached), so both keys
     // should actually carry shards here.
-    assert!(r.store().get("k2").is_some());
+    assert!(r.service().store().get("k2").is_some());
 }
 
 #[test]

@@ -330,13 +330,13 @@ fn run_storage_chaos_with(
     obs.set_time_micros(c.sim.now().as_millis() * 1_000);
 
     let stats = check_storage_cluster(&c, &writers, m)?;
-    // The storage replica has no applied-log accessor; its lifetime
-    // batch counter is the witness that batching actually ran.
+    // The lifetime batch counter (it survives log catch-up gaps) is the
+    // witness that batching actually ran.
     let batches_checked = c
         .servers()
         .iter()
         .filter_map(|&id| c.replica(id))
-        .map(|r| r.batches_applied() as usize)
+        .map(|r| r.service().batches_applied() as usize)
         .max()
         .unwrap_or(0);
     Ok(ChaosOutcome {

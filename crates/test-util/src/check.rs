@@ -6,11 +6,15 @@
 //!
 //! # Lock-service invariants (Paxos, majority quorum)
 //!
-//! 1. **Agreement** — all live, non-retired replicas agree on the common
-//!    prefix of applied `(slot, command)` pairs.
+//! 1. **Agreement** — all live replicas agree on every applied slot any
+//!    two of them still hold, compared by slot number
+//!    ([`Cluster::check_log_agreement`], the one checker both services
+//!    share).
 //! 2. **Exactly-once** — each replica's state machine equals a fresh
 //!    replay of its own applied prefix under per-client request
-//!    deduplication (the replica's own dedup semantics).
+//!    deduplication (the replica's own dedup semantics). Only replicas
+//!    that still hold their whole log (compaction floor 0) can be
+//!    replayed this way; checks 2–6 cover those.
 //! 3. **Response fidelity** — every response a client recorded matches
 //!    the response the deduplicated log replay produces for that
 //!    `(client, req_id)`; a completed operation may only be missing from
@@ -29,6 +33,8 @@
 //!
 //! # Storage invariants (RS-Paxos θ(m, n))
 //!
+//! 0. **Agreement** — as for the lock service, with stored values
+//!    compared modulo the shard each replica holds.
 //! 1. **Read-your-writes** — with one closed-loop writer per key, every
 //!    completed `Get` returns exactly the latest completed `Put`'s bytes
 //!    (or nothing after a `Delete`); `Unavailable` is tolerated and
@@ -89,32 +95,24 @@ pub struct StorageCheckStats {
 pub fn check_lock_cluster(c: &Cluster<LockService>) -> Result<LockCheckStats, String> {
     let mut stats = LockCheckStats::default();
 
-    // Live, non-retired replica prefixes.
+    // 1. Agreement on every slot two replicas still hold.
+    c.check_log_agreement()?;
+
+    // Live, non-retired replicas that still hold their whole log; a
+    // compacted log cannot be replayed from the empty state.
     type Prefix = Vec<(u64, Command<LockCmd>)>;
-    let prefixes: Vec<(NodeId, Prefix)> = c
-        .servers()
-        .iter()
-        .filter_map(|&id| c.replica(id).map(|r| (id, r)))
-        .filter(|(_, r)| !r.is_retired())
-        .map(|(id, r)| (id, r.applied_prefix()))
-        .collect();
-    if prefixes.is_empty() {
+    let live = || {
+        c.servers()
+            .iter()
+            .filter_map(|&id| Some((id, c.replica(id)?)))
+    };
+    if live().next().is_none() {
         return Err("no live replicas to check".into());
     }
-
-    // 1. Agreement on the common prefix.
-    let min_len = prefixes.iter().map(|(_, p)| p.len()).min().unwrap_or(0);
-    for i in 0..min_len {
-        let (id0, p0) = &prefixes[0];
-        for (id, p) in &prefixes[1..] {
-            if p0[i] != p[i] {
-                return Err(format!(
-                    "log divergence at index {i}: {id0} has {:?}, {id} has {:?}",
-                    p0[i], p[i]
-                ));
-            }
-        }
-    }
+    let prefixes: Vec<(NodeId, Prefix)> = live()
+        .filter(|(_, r)| !r.is_retired() && r.compaction_floor() == 0)
+        .map(|(id, r)| (id, r.applied_prefix()))
+        .collect();
 
     // 2. Exactly-once: each replica equals the dedup-replay of its own
     // prefix.
@@ -130,11 +128,13 @@ pub fn check_lock_cluster(c: &Cluster<LockService>) -> Result<LockCheckStats, St
     }
 
     // 3–5. Model replay of the longest prefix with shadow invariants.
-    let longest = prefixes
+    let Some(longest) = prefixes
         .iter()
         .max_by_key(|(_, p)| p.len())
         .map(|(_, p)| p.clone())
-        .unwrap_or_default();
+    else {
+        return Ok(stats);
+    };
     stats.replayed = longest.len();
     stats.batches_checked = longest
         .iter()
@@ -347,6 +347,7 @@ pub fn check_storage_cluster(
     m: usize,
 ) -> Result<StorageCheckStats, String> {
     let mut stats = StorageCheckStats::default();
+    c.check_log_agreement()?;
     let n = c.servers().len();
     let codec = ReedSolomon::new(m, n);
 
@@ -363,11 +364,11 @@ pub fn check_storage_cluster(
             continue;
         };
         for op in history {
-            let Some((_, resp)) = &op.completed else {
+            let Some((_, Some(resp))) = &op.completed else {
                 continue;
             };
             stats.ops_checked += 1;
-            match (&op.cmd, resp) {
+            match (&op.op, resp) {
                 (StoreCmd::Put { key, object }, StoreResp::Stored { version }) => {
                     if let Some((prev, _)) = expected.get(key) {
                         if version <= prev {
@@ -415,7 +416,7 @@ pub fn check_storage_cluster(
         let mut newest = 0u64;
         for &id in c.servers() {
             let Some(r) = c.replica(id) else { continue };
-            if let Some(e) = r.store().get(key) {
+            if let Some(e) = r.service().store().get(key) {
                 newest = newest.max(e.version);
                 if e.version > *version {
                     return Err(format!(

@@ -7,9 +7,7 @@
 //! cargo run --release --example leases
 //! ```
 
-use spot_jupiter::paxos::{
-    ClientOp, Cluster, LockCmd, LockResp, LockService, PaxosNode, ReplicaConfig,
-};
+use spot_jupiter::paxos::{ClientOp, Cluster, LockCmd, LockResp, LockService, ReplicaConfig};
 use spot_jupiter::simnet::{NetworkConfig, SimTime};
 
 fn main() {
@@ -26,12 +24,7 @@ fn main() {
     let submit_and_wait = |c: &mut Cluster<LockService>, who, op: LockCmd| -> Option<LockResp> {
         c.submit(who, ClientOp::App(op));
         assert!(c.run_until_drained(who, c.sim.now() + SimTime::from_secs(60)));
-        c.sim
-            .actor(who)
-            .and_then(PaxosNode::as_client)
-            .and_then(|cl| cl.history().last())
-            .and_then(|h| h.completed.clone())
-            .and_then(|(_, r)| r)
+        c.last_response(who)
     };
 
     // Alice takes a 20-second lease on the master lock.

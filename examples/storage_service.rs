@@ -7,7 +7,7 @@
 //! ```
 
 use bytes::Bytes;
-use spot_jupiter::simnet::{NetworkConfig, SimTime};
+use spot_jupiter::simnet::{NetworkConfig, NodeId, SimTime};
 use spot_jupiter::storage::{RsCluster, RsConfig, StoreCmd, StoreResp};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
                 object: body.clone(),
             },
         );
-        assert!(cluster.run_until_drained(client, deadline(&cluster)));
+        assert!(drain(&mut cluster, client));
     }
     println!("stored {} objects", objects.len());
 
@@ -41,7 +41,7 @@ fn main() {
     for &s in cluster.servers() {
         let held = cluster
             .replica(s)
-            .map(|r| r.store().shard_bytes())
+            .map(|r| r.service().store().shard_bytes())
             .unwrap_or(0);
         total_shard_bytes += held;
         println!("  node {s}: {held} shard bytes");
@@ -61,7 +61,7 @@ fn main() {
     let mut ok = 0;
     for (key, body) in &objects {
         cluster.submit(client, StoreCmd::Get { key: key.clone() });
-        assert!(cluster.run_until_drained(client, deadline(&cluster)));
+        assert!(drain(&mut cluster, client));
         match cluster.last_response(client) {
             Some(StoreResp::Value { object: Some(got) }) if got == *body => ok += 1,
             other => println!("  {key}: unexpected {other:?}"),
@@ -73,6 +73,8 @@ fn main() {
     );
 }
 
-fn deadline(cluster: &RsCluster) -> SimTime {
-    cluster.sim.now() + SimTime::from_secs(120)
+/// Run until `client` has nothing outstanding (two sim-minutes at most).
+fn drain(cluster: &mut RsCluster, client: NodeId) -> bool {
+    let deadline = cluster.sim.now() + SimTime::from_secs(120);
+    cluster.run_until_drained(client, deadline)
 }

@@ -14,6 +14,7 @@
 
 use spot_jupiter::jupiter::{ExtraStrategy, ServiceSpec};
 use spot_jupiter::obs::{AuditKind, Obs};
+use spot_jupiter::paxos::{ClientOp, LockCmd, ReplicaConfig};
 use spot_jupiter::replay::lifecycle::on_demand_baseline_cost;
 use spot_jupiter::replay::{
     capacity_fault_schedule, market_fault_schedule, RepairConfig, Replay, ReplayConfig,
@@ -21,9 +22,9 @@ use spot_jupiter::replay::{
 use spot_jupiter::simnet::{ChaosAction, ChaosEvent, ChaosPlan, ChaosSchedule, SimTime};
 use spot_jupiter::spot_market::BidEra;
 use test_util::{
-    chaos_schedules, chaos_seed, derive_seed, quick_market, repair_pair, run_lock_chaos,
-    run_lock_chaos_batched, run_storage_chaos, run_storage_chaos_batched, shrink_and_report,
-    ChaosOutcome,
+    chaos_schedules, chaos_seed, check_lock_cluster, derive_seed, lock_cluster, quick_market,
+    repair_pair, run_lock_chaos, run_lock_chaos_batched, run_storage_chaos,
+    run_storage_chaos_batched, shrink_and_report, ChaosOutcome,
 };
 
 /// Default per-sweep schedule counts: two plain lock sweeps (30 each),
@@ -200,6 +201,52 @@ fn failing_schedules_shrink_to_the_first_bad_event() {
     // one line per event.
     let printed_events = failure.schedule.lines().count() - 1;
     assert_eq!(printed_events, first_crash + 1, "not minimal:\n{failure}");
+}
+
+/// Replicas compact at different times, so the logs they retain start at
+/// different slots: agreement is judged slot by slot. (Aligned by index,
+/// the same run reports a slot order divergence on logs that agree.)
+#[test]
+fn agreement_is_checked_by_slot_across_compaction_floors() {
+    let cfg = ReplicaConfig {
+        compact_after: Some(8),
+        ..ReplicaConfig::default()
+    };
+    let mut c = lock_cluster(5, cfg, 0x5107);
+    let client = c.add_client();
+    let acquire = |c: &mut spot_jupiter::paxos::Cluster<_>, n: usize| {
+        for i in 0..n {
+            let name = format!("l{i}");
+            c.submit(
+                client,
+                ClientOp::App(LockCmd::Acquire {
+                    name,
+                    owner: client,
+                }),
+            );
+        }
+        assert!(c.run_until_drained(client, SimTime::from_secs(600)));
+    };
+    acquire(&mut c, 2);
+    let leader = c.leader().expect("leader");
+    let sleeper = *c
+        .servers()
+        .iter()
+        .find(|&&s| s != leader)
+        .expect("follower");
+    // Asleep across two compactions, then rebooted: it resumes from a
+    // snapshot, so its floor is where the snapshot was cut.
+    c.apply_chaos(&ChaosAction::Crash(sleeper));
+    acquire(&mut c, 20);
+    c.apply_chaos(&ChaosAction::Restart(sleeper));
+    c.sim.run_until(c.sim.now() + SimTime::from_secs(10));
+    acquire(&mut c, 4);
+    c.sim.run_until(c.sim.now() + SimTime::from_secs(10));
+    let floor = |id| c.replica(id).expect("live").compaction_floor();
+    assert!(floor(leader) >= 16, "two compactions at the leader");
+    assert_ne!(floor(sleeper), floor(leader), "floors differ");
+    assert!(c.assert_log_agreement() >= 26);
+    check_lock_cluster(&c).expect("logs that agree pass the checker");
 }
 
 /// Compress a schedule's timeline to at most `max` total duration,

@@ -182,10 +182,8 @@ fn storage_service_handles_churn_with_quorum_margin() {
                 object: obj,
             },
         );
-        assert!(
-            c.run_until_drained(client, c.sim.now() + SimTime::from_secs(120)),
-            "round {round} put"
-        );
+        let deadline = c.sim.now() + SimTime::from_secs(120);
+        assert!(c.run_until_drained(client, deadline), "round {round} put");
         let victim = c.servers()[round as usize % 5];
         c.crash(victim);
         c.submit(
@@ -194,8 +192,9 @@ fn storage_service_handles_churn_with_quorum_margin() {
                 key: format!("k{round}"),
             },
         );
+        let deadline = c.sim.now() + SimTime::from_secs(180);
         assert!(
-            c.run_until_drained(client, c.sim.now() + SimTime::from_secs(180)),
+            c.run_until_drained(client, deadline),
             "round {round} get under failure"
         );
         match c.last_response(client) {
@@ -205,6 +204,7 @@ fn storage_service_handles_churn_with_quorum_margin() {
             other => panic!("round {round}: {other:?}"),
         }
         c.restart(victim);
-        c.sim.run_until(c.sim.now() + SimTime::from_secs(20));
+        let settled = c.sim.now() + SimTime::from_secs(20);
+        c.sim.run_until(settled);
     }
 }
