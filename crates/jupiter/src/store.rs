@@ -12,7 +12,7 @@
 //! never mutating the stored base.
 //!
 //! Work counters (`model_store.fits_performed`, `model_store.fits_reused`)
-//! make redundant-fit regressions visible to the bench baseline.
+//! make a redundant fit visible: `replay::scenario`'s tests assert them.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

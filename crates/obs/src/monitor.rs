@@ -6,8 +6,8 @@
 //!
 //! Everything here follows the crate's "disabled is free" rule: a
 //! disabled [`AlertSink`] makes every watchdog `observe` call a single
-//! `None` check, so un-monitored replays are untouched (the
-//! `monitor_overhead` bench gate pins this).
+//! `None` check, so un-monitored replays are untouched (the root
+//! `tests/disabled_path.rs` holds those calls to zero allocations).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

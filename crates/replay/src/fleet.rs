@@ -229,13 +229,22 @@ mod tests {
         let m = market();
         let spec = ServiceSpec::lock_service();
         let config = ReplayConfig::new(7 * 24 * 60, 10 * 24 * 60, 6);
-        let off = Obs::disabled();
-        let one = fleet_replay(&m, &spec, 1, config, |_| ExtraStrategy::new(0, 0.2), &off);
-        let three = fleet_replay(&m, &spec, 3, config, |_| ExtraStrategy::new(0, 0.2), &off);
+        let (obs, _clock) = Obs::simulated();
+        let one = fleet_replay(&m, &spec, 1, config, |_| ExtraStrategy::new(0, 0.2), &obs);
+        let three = fleet_replay(&m, &spec, 3, config, |_| ExtraStrategy::new(0, 0.2), &obs);
         // Deterministic strategies: every group identical.
         assert_eq!(three.total_cost, one.total_cost * 3);
         assert!((three.all_up_availability - one.all_up_availability).abs() < 1e-12);
         assert_eq!(three.groups.len(), 3);
+        // … so no accounting anomaly is counted on a real replay.
+        let snap = obs.metrics.snapshot();
+        for name in [
+            "fleet.granted_and_killed_same_minute",
+            "fleet.interval_misaligned",
+            "fleet.interval_missing_group",
+        ] {
+            assert_eq!(snap.counter(name), Some(0), "{name}");
+        }
     }
 
     #[test]

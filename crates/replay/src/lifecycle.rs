@@ -478,7 +478,7 @@ struct Run<'a, S: BiddingStrategy> {
     // Online monitors: the paper's 0.99 availability SLO evaluated per
     // accounted minute with burn-rate alerting, plus the fleet-strength
     // and repair-budget watchdogs. All inert (a boolean check) when
-    // `obs.alerts` is disabled — the `monitor_overhead` bench gate pins
+    // `obs.alerts` is disabled — the root `tests/disabled_path.rs` pins
     // that.
     slo: SloTracker,
     fleet_dog: FleetDeficitWatchdog,
@@ -1218,8 +1218,8 @@ impl<S: BiddingStrategy> Run<'_, S> {
         }
         let obs = self.obs;
         if obs.alerts.is_enabled() {
-            // Fixed-point (parts-per-million) so the bench baseline's exact
-            // u64 counter diff covers the SLO verdict.
+            // Fixed-point (parts-per-million) so the SLO verdict is an exact
+            // u64 counter like the rest of the registry the goldens digest.
             obs.counter("slo.availability")
                 .add((self.slo.availability().clamp(0.0, 1.0) * 1e6).round() as u64);
             obs.counter("slo.budget_remaining")
@@ -1293,7 +1293,7 @@ mod tests {
     fn jupiter_replay_runs_and_outperforms_on_availability() {
         // Train 2 weeks, evaluate 2 days at 6-hour intervals (kept small:
         // this is a debug-profile unit test; the full 11-week sweeps run
-        // in release via the repro binary and benches).
+        // in release via the repro binary and the benchmark).
         let market = small_market(3);
         let spec = ServiceSpec::lock_service();
         let eval_start = 2 * 7 * 24 * 60;

@@ -78,7 +78,7 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 
 /// Fold the tracer ring into `trace.*` instruments: per-operation commit
 /// latency (the duration of each complete `client.request` root span, with
-/// exact p50/p99 published as counters so the bench baseline can diff
+/// exact p50/p99 published as counters so the consensus golden can pin
 /// them), per-hop critical-path attribution histograms, and orphan/
 /// incomplete counts for chaos post-mortems. No-op when tracing is
 /// disabled, so the untraced replay path is untouched.

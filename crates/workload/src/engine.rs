@@ -23,12 +23,11 @@
 
 use obs::{LivenessWatchdog, Obs, SloSpec, SloTracker};
 use paxos::open_loop::OpenLoopClient;
-use paxos::{Cluster, LockCmd, LockService, PaxosNode, ReplicaConfig};
+use paxos::{Cluster, LockCmd, LockService, PaxosNode, ReplicaConfig, Service};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simnet::{NetworkConfig, NodeId, SimTime};
-use storage::open_loop::RsOpenLoopClient;
-use storage::{RsCluster, RsConfig, RsNode, StoreCmd};
+use storage::{RsCluster, RsConfig, StoreCmd};
 
 use crate::arrival::{split_round_robin, ArrivalProcess};
 
@@ -282,26 +281,25 @@ fn schedule<C>(
         .collect()
 }
 
-/// Run `spec` against a fresh lock-service cluster, recording
-/// `workload.*` metrics into `obs`.
-pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
-    let cfg = ReplicaConfig {
-        batch_max_ops: spec.batch_max_ops,
-        batch_delay: spec.batch_delay,
-        pipeline: spec.pipeline,
-        local_reads: spec.local_reads,
-        obs: obs.clone(),
-        ..ReplicaConfig::default()
-    };
-    let mut cluster = Cluster::new(spec.replicas, LockService::new(), cfg, net, spec.seed);
-    let stream = schedule(spec, |rng, user| lock_cmd(rng, spec, user));
+/// Play `stream` on `cluster` through `spec.sessions` open-loop
+/// sessions, one simulated second at a time under a liveness watchdog,
+/// until every request is acknowledged or the drain deadline passes;
+/// then reduce the session records to the `{prefix}.*` report.
+fn drive<S: Service>(
+    cluster: &mut Cluster<S>,
+    stream: Vec<(SimTime, S::Cmd)>,
+    spec: &WorkloadSpec,
+    local_reads: bool,
+    prefix: &str,
+    obs: &Obs,
+) -> WorkloadReport {
     let requests = stream.len();
     let mut session_ids = Vec::with_capacity(spec.sessions);
     for sched in split_round_robin(stream, spec.sessions.max(1)) {
         let id = NodeId(cluster.sim.node_count());
         let session = OpenLoopClient::new(id, cluster.servers().to_vec(), sched)
             .with_obs(obs.clone())
-            .with_local_reads(spec.local_reads)
+            .with_local_reads(local_reads)
             .with_trace_every(spec.trace_every);
         let got = cluster.sim.add_node(PaxosNode::OpenLoop(session));
         assert_eq!(got, id);
@@ -347,13 +345,29 @@ pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> 
     }
     summarize(
         spec,
-        "workload",
+        prefix,
         outcomes,
         retransmits,
         local_served,
         cluster.sim.now(),
         obs,
     )
+}
+
+/// Run `spec` against a fresh lock-service cluster, recording
+/// `workload.*` metrics into `obs`.
+pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
+    let cfg = ReplicaConfig {
+        batch_max_ops: spec.batch_max_ops,
+        batch_delay: spec.batch_delay,
+        pipeline: spec.pipeline,
+        local_reads: spec.local_reads,
+        obs: obs.clone(),
+        ..ReplicaConfig::default()
+    };
+    let mut cluster = Cluster::new(spec.replicas, LockService::new(), cfg, net, spec.seed);
+    let stream = schedule(spec, |rng, user| lock_cmd(rng, spec, user));
+    drive(&mut cluster, stream, spec, spec.local_reads, "workload", obs)
 }
 
 /// Run `spec` against a fresh RS-Paxos storage cluster, recording
@@ -369,63 +383,7 @@ pub fn run_storage_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) 
     };
     let mut cluster = RsCluster::new(spec.replicas, cfg, net, spec.seed);
     let stream = schedule(spec, |rng, user| store_cmd(rng, spec, user));
-    let requests = stream.len();
-    let mut session_ids = Vec::with_capacity(spec.sessions);
-    for sched in split_round_robin(stream, spec.sessions.max(1)) {
-        let id = NodeId(cluster.sim.node_count());
-        let session = RsOpenLoopClient::new(id, cluster.servers().to_vec(), sched)
-            .with_obs(obs.clone())
-            .with_trace_every(spec.trace_every);
-        let got = cluster.sim.add_node(RsNode::OpenLoop(session));
-        assert_eq!(got, id);
-        session_ids.push(id);
-    }
-
-    let deadline = spec.start_at + spec.horizon + spec.drain_grace;
-    let mut watchdog = LivenessWatchdog::new(
-        obs.alerts.clone(),
-        paxos::harness::LIVENESS_STALL_BOUND,
-    );
-    loop {
-        let completed: usize = session_ids
-            .iter()
-            .filter_map(|&id| cluster.sim.actor(id).and_then(RsNode::as_open_loop))
-            .map(RsOpenLoopClient::completions)
-            .sum();
-        let outstanding = requests - completed;
-        watchdog.observe(sim_micros(cluster.sim.now()), outstanding as u64);
-        if outstanding == 0 || cluster.sim.now() >= deadline {
-            break;
-        }
-        let next = cluster.sim.now() + SimTime::from_secs(1);
-        cluster.sim.run_until(next.min(deadline));
-    }
-
-    let mut outcomes = Vec::with_capacity(requests);
-    let mut retransmits = 0u64;
-    for &id in &session_ids {
-        let s = cluster
-            .sim
-            .actor(id)
-            .and_then(RsNode::as_open_loop)
-            .expect("session exists");
-        retransmits += s.retransmits();
-        for r in s.records() {
-            outcomes.push(Outcome {
-                scheduled: r.scheduled,
-                completed: r.completed.as_ref().map(|&(t, _)| t),
-            });
-        }
-    }
-    summarize(
-        spec,
-        "workload_store",
-        outcomes,
-        retransmits,
-        0,
-        cluster.sim.now(),
-        obs,
-    )
+    drive(&mut cluster, stream, spec, false, "workload_store", obs)
 }
 
 #[cfg(test)]

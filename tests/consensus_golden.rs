@@ -5,17 +5,17 @@
 //! completion time) in order; the `{prefix}.msg_sent.*` /
 //! `{prefix}.msg_recv.*` / `elections_started` / `leadership_acquired`
 //! counters and the sim-time `phase1_micros` / `phase2_micros` count and
-//! sum; and, for the lock cases, the causal-trace commit-latency numbers
-//! `bench-baseline` derives (`trace.*`). The simulator draws its network
-//! RNG once per send, so a digest moves if a replica sends one message
-//! more, fewer, or in a different order.
+//! sum; and, for the lock cases, the commit-latency numbers
+//! `record_trace_metrics` folds out of the causal trace (`trace.*`). The
+//! simulator draws its network RNG once per send, so a digest moves if a
+//! replica sends one message more, fewer, or in a different order.
 //!
-//! The digests were recorded at commit 8f37684, when the lock service
-//! and the store each had a hand-written replica (`paxos::Replica<SM>`,
-//! `storage::RsReplica`), message enum, node enum and open-loop session;
-//! they hold unchanged on the one generic core. To reproduce them there,
-//! put this file into that tree with these spellings and run `cargo test
-//! --offline --test consensus_golden`:
+//! All but the last two digests were recorded at commit 8f37684, when
+//! the lock service and the store each had a hand-written replica
+//! (`paxos::Replica<SM>`, `storage::RsReplica`), message enum, node enum
+//! and open-loop session; they hold unchanged on the one generic core.
+//! To reproduce them there, put this file into that tree with these
+//! spellings and run `cargo test --offline --test consensus_golden`:
 //!
 //! | here                                        | at 8f37684 |
 //! |---------------------------------------------|------------|
@@ -26,24 +26,33 @@
 //! Everything else (`Cluster`, `RsCluster`, `PaxosNode::as_client`,
 //! `OpenLoopClient::new(..).with_obs(..).with_local_reads(..)`, the
 //! `test_util` and `workload` drivers) is spelled the same in both trees.
+//!
+//! The last two cases (`lock_market_replay`, `store_workload_batched`)
+//! were recorded at 1de41dd, the last tree with the counter-diffing perf
+//! baseline: they take over its `lock_service_replay` and
+//! `workload_store.*` pins, and its 22 lock-service counters held there.
 
 use std::fmt::{self, Write as _};
 
 use bytes::Bytes;
-use spot_jupiter::obs::Obs;
+use spot_jupiter::jupiter::JupiterStrategy;
+use spot_jupiter::obs::{self, Obs};
 use spot_jupiter::paxos::open_loop::OpenLoopClient;
 use spot_jupiter::paxos::{ClientOp, Cluster, LockCmd, LockService, PaxosNode, ReplicaConfig};
 use spot_jupiter::replay::record_trace_metrics;
+use spot_jupiter::replay::service_level::{lock_service_replay_observed, ServiceReplayConfig};
 use spot_jupiter::simnet::{ChaosAction, ChaosPlan, ChaosSchedule, NetworkConfig, NodeId, SimTime};
 use spot_jupiter::storage::{RsCluster, RsConfig, RsNode, StoreCmd};
-use spot_jupiter::workload::{run_lock_workload, ArrivalProcess, WorkloadSpec};
+use spot_jupiter::workload::{
+    run_lock_workload, run_storage_workload, ArrivalProcess, WorkloadSpec,
+};
 use test_util::{
-    derive_seed, lock_cluster, rng_from, run_lock_chaos, run_lock_chaos_batched, run_storage_chaos,
-    run_storage_chaos_batched, storage_cluster, ChaosOutcome,
+    derive_seed, lock_cluster, market_days, rng_from, run_lock_chaos, run_lock_chaos_batched,
+    run_storage_chaos, run_storage_chaos_batched, storage_cluster, ChaosOutcome,
 };
 
-/// Digests in case order, recorded at 8f37684.
-const WANT: [(&str, u64); 16] = [
+/// Digests in case order.
+const WANT: [(&str, u64); 18] = [
     ("lock quiet", 0xd20aa4ff508dce05),
     ("lock compaction + reconfig", 0xf983420dfb431cd5),
     ("lock local reads", 0xbc26c9dbdb6b6db6),
@@ -60,6 +69,9 @@ const WANT: [(&str, u64); 16] = [
     ("store chaos batched 3", 0x3589896b5842fcaa),
     ("store chaos batched 4", 0x7f945874ac4e2f39),
     ("store open loop", 0x6531026a967d91be),
+    // Recorded at 1de41dd (see the header).
+    ("lock market replay", 0x52edf1a18c2f40d1),
+    ("store workload batch 8", 0x0f3eee4c8d5af7d4),
 ];
 
 /// FNV-1a-64 over everything written into it.
@@ -122,9 +134,14 @@ fn metrics_part(d: &mut Digest, obs: &Obs, prefix: &str) {
     }
 }
 
-/// The causal-trace commit-latency numbers `bench-baseline` derives.
+/// The commit-latency numbers folded out of the causal trace here.
 fn trace_part(d: &mut Digest, obs: &Obs) {
     record_trace_metrics(obs);
+    folded_trace_part(d, obs);
+}
+
+/// The same numbers after a run that folded the trace itself.
+fn folded_trace_part(d: &mut Digest, obs: &Obs) {
     let snap = obs.metrics.snapshot();
     for name in [
         "trace.ops",
@@ -577,6 +594,69 @@ fn store_open_loop() -> u64 {
     d.0
 }
 
+/// The live lock service under the spot market: Jupiter re-bids every
+/// 2 h over a 4 h window of an 8-zone m1.small market; out-of-bid kills
+/// crash replicas mid-protocol and every boundary reconfigures the view.
+fn lock_market_replay() -> u64 {
+    const WEEK: u64 = 7 * 24 * 60;
+    let market = market_days(4242, 8, 3 * 7);
+    let obs = simulated();
+    let outcome = lock_service_replay_observed(
+        &market,
+        JupiterStrategy::new().with_obs(obs.clone()),
+        ServiceReplayConfig {
+            eval_start: 2 * WEEK,
+            window_minutes: 4 * 60,
+            interval_hours: 2,
+            sla_ms: 5_000,
+            seed: 4242,
+        },
+        &obs,
+    );
+    let snap = obs.metrics.snapshot();
+    // Legible on their own; the digest below covers them too.
+    assert_eq!(snap.counter("paxos.msg_sent.heartbeat"), Some(4780));
+    assert_eq!(snap.counter("trace.ops"), Some(96));
+    assert_eq!(snap.counter("trace.commit_latency_p99_micros"), Some(1_272_000));
+    let mut d = Digest::new();
+    writeln!(d, "{outcome:?}").unwrap();
+    metrics_part(&mut d, &obs, "paxos");
+    folded_trace_part(&mut d, &obs);
+    for (name, v) in &snap.counters {
+        if name.starts_with("slo.request_latency.") {
+            writeln!(d, "{name} {v}").unwrap();
+        }
+    }
+    let mut series = obs.series.snapshot();
+    series.retain(|s| s.name.starts_with("service."));
+    assert_eq!(series.len(), 3, "crashes, fleet_size, reconfigs");
+    d.write_str(&obs::export::samples_jsonl(&series)).unwrap();
+    d.0
+}
+
+/// The workload engine against the θ(3,5) store at batch 8 for two
+/// simulated seconds.
+fn store_workload_batched() -> u64 {
+    let obs = simulated();
+    let spec = WorkloadSpec {
+        arrivals: ArrivalProcess::Poisson {
+            rate_per_sec: 200.0,
+        },
+        horizon: SimTime::from_secs(2),
+        sessions: 16,
+        batch_max_ops: 8,
+        trace_every: 4,
+        seed: 0x6025,
+        ..WorkloadSpec::default()
+    };
+    let report = run_storage_workload(&spec, NetworkConfig::default(), &obs);
+    assert_eq!(report.completed, report.requests);
+    let mut d = Digest::new();
+    writeln!(d, "{report:?}").unwrap();
+    metrics_part(&mut d, &obs, "storage");
+    d.0
+}
+
 #[test]
 fn digests_match_the_two_replica_tree() {
     let mut got = vec![
@@ -598,6 +678,8 @@ fn digests_match_the_two_replica_tree() {
     assert!(leaders > 5, "no storage schedule changed leader");
     assert!(rebuilt > 0, "no storage schedule reconstructed a read");
     got.push(store_open_loop());
+    got.push(lock_market_replay());
+    got.push(store_workload_batched());
     for ((case, want), got) in WANT.iter().zip(&got) {
         assert_eq!(got, want, "{case}: got {got:#018x}");
     }

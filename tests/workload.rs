@@ -7,12 +7,12 @@
 //!   the diurnal process integrates to its configured daily volume;
 //! * thread-count determinism — identical seeds yield identical arrival
 //!   streams and identical `WorkloadReport`s no matter which thread
-//!   runs them (the in-process counterpart of ci.sh's
-//!   `RAYON_NUM_THREADS` diff over `repro workload`);
+//!   runs them (the in-process counterpart of ci.sh's two-process diff
+//!   over `repro workload`);
 //! * the batching regression bar — at a reference load that saturates a
 //!   depth-2 accept pipeline, enabling batching must not worsen the
-//!   request-level p99 (the same inequality `bench-baseline` pins in
-//!   BENCH_replay.json);
+//!   request-level p99 (`tests/consensus_golden.rs` pins a batched
+//!   run's exact numbers);
 //! * session monotonicity of follower-local reads — a seeded
 //!   interleaving sweep where a follower-served read must never return
 //!   a value older than the session's last acknowledged write, with a
@@ -134,9 +134,8 @@ fn batching_does_not_worsen_p99_at_reference_load() {
     // the leader commits ~2 ops per commit round trip (~100 ms on the
     // default WAN model), ~20 ops/s — a third of the offered load, so
     // its queue (and p99) grows for the whole horizon. Batch 8 lifts
-    // capacity past the load. The regression test pins the same
-    // inequality `bench-baseline` records from the workload's own
-    // scheduled→completion latency counters.
+    // capacity past the load. The inequality is over the workload's own
+    // scheduled→completion latencies.
     let reference = WorkloadSpec {
         arrivals: ArrivalProcess::Poisson { rate_per_sec: 60.0 },
         horizon: SimTime::from_secs(10),
