@@ -1,16 +1,25 @@
 //! Drivers for every table and figure in the paper's evaluation (§5),
 //! plus the ablations DESIGN.md calls out. Each driver returns structured
 //! rows; the `repro` binary renders them as the paper's series.
+//!
+//! Every replayed cell — whatever sweep it belongs to — is reduced to the
+//! one [`Row`]; a figure is a choice of grid here and a choice of columns
+//! in `repro`. Only the analyses that replay nothing (Fig. 4, Ablations
+//! A, B, E, F, the calibration backtests) have row types of their own.
 
-use jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
+#![deny(clippy::too_many_lines)]
+
+use jupiter::{BiddingStrategy, ExtraStrategy, JupiterStrategy, ServiceSpec};
+use obs::AuditKind;
 use rayon::prelude::*;
 use spot_market::{
     BidEra, InstanceType, Market, MarketConfig, Price, PriceTrace, TraceGenerator, Zone,
 };
-use spot_model::{FailureModel, FailureModelConfig};
+use spot_model::{backtest, BidRule, CalibrationReport, FailureModel, FailureModelConfig};
 
 use crate::repair::{RepairConfig, RepairPolicy};
-use crate::scenario::{Scenario, SweepSpec};
+use crate::results::ReplayResult;
+use crate::scenario::{CellOutcome, Scenario, SweepSpec};
 
 /// Experiment scale: the paper's full runs or a quick smoke-scale variant
 /// for tests and debug builds.
@@ -75,6 +84,132 @@ impl Scale {
     pub fn scenario(&self, ty: InstanceType) -> Scenario {
         Scenario::new(self.market(ty), self.train_minutes(), self.horizon_minutes())
     }
+}
+
+// ------------------------------------------------------------ Rows, sweeps
+
+/// One replayed cell — a (strategy × interval × repair × pool × era)
+/// point of some sweep, or the on-demand baseline it is measured against
+/// — reduced to what the figures plot. An axis a sweep does not vary
+/// reads its default.
+#[derive(Clone, Debug, Default)]
+pub struct Row {
+    /// Which service, where one table mixes services (Fig. 5); empty
+    /// elsewhere.
+    pub service: String,
+    /// Bidding interval in hours (0 marks the interval-free baseline).
+    pub interval_hours: u64,
+    /// Strategy name (or "Baseline").
+    pub strategy: String,
+    /// The repair policy the cell replayed under.
+    pub policy: RepairPolicy,
+    /// The interruption era the cell replayed under.
+    pub era: BidEra,
+    /// `+`-joined API names of the pools the cell replayed over
+    /// (e.g. `m1.small+m3.large`).
+    pub pool_label: String,
+    /// Total billed cost over the evaluation span (spot plus on-demand
+    /// fallback charges).
+    pub cost: Price,
+    /// The on-demand share of that cost (zero unless the policy is
+    /// hybrid and repair escalated).
+    pub on_demand_cost: Price,
+    /// Measured quorum availability.
+    pub availability: f64,
+    /// Minutes spent below the decided group strength.
+    pub degraded_minutes: u64,
+    /// Instance deaths (out-of-bid kills or capacity reclamations).
+    pub kills: usize,
+    /// Successful pre-deadline drains (capacity era, Migrate only). Read
+    /// off the audit log, so 0 unless the replay ran observed.
+    pub drains: u64,
+    /// Migrations whose replacement booted after the deadline.
+    pub late_drains: u64,
+    /// Mean decided group size (node count, not strength).
+    pub mean_group_size: f64,
+    /// Mean bidding interval in hours: the configured interval, or the
+    /// realized mean under the adaptive schedule.
+    pub mean_interval_hours: f64,
+}
+
+impl Row {
+    /// One sweep cell as a row.
+    pub fn from_cell(cell: &CellOutcome) -> Row {
+        let pools: Vec<&str> = cell.pool_types.iter().map(|t| t.api_name()).collect();
+        Row {
+            interval_hours: cell.interval_hours,
+            policy: cell.repair,
+            era: cell.era,
+            pool_label: pools.join("+"),
+            mean_interval_hours: cell.interval_hours as f64,
+            ..Row::from_result(&cell.result)
+        }
+    }
+
+    /// The columns a bare replay result determines, for the drivers that
+    /// call [`crate::Replay`] outside a sweep grid; the grid axes keep
+    /// their defaults.
+    fn from_result(result: &ReplayResult) -> Row {
+        let migrations = |wanted: &str| {
+            let moved = result.audit.iter().filter(
+                |r| matches!(&r.kind, AuditKind::Migration { action, .. } if action == wanted),
+            );
+            moved.count() as u64
+        };
+        Row {
+            strategy: result.strategy.clone(),
+            cost: result.total_cost,
+            on_demand_cost: result.on_demand_cost,
+            availability: result.availability(),
+            degraded_minutes: result.degraded_minutes,
+            kills: result.total_kills(),
+            drains: migrations("drained"),
+            late_drains: migrations("late_drain"),
+            mean_group_size: result.mean_group_size(),
+            ..Row::default()
+        }
+    }
+
+    /// The on-demand baseline of `spec` over `scenario`'s window as a row.
+    fn baseline(scenario: &Scenario, spec: &ServiceSpec) -> Row {
+        Row {
+            strategy: "Baseline".into(),
+            cost: scenario.baseline_cost(spec),
+            availability: spec.baseline_availability(),
+            ..Row::default()
+        }
+    }
+}
+
+/// A sweep's rows plus the constants that frame them.
+#[derive(Clone, Debug)]
+pub struct Sweep {
+    /// One row per cell, in [`Scenario::run`]'s grid order.
+    pub rows: Vec<Row>,
+    /// What the service would cost held on-demand for the whole window —
+    /// every cell must stay below this.
+    pub baseline_cost: Price,
+    /// The strength floor every cell had to reach (0: none).
+    pub min_strength: u32,
+    /// The one bidding interval used (0: the sweep varies it).
+    pub interval_hours: u64,
+}
+
+impl Sweep {
+    /// Replay `sweep` over `scenario`, framed by its service's baseline
+    /// and strength floor.
+    fn run(scenario: &Scenario, sweep: &SweepSpec, interval_hours: u64) -> Sweep {
+        Sweep {
+            rows: cell_rows(scenario, sweep),
+            baseline_cost: scenario.baseline_cost(sweep.service()),
+            min_strength: sweep.service().min_strength,
+            interval_hours,
+        }
+    }
+}
+
+fn cell_rows(scenario: &Scenario, sweep: &SweepSpec) -> Vec<Row> {
+    scenario.run(sweep).iter().map(Row::from_cell).collect()
 }
 
 // ---------------------------------------------------------------- Fig. 1
@@ -170,119 +305,55 @@ pub fn fig4(scale: &Scale) -> Vec<Fig4Row> {
 
 // ---------------------------------------------------------------- Fig. 5
 
-/// One bar of Fig. 5 (one-week feasibility run).
-#[derive(Clone, Debug)]
-pub struct Fig5Row {
-    /// Which service.
-    pub service: String,
-    /// Strategy name (or "Baseline").
-    pub strategy: String,
-    /// One-week cost.
-    pub cost: Price,
-    /// Measured availability over the week.
-    pub availability: f64,
-}
-
 /// Fig. 5: a one-week run of the lock service and the storage service
 /// under Jupiter and Extra(0, 0.1), against the on-demand baseline,
 /// bidding hourly.
-pub fn fig5(scale: &Scale) -> Vec<Fig5Row> {
-    let week = 7 * 24 * 60;
-    let eval_start = scale.train_minutes();
-    let specs = [ServiceSpec::lock_service(), ServiceSpec::storage_service()];
+pub fn fig5(scale: &Scale) -> Vec<Row> {
+    // A single held-out week, whatever the scale's evaluation span.
+    let week = Scale {
+        eval_weeks: 1,
+        ..scale.clone()
+    };
     let mut rows = Vec::new();
-    for spec in specs {
-        // Fig. 5 runs a single held-out week, so the market horizon stops
-        // there rather than at the scale's full evaluation span.
-        let market = {
-            let mut cfg = MarketConfig::paper(scale.seed, eval_start + week);
-            cfg.zones.truncate(scale.zones);
-            cfg.types = vec![spec.instance_type];
-            Market::generate(cfg)
-        };
-        let scenario = Scenario::new(market, eval_start, eval_start + week);
+    for spec in [ServiceSpec::lock_service(), ServiceSpec::storage_service()] {
+        let scenario = week.scenario(spec.instance_type);
         let sweep = SweepSpec::new(spec.clone())
             .strategy(|_| Box::new(JupiterStrategy::new()))
             .strategy(|_| Box::new(ExtraStrategy::new(0, 0.1)))
             .intervals(vec![1]);
-        for cell in scenario.run(&sweep) {
-            rows.push(Fig5Row {
-                service: spec.name.clone(),
-                strategy: cell.result.strategy.clone(),
-                cost: cell.result.total_cost,
-                availability: cell.result.availability(),
-            });
+        let mut of_service = cell_rows(&scenario, &sweep);
+        of_service.push(Row::baseline(&scenario, &spec));
+        for row in &mut of_service {
+            row.service = spec.name.clone();
         }
-        rows.push(Fig5Row {
-            service: spec.name.clone(),
-            strategy: "Baseline".into(),
-            cost: scenario.baseline_cost(&spec),
-            availability: spec.baseline_availability(),
-        });
+        rows.append(&mut of_service);
     }
     rows
 }
 
 // ------------------------------------------------------- Figs. 6/7, 8/9
 
-/// One point of the cost/availability sweeps (Figs. 6–9).
-#[derive(Clone, Debug)]
-pub struct SweepRow {
-    /// Bidding interval in hours (0 marks the interval-free baseline).
-    pub interval_hours: u64,
-    /// Strategy name.
-    pub strategy: String,
-    /// Total cost over the evaluation span.
-    pub cost: Price,
-    /// Measured availability.
-    pub availability: f64,
-    /// Out-of-bid kills.
-    pub kills: usize,
-}
-
-impl SweepRow {
-    fn from_cell(cell: &crate::scenario::CellOutcome) -> SweepRow {
-        SweepRow {
-            interval_hours: cell.interval_hours,
-            strategy: cell.result.strategy.clone(),
-            cost: cell.result.total_cost,
-            availability: cell.result.availability(),
-            kills: cell.result.total_kills(),
-        }
-    }
-}
-
-fn sweep(spec: &ServiceSpec, scale: &Scale) -> Vec<SweepRow> {
+fn sweep(spec: &ServiceSpec, scale: &Scale) -> Vec<Row> {
     let scenario = scale.scenario(spec.instance_type);
     let sweep = SweepSpec::new(spec.clone())
         .strategy(|_| Box::new(JupiterStrategy::new()))
         .strategy(|_| Box::new(ExtraStrategy::new(0, 0.2)))
         .strategy(|_| Box::new(ExtraStrategy::new(2, 0.2)))
         .intervals(scale.intervals.clone());
-    let mut rows: Vec<SweepRow> = scenario
-        .run(&sweep)
-        .iter()
-        .map(SweepRow::from_cell)
-        .collect();
-    rows.push(SweepRow {
-        interval_hours: 0,
-        strategy: "Baseline".into(),
-        cost: scenario.baseline_cost(spec),
-        availability: spec.baseline_availability(),
-        kills: 0,
-    });
+    let mut rows = cell_rows(&scenario, &sweep);
+    rows.push(Row::baseline(&scenario, spec));
     rows.sort_by(|a, b| (a.interval_hours, &a.strategy).cmp(&(b.interval_hours, &b.strategy)));
     rows
 }
 
 /// Figs. 6 & 7: lock-service cost and availability across bidding
 /// intervals and strategies over the evaluation span.
-pub fn lock_sweep(scale: &Scale) -> Vec<SweepRow> {
+pub fn lock_sweep(scale: &Scale) -> Vec<Row> {
     sweep(&ServiceSpec::lock_service(), scale)
 }
 
 /// Figs. 8 & 9: the same sweep for the erasure-coded storage service.
-pub fn storage_sweep(scale: &Scale) -> Vec<SweepRow> {
+pub fn storage_sweep(scale: &Scale) -> Vec<Row> {
     sweep(&ServiceSpec::storage_service(), scale)
 }
 
@@ -310,8 +381,8 @@ pub struct Headline {
 /// interval **among those that hold the baseline availability level**
 /// (the paper's claim is cost reduction *at matched availability*; an
 /// interval that dips below the target is disqualified even if cheaper).
-pub fn headline(lock: &[SweepRow], storage: &[SweepRow]) -> Headline {
-    fn best(rows: &[SweepRow]) -> (u64, f64, bool) {
+pub fn headline(lock: &[Row], storage: &[Row]) -> Headline {
+    fn best(rows: &[Row]) -> (u64, f64, bool) {
         let baseline_row = rows
             .iter()
             .find(|r| r.strategy == "Baseline")
@@ -356,48 +427,15 @@ pub fn headline(lock: &[SweepRow], storage: &[SweepRow]) -> Headline {
 
 // ----------------------------------------------------- Repair-policy sweep
 
-/// One row of the repair-policy sweep: a (strategy, interval) cell
-/// replayed under one [`RepairPolicy`].
-#[derive(Clone, Debug)]
-pub struct RepairRow {
-    /// Bidding interval in hours.
-    pub interval_hours: u64,
-    /// Strategy name.
-    pub strategy: String,
-    /// The repair policy this row replayed under.
-    pub policy: RepairPolicy,
-    /// Total cost (spot plus on-demand fallback charges).
-    pub cost: Price,
-    /// The on-demand share of that cost (zero unless the policy is
-    /// hybrid and repair escalated).
-    pub on_demand_cost: Price,
-    /// Measured quorum availability.
-    pub availability: f64,
-    /// Minutes spent below the decided group strength.
-    pub degraded_minutes: u64,
-    /// Out-of-bid kills (boundary bids and repair rebids alike).
-    pub kills: usize,
-}
-
-/// The repair-policy sweep plus the on-demand baseline it is bounded by.
-#[derive(Clone, Debug)]
-pub struct RepairSweep {
-    /// One row per (interval, strategy, policy) cell, grid order.
-    pub rows: Vec<RepairRow>,
-    /// What the service would cost held on-demand for the whole window —
-    /// every repairing cell must stay below this.
-    pub baseline_cost: Price,
-}
-
 /// The repair-controller experiment: the lock service under Jupiter and
 /// the kill-prone Extra(0, 0.2) heuristic, each interval replayed with
 /// repair off, spot-only reactive rebids, and the hybrid on-demand
 /// fallback. Boundary decisions are frozen across policies, so any
 /// availability difference is the repair controller's doing.
-pub fn repair_sweep(scale: &Scale) -> RepairSweep {
+pub fn repair_sweep(scale: &Scale) -> Sweep {
     let spec = ServiceSpec::lock_service();
     let scenario = scale.scenario(spec.instance_type);
-    let sweep = SweepSpec::new(spec.clone())
+    let sweep = SweepSpec::new(spec)
         .strategy(|_| Box::new(JupiterStrategy::new()))
         .strategy(|_| Box::new(ExtraStrategy::new(0, 0.2)))
         .intervals(scale.intervals.clone())
@@ -406,62 +444,10 @@ pub fn repair_sweep(scale: &Scale) -> RepairSweep {
             RepairConfig::reactive(),
             RepairConfig::hybrid(),
         ]);
-    let rows = scenario
-        .run(&sweep)
-        .iter()
-        .map(|cell| RepairRow {
-            interval_hours: cell.interval_hours,
-            strategy: cell.result.strategy.clone(),
-            policy: cell.repair,
-            cost: cell.result.total_cost,
-            on_demand_cost: cell.result.on_demand_cost,
-            availability: cell.result.availability(),
-            degraded_minutes: cell.result.degraded_minutes,
-            kills: cell.result.total_kills(),
-        })
-        .collect();
-    RepairSweep {
-        rows,
-        baseline_cost: scenario.baseline_cost(&spec),
-    }
+    Sweep::run(&scenario, &sweep, 0)
 }
 
 // ------------------------------------------------------------- Era sweep
-
-/// One row of the interruption-era sweep: a (strategy, era, repair
-/// policy) cell at a fixed interval.
-#[derive(Clone, Debug)]
-pub struct EraRow {
-    /// The interruption era the cell replayed under.
-    pub era: BidEra,
-    /// The repair policy (reactive rebids vs proactive migration).
-    pub policy: RepairPolicy,
-    /// Strategy name.
-    pub strategy: String,
-    /// Total billed cost.
-    pub cost: Price,
-    /// Measured quorum availability.
-    pub availability: f64,
-    /// Minutes below the decided group strength.
-    pub degraded_minutes: u64,
-    /// Instance deaths (out-of-bid kills or capacity reclamations).
-    pub kills: usize,
-    /// Successful pre-deadline drains (capacity era, Migrate only).
-    pub drains: u64,
-    /// Migrations whose replacement booted after the deadline.
-    pub late_drains: u64,
-}
-
-/// The era sweep plus its framing constants.
-#[derive(Clone, Debug)]
-pub struct EraSweep {
-    /// One row per (strategy, policy, era) cell, grid order.
-    pub rows: Vec<EraRow>,
-    /// The on-demand baseline cost bounding every cell.
-    pub baseline_cost: Price,
-    /// The fixed bidding interval used.
-    pub interval_hours: u64,
-}
 
 /// The capacity-era experiment: the erasure-coded storage service (RS-Paxos
 /// θ(3,5) tolerates a single failure, so repair latency shows up directly
@@ -470,51 +456,20 @@ pub struct EraSweep {
 /// migration. Under the bidding era there are no notices, so the Migrate
 /// rows replay exactly as Reactive — the capacity-era delta between the
 /// two policies is the advance notice's worth.
-pub fn era_sweep(scale: &Scale) -> EraSweep {
+pub fn era_sweep(scale: &Scale) -> Sweep {
     use jupiter::FeedbackStrategy;
-    use obs::AuditKind;
     const INTERVAL: u64 = 3;
     let spec = ServiceSpec::storage_service();
     let scenario = scale
         .scenario(spec.instance_type)
         .with_obs(obs::Obs::simulated().0);
-    let sweep = SweepSpec::new(spec.clone())
+    let sweep = SweepSpec::new(spec)
         .strategy(|_| Box::new(JupiterStrategy::new()))
         .strategy(|_| Box::new(FeedbackStrategy::new()))
         .intervals(vec![INTERVAL])
         .repairs(vec![RepairConfig::reactive(), RepairConfig::migrate()])
         .eras(vec![BidEra::Bidding, BidEra::CapacityReclaim]);
-    let rows = scenario
-        .run(&sweep)
-        .iter()
-        .map(|cell| {
-            let count = |wanted: &str| {
-                cell.result
-                    .audit
-                    .iter()
-                    .filter(|r| {
-                        matches!(&r.kind, AuditKind::Migration { action, .. } if action == wanted)
-                    })
-                    .count() as u64
-            };
-            EraRow {
-                era: cell.era,
-                policy: cell.repair,
-                strategy: cell.result.strategy.clone(),
-                cost: cell.result.total_cost,
-                availability: cell.result.availability(),
-                degraded_minutes: cell.result.degraded_minutes,
-                kills: cell.result.total_kills(),
-                drains: count("drained"),
-                late_drains: count("late_drain"),
-            }
-        })
-        .collect();
-    EraSweep {
-        rows,
-        baseline_cost: scenario.baseline_cost(&spec),
-        interval_hours: INTERVAL,
-    }
+    Sweep::run(&scenario, &sweep, INTERVAL)
 }
 
 // -------------------------------------------------------------- Ablations
@@ -656,42 +611,28 @@ pub fn ablation_greedy_vs_exact(scale: &Scale) -> Vec<OptimalityRow> {
     rows
 }
 
-/// Adaptive-interval ablation row (§5.5's proposed extension).
-#[derive(Clone, Debug)]
-pub struct AdaptiveRow {
-    /// Strategy label (fixed interval or "\[adaptive\]").
-    pub strategy: String,
-    /// Total cost.
-    pub cost: Price,
-    /// Measured availability.
-    pub availability: f64,
-    /// Mean realized interval length in hours.
-    pub mean_interval_hours: f64,
-}
-
 /// Ablation: Jupiter under fixed 1 h / 6 h / 12 h intervals versus the
-/// adaptive schedule that tracks the price-change rate.
-pub fn ablation_adaptive(scale: &Scale) -> Vec<AdaptiveRow> {
+/// adaptive schedule that tracks the price-change rate (§5.5's proposed
+/// extension).
+pub fn ablation_adaptive(scale: &Scale) -> Vec<Row> {
     use crate::adaptive::AdaptiveConfig;
     let spec = ServiceSpec::lock_service();
     let scenario = scale.scenario(spec.instance_type);
     let sweep = SweepSpec::new(spec.clone())
         .strategy(|_| Box::new(JupiterStrategy::new()))
         .intervals(vec![1, 6, 12]);
-    let mut rows: Vec<AdaptiveRow> = scenario
+    let mut rows: Vec<Row> = scenario
         .run(&sweep)
         .iter()
-        .map(|cell| AdaptiveRow {
+        .map(|cell| Row {
             strategy: format!("Jupiter fixed {}h", cell.interval_hours),
-            cost: cell.result.total_cost,
-            availability: cell.result.availability(),
-            mean_interval_hours: cell.interval_hours as f64,
+            ..Row::from_cell(cell)
         })
         .collect();
 
     // The adaptive run reuses the fixed cells' kernels from the store.
     let r = scenario.run_adaptive(&spec, JupiterStrategy::new(), AdaptiveConfig::default());
-    let mean_interval = if r.intervals.len() > 1 {
+    let mean_interval_hours = if r.intervals.len() > 1 {
         let total: u64 = r
             .intervals
             .windows(2)
@@ -701,25 +642,29 @@ pub fn ablation_adaptive(scale: &Scale) -> Vec<AdaptiveRow> {
     } else {
         0.0
     };
-    rows.push(AdaptiveRow {
-        strategy: r.strategy.clone(),
-        cost: r.total_cost,
-        availability: r.availability(),
-        mean_interval_hours: mean_interval,
+    rows.push(Row {
+        mean_interval_hours,
+        ..Row::from_result(&r)
     });
     rows
 }
 
-/// Estimator-variant replay: the paper's expectation-based Jupiter versus
-/// the absorbing-estimator variant, at the best fixed interval.
-pub fn ablation_estimator_replay(scale: &Scale) -> Vec<SweepRow> {
+/// The lock service under Jupiter and under `rival`, at the best fixed
+/// interval (6 h).
+fn jupiter_against<S: BiddingStrategy + 'static>(scale: &Scale, rival: fn() -> S) -> Vec<Row> {
     let spec = ServiceSpec::lock_service();
     let scenario = scale.scenario(spec.instance_type);
     let sweep = SweepSpec::new(spec)
         .strategy(|_| Box::new(JupiterStrategy::new()))
-        .strategy(|_| Box::new(JupiterStrategy::absorbing()))
+        .strategy(move |_| Box::new(rival()))
         .intervals(vec![6]);
-    scenario.run(&sweep).iter().map(SweepRow::from_cell).collect()
+    cell_rows(&scenario, &sweep)
+}
+
+/// Estimator-variant replay: the paper's expectation-based Jupiter versus
+/// the absorbing-estimator variant.
+pub fn ablation_estimator_replay(scale: &Scale) -> Vec<Row> {
+    jupiter_against(scale, JupiterStrategy::absorbing)
 }
 
 /// Weighted-voting vs simple-majority availability at heterogeneous
@@ -761,14 +706,54 @@ pub fn ablation_weighted_voting() -> Vec<VotingRow> {
 
 /// Fixed-once ablation: Andrzejak-style pre-computed bids held for the
 /// whole deployment versus online re-bidding (the paper's §6 critique).
-pub fn ablation_fixed_once(scale: &Scale) -> Vec<SweepRow> {
-    let spec = ServiceSpec::lock_service();
-    let scenario = scale.scenario(spec.instance_type);
-    let sweep = SweepSpec::new(spec)
-        .strategy(|_| Box::new(JupiterStrategy::new()))
-        .strategy(|_| Box::new(jupiter::FixedOnce::new(JupiterStrategy::new())))
-        .intervals(vec![6]);
-    scenario.run(&sweep).iter().map(SweepRow::from_cell).collect()
+pub fn ablation_fixed_once(scale: &Scale) -> Vec<Row> {
+    jupiter_against(scale, || jupiter::FixedOnce::new(JupiterStrategy::new()))
+}
+
+/// The walk-forward backtest both calibration drivers run: 6 h horizon,
+/// expectation scoring, default model.
+fn walk_forward(trace: &PriceTrace, train: u64, step: u64, rule: BidRule) -> CalibrationReport {
+    backtest(
+        trace,
+        train,
+        360,
+        step,
+        rule,
+        false,
+        FailureModelConfig::default(),
+    )
+}
+
+/// The model-chosen bid at Jupiter's per-node target, capped at `zone`'s
+/// on-demand price.
+fn target_fp(zone: Zone, ty: InstanceType) -> BidRule {
+    BidRule::TargetFp {
+        target: 0.0103,
+        cap: ty.on_demand_price(zone.region),
+    }
+}
+
+/// The `calibration` target: walk-forward backtests per zone (12 h
+/// stride) under a naive spot-multiple bid and the model-chosen bid, as
+/// `(zone, bid rule, report)`.
+pub fn calibration(scale: &Scale) -> Vec<(Zone, &'static str, CalibrationReport)> {
+    let ty = InstanceType::M1Small;
+    let gen = TraceGenerator::new(scale.seed);
+    let mut rows = Vec::new();
+    for zone in spot_market::topology::experiment_zones()
+        .into_iter()
+        .take(6)
+    {
+        let trace = gen.generate(zone, ty, scale.horizon_minutes());
+        for (label, rule) in [
+            ("spot x 1.2", BidRule::SpotMultiple(1.2)),
+            ("target 0.0103", target_fp(zone, ty)),
+        ] {
+            let report = walk_forward(&trace, scale.train_minutes(), 12 * 60, rule);
+            rows.push((zone, label, report));
+        }
+    }
+    rows
 }
 
 /// Model-mismatch ablation row: the semi-Markov failure model backtested
@@ -791,8 +776,7 @@ pub struct MismatchRow {
 /// Ablation: train and backtest the paper's failure model on traces from
 /// its assumed process and from a structurally different one.
 pub fn ablation_model_mismatch(scale: &Scale) -> Vec<MismatchRow> {
-    use spot_market::{ArTraceGenerator, TraceGenerator};
-    use spot_model::{backtest, BidRule};
+    use spot_market::ArTraceGenerator;
 
     let ty = InstanceType::M1Small;
     let zones: Vec<Zone> = spot_market::topology::experiment_zones()
@@ -803,28 +787,17 @@ pub fn ablation_model_mismatch(scale: &Scale) -> Vec<MismatchRow> {
     let train = scale.train_minutes();
 
     let run = |name: &str, traces: Vec<PriceTrace>| -> MismatchRow {
-        let mut reports = Vec::new();
-        for (trace, zone) in traces.iter().zip(&zones) {
-            let cap = ty.on_demand_price(zone.region);
-            reports.push(backtest(
-                trace,
-                train,
-                360,
-                24 * 60,
-                BidRule::TargetFp {
-                    target: 0.0103,
-                    cap,
-                },
-                false,
-                spot_model::FailureModelConfig::default(),
-            ));
-        }
+        let reports: Vec<CalibrationReport> = traces
+            .iter()
+            .zip(&zones)
+            .map(|(trace, &zone)| walk_forward(trace, train, 24 * 60, target_fp(zone, ty)))
+            .collect();
         let n: f64 = reports
             .iter()
             .map(|r| r.samples as f64)
             .sum::<f64>()
             .max(1.0);
-        let weighted = |f: &dyn Fn(&spot_model::CalibrationReport) -> f64| -> f64 {
+        let weighted = |f: &dyn Fn(&CalibrationReport) -> f64| -> f64 {
             reports.iter().map(|r| f(r) * r.samples as f64).sum::<f64>() / n
         };
         MismatchRow {
@@ -856,45 +829,13 @@ pub fn ablation_model_mismatch(scale: &Scale) -> Vec<MismatchRow> {
 
 // ------------------------------------------ Heterogeneous-pool race
 
-/// One row of the heterogeneous-pool strategy race: a (strategy, pool
-/// column) cell at the fixed 6 h interval.
-#[derive(Clone, Debug)]
-pub struct HeteroRow {
-    /// Strategy display name.
-    pub strategy: String,
-    /// `+`-joined API names of the pool column the cell replayed over
-    /// (e.g. `m1.small+m3.large`).
-    pub pool_label: String,
-    /// Total billed cost over the evaluation span.
-    pub cost: Price,
-    /// Measured availability.
-    pub availability: f64,
-    /// Out-of-bid kills.
-    pub kills: usize,
-    /// Mean decided group size (node count, not strength).
-    pub mean_group_size: f64,
-}
-
-/// The heterogeneous-pool race plus its framing constants.
-#[derive(Clone, Debug)]
-pub struct HeteroSweep {
-    /// One row per (strategy, pool column), grid order.
-    pub rows: Vec<HeteroRow>,
-    /// The on-demand baseline cost for the mixed-pool service.
-    pub baseline_cost: Price,
-    /// The strength floor every cell had to reach.
-    pub min_strength: u32,
-    /// The fixed bidding interval used.
-    pub interval_hours: u64,
-}
-
 /// The tentpole experiment: Jupiter, the Li et al.-style feedback
 /// controller, and the kill-prone Extra heuristic race over single-type
 /// pools and the mixed pool on one heterogeneous market, all holding the
 /// same capacity-weighted strength floor. The mix should match the best
 /// single type's availability at strictly lower cost — the optimizer is
 /// free to buy strength wherever it is cheapest per dollar.
-pub fn hetero_sweep(scale: &Scale) -> HeteroSweep {
+pub fn hetero_sweep(scale: &Scale) -> Sweep {
     use jupiter::FeedbackStrategy;
     const MIN_STRENGTH: u32 = 8;
     const INTERVAL: u64 = 6;
@@ -905,7 +846,7 @@ pub fn hetero_sweep(scale: &Scale) -> HeteroSweep {
     let spec = ServiceSpec::lock_service()
         .with_pools(&[InstanceType::M1Small, InstanceType::M3Large])
         .with_min_strength(MIN_STRENGTH);
-    let sweep = SweepSpec::new(spec.clone())
+    let sweep = SweepSpec::new(spec)
         .strategy(|_| Box::new(JupiterStrategy::new()))
         .strategy(|_| Box::new(FeedbackStrategy::new()))
         .strategy(|_| Box::new(ExtraStrategy::new(2, 0.2)))
@@ -915,29 +856,7 @@ pub fn hetero_sweep(scale: &Scale) -> HeteroSweep {
             vec![InstanceType::M3Large],
             vec![InstanceType::M1Small, InstanceType::M3Large],
         ]);
-    let rows = scenario
-        .run(&sweep)
-        .iter()
-        .map(|cell| HeteroRow {
-            strategy: cell.result.strategy.clone(),
-            pool_label: cell
-                .pool_types
-                .iter()
-                .map(|t| t.api_name())
-                .collect::<Vec<_>>()
-                .join("+"),
-            cost: cell.result.total_cost,
-            availability: cell.result.availability(),
-            kills: cell.result.total_kills(),
-            mean_group_size: cell.result.mean_group_size(),
-        })
-        .collect();
-    HeteroSweep {
-        rows,
-        baseline_cost: scenario.baseline_cost(&spec),
-        min_strength: MIN_STRENGTH,
-        interval_hours: INTERVAL,
-    }
+    Sweep::run(&scenario, &sweep, INTERVAL)
 }
 
 // --------------------------------------------- Auto-scaler experiment
@@ -949,9 +868,9 @@ pub struct AutoscaleReport {
     /// The auto-scaled replay (mixed pool, diurnal demand), with series
     /// and audit log attached — `pool.fleet.*` and the `scale_decision`
     /// records live here.
-    pub result: crate::ReplayResult,
+    pub result: ReplayResult,
     /// The same strategy holding the peak strength target statically.
-    pub static_result: crate::ReplayResult,
+    pub static_result: ReplayResult,
     /// Applied scale-outs.
     pub scale_outs: u64,
     /// Applied scale-ins.
@@ -960,6 +879,23 @@ pub struct AutoscaleReport {
     pub peak_strength: u32,
     /// The on-demand baseline cost for the mixed-pool service.
     pub baseline_cost: Price,
+}
+
+impl AutoscaleReport {
+    /// The two fleets as table rows, auto-scaled first.
+    pub fn rows(&self) -> Vec<Row> {
+        let row = |fleet: String, result| Row {
+            strategy: fleet,
+            ..Row::from_result(result)
+        };
+        vec![
+            row("auto-scaled".into(), &self.result),
+            row(
+                format!("static peak (strength {})", self.peak_strength),
+                &self.static_result,
+            ),
+        ]
+    }
 }
 
 /// The deterministic diurnal arrival rate driving the auto-scaler
@@ -1040,12 +976,12 @@ mod tests {
 
     #[test]
     fn headline_requires_matched_availability() {
-        let row = |strategy: &str, h: u64, cost: f64, avail: f64| SweepRow {
+        let row = |strategy: &str, h: u64, cost: f64, avail: f64| Row {
             interval_hours: h,
             strategy: strategy.into(),
             cost: Price::from_dollars(cost),
             availability: avail,
-            kills: 0,
+            ..Row::default()
         };
         let sweep = vec![
             row("Baseline", 0, 100.0, 0.9999),

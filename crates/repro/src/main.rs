@@ -2,13 +2,19 @@
 //!
 //! ```text
 //! repro [--quick] [--seed N] [--metrics-out PATH] [--report-out PATH] \
-//!       [all|fig1|table1|fig4|fig5|fig6|fig7|fig8|fig9|headline|repair|ablations|calibration|metrics|report|workload|hetero|era]
+//!       [all|fig1|table1|fig4|fig5|fig6|fig7|fig8|fig9|headline|repair|ablations|ablation-g|calibration|metrics|report|workload|hetero|era]
 //! ```
 //!
 //! By default runs at the paper's scale (13 training weeks, 11 evaluation
 //! weeks, 17 availability zones, interval sweep {1,3,6,9,12} h), which
 //! takes a few minutes in release mode; `--quick` shrinks everything for a
-//! smoke run.
+//! smoke run. An unknown flag or target, a flag without its value, a seed
+//! that is not an unsigned integer, or a second target word prints the
+//! usage line and exits 2 with nothing on stdout.
+//!
+//! Every table goes through the one renderer in [`table`]: the replayed
+//! cells of every figure are `replay::experiments::Row`s, and a figure's
+//! table is a list of `(header, width, field)` columns over them.
 //!
 //! `--metrics-out PATH` runs an instrumented pass — a Jupiter market
 //! replay plus a short service-level Paxos replay, both recording into a
@@ -21,58 +27,88 @@
 //! sessions) against the Paxos lock service and the RS-Paxos store,
 //! reporting scheduled-arrival→completion latency quantiles and an
 //! SLO-based availability, plus a batched-vs-unbatched comparison at a
-//! reference load that saturates the unbatched accept pipeline. Its
-//! stdout is deterministic for a given seed, so CI diffs it across
-//! thread counts.
+//! reference load that saturates the unbatched accept pipeline.
 //!
 //! The `report` target runs a recorded Jupiter replay and renders the
 //! time series (spot price vs. bid, per-interval cost and availability,
 //! fleet size) into a self-contained HTML file — inline SVG, no external
 //! assets — at `--report-out PATH` (default `report.html`).
+//!
+//! Stdout is a function of the seed and the scale alone:
+//! `tests/golden.rs` pins the quick-scale output byte for byte.
 
-use std::env;
+#![deny(clippy::too_many_lines)]
+
 use std::time::Instant;
 
-use replay::experiments::{self, Scale, SweepRow};
+use obs::Obs;
+use replay::experiments::{self, Row, Scale};
+use replay::service_level::ServiceReplayOutcome;
+use replay::{RepairConfig, ReplayResult};
+use table::{fixed, left, right, strategy, AVAILABILITY, COST, KILLS};
 
 mod report;
+mod table;
+
+const USAGE: &str = "usage: repro [--quick] [--seed N] [--metrics-out PATH] [--report-out PATH] \
+    [all|fig1|table1|fig4|fig5|fig6|fig7|fig8|fig9|headline|repair|ablations|ablation-g\
+    |calibration|metrics|report|workload|hetero|era]";
+
+/// The command line, checked.
+struct Args {
+    quick: bool,
+    seed: u64,
+    metrics_out: Option<String>,
+    report_out: Option<String>,
+    target: Option<String>,
+}
+
+/// The one flag reader: every word is a known flag, a flag's value, or
+/// the single target.
+fn parse_args(mut words: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        quick: false,
+        seed: 2014,
+        metrics_out: None,
+        report_out: None,
+        target: None,
+    };
+    while let Some(word) = words.next() {
+        let mut value = || words.next().ok_or(format!("{word} needs a value"));
+        match word.as_str() {
+            "--quick" => args.quick = true,
+            "--seed" => {
+                let v = value()?;
+                args.seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed needs an unsigned integer, got '{v}'"))?;
+            }
+            "--metrics-out" => args.metrics_out = Some(value()?),
+            "--report-out" => args.report_out = Some(value()?),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            _ if args.target.is_some() => return Err(format!("second target '{word}'")),
+            _ => args.target = Some(word),
+        }
+    }
+    Ok(args)
+}
+
+fn usage_exit(problem: &str) -> ! {
+    eprintln!("{problem}\n{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2014);
-    let metrics_out = args
-        .iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let report_out = args
-        .iter()
-        .position(|a| a == "--report-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    // Flag values must not be mistaken for the target word.
-    let value_positions: Vec<Option<usize>> =
-        vec![seed_pos(&args), metrics_out_pos(&args), report_out_pos(&args)];
-    let what = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && !value_positions.contains(&Some(*i)))
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| {
-            if metrics_out.is_some() {
-                "metrics".into()
-            } else {
-                "all".into()
-            }
-        });
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e));
+    let seed = args.seed;
+    let default_target = if args.metrics_out.is_some() {
+        "metrics"
+    } else {
+        "all"
+    };
+    let what = args.target.as_deref().unwrap_or(default_target);
 
-    let scale = if quick {
+    let scale = if args.quick {
         Scale::quick(seed)
     } else {
         Scale::paper(seed)
@@ -83,18 +119,16 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    match what.as_str() {
+    match what {
         "all" => {
             table1();
             fig1(seed);
             fig4(&scale);
             fig5(&scale);
-            let lock =
-                sweep_and_print("Figure 6/7 — lock service", experiments::lock_sweep(&scale));
-            let storage = sweep_and_print(
-                "Figure 8/9 — storage service",
-                experiments::storage_sweep(&scale),
-            );
+            let lock = experiments::lock_sweep(&scale);
+            sweep_table("Figure 6/7 — lock service", &lock);
+            let storage = experiments::storage_sweep(&scale);
+            sweep_table("Figure 8/9 — storage service", &storage);
             headline(&lock, &storage);
             repair(&scale);
             ablations(&scale);
@@ -103,69 +137,89 @@ fn main() {
         "fig1" => fig1(seed),
         "fig4" => fig4(&scale),
         "fig5" => fig5(&scale),
-        "fig6" | "fig7" => {
-            sweep_and_print("Figure 6/7 — lock service", experiments::lock_sweep(&scale));
-        }
-        "fig8" | "fig9" => {
-            sweep_and_print(
-                "Figure 8/9 — storage service",
-                experiments::storage_sweep(&scale),
-            );
-        }
-        "headline" => {
-            let lock = experiments::lock_sweep(&scale);
-            let storage = experiments::storage_sweep(&scale);
-            headline(&lock, &storage);
-        }
+        "fig6" | "fig7" => sweep_table(
+            "Figure 6/7 — lock service",
+            &experiments::lock_sweep(&scale),
+        ),
+        "fig8" | "fig9" => sweep_table(
+            "Figure 8/9 — storage service",
+            &experiments::storage_sweep(&scale),
+        ),
+        "headline" => headline(
+            &experiments::lock_sweep(&scale),
+            &experiments::storage_sweep(&scale),
+        ),
         "repair" => repair(&scale),
         "hetero" => hetero(&scale),
         "era" => era(&scale),
         "ablations" => ablations(&scale),
-        "ablation-g" => {
-            println!("\n== Ablation G: one-shot fixed bids (Andrzejak-style) vs online re-bidding ==");
-            println!(
-                "{:<26} {:>12} {:>12} {:>7}",
-                "strategy", "cost ($)", "availability", "kills"
-            );
-            for r in experiments::ablation_fixed_once(&scale) {
-                println!(
-                    "{:<26} {:>12.2} {:>12.6} {:>7}",
-                    r.strategy,
-                    r.cost.as_dollars(),
-                    r.availability,
-                    r.kills
-                );
-            }
-        }
+        "ablation-g" => ablation_g(&scale),
         "calibration" => calibration(&scale),
-        "workload" => workload_target(quick, seed),
+        "workload" => workload_target(args.quick, seed),
         "metrics" => {} // instrumented pass runs below
-        "report" => {
-            let path = report_out.clone().unwrap_or_else(|| "report.html".into());
-            report_pass(seed, &path);
-        }
-        other => {
-            eprintln!("unknown target '{other}'");
-            std::process::exit(2);
-        }
+        "report" => report_pass(seed, args.report_out.as_deref().unwrap_or("report.html")),
+        other => usage_exit(&format!("unknown target '{other}'")),
     }
-    if what == "metrics" || metrics_out.is_some() {
-        let path = metrics_out.unwrap_or_else(|| "metrics.json".into());
-        metrics_pass(seed, &path);
+    if what == "metrics" || args.metrics_out.is_some() {
+        metrics_pass(seed, args.metrics_out.as_deref().unwrap_or("metrics.json"));
     }
     eprintln!("# done in {:.1?}", t0.elapsed());
 }
 
-fn seed_pos(args: &[String]) -> Option<usize> {
-    args.iter().position(|a| a == "--seed").map(|i| i + 1)
+fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }
 
-fn metrics_out_pos(args: &[String]) -> Option<usize> {
-    args.iter().position(|a| a == "--metrics-out").map(|i| i + 1)
-}
+/// What `report` and `--metrics-out` both record: a short service-level
+/// Paxos replay (the first `service_hours` of the evaluation window) and
+/// a Jupiter market replay at a 6 h interval, over one quick market (2
+/// training weeks, `eval_days` of evaluation, 8 zones) into one [`Obs`]
+/// on simulated time.
+///
+/// The service replay runs first: the shared `ManualClock` is monotone,
+/// and the market replay stamps market-minute time (~1e12 µs), which
+/// would clamp the service replay's sim-millisecond spans to zero length
+/// (every trace latency would read 0).
+fn observed_replays(
+    seed: u64,
+    eval_days: u64,
+    service_hours: u64,
+    repair: RepairConfig,
+) -> (Obs, ServiceReplayOutcome, ReplayResult) {
+    use jupiter::{JupiterStrategy, ServiceSpec};
+    use replay::service_level::{lock_service_replay_observed, ServiceReplayConfig};
+    use replay::{Replay, ReplayConfig};
+    use spot_market::{InstanceType, Market, MarketConfig};
 
-fn report_out_pos(args: &[String]) -> Option<usize> {
-    args.iter().position(|a| a == "--report-out").map(|i| i + 1)
+    let (obs, _clock) = Obs::simulated();
+    let train = 2 * 7 * 24 * 60;
+    let eval = eval_days * 24 * 60;
+    let mut cfg = MarketConfig::paper(seed, train + eval);
+    cfg.zones.truncate(8);
+    cfg.types = vec![InstanceType::M1Small];
+    let market = Market::generate(cfg);
+
+    let service = lock_service_replay_observed(
+        &market,
+        JupiterStrategy::new().with_obs(obs.clone()),
+        ServiceReplayConfig {
+            eval_start: train,
+            window_minutes: service_hours * 60,
+            interval_hours: 2,
+            sla_ms: 5_000,
+            seed,
+        },
+        &obs,
+    );
+    let spec = ServiceSpec::lock_service();
+    let replayed = Replay::new(&market, &spec, ReplayConfig::new(train, train + eval, 6))
+        .repair(repair)
+        .obs(&obs)
+        .run(JupiterStrategy::new().with_obs(obs.clone()));
+    (obs, service, replayed)
 }
 
 /// The `report` target: a recorded Jupiter market replay (series enabled,
@@ -177,103 +231,46 @@ fn report_out_pos(args: &[String]) -> Option<usize> {
 /// Chrome-trace JSON next to the report; the audit log and fired alerts
 /// as versioned JSONL.
 fn report_pass(seed: u64, path: &str) {
-    use jupiter::{JupiterStrategy, ServiceSpec};
-    use obs::{alerts_jsonl, audit_jsonl, chrome_trace_json, Obs};
-    use replay::service_level::{lock_service_replay_observed, ServiceReplayConfig};
-    use replay::{RepairConfig, Replay, ReplayConfig};
-    use spot_market::{InstanceType, Market, MarketConfig};
+    use obs::{alerts_jsonl, audit_jsonl, chrome_trace_json};
 
     println!("\n== Report pass: recorded Jupiter replay → {path} ==");
-    let (obs, _clock) = Obs::simulated();
-
-    let train = 2 * 7 * 24 * 60;
-    let eval = 7 * 24 * 60;
-    let mut cfg = MarketConfig::paper(seed, train + eval);
-    cfg.zones.truncate(8);
-    cfg.types = vec![InstanceType::M1Small];
-    let market = Market::generate(cfg);
-    let spec = ServiceSpec::lock_service();
-
-    // A short service-level replay on the same market fills the trace
-    // ring with per-operation causal spans for the Gantt section. It
-    // must run *before* the market replay: the shared ManualClock is
-    // monotone, and the market replay stamps market-minute time (~1e12
-    // µs), which would clamp the service replay's sim-millisecond spans
-    // to zero length.
-    let service = lock_service_replay_observed(
-        &market,
-        JupiterStrategy::new().with_obs(obs.clone()),
-        ServiceReplayConfig {
-            eval_start: train,
-            window_minutes: 2 * 60,
-            interval_hours: 2,
-            sla_ms: 5_000,
-            seed,
-        },
-        &obs,
-    );
+    let (obs, service, result) = observed_replays(seed, 7, 2, RepairConfig::hybrid());
     println!(
         "service replay: {} ops traced ({} crashes)",
         service.ops_completed, service.crashes
     );
 
-    let result = Replay::new(&market, &spec, ReplayConfig::new(train, train + eval, 6))
-        .repair(RepairConfig::hybrid())
-        .obs(&obs)
-        .run(JupiterStrategy::new().with_obs(obs.clone()));
-
-    let snapshot = obs.metrics.snapshot();
     let events = obs.trace.events();
     let subtitle = format!(
         "Jupiter lock-service replay — seed {seed}, 2 training weeks, 1 evaluation week, \
          8 zones, 6 h bidding interval, hybrid repair. Time axis in market hours."
     );
-    let html = report::render_replay_report(&subtitle, &result, &snapshot, &events);
-    let charts = report::chart_count(&html);
-    match std::fs::write(path, &html) {
-        Ok(()) => println!(
-            "report written to {path}: {charts} charts, {} series, {} bytes",
-            result.series.len(),
-            html.len()
-        ),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let html = report::render_replay_report(&subtitle, &result, &obs.metrics.snapshot(), &events);
+    write_or_exit(path, &html);
+    println!(
+        "report written to {path}: {} charts, {} series, {} bytes",
+        report::chart_count(&html),
+        result.series.len(),
+        html.len()
+    );
     let trace_path = format!("{path}.trace.json");
-    match std::fs::write(&trace_path, chrome_trace_json(&events)) {
-        Ok(()) => println!(
-            "trace exported to {trace_path} ({} events; load in chrome://tracing or Perfetto)",
-            events.len()
-        ),
-        Err(e) => {
-            eprintln!("cannot write {trace_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_or_exit(&trace_path, chrome_trace_json(&events));
+    println!(
+        "trace exported to {trace_path} ({} events; load in chrome://tracing or Perfetto)",
+        events.len()
+    );
     let audit_path = format!("{path}.audit.jsonl");
-    match std::fs::write(&audit_path, audit_jsonl(&result.audit)) {
-        Ok(()) => println!(
-            "audit log exported to {audit_path} ({} records)",
-            result.audit.len()
-        ),
-        Err(e) => {
-            eprintln!("cannot write {audit_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_or_exit(&audit_path, audit_jsonl(&result.audit));
+    println!(
+        "audit log exported to {audit_path} ({} records)",
+        result.audit.len()
+    );
     let alerts_path = format!("{path}.alerts.jsonl");
-    match std::fs::write(&alerts_path, alerts_jsonl(&result.alerts)) {
-        Ok(()) => println!(
-            "alerts exported to {alerts_path} ({} fired)",
-            result.alerts.len()
-        ),
-        Err(e) => {
-            eprintln!("cannot write {alerts_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_or_exit(&alerts_path, alerts_jsonl(&result.alerts));
+    println!(
+        "alerts exported to {alerts_path} ({} fired)",
+        result.alerts.len()
+    );
 }
 
 /// The instrumented pass behind `--metrics-out`: a Jupiter market replay
@@ -282,47 +279,12 @@ fn report_pass(seed: u64, path: &str) {
 /// elections, quorum-wait spans), all into one shared [`obs::Obs`] driven
 /// by simulated time. The registry and trace ring are dumped as JSON.
 fn metrics_pass(seed: u64, path: &str) {
-    use jupiter::{JupiterStrategy, ServiceSpec};
-    use obs::Obs;
-    use replay::service_level::{lock_service_replay_observed, ServiceReplayConfig};
-    use replay::{Replay, ReplayConfig};
-    use spot_market::{InstanceType, Market, MarketConfig};
-
     println!("\n== Instrumented pass: market replay + service-level Paxos replay ==");
-    let (obs, _clock) = Obs::simulated();
-
-    let train = 2 * 7 * 24 * 60;
-    let eval = 3 * 24 * 60;
-    let mut cfg = MarketConfig::paper(seed, train + eval);
-    cfg.zones.truncate(8);
-    cfg.types = vec![InstanceType::M1Small];
-    let market = Market::generate(cfg);
-    let spec = ServiceSpec::lock_service();
-
-    // Service replay first: the shared ManualClock is monotone, and the
-    // market replay stamps market-minute time (~1e12 µs), which would
-    // clamp the service replay's sim-millisecond span timestamps to zero
-    // length (all trace latencies would read 0).
-    let service = lock_service_replay_observed(
-        &market,
-        JupiterStrategy::new().with_obs(obs.clone()),
-        ServiceReplayConfig {
-            eval_start: train,
-            window_minutes: 4 * 60,
-            interval_hours: 2,
-            sla_ms: 5_000,
-            seed,
-        },
-        &obs,
-    );
+    let (obs, service, replayed) = observed_replays(seed, 3, 4, RepairConfig::off());
     println!(
         "service replay:  {} ops, {} crashes, {} reconfigs",
         service.ops_completed, service.crashes, service.reconfigs
     );
-
-    let replayed = Replay::new(&market, &spec, ReplayConfig::new(train, train + eval, 6))
-        .obs(&obs)
-        .run(JupiterStrategy::new().with_obs(obs.clone()));
     println!(
         "market replay:   cost ${:.2}, availability {:.6}, {} kills",
         replayed.total_cost.as_dollars(),
@@ -347,106 +309,95 @@ fn metrics_pass(seed: u64, path: &str) {
         snap.counter("trace.commit_latency_p50_micros").unwrap_or(0),
         snap.counter("trace.commit_latency_p99_micros").unwrap_or(0),
     );
-    println!(
-        "\n{:<44} {:>9} {:>12} {:>12} {:>12}",
-        "histogram (µs)", "count", "p50", "p90", "p99"
+    println!();
+    table::print(
+        &snap.histograms,
+        &[
+            left("histogram (µs)", 44, |(name, _)| name.clone()),
+            right("count", 9, |(_, h)| h.count.to_string()),
+            right("p50", 12, |(_, h)| fixed(h.p50_est, 1)),
+            right("p90", 12, |(_, h)| fixed(h.p90_est, 1)),
+            right("p99", 12, |(_, h)| fixed(h.p99_est, 1)),
+        ],
     );
-    for (name, h) in &snap.histograms {
-        println!(
-            "{:<44} {:>9} {:>12.1} {:>12.1} {:>12.1}",
-            name, h.count, h.p50_est, h.p90_est, h.p99_est
-        );
-    }
-    match std::fs::write(path, obs.to_json()) {
-        Ok(()) => println!("metrics dumped to {path}"),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_or_exit(path, obs.to_json());
+    println!("metrics dumped to {path}");
 }
 
 fn table1() {
     println!("\n== Table 1: Amazon EC2 regions and availability zones ==");
-    println!("{:<16} {:<12} {:>5}", "Region", "Location", "AZs");
-    for (region, location, azs) in experiments::table1() {
-        println!("{region:<16} {location:<12} {azs:>5}");
-    }
+    table::print(
+        &experiments::table1(),
+        &[
+            left("Region", 16, |r| r.0.into()),
+            left("Location", 12, |r| r.1.into()),
+            right("AZs", 5, |r| r.2.to_string()),
+        ],
+    );
 }
 
 fn fig1(seed: u64) {
     println!("\n== Figure 1: spot price history (us-east-1a m1.small, 2 h) ==");
-    println!("{:>6}  {:>8}", "minute", "price");
-    let series = experiments::fig1_series(seed);
-    let mut last = None;
-    for (m, p) in series {
-        if last != Some(p) {
-            println!("{m:>6}  {p:>8}");
-            last = Some(p);
-        }
-    }
+    // One row per price change.
+    let mut changes = experiments::fig1_series(seed);
+    changes.dedup_by_key(|&mut (_, price)| price);
+    table::print(
+        &changes,
+        &[
+            right("minute", 6, |(minute, _)| minute.to_string()),
+            right("price", 9, |(_, price)| price.to_string()),
+        ],
+    );
 }
 
 fn fig4(scale: &Scale) {
     println!("\n== Figure 4: measured out-of-bid failure probability at target 0.01 ==");
-    println!(
-        "{:<18} {:<10} {:>10} {:>10} {:>10}",
-        "zone", "type", "bid", "estimated", "measured"
+    table::print(
+        &experiments::fig4(scale),
+        &[
+            left("zone", 18, |r| r.zone.name()),
+            left("type", 10, |r| r.instance_type.api_name().into()),
+            right("bid", 10, |r| r.bid.map_or("-".into(), |b| b.to_string())),
+            right("estimated", 10, |r| fixed(r.estimated, 6)),
+            right("measured", 10, |r| fixed(r.measured, 6)),
+        ],
     );
-    for r in experiments::fig4(scale) {
-        println!(
-            "{:<18} {:<10} {:>10} {:>10.6} {:>10.6}",
-            r.zone.name(),
-            r.instance_type.api_name(),
-            r.bid.map(|b| b.to_string()).unwrap_or_else(|| "-".into()),
-            r.estimated,
-            r.measured
-        );
-    }
 }
 
 fn fig5(scale: &Scale) {
     println!("\n== Figure 5: one-week cost under different bidding strategies ==");
-    println!(
-        "{:<18} {:<14} {:>10} {:>12}",
-        "service", "strategy", "cost ($)", "availability"
+    table::print(
+        &experiments::fig5(scale),
+        &[
+            table::SERVICE,
+            strategy("strategy", 14),
+            table::cost(10),
+            AVAILABILITY,
+        ],
     );
-    for r in experiments::fig5(scale) {
-        println!(
-            "{:<18} {:<14} {:>10.2} {:>12.6}",
-            r.service,
-            r.strategy,
-            r.cost.as_dollars(),
-            r.availability
-        );
-    }
 }
 
-fn sweep_and_print(title: &str, rows: Vec<SweepRow>) -> Vec<SweepRow> {
+fn sweep_table(title: &str, rows: &[Row]) {
     println!("\n== {title}: cost and availability vs bidding interval ==");
-    println!(
-        "{:<10} {:<14} {:>12} {:>12} {:>7}",
-        "interval", "strategy", "cost ($)", "availability", "kills"
+    table::print(
+        rows,
+        &[
+            table::INTERVAL,
+            strategy("strategy", 14),
+            COST,
+            AVAILABILITY,
+            KILLS,
+        ],
     );
-    for r in &rows {
-        let interval = if r.interval_hours == 0 {
-            "-".to_string()
-        } else {
-            format!("{}h", r.interval_hours)
-        };
-        println!(
-            "{:<10} {:<14} {:>12.2} {:>12.6} {:>7}",
-            interval,
-            r.strategy,
-            r.cost.as_dollars(),
-            r.availability,
-            r.kills
-        );
-    }
-    rows
 }
 
-fn headline(lock: &[SweepRow], storage: &[SweepRow]) {
+/// The four-column table of Ablations C and G and the auto-scaler: a
+/// label `width` wide, then cost, availability and kills.
+fn outcome_table(label: &'static str, width: usize, rows: &[Row]) {
+    table::print(rows, &[strategy(label, width), COST, AVAILABILITY, KILLS]);
+}
+
+fn headline(lock: &[Row], storage: &[Row]) {
     let h = experiments::headline(lock, storage);
     let sla = |met: bool| {
         if met {
@@ -483,24 +434,22 @@ fn repair(scale: &Scale) {
         scale.clone()
     };
     let s = experiments::repair_sweep(&scale);
-    println!("\n== Repair-policy sweep: mid-interval rebids and on-demand fallback (lock service) ==");
     println!(
-        "{:<10} {:<14} {:<10} {:>12} {:>12} {:>12} {:>10} {:>7}",
-        "interval", "strategy", "repair", "cost ($)", "od cost ($)", "availability", "degraded", "kills"
+        "\n== Repair-policy sweep: mid-interval rebids and on-demand fallback (lock service) =="
     );
-    for r in &s.rows {
-        println!(
-            "{:<10} {:<14} {:<10} {:>12.2} {:>12.2} {:>12.6} {:>8} m {:>7}",
-            format!("{}h", r.interval_hours),
-            r.strategy,
-            r.policy.label(),
-            r.cost.as_dollars(),
-            r.on_demand_cost.as_dollars(),
-            r.availability,
-            r.degraded_minutes,
-            r.kills
-        );
-    }
+    table::print(
+        &s.rows,
+        &[
+            table::INTERVAL,
+            strategy("strategy", 14),
+            table::REPAIR,
+            COST,
+            table::OD_COST,
+            AVAILABILITY,
+            table::DEGRADED,
+            KILLS,
+        ],
+    );
     println!(
         "on-demand baseline: ${:.2} (every repairing cell must undercut it)",
         s.baseline_cost.as_dollars()
@@ -511,32 +460,26 @@ fn repair(scale: &Scale) {
 /// deployment replayed under the bidding era (out-of-bid kills) and the
 /// capacity-reclaim era (hidden capacity processes with advance notices),
 /// with reactive repair racing the proactive-migration controller in each.
-/// Output is deterministic for a given seed, so CI diffs it across thread
-/// counts.
 fn era(scale: &Scale) {
     let s = experiments::era_sweep(scale);
     println!(
         "\n== Interruption eras: reactive repair vs proactive migration ({} h interval) ==",
         s.interval_hours
     );
-    println!(
-        "{:<18} {:<10} {:<12} {:>12} {:>12} {:>10} {:>7} {:>7} {:>7}",
-        "era", "repair", "strategy", "cost ($)", "availability", "degraded", "kills", "drains", "late"
+    table::print(
+        &s.rows,
+        &[
+            table::ERA,
+            table::REPAIR,
+            strategy("strategy", 12),
+            COST,
+            AVAILABILITY,
+            table::DEGRADED,
+            KILLS,
+            table::DRAINS,
+            table::LATE_DRAINS,
+        ],
     );
-    for r in &s.rows {
-        println!(
-            "{:<18} {:<10} {:<12} {:>12.2} {:>12.6} {:>8} m {:>7} {:>7} {:>7}",
-            r.era.label(),
-            r.policy.label(),
-            r.strategy,
-            r.cost.as_dollars(),
-            r.availability,
-            r.degraded_minutes,
-            r.kills,
-            r.drains,
-            r.late_drains
-        );
-    }
     println!(
         "on-demand baseline: ${:.2} (every cell must undercut it)",
         s.baseline_cost.as_dollars()
@@ -546,49 +489,34 @@ fn era(scale: &Scale) {
 /// The `hetero` target: the heterogeneous-pool strategy race (Jupiter vs
 /// the feedback controller vs Extra over single-type and mixed pools at a
 /// shared strength floor) followed by the auto-scaler experiment (diurnal
-/// demand, load-tracked fleet strength vs peak provisioning). Output is
-/// deterministic for a given seed, so CI diffs it across thread counts.
+/// demand, load-tracked fleet strength vs peak provisioning).
 fn hetero(scale: &Scale) {
     let s = experiments::hetero_sweep(scale);
     println!(
         "\n== Heterogeneous pools: strategy race at strength ≥ {} ({} h interval) ==",
         s.min_strength, s.interval_hours
     );
-    println!(
-        "{:<12} {:<22} {:>12} {:>12} {:>7} {:>7}",
-        "strategy", "pools", "cost ($)", "availability", "kills", "nodes"
+    table::print(
+        &s.rows,
+        &[
+            strategy("strategy", 12),
+            table::POOLS,
+            COST,
+            AVAILABILITY,
+            KILLS,
+            table::NODES,
+        ],
     );
-    for r in &s.rows {
-        println!(
-            "{:<12} {:<22} {:>12.2} {:>12.6} {:>7} {:>7.1}",
-            r.strategy, r.pool_label, r.cost.as_dollars(), r.availability, r.kills, r.mean_group_size
-        );
-    }
     println!(
         "on-demand baseline: ${:.2} (every cell must undercut it)",
         s.baseline_cost.as_dollars()
     );
 
     let r = experiments::autoscale_report(scale);
-    println!("\n== Auto-scaler: diurnal demand vs peak provisioning (mixed pool, 3 h boundaries) ==");
     println!(
-        "{:<26} {:>12} {:>12} {:>7}",
-        "fleet", "cost ($)", "availability", "kills"
+        "\n== Auto-scaler: diurnal demand vs peak provisioning (mixed pool, 3 h boundaries) =="
     );
-    println!(
-        "{:<26} {:>12.2} {:>12.6} {:>7}",
-        "auto-scaled",
-        r.result.total_cost.as_dollars(),
-        r.result.availability(),
-        r.result.total_kills()
-    );
-    println!(
-        "{:<26} {:>12.2} {:>12.6} {:>7}",
-        format!("static peak (strength {})", r.peak_strength),
-        r.static_result.total_cost.as_dollars(),
-        r.static_result.availability(),
-        r.static_result.total_kills()
-    );
+    outcome_table("fleet", 26, &r.rows());
     println!(
         "on-demand baseline: ${:.2}; scale-outs {}, scale-ins {}",
         r.baseline_cost.as_dollars(),
@@ -603,28 +531,26 @@ fn hetero(scale: &Scale) {
         .count();
     println!("audited scale decisions: {scale_decisions}");
     println!("\nper-type fleet series (points, peak, final):");
-    for series in &r.result.series {
-        if let Some(ty) = series.name.strip_prefix("pool.fleet.") {
-            let peak = series.points.iter().map(|p| p.max).fold(0.0, f64::max);
-            let last = series.points.last().map(|p| p.last).unwrap_or(0.0);
-            println!(
-                "  pool.fleet.{:<12} {:>6} {:>8.1} {:>8.1}",
-                ty,
-                series.points.len(),
-                peak,
-                last
-            );
-        }
-    }
+    // Headerless: name, points, peak, final.
+    let cols = [
+        left("", 25, |s: &&obs::SeriesSnapshot| format!("  {}", s.name)),
+        right("", 6, |s| s.points.len().to_string()),
+        right("", 8, |s| fixed(s.max().unwrap_or(0.0).max(0.0), 1)),
+        right("", 8, |s| fixed(s.last().unwrap_or(0.0), 1)),
+    ];
+    let per_type: Vec<_> = (r.result.series.iter())
+        .filter(|s| s.name.starts_with("pool.fleet."))
+        .collect();
+    table::print_rows(&per_type, &cols);
+    // The strength series is a target, not a fleet: no final value.
     if let Some(strength) = r.result.series_named("pool.strength") {
-        let peak = strength.points.iter().map(|p| p.max).fold(0.0, f64::max);
-        println!(
-            "  {:<23} {:>6} {:>8.1}",
-            "pool.strength",
-            strength.points.len(),
-            peak
-        );
+        table::print_rows(&[strength], &cols[..3]);
     }
+}
+
+fn ablation_g(scale: &Scale) {
+    println!("\n== Ablation G: one-shot fixed bids (Andrzejak-style) vs online re-bidding ==");
+    outcome_table("strategy", 26, &experiments::ablation_fixed_once(scale));
 }
 
 fn ablations(scale: &Scale) {
@@ -642,92 +568,60 @@ fn ablations(scale: &Scale) {
     println!("realized OOB fraction:    {frac_mean:.6}");
 
     println!("\n== Ablation B: greedy (Fig. 3) vs exact NLP optimum, 7-zone instances ==");
-    let rows = experiments::ablation_greedy_vs_exact(scale);
-    println!(
-        "{:>10} {:>12} {:>12} {:>8}",
-        "minute", "greedy ($)", "exact ($)", "ratio"
+    table::print(
+        &experiments::ablation_greedy_vs_exact(scale),
+        &[
+            right("minute", 10, |r| r.minute.to_string()),
+            right("greedy ($)", 12, |r| fixed(r.greedy_cost.as_dollars(), 4)),
+            right("exact ($)", 12, |r| fixed(r.exact_cost.as_dollars(), 4)),
+            right("ratio", 8, |r| {
+                let ratio = r.greedy_cost.as_dollars() / r.exact_cost.as_dollars().max(1e-9);
+                fixed(ratio, 3)
+            }),
+        ],
     );
-    for r in &rows {
-        let ratio = r.greedy_cost.as_dollars() / r.exact_cost.as_dollars().max(1e-9);
-        println!(
-            "{:>10} {:>12.4} {:>12.4} {:>8.3}",
-            r.minute,
-            r.greedy_cost.as_dollars(),
-            r.exact_cost.as_dollars(),
-            ratio
-        );
-    }
 
     println!("\n== Ablation C: expectation vs absorbing Jupiter, 6 h replay ==");
-    println!(
-        "{:<14} {:>12} {:>12} {:>7}",
-        "strategy", "cost ($)", "availability", "kills"
+    outcome_table(
+        "strategy",
+        14,
+        &experiments::ablation_estimator_replay(scale),
     );
-    for r in experiments::ablation_estimator_replay(scale) {
-        println!(
-            "{:<14} {:>12.2} {:>12.6} {:>7}",
-            r.strategy,
-            r.cost.as_dollars(),
-            r.availability,
-            r.kills
-        );
-    }
 
     println!("\n== Ablation D: adaptive bidding interval (§5.5 extension) ==");
-    println!(
-        "{:<22} {:>12} {:>12} {:>14}",
-        "schedule", "cost ($)", "availability", "mean interval"
+    table::print(
+        &experiments::ablation_adaptive(scale),
+        &[
+            strategy("schedule", 22),
+            COST,
+            AVAILABILITY,
+            table::MEAN_INTERVAL,
+        ],
     );
-    for r in experiments::ablation_adaptive(scale) {
-        println!(
-            "{:<22} {:>12.2} {:>12.6} {:>12.1} h",
-            r.strategy,
-            r.cost.as_dollars(),
-            r.availability,
-            r.mean_interval_hours
-        );
-    }
 
     println!("\n== Ablation E: weighted voting (Eq. 11) vs simple majority ==");
-    println!(
-        "{:<42} {:>12} {:>12}",
-        "failure profile", "majority", "weighted"
+    table::print(
+        &experiments::ablation_weighted_voting(),
+        &[
+            left("failure profile", 42, |r| format!("{:?}", r.profile)),
+            right("majority", 12, |r| fixed(r.majority, 8)),
+            right("weighted", 12, |r| fixed(r.weighted, 8)),
+        ],
     );
-    for r in experiments::ablation_weighted_voting() {
-        println!(
-            "{:<42} {:>12.8} {:>12.8}",
-            format!("{:?}", r.profile),
-            r.majority,
-            r.weighted
-        );
-    }
 
-    println!("\n== Ablation G: one-shot fixed bids (Andrzejak-style) vs online re-bidding ==");
-    println!(
-        "{:<26} {:>12} {:>12} {:>7}",
-        "strategy", "cost ($)", "availability", "kills"
-    );
-    for r in experiments::ablation_fixed_once(scale) {
-        println!(
-            "{:<26} {:>12.2} {:>12.6} {:>7}",
-            r.strategy,
-            r.cost.as_dollars(),
-            r.availability,
-            r.kills
-        );
-    }
+    ablation_g(scale);
 
     println!("\n== Ablation F: model mismatch (semi-Markov vs banded AR(1) market) ==");
-    println!(
-        "{:<14} {:>12} {:>12} {:>12} {:>10}",
-        "process", "predicted", "realized", "abs error", "kill rate"
+    table::print(
+        &experiments::ablation_model_mismatch(scale),
+        &[
+            left("process", 14, |r| r.process.clone()),
+            right("predicted", 12, |r| fixed(r.mean_predicted, 6)),
+            right("realized", 12, |r| fixed(r.mean_realized, 6)),
+            right("abs error", 12, |r| fixed(r.mean_abs_error, 6)),
+            right("kill rate", 10, |r| fixed(r.kill_rate, 4)),
+        ],
     );
-    for r in experiments::ablation_model_mismatch(scale) {
-        println!(
-            "{:<14} {:>12.6} {:>12.6} {:>12.6} {:>10.4}",
-            r.process, r.mean_predicted, r.mean_realized, r.mean_abs_error, r.kill_rate
-        );
-    }
 }
 
 /// The `workload` target: request-level open-loop replays.
@@ -744,125 +638,96 @@ fn ablations(scale: &Scale) {
 ///    ≈ pipeline/commit-RTT ≈ 40 req/s) but not with it (≈ 320 req/s):
 ///    batching must win on p99 or something regressed.
 ///
-/// Everything printed derives from sim time and fixed seeds, so the CI
-/// determinism gate can diff this output across thread counts.
+/// Everything printed derives from sim time and fixed seeds.
 fn workload_target(quick: bool, seed: u64) {
-    use obs::Obs;
     use simnet::{NetworkConfig, SimTime};
     use workload::{run_lock_workload, run_storage_workload, ArrivalProcess, WorkloadSpec};
 
-    let row = |name: &str, r: &workload::WorkloadReport| {
-        println!(
-            "{:<28} {:>9} {:>9} {:>7} {:>9} {:>9} {:>12.6} {:>7}",
-            name,
-            r.requests,
-            r.completed,
-            r.retransmits,
-            r.latency_p50.as_millis(),
-            r.latency_p99.as_millis(),
-            r.availability_ppm as f64 / 1e6,
-            r.slo_alerts_fired,
-        );
-    };
-    let header = || {
-        println!(
-            "{:<28} {:>9} {:>9} {:>7} {:>9} {:>9} {:>12} {:>7}",
-            "configuration", "requests", "done", "rexmit", "p50 (ms)", "p99 (ms)", "slo avail", "alerts"
+    // Every section is the header plus its configurations.
+    type Run<'a> = (&'a str, &'a workload::WorkloadReport);
+    let section = |title: &str, runs: &[Run]| {
+        println!("\n== Workload: {title} ==");
+        table::print(
+            runs,
+            &[
+                left("configuration", 28, |(name, _)| name.to_string()),
+                right("requests", 9, |(_, r)| r.requests.to_string()),
+                right("done", 9, |(_, r)| r.completed.to_string()),
+                right("rexmit", 7, |(_, r)| r.retransmits.to_string()),
+                right("p50 (ms)", 9, |(_, r)| {
+                    r.latency_p50.as_millis().to_string()
+                }),
+                right("p99 (ms)", 9, |(_, r)| {
+                    r.latency_p99.as_millis().to_string()
+                }),
+                right("slo avail", 12, |(_, r)| {
+                    fixed(r.availability_ppm as f64 / 1e6, 6)
+                }),
+                right("alerts", 7, |(_, r)| r.slo_alerts_fired.to_string()),
+            ],
         );
     };
 
-    println!("\n== Workload: request-level open-loop replay (lock service) ==");
-    header();
-    let lock_spec = WorkloadSpec {
-        arrivals: ArrivalProcess::Poisson {
-            rate_per_sec: 1_000.0,
-        },
-        horizon: SimTime::from_secs(if quick { 20 } else { 110 }),
-        sessions: 512,
-        population: 1_000_000,
+    // Poisson arrivals at batch 8; the sections differ in rate, length,
+    // session count and key population.
+    let spec = |rate_per_sec: f64, secs: u64, sessions: usize, population: u64| WorkloadSpec {
+        arrivals: ArrivalProcess::Poisson { rate_per_sec },
+        horizon: SimTime::from_secs(secs),
+        sessions,
+        population,
         seed,
         batch_max_ops: 8,
         ..WorkloadSpec::default()
     };
+
+    let lock_spec = spec(1_000.0, if quick { 20 } else { 110 }, 512, 1_000_000);
     let lock = run_lock_workload(&lock_spec, NetworkConfig::default(), &Obs::disabled());
-    row("lock batch=8", &lock);
+    section(
+        "request-level open-loop replay (lock service)",
+        &[("lock batch=8", &lock)],
+    );
 
-    println!("\n== Workload: request-level open-loop replay (storage service) ==");
-    header();
-    let store_spec = WorkloadSpec {
-        arrivals: ArrivalProcess::Poisson { rate_per_sec: 200.0 },
-        horizon: SimTime::from_secs(if quick { 10 } else { 50 }),
-        sessions: 128,
-        population: 100_000,
-        seed,
-        batch_max_ops: 8,
-        ..WorkloadSpec::default()
-    };
+    let store_spec = spec(200.0, if quick { 10 } else { 50 }, 128, 100_000);
     let store = run_storage_workload(&store_spec, NetworkConfig::default(), &Obs::disabled());
-    row("storage batch=8", &store);
+    section(
+        "request-level open-loop replay (storage service)",
+        &[("storage batch=8", &store)],
+    );
 
-    println!("\n== Workload: batching at a pipeline-saturating reference load ==");
-    header();
-    let reference = WorkloadSpec {
-        arrivals: ArrivalProcess::Poisson { rate_per_sec: 120.0 },
-        horizon: SimTime::from_secs(20),
-        sessions: 64,
-        population: 50_000,
-        seed,
+    let batched_ref = WorkloadSpec {
         pipeline: 4,
+        ..spec(120.0, 20, 64, 50_000)
+    };
+    let reference = WorkloadSpec {
         batch_max_ops: 1,
-        ..WorkloadSpec::default()
+        ..batched_ref.clone()
     };
     let unbatched = run_lock_workload(&reference, NetworkConfig::default(), &Obs::disabled());
-    row("lock batch=1 pipeline=4", &unbatched);
-    let batched_ref = WorkloadSpec {
-        batch_max_ops: 8,
-        ..reference
-    };
     let batched = run_lock_workload(&batched_ref, NetworkConfig::default(), &Obs::disabled());
-    row("lock batch=8 pipeline=4", &batched);
-    let speedup =
-        unbatched.latency_p99.as_millis() as f64 / (batched.latency_p99.as_millis() as f64).max(1.0);
+    section(
+        "batching at a pipeline-saturating reference load",
+        &[
+            ("lock batch=1 pipeline=4", &unbatched),
+            ("lock batch=8 pipeline=4", &batched),
+        ],
+    );
+    let speedup = unbatched.latency_p99.as_millis() as f64
+        / (batched.latency_p99.as_millis() as f64).max(1.0);
     println!("batching p99 speedup at reference load: {speedup:.1}x");
 }
 
 fn calibration(scale: &Scale) {
-    use spot_market::{InstanceType, TraceGenerator};
-    use spot_model::{backtest, BidRule, FailureModelConfig};
-
     println!("\n== Model calibration: walk-forward backtests per zone ==");
-    println!(
-        "{:<18} {:<16} {:>8} {:>11} {:>11} {:>10} {:>10}",
-        "zone", "bid rule", "samples", "predicted", "realized", "abs err", "kill rate"
+    table::print(
+        &experiments::calibration(scale),
+        &[
+            left("zone", 18, |(zone, _, _)| zone.name()),
+            left("bid rule", 16, |(_, rule, _)| rule.to_string()),
+            right("samples", 8, |(_, _, r)| r.samples.to_string()),
+            right("predicted", 11, |(_, _, r)| fixed(r.mean_predicted, 6)),
+            right("realized", 11, |(_, _, r)| fixed(r.mean_realized, 6)),
+            right("abs err", 10, |(_, _, r)| fixed(r.mean_abs_error, 6)),
+            right("kill rate", 10, |(_, _, r)| fixed(r.kill_rate, 4)),
+        ],
     );
-    let ty = InstanceType::M1Small;
-    let gen = TraceGenerator::new(scale.seed);
-    for zone in spot_market::topology::experiment_zones().into_iter().take(6) {
-        let trace = gen.generate(zone, ty, scale.horizon_minutes());
-        let cap = ty.on_demand_price(zone.region);
-        for (label, rule) in [
-            ("spot x 1.2", BidRule::SpotMultiple(1.2)),
-            ("target 0.0103", BidRule::TargetFp { target: 0.0103, cap }),
-        ] {
-            let r = backtest(
-                &trace,
-                scale.train_minutes(),
-                360,
-                12 * 60,
-                rule,
-                false,
-                FailureModelConfig::default(),
-            );
-            println!(
-                "{:<18} {:<16} {:>8} {:>11.6} {:>11.6} {:>10.6} {:>10.4}",
-                zone.name(),
-                label,
-                r.samples,
-                r.mean_predicted,
-                r.mean_realized,
-                r.mean_abs_error,
-                r.kill_rate
-            );
-        }
-    }
 }

@@ -236,13 +236,9 @@ pub fn svg_chart_marked(x_label: &str, y_label: &str, lines: &[Line], marks: &[M
     out
 }
 
-/// A chart block: caption, legend row (for ≥ 2 series), SVG.
-pub fn figure(caption: &str, x_label: &str, y_label: &str, lines: &[Line]) -> String {
-    figure_marked(caption, x_label, y_label, lines, &[])
-}
-
-/// [`figure`] with alert markers passed through to the chart.
-pub fn figure_marked(
+/// A chart block: caption, legend row (for ≥ 2 series), SVG with the
+/// alert markers passed through.
+pub fn figure(
     caption: &str,
     x_label: &str,
     y_label: &str,
@@ -593,6 +589,175 @@ pub fn alert_section(alerts: &[AlertEvent], audit: &[AuditRecord]) -> String {
     out
 }
 
+/// The report's stylesheet: palette as CSS custom properties (stepped
+/// separately for dark mode), then the chart, table and tile rules.
+const STYLE: &str = r#".viz-root {
+  color-scheme: light;
+  --surface-1: #fcfcfb;
+  --text-primary: #0b0b0b;
+  --text-secondary: #52514e;
+  --grid: #e6e5e1;
+  --series-1: #2a78d6;
+  --series-2: #eb6834;
+  --series-3: #1baf7a;
+}
+@media (prefers-color-scheme: dark) {
+  .viz-root {
+    color-scheme: dark;
+    --surface-1: #1a1a19;
+    --text-primary: #ffffff;
+    --text-secondary: #c3c2b7;
+    --grid: #34332f;
+    --series-1: #3987e5;
+    --series-2: #d95926;
+    --series-3: #199e70;
+  }
+}
+body { margin: 0; }
+.viz-root {
+  font: 14px/1.45 system-ui, sans-serif;
+  background: var(--surface-1);
+  color: var(--text-primary);
+  max-width: 780px;
+  margin: 0 auto;
+  padding: 24px 16px 48px;
+}
+h1 { font-size: 20px; margin: 0 0 4px; }
+.sub { color: var(--text-secondary); margin: 0 0 20px; }
+.tiles { display: flex; gap: 12px; flex-wrap: wrap; margin-bottom: 20px; }
+.tile { border: 1px solid var(--grid); border-radius: 8px; padding: 10px 16px; }
+.tile .v { font-size: 20px; font-weight: 600; }
+.tile .l { color: var(--text-secondary); font-size: 12px; }
+figure { margin: 0 0 28px; }
+figcaption { font-weight: 600; margin-bottom: 6px; }
+svg { width: 100%; height: auto; display: block; }
+.grid { stroke: var(--grid); stroke-width: 1; }
+.tick { fill: var(--text-secondary); font-size: 11px; }
+.axis { fill: var(--text-secondary); font-size: 12px; }
+path.s1 { stroke: var(--series-1); }
+path.s2 { stroke: var(--series-2); }
+path.s3 { stroke: var(--series-3); }
+circle.hover { fill: transparent; }
+circle.hover:hover { fill: currentColor; fill-opacity: 0.25; }
+circle.s1 { color: var(--series-1); }
+circle.s2 { color: var(--series-2); }
+circle.s3 { color: var(--series-3); }
+rect.s1 { fill: var(--series-1); }
+rect.s2 { fill: var(--series-2); }
+rect.s3 { fill: var(--series-3); }
+.gantt .row { fill: var(--text-primary); font-size: 11px; }
+line.mark { stroke: var(--text-primary); stroke-width: 1.5; }
+line.alert { stroke-width: 1.5; stroke-dasharray: 2 3; }
+line.alert-critical { stroke: #c92a2a; }
+line.alert-warning { stroke: #e8930c; }
+line.alert-info { stroke: var(--text-secondary); }
+.sev { font-size: 11px; font-weight: 600; text-transform: uppercase; }
+.sev-critical { color: #c92a2a; }
+.sev-warning { color: #e8930c; }
+.sev-info { color: var(--text-secondary); }
+.legend { display: flex; gap: 16px; margin-bottom: 4px; color: var(--text-secondary); font-size: 12px; }
+.legend .sw { display: inline-block; width: 18px; height: 0; border-top: 2px solid; vertical-align: middle; margin-right: 6px; }
+.legend .sw.dash { border-top-style: dashed; }
+.legend .s1 { border-color: var(--series-1); }
+.legend .s2 { border-color: var(--series-2); }
+.legend .s3 { border-color: var(--series-3); }
+table { border-collapse: collapse; width: 100%; margin: 8px 0 24px; font-size: 13px; }
+th, td { border-bottom: 1px solid var(--grid); padding: 4px 8px; text-align: right; }
+th:first-child, td:first-child { text-align: left; }
+.empty { color: var(--text-secondary); font-style: italic; }
+h2 { font-size: 16px; margin: 24px 0 4px; }
+"#;
+
+/// One chart of the replay report: which recorded series it draws, in
+/// palette-slot order.
+struct ChartSpec {
+    caption: &'static str,
+    y_label: &'static str,
+    /// Overlay the fired alerts.
+    marked: bool,
+    /// `(series name, legend label, dashed)`.
+    lines: &'static [(&'static str, &'static str, bool)],
+}
+
+/// Spot price vs. active bid in one zone — the Fig. 4 shape. Caption and
+/// series names are completed by the zone name.
+const ZONE_CHART: ChartSpec = ChartSpec {
+    caption: "Spot price vs. active bid — ",
+    y_label: "$/hour",
+    marked: false,
+    lines: &[
+        ("replay.price.", "spot price", false),
+        ("replay.bid.", "active bid", true),
+    ],
+};
+
+/// The whole-replay charts, in report order. The repair series are
+/// absent (and the chart skipped) when the replay ran with repair off.
+const CHARTS: [ChartSpec; 5] = [
+    ChartSpec {
+        caption: "Cost upper bound per bidding interval (Σ bids)",
+        y_label: "$",
+        marked: true,
+        lines: &[("replay.interval_cost_upper_dollars", "interval cost", false)],
+    },
+    ChartSpec {
+        caption: "Service availability per bidding interval (alert rules marked)",
+        y_label: "fraction of interval at quorum",
+        marked: true,
+        lines: &[("replay.interval_availability", "availability", false)],
+    },
+    ChartSpec {
+        caption: "Fleet size and out-of-bid kills per interval",
+        y_label: "instances",
+        marked: false,
+        lines: &[
+            ("replay.fleet_size", "fleet size", false),
+            ("replay.deaths", "out-of-bid kills", false),
+        ],
+    },
+    ChartSpec {
+        caption: "Bidding decision latency",
+        y_label: "decide() µs",
+        marked: false,
+        lines: &[("jupiter.decide_micros", "decide latency", false)],
+    },
+    ChartSpec {
+        caption: "Repair controller: degraded minutes and rebids per bidding interval",
+        y_label: "minutes / rebids",
+        marked: false,
+        lines: &[
+            ("repair.degraded_minutes", "degraded minutes", false),
+            ("repair.rebids", "rebids", true),
+        ],
+    },
+];
+
+/// The figure for `spec`, with `suffix` completing its caption and series
+/// names; empty when none of its series was recorded.
+fn chart(spec: &ChartSpec, suffix: &str, series: &[SeriesSnapshot], marks: &[Mark]) -> String {
+    let lines: Vec<Line> = (1..)
+        .zip(spec.lines)
+        .filter_map(|(slot, &(name, label, dashed))| {
+            find(series, &format!("{name}{suffix}")).map(|s| Line {
+                label: label.into(),
+                slot,
+                dashed,
+                points: line_points(s),
+            })
+        })
+        .collect();
+    if lines.is_empty() {
+        return String::new();
+    }
+    figure(
+        &format!("{}{suffix}", spec.caption),
+        "market time (hours)",
+        spec.y_label,
+        &lines,
+        if spec.marked { marks } else { &[] },
+    )
+}
+
 /// Render the full report for one recorded replay run. `trace_events` is
 /// the run's trace ring (pass `&[]` when tracing was disabled); complete
 /// request traces in it render as a per-operation Gantt section.
@@ -606,145 +771,20 @@ pub fn render_replay_report(
     let marks = alert_marks(&result.alerts);
     let mut figures = String::new();
 
-    // Chart 1 (and 2, if a second zone exists): spot price vs. active
-    // bid in the most-bid zones — the Fig. 4 shape.
+    // The two most-bid zones first, then the whole-replay charts.
     let mut zones: Vec<String> = series
         .iter()
         .filter(|s| s.name.starts_with("replay.bid."))
         .map(|s| s.name["replay.bid.".len()..].to_string())
         .collect();
     zones.sort_by_key(|z| {
-        std::cmp::Reverse(
-            find(series, &format!("replay.bid.{z}")).map_or(0, |s| s.total_count),
-        )
+        std::cmp::Reverse(find(series, &format!("replay.bid.{z}")).map_or(0, |s| s.total_count))
     });
     for zone in zones.iter().take(2) {
-        let mut lines = Vec::new();
-        if let Some(price) = find(series, &format!("replay.price.{zone}")) {
-            lines.push(Line {
-                label: "spot price".into(),
-                slot: 1,
-                dashed: false,
-                points: line_points(price),
-            });
-        }
-        if let Some(bid) = find(series, &format!("replay.bid.{zone}")) {
-            lines.push(Line {
-                label: "active bid".into(),
-                slot: 2,
-                dashed: true,
-                points: line_points(bid),
-            });
-        }
-        figures.push_str(&figure(
-            &format!("Spot price vs. active bid — {zone}"),
-            "market time (hours)",
-            "$/hour",
-            &lines,
-        ));
+        figures.push_str(&chart(&ZONE_CHART, zone, series, &marks));
     }
-
-    if let Some(cost) = find(series, "replay.interval_cost_upper_dollars") {
-        figures.push_str(&figure_marked(
-            "Cost upper bound per bidding interval (Σ bids)",
-            "market time (hours)",
-            "$",
-            &[Line {
-                label: "interval cost".into(),
-                slot: 1,
-                dashed: false,
-                points: line_points(cost),
-            }],
-            &marks,
-        ));
-    }
-
-    if let Some(avail) = find(series, "replay.interval_availability") {
-        figures.push_str(&figure_marked(
-            "Service availability per bidding interval (alert rules marked)",
-            "market time (hours)",
-            "fraction of interval at quorum",
-            &[Line {
-                label: "availability".into(),
-                slot: 1,
-                dashed: false,
-                points: line_points(avail),
-            }],
-            &marks,
-        ));
-    }
-
-    {
-        let mut lines = Vec::new();
-        if let Some(fleet) = find(series, "replay.fleet_size") {
-            lines.push(Line {
-                label: "fleet size".into(),
-                slot: 1,
-                dashed: false,
-                points: line_points(fleet),
-            });
-        }
-        if let Some(deaths) = find(series, "replay.deaths") {
-            lines.push(Line {
-                label: "out-of-bid kills".into(),
-                slot: 2,
-                dashed: false,
-                points: line_points(deaths),
-            });
-        }
-        if !lines.is_empty() {
-            figures.push_str(&figure(
-                "Fleet size and out-of-bid kills per interval",
-                "market time (hours)",
-                "instances",
-                &lines,
-            ));
-        }
-    }
-
-    if let Some(decide) = find(series, "jupiter.decide_micros") {
-        figures.push_str(&figure(
-            "Bidding decision latency",
-            "market time (hours)",
-            "decide() µs",
-            &[Line {
-                label: "decide latency".into(),
-                slot: 1,
-                dashed: false,
-                points: line_points(decide),
-            }],
-        ));
-    }
-
-    {
-        // Repair-controller series: per-interval degraded minutes and
-        // mid-interval rebids. Both are absent (and the figure skipped)
-        // when the replay ran with repair off.
-        let mut lines = Vec::new();
-        if let Some(deg) = find(series, "repair.degraded_minutes") {
-            lines.push(Line {
-                label: "degraded minutes".into(),
-                slot: 1,
-                dashed: false,
-                points: line_points(deg),
-            });
-        }
-        if let Some(rebids) = find(series, "repair.rebids") {
-            lines.push(Line {
-                label: "rebids".into(),
-                slot: 2,
-                dashed: true,
-                points: line_points(rebids),
-            });
-        }
-        if !lines.is_empty() {
-            figures.push_str(&figure(
-                "Repair controller: degraded minutes and rebids per bidding interval",
-                "market time (hours)",
-                "minutes / rebids",
-                &lines,
-            ));
-        }
+    for spec in &CHARTS {
+        figures.push_str(&chart(spec, "", series, &marks));
     }
 
     // The accessible fallback: the per-interval table.
@@ -794,82 +834,7 @@ pub fn render_replay_report(
 <meta name="viewport" content="width=device-width, initial-scale=1">
 <title>spot-jupiter replay report</title>
 <style>
-.viz-root {{
-  color-scheme: light;
-  --surface-1: #fcfcfb;
-  --text-primary: #0b0b0b;
-  --text-secondary: #52514e;
-  --grid: #e6e5e1;
-  --series-1: #2a78d6;
-  --series-2: #eb6834;
-  --series-3: #1baf7a;
-}}
-@media (prefers-color-scheme: dark) {{
-  .viz-root {{
-    color-scheme: dark;
-    --surface-1: #1a1a19;
-    --text-primary: #ffffff;
-    --text-secondary: #c3c2b7;
-    --grid: #34332f;
-    --series-1: #3987e5;
-    --series-2: #d95926;
-    --series-3: #199e70;
-  }}
-}}
-body {{ margin: 0; }}
-.viz-root {{
-  font: 14px/1.45 system-ui, sans-serif;
-  background: var(--surface-1);
-  color: var(--text-primary);
-  max-width: 780px;
-  margin: 0 auto;
-  padding: 24px 16px 48px;
-}}
-h1 {{ font-size: 20px; margin: 0 0 4px; }}
-.sub {{ color: var(--text-secondary); margin: 0 0 20px; }}
-.tiles {{ display: flex; gap: 12px; flex-wrap: wrap; margin-bottom: 20px; }}
-.tile {{ border: 1px solid var(--grid); border-radius: 8px; padding: 10px 16px; }}
-.tile .v {{ font-size: 20px; font-weight: 600; }}
-.tile .l {{ color: var(--text-secondary); font-size: 12px; }}
-figure {{ margin: 0 0 28px; }}
-figcaption {{ font-weight: 600; margin-bottom: 6px; }}
-svg {{ width: 100%; height: auto; display: block; }}
-.grid {{ stroke: var(--grid); stroke-width: 1; }}
-.tick {{ fill: var(--text-secondary); font-size: 11px; }}
-.axis {{ fill: var(--text-secondary); font-size: 12px; }}
-path.s1 {{ stroke: var(--series-1); }}
-path.s2 {{ stroke: var(--series-2); }}
-path.s3 {{ stroke: var(--series-3); }}
-circle.hover {{ fill: transparent; }}
-circle.hover:hover {{ fill: currentColor; fill-opacity: 0.25; }}
-circle.s1 {{ color: var(--series-1); }}
-circle.s2 {{ color: var(--series-2); }}
-circle.s3 {{ color: var(--series-3); }}
-rect.s1 {{ fill: var(--series-1); }}
-rect.s2 {{ fill: var(--series-2); }}
-rect.s3 {{ fill: var(--series-3); }}
-.gantt .row {{ fill: var(--text-primary); font-size: 11px; }}
-line.mark {{ stroke: var(--text-primary); stroke-width: 1.5; }}
-line.alert {{ stroke-width: 1.5; stroke-dasharray: 2 3; }}
-line.alert-critical {{ stroke: #c92a2a; }}
-line.alert-warning {{ stroke: #e8930c; }}
-line.alert-info {{ stroke: var(--text-secondary); }}
-.sev {{ font-size: 11px; font-weight: 600; text-transform: uppercase; }}
-.sev-critical {{ color: #c92a2a; }}
-.sev-warning {{ color: #e8930c; }}
-.sev-info {{ color: var(--text-secondary); }}
-.legend {{ display: flex; gap: 16px; margin-bottom: 4px; color: var(--text-secondary); font-size: 12px; }}
-.legend .sw {{ display: inline-block; width: 18px; height: 0; border-top: 2px solid; vertical-align: middle; margin-right: 6px; }}
-.legend .sw.dash {{ border-top-style: dashed; }}
-.legend .s1 {{ border-color: var(--series-1); }}
-.legend .s2 {{ border-color: var(--series-2); }}
-.legend .s3 {{ border-color: var(--series-3); }}
-table {{ border-collapse: collapse; width: 100%; margin: 8px 0 24px; font-size: 13px; }}
-th, td {{ border-bottom: 1px solid var(--grid); padding: 4px 8px; text-align: right; }}
-th:first-child, td:first-child {{ text-align: left; }}
-.empty {{ color: var(--text-secondary); font-style: italic; }}
-h2 {{ font-size: 16px; margin: 24px 0 4px; }}
-</style>
+{STYLE}</style>
 </head>
 <body>
 <div class="viz-root">
@@ -1056,6 +1021,33 @@ mod tests {
         assert!(html.contains("id=\"audit-1\""));
         assert!(html.contains("us-east-1a"));
         assert!(html.contains("cache hit"));
+    }
+
+    /// The whole report over the `report` target's own input, as one
+    /// FNV-1a-64 digest — recorded on the six hand-built chart blocks and
+    /// the inline stylesheet, before they became [`CHARTS`] and [`STYLE`].
+    /// `*_micros` series carry host wall-clock values, so their points are
+    /// flattened to 0 in the input (the chart itself stays).
+    #[test]
+    fn report_html_digest_is_pinned() {
+        let (obs, _service, mut result) =
+            crate::observed_replays(2014, 7, 2, replay::RepairConfig::hybrid());
+        for s in &mut result.series {
+            if s.name.ends_with("_micros") {
+                s.points.iter_mut().for_each(|p| p.last = 0.0);
+            }
+        }
+        let html = render_replay_report(
+            "digest",
+            &result,
+            &obs.metrics.snapshot(),
+            &obs.trace.events(),
+        );
+        assert_eq!(chart_count(&html), 13, "two zones, five charts, six Gantts");
+        let digest = html.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 0xc7f4_c222_a44f_5697, "got {digest:#018x}");
     }
 
     #[test]

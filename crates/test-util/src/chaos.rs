@@ -14,9 +14,9 @@
 use std::fmt;
 
 use obs::Obs;
-use paxos::{ClientOp, LockCmd, ReplicaConfig};
+use paxos::{ClientOp, Cluster, LockCmd, ReplicaConfig, Service};
 use rand::Rng;
-use simnet::{ChaosSchedule, SimTime};
+use simnet::{ChaosAction, ChaosSchedule, NodeId, SimTime};
 use storage::{RsConfig, StoreCmd};
 
 use crate::check::{check_lock_cluster, check_storage_cluster};
@@ -115,6 +115,46 @@ impl fmt::Display for ChaosFailure {
     }
 }
 
+/// The part of a chaos run both services share: execute the fault
+/// schedule interleaved with the already-queued workload (stamping obs
+/// time at each event), run the recovery epilogue, then give every
+/// client [`DRAIN_GRACE`] to drain. `who` names the clients in the
+/// liveness error.
+fn run_schedule<S: Service>(
+    c: &mut Cluster<S>,
+    schedule: &ChaosSchedule,
+    clients: &[NodeId],
+    obs: &Obs,
+    who: &str,
+) -> Result<(), String> {
+    for ev in &schedule.events {
+        c.sim.run_until(ev.at);
+        obs.set_time_micros(c.sim.now().as_millis() * 1_000);
+        c.apply_chaos(&ev.action);
+    }
+
+    // Recovery epilogue: whatever state the schedule (or a shrunk prefix
+    // of it) left behind, restore the network and every replica so the
+    // drain below asserts *eventual* progress, not luck.
+    c.apply_chaos(&ChaosAction::ClearLinkChaos);
+    c.apply_chaos(&ChaosAction::Heal);
+    for id in c.servers().to_vec() {
+        c.apply_chaos(&ChaosAction::Restart(id));
+    }
+
+    let deadline = c.sim.now() + DRAIN_GRACE;
+    for &client in clients {
+        if !c.run_until_drained(client, deadline) {
+            return Err(format!(
+                "liveness: {who} {client} still has outstanding ops {DRAIN_GRACE} after the \
+                 schedule healed"
+            ));
+        }
+    }
+    obs.set_time_micros(c.sim.now().as_millis() * 1_000);
+    Ok(())
+}
+
 /// Run the lock-service workload under `schedule` and check every lock
 /// invariant. `obs` instruments the replicas (pass [`Obs::disabled`]
 /// for sweeps; it does not affect determinism).
@@ -190,33 +230,7 @@ fn run_lock_chaos_with(
         }
     }
 
-    // Execute the fault schedule interleaved with the workload.
-    for ev in &schedule.events {
-        c.sim.run_until(ev.at);
-        obs.set_time_micros(c.sim.now().as_millis() * 1_000);
-        c.apply_chaos(&ev.action);
-    }
-
-    // Recovery epilogue: whatever state the schedule (or a shrunk prefix
-    // of it) left behind, restore the network and every replica so the
-    // drain below asserts *eventual* progress, not luck.
-    c.apply_chaos(&simnet::ChaosAction::ClearLinkChaos);
-    c.apply_chaos(&simnet::ChaosAction::Heal);
-    for id in c.servers().to_vec() {
-        c.apply_chaos(&simnet::ChaosAction::Restart(id));
-    }
-
-    let deadline = c.sim.now() + DRAIN_GRACE;
-    for &client in &clients {
-        if !c.run_until_drained(client, deadline) {
-            return Err(format!(
-                "liveness: client {client} still has outstanding ops {} after the \
-                 schedule healed",
-                DRAIN_GRACE
-            ));
-        }
-    }
-    obs.set_time_micros(c.sim.now().as_millis() * 1_000);
+    run_schedule(&mut c, schedule, &clients, obs, "client")?;
 
     let stats = check_lock_cluster(&c)?;
     Ok(ChaosOutcome {
@@ -305,29 +319,7 @@ fn run_storage_chaos_with(
         }
     }
 
-    for ev in &schedule.events {
-        c.sim.run_until(ev.at);
-        obs.set_time_micros(c.sim.now().as_millis() * 1_000);
-        c.apply_chaos(&ev.action);
-    }
-
-    c.apply_chaos(&simnet::ChaosAction::ClearLinkChaos);
-    c.apply_chaos(&simnet::ChaosAction::Heal);
-    for id in c.servers().to_vec() {
-        c.apply_chaos(&simnet::ChaosAction::Restart(id));
-    }
-
-    let deadline = c.sim.now() + DRAIN_GRACE;
-    for &client in &writers {
-        if !c.run_until_drained(client, deadline) {
-            return Err(format!(
-                "liveness: storage client {client} still has outstanding ops {} after \
-                 the schedule healed",
-                DRAIN_GRACE
-            ));
-        }
-    }
-    obs.set_time_micros(c.sim.now().as_millis() * 1_000);
+    run_schedule(&mut c, schedule, &writers, obs, "storage client")?;
 
     let stats = check_storage_cluster(&c, &writers, m)?;
     // The lifetime batch counter (it survives log catch-up gaps) is the
