@@ -91,6 +91,15 @@ grep -q 'id="alerts"' "$TMP/report.html" \
   || { echo "report smoke: alerts section marker missing" >&2; exit 1; }
 grep -q 'class="audit-timeline"' "$TMP/report.html" \
   || { echo "report smoke: audit timeline marker missing" >&2; exit 1; }
+# The trace, the audit log and the alerts are the run's record on
+# simulated time: a second process at the same seed must write the same
+# bytes (the service-level replay's hash-seed gate). The HTML is not
+# compared — its decide() latency chart is host time.
+./target/release/repro --seed 2014 --report-out "$TMP/again.html" report > /dev/null
+for artifact in trace.json audit.jsonl alerts.jsonl; do
+  cmp "$TMP/report.html.$artifact" "$TMP/again.html.$artifact" \
+    || { echo "report smoke: $artifact differs between two processes at one seed" >&2; exit 1; }
+done
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -206,33 +206,16 @@ impl BiddingStrategy for JupiterStrategy {
         if !self.obs.is_enabled() {
             return self.decide_inner(zones, spec, horizon_minutes);
         }
-        let evaluated = self.obs.counter("jupiter.candidates_evaluated");
-        let feasible = self.obs.counter("jupiter.candidates_feasible");
-        let (evaluated_before, feasible_before) = (evaluated.get(), feasible.get());
         let start = std::time::Instant::now();
         let decision = self.decide_inner(zones, spec, horizon_minutes);
         let micros = start.elapsed().as_micros() as u64;
         self.obs.histogram("jupiter.decide_micros").record(micros);
-        // Per-decision trajectories on the market-minute axis (the obs
-        // clock is driven in minutes-as-micros by the replay loops; a
-        // wall-clocked Obs just gets wall minutes).
+        // The per-decision trajectory on the market-minute axis (the obs
+        // clock is driven in minutes-as-micros by the replay loops).
         let minute = self.obs.trace.now_micros() / 60_000_000;
         self.obs
             .series
             .record("jupiter.decide_micros", minute, micros as f64);
-        self.obs.series.record(
-            "jupiter.candidates_evaluated",
-            minute,
-            (evaluated.get() - evaluated_before) as f64,
-        );
-        self.obs.series.record(
-            "jupiter.candidates_feasible",
-            minute,
-            (feasible.get() - feasible_before) as f64,
-        );
-        self.obs
-            .series
-            .record("jupiter.group_size", minute, decision.n() as f64);
         decision
     }
 }

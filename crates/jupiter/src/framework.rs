@@ -4,7 +4,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use obs::Obs;
 use spot_market::{InstanceType, Price, PriceTrace, Zone};
 use spot_model::{FailureModel, FailureModelConfig, FrozenKernel};
 
@@ -33,7 +32,6 @@ pub struct BiddingFramework<S: BiddingStrategy> {
     strategy: S,
     models: HashMap<(Zone, InstanceType), FailureModel>,
     model_config: FailureModelConfig,
-    obs: Obs,
 }
 
 impl<S: BiddingStrategy> BiddingFramework<S> {
@@ -48,16 +46,7 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
             strategy,
             models: HashMap::new(),
             model_config,
-            obs: Obs::disabled(),
         }
-    }
-
-    /// Record framework metrics (`jupiter.kernel_fit_micros`,
-    /// `jupiter.zones_trained`, `jupiter.untrained_zones_skipped`) into
-    /// `obs`.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
     }
 
     /// The service spec.
@@ -92,12 +81,10 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
     /// Feed spot-price history for a pool into its failure model
     /// (training and continuous online refinement both go through here).
     pub fn observe(&mut self, zone: Zone, ty: InstanceType, trace: &PriceTrace) {
-        let fit_micros = self.obs.histogram("jupiter.kernel_fit_micros");
-        let model = self
-            .models
+        self.models
             .entry((zone, ty))
-            .or_insert_with(|| FailureModel::new(self.model_config));
-        fit_micros.time(|| model.observe(trace));
+            .or_insert_with(|| FailureModel::new(self.model_config))
+            .observe(trace);
     }
 
     /// Train all pools from a common history source. Fresh batch training
@@ -108,12 +95,9 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
         I: IntoIterator<Item = (Zone, InstanceType, &'a PriceTrace)>,
     {
         let cfg = self.model_config;
-        let fit_micros = self.obs.histogram("jupiter.kernel_fit_micros");
-        let zones_trained = self.obs.counter("jupiter.zones_trained");
         for (zone, ty, trace) in histories {
-            let model = fit_micros.time(|| FailureModel::from_trace(trace, cfg));
-            self.models.insert((zone, ty), model);
-            zones_trained.inc();
+            self.models
+                .insert((zone, ty), FailureModel::from_trace(trace, cfg));
         }
     }
 
@@ -155,9 +139,6 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
                 })
             })
             .collect();
-        self.obs
-            .counter("jupiter.untrained_zones_skipped")
-            .add((snapshots.len() - states.len()) as u64);
         self.strategy.decide(&states, &self.spec, horizon_minutes)
     }
 }

@@ -4,10 +4,10 @@
 //! decisions that preceded it. Export is JSON lines via
 //! [`AuditRecord::to_json`] / [`audit_jsonl`].
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::json;
+use crate::ring::Ring;
 
 /// Version stamped into every serialized audit record; bump on any
 /// breaking change to [`AuditRecord::to_json`].
@@ -244,23 +244,12 @@ impl AuditRecord {
     }
 }
 
-struct AuditRing {
-    records: VecDeque<AuditRecord>,
-    next_seq: u64,
-    dropped: u64,
-}
-
-struct AuditInner {
-    ring: Mutex<AuditRing>,
-    capacity: usize,
-}
-
 /// Bounded ring of [`AuditRecord`]s. Cloning shares the ring;
 /// [`AuditLog::disabled`] records nothing and returns no sequence
 /// numbers.
 #[derive(Clone, Default)]
 pub struct AuditLog {
-    inner: Option<Arc<AuditInner>>,
+    ring: Option<Arc<Mutex<Ring<AuditRecord>>>>,
 }
 
 impl AuditLog {
@@ -271,61 +260,46 @@ impl AuditLog {
     /// An enabled log keeping at most `capacity` records.
     pub fn new(capacity: usize) -> AuditLog {
         AuditLog {
-            inner: Some(Arc::new(AuditInner {
-                ring: Mutex::new(AuditRing {
-                    records: VecDeque::new(),
-                    next_seq: 1,
-                    dropped: 0,
-                }),
-                capacity: capacity.max(1),
-            })),
+            ring: Some(Arc::new(Mutex::new(Ring::new(capacity)))),
         }
     }
 
     /// A log that records nothing.
     pub fn disabled() -> AuditLog {
-        AuditLog { inner: None }
+        AuditLog { ring: None }
     }
 
     /// Whether records are kept.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.ring.is_some()
     }
 
     /// Append a record; returns its sequence number, or `None` when
     /// disabled.
     pub fn record(&self, at_minute: u64, kind: AuditKind) -> Option<u64> {
-        let inner = self.inner.as_ref()?;
-        let mut ring = inner.ring.lock().unwrap();
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.records.len() >= inner.capacity {
-            ring.records.pop_front();
-            ring.dropped += 1;
-        }
-        ring.records.push_back(AuditRecord {
+        let mut ring = self.ring.as_ref()?.lock().unwrap();
+        Some(ring.push(|seq| AuditRecord {
             seq,
             at_minute,
             kind,
-        });
-        Some(seq)
+        }))
     }
 
     /// Copy of the buffered records, oldest first.
     pub fn snapshot(&self) -> Vec<AuditRecord> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.ring.lock().unwrap().records.iter().cloned().collect()
-        })
+        self.ring
+            .as_ref()
+            .map_or_else(Vec::new, |r| r.lock().unwrap().snapshot())
     }
 
     /// Records evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.ring.lock().unwrap().dropped)
+        self.ring.as_ref().map_or(0, |r| r.lock().unwrap().dropped())
     }
 
     /// Number of buffered records.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.ring.lock().unwrap().records.len())
+        self.ring.as_ref().map_or(0, |r| r.lock().unwrap().len())
     }
 
     /// Whether no record has been buffered.
@@ -336,12 +310,12 @@ impl AuditLog {
 
 impl std::fmt::Debug for AuditLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Some(inner) => {
-                let ring = inner.ring.lock().unwrap();
+        match &self.ring {
+            Some(ring) => {
+                let ring = ring.lock().unwrap();
                 f.debug_struct("AuditLog")
-                    .field("records", &ring.records.len())
-                    .field("dropped", &ring.dropped)
+                    .field("records", &ring.len())
+                    .field("dropped", &ring.dropped())
                     .finish()
             }
             None => f.write_str("AuditLog(disabled)"),

@@ -414,7 +414,7 @@ fn chrome_event(
 mod tests {
     use super::*;
     use crate::trace::TraceContext;
-    use crate::{Clock, ManualClock, Tracer};
+    use crate::{ManualClock, Tracer};
     use std::sync::Arc;
 
     fn tracer() -> (Tracer, Arc<ManualClock>) {

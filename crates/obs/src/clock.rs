@@ -1,51 +1,10 @@
-//! Time sources for trace timestamps.
+//! The time source for trace timestamps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-/// A monotonic microsecond clock. Implementations decide whether the
-/// microseconds are wall time or simulated time.
-pub trait Clock: Send + Sync {
-    /// Current time in microseconds since this clock's origin.
-    fn now_micros(&self) -> u64;
-
-    /// Move a settable clock to `micros`. Default: no-op, so callers can
-    /// drive any clock they are handed without downcasting; only
-    /// [`ManualClock`] honors it.
-    fn set_micros(&self, micros: u64) {
-        let _ = micros;
-    }
-}
-
-/// Wall time, measured from the moment the clock was created.
-pub struct WallClock {
-    origin: Instant,
-}
-
-impl WallClock {
-    /// A wall clock starting at zero now.
-    pub fn new() -> WallClock {
-        WallClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> WallClock {
-        WallClock::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now_micros(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
-    }
-}
-
-/// A virtual clock advanced explicitly by the owner — the bridge between
-/// simulated time (simnet `SimTime`, replay minutes) and trace
-/// timestamps.
+/// A virtual microsecond clock advanced explicitly by the owner — the
+/// bridge between simulated time (simnet `SimTime`, replay minutes) and
+/// trace timestamps.
 #[derive(Default)]
 pub struct ManualClock {
     micros: AtomicU64,
@@ -57,19 +16,19 @@ impl ManualClock {
         ManualClock::default()
     }
 
-    /// Advance by `delta` microseconds.
-    pub fn advance_micros(&self, delta: u64) {
-        self.micros.fetch_add(delta, Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_micros(&self) -> u64 {
+    /// Current time in microseconds since this clock's origin.
+    pub fn now_micros(&self) -> u64 {
         self.micros.load(Ordering::Relaxed)
     }
 
-    fn set_micros(&self, micros: u64) {
-        // Monotonic: concurrent setters never move time backwards.
+    /// Move the clock to `micros`. Monotonic: concurrent setters never
+    /// move time backwards.
+    pub fn set_micros(&self, micros: u64) {
         self.micros.fetch_max(micros, Ordering::Relaxed);
+    }
+
+    /// Advance by `delta` microseconds.
+    pub fn advance_micros(&self, delta: u64) {
+        self.micros.fetch_add(delta, Ordering::Relaxed);
     }
 }

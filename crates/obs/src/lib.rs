@@ -1,27 +1,32 @@
 //! Workspace-wide observability: cheap atomic metrics and structured
 //! event tracing, designed for the simulation-heavy crates in this tree.
 //!
-//! Two deliberate properties shape the design:
+//! Three deliberate properties shape the design:
 //!
 //! * **Disabled is free.** Every handle ([`Registry`], [`Counter`],
 //!   [`Tracer`], …) has a disabled form whose operations are a `None`
 //!   check and nothing else, so instrumented hot paths (Paxos message
 //!   handling, trace replay) cost nothing when observability is off —
 //!   which is the default everywhere.
-//! * **Time is pluggable.** Tracing timestamps come from a [`Clock`],
-//!   so events can carry *simulated* time (via [`ManualClock`], driven
-//!   from `simnet`/replay minutes) or wall time ([`WallClock`])
-//!   interchangeably.
+//! * **Simulated time only.** Tracing timestamps come from a
+//!   [`ManualClock`] the instrumented simulation drives (`simnet` time,
+//!   replay minutes), so a recorded run is a function of its seed. Host
+//!   time is only ever a recorded *value* ([`Histogram::time`]), never a
+//!   timestamp.
+//! * **One way out per signal kind.** [`Obs::to_json`] for metrics and
+//!   series, [`chrome_trace_json`] for the causal trace, [`audit_jsonl`]
+//!   / [`alerts_jsonl`] for decisions and alerts, and
+//!   [`Tracer::to_json_lines`] for a failure dump.
 //!
 //! The crate has zero dependencies; JSON export is hand-rolled.
 
 pub mod audit;
 pub mod causal;
 mod clock;
-pub mod export;
 mod json;
 mod metrics;
 pub mod monitor;
+mod ring;
 pub mod slo;
 mod timeseries;
 mod trace;
@@ -31,14 +36,14 @@ pub use causal::{
     assemble_traces, chrome_trace_json, critical_path, hop_self_times, CausalInstant,
     CausalSpan, CausalTrace, PathSegment,
 };
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::ManualClock;
 pub use monitor::{
     AlertEvent, AlertSink, FleetDeficitWatchdog, LivenessWatchdog, RepairBudgetWatchdog,
     Severity, ALERT_SCHEMA_VERSION,
 };
 pub use slo::{SloSpec, SloTracker};
 pub use metrics::{
-    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSummary,
+    bucket_index, bucket_upper_bound, Counter, Histogram, HistogramSummary,
     MetricsSnapshot, Registry, HISTOGRAM_BUCKETS,
 };
 pub use timeseries::{
@@ -50,12 +55,13 @@ pub use trace::{
 
 use std::sync::Arc;
 
-/// A bundled observability handle: a metrics [`Registry`] plus an event
-/// [`Tracer`] sharing one clock. This is the single field instrumented
-/// subsystems carry in their configs; cloning is cheap (two `Arc`s).
+/// A bundled observability handle: a metrics [`Registry`], an event
+/// [`Tracer`] on a simulated clock, and the series, alert and audit
+/// stores. This is the single field instrumented subsystems carry in
+/// their configs; cloning is cheap (five `Arc`s).
 #[derive(Clone)]
 pub struct Obs {
-    /// Counters, gauges, and histograms.
+    /// Counters and histograms.
     pub metrics: Registry,
     /// Structured events and spans.
     pub trace: Tracer,
@@ -79,27 +85,18 @@ impl Obs {
         }
     }
 
-    /// Enabled, timestamping from the wall clock.
-    pub fn wall() -> Obs {
-        Obs::with_clock(Arc::new(WallClock::new()))
-    }
-
     /// Enabled, timestamping from a caller-driven virtual clock.
     /// Returns the handle and the clock to advance.
     pub fn simulated() -> (Obs, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::new());
-        (Obs::with_clock(clock.clone()), clock)
-    }
-
-    /// Enabled, timestamping trace events from `clock`.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Obs {
-        Obs {
+        let obs = Obs {
             metrics: Registry::new(),
-            trace: Tracer::new(clock, Tracer::DEFAULT_CAPACITY),
+            trace: Tracer::new(clock.clone(), Tracer::DEFAULT_CAPACITY),
             series: SeriesStore::new(),
             alerts: AlertSink::new(AlertSink::DEFAULT_CAPACITY),
             audit: AuditLog::new(AuditLog::DEFAULT_CAPACITY),
-        }
+        };
+        (obs, clock)
     }
 
     /// Whether any instrumentation is live.
@@ -111,9 +108,8 @@ impl Obs {
             || self.audit.is_enabled()
     }
 
-    /// Drive the tracer's clock, when it is a [`ManualClock`] (no-op on
-    /// wall clocks and disabled handles). Instrumented simulations call
-    /// this as their virtual time advances.
+    /// Drive the tracer's clock (no-op on disabled handles).
+    /// Instrumented simulations call this as their virtual time advances.
     pub fn set_time_micros(&self, micros: u64) {
         self.trace.set_time_micros(micros);
     }
@@ -123,26 +119,9 @@ impl Obs {
         self.metrics.counter(name)
     }
 
-    /// Gauge handle from the bundled registry.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.metrics.gauge(name)
-    }
-
     /// Histogram handle from the bundled registry.
     pub fn histogram(&self, name: &str) -> Histogram {
         self.metrics.histogram(name)
-    }
-
-    /// Time-series handle from the bundled store.
-    pub fn time_series(&self, name: &str) -> TimeSeries {
-        self.series.series(name)
-    }
-
-    /// Record one time-series sample, timestamped from the tracer's
-    /// clock (in the clock's own units — replay drives it in simulated
-    /// minutes-as-micros, so the coordinate is `minute * 60e6`).
-    pub fn record_series(&self, name: &str, value: f64) {
-        self.series.record(name, self.trace.now_micros(), value);
     }
 
     /// The full state as one JSON document:

@@ -13,11 +13,10 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 
 struct RegistryInner {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCells>>>,
 }
 
-/// A named collection of [`Counter`]s, [`Gauge`]s, and [`Histogram`]s.
+/// A named collection of [`Counter`]s and [`Histogram`]s.
 ///
 /// Cloning a `Registry` (or any instrument handle) is cheap and the
 /// clone records into the same cells, so handles can be fanned out
@@ -35,7 +34,6 @@ impl Registry {
         Registry {
             inner: Some(Arc::new(RegistryInner {
                 counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
             })),
         }
@@ -62,18 +60,6 @@ impl Registry {
         }
     }
 
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge {
-            cell: self.inner.as_ref().map(|inner| {
-                let mut map = inner.gauges.lock().unwrap();
-                map.entry(name.to_owned())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0f64.to_bits())))
-                    .clone()
-            }),
-        }
-    }
-
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
         Histogram {
@@ -84,17 +70,12 @@ impl Registry {
         }
     }
 
-    /// Fold every instrument of `other` into this registry: counters
-    /// add, gauges take `other`'s value, histograms merge buckets and
+    /// Fold every instrument of `other` into this registry under the
+    /// name `{prefix}{name}` — how per-strategy or per-run registries are
+    /// combined into one without colliding (e.g. prefix `"Jupiter."`;
+    /// `""` merges in place): counters add, histograms merge buckets and
     /// exact stats. Disabled registries on either side are a no-op, as
     /// is merging a registry into itself.
-    pub fn merge(&self, other: &Registry) {
-        self.merge_prefixed(other, "");
-    }
-
-    /// [`Registry::merge`], with every incoming instrument renamed to
-    /// `{prefix}{name}` — how per-strategy or per-run registries are
-    /// combined into one without colliding (e.g. prefix `"Jupiter."`).
     pub fn merge_prefixed(&self, other: &Registry, prefix: &str) {
         let (Some(dst), Some(src)) = (&self.inner, &other.inner) else {
             return;
@@ -103,13 +84,6 @@ impl Registry {
         // are ever held at once (self-merge would otherwise deadlock).
         let src_counters: Vec<(String, Arc<AtomicU64>)> = src
             .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, c)| (n.clone(), c.clone()))
-            .collect();
-        let src_gauges: Vec<(String, Arc<AtomicU64>)> = src
-            .gauges
             .lock()
             .unwrap()
             .iter()
@@ -129,14 +103,6 @@ impl Registry {
                 continue; // merging a cell into itself would double it
             }
             dst_cell.fetch_add(cell.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        for (name, cell) in src_gauges {
-            let dst_gauge = self.gauge(&format!("{prefix}{name}"));
-            let dst_cell = dst_gauge.cell.as_ref().expect("enabled registry");
-            if Arc::ptr_eq(dst_cell, &cell) {
-                continue;
-            }
-            dst_cell.store(cell.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         for (name, cells) in src_histograms {
             let dst_hist = {
@@ -174,13 +140,6 @@ impl Registry {
                 .iter()
                 .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
                 .collect(),
-            gauges: inner
-                .gauges
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(name, cell)| (name.clone(), f64::from_bits(cell.load(Ordering::Relaxed))))
-                .collect(),
             histograms: inner
                 .histograms
                 .lock()
@@ -204,7 +163,6 @@ impl std::fmt::Debug for Registry {
             Some(inner) => f
                 .debug_struct("Registry")
                 .field("counters", &inner.counters.lock().unwrap().len())
-                .field("gauges", &inner.gauges.lock().unwrap().len())
                 .field("histograms", &inner.histograms.lock().unwrap().len())
                 .finish(),
             None => f.write_str("Registry(disabled)"),
@@ -247,38 +205,6 @@ impl Counter {
         self.cell
             .as_ref()
             .map_or(0, |cell| cell.load(Ordering::Relaxed))
-    }
-}
-
-/// A last-write-wins `f64` value (stored as bits in an atomic).
-#[derive(Clone, Default)]
-pub struct Gauge {
-    cell: Option<Arc<AtomicU64>>,
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.cell {
-            Some(_) => write!(f, "Gauge({})", self.get()),
-            None => f.write_str("Gauge(disabled)"),
-        }
-    }
-}
-
-impl Gauge {
-    /// Set the value.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        if let Some(cell) = &self.cell {
-            cell.store(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0.0 when disabled).
-    pub fn get(&self) -> f64 {
-        self.cell
-            .as_ref()
-            .map_or(0.0, |cell| f64::from_bits(cell.load(Ordering::Relaxed)))
     }
 }
 
@@ -480,8 +406,6 @@ pub struct HistogramSummary {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values by name.
-    pub gauges: Vec<(String, f64)>,
     /// Histogram summaries by name.
     pub histograms: Vec<(String, HistogramSummary)>,
 }
@@ -490,14 +414,6 @@ impl MetricsSnapshot {
     /// The counter named `name`, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// The gauge named `name`, if present.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
@@ -522,7 +438,7 @@ impl MetricsSnapshot {
     }
 
     /// This snapshot as one JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
+    /// `{"counters": {...}, "histograms": {...}}`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"counters\":{");
@@ -533,15 +449,6 @@ impl MetricsSnapshot {
             json::push_str_lit(&mut out, name);
             out.push(':');
             out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str_lit(&mut out, name);
-            out.push(':');
-            json::push_f64(&mut out, *v);
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {

@@ -9,10 +9,10 @@
 //! `None` check, so un-monitored replays are untouched (the root
 //! `tests/disabled_path.rs` holds those calls to zero allocations).
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::json;
+use crate::ring::Ring;
 use crate::trace::{field_value_to_json, FieldValue};
 
 /// Version stamped into every serialized alert record; bump on any
@@ -105,22 +105,11 @@ impl AlertEvent {
     }
 }
 
-struct AlertRing {
-    events: VecDeque<AlertEvent>,
-    next_seq: u64,
-    dropped: u64,
-}
-
-struct AlertInner {
-    ring: Mutex<AlertRing>,
-    capacity: usize,
-}
-
 /// Bounded ring of fired [`AlertEvent`]s. Cloning shares the ring;
 /// [`AlertSink::disabled`] records nothing.
 #[derive(Clone, Default)]
 pub struct AlertSink {
-    inner: Option<Arc<AlertInner>>,
+    ring: Option<Arc<Mutex<Ring<AlertEvent>>>>,
 }
 
 impl AlertSink {
@@ -131,25 +120,18 @@ impl AlertSink {
     /// An enabled sink keeping at most `capacity` alerts.
     pub fn new(capacity: usize) -> AlertSink {
         AlertSink {
-            inner: Some(Arc::new(AlertInner {
-                ring: Mutex::new(AlertRing {
-                    events: VecDeque::new(),
-                    next_seq: 1,
-                    dropped: 0,
-                }),
-                capacity: capacity.max(1),
-            })),
+            ring: Some(Arc::new(Mutex::new(Ring::new(capacity)))),
         }
     }
 
     /// A sink that records nothing.
     pub fn disabled() -> AlertSink {
-        AlertSink { inner: None }
+        AlertSink { ring: None }
     }
 
     /// Whether alerts are recorded.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.ring.is_some()
     }
 
     /// Fire an alert; returns its sequence number, or `None` when
@@ -163,15 +145,8 @@ impl AlertSink {
         audit_refs: Vec<u64>,
         fields: Vec<(String, FieldValue)>,
     ) -> Option<u64> {
-        let inner = self.inner.as_ref()?;
-        let mut ring = inner.ring.lock().unwrap();
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.events.len() >= inner.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(AlertEvent {
+        let mut ring = self.ring.as_ref()?.lock().unwrap();
+        Some(ring.push(|seq| AlertEvent {
             seq,
             at_micros,
             monitor: monitor.to_owned(),
@@ -179,25 +154,24 @@ impl AlertSink {
             message,
             audit_refs,
             fields,
-        });
-        Some(seq)
+        }))
     }
 
     /// Copy of the buffered alerts, oldest first.
     pub fn snapshot(&self) -> Vec<AlertEvent> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.ring.lock().unwrap().events.iter().cloned().collect()
-        })
+        self.ring
+            .as_ref()
+            .map_or_else(Vec::new, |r| r.lock().unwrap().snapshot())
     }
 
     /// Alerts evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.ring.lock().unwrap().dropped)
+        self.ring.as_ref().map_or(0, |r| r.lock().unwrap().dropped())
     }
 
     /// Number of buffered alerts.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.ring.lock().unwrap().events.len())
+        self.ring.as_ref().map_or(0, |r| r.lock().unwrap().len())
     }
 
     /// Whether no alert has been buffered.
@@ -208,12 +182,12 @@ impl AlertSink {
 
 impl std::fmt::Debug for AlertSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Some(inner) => {
-                let ring = inner.ring.lock().unwrap();
+        match &self.ring {
+            Some(ring) => {
+                let ring = ring.lock().unwrap();
                 f.debug_struct("AlertSink")
-                    .field("alerts", &ring.events.len())
-                    .field("dropped", &ring.dropped)
+                    .field("alerts", &ring.len())
+                    .field("dropped", &ring.dropped())
                     .finish()
             }
             None => f.write_str("AlertSink(disabled)"),

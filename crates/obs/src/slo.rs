@@ -110,11 +110,6 @@ impl SloTracker {
         }
     }
 
-    /// The spec under evaluation.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
-    }
-
     /// Register the audit seq of a decision now in effect; the most
     /// recent [`MAX_REFS`] are attached to any alert fired later.
     pub fn link_decision(&mut self, seq: u64) {

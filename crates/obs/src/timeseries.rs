@@ -11,10 +11,9 @@
 //! and regression checks care about) while the mean stays recoverable
 //! from `sum / count`.
 //!
-//! The time axis is caller-defined: the replay crates record market
-//! *minutes*, wall-clock users may record microseconds. A series only
-//! assumes time is non-decreasing per stream (out-of-order samples are
-//! accepted but land in the tail point).
+//! The time axis is caller-defined (the replay crates record market
+//! *minutes*). A series only assumes time is non-decreasing per stream
+//! (out-of-order samples are accepted but land in the tail point).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -219,20 +218,6 @@ impl TimeSeries {
             cells.lock().unwrap().record(t, value);
         }
     }
-
-    /// Total samples ever recorded (including ones merged away).
-    pub fn count(&self) -> u64 {
-        self.cells
-            .as_ref()
-            .map_or(0, |c| c.lock().unwrap().total_count)
-    }
-
-    /// This series' current points and aggregates.
-    pub fn snapshot(&self) -> SeriesSnapshot {
-        self.cells.as_ref().map_or_else(SeriesSnapshot::default, |c| {
-            c.lock().unwrap().snapshot("")
-        })
-    }
 }
 
 impl std::fmt::Debug for TimeSeries {
@@ -255,7 +240,7 @@ impl std::fmt::Debug for TimeSeries {
 /// Detached copy of one series, safe to store in results.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SeriesSnapshot {
-    /// Series name (empty for snapshots taken from a bare handle).
+    /// Series name.
     pub name: String,
     /// Retained points, oldest first.
     pub points: Vec<SeriesPoint>,
@@ -277,15 +262,6 @@ impl SeriesSnapshot {
     /// The most recent sample value (None when empty).
     pub fn last(&self) -> Option<f64> {
         self.points.last().map(|p| p.last)
-    }
-
-    /// Mean over all retained samples (None when empty).
-    pub fn mean(&self) -> Option<f64> {
-        let count: u64 = self.points.iter().map(|p| p.count).sum();
-        if count == 0 {
-            return None;
-        }
-        Some(self.points.iter().map(|p| p.sum).sum::<f64>() / count as f64)
     }
 
     /// This snapshot as one JSON object.

@@ -1,11 +1,11 @@
-//! Structured event tracing over a pluggable clock.
+//! Structured event tracing on simulated time.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::clock::Clock;
+use crate::clock::ManualClock;
 use crate::json;
+use crate::ring::Ring;
 
 /// What an [`Event`] marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,7 +87,7 @@ impl From<String> for FieldValue {
 /// One recorded trace event.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
-    /// Timestamp from the tracer's [`Clock`], in microseconds.
+    /// Timestamp from the tracer's [`ManualClock`], in microseconds.
     pub at_micros: u64,
     /// Event name (dotted-path convention, e.g. `replay.interval`).
     pub name: String,
@@ -129,27 +129,17 @@ impl TraceContext {
     pub fn is_some(self) -> bool {
         self.trace_id != 0
     }
-
-    /// The same trace with `span_id` as the causal parent.
-    pub fn child_of(self, span_id: u64) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id,
-        }
-    }
 }
 
 struct TracerInner {
-    clock: Arc<dyn Clock>,
-    /// Bounded ring buffer of the most recent events.
-    events: Mutex<VecDeque<Event>>,
-    capacity: usize,
-    dropped: AtomicU64,
+    clock: Arc<ManualClock>,
+    /// The most recent events.
+    events: Mutex<Ring<Event>>,
     next_span_id: AtomicU64,
 }
 
 /// Records [`Event`]s into a bounded ring buffer, timestamping from a
-/// [`Clock`]. Cloning shares the buffer; disabled tracers record
+/// [`ManualClock`]. Cloning shares the buffer; disabled tracers record
 /// nothing and never read the clock.
 #[derive(Clone)]
 pub struct Tracer {
@@ -163,13 +153,11 @@ impl Tracer {
 
     /// An enabled tracer timestamping from `clock`, keeping at most
     /// `capacity` events.
-    pub fn new(clock: Arc<dyn Clock>, capacity: usize) -> Tracer {
+    pub fn new(clock: Arc<ManualClock>, capacity: usize) -> Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 clock,
-                events: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-                capacity: capacity.max(1),
-                dropped: AtomicU64::new(0),
+                events: Mutex::new(Ring::new(capacity)),
                 next_span_id: AtomicU64::new(1),
             })),
         }
@@ -190,8 +178,7 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |i| i.clock.now_micros())
     }
 
-    /// Drive the clock forward, when it is settable (see
-    /// [`Clock::set_micros`]).
+    /// Drive the clock forward (see [`ManualClock::set_micros`]).
     pub fn set_time_micros(&self, micros: u64) {
         if let Some(inner) = &self.inner {
             inner.clock.set_micros(micros);
@@ -320,14 +307,14 @@ impl Tracer {
     pub fn dropped(&self) -> u64 {
         self.inner
             .as_ref()
-            .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
+            .map_or(0, |i| i.events.lock().unwrap().dropped())
     }
 
     /// Copy of the buffered events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.events.lock().unwrap().iter().cloned().collect()
-        })
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.events.lock().unwrap().snapshot())
     }
 
     /// The trace as one JSON object:
@@ -366,12 +353,13 @@ impl Default for Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(inner) => f
-                .debug_struct("Tracer")
-                .field("events", &inner.events.lock().unwrap().len())
-                .field("capacity", &inner.capacity)
-                .field("dropped", &inner.dropped.load(Ordering::Relaxed))
-                .finish(),
+            Some(inner) => {
+                let events = inner.events.lock().unwrap();
+                f.debug_struct("Tracer")
+                    .field("events", &events.len())
+                    .field("dropped", &events.dropped())
+                    .finish()
+            }
             None => f.write_str("Tracer(disabled)"),
         }
     }
@@ -379,12 +367,7 @@ impl std::fmt::Debug for Tracer {
 
 impl TracerInner {
     fn push(&self, event: Event) {
-        let mut events = self.events.lock().unwrap();
-        if events.len() >= self.capacity {
-            events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        events.push_back(event);
+        self.events.lock().unwrap().push(|_| event);
     }
 }
 

@@ -1,13 +1,11 @@
-//! Exporter golden-file tests, `Registry::merge` semantics, and the
+//! Golden files for the three structured ways out (audit JSONL, alert
+//! JSONL, Chrome trace), `Registry::merge_prefixed` semantics, and the
 //! downsampling envelope property.
 //!
 //! The golden files live in `tests/golden/`; regenerate them after an
 //! intentional format change with
 //! `BLESS=1 cargo test -p obs --test exporters`.
 
-use obs::export::{
-    collapsed_stacks, obs_jsonl, prometheus_label_value, prometheus_name, prometheus_text,
-};
 use obs::{
     alerts_jsonl, audit_jsonl, chrome_trace_json, AlertSink, AuditKind, AuditLog, FieldValue,
     Obs, Registry, SeriesStore, Severity, TraceContext, ALERT_SCHEMA_VERSION,
@@ -28,99 +26,6 @@ fn check_golden(name: &str, actual: &str) {
         "{name} drifted from its golden file; if intentional, regenerate with \
          BLESS=1 cargo test -p obs --test exporters"
     );
-}
-
-/// A deterministic handle exercising every exporter input: counters
-/// (including a name that needs sanitizing), gauges, histograms, two
-/// series, and a nested span pair on the manual clock.
-fn fixture() -> Obs {
-    let (obs, _clock) = Obs::simulated();
-    obs.counter("replay.bids_placed").add(42);
-    obs.counter("9weird/name-with.chars").inc();
-    obs.gauge("replay.availability").set(0.999);
-    let h = obs.histogram("decide_micros");
-    for v in [1, 2, 3, 100, 1_000] {
-        h.record(v);
-    }
-
-    obs.series.record("replay.fleet_size", 0, 5.0);
-    obs.series.record("replay.fleet_size", 60, 4.0);
-    obs.series.record("replay.price.us-east-1a", 0, 0.0085);
-
-    obs.set_time_micros(0);
-    let outer = obs.trace.span_open("boundary", &[]);
-    obs.set_time_micros(10_000);
-    let inner = obs.trace.span_open("decide", &[("zones", FieldValue::U64(8))]);
-    obs.set_time_micros(25_000);
-    obs.trace.span_close(inner, "decide", &[]);
-    obs.set_time_micros(40_000);
-    obs.trace.span_close(outer, "boundary", &[]);
-    obs
-}
-
-#[test]
-fn prometheus_golden() {
-    let obs = fixture();
-    check_golden("prometheus.txt", &prometheus_text(&obs.metrics.snapshot()));
-}
-
-#[test]
-fn jsonl_golden() {
-    let obs = fixture();
-    let jsonl = obs_jsonl(&obs);
-    // Every line must parse as standalone JSON before byte-comparison.
-    for line in jsonl.lines() {
-        serde_json::parse_value(line)
-            .unwrap_or_else(|e| panic!("invalid JSONL line {line:?}: {e}"));
-    }
-    check_golden("obs.jsonl", &jsonl);
-}
-
-#[test]
-fn collapsed_stacks_golden() {
-    let obs = fixture();
-    let folded = collapsed_stacks(&obs.trace.events());
-    // Self-times: decide ran 15 ms inside boundary's 40 ms.
-    assert!(folded.contains("boundary;decide 15000"));
-    assert!(folded.contains("boundary 25000"));
-    check_golden("collapsed.txt", &folded);
-}
-
-#[test]
-fn prometheus_names_are_sanitized() {
-    assert_eq!(prometheus_name("replay.bids_placed"), "replay_bids_placed");
-    assert_eq!(prometheus_name("9weird/name-with.chars"), "_9weird_name_with_chars");
-    assert_eq!(prometheus_name("ok:name_2"), "ok:name_2");
-    assert_eq!(prometheus_name(""), "_");
-}
-
-/// Metric keys with spaces around dots or embedded quotes/backslashes
-/// keep their original spelling in an escaped `name` label; clean
-/// dotted names stay label-free. Pins the exact escaped output.
-#[test]
-fn prometheus_escapes_lossy_names_into_labels() {
-    let registry = Registry::new();
-    registry.counter("price. quoted \"usd\"").add(3);
-    registry.counter("back\\slash\nnewline").add(1);
-    registry.counter("replay.clean_name").add(2);
-    registry.gauge("gauge with space").set(1.5);
-    registry.histogram("hist \"q\"").record(7);
-    let text = prometheus_text(&registry.snapshot());
-
-    assert!(text.contains("price__quoted__usd_{name=\"price. quoted \\\"usd\\\"\"} 3\n"));
-    assert!(text.contains("back_slash_newline{name=\"back\\\\slash\\nnewline\"} 1\n"));
-    // Conventional dotted names are unchanged: no label.
-    assert!(text.contains("replay_clean_name 2\n"));
-    assert!(text.contains("gauge_with_space{name=\"gauge with space\"} 1.5\n"));
-    // Histograms merge the name label with the quantile label and tag
-    // the _sum/_count/_max family too.
-    assert!(text.contains("hist__q_{name=\"hist \\\"q\\\"\",quantile=\"0.5\"} 7\n"));
-    assert!(text.contains("hist__q__sum{name=\"hist \\\"q\\\"\"} 7\n"));
-    assert!(text.contains("hist__q__count{name=\"hist \\\"q\\\"\"} 1\n"));
-    assert!(text.contains("hist__q__max{name=\"hist \\\"q\\\"\"} 7\n"));
-
-    assert_eq!(prometheus_label_value("a\\b\"c\nd"), "a\\\\b\\\"c\\nd");
-    assert_eq!(prometheus_label_value("dots. and spaces"), "dots. and spaces");
 }
 
 /// Audit-record and alert JSONL goldens: every line is standalone JSON
@@ -238,26 +143,23 @@ fn chrome_trace_golden() {
     check_golden("chrome_trace.json", &json);
 }
 
-// ---- Registry::merge ----------------------------------------------------
+// ---- Registry::merge_prefixed --------------------------------------------
 
 #[test]
-fn merge_adds_counters_overwrites_gauges_and_merges_histograms() {
+fn merge_adds_counters_and_merges_histograms() {
     let dst = Registry::new();
     dst.counter("c").add(10);
-    dst.gauge("g").set(1.0);
     dst.histogram("h").record(8);
 
     let src = Registry::new();
     src.counter("c").add(5);
     src.counter("only_src").add(7);
-    src.gauge("g").set(2.5);
     src.histogram("h").record(64);
 
-    dst.merge(&src);
+    dst.merge_prefixed(&src, "");
     let snap = dst.snapshot();
     assert_eq!(snap.counter("c"), Some(15));
     assert_eq!(snap.counter("only_src"), Some(7));
-    assert_eq!(snap.gauges.iter().find(|(n, _)| n == "g").map(|(_, v)| *v), Some(2.5));
     let h = snap
         .histograms
         .iter()
@@ -276,14 +178,14 @@ fn merge_adds_counters_overwrites_gauges_and_merges_histograms() {
 fn merge_with_self_and_disabled_are_no_ops() {
     let r = Registry::new();
     r.counter("c").add(3);
-    r.merge(&r.clone()); // same cells: must not double
+    r.merge_prefixed(&r.clone(), ""); // same cells: must not double
     assert_eq!(r.snapshot().counter("c"), Some(3));
 
-    r.merge(&Registry::disabled());
+    r.merge_prefixed(&Registry::disabled(), "");
     assert_eq!(r.snapshot().counter("c"), Some(3));
 
     let off = Registry::disabled();
-    off.merge(&r);
+    off.merge_prefixed(&r, "");
     assert!(off.snapshot().counters.is_empty());
 }
 

@@ -4,10 +4,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use obs::{
-    Clock, Counter, EventKind, FieldValue, Gauge, Histogram, ManualClock, Obs, Registry, Tracer,
-    WallClock,
-};
+use obs::{Counter, EventKind, FieldValue, Histogram, ManualClock, Obs, Registry, Tracer};
 
 #[test]
 fn histogram_bucket_boundaries() {
@@ -183,36 +180,22 @@ fn disabled_instruments_are_inert() {
     let registry = Registry::disabled();
     assert!(!registry.is_enabled());
     let c = registry.counter("c");
-    let g = registry.gauge("g");
     let h = registry.histogram("h");
     c.add(5);
-    g.set(1.5);
     h.record(9);
     assert_eq!(c.get(), 0);
-    assert_eq!(g.get(), 0.0);
     assert_eq!(h.summary().count, 0);
     let snap = registry.snapshot();
-    assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty());
+    assert!(snap.counters.is_empty() && snap.histograms.is_empty());
     // Default handles (struct-field defaults) are the disabled form.
     let d = Counter::default();
     d.inc();
     assert_eq!(d.get(), 0);
-    Gauge::default().set(3.0);
     Histogram::default().record(1);
     let tracer = Tracer::disabled();
     tracer.event("x", &[]);
     tracer.span("y", &[]).end();
     assert!(tracer.events().is_empty());
-}
-
-#[test]
-fn gauge_is_last_write_wins() {
-    let g = Registry::new().gauge("availability");
-    g.set(0.25);
-    g.set(0.999);
-    assert_eq!(g.get(), 0.999);
-    g.set(-1.5);
-    assert_eq!(g.get(), -1.5);
 }
 
 #[test]
@@ -248,24 +231,6 @@ fn manual_clock_never_goes_backwards() {
 }
 
 #[test]
-fn wall_clock_spans_measure_real_time() {
-    let tracer = Tracer::new(Arc::new(WallClock::new()), 64);
-    let span = tracer.span("sleep", &[]);
-    thread::sleep(std::time::Duration::from_millis(5));
-    span.end();
-    let events = tracer.events();
-    let dur = events[1]
-        .fields
-        .iter()
-        .find_map(|(k, v)| match (k.as_str(), v) {
-            ("duration_micros", FieldValue::U64(d)) => Some(*d),
-            _ => None,
-        })
-        .unwrap();
-    assert!(dur >= 5_000, "5ms sleep measured as {dur}us");
-}
-
-#[test]
 fn ring_buffer_drops_oldest_and_counts() {
     let clock = Arc::new(ManualClock::new());
     let tracer = Tracer::new(clock, 4);
@@ -283,7 +248,6 @@ fn ring_buffer_drops_oldest_and_counts() {
 fn json_export_round_trips() {
     let (o, clock) = Obs::simulated();
     o.counter("replay.bids_placed").add(17);
-    o.gauge("replay.availability").set(0.999925);
     o.histogram("paxos.phase2_micros").record(1500);
     clock.set_micros(42);
     o.trace.event(
@@ -375,13 +339,13 @@ fn handles_share_cells_across_clones() {
 }
 
 #[test]
-fn obs_bundle_defaults_disabled_and_wall_enables() {
+fn obs_bundle_defaults_disabled_and_simulated_enables() {
     let off = Obs::default();
     assert!(!off.is_enabled());
     off.counter("x").inc();
     assert_eq!(off.metrics.snapshot().counters.len(), 0);
 
-    let on = Obs::wall();
+    let (on, _clock) = Obs::simulated();
     assert!(on.is_enabled());
     on.counter("x").inc();
     assert_eq!(on.metrics.snapshot().counter("x"), Some(1));

@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use obs::{Counter, FieldValue, Gauge, Histogram, Obs, SpanHandle, TraceContext};
+use obs::{Counter, FieldValue, Histogram, Obs, SpanHandle, TraceContext};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simnet::{Context, NodeId, SimTime, TimerToken};
@@ -118,11 +118,8 @@ struct ReplicaMetrics {
     recv: Vec<Counter>,
     elections: Counter,
     leadership: Counter,
-    ballot_round: Gauge,
     phase1_micros: Histogram,
     phase2_micros: Histogram,
-    batches_proposed: Counter,
-    batched_ops: Counter,
     election: String,
     takeover: String,
     propose: String,
@@ -147,11 +144,8 @@ impl ReplicaMetrics {
             recv: by_kind("msg_recv"),
             elections: obs.counter(&name("elections_started")),
             leadership: obs.counter(&name("leadership_acquired")),
-            ballot_round: obs.gauge(&name("ballot_round")),
             phase1_micros: obs.histogram(&name("phase1_micros")),
             phase2_micros: obs.histogram(&name("phase2_micros")),
-            batches_proposed: obs.counter(&name("batches_proposed")),
-            batched_ops: obs.counter(&name("batched_ops")),
             election: name("election"),
             takeover: name("takeover"),
             propose: name("propose"),
@@ -515,7 +509,6 @@ impl<S: Service> Replica<S> {
         self.phase = Phase::Preparing { promises };
         self.reset_election_deadline(ctx.now);
         self.metrics.elections.inc();
-        self.metrics.ballot_round.set(round as f64);
         // A re-election supersedes the previous campaign.
         self.close_election_span(false);
         let span = self.metrics.obs.trace.span_open(
@@ -853,8 +846,6 @@ impl<S: Service> Replica<S> {
                     ],
                 );
             }
-            self.metrics.batches_proposed.inc();
-            self.metrics.batched_ops.add(ops.len() as u64);
             let value = S::value(&mut self.svc, ops);
             let slot = self.allocate_slot();
             self.send_accepts(slot, value, trace, ctx);

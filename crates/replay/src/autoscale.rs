@@ -17,8 +17,8 @@
 //! picks whichever (zone, type) mix reaches the strength floor cheapest,
 //! so scaling decisions and bidding decisions stay in their own layers.
 //! Every re-targeting is audited as an
-//! [`obs::AuditKind::ScaleDecision`] record and mirrored in the
-//! `autoscale.*` counters and series.
+//! [`obs::AuditKind::ScaleDecision`] record, which carries the demand
+//! and the strength target before and after.
 
 use obs::{AuditKind, Obs};
 
@@ -137,7 +137,7 @@ impl AutoScaler {
     /// Re-target for the interval `[boundary, interval_end)`. `observed`
     /// is the previous interval's feedback (`None` before the first
     /// interval completes). Returns the new target strength and records
-    /// the decision into `obs` (audit + `autoscale.*` instruments).
+    /// the decision in `obs`'s audit log.
     pub fn plan(
         &mut self,
         boundary: u64,
@@ -179,15 +179,9 @@ impl AutoScaler {
             (ScaleAction::Hold, "within_band")
         };
         match action {
-            ScaleAction::Out => {
-                self.scale_outs += 1;
-                obs.counter("autoscale.scale_out").inc();
-            }
-            ScaleAction::In => {
-                self.scale_ins += 1;
-                obs.counter("autoscale.scale_in").inc();
-            }
-            ScaleAction::Hold => obs.counter("autoscale.hold").inc(),
+            ScaleAction::Out => self.scale_outs += 1,
+            ScaleAction::In => self.scale_ins += 1,
+            ScaleAction::Hold => {}
         }
         obs.audit.record(
             boundary,
@@ -205,9 +199,6 @@ impl AutoScaler {
                 observed_availability: availability,
             },
         );
-        obs.series
-            .record("autoscale.target_strength", boundary, self.target as f64);
-        obs.series.record("autoscale.demand", boundary, demand);
         self.target
     }
 }

@@ -10,7 +10,6 @@
 #![deny(clippy::too_many_lines)]
 
 use jupiter::{BiddingStrategy, ExtraStrategy, JupiterStrategy, ServiceSpec};
-use obs::AuditKind;
 use rayon::prelude::*;
 use spot_market::{
     BidEra, InstanceType, Market, MarketConfig, Price, PriceTrace, TraceGenerator, Zone,
@@ -120,8 +119,7 @@ pub struct Row {
     pub degraded_minutes: u64,
     /// Instance deaths (out-of-bid kills or capacity reclamations).
     pub kills: usize,
-    /// Successful pre-deadline drains (capacity era, Migrate only). Read
-    /// off the audit log, so 0 unless the replay ran observed.
+    /// Successful pre-deadline drains (capacity era, Migrate only).
     pub drains: u64,
     /// Migrations whose replacement booted after the deadline.
     pub late_drains: u64,
@@ -150,12 +148,6 @@ impl Row {
     /// call [`crate::Replay`] outside a sweep grid; the grid axes keep
     /// their defaults.
     fn from_result(result: &ReplayResult) -> Row {
-        let migrations = |wanted: &str| {
-            let moved = result.audit.iter().filter(
-                |r| matches!(&r.kind, AuditKind::Migration { action, .. } if action == wanted),
-            );
-            moved.count() as u64
-        };
         Row {
             strategy: result.strategy.clone(),
             cost: result.total_cost,
@@ -163,8 +155,8 @@ impl Row {
             availability: result.availability(),
             degraded_minutes: result.degraded_minutes,
             kills: result.total_kills(),
-            drains: migrations("drained"),
-            late_drains: migrations("late_drain"),
+            drains: result.drains,
+            late_drains: result.late_drains,
             mean_group_size: result.mean_group_size(),
             ..Row::default()
         }
@@ -460,9 +452,7 @@ pub fn era_sweep(scale: &Scale) -> Sweep {
     use jupiter::FeedbackStrategy;
     const INTERVAL: u64 = 3;
     let spec = ServiceSpec::storage_service();
-    let scenario = scale
-        .scenario(spec.instance_type)
-        .with_obs(obs::Obs::simulated().0);
+    let scenario = scale.scenario(spec.instance_type);
     let sweep = SweepSpec::new(spec)
         .strategy(|_| Box::new(JupiterStrategy::new()))
         .strategy(|_| Box::new(FeedbackStrategy::new()))

@@ -39,7 +39,6 @@ pub mod adaptive;
 pub mod autoscale;
 pub mod chaos;
 pub mod experiments;
-pub mod fleet;
 pub mod lifecycle;
 pub mod repair;
 pub mod results;
@@ -49,7 +48,6 @@ pub mod service_level;
 pub use adaptive::AdaptiveConfig;
 pub use autoscale::{demand_series, AutoScaler, AutoscaleConfig, ObservedInterval, ScaleAction};
 pub use chaos::{capacity_fault_schedule, market_fault_schedule};
-pub use fleet::{fleet_replay, FleetResult};
 pub use lifecycle::{InstanceRecord, Replay, ReplayConfig};
 pub use repair::{RepairConfig, RepairPolicy};
 pub use results::{IntervalOutcome, ReplayResult};

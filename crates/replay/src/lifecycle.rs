@@ -11,7 +11,7 @@ use jupiter::{
     BidDecision, BiddingFramework, BiddingStrategy, ModelKey, ModelStore, PoolBid, ServiceSpec,
 };
 use obs::{
-    AuditKind, Counter, FieldValue, FleetDeficitWatchdog, Gauge, Obs, RepairBudgetWatchdog,
+    AuditKind, Counter, FieldValue, FleetDeficitWatchdog, Obs, RepairBudgetWatchdog,
     SloSpec, SloTracker, TimeSeries,
 };
 use spot_market::{BidEra, InstanceType, Market, Price, Termination, Zone};
@@ -231,6 +231,8 @@ impl<'a> Replay<'a> {
             intervals: Vec::new(),
             up_minutes: 0,
             degraded_minutes: 0,
+            drains: 0,
+            late_drains: 0,
             on_demand_cost: Price::ZERO,
             slo: SloTracker::new(
                 SloSpec::paper_availability(config.eval_end - config.eval_start),
@@ -347,16 +349,15 @@ struct OnDemandActive {
 
 /// Every handle the loop records into on every run, created once up
 /// front so the metric and series key set is the same whatever happens
-/// (zeros included). Per-zone, per-pool and `slo.*` names are created on
-/// first use instead, where the event occurs.
+/// (zeros included). Per-zone and per-pool names are created on first
+/// use instead, where the event occurs. `tests/instruments.rs` holds the
+/// whole set, with the reader of each name.
 struct Instruments {
     bids_placed: Counter,
     death_out_of_bid: Counter,
     death_boundary: Counter,
     death_end_of_replay: Counter,
     same_minute_death: Counter,
-    interval_cost: Gauge,
-    interval_availability: Gauge,
     // Repair controller: all stay at zero with repair off, except
     // degraded-minutes, which is the fleet-strength metric repair exists
     // to shrink and is counted under every policy.
@@ -367,17 +368,10 @@ struct Instruments {
     repair_on_demand_launches: Counter,
     repair_on_demand_minutes: Counter,
     repair_degraded_minutes: Counter,
-    repair_budget_exhausted: Counter,
     repair_too_late: Counter,
-    // Capacity era: all stay at zero under the bidding era.
+    // Capacity era: both stay at zero under the bidding era.
     notice_emitted: Counter,
-    notice_rebalance: Counter,
     migrate_launched: Counter,
-    migrate_drained: Counter,
-    migrate_late: Counter,
-    migrate_no_pool: Counter,
-    migrate_no_grant: Counter,
-    drain_margin_series: TimeSeries,
     // Per-interval series (time axis: market minutes).
     fleet_series: TimeSeries,
     cost_series: TimeSeries,
@@ -399,8 +393,6 @@ impl Instruments {
             death_boundary: obs.counter("replay.death.boundary"),
             death_end_of_replay: obs.counter("replay.death.end_of_replay"),
             same_minute_death: obs.counter("replay.same_minute_death"),
-            interval_cost: obs.gauge("replay.interval_cost_upper_dollars"),
-            interval_availability: obs.gauge("replay.interval_availability"),
             repair_deaths_detected: obs.counter("repair.deaths_detected"),
             repair_rebids: obs.counter("repair.rebids"),
             repair_backoff_waits: obs.counter("repair.backoff_waits"),
@@ -408,16 +400,9 @@ impl Instruments {
             repair_on_demand_launches: obs.counter("repair.on_demand_launches"),
             repair_on_demand_minutes: obs.counter("repair.on_demand_minutes"),
             repair_degraded_minutes: obs.counter("repair.degraded_minutes"),
-            repair_budget_exhausted: obs.counter("repair.budget_exhausted"),
             repair_too_late: obs.counter("repair.too_late"),
             notice_emitted: obs.counter("notice.emitted"),
-            notice_rebalance: obs.counter("notice.rebalance"),
             migrate_launched: obs.counter("migrate.launched"),
-            migrate_drained: obs.counter("migrate.drained"),
-            migrate_late: obs.counter("migrate.late"),
-            migrate_no_pool: obs.counter("migrate.no_pool"),
-            migrate_no_grant: obs.counter("migrate.no_grant"),
-            drain_margin_series: obs.series.series("migrate.drain_margin_minutes"),
             fleet_series: obs.series.series("replay.fleet_size"),
             cost_series: obs.series.series("replay.interval_cost_upper_dollars"),
             availability_series: obs.series.series("replay.interval_availability"),
@@ -474,6 +459,10 @@ struct Run<'a, S: BiddingStrategy> {
     intervals: Vec<IntervalOutcome>,
     up_minutes: u64,
     degraded_minutes: u64,
+    /// Migrations whose replacement was running by the deadline, and
+    /// those whose replacement came up after it.
+    drains: u64,
+    late_drains: u64,
     on_demand_cost: Price,
     // Online monitors: the paper's 0.99 availability SLO evaluated per
     // accounted minute with burn-rate alerting, plus the fleet-strength
@@ -760,8 +749,6 @@ impl<S: BiddingStrategy> Run<'_, S> {
         }
         let notices = self.market.notices_in(iv.start, iv.end).len();
         self.ins.notice_emitted.add(notices as u64);
-        let rebalances = self.market.rebalances_in(iv.start, iv.end).len();
-        self.ins.notice_rebalance.add(rebalances as u64);
         if self.repair_cfg.policy != RepairPolicy::Migrate {
             return;
         }
@@ -856,23 +843,14 @@ impl<S: BiddingStrategy> Run<'_, S> {
             if running_from <= deadline {
                 action = "drained";
                 self.fleet[victim].drained_at = Some(running_from);
-                self.ins.migrate_drained.inc();
-                self.ins
-                    .drain_margin_series
-                    .record(deadline, (deadline - running_from) as f64);
+                self.drains += 1;
             } else {
                 action = "late_drain";
-                self.ins.migrate_late.inc();
+                self.late_drains += 1;
             }
             break;
         }
-        let uncovered = match action {
-            "no_pool" => Some(&self.ins.migrate_no_pool),
-            "no_grant" => Some(&self.ins.migrate_no_grant),
-            _ => None,
-        };
-        if let Some(counter) = uncovered {
-            counter.inc();
+        if matches!(action, "no_pool" | "no_grant") {
             reserved.push((vzone, vty));
         }
         let kind = AuditKind::Migration {
@@ -967,7 +945,6 @@ impl<S: BiddingStrategy> Run<'_, S> {
                 rebids_used += 1;
                 launched = self.rebid(iv, at, died_at, missing);
             } else {
-                self.ins.repair_budget_exhausted.inc();
                 self.repair_note(at, "budget_exhausted", died_at);
                 self.budget_dog.exhausted(
                     minute_micros(at),
@@ -1053,7 +1030,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
     }
 
     /// Availability accounting over the interval, state change by state
-    /// change, plus the per-interval gauges and series; `rebids` is what
+    /// change, plus the per-interval series; `rebids` is what
     /// `repair` returned. Returns the interval's up minutes.
     fn account(&mut self, iv: &Interval, rebids: u64) -> u64 {
         let group = iv.decision.n();
@@ -1127,8 +1104,6 @@ impl<S: BiddingStrategy> Run<'_, S> {
             });
         }
         let cost_upper_bound = iv.decision.cost_upper_bound();
-        self.ins.interval_cost.set(cost_upper_bound.as_dollars());
-        self.ins.interval_availability.set(availability);
         self.ins
             .fleet_series
             .record(iv.start, self.fleet.len() as f64);
@@ -1155,9 +1130,6 @@ impl<S: BiddingStrategy> Run<'_, S> {
     /// Terminate `inst` at `end` and book its record.
     fn close(&mut self, inst: &Active, end: u64, termination: Termination) {
         let end = end.max(inst.granted_at);
-        self.obs
-            .counter(&format!("replay.terminated.{}", inst.zone))
-            .inc();
         self.records.push(InstanceRecord {
             zone: inst.zone,
             instance_type: inst.ty,
@@ -1192,9 +1164,6 @@ impl<S: BiddingStrategy> Run<'_, S> {
             let cost = spot_market::on_demand_charge(self.od_hourly, od.launched_at, end);
             self.ins.repair_on_demand_minutes.add(end - od.launched_at);
             self.on_demand_cost += cost;
-            self.obs
-                .counter(&format!("replay.terminated.{}", self.od_zone))
-                .inc();
             self.records.push(InstanceRecord {
                 zone: self.od_zone,
                 instance_type: self.primary_ty,
@@ -1217,21 +1186,14 @@ impl<S: BiddingStrategy> Run<'_, S> {
             self.close(&inst, self.config.eval_end, Termination::User);
         }
         let obs = self.obs;
-        if obs.alerts.is_enabled() {
-            // Fixed-point (parts-per-million) so the SLO verdict is an exact
-            // u64 counter like the rest of the registry the goldens digest.
-            obs.counter("slo.availability")
-                .add((self.slo.availability().clamp(0.0, 1.0) * 1e6).round() as u64);
-            obs.counter("slo.budget_remaining")
-                .add((self.slo.budget_remaining().max(0.0) * 1e6).round() as u64);
-            obs.counter("slo.alerts_fired").add(self.slo.alerts_fired());
-        }
         ReplayResult {
             strategy: self.framework.strategy_name(),
             total_cost: self.records.iter().map(|r| r.cost).sum(),
             window_minutes: self.config.eval_end - self.config.eval_start,
             up_minutes: self.up_minutes,
             degraded_minutes: self.degraded_minutes,
+            drains: self.drains,
+            late_drains: self.late_drains,
             on_demand_cost: self.on_demand_cost,
             instances: self.records,
             intervals: self.intervals,
@@ -1456,8 +1418,22 @@ mod tests {
         assert!(migrate.total_kills() > 0, "capacity era must reclaim");
         let snap = obs.metrics.snapshot();
         assert!(snap.counter("notice.emitted").unwrap_or(0) > 0);
-        let drained = snap.counter("migrate.drained").unwrap_or(0);
-        assert!(drained >= 1, "at least one pre-deadline drain");
+        let moved = |r: &ReplayResult| (r.drains, r.late_drains);
+        assert!(moved(&migrate).0 >= 1, "at least one pre-deadline drain");
+        // The result's counts are the audit log's, and do not need it.
+        let audited = |wanted: &str| {
+            let records = migrate.audit.iter().filter(
+                |r| matches!(&r.kind, AuditKind::Migration { action, .. } if action == wanted),
+            );
+            records.count() as u64
+        };
+        assert_eq!(moved(&migrate), (audited("drained"), audited("late_drain")));
+        let unobserved = Replay::new(&market, &spec, config)
+            .repair(RepairConfig::migrate())
+            .store(&store)
+            .run(ExtraStrategy::new(0, 0.02));
+        assert!(unobserved.audit.is_empty());
+        assert_eq!(moved(&unobserved), moved(&migrate));
         // Acting on the notice is never worse than reacting to the kill.
         assert!(
             migrate.degraded_minutes <= reactive.degraded_minutes,

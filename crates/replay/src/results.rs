@@ -66,6 +66,11 @@ pub struct ReplayResult {
     /// [`IntervalOutcome::degraded_minutes`]) — the repair controller's
     /// objective.
     pub degraded_minutes: u64,
+    /// Proactive migrations whose replacement was running by the
+    /// reclamation deadline (capacity era, Migrate policy; 0 elsewhere).
+    pub drains: u64,
+    /// Migrations whose replacement came up after the deadline.
+    pub late_drains: u64,
     /// The share of [`Self::total_cost`] billed to on-demand fallback
     /// instances ([`Price::ZERO`] whenever repair never escalated).
     pub on_demand_cost: Price,
@@ -164,6 +169,8 @@ mod tests {
             window_minutes: window,
             up_minutes: up,
             degraded_minutes: 0,
+            drains: 0,
+            late_drains: 0,
             on_demand_cost: Price::ZERO,
             instances: vec![],
             intervals: vec![

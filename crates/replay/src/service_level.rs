@@ -14,7 +14,7 @@
 //! (~1–2 s simulated) therefore correspond to one or two market minutes of
 //! measured unavailability — the same order as real Chubby failovers.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use jupiter::{BiddingFramework, BiddingStrategy, ServiceSpec};
 use obs::{Obs, SloSpec, SloTracker};
@@ -76,10 +76,9 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Fold the tracer ring into `trace.*` instruments: per-operation commit
-/// latency (the duration of each complete `client.request` root span, with
-/// exact p50/p99 published as counters so the consensus golden can pin
-/// them), per-hop critical-path attribution histograms, and orphan/
+/// Fold the tracer ring into `trace.*` counters: per-operation commit
+/// latency (the duration of each complete `client.request` root span, as
+/// exact p50/p99 so the consensus golden can pin them) and orphan/
 /// incomplete counts for chaos post-mortems. No-op when tracing is
 /// disabled, so the untraced replay path is untouched.
 pub fn record_trace_metrics(obs: &Obs) {
@@ -88,7 +87,6 @@ pub fn record_trace_metrics(obs: &Obs) {
     }
     let events = obs.trace.events();
     let traces = obs::assemble_traces(&events);
-    let latency_hist = obs.histogram("trace.commit_latency_micros");
     let mut latencies: Vec<u64> = Vec::new();
     let mut orphans = 0u64;
     let mut incomplete = 0u64;
@@ -99,10 +97,6 @@ pub fn record_trace_metrics(obs: &Obs) {
             continue;
         };
         latencies.push(lat);
-        latency_hist.record(lat);
-        for (hop, micros) in obs::hop_self_times(&obs::critical_path(t)) {
-            obs.histogram(&format!("trace.hop.{hop}_micros")).record(micros);
-        }
     }
     latencies.sort_unstable();
     obs.counter("trace.ops").add(latencies.len() as u64);
@@ -162,9 +156,9 @@ pub fn lock_service_replay<S: BiddingStrategy>(
     lock_service_replay_observed(market, strategy, config, &Obs::disabled())
 }
 
-/// [`lock_service_replay`] with observability: the bidding framework and
-/// every Paxos replica record into the shared [`Obs`] (`jupiter.*` and
-/// `paxos.*` instruments).
+/// [`lock_service_replay`] with observability: every Paxos replica and
+/// this loop record into the shared [`Obs`] (`paxos.*`, `service.*`,
+/// `trace.*`); a strategy built `with_obs` adds its `jupiter.*`.
 pub fn lock_service_replay_observed<S: BiddingStrategy>(
     market: &Market,
     strategy: S,
@@ -179,7 +173,7 @@ pub fn lock_service_replay_observed<S: BiddingStrategy>(
     );
 
     // Train the failure models on the revealed prefix.
-    let mut framework = BiddingFramework::new(spec.clone(), strategy).with_obs(obs.clone());
+    let mut framework = BiddingFramework::new(spec.clone(), strategy);
     for &z in market.zones() {
         framework.observe(z, ty, &market.trace(z, ty).window(0, config.eval_start));
     }
@@ -200,8 +194,11 @@ pub fn lock_service_replay_observed<S: BiddingStrategy>(
         NetworkConfig::default(),
         config.seed,
     );
-    // zone → (node, bid) for the live fleet.
-    let mut fleet: HashMap<Zone, (NodeId, Price)> = HashMap::new();
+    // zone → (node, bid) for the live fleet. A `BTreeMap`: the nodes a
+    // boundary retires go into one `Reconfig` command — a value in the
+    // replicated log — and are crashed in walk order, neither of which
+    // may vary from run to run.
+    let mut fleet: BTreeMap<Zone, (NodeId, Price)> = BTreeMap::new();
     for (slot, pb) in first.bids.iter().enumerate() {
         fleet.insert(pb.zone, (NodeId(slot), pb.bid));
     }
@@ -288,7 +285,7 @@ pub fn lock_service_replay_observed<S: BiddingStrategy>(
         }
 
         let mut add_nodes = Vec::new();
-        let mut new_fleet: HashMap<Zone, (NodeId, Price)> = HashMap::new();
+        let mut new_fleet: BTreeMap<Zone, (NodeId, Price)> = BTreeMap::new();
         for pb in &decision.bids {
             let (zone, bid) = (pb.zone, pb.bid);
             match fleet.get(&zone) {
@@ -418,9 +415,9 @@ pub fn storage_service_replay<S: BiddingStrategy>(
     storage_service_replay_observed(market, strategy, config, &Obs::disabled())
 }
 
-/// [`storage_service_replay`] with observability: the bidding framework
-/// and every RS-Paxos replica record into the shared [`Obs`] (`jupiter.*`
-/// and `storage.*` instruments).
+/// [`storage_service_replay`] with observability: every RS-Paxos replica
+/// records into the shared [`Obs`] (`storage.*`, `trace.*`); a strategy
+/// built `with_obs` adds its `jupiter.*`.
 pub fn storage_service_replay_observed<S: BiddingStrategy>(
     market: &Market,
     strategy: S,
@@ -436,7 +433,7 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
         "window beyond market horizon"
     );
 
-    let mut framework = BiddingFramework::new(spec.clone(), strategy).with_obs(obs.clone());
+    let mut framework = BiddingFramework::new(spec.clone(), strategy);
     for &z in market.zones() {
         framework.observe(z, ty, &market.trace(z, ty).window(0, config.eval_start));
     }
@@ -462,8 +459,6 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
 
     let mut crashes = 0usize;
     let mut rebinds = 0usize;
-    let crash_series = obs.series.series("storage.crashes");
-    let rebind_series = obs.series.series("storage.rebinds");
     let mut expected: std::collections::HashMap<String, u8> = Default::default();
     let mut op_counter = 0usize;
     let total_ops = (config.window_minutes / 3).max(4) as usize;
@@ -518,7 +513,6 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
             cluster.crash(victim);
             dead.push(slot);
             crashes += 1;
-            crash_series.record(kill_minute, crashes as f64);
         }
         cluster
             .sim
@@ -576,7 +570,6 @@ pub fn storage_service_replay_observed<S: BiddingStrategy>(
                 rebinds += 1;
             }
         }
-        rebind_series.record(interval_end, rebinds as f64);
         let upto = (op_counter + 16).min(total_ops);
         submit_some(&mut cluster, &mut op_counter, &mut expected, upto);
         boundary = interval_end;

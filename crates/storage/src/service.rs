@@ -119,7 +119,6 @@ pub struct RsService {
     /// chaos sweeps assert the batched path actually ran).
     batches_applied: u64,
     reads_reconstructed: Counter,
-    reads_unavailable: Counter,
 }
 
 /// An RS-Paxos storage replica.
@@ -138,7 +137,6 @@ impl RsService {
             pending_reads: BTreeMap::new(),
             batches_applied: 0,
             reads_reconstructed: cfg.obs.counter("storage.reads_reconstructed"),
-            reads_unavailable: cfg.obs.counter("storage.reads_unavailable"),
         }
     }
 
@@ -701,10 +699,7 @@ fn try_finish_reads(r: &mut RsReplica, ctx: &mut Context<Msg<RsService>>) {
                     object: Some(object),
                 }
             }
-            Err(_) => {
-                host.reads_unavailable.inc();
-                StoreResp::Unavailable
-            }
+            Err(_) => StoreResp::Unavailable,
         };
         r.finish(read.client, read.req_id, Some(resp), ctx);
     }

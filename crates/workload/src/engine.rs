@@ -1,8 +1,7 @@
 //! The request-level workload engine: an open-loop generator that
 //! drives a replicated service (the Paxos lock service or the RS-Paxos
 //! store) with a seeded arrival process, then reduces per-request
-//! outcomes to latency quantiles, throughput series, and an SLO-based
-//! availability figure.
+//! outcomes to latency quantiles and an SLO-based availability figure.
 //!
 //! The engine separates three populations:
 //!
@@ -141,12 +140,9 @@ struct Outcome {
     completed: Option<SimTime>,
 }
 
-/// Reduce raw outcomes to the report and publish `{prefix}.*` counters
-/// plus the per-second `{prefix}.throughput` series into `obs`.
-#[allow(clippy::too_many_arguments)]
+/// Reduce raw outcomes to the report; SLO burn alerts land in `obs`.
 fn summarize(
     spec: &WorkloadSpec,
-    prefix: &str,
     outcomes: Vec<Outcome>,
     retransmits: u64,
     local_served: u64,
@@ -156,8 +152,7 @@ fn summarize(
     let requests = outcomes.len() as u64;
     let mut latencies: Vec<SimTime> = Vec::new();
     let mut sla_met = 0u64;
-    // Per-sim-minute SLO feed (scheduled-minute buckets, in order) and
-    // per-second completion counts for the throughput series.
+    // Per-sim-minute SLO feed (scheduled-minute buckets, in order).
     let minutes = |t: SimTime| t.as_millis() / 60_000;
     let max_minute = outcomes
         .iter()
@@ -166,7 +161,6 @@ fn summarize(
         .unwrap_or(0);
     let mut minute_good = vec![0u64; max_minute as usize + 1];
     let mut minute_total = vec![0u64; max_minute as usize + 1];
-    let mut per_second: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
     for o in &outcomes {
         let m = minutes(o.scheduled) as usize;
         minute_total[m] += 1;
@@ -177,7 +171,6 @@ fn summarize(
                 sla_met += 1;
                 minute_good[m] += 1;
             }
-            *per_second.entry(done.as_millis() / 1_000).or_insert(0) += 1;
         }
     }
     let completed = latencies.len() as u64;
@@ -198,25 +191,6 @@ fn summarize(
         .saturating_mul(1_000_000)
         .checked_div(requests)
         .unwrap_or(1_000_000);
-
-    for (&sec, &n) in &per_second {
-        obs.set_time_micros(sec.saturating_mul(1_000_000));
-        obs.record_series(&format!("{prefix}.throughput"), n as f64);
-    }
-    obs.set_time_micros(sim_micros(elapsed));
-    obs.counter(&format!("{prefix}.requests")).add(requests);
-    obs.counter(&format!("{prefix}.completed")).add(completed);
-    obs.counter(&format!("{prefix}.retransmits")).add(retransmits);
-    obs.counter(&format!("{prefix}.reads_local")).add(local_served);
-    obs.counter(&format!("{prefix}.sla_met")).add(sla_met);
-    obs.counter(&format!("{prefix}.slo.availability"))
-        .add(availability_ppm);
-    obs.counter(&format!("{prefix}.slo.alerts_fired"))
-        .add(tracker.alerts_fired());
-    obs.counter(&format!("{prefix}.latency_p50_micros"))
-        .add(sim_micros(p50));
-    obs.counter(&format!("{prefix}.latency_p99_micros"))
-        .add(sim_micros(p99));
 
     WorkloadReport {
         requests,
@@ -284,13 +258,12 @@ fn schedule<C>(
 /// Play `stream` on `cluster` through `spec.sessions` open-loop
 /// sessions, one simulated second at a time under a liveness watchdog,
 /// until every request is acknowledged or the drain deadline passes;
-/// then reduce the session records to the `{prefix}.*` report.
+/// then reduce the session records to the report.
 fn drive<S: Service>(
     cluster: &mut Cluster<S>,
     stream: Vec<(SimTime, S::Cmd)>,
     spec: &WorkloadSpec,
     local_reads: bool,
-    prefix: &str,
     obs: &Obs,
 ) -> WorkloadReport {
     let requests = stream.len();
@@ -345,7 +318,6 @@ fn drive<S: Service>(
     }
     summarize(
         spec,
-        prefix,
         outcomes,
         retransmits,
         local_served,
@@ -354,8 +326,9 @@ fn drive<S: Service>(
     )
 }
 
-/// Run `spec` against a fresh lock-service cluster, recording
-/// `workload.*` metrics into `obs`.
+/// Run `spec` against a fresh lock-service cluster; the replicas'
+/// `paxos.*` instruments, the sampled request traces and any SLO or
+/// liveness alert go to `obs`.
 pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
     let cfg = ReplicaConfig {
         batch_max_ops: spec.batch_max_ops,
@@ -367,12 +340,12 @@ pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> 
     };
     let mut cluster = Cluster::new(spec.replicas, LockService::new(), cfg, net, spec.seed);
     let stream = schedule(spec, |rng, user| lock_cmd(rng, spec, user));
-    drive(&mut cluster, stream, spec, spec.local_reads, "workload", obs)
+    drive(&mut cluster, stream, spec, spec.local_reads, obs)
 }
 
-/// Run `spec` against a fresh RS-Paxos storage cluster, recording
-/// `workload_store.*` metrics into `obs`. Local reads do not apply —
-/// a follower holds one shard and cannot reconstruct an object.
+/// Run `spec` against a fresh RS-Paxos storage cluster (`storage.*`
+/// instruments into `obs`). Local reads do not apply — a follower holds
+/// one shard and cannot reconstruct an object.
 pub fn run_storage_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
     let cfg = RsConfig {
         batch_max_ops: spec.batch_max_ops,
@@ -383,7 +356,7 @@ pub fn run_storage_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) 
     };
     let mut cluster = RsCluster::new(spec.replicas, cfg, net, spec.seed);
     let stream = schedule(spec, |rng, user| store_cmd(rng, spec, user));
-    drive(&mut cluster, stream, spec, false, "workload_store", obs)
+    drive(&mut cluster, stream, spec, false, obs)
 }
 
 #[cfg(test)]

@@ -6,10 +6,9 @@
 //! engine that drives the Paxos lock service and the RS-Paxos store
 //! with Poisson / bursty / diurnal arrival processes, measures each
 //! request from scheduled arrival to completion (no coordinated
-//! omission), and reduces the outcomes to latency quantiles, a
-//! per-second throughput series, and an **SLO availability** — the
-//! fraction of requests answered within a latency bound — to sit
-//! alongside the paper's fleet-based figure.
+//! omission), and reduces the outcomes to latency quantiles and an
+//! **SLO availability** — the fraction of requests answered within a
+//! latency bound — to sit alongside the paper's fleet-based figure.
 //!
 //! Determinism contract: arrival times and the command mix come from
 //! sequential ChaCha8 streams derived from the spec seed, and the

@@ -14,7 +14,6 @@
 //! ```
 
 use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
-use spot_jupiter::obs::export::prometheus_text;
 use spot_jupiter::obs::{MetricsSnapshot, Obs};
 use spot_jupiter::replay::scenario::{Scenario, SweepSpec};
 use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig};
@@ -118,7 +117,7 @@ fn main() {
         jupiter.counter("jupiter.candidates_feasible").unwrap_or(0),
     );
 
-    println!("\n== observability: the scenario registry (Prometheus exposition) ==");
+    println!("\n== observability: the scenario registry ==");
     let combined = obs.metrics.snapshot();
     println!(
         "{} counters from {} cells in one registry; bids across all: {}; \
@@ -134,11 +133,10 @@ fn main() {
         combined.counter("model_store.fits_performed").unwrap_or(0),
         combined.counter("model_store.fits_reused").unwrap_or(0),
     );
-    for line in prometheus_text(&combined)
-        .lines()
-        .filter(|l| l.contains("bids_placed"))
-    {
-        println!("  {line}");
+    for (name, value) in &combined.counters {
+        if name.starts_with("cell.") && name.ends_with(".bids_placed") {
+            println!("  {name} {value}");
+        }
     }
 
     println!(

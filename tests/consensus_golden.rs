@@ -29,14 +29,18 @@
 //!
 //! The last two cases (`lock_market_replay`, `store_workload_batched`)
 //! were recorded at 1de41dd, the last tree with the counter-diffing perf
-//! baseline: they take over its `lock_service_replay` and
-//! `workload_store.*` pins, and its 22 lock-service counters held there.
+//! baseline: they take over its `lock_service_replay` and store-workload
+//! pins, and its 22 lock-service counters held there.
+//! `lock_market_replay` was 0x52edf1a18c2f40d1 then; it was re-keyed at
+//! 4fda18e, where writing its three `service.*` series through
+//! `SeriesSnapshot::to_json` instead of the since-deleted JSON-lines
+//! exporter gives the value below (same samples, other bytes).
 
 use std::fmt::{self, Write as _};
 
 use bytes::Bytes;
 use spot_jupiter::jupiter::JupiterStrategy;
-use spot_jupiter::obs::{self, Obs};
+use spot_jupiter::obs::Obs;
 use spot_jupiter::paxos::open_loop::OpenLoopClient;
 use spot_jupiter::paxos::{ClientOp, Cluster, LockCmd, LockService, PaxosNode, ReplicaConfig};
 use spot_jupiter::replay::record_trace_metrics;
@@ -70,7 +74,7 @@ const WANT: [(&str, u64); 18] = [
     ("store chaos batched 4", 0x7f945874ac4e2f39),
     ("store open loop", 0x6531026a967d91be),
     // Recorded at 1de41dd (see the header).
-    ("lock market replay", 0x52edf1a18c2f40d1),
+    ("lock market replay", 0x640f8dd960cbf900),
     ("store workload batch 8", 0x0f3eee4c8d5af7d4),
 ];
 
@@ -630,7 +634,9 @@ fn lock_market_replay() -> u64 {
     let mut series = obs.series.snapshot();
     series.retain(|s| s.name.starts_with("service."));
     assert_eq!(series.len(), 3, "crashes, fleet_size, reconfigs");
-    d.write_str(&obs::export::samples_jsonl(&series)).unwrap();
+    for s in &series {
+        writeln!(d, "{}", s.to_json()).unwrap();
+    }
     d.0
 }
 

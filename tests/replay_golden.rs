@@ -2,16 +2,26 @@
 //! over everything a replay hands back — the accounting (`strategy`,
 //! `total_cost`, `up_minutes`, `degraded_minutes`, `on_demand_cost`,
 //! every instance record, every interval outcome), the metric key set
-//! and values (Prometheus text), every series sample, the audit log and
-//! the alerts — across the era / repair / pool / scaler / schedule /
-//! store axes at once.
+//! and values (`name value` per counter, `name count` per histogram),
+//! every series (`SeriesSnapshot::to_json`), the audit log and the alerts
+//! — across the era / repair / pool / scaler / schedule / store axes at
+//! once.
 //!
-//! The digests were recorded at commit 763eb9e (the nine `replay_*`
-//! wrappers over `replay_core`), before the loop was split into phases.
-//! To reproduce them there, put this file into that tree with each
-//! `Replay::new(m, spec, config)…run(strategy)` chain spelled as the
-//! wrapper it replaced and run `cargo test --offline --test
-//! replay_golden`:
+//! The accounting these digests pin was first recorded at commit 763eb9e
+//! (the nine `replay_*` wrappers over `replay_core`), before the loop was
+//! split into phases; the table below maps each chain here to the call
+//! there. The values themselves were re-keyed at 4fda18e, the last tree
+//! with the Prometheus / JSON-lines exporters the digest used to
+//! serialise through and with the instruments no reader named: this
+//! `digest`, run there with those instruments filtered out of its input
+//! by name, gives these seven values (recorded twice, equal; the filter
+//! list and the patch are in CHANGES.md, PR 18). Here nothing is
+//! filtered — the names no longer exist.
+//!
+//! To reproduce the 763eb9e recording, put the pre-PR-18 form of this
+//! file into that tree with each `Replay::new(m, spec, config)…run(strategy)`
+//! chain spelled as the wrapper it replaced and run `cargo test --offline
+//! --test replay_golden`:
 //!
 //! | chain here                                  | call at 763eb9e |
 //! |---------------------------------------------|-----------------|
@@ -40,13 +50,13 @@ const EVAL_START: u64 = 14 * DAY;
 const EVAL_END: u64 = 17 * DAY;
 
 const WANT: [u64; 7] = [
-    0x9f2e6fb3b533ddd6, // Jupiter, 6 h, plain
-    0xb241375a365b96c3, // Extra(0,0.02), 3 h, hybrid repair
-    0xbbf41edb1a94be1d, // Feedback, 3 h, capacity era + migrate
-    0xd86f5d6d46245580, // Jupiter, 3 h, {m1.small, m3.large} + auto-scaler
-    0xa0e0658abc8f3d0b, // Jupiter, adaptive schedule
-    0x4d11de425b2b4df5, // Extra(0,0.2), 12 h, reactive, shared store: first run
-    0x4a2ed26a5cf52ae3, // … second run on the same store and registry
+    0xa841b8811cd2b6ff, // Jupiter, 6 h, plain
+    0x16856ecaaf6cc9cb, // Extra(0,0.02), 3 h, hybrid repair
+    0x3a51d8dbd3343da3, // Feedback, 3 h, capacity era + migrate
+    0xaf86387c205fc509, // Jupiter, 3 h, {m1.small, m3.large} + auto-scaler
+    0xea34d5930f453420, // Jupiter, adaptive schedule
+    0x76130dd0f03898a9, // Extra(0,0.2), 12 h, reactive, shared store: first run
+    0x1b61de9b26b1bd84, // … second run on the same store and registry
 ];
 
 fn market(hetero: bool) -> Market {
@@ -67,21 +77,10 @@ fn config(hours: u64) -> ReplayConfig {
 }
 
 fn digest(r: &ReplayResult) -> u64 {
-    let mut metrics = r.metrics.clone().expect("metrics enabled");
-    for (_, h) in &mut metrics.histograms {
-        *h = obs::HistogramSummary {
-            count: h.count,
-            ..Default::default()
-        };
-    }
-    let (timed, series): (Vec<_>, Vec<_>) = r
-        .series
-        .iter()
-        .cloned()
-        .partition(|s| s.name.ends_with("_micros"));
-    let timed: Vec<_> = timed.iter().map(|s| (&s.name, s.points.len())).collect();
-    let text = format!(
-        "{:?}\n{:?}\n{}{}{}{}",
+    use std::fmt::Write as _;
+    let metrics = r.metrics.as_ref().expect("metrics enabled");
+    let mut text = format!(
+        "{:?}\n",
         (
             &r.strategy,
             r.total_cost,
@@ -90,13 +89,23 @@ fn digest(r: &ReplayResult) -> u64 {
             r.on_demand_cost,
             &r.instances,
             &r.intervals
-        ),
-        timed,
-        obs::export::prometheus_text(&metrics),
-        obs::export::samples_jsonl(&series),
-        obs::audit_jsonl(&r.audit),
-        obs::alerts_jsonl(&r.alerts),
+        )
     );
+    for (name, v) in &metrics.counters {
+        writeln!(text, "{name} {v}").unwrap();
+    }
+    for (name, h) in &metrics.histograms {
+        writeln!(text, "{name} {}", h.count).unwrap();
+    }
+    for s in &r.series {
+        if s.name.ends_with("_micros") {
+            writeln!(text, "{} {}", s.name, s.points.len()).unwrap();
+        } else {
+            writeln!(text, "{}", s.to_json()).unwrap();
+        }
+    }
+    text.push_str(&obs::audit_jsonl(&r.audit));
+    text.push_str(&obs::alerts_jsonl(&r.alerts));
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
