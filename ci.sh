@@ -36,7 +36,10 @@ echo "== benchmark package tests =="
 # own outside this workspace, reaching the crates through their public
 # functions only — so the step above neither compiles it nor notices a
 # renamed function it calls. Unit tests plus a 1/20-scale smoke run, ~2 s.
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# --locked: benchmark/Cargo.lock is frozen with benchmark/, so a PR that
+# moves a dependency edge of a crate the benchmark links fails here
+# instead of silently rewriting a file under benchmark/.
+cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
 
 echo "== repro smoke + cross-process repeatability =="
 # Each quick target runs twice, in two processes, at one seed; the rows

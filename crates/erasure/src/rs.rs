@@ -94,11 +94,6 @@ impl ReedSolomon {
         self.n
     }
 
-    /// Parity shards `n − m`.
-    pub fn parity_shards(&self) -> usize {
-        self.n - self.m
-    }
-
     /// Encode `m` equal-length data shards into `n` shards (the first `m`
     /// are the data, verbatim).
     pub fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, ErasureError> {

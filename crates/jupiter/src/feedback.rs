@@ -21,39 +21,22 @@ use spot_market::{InstanceType, Price, Zone};
 use crate::service::ServiceSpec;
 use crate::strategy::{BidDecision, BiddingStrategy, PoolBid, ZoneState};
 
-/// PID gains and actuation limits of the feedback bidder.
-#[derive(Clone, Copy, Debug)]
-pub struct FeedbackConfig {
-    /// Proportional gain on the availability error.
-    pub kp: f64,
-    /// Integral gain (error accumulates across decisions).
-    pub ki: f64,
-    /// Derivative gain (on the error delta).
-    pub kd: f64,
-    /// Initial bid headroom over the spot price (0.15 ⇒ spot × 1.15).
-    pub initial_headroom: f64,
-    /// Headroom floor: the bid never drops below spot × (1 + floor).
-    pub min_headroom: f64,
-    /// Headroom ceiling: the bid never exceeds spot × (1 + ceiling), and
-    /// is always capped strictly below the on-demand price.
-    pub max_headroom: f64,
-    /// Anti-windup clamp on the integrated error.
-    pub integral_clamp: f64,
-}
-
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        FeedbackConfig {
-            kp: 0.6,
-            ki: 0.25,
-            kd: 0.1,
-            initial_headroom: 0.15,
-            min_headroom: 0.02,
-            max_headroom: 3.0,
-            integral_clamp: 4.0,
-        }
-    }
-}
+// PID gains and actuation limits of the feedback bidder.
+/// Proportional gain on the availability error.
+const KP: f64 = 0.6;
+/// Integral gain (error accumulates across decisions).
+const KI: f64 = 0.25;
+/// Derivative gain (on the error delta).
+const KD: f64 = 0.1;
+/// Initial bid headroom over the spot price (0.15 ⇒ spot × 1.15).
+const INITIAL_HEADROOM: f64 = 0.15;
+/// Headroom floor: the bid never drops below spot × (1 + floor).
+const MIN_HEADROOM: f64 = 0.02;
+/// Headroom ceiling: the bid never exceeds spot × (1 + ceiling), and
+/// is always capped strictly below the on-demand price.
+const MAX_HEADROOM: f64 = 3.0;
+/// Anti-windup clamp on the integrated error.
+const INTEGRAL_CLAMP: f64 = 4.0;
 
 /// Per-pool controller state.
 #[derive(Clone, Copy, Debug, Default)]
@@ -76,29 +59,15 @@ struct PoolLoop {
 /// [`crate::FixedOnce`]): each call observes which standing bids the
 /// current spot prices would have killed and moves every pool's headroom
 /// by the PID law before re-selecting the cheapest pools.
+#[derive(Default)]
 pub struct FeedbackStrategy {
-    config: FeedbackConfig,
     loops: Mutex<HashMap<(Zone, InstanceType), PoolLoop>>,
 }
 
 impl FeedbackStrategy {
-    /// A controller with default gains.
+    /// A controller with no pool engaged yet.
     pub fn new() -> Self {
-        Self::with_config(FeedbackConfig::default())
-    }
-
-    /// A controller with explicit gains.
-    pub fn with_config(config: FeedbackConfig) -> Self {
-        FeedbackStrategy {
-            config,
-            loops: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl Default for FeedbackStrategy {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -116,7 +85,6 @@ impl BiddingStrategy for FeedbackStrategy {
         if zones.is_empty() {
             return BidDecision::empty();
         }
-        let cfg = self.config;
         // The per-node availability the deployment needs (the loop's set
         // point): at the baseline node count, a node may fail with at most
         // the per-node FP target probability.
@@ -131,19 +99,17 @@ impl BiddingStrategy for FeedbackStrategy {
         for z in zones {
             let state = loops.entry((z.zone, z.instance_type)).or_default();
             if !state.engaged {
-                state.headroom = cfg.initial_headroom;
+                state.headroom = INITIAL_HEADROOM;
                 state.last_error = 0.0;
             } else {
                 // Observed availability proxy: 1 when the standing bid
                 // would still hold the instance at today's spot price.
                 let survived = if state.last_bid >= z.spot_price { 1.0 } else { 0.0 };
                 let error = target - survived; // > 0 ⇒ we were outbid
-                state.integral =
-                    (state.integral + error).clamp(-cfg.integral_clamp, cfg.integral_clamp);
+                state.integral = (state.integral + error).clamp(-INTEGRAL_CLAMP, INTEGRAL_CLAMP);
                 let derivative = error - state.last_error;
-                let u = cfg.kp * error + cfg.ki * state.integral + cfg.kd * derivative;
-                state.headroom = (state.headroom * (1.0 + u))
-                    .clamp(cfg.min_headroom, cfg.max_headroom);
+                let u = KP * error + KI * state.integral + KD * derivative;
+                state.headroom = (state.headroom * (1.0 + u)).clamp(MIN_HEADROOM, MAX_HEADROOM);
                 state.last_error = error;
             }
         }
@@ -323,6 +289,13 @@ mod tests {
         }
         assert!(last < b0.bid, "calm loop decays headroom: {last:?} vs {:?}", b0.bid);
         assert!(last > p(0.008), "but never below the spot price");
+        // Calm for long enough, the headroom settles on its 2 % floor (no
+        // golden keeps a pool calm that long).
+        for _ in 0..100 {
+            let d = strat.decide(&states(&m, &[0.008; 6]), &spec, 60);
+            last = d.bid_for(b0.zone, b0.instance_type).expect("still bidding");
+        }
+        assert_eq!(last, p(0.008).scale(1.02));
     }
 
     #[test]

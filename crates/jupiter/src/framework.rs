@@ -87,20 +87,6 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
             .observe(trace);
     }
 
-    /// Train all pools from a common history source. Fresh batch training
-    /// replaces a pool's existing model; use [`Self::observe`] for
-    /// incremental updates.
-    pub fn train_all<'a, I>(&mut self, histories: I)
-    where
-        I: IntoIterator<Item = (Zone, InstanceType, &'a PriceTrace)>,
-    {
-        let cfg = self.model_config;
-        for (zone, ty, trace) in histories {
-            self.models
-                .insert((zone, ty), FailureModel::from_trace(trace, cfg));
-        }
-    }
-
     /// The trained model for the `(zone, ty)` pool, if any.
     pub fn model(&self, zone: Zone, ty: InstanceType) -> Option<&FailureModel> {
         self.models.get(&(zone, ty))
@@ -165,7 +151,9 @@ mod tests {
             .collect();
 
         let mut fw = BiddingFramework::new(ServiceSpec::lock_service(), JupiterStrategy::new());
-        fw.train_all(traces.iter().map(|(z, t)| (*z, ty, t)));
+        for (z, t) in &traces {
+            fw.observe(*z, ty, t);
+        }
 
         let snapshots: Vec<MarketSnapshot> = traces
             .iter()

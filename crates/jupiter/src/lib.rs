@@ -46,7 +46,7 @@ pub mod strategy;
 
 pub use algorithm::JupiterStrategy;
 pub use exhaustive::ExhaustiveSolver;
-pub use feedback::{FeedbackConfig, FeedbackStrategy};
+pub use feedback::FeedbackStrategy;
 pub use framework::BiddingFramework;
 pub use heuristic::{ExtraStrategy, FixedOnce};
 pub use service::ServiceSpec;

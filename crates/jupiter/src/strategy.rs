@@ -69,21 +69,6 @@ impl BidDecision {
         BidDecision { bids: Vec::new() }
     }
 
-    /// Build a single-type decision from `(zone, bid)` pairs — the shape
-    /// every pre-heterogeneous strategy produces.
-    pub fn single_type(ty: InstanceType, bids: Vec<(Zone, Price)>) -> Self {
-        BidDecision {
-            bids: bids
-                .into_iter()
-                .map(|(zone, bid)| PoolBid {
-                    zone,
-                    instance_type: ty,
-                    bid,
-                })
-                .collect(),
-        }
-    }
-
     /// The number of instances.
     pub fn n(&self) -> usize {
         self.bids.len()
@@ -175,16 +160,5 @@ mod tests {
         let e = BidDecision::empty();
         assert_eq!(e.n(), 0);
         assert_eq!(e.cost_upper_bound(), Price::ZERO);
-    }
-
-    #[test]
-    fn single_type_constructor_tags_every_bid() {
-        let zones = all_zones();
-        let d = BidDecision::single_type(
-            InstanceType::M1Small,
-            vec![(zones[0], Price::from_dollars(0.01))],
-        );
-        assert_eq!(d.bids[0].instance_type, InstanceType::M1Small);
-        assert_eq!(d.strength(), 1);
     }
 }

@@ -26,9 +26,4 @@ impl ManualClock {
     pub fn set_micros(&self, micros: u64) {
         self.micros.fetch_max(micros, Ordering::Relaxed);
     }
-
-    /// Advance by `delta` microseconds.
-    pub fn advance_micros(&self, delta: u64) {
-        self.micros.fetch_add(delta, Ordering::Relaxed);
-    }
 }

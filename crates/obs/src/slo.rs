@@ -17,51 +17,47 @@ use std::collections::VecDeque;
 use crate::monitor::{AlertSink, Severity};
 use crate::trace::FieldValue;
 
-/// A declarative service-level objective with its alerting windows.
+/// Target good fraction (the paper's fleet target is 0.99).
+const OBJECTIVE: f64 = 0.99;
+/// Fast (paging) burn window, sim minutes.
+const FAST_WINDOW_MINUTES: u64 = 60;
+/// Slow (ticketing) burn window, sim minutes.
+const SLOW_WINDOW_MINUTES: u64 = 360;
+/// Burn-rate threshold for the fast window (SRE convention: 14.4
+/// spends 2% of a 30-day budget in an hour).
+const FAST_BURN_THRESHOLD: f64 = 14.4;
+/// Burn-rate threshold for the slow window.
+const SLOW_BURN_THRESHOLD: f64 = 6.0;
+
+/// A named service-level objective: 99% good over a budget window, with
+/// a 1-hour fast window at burn 14.4 and a 6-hour slow window at burn 6.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SloSpec {
     /// SLO name; alerts fire as `slo.{name}.fast_burn` /
     /// `slo.{name}.slow_burn` / `slo.{name}.budget_exhausted`.
     pub name: String,
-    /// Target good fraction (the paper's fleet target is 0.99).
-    pub objective: f64,
     /// Budget window in sim minutes: the error budget is
     /// `(1 − objective) × window_minutes` bad units.
     pub window_minutes: u64,
-    /// Fast (paging) burn window, sim minutes.
-    pub fast_window_minutes: u64,
-    /// Slow (ticketing) burn window, sim minutes.
-    pub slow_window_minutes: u64,
-    /// Burn-rate threshold for the fast window (SRE convention: 14.4
-    /// spends 2% of a 30-day budget in an hour).
-    pub fast_burn_threshold: f64,
-    /// Burn-rate threshold for the slow window.
-    pub slow_burn_threshold: f64,
 }
 
 impl SloSpec {
     /// The paper's fleet-availability SLO (§5: ≥ 0.99 of evaluated
     /// minutes with a quorum up) over a budget window of
-    /// `window_minutes`, with a 1-hour fast window at burn 14.4 and a
-    /// 6-hour slow window at burn 6.
+    /// `window_minutes`.
     pub fn paper_availability(window_minutes: u64) -> SloSpec {
         SloSpec {
             name: "availability".to_owned(),
-            objective: 0.99,
             window_minutes,
-            fast_window_minutes: 60,
-            slow_window_minutes: 360,
-            fast_burn_threshold: 14.4,
-            slow_burn_threshold: 6.0,
         }
     }
 
     /// The request-latency SLO: 99% of requests within the configured
-    /// SLA bound, same windows/thresholds as the availability SLO.
+    /// SLA bound.
     pub fn request_latency(window_minutes: u64) -> SloSpec {
         SloSpec {
             name: "request_latency".to_owned(),
-            ..SloSpec::paper_availability(window_minutes)
+            window_minutes,
         }
     }
 }
@@ -135,7 +131,7 @@ impl SloTracker {
         self.cum_bad += bad;
         self.cum_total += total;
         self.window.push_back((minute, bad, total));
-        let keep_from = minute.saturating_sub(self.spec.slow_window_minutes.max(1) - 1);
+        let keep_from = minute.saturating_sub(SLOW_WINDOW_MINUTES - 1);
         while self.window.front().map(|&(m, _, _)| m < keep_from).unwrap_or(false) {
             self.window.pop_front();
         }
@@ -145,10 +141,10 @@ impl SloTracker {
         // fraction (one bad minute at stream start is burn 100).
         let elapsed = minute.saturating_sub(first) + 1;
         let at_micros = minute.saturating_mul(60_000_000);
-        let fast = self.burn_rate(self.spec.fast_window_minutes);
-        let slow = self.burn_rate(self.spec.slow_window_minutes);
+        let fast = self.burn_rate(FAST_WINDOW_MINUTES);
+        let slow = self.burn_rate(SLOW_WINDOW_MINUTES);
         let mut fast_seq = None;
-        if fast >= self.spec.fast_burn_threshold && elapsed >= self.spec.fast_window_minutes {
+        if fast >= FAST_BURN_THRESHOLD && elapsed >= FAST_WINDOW_MINUTES {
             if !self.fast_firing {
                 self.fast_firing = true;
                 fast_seq = self.fire(
@@ -156,22 +152,16 @@ impl SloTracker {
                     "fast_burn",
                     Severity::Critical,
                     fast,
-                    self.spec.fast_window_minutes,
+                    FAST_WINDOW_MINUTES,
                 );
             }
         } else {
             self.fast_firing = false;
         }
-        if slow >= self.spec.slow_burn_threshold && elapsed >= self.spec.slow_window_minutes {
+        if slow >= SLOW_BURN_THRESHOLD && elapsed >= SLOW_WINDOW_MINUTES {
             if !self.slow_firing {
                 self.slow_firing = true;
-                self.fire(
-                    at_micros,
-                    "slow_burn",
-                    Severity::Warning,
-                    slow,
-                    self.spec.slow_window_minutes,
-                );
+                self.fire(at_micros, "slow_burn", Severity::Warning, slow, SLOW_WINDOW_MINUTES);
             }
         } else {
             self.slow_firing = false;
@@ -210,7 +200,7 @@ impl SloTracker {
                     "budget_remaining".to_owned(),
                     FieldValue::F64(self.budget_remaining()),
                 ),
-                ("objective".to_owned(), FieldValue::F64(self.spec.objective)),
+                ("objective".to_owned(), FieldValue::F64(OBJECTIVE)),
             ],
         )
     }
@@ -230,7 +220,7 @@ impl SloTracker {
             bad += b;
             total += t;
         }
-        let budget_rate = (1.0 - self.spec.objective).max(f64::EPSILON);
+        let budget_rate = 1.0 - OBJECTIVE;
         if total <= 0.0 {
             0.0
         } else {
@@ -250,7 +240,7 @@ impl SloTracker {
     /// Fraction of the error budget left (can go negative when blown):
     /// `1 − bad / ((1 − objective) × window_minutes)`.
     pub fn budget_remaining(&self) -> f64 {
-        let budget = (1.0 - self.spec.objective) * self.spec.window_minutes as f64;
+        let budget = (1.0 - OBJECTIVE) * self.spec.window_minutes as f64;
         if budget <= 0.0 {
             return 0.0;
         }

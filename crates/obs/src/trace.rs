@@ -480,13 +480,6 @@ impl Span {
         self.finish(&[]);
     }
 
-    /// Microseconds elapsed since the span opened.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.tracer
-            .now_micros()
-            .saturating_sub(self.start_micros)
-    }
-
     fn finish(&mut self, fields: &[(&str, FieldValue)]) {
         if self.finished {
             return;

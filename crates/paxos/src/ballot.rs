@@ -28,14 +28,6 @@ impl Ballot {
     pub fn initial(node: NodeId) -> Ballot {
         Ballot { round: 1, node }
     }
-
-    /// The smallest ballot owned by `node` strictly above `self`.
-    pub fn next_for(&self, node: NodeId) -> Ballot {
-        Ballot {
-            round: self.round + 1,
-            node,
-        }
-    }
 }
 
 impl fmt::Debug for Ballot {
@@ -64,16 +56,5 @@ mod tests {
         };
         assert!(a < b && b < c);
         assert!(Ballot::BOTTOM < a);
-    }
-
-    #[test]
-    fn next_for_always_exceeds() {
-        let cur = Ballot {
-            round: 7,
-            node: NodeId(9),
-        };
-        for node in 0..10 {
-            assert!(cur.next_for(NodeId(node)) > cur);
-        }
     }
 }

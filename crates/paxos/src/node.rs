@@ -31,14 +31,6 @@ impl<S: Service> PaxosNode<S> {
         }
     }
 
-    /// Mutable replica state, if this is a server.
-    pub fn as_server_mut(&mut self) -> Option<&mut Replica<S>> {
-        match self {
-            PaxosNode::Server(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// The client state, if this is a client.
     pub fn as_client(&self) -> Option<&ClientState<S>> {
         match self {
@@ -57,14 +49,6 @@ impl<S: Service> PaxosNode<S> {
 
     /// The open-loop session state, if this is one.
     pub fn as_open_loop(&self) -> Option<&OpenLoopClient<S>> {
-        match self {
-            PaxosNode::OpenLoop(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Mutable open-loop session state, if this is one.
-    pub fn as_open_loop_mut(&mut self) -> Option<&mut OpenLoopClient<S>> {
         match self {
             PaxosNode::OpenLoop(c) => Some(c),
             _ => None,

@@ -19,16 +19,6 @@ pub struct ReplicaConfig {
     /// The quorum rule (majority for the lock service, RS-Paxos for the
     /// coded storage service).
     pub quorum: QuorumRule,
-    /// Internal bookkeeping tick.
-    pub tick: SimTime,
-    /// Leader heartbeat period.
-    pub heartbeat_every: SimTime,
-    /// Election timeout range (randomized per deadline).
-    pub election_timeout: (SimTime, SimTime),
-    /// Re-broadcast period for unacknowledged proposals.
-    pub proposal_retry: SimTime,
-    /// Maximum entries per catch-up reply batch.
-    pub catchup_batch: usize,
     /// Compact the log (snapshot + prune) once this many slots have been
     /// applied since the previous compaction. `None` disables compaction.
     pub compact_after: Option<u64>,
@@ -59,11 +49,6 @@ impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
             quorum: QuorumRule::Majority,
-            tick: SimTime::from_millis(50),
-            heartbeat_every: SimTime::from_millis(200),
-            election_timeout: (SimTime::from_millis(800), SimTime::from_millis(1600)),
-            proposal_retry: SimTime::from_millis(400),
-            catchup_batch: 512,
             compact_after: Some(4096),
             batch_max_ops: 1,
             batch_delay: SimTime::from_millis(5),
@@ -73,6 +58,19 @@ impl Default for ReplicaConfig {
         }
     }
 }
+
+/// Internal bookkeeping tick.
+const TICK: SimTime = SimTime::from_millis(50);
+/// Leader heartbeat period.
+const HEARTBEAT_EVERY: SimTime = SimTime::from_millis(200);
+/// Election timeout range (randomized per deadline).
+const ELECTION_TIMEOUT: (SimTime, SimTime) =
+    (SimTime::from_millis(800), SimTime::from_millis(1600));
+/// Re-broadcast period for unacknowledged proposals (and, in the coded
+/// store, for shard pulls).
+pub const PROPOSAL_RETRY: SimTime = SimTime::from_millis(400);
+/// Maximum entries per catch-up reply batch.
+const CATCHUP_BATCH: usize = 512;
 
 const TICK_TOKEN: TimerToken = TimerToken(0);
 /// Linger timer for a partial batch (token 1 is the client tick).
@@ -440,9 +438,8 @@ impl<S: Service> Replica<S> {
     }
 
     fn reset_election_deadline(&mut self, now: SimTime) {
-        let (lo, hi) = self.cfg.election_timeout;
-        let span = hi.as_millis().saturating_sub(lo.as_millis()).max(1);
-        let jitter = self.rng.gen_range(0..span);
+        let (lo, hi) = ELECTION_TIMEOUT;
+        let jitter = self.rng.gen_range(0..(hi - lo).as_millis());
         self.election_deadline = now + lo + SimTime::from_millis(jitter);
     }
 
@@ -976,7 +973,7 @@ impl<S: Service> Replica<S> {
     /// Boot: arm the tick timer and stagger the first election.
     pub fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
         self.reset_election_deadline(ctx.now);
-        ctx.set_timer(self.cfg.tick, TICK_TOKEN);
+        ctx.set_timer(TICK, TICK_TOKEN);
     }
 
     /// Periodic bookkeeping.
@@ -987,7 +984,7 @@ impl<S: Service> Replica<S> {
             self.maybe_flush_batches(false, ctx);
             return;
         }
-        ctx.set_timer(self.cfg.tick, TICK_TOKEN);
+        ctx.set_timer(TICK, TICK_TOKEN);
         if self.retired {
             return;
         }
@@ -997,7 +994,7 @@ impl<S: Service> Replica<S> {
             }
             return;
         }
-        if ctx.now.saturating_sub(self.last_heartbeat_sent) >= self.cfg.heartbeat_every {
+        if ctx.now.saturating_sub(self.last_heartbeat_sent) >= HEARTBEAT_EVERY {
             self.send_heartbeat(ctx);
         }
         // Backstop for the linger timer (lost across reboots).
@@ -1009,7 +1006,7 @@ impl<S: Service> Replica<S> {
         let stale: Vec<Slot> = self
             .proposals
             .iter()
-            .filter(|(_, p)| ctx.now.saturating_sub(p.sent_at) >= self.cfg.proposal_retry)
+            .filter(|(_, p)| ctx.now.saturating_sub(p.sent_at) >= PROPOSAL_RETRY)
             .map(|(&s, _)| s)
             .collect();
         let ballot = self.ballot;
@@ -1087,7 +1084,7 @@ impl<S: Service> Replica<S> {
                 commit_index,
             } => self.on_heartbeat(ballot, commit_index, ctx),
             Msg::CatchupRequest { from_slot } => {
-                self.on_catchup_request(from, from_slot, self.cfg.catchup_batch, ctx);
+                self.on_catchup_request(from, from_slot, CATCHUP_BATCH, ctx);
             }
             Msg::CatchupReply { snapshot, entries } => {
                 self.on_catchup_reply(snapshot, entries, ctx);
@@ -1236,5 +1233,15 @@ impl<S: Service> Replica<S> {
             }
         }
         // No leader known: drop; the client retransmits.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The goldens replay no catch-up longer than 256 entries, so they
+    /// only move when this is mistyped below that; the value is held here.
+    #[test]
+    fn catchup_replies_carry_at_most_512_entries() {
+        assert_eq!(super::CATCHUP_BATCH, 512);
     }
 }

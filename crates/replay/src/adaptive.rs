@@ -11,40 +11,20 @@
 use jupiter::ServiceSpec;
 use spot_market::Market;
 
-/// Parameters of the adaptive interval rule.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveConfig {
-    /// Smallest interval, hours.
-    pub min_hours: u64,
-    /// Largest interval, hours.
-    pub max_hours: u64,
-    /// Desired price changes per zone per interval.
-    pub target_changes: f64,
-    /// Trailing window used to estimate the change rate, minutes.
-    pub lookback_minutes: u64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            min_hours: 1,
-            max_hours: 12,
-            target_changes: 12.0,
-            lookback_minutes: 24 * 60,
-        }
-    }
-}
+/// Smallest interval, hours.
+const MIN_HOURS: u64 = 1;
+/// Largest interval, hours.
+const MAX_HOURS: u64 = 12;
+/// Desired price changes per zone per interval.
+const TARGET_CHANGES: f64 = 12.0;
+/// Trailing window used to estimate the change rate, minutes.
+const LOOKBACK_MINUTES: u64 = 24 * 60;
 
 /// The interval (minutes) the adaptive rule picks at `boundary`, from the
 /// *revealed* trailing price history only.
-pub fn adaptive_interval(
-    market: &Market,
-    spec: &ServiceSpec,
-    cfg: &AdaptiveConfig,
-    boundary: u64,
-) -> u64 {
+pub fn adaptive_interval(market: &Market, spec: &ServiceSpec, boundary: u64) -> u64 {
     let ty = spec.instance_type;
-    let from = boundary.saturating_sub(cfg.lookback_minutes);
+    let from = boundary.saturating_sub(LOOKBACK_MINUTES);
     let span_hours = (boundary - from).max(60) as f64 / 60.0;
     let mut rate_sum = 0.0;
     let mut zones = 0.0;
@@ -58,11 +38,11 @@ pub fn adaptive_interval(
     }
     let rate = if zones > 0.0 { rate_sum / zones } else { 0.0 };
     let hours = if rate <= f64::EPSILON {
-        cfg.max_hours
+        MAX_HOURS
     } else {
-        (cfg.target_changes / rate).round().max(1.0) as u64
+        (TARGET_CHANGES / rate).round().max(1.0) as u64
     };
-    hours.clamp(cfg.min_hours, cfg.max_hours) * 60
+    hours.clamp(MIN_HOURS, MAX_HOURS) * 60
 }
 
 #[cfg(test)]
@@ -83,21 +63,12 @@ mod tests {
     fn interval_respects_bounds_and_rate() {
         let market = market();
         let spec = ServiceSpec::lock_service();
-        let cfg = AdaptiveConfig::default();
-        let at = 7 * 24 * 60;
-        let minutes = adaptive_interval(&market, &spec, &cfg, at);
-        assert!(minutes >= cfg.min_hours * 60 && minutes <= cfg.max_hours * 60);
-        // A higher change target stretches the interval.
-        let longer = adaptive_interval(
-            &market,
-            &spec,
-            &AdaptiveConfig {
-                target_changes: 48.0,
-                ..cfg
-            },
-            at,
-        );
-        assert!(longer >= minutes);
+        let minutes = adaptive_interval(&market, &spec, 7 * 24 * 60);
+        assert!((MIN_HOURS * 60..=MAX_HOURS * 60).contains(&minutes));
+        // No golden's schedule touches either bound; held here.
+        assert_eq!((MIN_HOURS, MAX_HOURS), (1, 12));
+        // Nothing revealed yet means no measured rate: the longest interval.
+        assert_eq!(adaptive_interval(&market, &spec, 0), MAX_HOURS * 60);
     }
 
     #[test]
@@ -106,7 +77,7 @@ mod tests {
         let spec = ServiceSpec::lock_service();
         let config = ReplayConfig::new(7 * 24 * 60, 9 * 24 * 60, 6);
         let r = Replay::new(&market, &spec, config)
-            .adaptive(AdaptiveConfig::default())
+            .adaptive()
             .run(ExtraStrategy::new(0, 0.2));
         assert!(r.strategy.contains("[adaptive]"));
         assert_eq!(r.window_minutes, 2 * 24 * 60);

@@ -22,16 +22,17 @@
 
 use obs::{AuditKind, Obs};
 
+/// Availability floor for the interval just ended; an interval below it
+/// triggers an immediate scale-out even when the forecast says the
+/// standing target suffices (the load model underestimated).
+const AVAILABILITY_FLOOR: f64 = 0.99;
+
 /// Auto-scaler parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct AutoscaleConfig {
     /// Headroom kept over forecast demand (0.25 ⇒ target strength =
     /// demand × 1.25, rounded up).
     pub headroom: f64,
-    /// Availability floor for the interval just ended; an interval below
-    /// it triggers an immediate scale-out even when the forecast says the
-    /// standing target suffices (the load model underestimated).
-    pub availability_floor: f64,
     /// Consecutive intervals the demand forecast must sit below the
     /// standing target (with full headroom) before the target shrinks.
     pub hysteresis_intervals: u32,
@@ -45,7 +46,6 @@ impl Default for AutoscaleConfig {
     fn default() -> Self {
         AutoscaleConfig {
             headroom: 0.25,
-            availability_floor: 0.99,
             hysteresis_intervals: 3,
             min_strength: 5,
             max_strength: 64,
@@ -150,7 +150,7 @@ impl AutoScaler {
         let desired = ((demand * (1.0 + cfg.headroom)).ceil() as u32)
             .clamp(cfg.min_strength, cfg.max_strength);
         let availability = observed.map_or(1.0, |o| o.availability);
-        let slo_burn = availability < cfg.availability_floor;
+        let slo_burn = availability < AVAILABILITY_FLOOR;
         let from = self.target;
 
         let (action, reason) = if desired > self.target {
@@ -314,6 +314,16 @@ mod tests {
             &obs,
         );
         assert!(burned > before, "{burned} !> {before}");
+        // The floor is 0.99 exactly (no golden interval lands near it):
+        // at it the target holds, a hair under it burns.
+        let at = |availability| {
+            Some(ObservedInterval {
+                availability,
+                mean_strength: burned as f64,
+            })
+        };
+        assert_eq!(s.plan(120, 180, at(0.99), &obs), burned);
+        assert!(s.plan(180, 240, at(0.9899), &obs) > burned);
     }
 
     #[test]

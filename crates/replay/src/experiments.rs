@@ -605,7 +605,6 @@ pub fn ablation_greedy_vs_exact(scale: &Scale) -> Vec<OptimalityRow> {
 /// adaptive schedule that tracks the price-change rate (§5.5's proposed
 /// extension).
 pub fn ablation_adaptive(scale: &Scale) -> Vec<Row> {
-    use crate::adaptive::AdaptiveConfig;
     let spec = ServiceSpec::lock_service();
     let scenario = scale.scenario(spec.instance_type);
     let sweep = SweepSpec::new(spec.clone())
@@ -621,7 +620,7 @@ pub fn ablation_adaptive(scale: &Scale) -> Vec<Row> {
         .collect();
 
     // The adaptive run reuses the fixed cells' kernels from the store.
-    let r = scenario.run_adaptive(&spec, JupiterStrategy::new(), AdaptiveConfig::default());
+    let r = scenario.run_adaptive(&spec, JupiterStrategy::new());
     let mean_interval_hours = if r.intervals.len() > 1 {
         let total: u64 = r
             .intervals

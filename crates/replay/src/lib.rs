@@ -25,7 +25,7 @@
 //!
 //! One replay is one [`Replay`] builder chain —
 //! `Replay::new(&market, &spec, config).run(strategy)`, optionally with
-//! `.repair(..)`, `.schedule(..)` / `.adaptive(..)`, `.store(..)`,
+//! `.repair(..)`, `.schedule(..)` / `.adaptive()`, `.store(..)`,
 //! `.autoscaler(..)` and `.obs(..)` in between; [`Scenario`] runs a grid of
 //! them over one shared market and model store.
 //!
@@ -45,7 +45,6 @@ pub mod results;
 pub mod scenario;
 pub mod service_level;
 
-pub use adaptive::AdaptiveConfig;
 pub use autoscale::{demand_series, AutoScaler, AutoscaleConfig, ObservedInterval, ScaleAction};
 pub use chaos::{capacity_fault_schedule, market_fault_schedule};
 pub use lifecycle::{InstanceRecord, Replay, ReplayConfig};

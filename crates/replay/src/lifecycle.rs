@@ -17,12 +17,20 @@ use obs::{
 use spot_market::{BidEra, InstanceType, Market, Price, Termination, Zone};
 use spot_model::FrozenKernel;
 
-use crate::adaptive::{adaptive_interval, AdaptiveConfig};
+use crate::adaptive::adaptive_interval;
 use crate::autoscale::{AutoScaler, ObservedInterval};
-use crate::repair::{RepairConfig, RepairPolicy};
+use crate::repair::{
+    RepairConfig, RepairPolicy, BACKOFF_BASE_MINUTES, BACKOFF_CAP_MINUTES, DETECTION_DELAY_MINUTES,
+    MAX_REBIDS_PER_INTERVAL,
+};
 use crate::results::{IntervalOutcome, ReplayResult};
 
 pub use crate::results::InstanceRecord;
+
+/// Decisions are made this many minutes before each boundary so that
+/// replacements finish booting by the boundary (§4: new instances are
+/// launched before the interval starts).
+pub const DECISION_LEAD: u64 = 15;
 
 /// Replay parameters.
 #[derive(Clone, Copy, Debug)]
@@ -34,10 +42,6 @@ pub struct ReplayConfig {
     pub eval_end: u64,
     /// Bidding interval in hours (the paper sweeps 1, 3, 6, 9, 12).
     pub interval_hours: u64,
-    /// Decisions are made this many minutes before each boundary so that
-    /// replacements finish booting by the boundary (§4: new instances are
-    /// launched before the interval starts).
-    pub decision_lead: u64,
     /// Which interruption regime resolves instance deaths. Under the
     /// default [`BidEra::Bidding`] the replay is byte-identical to the
     /// pre-era harness (kills at the first out-of-bid minute); under
@@ -48,8 +52,8 @@ pub struct ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// A standard config: train on everything before `eval_start`,
-    /// decide 15 minutes ahead of each boundary.
+    /// A bidding-era config: train on everything before `eval_start`,
+    /// re-bid every `interval_hours`.
     pub fn new(eval_start: u64, eval_end: u64, interval_hours: u64) -> Self {
         assert!(eval_start < eval_end, "empty evaluation window");
         assert!(interval_hours >= 1, "interval must be at least an hour");
@@ -57,7 +61,6 @@ impl ReplayConfig {
             eval_start,
             eval_end,
             interval_hours,
-            decision_lead: 15,
             era: BidEra::Bidding,
         }
     }
@@ -75,7 +78,7 @@ impl ReplayConfig {
     /// interval, which is what lets every sweep cell share one
     /// [`jupiter::ModelStore`] entry per (zone, type).
     pub fn first_decision(&self) -> u64 {
-        self.eval_start.saturating_sub(self.decision_lead).max(1)
+        self.eval_start.saturating_sub(DECISION_LEAD).max(1)
     }
 }
 
@@ -143,10 +146,10 @@ impl<'a> Replay<'a> {
     /// The §5.5 schedule: size each interval by
     /// [`adaptive_interval`] from the revealed price-change rate. The
     /// result's strategy name gains an `" [adaptive]"` suffix.
-    pub fn adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
+    pub fn adaptive(mut self) -> Self {
         let (market, spec) = (self.market, self.spec);
         self.adaptive = true;
-        self.schedule(move |boundary| adaptive_interval(market, spec, &adaptive, boundary))
+        self.schedule(move |boundary| adaptive_interval(market, spec, boundary))
     }
 
     /// Serve the training fit from a shared `store`: the kernel for each
@@ -514,7 +517,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
         self.refs.clear();
         self.kills = 0;
         let market = self.market;
-        let decision_at = start.saturating_sub(self.config.decision_lead);
+        let decision_at = start.saturating_sub(DECISION_LEAD);
         if decision_at > self.observed_until {
             for &z in market.zones() {
                 for &ty in &self.pools {
@@ -898,9 +901,8 @@ impl<S: BiddingStrategy> Run<'_, S> {
             return 0;
         }
         let rebids_before = self.ins.repair_rebids.get();
-        let cfg = self.repair_cfg;
         let mut rebids_used = 0u32;
-        let mut wait = cfg.backoff_base_minutes;
+        let mut wait = BACKOFF_BASE_MINUTES;
         let mut cursor = iv.start;
         while let Some(died_at) = self
             .fleet
@@ -909,7 +911,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
             .filter(|&d| d >= cursor)
             .min()
         {
-            let at = died_at + cfg.detection_delay_minutes + wait;
+            let at = died_at + DETECTION_DELAY_MINUTES + wait;
             if at >= iv.end {
                 // Too close to the boundary to act before the next
                 // decision — and every later kill is later still.
@@ -941,18 +943,15 @@ impl<S: BiddingStrategy> Run<'_, S> {
                 continue;
             }
             let mut launched = 0;
-            if rebids_used < cfg.max_rebids_per_interval {
+            if rebids_used < MAX_REBIDS_PER_INTERVAL {
                 rebids_used += 1;
                 launched = self.rebid(iv, at, died_at, missing);
             } else {
                 self.repair_note(at, "budget_exhausted", died_at);
-                self.budget_dog.exhausted(
-                    minute_micros(at),
-                    cfg.max_rebids_per_interval,
-                    &self.refs,
-                );
+                self.budget_dog
+                    .exhausted(minute_micros(at), MAX_REBIDS_PER_INTERVAL, &self.refs);
             }
-            if launched < missing && cfg.policy == RepairPolicy::Hybrid {
+            if launched < missing && self.repair_cfg.policy == RepairPolicy::Hybrid {
                 // Escalate: the per-node target cannot be met from the
                 // spot market right now, so fall back to on-demand for
                 // the remaining slots until the next boundary.
@@ -962,9 +961,9 @@ impl<S: BiddingStrategy> Run<'_, S> {
             if launched < missing {
                 self.ins.repair_backoff_waits.inc();
                 self.repair_note(at, "backoff", died_at);
-                wait = wait.saturating_mul(2).min(cfg.backoff_cap_minutes);
+                wait = wait.saturating_mul(2).min(BACKOFF_CAP_MINUTES);
             } else {
-                wait = cfg.backoff_base_minutes;
+                wait = BACKOFF_BASE_MINUTES;
             }
             cursor = at + 1;
         }

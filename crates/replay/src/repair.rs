@@ -1,4 +1,4 @@
-//! The mid-interval repair controller: policy and knobs.
+//! The mid-interval repair controller: policy and timing.
 //!
 //! The paper's online algorithm (Fig. 3) only re-decides at bidding
 //! interval boundaries, so an out-of-bid kill mid-interval leaves the
@@ -71,72 +71,53 @@ impl std::fmt::Display for RepairPolicy {
     }
 }
 
-/// Repair-controller knobs. The defaults detect a kill within a minute,
-/// rebid after a five-minute settle (price spikes that kill an instance
-/// are often still standing at the kill minute), double the wait on every
-/// failed repair, and allow four rebids per interval.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// The repair walk's timing: a kill is detected within a minute, rebid
+// after a five-minute settle (price spikes that kill an instance are
+// often still standing at the kill minute), the wait doubles on every
+// failed repair, and an interval allows four rebids.
+/// Minutes between an out-of-bid kill and the controller noticing it.
+pub(crate) const DETECTION_DELAY_MINUTES: u64 = 1;
+/// Wait before the first rebid after a kill, minutes.
+pub(crate) const BACKOFF_BASE_MINUTES: u64 = 5;
+/// Upper bound on the exponential backoff, minutes.
+pub(crate) const BACKOFF_CAP_MINUTES: u64 = 60;
+/// Rebid budget per bidding interval; repairs beyond it escalate
+/// straight to on-demand (Hybrid) or give up (Reactive).
+pub(crate) const MAX_REBIDS_PER_INTERVAL: u32 = 4;
+
+/// How the replay repairs its fleet between bidding boundaries.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairConfig {
     /// The response policy.
     pub policy: RepairPolicy,
-    /// Minutes between an out-of-bid kill and the controller noticing it.
-    pub detection_delay_minutes: u64,
-    /// Wait before the first rebid after a kill, minutes.
-    pub backoff_base_minutes: u64,
-    /// Upper bound on the exponential backoff, minutes.
-    pub backoff_cap_minutes: u64,
-    /// Rebid budget per bidding interval; repairs beyond it escalate
-    /// straight to on-demand (Hybrid) or give up (Reactive).
-    pub max_rebids_per_interval: u32,
 }
 
 impl RepairConfig {
     /// Repair disabled — byte-for-byte the paper's fixed-interval replay.
     pub fn off() -> Self {
-        RepairConfig {
-            policy: RepairPolicy::Off,
-            ..Self::hybrid()
-        }
+        Self::default()
     }
 
-    /// Reactive spot rebids only, default knobs.
+    /// Reactive spot rebids only.
     pub fn reactive() -> Self {
-        RepairConfig {
-            policy: RepairPolicy::Reactive,
-            ..Self::hybrid()
-        }
+        RepairConfig { policy: RepairPolicy::Reactive }
     }
 
     /// Proactive notice-driven migration with the reactive rebid walk as
-    /// fallback, default knobs (the knobs govern the fallback only — the
-    /// notice path has no backoff or budget, it fires once per notice).
+    /// fallback (backoff and budget govern the fallback only — the notice
+    /// path has neither, it fires once per notice).
     pub fn migrate() -> Self {
-        RepairConfig {
-            policy: RepairPolicy::Migrate,
-            ..Self::hybrid()
-        }
+        RepairConfig { policy: RepairPolicy::Migrate }
     }
 
-    /// Rebids plus the on-demand fallback tier, default knobs.
+    /// Rebids plus the on-demand fallback tier.
     pub fn hybrid() -> Self {
-        RepairConfig {
-            policy: RepairPolicy::Hybrid,
-            detection_delay_minutes: 1,
-            backoff_base_minutes: 5,
-            backoff_cap_minutes: 60,
-            max_rebids_per_interval: 4,
-        }
+        RepairConfig { policy: RepairPolicy::Hybrid }
     }
 
     /// Whether the controller is active at all.
     pub fn is_active(&self) -> bool {
         self.policy != RepairPolicy::Off
-    }
-}
-
-impl Default for RepairConfig {
-    fn default() -> Self {
-        Self::off()
     }
 }
 
@@ -157,12 +138,10 @@ mod tests {
         assert_eq!(RepairConfig::default(), RepairConfig::off());
     }
 
+    /// No golden replays a repair that backs off past 40 minutes, so the
+    /// cap is held here (the other three move `tests/replay_golden.rs`).
     #[test]
-    fn variants_share_knobs() {
-        let h = RepairConfig::hybrid();
-        let r = RepairConfig::reactive();
-        assert_eq!(h.backoff_base_minutes, r.backoff_base_minutes);
-        assert_eq!(h.max_rebids_per_interval, r.max_rebids_per_interval);
-        assert!(h.backoff_cap_minutes >= h.backoff_base_minutes);
+    fn backoff_doubles_from_five_minutes_up_to_an_hour() {
+        assert_eq!((BACKOFF_BASE_MINUTES, BACKOFF_CAP_MINUTES), (5, 60));
     }
 }

@@ -31,7 +31,6 @@ use obs::Obs;
 use rayon::prelude::*;
 use spot_market::{BidEra, InstanceType, Market, Price};
 
-use crate::adaptive::AdaptiveConfig;
 use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
@@ -300,11 +299,10 @@ impl Scenario {
         &self,
         service: &ServiceSpec,
         strategy: S,
-        adaptive: AdaptiveConfig,
     ) -> ReplayResult {
-        let config = self.config(adaptive.min_hours.max(1));
-        Replay::new(&self.market, service, config)
-            .adaptive(adaptive)
+        // The schedule replaces the fixed interval; any valid value does.
+        Replay::new(&self.market, service, self.config(1))
+            .adaptive()
             .store(&self.store)
             .run(strategy)
     }
@@ -480,7 +478,7 @@ mod tests {
             .strategy(|_| Box::new(JupiterStrategy::new()))
             .intervals(vec![6]);
         scenario.run(&spec);
-        let r = scenario.run_adaptive(&service, JupiterStrategy::new(), AdaptiveConfig::default());
+        let r = scenario.run_adaptive(&service, JupiterStrategy::new());
         assert!(r.strategy.contains("[adaptive]"));
         let snap = obs.metrics.snapshot();
         // The adaptive run refit nothing: all its kernels were stored.

@@ -53,7 +53,8 @@ pub struct ServiceReplayOutcome {
     pub mean_latency_ms: f64,
     /// Worst completion latency (simulated ms).
     pub max_latency_ms: u64,
-    /// Fraction of completed ops within the SLA bound.
+    /// Fraction of issued ops answered within the SLA bound (an op still
+    /// outstanding at the end is a miss).
     pub sla_fraction: f64,
     /// Membership reconfigurations executed.
     pub reconfigs: usize,
@@ -146,20 +147,18 @@ pub fn record_latency_slo(obs: &Obs, eval_start: u64, window_minutes: u64, sla_m
         .add(slo.alerts_fired());
 }
 
-/// Run the lock service under a bidding strategy for a short market
-/// window. Returns request-level metrics.
-pub fn lock_service_replay<S: BiddingStrategy>(
-    market: &Market,
-    strategy: S,
-    config: ServiceReplayConfig,
-) -> ServiceReplayOutcome {
-    lock_service_replay_observed(market, strategy, config, &Obs::disabled())
+/// Fraction of issued operations answered within `sla_ms`; one that was
+/// never answered is a miss.
+fn sla_fraction(latencies: &[u64], unfinished: usize, sla_ms: u64) -> f64 {
+    let within = latencies.iter().filter(|&&l| l <= sla_ms).count();
+    within as f64 / (latencies.len() + unfinished).max(1) as f64
 }
 
-/// [`lock_service_replay`] with observability: every Paxos replica and
-/// this loop record into the shared [`Obs`] (`paxos.*`, `service.*`,
-/// `trace.*`); a strategy built `with_obs` adds its `jupiter.*`.
-pub fn lock_service_replay_observed<S: BiddingStrategy>(
+/// Run the lock service under a bidding strategy for a short market
+/// window. Returns request-level metrics; every Paxos replica and this
+/// loop record into `obs` (`paxos.*`, `service.*`, `trace.*`), and a
+/// strategy built `with_obs` adds its `jupiter.*`.
+pub fn lock_service_replay<S: BiddingStrategy>(
     market: &Market,
     strategy: S,
     config: ServiceReplayConfig,
@@ -361,7 +360,6 @@ pub fn lock_service_replay_observed<S: BiddingStrategy>(
         latencies.iter().sum::<u64>() as f64 / completed as f64
     };
     let max = latencies.iter().copied().max().unwrap_or(0);
-    let within = latencies.iter().filter(|&&l| l <= config.sla_ms).count();
     let agreed = cluster.assert_log_agreement();
     record_trace_metrics(obs);
     record_latency_slo(obs, config.eval_start, config.window_minutes, config.sla_ms);
@@ -371,11 +369,7 @@ pub fn lock_service_replay_observed<S: BiddingStrategy>(
         ops_unfinished: unfinished,
         mean_latency_ms: mean,
         max_latency_ms: max,
-        sla_fraction: if completed == 0 {
-            0.0
-        } else {
-            within as f64 / completed as f64
-        },
+        sla_fraction: sla_fraction(&latencies, unfinished, config.sla_ms),
         reconfigs,
         crashes,
         agreed_log_len: agreed,
@@ -407,18 +401,9 @@ pub struct StorageReplayOutcome {
 /// *rebinds*: the outgoing instance is terminated and a fresh replica
 /// takes over the slot, recovering state through protocol catch-up —
 /// operationally the replacement flow of §4 with the shard index pinned.
+/// Every RS-Paxos replica records into `obs` (`storage.*`, `trace.*`); a
+/// strategy built `with_obs` adds its `jupiter.*`.
 pub fn storage_service_replay<S: BiddingStrategy>(
-    market: &Market,
-    strategy: S,
-    config: ServiceReplayConfig,
-) -> StorageReplayOutcome {
-    storage_service_replay_observed(market, strategy, config, &Obs::disabled())
-}
-
-/// [`storage_service_replay`] with observability: every RS-Paxos replica
-/// records into the shared [`Obs`] (`storage.*`, `trace.*`); a strategy
-/// built `with_obs` adds its `jupiter.*`.
-pub fn storage_service_replay_observed<S: BiddingStrategy>(
     market: &Market,
     strategy: S,
     config: ServiceReplayConfig,
@@ -632,6 +617,11 @@ mod tests {
     use jupiter::JupiterStrategy;
     use spot_market::{InstanceType, MarketConfig};
 
+    #[test]
+    fn an_unanswered_request_is_an_sla_miss() {
+        assert_eq!(sla_fraction(&[10, 20], 1, 15), 1.0 / 3.0);
+        assert_eq!(sla_fraction(&[], 0, 15), 0.0);
+    }
 
     #[test]
     fn lock_service_survives_a_market_window() {
@@ -653,6 +643,7 @@ mod tests {
                 sla_ms: 5_000,
                 seed: 9,
             },
+            &Obs::disabled(),
         );
         assert!(out.ops_completed > 50, "completed {}", out.ops_completed);
         assert!(out.sla_fraction > 0.95, "sla {}", out.sla_fraction);
@@ -660,6 +651,7 @@ mod tests {
         assert!(out.agreed_log_len > 0);
         assert_eq!(out.ops_unfinished, 0);
     }
+
     #[test]
     fn storage_service_survives_a_market_window() {
         let train = 2 * 7 * 24 * 60;
@@ -680,6 +672,7 @@ mod tests {
                 sla_ms: 5_000,
                 seed: 3,
             },
+            &Obs::disabled(),
         );
         assert!(out.ops_completed > 30, "completed {}", out.ops_completed);
         assert_eq!(out.ops_unfinished, 0, "stalled ops");

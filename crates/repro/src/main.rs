@@ -190,7 +190,7 @@ fn observed_replays(
     repair: RepairConfig,
 ) -> (Obs, ServiceReplayOutcome, ReplayResult) {
     use jupiter::{JupiterStrategy, ServiceSpec};
-    use replay::service_level::{lock_service_replay_observed, ServiceReplayConfig};
+    use replay::service_level::{lock_service_replay, ServiceReplayConfig};
     use replay::{Replay, ReplayConfig};
     use spot_market::{InstanceType, Market, MarketConfig};
 
@@ -202,7 +202,7 @@ fn observed_replays(
     cfg.types = vec![InstanceType::M1Small];
     let market = Market::generate(cfg);
 
-    let service = lock_service_replay_observed(
+    let service = lock_service_replay(
         &market,
         JupiterStrategy::new().with_obs(obs.clone()),
         ServiceReplayConfig {

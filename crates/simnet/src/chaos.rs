@@ -67,13 +67,18 @@ pub struct ChaosEvent {
     pub action: ChaosAction,
 }
 
+/// Clock-skew events draw their skew from `[0, MAX_SKEW_MS]`.
+const MAX_SKEW_MS: u64 = 2_000;
+
 /// Generation parameters for a random schedule.
 ///
 /// The generator tracks which nodes it has crashed so far and never takes
 /// more than `max_down` of the `nodes` replicas down at once — the quorum
-/// margin the service is supposed to tolerate stays intact, so *safety and
-/// eventual progress are both fair assertions* against a generated
-/// schedule.
+/// margin the service is supposed to tolerate stays intact — and it ends
+/// every schedule with heal/clear/restart-everything events at `duration`,
+/// so the cluster is whole again: *safety and eventual progress are both
+/// fair assertions* against a generated schedule. Link-chaos toggles
+/// (drop/duplicate/delay spikes) and clock skews are always in the draw.
 #[derive(Clone, Debug)]
 pub struct ChaosPlan {
     /// Replica count; fault targets are `NodeId(0..nodes)`.
@@ -86,13 +91,6 @@ pub struct ChaosPlan {
     pub max_down: usize,
     /// Allow partition/heal events.
     pub partitions: bool,
-    /// Allow link-chaos toggles (drop/duplicate/delay spikes).
-    pub link_chaos: bool,
-    /// Allow clock-skew events; skews are drawn from `[0, max_skew_ms]`.
-    pub max_skew_ms: u64,
-    /// Append heal/clear/restart-everything events at `duration`, so the
-    /// cluster is whole again and progress afterwards can be asserted.
-    pub heal_at_end: bool,
 }
 
 impl ChaosPlan {
@@ -105,9 +103,6 @@ impl ChaosPlan {
             events,
             max_down: 2,
             partitions: true,
-            link_chaos: true,
-            max_skew_ms: 2_000,
-            heal_at_end: true,
         }
     }
 
@@ -120,9 +115,6 @@ impl ChaosPlan {
             events,
             max_down: 1,
             partitions: false, // θ(3,5) tolerates 1: a 2|3 split stalls it
-            link_chaos: true,
-            max_skew_ms: 2_000,
-            heal_at_end: true,
         }
     }
 }
@@ -207,7 +199,7 @@ impl ChaosSchedule {
                             action = Some(ChaosAction::Partition(vec![ids, right]));
                         }
                     }
-                    4 if plan.link_chaos => {
+                    4 => {
                         if link_dirty {
                             link_dirty = false;
                             action = Some(ChaosAction::ClearLinkChaos);
@@ -221,9 +213,9 @@ impl ChaosSchedule {
                             }));
                         }
                     }
-                    5 if plan.max_skew_ms > 0 => {
+                    5 => {
                         let node = NodeId(rng.gen_range(0..plan.nodes));
-                        let skew = rng.gen_range(0..=plan.max_skew_ms);
+                        let skew = rng.gen_range(0..=MAX_SKEW_MS);
                         action = Some(ChaosAction::ClockSkew(node, skew));
                     }
                     _ => continue,
@@ -235,27 +227,26 @@ impl ChaosSchedule {
             }
         }
 
-        if plan.heal_at_end {
-            let at = plan.duration;
-            if partitioned {
-                events.push(ChaosEvent {
-                    at,
-                    action: ChaosAction::Heal,
-                });
-            }
-            if link_dirty {
-                events.push(ChaosEvent {
-                    at,
-                    action: ChaosAction::ClearLinkChaos,
-                });
-            }
-            down.sort_unstable();
-            for node in down {
-                events.push(ChaosEvent {
-                    at,
-                    action: ChaosAction::Restart(node),
-                });
-            }
+        // Make the cluster whole again at `duration`.
+        let at = plan.duration;
+        if partitioned {
+            events.push(ChaosEvent {
+                at,
+                action: ChaosAction::Heal,
+            });
+        }
+        if link_dirty {
+            events.push(ChaosEvent {
+                at,
+                action: ChaosAction::ClearLinkChaos,
+            });
+        }
+        down.sort_unstable();
+        for node in down {
+            events.push(ChaosEvent {
+                at,
+                action: ChaosAction::Restart(node),
+            });
         }
 
         ChaosSchedule { seed, events }
@@ -389,12 +380,12 @@ mod tests {
                     _ => {}
                 }
             }
-            assert_eq!(down, 0, "seed {seed}: heal_at_end must restart all");
+            assert_eq!(down, 0, "seed {seed}: the schedule's end must restart all");
         }
     }
 
     #[test]
-    fn heal_at_end_restores_the_network() {
+    fn schedule_end_restores_the_network() {
         for seed in 0..50 {
             let s = ChaosSchedule::generate(seed, &plan());
             let mut partitioned = false;

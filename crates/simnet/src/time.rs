@@ -31,12 +31,6 @@ impl SimTime {
         SimTime(s * 1_000)
     }
 
-    /// Construct from whole minutes.
-    #[inline]
-    pub const fn from_minutes(m: u64) -> Self {
-        SimTime(m * 60_000)
-    }
-
     /// Construct from whole hours.
     #[inline]
     pub const fn from_hours(h: u64) -> Self {
@@ -120,7 +114,6 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
-        assert_eq!(SimTime::from_minutes(3).as_secs(), 180);
         assert_eq!(SimTime::from_hours(1).as_minutes(), 60);
         assert_eq!(SimTime::from_hours(25).as_hours(), 25);
     }

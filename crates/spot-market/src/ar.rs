@@ -14,65 +14,38 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::instance::InstanceType;
 use crate::money::Price;
 use crate::topology::Zone;
 use crate::trace::{PricePoint, PriceTrace};
 
-/// Parameters of the banded AR(1) process.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ArParams {
-    /// Long-run mean as a fraction of the on-demand price.
-    pub mean_fraction: f64,
-    /// AR coefficient φ ∈ (0, 1): persistence of deviations.
-    pub phi: f64,
-    /// Innovation standard deviation as a fraction of the on-demand
-    /// price.
-    pub sigma_fraction: f64,
-    /// Reserve floor as a fraction of the on-demand price.
-    pub floor_fraction: f64,
-    /// Cap as a fraction of the on-demand price.
-    pub cap_fraction: f64,
-    /// Mean minutes between AR updates (updates arrive as a Poisson-like
-    /// stream; the banded value is re-quoted at each arrival).
-    pub mean_update_minutes: f64,
-}
-
-impl Default for ArParams {
-    fn default() -> Self {
-        ArParams {
-            mean_fraction: 0.18,
-            phi: 0.92,
-            sigma_fraction: 0.025,
-            floor_fraction: 0.10,
-            cap_fraction: 1.2,
-            mean_update_minutes: 9.0,
-        }
-    }
-}
+// Parameters of the banded AR(1) process.
+/// Long-run mean as a fraction of the on-demand price.
+const MEAN_FRACTION: f64 = 0.18;
+/// AR coefficient φ ∈ (0, 1): persistence of deviations.
+const PHI: f64 = 0.92;
+/// Innovation standard deviation as a fraction of the on-demand price.
+const SIGMA_FRACTION: f64 = 0.025;
+/// Reserve floor as a fraction of the on-demand price.
+const FLOOR_FRACTION: f64 = 0.10;
+/// Cap as a fraction of the on-demand price.
+const CAP_FRACTION: f64 = 1.2;
+/// Mean minutes between AR updates (updates arrive as a Poisson-like
+/// stream; the banded value is re-quoted at each arrival).
+const MEAN_UPDATE_MINUTES: f64 = 9.0;
 
 /// Deterministic AR(1) trace generator (same interface shape as
 /// [`crate::gen::TraceGenerator`]).
 #[derive(Clone, Debug)]
 pub struct ArTraceGenerator {
     seed: u64,
-    params: ArParams,
 }
 
 impl ArTraceGenerator {
-    /// A generator with default parameters.
+    /// A generator whose every trace derives from `seed`.
     pub fn new(seed: u64) -> Self {
-        ArTraceGenerator {
-            seed,
-            params: ArParams::default(),
-        }
-    }
-
-    /// A generator with custom parameters.
-    pub fn with_params(seed: u64, params: ArParams) -> Self {
-        ArTraceGenerator { seed, params }
+        ArTraceGenerator { seed }
     }
 
     fn rng_for(&self, zone: Zone, ty: InstanceType) -> ChaCha8Rng {
@@ -99,11 +72,11 @@ impl ArTraceGenerator {
         let mut rng = self.rng_for(zone, ty);
         let od = ty.on_demand_price(zone.region).as_dollars();
         // Mild per-zone personality.
-        let mean = od * self.params.mean_fraction * rng.gen_range(0.8..1.25);
-        let sigma = od * self.params.sigma_fraction * rng.gen_range(0.7..1.4);
-        let floor = od * self.params.floor_fraction;
-        let cap = od * self.params.cap_fraction;
-        let phi = (self.params.phi * rng.gen_range(0.95..1.02)).clamp(0.5, 0.995);
+        let mean = od * MEAN_FRACTION * rng.gen_range(0.8..1.25);
+        let sigma = od * SIGMA_FRACTION * rng.gen_range(0.7..1.4);
+        let floor = od * FLOOR_FRACTION;
+        let cap = od * CAP_FRACTION;
+        let phi = (PHI * rng.gen_range(0.95..1.02)).clamp(0.5, 0.995);
 
         let mut x = mean + sigma * Self::gauss(&mut rng);
         let quote =
@@ -116,7 +89,7 @@ impl ArTraceGenerator {
         while t < minutes {
             // Next update arrival.
             let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let dt = (-u.ln() * self.params.mean_update_minutes).ceil().max(1.0) as u64;
+            let dt = (-u.ln() * MEAN_UPDATE_MINUTES).ceil().max(1.0) as u64;
             t += dt;
             if t >= minutes {
                 break;
@@ -128,11 +101,6 @@ impl ArTraceGenerator {
             }
         }
         PriceTrace::new(points, minutes)
-    }
-
-    /// The parameters.
-    pub fn params(&self) -> &ArParams {
-        &self.params
     }
 }
 
@@ -148,6 +116,8 @@ mod tests {
 
     #[test]
     fn deterministic_and_banded() {
+        // Ablation F's rows do not move with the band edges; held here.
+        assert_eq!((FLOOR_FRACTION, CAP_FRACTION), (0.10, 1.2));
         let g = ArTraceGenerator::new(5);
         let a = g.generate(zone(), InstanceType::M1Small, 20_000);
         let b = g.generate(zone(), InstanceType::M1Small, 20_000);

@@ -12,12 +12,12 @@
 //! * a banded AR(1) *headroom* signal walks at Poisson-ish arrival
 //!   times, with a per-pool personality drawn from the pool's own
 //!   seeded stream;
-//! * the first descent through `rebalance_threshold` emits a
-//!   [`RebalanceSignal`] (the early warning);
-//! * a descent through `reclaim_threshold` schedules a reclamation at
-//!   that minute, with its [`InterruptionNotice`] emitted
-//!   `notice_lead_minutes` earlier; the kill itself frees capacity, so
-//!   the signal resets to its mean and the pool re-arms.
+//! * the first descent through the rebalance threshold records a
+//!   rebalance recommendation (the early warning);
+//! * a descent through the reclaim threshold schedules a reclamation at
+//!   that minute, with its [`InterruptionNotice`] emitted the notice
+//!   lead earlier; the kill itself frees capacity, so the signal resets
+//!   to its mean and the pool re-arms.
 //!
 //! On top of the idiosyncratic pool signal, each *zone* carries a sparse
 //! seeded schedule of capacity *crunches* — short windows in which every
@@ -25,10 +25,9 @@
 //! are what make same-zone pools correlated and cross-zone pools
 //! independent, i.e. what a diversification-aware strategy can exploit.
 //!
-//! Everything here is a pure function of `(seed, zone, type, params,
-//! horizon)`: pools never read each other's streams, so truncating the
-//! zone list or dropping a type leaves every remaining pool's notices
-//! byte-identical.
+//! Everything here is a pure function of `(seed, zone, type, horizon)`:
+//! pools never read each other's streams, so truncating the zone list or
+//! dropping a type leaves every remaining pool's notices byte-identical.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -69,48 +68,29 @@ impl std::fmt::Display for BidEra {
     }
 }
 
-/// Parameters of the hidden per-pool capacity process.
-#[derive(Clone, Copy, Debug)]
-pub struct CapacityParams {
-    /// Stationary mean of the headroom signal (fraction of pool supply
-    /// held free).
-    pub mean_headroom: f64,
-    /// AR(1) persistence of the headroom signal.
-    pub phi: f64,
-    /// Innovation standard deviation.
-    pub sigma: f64,
-    /// Reclamation threshold: a descent through this headroom level
-    /// reclaims the pool's instance at that minute.
-    pub reclaim_threshold: f64,
-    /// Rebalance-recommendation threshold (early warning); must be
-    /// above `reclaim_threshold`.
-    pub rebalance_threshold: f64,
-    /// Mean minutes between headroom updates (exponential arrivals,
-    /// like [`crate::ar::ArParams::mean_update_minutes`]).
-    pub mean_update_minutes: f64,
-    /// Minutes of advance notice before a reclamation lands (the
-    /// spot-market's "2-minute warning").
-    pub notice_lead_minutes: u64,
-    /// Mean minutes between zone-wide capacity crunches (0 disables
-    /// them); during a crunch every pool in the zone reclaims within a
-    /// few jitter minutes.
-    pub mean_crunch_minutes: f64,
-}
-
-impl Default for CapacityParams {
-    fn default() -> Self {
-        CapacityParams {
-            mean_headroom: 0.32,
-            phi: 0.92,
-            sigma: 0.045,
-            reclaim_threshold: 0.06,
-            rebalance_threshold: 0.14,
-            mean_update_minutes: 7.0,
-            notice_lead_minutes: 2,
-            mean_crunch_minutes: 4.0 * 24.0 * 60.0,
-        }
-    }
-}
+// Parameters of the hidden per-pool capacity process.
+/// Stationary mean of the headroom signal (fraction of pool supply
+/// held free).
+const MEAN_HEADROOM: f64 = 0.32;
+/// AR(1) persistence of the headroom signal.
+const PHI: f64 = 0.92;
+/// Innovation standard deviation.
+const SIGMA: f64 = 0.045;
+/// Reclamation threshold: a descent through this headroom level
+/// reclaims the pool's instance at that minute.
+const RECLAIM_THRESHOLD: f64 = 0.06;
+/// Rebalance-recommendation threshold (early warning), above
+/// `RECLAIM_THRESHOLD`.
+const REBALANCE_THRESHOLD: f64 = 0.14;
+/// Mean minutes between headroom updates (exponential arrivals, like
+/// the AR(1) price process of [`crate::ar`]).
+const MEAN_UPDATE_MINUTES: f64 = 7.0;
+/// Minutes of advance notice before a reclamation lands (the
+/// spot-market's "2-minute warning").
+const NOTICE_LEAD_MINUTES: u64 = 2;
+/// Mean minutes between zone-wide capacity crunches; during a crunch
+/// every pool in the zone reclaims within a few jitter minutes.
+const MEAN_CRUNCH_MINUTES: f64 = 4.0 * 24.0 * 60.0;
 
 /// The advance warning a pool emits before reclaiming its instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,31 +101,18 @@ pub struct InterruptionNotice {
     pub instance_type: InstanceType,
     /// Minute the notice is emitted.
     pub at_minute: u64,
-    /// Minute the reclamation lands (`at_minute + notice_lead_minutes`).
+    /// Minute the reclamation lands (`at_minute` + the notice lead).
     pub deadline: u64,
 }
 
-/// The softer early warning: the pool's headroom dipped below the
-/// rebalance threshold, so a reclamation may follow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RebalanceSignal {
-    /// Zone of the pool at risk.
-    pub zone: Zone,
-    /// Instance type of the pool at risk.
-    pub instance_type: InstanceType,
-    /// Minute the recommendation is emitted.
-    pub at_minute: u64,
-}
-
 /// One pool's fully materialized capacity timeline: reclamation minutes
-/// (each implying a notice `lead` minutes earlier) and rebalance
-/// recommendations, over `[0, horizon)`.
+/// (each implying a notice [`CapacityProcess::lead`] minutes earlier) and
+/// rebalance recommendations, over `[0, horizon)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CapacityProcess {
     zone: Zone,
     instance_type: InstanceType,
-    lead: u64,
-    /// Reclamation minutes, strictly increasing, each `>= lead`.
+    /// Reclamation minutes, strictly increasing, each `>= lead()`.
     reclaims: Vec<u64>,
     /// Rebalance-recommendation minutes, strictly increasing.
     rebalances: Vec<u64>,
@@ -154,20 +121,13 @@ pub struct CapacityProcess {
 impl CapacityProcess {
     /// Materialize the pool's capacity timeline. Pure function of its
     /// arguments; pools never read each other's streams.
-    pub fn generate(
-        seed: u64,
-        zone: Zone,
-        ty: InstanceType,
-        params: &CapacityParams,
-        horizon_minutes: u64,
-    ) -> Self {
+    pub fn generate(seed: u64, zone: Zone, ty: InstanceType, horizon_minutes: u64) -> Self {
         let mut rng = rng_for(seed, zone, ty);
         // Per-pool personality, drawn once (mirrors ar.rs): some pools
         // run deeper headroom than others, some are twitchier.
-        let mean = params.mean_headroom * rng.gen_range(0.8..1.25);
-        let sigma = params.sigma * rng.gen_range(0.7..1.4);
-        let phi = (params.phi * rng.gen_range(0.97..1.01)).clamp(0.5, 0.995);
-        let lead = params.notice_lead_minutes;
+        let mean = MEAN_HEADROOM * rng.gen_range(0.8..1.25);
+        let sigma = SIGMA * rng.gen_range(0.7..1.4);
+        let phi = (PHI * rng.gen_range(0.97..1.01)).clamp(0.5, 0.995);
 
         let mut reclaims: Vec<u64> = Vec::new();
         let mut rebalances: Vec<u64> = Vec::new();
@@ -177,23 +137,23 @@ impl CapacityProcess {
         loop {
             let u: f64 = rng.gen::<f64>();
             let u = u.max(1e-12);
-            let dt = (-u.ln() * params.mean_update_minutes).ceil().max(1.0) as u64;
+            let dt = (-u.ln() * MEAN_UPDATE_MINUTES).ceil().max(1.0) as u64;
             minute += dt;
             if minute >= horizon_minutes {
                 break;
             }
             x = mean + phi * (x - mean) + sigma * gauss(&mut rng);
-            if x < params.reclaim_threshold {
+            if x < RECLAIM_THRESHOLD {
                 // A reclamation needs room for its advance notice; the
-                // first `lead` minutes of the horizon cannot reclaim.
-                if minute >= lead {
+                // first minutes of the horizon cannot reclaim.
+                if minute >= NOTICE_LEAD_MINUTES {
                     reclaims.push(minute);
                 }
                 // The kill frees supply: the signal recovers to its mean
                 // and the early warning re-arms.
                 x = mean;
                 rebalance_armed = true;
-            } else if x < params.rebalance_threshold {
+            } else if x < REBALANCE_THRESHOLD {
                 if rebalance_armed {
                     rebalances.push(minute);
                     rebalance_armed = false;
@@ -208,37 +168,34 @@ impl CapacityProcess {
         // a small pool-specific jitter (from the pool stream, which is
         // already past its personality draws — but use a fresh derived
         // stream so the AR walk above is unperturbed).
-        if params.mean_crunch_minutes > 0.0 {
-            let mut zrng = rng_for_zone(seed, zone);
-            let mut jrng = jitter_rng(seed, zone, ty);
-            let mut at = 0u64;
-            loop {
-                let u: f64 = zrng.gen::<f64>();
-                let u = u.max(1e-12);
-                let dt = (-u.ln() * params.mean_crunch_minutes).ceil().max(1.0) as u64;
-                at += dt;
-                if at >= horizon_minutes {
-                    break;
-                }
-                let jitter = jrng.gen_range(0..5u64);
-                let kill = at + jitter;
-                if kill >= lead && kill < horizon_minutes {
-                    reclaims.push(kill);
-                    // Crunches come with their own early warning a few
-                    // minutes out (the zone is visibly tightening).
-                    rebalances.push(kill.saturating_sub(jrng.gen_range(8..20u64)));
-                }
+        let mut zrng = rng_for_zone(seed, zone);
+        let mut jrng = jitter_rng(seed, zone, ty);
+        let mut at = 0u64;
+        loop {
+            let u: f64 = zrng.gen::<f64>();
+            let u = u.max(1e-12);
+            let dt = (-u.ln() * MEAN_CRUNCH_MINUTES).ceil().max(1.0) as u64;
+            at += dt;
+            if at >= horizon_minutes {
+                break;
             }
-            reclaims.sort_unstable();
-            reclaims.dedup();
-            rebalances.sort_unstable();
-            rebalances.dedup();
+            let jitter = jrng.gen_range(0..5u64);
+            let kill = at + jitter;
+            if (NOTICE_LEAD_MINUTES..horizon_minutes).contains(&kill) {
+                reclaims.push(kill);
+                // Crunches come with their own early warning a few
+                // minutes out (the zone is visibly tightening).
+                rebalances.push(kill.saturating_sub(jrng.gen_range(8..20u64)));
+            }
         }
+        reclaims.sort_unstable();
+        reclaims.dedup();
+        rebalances.sort_unstable();
+        rebalances.dedup();
 
         CapacityProcess {
             zone,
             instance_type: ty,
-            lead,
             reclaims,
             rebalances,
         }
@@ -254,9 +211,9 @@ impl CapacityProcess {
         self.instance_type
     }
 
-    /// The configured notice lead, in minutes.
+    /// The notice lead, in minutes.
     pub fn lead(&self) -> u64 {
-        self.lead
+        NOTICE_LEAD_MINUTES
     }
 
     /// All reclamation minutes, strictly increasing.
@@ -284,23 +241,10 @@ impl CapacityProcess {
             .map(|&d| InterruptionNotice {
                 zone: self.zone,
                 instance_type: self.instance_type,
-                at_minute: d - self.lead,
+                at_minute: d - NOTICE_LEAD_MINUTES,
                 deadline: d,
             })
             .filter(|n| n.at_minute >= from && n.at_minute < until)
-            .collect()
-    }
-
-    /// Every rebalance recommendation emitted in `[from, until)`.
-    pub fn rebalances_in(&self, from: u64, until: u64) -> Vec<RebalanceSignal> {
-        self.rebalances
-            .iter()
-            .filter(|&&m| m >= from && m < until)
-            .map(|&m| RebalanceSignal {
-                zone: self.zone,
-                instance_type: self.instance_type,
-                at_minute: m,
-            })
             .collect()
     }
 
@@ -364,7 +308,7 @@ mod tests {
     const HORIZON: u64 = 2 * 7 * 24 * 60;
 
     fn process(seed: u64, zi: usize, ty: InstanceType) -> CapacityProcess {
-        CapacityProcess::generate(seed, all_zones()[zi], ty, &CapacityParams::default(), HORIZON)
+        CapacityProcess::generate(seed, all_zones()[zi], ty, HORIZON)
     }
 
     #[test]

@@ -87,13 +87,6 @@ impl InstanceType {
         Price::from_dollars(dollars)
     }
 
-    /// The default bid cap: spot bids may not exceed four times the
-    /// on-demand price (the 2014 EC2 limit the paper cites). The bidding
-    /// framework itself additionally caps bids at 1× on-demand (§4.2).
-    pub fn max_bid(self, region: Region) -> Price {
-        self.on_demand_price(region) * 4
-    }
-
     /// Serving strength relative to one `m1.small` (ECU-style capacity
     /// units, rounded to integers so strength arithmetic stays exact): an
     /// `m3.large` counts as four `m1.small`s of request-serving capacity.
@@ -152,15 +145,6 @@ mod tests {
         let hi = prices.iter().cloned().fold(0.0, f64::max);
         assert!((lo - 0.140).abs() < 1e-9, "lo={lo}");
         assert!((hi - 0.201).abs() < 1e-9, "hi={hi}");
-    }
-
-    #[test]
-    fn max_bid_is_four_times_on_demand() {
-        for ty in InstanceType::ALL {
-            for r in Region::ALL {
-                assert_eq!(ty.max_bid(r), ty.on_demand_price(r) * 4);
-            }
-        }
     }
 
     #[test]

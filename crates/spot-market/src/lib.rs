@@ -44,9 +44,9 @@ pub mod stats;
 pub mod topology;
 pub mod trace;
 
-pub use ar::{ArParams, ArTraceGenerator};
+pub use ar::ArTraceGenerator;
 pub use billing::{on_demand_charge, spot_charge, Termination};
-pub use capacity::{BidEra, CapacityParams, CapacityProcess, InterruptionNotice, RebalanceSignal};
+pub use capacity::{BidEra, CapacityProcess, InterruptionNotice};
 pub use gen::{GenParams, TraceGenerator};
 pub use instance::InstanceType;
 pub use market::{Market, MarketConfig};

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::billing::{spot_charge, Termination};
-use crate::capacity::{CapacityParams, CapacityProcess, InterruptionNotice, RebalanceSignal};
+use crate::capacity::{CapacityProcess, InterruptionNotice};
 use crate::gen::{GenParams, TraceGenerator};
 use crate::instance::InstanceType;
 use crate::money::Price;
@@ -38,12 +38,6 @@ pub struct MarketConfig {
     /// zone's sampled delay (bigger images provision slower). Types not
     /// listed get no surcharge; empty preserves legacy delays exactly.
     pub type_startup_extra: Vec<(InstanceType, u64)>,
-    /// Parameters of the hidden per-pool capacity processes (the
-    /// post-2017 interruption regime, see [`crate::capacity`]). The
-    /// processes are drawn from seed streams disjoint from the price
-    /// streams, so their presence never perturbs a trace; they only
-    /// matter to replays running under `BidEra::CapacityReclaim`.
-    pub capacity: CapacityParams,
 }
 
 impl MarketConfig {
@@ -58,7 +52,6 @@ impl MarketConfig {
             gen_params: GenParams::default(),
             type_params: Vec::new(),
             type_startup_extra: Vec::new(),
-            capacity: CapacityParams::default(),
         }
     }
 
@@ -126,22 +119,17 @@ pub struct Market {
     capacity: HashMap<(Zone, InstanceType), CapacityProcess>,
 }
 
-/// Materialize every pool's capacity timeline from the config. Seed
-/// streams are disjoint from the price streams, so this never changes a
-/// trace byte.
+/// Materialize every pool's hidden capacity timeline (the post-2017
+/// interruption regime, see [`crate::capacity`]). Seed streams are
+/// disjoint from the price streams, so this never changes a trace byte;
+/// the timelines only matter to replays under `BidEra::CapacityReclaim`.
 fn build_capacity(config: &MarketConfig) -> HashMap<(Zone, InstanceType), CapacityProcess> {
     let mut map = HashMap::new();
     for &ty in &config.types {
         for &zone in &config.zones {
             map.insert(
                 (zone, ty),
-                CapacityProcess::generate(
-                    config.seed,
-                    zone,
-                    ty,
-                    &config.capacity,
-                    config.horizon_minutes,
-                ),
+                CapacityProcess::generate(config.seed, zone, ty, config.horizon_minutes),
             );
         }
     }
@@ -157,27 +145,6 @@ impl Market {
             for &zone in &config.zones {
                 traces.insert((zone, ty), gen.generate(zone, ty, config.horizon_minutes));
             }
-        }
-        let capacity = build_capacity(&config);
-        Market {
-            config,
-            traces,
-            capacity,
-        }
-    }
-
-    /// Build a market from externally supplied traces (e.g. real archived
-    /// data); all traces must share the horizon.
-    pub fn from_traces(
-        config: MarketConfig,
-        traces: HashMap<(Zone, InstanceType), PriceTrace>,
-    ) -> Self {
-        for t in traces.values() {
-            assert_eq!(
-                t.horizon(),
-                config.horizon_minutes,
-                "trace horizon mismatch"
-            );
         }
         let capacity = build_capacity(&config);
         Market {
@@ -267,18 +234,6 @@ impl Market {
             .flat_map(|p| p.notices_in(from, until))
             .collect();
         out.sort_by_key(|n| (n.at_minute, n.zone.ordinal(), n.instance_type as u64));
-        out
-    }
-
-    /// Every pool's rebalance recommendations emitted in `[from, until)`,
-    /// sorted like [`Market::notices_in`].
-    pub fn rebalances_in(&self, from: u64, until: u64) -> Vec<RebalanceSignal> {
-        let mut out: Vec<RebalanceSignal> = self
-            .capacity
-            .values()
-            .flat_map(|p| p.rebalances_in(from, until))
-            .collect();
-        out.sort_by_key(|s| (s.at_minute, s.zone.ordinal(), s.instance_type as u64));
         out
     }
 

@@ -55,12 +55,6 @@ impl Price {
         Price(self.0.div_ceil(t) * t)
     }
 
-    /// Round down to a multiple of [`Price::TICK`].
-    pub fn round_down_to_tick(self) -> Price {
-        let t = Price::TICK.0;
-        Price(self.0 / t * t)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: Price) -> Price {
         Price(self.0.saturating_sub(other.0))
@@ -152,7 +146,6 @@ mod tests {
     #[test]
     fn tick_rounding() {
         assert_eq!(Price(7_150).round_up_to_tick(), Price(7_200));
-        assert_eq!(Price(7_150).round_down_to_tick(), Price(7_100));
         assert_eq!(Price(7_100).round_up_to_tick(), Price(7_100));
         assert_eq!(Price::ZERO.round_up_to_tick(), Price::ZERO);
     }

@@ -89,11 +89,6 @@ impl FailureModel {
         &self.kernel
     }
 
-    /// The underlying kernel, shareable.
-    pub fn shared_kernel(&self) -> Arc<FrozenKernel> {
-        Arc::clone(&self.kernel)
-    }
-
     /// Whether the model has seen enough data to estimate anything.
     pub fn is_trained(&self) -> bool {
         self.kernel.n_states() > 0 && self.kernel.total_transitions() > 0

@@ -40,25 +40,10 @@ pub mod store;
 
 pub use harness::RsCluster;
 pub use msg::{ShardMsg, SlotValue, StoreCmd, StoreResp, WireValue};
-pub use open_loop::{RsOpenLoopClient, RsOpenOp};
 pub use service::{RsConfig, RsReplica, RsService};
 pub use store::ShardStore;
 
-/// The messages of an RS-Paxos simulation.
-pub type RsMsg = paxos::Msg<RsService>;
 /// A node in an RS-Paxos simulation: server replica or client.
 pub type RsNode = paxos::PaxosNode<RsService>;
-/// Closed-loop storage client actor state.
-pub type RsClientState = paxos::ClientState<RsService>;
-/// One operation in a closed-loop storage client's history.
-pub type RsCompletedOp = paxos::CompletedOp<RsService>;
-
-/// The open-loop storage session, under the path `paxos::open_loop` has.
-pub mod open_loop {
-    use crate::RsService;
-
-    /// An open-loop session actor driving one RS-Paxos cluster.
-    pub type RsOpenLoopClient = paxos::OpenLoopClient<RsService>;
-    /// One scheduled storage operation and its outcome.
-    pub type RsOpenOp = paxos::OpenOp<RsService>;
-}
+/// An open-loop session actor driving one RS-Paxos cluster.
+pub type RsOpenLoopClient = paxos::OpenLoopClient<RsService>;

@@ -7,6 +7,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use bytes::Bytes;
 use erasure::ReedSolomon;
 use obs::{Counter, Obs};
+use paxos::replica::PROPOSAL_RETRY;
 use paxos::{Compose, Msg, PendingOp, QuorumRule, Replica, ReplicaConfig, Service, Slot};
 use simnet::{Context, NodeId, SimTime};
 
@@ -18,16 +19,6 @@ use crate::store::ShardStore;
 pub struct RsConfig {
     /// Erasure data-shard count `m` (the code is θ(m, view.len())).
     pub m: usize,
-    /// Bookkeeping tick.
-    pub tick: SimTime,
-    /// Leader heartbeat period.
-    pub heartbeat_every: SimTime,
-    /// Election timeout range.
-    pub election_timeout: (SimTime, SimTime),
-    /// Re-broadcast period for unacknowledged proposals and shard pulls.
-    pub retry: SimTime,
-    /// Give up on a read after this long without `m` shards.
-    pub read_timeout: SimTime,
     /// Maximum client commands combined into one slot. `1` (the
     /// default) disables batching and preserves the classic one-command
     /// -per-slot behavior bit for bit.
@@ -47,11 +38,6 @@ impl Default for RsConfig {
     fn default() -> Self {
         RsConfig {
             m: 3,
-            tick: SimTime::from_millis(50),
-            heartbeat_every: SimTime::from_millis(200),
-            election_timeout: (SimTime::from_millis(800), SimTime::from_millis(1600)),
-            retry: SimTime::from_millis(400),
-            read_timeout: SimTime::from_secs(5),
             batch_max_ops: 1,
             batch_delay: SimTime::from_millis(5),
             pipeline: 0,
@@ -67,11 +53,6 @@ impl RsConfig {
     pub fn core(&self) -> ReplicaConfig {
         ReplicaConfig {
             quorum: QuorumRule::RsPaxos { m: self.m },
-            tick: self.tick,
-            heartbeat_every: self.heartbeat_every,
-            election_timeout: self.election_timeout,
-            proposal_retry: self.retry,
-            catchup_batch: 512,
             compact_after: None,
             batch_max_ops: self.batch_max_ops,
             batch_delay: self.batch_delay,
@@ -106,8 +87,6 @@ struct PendingRead {
 #[derive(Clone, Debug)]
 pub struct RsService {
     codec: ReedSolomon,
-    retry: SimTime,
-    read_timeout: SimTime,
     store: ShardStore,
     /// Leader-side full-object cache: key → (version, object).
     objects: HashMap<String, (u64, Bytes)>,
@@ -130,8 +109,6 @@ impl RsService {
         assert!(cfg.m >= 1 && cfg.m <= n, "invalid erasure m");
         RsService {
             codec: ReedSolomon::new(cfg.m, n),
-            retry: cfg.retry,
-            read_timeout: cfg.read_timeout,
             store: ShardStore::new(),
             objects: HashMap::new(),
             pending_reads: BTreeMap::new(),
@@ -328,6 +305,9 @@ fn decision(value: &WireValue) -> WireValue {
         other => other.clone(),
     }
 }
+
+/// Give up on a read after this long without `m` shards.
+const READ_TIMEOUT: SimTime = SimTime::from_secs(5);
 
 impl Service for RsService {
     type Cmd = StoreCmd;
@@ -533,9 +513,9 @@ impl Service for RsService {
         let mut expired = Vec::new();
         let mut repull = Vec::new();
         for (kv, read) in &host.pending_reads {
-            if ctx.now.saturating_sub(read.started) >= host.read_timeout {
+            if ctx.now.saturating_sub(read.started) >= READ_TIMEOUT {
                 expired.push(kv.clone());
-            } else if ctx.now.saturating_sub(read.last_pull) >= host.retry {
+            } else if ctx.now.saturating_sub(read.last_pull) >= PROPOSAL_RETRY {
                 repull.push(kv.clone());
             }
         }
@@ -702,5 +682,17 @@ fn try_finish_reads(r: &mut RsReplica, ctx: &mut Context<Msg<RsService>>) {
             Err(_) => StoreResp::Unavailable,
         };
         r.finish(read.client, read.req_id, Some(resp), ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// No golden replays a read that waits out its timeout, so the value
+    /// is held here.
+    #[test]
+    fn a_read_without_m_shards_gives_up_after_five_seconds() {
+        assert_eq!(READ_TIMEOUT, SimTime::from_secs(5));
     }
 }

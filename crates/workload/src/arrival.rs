@@ -4,8 +4,8 @@
 //! independent of how fast the system serves them. All sampling is
 //! sequential over one seeded ChaCha8 stream, so a given `(process,
 //! seed, horizon)` triple yields the same arrival vector on every run
-//! and under every thread count — the repo's determinism gates diff
-//! workload fingerprints across `RAYON_NUM_THREADS` settings.
+//! and on every thread — `ci.sh` runs `repro --quick workload` in two
+//! processes at one seed and diffs the rows.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -61,8 +61,6 @@ pub struct WorkloadSpec {
     pub replicas: usize,
     /// Leader batching: max client ops folded into one slot (1 = off).
     pub batch_max_ops: usize,
-    /// Leader batching: how long a partial batch lingers.
-    pub batch_delay: SimTime,
     /// Accept pipelining: max in-flight proposals (0 = unlimited).
     pub pipeline: usize,
     /// Serve read-only commands from follower-local applied state
@@ -89,7 +87,6 @@ impl Default for WorkloadSpec {
             sla: SimTime::from_millis(800),
             replicas: 5,
             batch_max_ops: 1,
-            batch_delay: SimTime::from_millis(5),
             pipeline: 0,
             local_reads: false,
             trace_every: 64,
@@ -332,7 +329,6 @@ fn drive<S: Service>(
 pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
     let cfg = ReplicaConfig {
         batch_max_ops: spec.batch_max_ops,
-        batch_delay: spec.batch_delay,
         pipeline: spec.pipeline,
         local_reads: spec.local_reads,
         obs: obs.clone(),
@@ -349,7 +345,6 @@ pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> 
 pub fn run_storage_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
     let cfg = RsConfig {
         batch_max_ops: spec.batch_max_ops,
-        batch_delay: spec.batch_delay,
         pipeline: spec.pipeline,
         obs: obs.clone(),
         ..RsConfig::default()

@@ -8,6 +8,7 @@
 //! ```
 
 use spot_jupiter::jupiter::JupiterStrategy;
+use spot_jupiter::obs::Obs;
 use spot_jupiter::replay::service_level::{lock_service_replay, ServiceReplayConfig};
 use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig};
 
@@ -30,6 +31,7 @@ fn main() {
             sla_ms: 5_000,
             seed: 99,
         },
+        &Obs::disabled(),
     );
 
     println!("\n— service-level outcome —");

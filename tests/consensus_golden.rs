@@ -44,7 +44,7 @@ use spot_jupiter::obs::Obs;
 use spot_jupiter::paxos::open_loop::OpenLoopClient;
 use spot_jupiter::paxos::{ClientOp, Cluster, LockCmd, LockService, PaxosNode, ReplicaConfig};
 use spot_jupiter::replay::record_trace_metrics;
-use spot_jupiter::replay::service_level::{lock_service_replay_observed, ServiceReplayConfig};
+use spot_jupiter::replay::service_level::{lock_service_replay, ServiceReplayConfig};
 use spot_jupiter::simnet::{ChaosAction, ChaosPlan, ChaosSchedule, NetworkConfig, NodeId, SimTime};
 use spot_jupiter::storage::{RsCluster, RsConfig, RsNode, StoreCmd};
 use spot_jupiter::workload::{
@@ -605,7 +605,7 @@ fn lock_market_replay() -> u64 {
     const WEEK: u64 = 7 * 24 * 60;
     let market = market_days(4242, 8, 3 * 7);
     let obs = simulated();
-    let outcome = lock_service_replay_observed(
+    let outcome = lock_service_replay(
         &market,
         JupiterStrategy::new().with_obs(obs.clone()),
         ServiceReplayConfig {

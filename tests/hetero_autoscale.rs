@@ -157,8 +157,8 @@ fn sweep_cells() -> Vec<(u64, Vec<InstanceType>, String, String, String, usize)>
 /// The hetero sweep grid must not depend on how the cells are
 /// scheduled: every run replays the exact same numbers cell by cell.
 /// (The vendored rayon shim executes cells sequentially in-process; the
-/// `RAYON_NUM_THREADS=1` cross-check on the repro binary lives in
-/// ci.sh, which diffs the hetero target's output against a default run.)
+/// cross-process check lives in ci.sh, which runs the repro binary's
+/// hetero target twice at one seed and diffs the rows.)
 #[test]
 fn hetero_sweep_is_schedule_deterministic() {
     let first = sweep_cells();

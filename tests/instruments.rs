@@ -17,7 +17,7 @@ use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ModelStore, ServiceS
 use spot_jupiter::obs::Obs;
 use spot_jupiter::replay::experiments::{diurnal_rate, PER_STRENGTH_THROUGHPUT};
 use spot_jupiter::replay::service_level::{
-    lock_service_replay_observed, storage_service_replay_observed, ServiceReplayConfig,
+    lock_service_replay, storage_service_replay, ServiceReplayConfig,
 };
 use spot_jupiter::replay::{
     demand_series, AutoScaler, AutoscaleConfig, RepairConfig, Replay, ReplayConfig,
@@ -188,7 +188,7 @@ fn every_recorded_signal_is_in_the_inventory_with_a_reader() {
         seed: 7,
     };
     let (obs, _clock) = Obs::simulated();
-    lock_service_replay_observed(
+    lock_service_replay(
         &market,
         JupiterStrategy::new().with_obs(obs.clone()),
         service,
@@ -201,7 +201,7 @@ fn every_recorded_signal_is_in_the_inventory_with_a_reader() {
     cfg.types = vec![InstanceType::M3Large];
     let store_market = Market::generate(cfg);
     let (obs, _clock) = Obs::simulated();
-    storage_service_replay_observed(
+    storage_service_replay(
         &store_market,
         JupiterStrategy {
             max_nodes: Some(5),

@@ -28,7 +28,7 @@
 //! | `.obs(o)`                                   | `replay_strategy_observed(m, spec, strategy, config, o)` |
 //! | `.repair(r).obs(o)` / `.repair(r).store(s).obs(o)` | `replay_repair_stored(m, spec, strategy, config, r, s, o)` with `s = &ModelStore::with_obs(o.clone())` where none is given |
 //! | `.autoscaler(a).obs(o)`                     | `replay_autoscale_stored(m, spec, strategy, config, RepairConfig::off(), \|_\| 180, &ModelStore::with_obs(o.clone()), a, o)` |
-//! | `.adaptive(a).obs(o)`                       | `replay_adaptive_stored(m, spec, strategy, config, a, &ModelStore::with_obs(o.clone()), o)` |
+//! | `.adaptive().obs(o)`                        | `replay_adaptive_stored(m, spec, strategy, config, a, &ModelStore::with_obs(o.clone()), o)` with `a` that tree's default adaptive parameters (constants in `replay::adaptive` since PR 19) |
 //!
 //! Host wall-clock samples cannot be pinned: histograms keep only their
 //! sample count, and `*_micros` series only their point count.
@@ -39,7 +39,7 @@ use spot_jupiter::jupiter::{
 use spot_jupiter::obs::{self, Obs};
 use spot_jupiter::replay::experiments::{diurnal_rate, PER_STRENGTH_THROUGHPUT};
 use spot_jupiter::replay::{
-    demand_series, AdaptiveConfig, AutoScaler, AutoscaleConfig, RepairConfig, Replay, ReplayConfig,
+    demand_series, AutoScaler, AutoscaleConfig, RepairConfig, Replay, ReplayConfig,
     ReplayResult,
 };
 use spot_jupiter::spot_market::{BidEra, InstanceType, Market, MarketConfig};
@@ -164,7 +164,7 @@ fn whole_result_digests_match_the_pre_refactor_loop() {
 
     let (o, _clock) = Obs::simulated();
     let r = Replay::new(&m, &spec, config(1))
-        .adaptive(AdaptiveConfig::default())
+        .adaptive()
         .obs(&o)
         .run(JupiterStrategy::new().with_obs(o.clone()));
     got.push(digest(&r));

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
 use spot_jupiter::obs::{AuditKind, Obs};
+use spot_jupiter::replay::lifecycle::DECISION_LEAD;
 use spot_jupiter::replay::{RepairConfig, Replay, ReplayConfig};
 use spot_jupiter::spot_market::{BidEra, InstanceType, Price, Termination};
 use test_util::{derive_seed, hetero_market_days, market_days as market};
@@ -196,7 +197,7 @@ proptest! {
                 .unwrap_or(config.eval_end);
             let decided: u32 = audits
                 .iter()
-                .filter(|a| a.at_minute == iv.start.saturating_sub(config.decision_lead))
+                .filter(|a| a.at_minute == iv.start.saturating_sub(DECISION_LEAD))
                 .filter_map(|a| match &a.kind {
                     AuditKind::BidSelection {
                         capacity_weight, ..
@@ -214,7 +215,7 @@ proptest! {
                 // occupancy never exceeds the decided strength (deltas
                 // sort negatives first, so boundary swaps don't
                 // double-count). The next boundary's decision fires
-                // `decision_lead` minutes early and its grants overlap
+                // `DECISION_LEAD` minutes early and its grants overlap
                 // this interval's tail — those belong to the next
                 // interval's books, so clip them out.
                 let mut events: Vec<(u64, i64)> = Vec::new();
@@ -222,7 +223,7 @@ proptest! {
                     rec.running_from < rec.ended_at
                         && rec.running_from < end
                         && rec.ended_at > iv.start
-                        && rec.granted_at < end.saturating_sub(config.decision_lead)
+                        && rec.granted_at < end.saturating_sub(DECISION_LEAD)
                 }) {
                     let w = i64::from(rec.instance_type.capacity_weight());
                     events.push((rec.running_from.max(iv.start), w));

@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
+use spot_jupiter::obs::Obs;
 use spot_jupiter::paxos::{ClientOp, LockCmd, LockService, ReplicaConfig};
 use spot_jupiter::replay::service_level::{lock_service_replay, ServiceReplayConfig};
 use spot_jupiter::replay::{RepairConfig, RepairPolicy, Scenario, SweepSpec};
@@ -29,6 +30,7 @@ fn service_level_replay_meets_sla() {
             sla_ms: 5_000,
             seed: 4,
         },
+        &Obs::disabled(),
     );
     assert!(out.ops_completed > 30, "completed {}", out.ops_completed);
     assert_eq!(out.ops_unfinished, 0);

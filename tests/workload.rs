@@ -109,8 +109,8 @@ fn small_lock_spec() -> WorkloadSpec {
 fn workload_reports_are_identical_across_threads() {
     // The whole engine — arrival sampling, command mix, DES run,
     // summary reduction — replays bit-identically on any thread. This
-    // is the in-process form of the ci.sh gate that diffs `repro
-    // --quick workload` output across RAYON_NUM_THREADS settings.
+    // is the in-process form of the ci.sh gate that runs `repro --quick
+    // workload` in two processes at one seed and diffs the rows.
     let spec = small_lock_spec();
     let reference = run_lock_workload(&spec, NetworkConfig::default(), &Obs::disabled());
     let handles: Vec<std::thread::JoinHandle<WorkloadReport>> = (0..3)
