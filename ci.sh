@@ -56,6 +56,16 @@ for target in fig6 repair workload hetero era; do
     || { echo "$target rows differ between two processes at one seed" >&2; exit 1; }
 done
 
+# One thread against the default pool: `Scenario::run` takes one worker
+# per core the process may run on, so pinned to one core it replays every
+# cell inline; the rows must not notice.
+ONE_CPU="$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')" # first CPU we may run on
+for target in fig6 repair; do
+  taskset -c "$ONE_CPU" ./target/release/repro --quick --seed 2014 "$target" | grep -v '^#' > "$TMP/$target.1.txt"
+  diff "$TMP/$target.a.txt" "$TMP/$target.1.txt" \
+    || { echo "$target rows differ between one thread and the default pool" >&2; exit 1; }
+done
+
 # Workload: the quick request-level replay (~20k lock + ~2k storage
 # requests) must report the batched lock row.
 grep -q 'lock batch=8' "$TMP/workload.a.txt" \

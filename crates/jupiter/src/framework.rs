@@ -69,8 +69,8 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
     /// Adopt a pre-trained shared kernel for the `(zone, ty)` pool (the
     /// [`crate::ModelStore`] consumption path): the framework wraps it in
     /// a [`FailureModel`] carrying this service's `FP⁰` composition, and
-    /// later [`Self::observe`] calls fork it copy-on-write — the shared
-    /// base stays untouched.
+    /// windows fed to [`Self::observe`] afterwards fork it copy-on-write
+    /// when the model is next read — the shared base stays untouched.
     pub fn install_kernel(&mut self, zone: Zone, ty: InstanceType, kernel: Arc<FrozenKernel>) {
         self.models.insert(
             (zone, ty),
@@ -80,6 +80,8 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
 
     /// Feed spot-price history for a pool into its failure model
     /// (training and continuous online refinement both go through here).
+    /// The model folds it in when a strategy next reads it; a strategy
+    /// that never consults its models never pays for the refinement.
     pub fn observe(&mut self, zone: Zone, ty: InstanceType, trace: &PriceTrace) {
         self.models
             .entry((zone, ty))
@@ -195,6 +197,52 @@ mod tests {
         };
         let d = fw.decide(&[snap], 60);
         assert_eq!(d.n(), 0);
+    }
+
+    #[test]
+    fn only_a_strategy_that_reads_its_models_folds_them() {
+        use crate::{ExtraStrategy, FeedbackStrategy};
+        let ty = InstanceType::M1Small;
+        let zones: Vec<Zone> = spot_market::topology::experiment_zones()
+            .into_iter()
+            .take(6)
+            .collect();
+        let gen = TraceGenerator::new(9);
+        let (trained, revealed) = (7 * 24 * 60, 7 * 24 * 60 + 360);
+        let traces: Vec<PriceTrace> = zones.iter().map(|&z| gen.generate(z, ty, revealed)).collect();
+        let snapshots: Vec<MarketSnapshot> = zones
+            .iter()
+            .zip(&traces)
+            .map(|(&zone, t)| MarketSnapshot {
+                zone,
+                instance_type: ty,
+                spot_price: t.price_at(revealed - 1),
+                sojourn_age: t.sojourn_age_at(revealed - 1) as u32,
+            })
+            .collect();
+        // Windows still queued per pool after install + observe + decide.
+        let unfolded_after_decide = |strategy: Box<dyn BiddingStrategy>| -> Vec<usize> {
+            let mut fw = BiddingFramework::new(ServiceSpec::lock_service(), strategy);
+            for (&z, t) in zones.iter().zip(&traces) {
+                fw.install_kernel(z, ty, Arc::new(FrozenKernel::from_trace(&t.window(0, trained))));
+                fw.observe(z, ty, &t.window(trained, revealed));
+            }
+            let decision = fw.decide(&snapshots, 360);
+            assert!(decision.n() > 0, "{} placed no bid", fw.strategy_name());
+            zones.iter().map(|&z| fw.model(z, ty).unwrap().unfolded()).collect()
+        };
+        let model_free: [Box<dyn BiddingStrategy>; 3] = [
+            Box::new(ExtraStrategy::new(0, 0.2)),
+            Box::new(ExtraStrategy::new(2, 0.2)),
+            Box::new(FeedbackStrategy::new()),
+        ];
+        for strategy in model_free {
+            assert_eq!(unfolded_after_decide(strategy), vec![1; zones.len()]);
+        }
+        assert_eq!(
+            unfolded_after_decide(Box::new(JupiterStrategy::new())),
+            vec![0; zones.len()]
+        );
     }
 
     #[test]

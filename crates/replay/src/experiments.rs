@@ -10,12 +10,12 @@
 #![deny(clippy::too_many_lines)]
 
 use jupiter::{BiddingStrategy, ExtraStrategy, JupiterStrategy, ServiceSpec};
-use rayon::prelude::*;
 use spot_market::{
     BidEra, InstanceType, Market, MarketConfig, Price, PriceTrace, TraceGenerator, Zone,
 };
 use spot_model::{backtest, BidRule, CalibrationReport, FailureModel, FailureModelConfig};
 
+use crate::par::{host_workers, par_map};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
 use crate::scenario::{CellOutcome, Scenario, SweepSpec};
@@ -248,51 +248,49 @@ pub struct Fig4Row {
 pub fn fig4(scale: &Scale) -> Vec<Fig4Row> {
     const TARGET: f64 = 0.01;
     let month = 30 * 24 * 60;
+    let gen = TraceGenerator::new(scale.seed);
     let mut jobs = Vec::new();
     for ty in [InstanceType::M1Small, InstanceType::M3Large] {
-        let gen = TraceGenerator::new(scale.seed);
         for zone in spot_market::topology::experiment_zones()
             .into_iter()
             .take(5)
         {
-            jobs.push((gen.clone(), zone, ty));
+            jobs.push((zone, ty));
         }
     }
-    jobs.into_par_iter()
-        .map(|(gen, zone, ty)| {
-            let total = scale.train_minutes() + month;
-            let trace = gen.generate(zone, ty, total);
-            let train = trace.window(0, scale.train_minutes());
-            let model = FailureModel::from_trace(&train, FailureModelConfig::default());
-            let spot = train.price_at(scale.train_minutes() - 1);
-            let age = train.sojourn_age_at(scale.train_minutes() - 1) as u32;
-            // Out-of-bid only (Fig. 4's y-axis excludes the FP⁰ floor).
-            let forecast = model.forecast(spot, age, month as u32);
-            let cap = ty.on_demand_price(zone.region);
-            let (bid, estimated) = match &forecast {
-                None => (None, 1.0),
-                Some(f) => {
-                    let bid = std::iter::once(spot)
-                        .chain(f.levels().iter().copied())
-                        .filter(|&b| b >= spot && b < cap)
-                        .find(|&b| f.out_of_bid_fraction(b) <= TARGET);
-                    let est = bid.map(|b| f.out_of_bid_fraction(b)).unwrap_or(1.0);
-                    (bid, est)
-                }
-            };
-            let measured = match bid {
-                None => 1.0,
-                Some(b) => trace.fraction_above(b, scale.train_minutes(), total),
-            };
-            Fig4Row {
-                zone,
-                instance_type: ty,
-                bid,
-                estimated,
-                measured,
+    par_map(&jobs, host_workers(), |&(zone, ty)| {
+        let total = scale.train_minutes() + month;
+        let trace = gen.generate(zone, ty, total);
+        let train = trace.window(0, scale.train_minutes());
+        let model = FailureModel::from_trace(&train, FailureModelConfig::default());
+        let spot = train.price_at(scale.train_minutes() - 1);
+        let age = train.sojourn_age_at(scale.train_minutes() - 1) as u32;
+        // Out-of-bid only (Fig. 4's y-axis excludes the FP⁰ floor).
+        let forecast = model.forecast(spot, age, month as u32);
+        let cap = ty.on_demand_price(zone.region);
+        let (bid, estimated) = match &forecast {
+            None => (None, 1.0),
+            Some(f) => {
+                let bid = std::iter::once(spot)
+                    .chain(f.levels().iter().copied())
+                    .filter(|&b| b >= spot && b < cap)
+                    .find(|&b| f.out_of_bid_fraction(b) <= TARGET);
+                let est = bid.map(|b| f.out_of_bid_fraction(b)).unwrap_or(1.0);
+                (bid, est)
             }
-        })
-        .collect()
+        };
+        let measured = match bid {
+            None => 1.0,
+            Some(b) => trace.fraction_above(b, scale.train_minutes(), total),
+        };
+        Fig4Row {
+            zone,
+            instance_type: ty,
+            bid,
+            estimated,
+            measured,
+        }
+    })
 }
 
 // ---------------------------------------------------------------- Fig. 5

@@ -40,6 +40,7 @@ pub mod autoscale;
 pub mod chaos;
 pub mod experiments;
 pub mod lifecycle;
+mod par;
 pub mod repair;
 pub mod results;
 pub mod scenario;

@@ -509,10 +509,11 @@ impl<S: BiddingStrategy> Run<'_, S> {
         end
     }
 
-    /// Decide shortly before the boundary: fold the newly revealed prices
-    /// into the models, let the scaler re-target the strength floor (from
-    /// this interval's demand forecast and the last one's feedback),
-    /// snapshot the market and ask the strategy.
+    /// Decide shortly before the boundary: hand the newly revealed prices
+    /// to the models (each folds them in when next read — a strategy that
+    /// consults no model builds no kernel), let the scaler re-target the
+    /// strength floor (from this interval's demand forecast and the last
+    /// one's feedback), snapshot the market and ask the strategy.
     fn decide(&mut self, start: u64, end: u64, horizon: u64) -> Interval {
         self.refs.clear();
         self.kills = 0;

@@ -8,9 +8,10 @@
 //! training data. A [`Scenario`] owns the market (`Arc`-shared across
 //! cells) and a [`ModelStore`] memoizing one [`spot_model::FrozenKernel`]
 //! per (zone, type, training prefix); a [`SweepSpec`] declares the cell
-//! grid; [`Scenario::run`] enumerates it rayon-parallel and merges each
-//! cell's private obs registry into the scenario registry under a
-//! `cell.{strategy}.{interval}h.` prefix.
+//! grid; [`Scenario::run`] replays the cells on every core the host offers
+//! (an ordered `std::thread::scope` map, `par.rs`) and then merges each
+//! cell's private obs registry into the scenario registry, in grid order,
+//! under a `cell.{strategy}.{interval}h.` prefix.
 //!
 //! ```text
 //!          Scenario (shared, read-only across cells)
@@ -28,10 +29,10 @@ use std::sync::Arc;
 
 use jupiter::{BiddingStrategy, ModelStore, ServiceSpec};
 use obs::Obs;
-use rayon::prelude::*;
 use spot_market::{BidEra, InstanceType, Market, Price};
 
 use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
+use crate::par::{host_workers, par_map};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
 
@@ -200,16 +201,23 @@ impl Scenario {
     }
 
     /// Replay the full strategy × interval × repair × pool × era grid of
-    /// `spec`, cells in parallel over the shared market and store. Cells
-    /// are returned in grid order (intervals outer, then strategies,
-    /// repairs, pools, eras innermost), and each cell's private registry
-    /// is merged into the scenario [`Obs`] in that same order, so output
-    /// and metrics are independent of scheduling. Cells with repair off
+    /// `spec` over the shared market and store, on one thread per core
+    /// the host offers (a single cell, or a single core, replays inline
+    /// on the caller). Cells are returned in grid order (intervals outer,
+    /// then strategies, repairs, pools, eras innermost), and once all are
+    /// back each cell's private registry is merged into the scenario
+    /// [`Obs`] in that same order, so output and metrics are independent
+    /// of the thread count and of scheduling. Cells with repair off
     /// keep the historical `cell.{strategy}.{interval}h.` prefix;
     /// repairing cells append the policy label
     /// (`….{interval}h.{policy}.`), non-default pool columns their type
     /// list, and non-default era columns the era label.
     pub fn run(&self, spec: &SweepSpec) -> Vec<CellOutcome> {
+        self.run_on(spec, host_workers())
+    }
+
+    /// [`Self::run`] on at most `workers` threads.
+    fn run_on(&self, spec: &SweepSpec, workers: usize) -> Vec<CellOutcome> {
         let jobs: Vec<(u64, usize, usize, usize, usize)> = spec
             .intervals
             .iter()
@@ -225,9 +233,8 @@ impl Scenario {
                 })
             })
             .collect();
-        let cells: Vec<(CellOutcome, bool, Obs)> = jobs
-            .into_par_iter()
-            .map(|(h, s, r, p, e)| {
+        let cells: Vec<(CellOutcome, bool, Obs)> =
+            par_map(&jobs, workers, |&(h, s, r, p, e)| {
                 let cell_obs = if self.obs.metrics.is_enabled() {
                     Obs::simulated().0
                 } else {
@@ -258,8 +265,7 @@ impl Scenario {
                     default_pools,
                     cell_obs,
                 )
-            })
-            .collect();
+            });
         cells
             .into_iter()
             .map(|(cell, default_pools, cell_obs)| {
@@ -366,6 +372,67 @@ mod tests {
                 .unwrap_or(0)
                 > 0
         );
+    }
+
+    /// `spec` replayed, observed, on at most `workers` threads: every
+    /// cell (axes and whole result) and the merged scenario registry.
+    fn replay_on(spec: &SweepSpec, workers: usize) -> (Vec<String>, obs::MetricsSnapshot) {
+        let (obs, _clock) = Obs::simulated();
+        let scenario =
+            Scenario::new(scenario_market(), 2 * 7 * 24 * 60, 3 * 7 * 24 * 60).with_obs(obs.clone());
+        let cells = scenario
+            .run_on(spec, workers)
+            .iter()
+            .map(|c| {
+                format!(
+                    "{}h {:?} {:?} {:?} {:?}",
+                    c.interval_hours, c.repair, c.era, c.pool_types, c.result
+                )
+            })
+            .collect();
+        (cells, obs.metrics.snapshot())
+    }
+
+    #[test]
+    fn cells_and_registry_are_the_same_on_one_thread_and_on_four() {
+        let repair_by_era = SweepSpec::new(ServiceSpec::lock_service())
+            .strategy(|_| Box::new(ExtraStrategy::new(0, 0.2)))
+            .strategy(|_| Box::new(jupiter::FeedbackStrategy::new()))
+            .intervals(vec![3])
+            .repairs(vec![RepairConfig::reactive(), RepairConfig::migrate()])
+            .eras(vec![BidEra::Bidding, BidEra::CapacityReclaim]);
+        for spec in [spec_2x2(), repair_by_era] {
+            let (inline_cells, inline) = replay_on(&spec, 1);
+            let (threaded_cells, threaded) = replay_on(&spec, 4);
+            assert_eq!(inline_cells.len(), spec.cells());
+            assert_eq!(threaded_cells.len(), spec.cells());
+            for (i, (a, b)) in inline_cells.iter().zip(&threaded_cells).enumerate() {
+                assert_eq!(a, b, "cell {i}");
+            }
+            assert_eq!(inline.counters.len(), threaded.counters.len());
+            for (a, b) in inline.counters.iter().zip(&threaded.counters) {
+                assert_eq!(a, b);
+            }
+            assert_eq!(inline.histograms.len(), threaded.histograms.len());
+            for ((name, a), (other, b)) in inline.histograms.iter().zip(&threaded.histograms) {
+                assert_eq!(name, other);
+                if name == "model_store.fit_micros" {
+                    // The one wall-clock instrument these sweeps fill.
+                    assert_eq!(a.count, b.count, "histogram {name}");
+                } else {
+                    assert_eq!(a, b, "histogram {name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "window beyond market")]
+    fn a_cells_panic_crosses_the_worker_threads_with_its_message() {
+        // One week past the market's end: every cell trips the replay's
+        // window assertion, on whichever thread claimed it.
+        let scenario = Scenario::new(scenario_market(), 2 * 7 * 24 * 60, 4 * 7 * 24 * 60);
+        scenario.run_on(&spec_2x2(), 2);
     }
 
     #[test]

@@ -151,20 +151,21 @@ impl PriceTrace {
     /// suffix.
     pub fn window(&self, from: u64, to: u64) -> PriceTrace {
         assert!(from < to && to <= self.horizon, "bad window {from}..{to}");
+        // The first change point after `from`; the one before it is the
+        // segment `from` falls in.
+        let next = self.points.partition_point(|p| p.minute <= from);
         let mut points = vec![PricePoint {
             minute: 0,
-            price: self.price_at(from),
+            price: self.points[next - 1].price,
         }];
-        for p in &self.points {
-            if p.minute > from && p.minute < to {
-                if p.price == points.last().unwrap().price {
-                    continue;
-                }
-                points.push(PricePoint {
-                    minute: p.minute - from,
-                    price: p.price,
-                });
+        for p in self.points[next..].iter().take_while(|p| p.minute < to) {
+            if p.price == points.last().unwrap().price {
+                continue;
             }
+            points.push(PricePoint {
+                minute: p.minute - from,
+                price: p.price,
+            });
         }
         PriceTrace::new(points, to - from)
     }
@@ -221,6 +222,30 @@ mod tests {
 
     fn p(d: f64) -> Price {
         Price::from_dollars(d)
+    }
+
+    impl PriceTrace {
+        /// The linear-scan `window` the bisecting one replaced, kept as the
+        /// reference the differential tests compare against.
+        pub(crate) fn window_by_scan(&self, from: u64, to: u64) -> PriceTrace {
+            assert!(from < to && to <= self.horizon, "bad window {from}..{to}");
+            let mut points = vec![PricePoint {
+                minute: 0,
+                price: self.price_at(from),
+            }];
+            for p in &self.points {
+                if p.minute > from && p.minute < to {
+                    if p.price == points.last().unwrap().price {
+                        continue;
+                    }
+                    points.push(PricePoint {
+                        minute: p.minute - from,
+                        price: p.price,
+                    });
+                }
+            }
+            PriceTrace::new(points, to - from)
+        }
     }
 
     fn sample() -> PriceTrace {
@@ -348,6 +373,79 @@ mod tests {
         let w = t.window(5, 30);
         assert_eq!(w.points().len(), 3);
         assert_eq!(w.price_at(0), p(0.01));
+    }
+
+    /// Window edges worth trying on `t`: every change point and the
+    /// minutes either side of it, plus both ends of the trace.
+    fn edges(t: &PriceTrace) -> Vec<u64> {
+        let mut edges: Vec<u64> = t
+            .points()
+            .iter()
+            .flat_map(|p| [p.minute.saturating_sub(1), p.minute, p.minute + 1])
+            .chain([0, t.horizon()])
+            .filter(|&m| m <= t.horizon())
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+
+    #[test]
+    fn bisecting_window_matches_the_scan_on_the_merge_trace() {
+        // A → B → A: a window opening inside the first A meets its own
+        // price again two points later; one opening on B's change point
+        // must start at B without repeating it.
+        let t = PriceTrace::new(
+            vec![
+                PricePoint { minute: 0, price: p(0.01) },
+                PricePoint { minute: 10, price: p(0.02) },
+                PricePoint { minute: 20, price: p(0.01) },
+            ],
+            30,
+        );
+        let edges = edges(&t);
+        for &from in &edges {
+            for &to in edges.iter().filter(|&&to| to > from) {
+                assert_eq!(t.window(from, to), t.window_by_scan(from, to), "{from}..{to}");
+            }
+        }
+        assert_eq!(t.window(10, 20).points().len(), 1, "exactly one segment");
+        assert_eq!(t.window(12, 15).points().len(), 1, "inside one segment");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The bisecting `window` equals the linear scan it replaced for
+        /// every pair of edges on or next to a change point (which covers
+        /// `from`/`to` exactly on one and windows inside one segment), and
+        /// for an arbitrary pair besides.
+        #[test]
+        fn bisecting_window_matches_the_scan(
+            steps in proptest::collection::vec((1u64..40, 0usize..4), 1..20),
+            a in 0u64..1_000,
+            len in 1u64..1_000,
+        ) {
+            let levels = [p(0.01), p(0.02), p(0.03), p(0.05)];
+            let mut points = vec![PricePoint { minute: 0, price: levels[0] }];
+            let mut at = 0;
+            for (dt, level) in steps {
+                at += dt;
+                if points.last().unwrap().price != levels[level] {
+                    points.push(PricePoint { minute: at, price: levels[level] });
+                }
+            }
+            let t = PriceTrace::new(points, at + 40);
+            let edges = edges(&t);
+            for &from in &edges {
+                for &to in edges.iter().filter(|&&to| to > from) {
+                    proptest::prop_assert_eq!(t.window(from, to), t.window_by_scan(from, to));
+                }
+            }
+            let from = a % t.horizon();
+            let to = (from + len).min(t.horizon());
+            proptest::prop_assert_eq!(t.window(from, to), t.window_by_scan(from, to));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The spot-instance failure model (Eq. 4/14 plus the interval expectation
 //! of Eq. 5), the object the bidding framework consults.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use spot_market::{Price, PriceTrace};
 
@@ -48,50 +48,82 @@ impl Default for FailureModelConfig {
 /// let fp = model.estimate_fp(spot.scale(1.5), spot, age, 360);
 /// assert!((0.01..=1.0).contains(&fp), "never below the on-demand floor");
 /// ```
+///
+/// Refinement folds on read: [`Self::observe`] queues the window, and the
+/// first reader after it extends the kernel by every queued window in
+/// arrival order. A model nobody reads never builds a kernel.
 #[derive(Clone, Debug)]
 pub struct FailureModel {
-    kernel: Arc<FrozenKernel>,
+    /// The last kernel a reader saw (or the one the model started from).
+    base: Arc<FrozenKernel>,
+    /// Windows observed since `base`, oldest first.
+    pending: Vec<PriceTrace>,
+    /// `base` extended by all of `pending`; filled by the first read after
+    /// an observe, promoted to `base` by the next observe (`&self` readers
+    /// cannot drop the superseded `base`, so it lives on until then).
+    folded: OnceLock<Arc<FrozenKernel>>,
     config: FailureModelConfig,
 }
 
 impl FailureModel {
     /// An untrained model (every estimate is the conservative 1.0).
     pub fn new(config: FailureModelConfig) -> Self {
-        FailureModel {
-            kernel: Arc::new(FrozenKernel::new()),
-            config,
-        }
+        FailureModel::from_kernel(Arc::new(FrozenKernel::new()), config)
     }
 
     /// Train a fresh model from a price history.
     pub fn from_trace(trace: &PriceTrace, config: FailureModelConfig) -> Self {
-        FailureModel {
-            kernel: Arc::new(FrozenKernel::from_trace(trace)),
-            config,
-        }
+        FailureModel::from_kernel(Arc::new(FrozenKernel::from_trace(trace)), config)
     }
 
     /// A model over a pre-trained shared kernel (the [`FailureModel`] adds
     /// only the per-service `FP⁰` composition, so one kernel can back many
     /// models).
     pub fn from_kernel(kernel: Arc<FrozenKernel>, config: FailureModelConfig) -> Self {
-        FailureModel { kernel, config }
+        FailureModel {
+            base: kernel,
+            pending: Vec::new(),
+            folded: OnceLock::new(),
+            config,
+        }
     }
 
-    /// Fold more price history into the model (incremental re-estimation).
+    /// Add more price history to the model (incremental re-estimation).
+    /// The window is only queued here; the next read folds it in.
     /// Copy-on-write: other models sharing this kernel are unaffected.
     pub fn observe(&mut self, trace: &PriceTrace) {
-        self.kernel = Arc::new(self.kernel.extend(trace));
+        if let Some(folded) = self.folded.take() {
+            self.base = folded;
+            self.pending.clear();
+        }
+        self.pending.push(trace.clone());
     }
 
-    /// The underlying kernel.
+    /// The underlying kernel, with every observed window folded in: one
+    /// [`FrozenKernel::extend`] per window, in the order they were
+    /// observed, so each window's final segment stays right-censored.
     pub fn kernel(&self) -> &FrozenKernel {
-        &self.kernel
+        let Some((first, rest)) = self.pending.split_first() else {
+            return &self.base;
+        };
+        self.folded.get_or_init(|| {
+            Arc::new(rest.iter().fold(self.base.extend(first), |k, w| k.extend(w)))
+        })
+    }
+
+    /// Observed windows no reader has folded into the kernel yet.
+    pub fn unfolded(&self) -> usize {
+        if self.folded.get().is_some() {
+            0
+        } else {
+            self.pending.len()
+        }
     }
 
     /// Whether the model has seen enough data to estimate anything.
     pub fn is_trained(&self) -> bool {
-        self.kernel.n_states() > 0 && self.kernel.total_transitions() > 0
+        let kernel = self.kernel();
+        kernel.n_states() > 0 && kernel.total_transitions() > 0
     }
 
     /// Compose an out-of-bid probability with the baseline `FP⁰` (Eq. 4).
@@ -113,9 +145,10 @@ impl FailureModel {
         if !self.is_trained() || horizon_minutes == 0 {
             return None;
         }
-        let state = self.kernel.nearest_state(current_price)?;
+        let kernel = self.kernel();
+        let state = kernel.nearest_state(current_price)?;
         Some(forecast(
-            &self.kernel,
+            kernel,
             state,
             current_age_minutes,
             horizon_minutes,
@@ -169,11 +202,12 @@ impl FailureModel {
         if bid < current_price || !self.is_trained() || horizon_minutes == 0 {
             return 1.0;
         }
-        let Some(state) = self.kernel.nearest_state(current_price) else {
+        let kernel = self.kernel();
+        let Some(state) = kernel.nearest_state(current_price) else {
             return 1.0;
         };
         let survive = survival_probability(
-            &self.kernel,
+            kernel,
             bid,
             state,
             current_age_minutes,
@@ -235,7 +269,7 @@ impl FailureModel {
             return None;
         }
         let candidates: Vec<Price> = std::iter::once(current_price)
-            .chain(self.kernel.prices().iter().copied())
+            .chain(self.kernel().prices().iter().copied())
             .filter(|&b| b >= current_price && b < cap)
             .collect();
         if candidates.is_empty() {
@@ -275,21 +309,7 @@ mod tests {
 
     /// Deterministic alternation A=0.01 (5 min) → B=0.02 (3 min).
     fn model() -> FailureModel {
-        let mut points = Vec::new();
-        let mut t = 0;
-        for _ in 0..60 {
-            points.push(PricePoint {
-                minute: t,
-                price: p(0.01),
-            });
-            t += 5;
-            points.push(PricePoint {
-                minute: t,
-                price: p(0.02),
-            });
-            t += 3;
-        }
-        FailureModel::from_trace(&PriceTrace::new(points, t), FailureModelConfig::default())
+        FailureModel::from_trace(&alternating(60), FailureModelConfig::default())
     }
 
     #[test]
@@ -436,13 +456,11 @@ mod tests {
         assert_eq!(a, p(0.02));
     }
 
-    #[test]
-    fn incremental_training_improves_from_empty() {
-        let mut m = FailureModel::new(FailureModelConfig::default());
-        assert_eq!(m.estimate_fp(p(0.02), p(0.01), 0, 60), 1.0);
+    /// `cycles` of the A (5 min) → B (3 min) alternation.
+    fn alternating(cycles: usize) -> PriceTrace {
         let mut points = Vec::new();
         let mut t = 0;
-        for _ in 0..20 {
+        for _ in 0..cycles {
             points.push(PricePoint {
                 minute: t,
                 price: p(0.01),
@@ -454,7 +472,46 @@ mod tests {
             });
             t += 3;
         }
-        m.observe(&PriceTrace::new(points, t));
+        PriceTrace::new(points, t)
+    }
+
+    #[test]
+    fn observes_without_a_read_fold_nothing() {
+        let mut m = FailureModel::new(FailureModelConfig::default());
+        for k in 1..=4 {
+            m.observe(&alternating(k));
+            assert_eq!(m.unfolded(), k);
+        }
+        assert!(m.folded.get().is_none(), "no kernel was built");
+        assert_eq!(m.base.n_states(), 0, "the base is still the empty kernel");
+    }
+
+    #[test]
+    fn a_read_folds_and_the_next_observe_promotes_it() {
+        let windows = [alternating(3), alternating(5), alternating(2)];
+        let mut m = FailureModel::new(FailureModelConfig::default());
+        m.observe(&windows[0]);
+        m.observe(&windows[1]);
+        let eager = FrozenKernel::new().extend(&windows[0]).extend(&windows[1]);
+        assert_eq!(m.kernel().fingerprint(), eager.fingerprint());
+        assert_eq!(m.unfolded(), 0);
+        assert_eq!(m.pending.len(), 2, "a read leaves the queue to observe");
+        let folded = Arc::clone(m.folded.get().expect("the read filled the lock"));
+        m.observe(&windows[2]);
+        assert!(Arc::ptr_eq(&m.base, &folded), "folded kernel is the new base");
+        assert_eq!(m.pending.len(), 1, "only the new window is queued");
+        assert_eq!(m.unfolded(), 1);
+        assert_eq!(
+            m.kernel().fingerprint(),
+            eager.extend(&windows[2]).fingerprint()
+        );
+    }
+
+    #[test]
+    fn incremental_training_improves_from_empty() {
+        let mut m = FailureModel::new(FailureModelConfig::default());
+        assert_eq!(m.estimate_fp(p(0.02), p(0.01), 0, 60), 1.0);
+        m.observe(&alternating(20));
         let fp = m.estimate_fp(p(0.02), p(0.01), 0, 60);
         assert!(fp < 0.02, "trained model should trust the top bid: {fp}");
     }

@@ -172,6 +172,78 @@ proptest! {
         }
     }
 
+    /// Fold-on-read equivalence: a model that queues windows and folds
+    /// them when read answers exactly like the eager `extend` chain at
+    /// every read, wherever the reads fall among the observes — and a
+    /// clone taken with windows still queued folds to its origin's kernel.
+    #[test]
+    fn lazy_refinement_equals_the_eager_chain(
+        trace in training_trace(),
+        cuts in proptest::collection::vec((1u64..100, any::<bool>()), 1..12),
+        horizon in 10u32..200,
+    ) {
+        let end = trace.horizon();
+        let mut cuts: Vec<(u64, bool)> = cuts
+            .into_iter()
+            .map(|(pct, read)| ((end * pct / 100).max(1), read))
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup_by_key(|c| c.0);
+        // The last window always ends in a read, so at least one compares.
+        cuts.push((end, true));
+
+        let mut lazy = FailureModel::new(FailureModelConfig::default());
+        let mut eager = FrozenKernel::new();
+        let mut unread = 0;
+        let mut from = 0;
+        for (to, read) in cuts {
+            if to == from {
+                continue;
+            }
+            let window = trace.window(from, to);
+            lazy.observe(&window);
+            eager = eager.extend(&window);
+            unread += 1;
+            from = to;
+            prop_assert_eq!(lazy.unfolded(), unread);
+            if !read {
+                continue;
+            }
+            let forked = lazy.clone();
+            let reference =
+                FailureModel::from_kernel(eager.clone().into(), FailureModelConfig::default());
+            for model in [&lazy, &forked] {
+                prop_assert_eq!(model.kernel().fingerprint(), eager.fingerprint());
+                prop_assert_eq!(model.kernel().prices(), eager.prices());
+                let spot = trace.price_at(to - 1);
+                let age = trace.sojourn_age_at(to - 1) as u32;
+                let (got, want) = (
+                    model.forecast(spot, age, horizon),
+                    reference.forecast(spot, age, horizon),
+                );
+                prop_assert_eq!(got.is_some(), want.is_some());
+                if let (Some(got), Some(want)) = (got, want) {
+                    prop_assert_eq!(got.levels(), want.levels());
+                    for &bid in want.levels() {
+                        prop_assert_eq!(
+                            got.out_of_bid_fraction(bid).to_bits(),
+                            want.out_of_bid_fraction(bid).to_bits()
+                        );
+                    }
+                }
+                for mult in [10u64, 15, 25] {
+                    let bid = Price::from_micros(spot.as_micros() * mult / 10);
+                    prop_assert_eq!(
+                        model.estimate_fp(bid, spot, age, horizon).to_bits(),
+                        reference.estimate_fp(bid, spot, age, horizon).to_bits()
+                    );
+                }
+                prop_assert_eq!(model.unfolded(), 0);
+            }
+            unread = 0;
+        }
+    }
+
     /// The minimum-bid search returns a feasible bid below the cap that
     /// indeed meets the target, and no cheaper price level does.
     #[test]

@@ -1,7 +1,7 @@
 //! System tests for the heterogeneous-pool refactor: the PR 8
 //! single-type fingerprints stay pinned, the auto-scaler follows the
 //! diurnal load deterministically without oscillating, and the hetero
-//! sweep grid is independent of the rayon thread count.
+//! sweep grid is independent of how its cells are scheduled.
 
 use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
 use spot_jupiter::obs::{AuditKind, Obs};
@@ -156,9 +156,11 @@ fn sweep_cells() -> Vec<(u64, Vec<InstanceType>, String, String, String, usize)>
 
 /// The hetero sweep grid must not depend on how the cells are
 /// scheduled: every run replays the exact same numbers cell by cell.
-/// (The vendored rayon shim executes cells sequentially in-process; the
-/// cross-process check lives in ci.sh, which runs the repro binary's
-/// hetero target twice at one seed and diffs the rows.)
+/// (`Scenario::run` replays the six cells on every core the host
+/// offers, so on a multi-core box the two sweeps here already meet
+/// different interleavings; `replay::scenario`'s unit test forces 1 vs 4
+/// workers on one grid, and ci.sh runs the repro binary's hetero target
+/// twice at one seed in separate processes and diffs the rows.)
 #[test]
 fn hetero_sweep_is_schedule_deterministic() {
     let first = sweep_cells();
