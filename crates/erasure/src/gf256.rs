@@ -2,9 +2,12 @@
 //! (x⁸ + x⁴ + x³ + x² + 1), the field conventionally used by storage
 //! Reed–Solomon implementations.
 //!
-//! Multiplication and inversion go through compile-time log/exp tables:
-//! the field's multiplicative group is cyclic of order 255 with generator
-//! 2, so `a·b = exp[(log a + log b) mod 255]`.
+//! Scalar multiplication and inversion go through compile-time log/exp
+//! tables: the field's multiplicative group is cyclic of order 255 with
+//! generator 2, so `a·b = exp[(log a + log b) mod 255]`. Bulk work — a
+//! coefficient times a whole shard — goes through [`combine`], which reads
+//! one 256-entry product row per coefficient from a compile-time 64 KiB
+//! multiplication table instead.
 
 /// The reduction polynomial, as the low 9 bits of 0x11D.
 const POLY: u16 = 0x11D;
@@ -41,6 +44,24 @@ const fn build_log() -> [u8; 256] {
     while i < 255 {
         table[exp[i] as usize] = i as u8;
         i += 1;
+    }
+    table
+}
+
+/// `MUL[c][s] = c·s`: row `c` is the product row of coefficient `c`. A
+/// `static`, so a row is a borrow of read-only data, never a copy.
+static MUL: [[u8; 256]; 256] = build_mul();
+
+const fn build_mul() -> [[u8; 256]; 256] {
+    let mut table = [[0u8; 256]; 256];
+    let mut c = 1;
+    while c < 256 {
+        let mut s = 1;
+        while s < 256 {
+            table[c][s] = EXP[LOG[c] as usize + LOG[s] as usize];
+            s += 1;
+        }
+        c += 1;
     }
     table
 }
@@ -100,26 +121,39 @@ impl Gf {
     }
 }
 
-/// Multiply-accumulate a byte slice: `dst[i] ^= c · src[i]`. The hot loop
-/// of the encoder — kept free of per-byte branching by hoisting the
-/// log-table lookup of `c`.
-pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: Gf) {
-    assert_eq!(dst.len(), src.len(), "shard length mismatch");
-    if c.0 == 0 {
-        return;
-    }
-    if c.0 == 1 {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d ^= s;
+/// The codec's one multiply-accumulate kernel: the linear combination of
+/// equal-length byte columns, `out[i] = Σⱼ coeffs[j] · cols[j][i]`.
+///
+/// Each coefficient becomes its product row (`row[s] = c·s`, a borrow of
+/// the multiplication table), so a byte costs one lookup per column.
+/// Columns go three to a pass, and every (m, n) takes this one form: the
+/// first pass writes each output byte once, a code wider than three
+/// columns XORs its further passes in, and a short last group is padded
+/// with the zero coefficient over the group's first column, whose
+/// lookups all read 0.
+pub fn combine(coeffs: &[Gf], cols: &[&[u8]]) -> Vec<u8> {
+    assert!(!cols.is_empty(), "at least one column");
+    assert_eq!(coeffs.len(), cols.len(), "one coefficient per column");
+    let len = cols[0].len();
+    assert!(cols.iter().all(|c| c.len() == len), "shard length mismatch");
+    let pass = |g: usize| {
+        let at = |j: usize| match coeffs.get(g + j) {
+            Some(c) => (&MUL[c.0 as usize], cols[g + j]),
+            None => (&MUL[0], cols[g]),
+        };
+        let ((r0, a), (r1, b), (r2, c)) = (at(0), at(1), at(2));
+        a.iter()
+            .zip(b)
+            .zip(c)
+            .map(move |((&a, &b), &c)| r0[a as usize] ^ r1[b as usize] ^ r2[c as usize])
+    };
+    let mut out: Vec<u8> = pass(0).collect();
+    for g in (3..coeffs.len()).step_by(3) {
+        for (d, x) in out.iter_mut().zip(pass(g)) {
+            *d ^= x;
         }
-        return;
     }
-    let log_c = LOG[c.0 as usize] as usize;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        if s != 0 {
-            *d ^= EXP[log_c + LOG[s as usize] as usize];
-        }
-    }
+    out
 }
 
 #[cfg(test)]
@@ -221,17 +255,33 @@ mod tests {
         }
     }
 
+    /// Every coefficient's product row against `Gf::mul`, alone and in
+    /// every column position of one- to seven-column combinations (full
+    /// passes of three, a padded tail of one and of two).
     #[test]
-    fn mul_acc_slice_matches_elementwise() {
+    fn combine_matches_elementwise() {
         let src: Vec<u8> = (0..=255).collect();
-        for c in [Gf(0), Gf(1), Gf(2), Gf(0x1D), Gf(255)] {
-            let mut dst = vec![0xA5u8; 256];
-            let mut expect = dst.clone();
-            mul_acc_slice(&mut dst, &src, c);
-            for (e, &s) in expect.iter_mut().zip(&src) {
-                *e ^= c.mul(Gf(s)).0;
+        for c in 0..=255u8 {
+            let expect: Vec<u8> = src.iter().map(|&s| Gf(c).mul(Gf(s)).0).collect();
+            assert_eq!(combine(&[Gf(c)], &[&src]), expect, "c={c}");
+        }
+        let cols: Vec<Vec<u8>> = (0..7usize)
+            .map(|j| (0..300).map(|i| (i * (2 * j + 3) + 31 * j) as u8).collect())
+            .collect();
+        for width in 1..=cols.len() {
+            let cols: Vec<&[u8]> = cols[..width].iter().map(Vec::as_slice).collect();
+            for c in 0..=255u8 {
+                let coeffs: Vec<Gf> = (0..width)
+                    .map(|j| Gf(c.wrapping_add(37 * j as u8)))
+                    .collect();
+                let expect: Vec<u8> = (0..300)
+                    .map(|i| {
+                        let terms = coeffs.iter().zip(&cols).map(|(k, col)| k.mul(Gf(col[i])));
+                        terms.fold(Gf::ZERO, Gf::add).0
+                    })
+                    .collect();
+                assert_eq!(combine(&coeffs, &cols), expect, "width={width} c={c}");
             }
-            assert_eq!(dst, expect, "c={:?}", c);
         }
     }
 }

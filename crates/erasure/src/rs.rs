@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 
-use crate::gf256::mul_acc_slice;
+use crate::gf256::combine;
 use crate::matrix::Matrix;
 
 /// Errors from encoding / reconstruction.
@@ -52,12 +52,15 @@ impl std::error::Error for ErasureError {}
 /// let shards = rs.encode_object(b"replicate me cheaply");
 ///
 /// // Lose any two shards; the object still reconstructs.
-/// let partial: Vec<Option<Vec<u8>>> = shards
+/// let partial: Vec<Option<&[u8]>> = shards
 ///     .iter()
 ///     .enumerate()
-///     .map(|(i, s)| (i != 0 && i != 3).then(|| s.to_vec()))
+///     .map(|(i, s)| (i != 0 && i != 3).then_some(&s[..]))
 ///     .collect();
 /// assert_eq!(rs.decode_object(&partial).unwrap(), b"replicate me cheaply");
+///
+/// // One shard of an object costs one shard's work, not five.
+/// assert_eq!(rs.encode_shard(b"replicate me cheaply", 4), shards[4]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ReedSolomon {
@@ -94,6 +97,12 @@ impl ReedSolomon {
         self.n
     }
 
+    /// The `n − m` parity shards of `m` equal-length data columns, in
+    /// shard order: one kernel row each.
+    fn parity<'a>(&'a self, data: &'a [&'a [u8]]) -> impl Iterator<Item = Vec<u8>> + 'a {
+        (self.m..self.n).map(|r| combine(self.encode_matrix.row(r), data))
+    }
+
     /// Encode `m` equal-length data shards into `n` shards (the first `m`
     /// are the data, verbatim).
     pub fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, ErasureError> {
@@ -107,25 +116,23 @@ impl ReedSolomon {
         if data.iter().any(|d| d.len() != len) {
             return Err(ErasureError::ShardSizeMismatch);
         }
-        let mut shards: Vec<Vec<u8>> = data.to_vec();
-        for r in self.m..self.n {
-            let mut parity = vec![0u8; len];
-            for (c, d) in data.iter().enumerate() {
-                mul_acc_slice(&mut parity, d, self.encode_matrix[(r, c)]);
-            }
-            shards.push(parity);
-        }
+        let cols: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let mut shards = data.to_vec();
+        shards.extend(self.parity(&cols));
         Ok(shards)
     }
 
     /// Reconstruct the `m` data shards from any `m` (or more) survivors.
     /// `shards[i]` is `Some` iff shard `i` survived.
-    pub fn reconstruct(&self, shards: &[Option<Vec<u8>>]) -> Result<Vec<Vec<u8>>, ErasureError> {
+    pub fn reconstruct<S: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<S>],
+    ) -> Result<Vec<Vec<u8>>, ErasureError> {
         assert_eq!(shards.len(), self.n, "expected {} shard slots", self.n);
-        let present: Vec<usize> = shards
+        let present: Vec<(usize, &[u8])> = shards
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
+            .filter_map(|(i, s)| Some((i, s.as_ref()?.as_ref())))
             .collect();
         if present.len() < self.m {
             return Err(ErasureError::NotEnoughShards {
@@ -133,57 +140,78 @@ impl ReedSolomon {
                 have: present.len(),
             });
         }
-        let len = shards[present[0]].as_ref().expect("present").len();
-        for &i in &present {
-            if shards[i].as_ref().expect("present").len() != len {
-                return Err(ErasureError::ShardSizeMismatch);
-            }
+        let len = present[0].1.len();
+        if present.iter().any(|(_, s)| s.len() != len) {
+            return Err(ErasureError::ShardSizeMismatch);
         }
-        // Fast path: all data shards survived.
-        if present.iter().take_while(|&&i| i < self.m).count() >= self.m {
-            return Ok(shards[..self.m]
-                .iter()
-                .map(|s| s.as_ref().expect("present").clone())
-                .collect());
-        }
-        // Solve: rows of the encode matrix for m survivors, inverted.
-        let rows: Vec<usize> = present.iter().copied().take(self.m).collect();
-        let sub = self.encode_matrix.select_rows(&rows);
-        let inv = sub
-            .inverse()
-            .expect("any m rows of a normalized Vandermonde are independent");
-        let mut data = Vec::with_capacity(self.m);
-        for r in 0..self.m {
-            let mut out = vec![0u8; len];
-            for (c, &row_idx) in rows.iter().enumerate() {
-                let shard = shards[row_idx].as_ref().expect("present");
-                mul_acc_slice(&mut out, shard, inv[(r, c)]);
-            }
-            data.push(out);
-        }
-        Ok(data)
+        // The first m survivors decide. Every surviving data shard is
+        // among them (shard r has at most r ≤ m − 1 survivors before it)
+        // and is returned as it is; a lost one is its row of the inverse
+        // of the survivors' encode rows, times the survivors. With all
+        // data shards present no inverse is built.
+        let (rows, survivors): (Vec<usize>, Vec<&[u8]>) = present.into_iter().take(self.m).unzip();
+        let mut inverse = None;
+        Ok(shards[..self.m]
+            .iter()
+            .enumerate()
+            .map(|(r, shard)| match shard {
+                Some(data) => data.as_ref().to_vec(),
+                None => {
+                    let inv = inverse.get_or_insert_with(|| {
+                        self.encode_matrix
+                            .select_rows(&rows)
+                            .inverse()
+                            .expect("any m rows of a normalized Vandermonde are independent")
+                    });
+                    combine(inv.row(r), &survivors)
+                }
+            })
+            .collect())
+    }
+
+    /// The framing every object is coded under: a u64 length header, the
+    /// object, zero padding to a multiple of `m`. Returns the frame and
+    /// the shard length; data shard `i` is the frame's `i`-th chunk of
+    /// that length.
+    fn frame(&self, object: &[u8]) -> (Vec<u8>, usize) {
+        let shard_len = (8 + object.len()).div_ceil(self.m);
+        let mut framed = Vec::with_capacity(shard_len * self.m);
+        framed.extend_from_slice(&(object.len() as u64).to_le_bytes());
+        framed.extend_from_slice(object);
+        framed.resize(shard_len * self.m, 0);
+        (framed, shard_len)
     }
 
     /// Encode an arbitrary byte object: frames it with a u64 length
     /// header, pads to a multiple of `m`, splits into `m` data shards and
     /// encodes. The per-shard overhead is `⌈(len+8)/m⌉ − len/m` bytes.
     pub fn encode_object(&self, object: &[u8]) -> Vec<Bytes> {
-        let mut framed = Vec::with_capacity(8 + object.len());
-        framed.extend_from_slice(&(object.len() as u64).to_le_bytes());
-        framed.extend_from_slice(object);
-        let shard_len = framed.len().div_ceil(self.m).max(1);
-        framed.resize(shard_len * self.m, 0);
-        let data: Vec<Vec<u8>> = framed.chunks(shard_len).map(<[u8]>::to_vec).collect();
-        self.encode(&data)
-            .expect("framed shards are well-formed")
-            .into_iter()
-            .map(Bytes::from)
-            .collect()
+        let (framed, shard_len) = self.frame(object);
+        let data: Vec<&[u8]> = framed.chunks(shard_len).collect();
+        let mut shards: Vec<Bytes> = data.iter().map(|d| Bytes::copy_from_slice(d)).collect();
+        shards.extend(self.parity(&data).map(Bytes::from));
+        shards
+    }
+
+    /// Shard `idx` of [`ReedSolomon::encode_object`]`(object)` without the
+    /// other `n − 1`: a data shard is a slice of the frame, a parity
+    /// shard one kernel row over it.
+    pub fn encode_shard(&self, object: &[u8], idx: usize) -> Bytes {
+        assert!(idx < self.n, "shard {idx} of θ({}, {})", self.m, self.n);
+        let (framed, shard_len) = self.frame(object);
+        if idx < self.m {
+            return Bytes::copy_from_slice(&framed[idx * shard_len..][..shard_len]);
+        }
+        let data: Vec<&[u8]> = framed.chunks(shard_len).collect();
+        Bytes::from(combine(self.encode_matrix.row(idx), &data))
     }
 
     /// Reassemble an object encoded by [`ReedSolomon::encode_object`] from
     /// any `m` surviving shards.
-    pub fn decode_object(&self, shards: &[Option<Vec<u8>>]) -> Result<Vec<u8>, ErasureError> {
+    pub fn decode_object<S: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<S>],
+    ) -> Result<Vec<u8>, ErasureError> {
         let data = self.reconstruct(shards)?;
         let mut framed = Vec::with_capacity(data.len() * data[0].len());
         for d in data {

@@ -1,8 +1,128 @@
 //! Property-based tests of the Reed–Solomon codec: for every code shape
-//! and payload, any `m` survivors reconstruct the object exactly.
+//! and payload, any `m` survivors reconstruct the object exactly, and
+//! every encode entry point agrees byte for byte with a reference encoder
+//! that multiplies one byte at a time.
 
-use erasure::{Gf, ReedSolomon};
+use std::collections::HashSet;
+
+use erasure::{Gf, Matrix, ReedSolomon};
 use proptest::prelude::*;
+
+/// A pseudo-random `m`-subset of `0..n`.
+fn m_subset(m: usize, n: usize, seed: u64) -> HashSet<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut s = seed;
+    for i in (1..n).rev() {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        order.swap(i, (s >> 33) as usize % (i + 1));
+    }
+    order.into_iter().take(m).collect()
+}
+
+/// The reference θ(m, n) encoder: the normalized Vandermonde matrix from
+/// `Matrix`'s scalar algebra and one `Gf::mul` per (row, column, byte) —
+/// it reads neither the product rows nor the kernel.
+fn reference_encode(m: usize, n: usize, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let v = Matrix::vandermonde(n, m);
+    let top: Vec<usize> = (0..m).collect();
+    let matrix = v.mul(&v.select_rows(&top).inverse().expect("invertible"));
+    (0..n)
+        .map(|r| {
+            (0..data[0].len())
+                .map(|i| {
+                    let terms = (0..m).map(|c| matrix[(r, c)].mul(Gf(data[c][i])));
+                    terms.fold(Gf::ZERO, Gf::add).0
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The documented framing, spelled out: u64 LE length, the object, zeros
+/// to a multiple of `m`, cut into `m` equal data shards.
+fn reference_frame(m: usize, object: &[u8]) -> Vec<Vec<u8>> {
+    let mut framed = (object.len() as u64).to_le_bytes().to_vec();
+    framed.extend_from_slice(object);
+    framed.resize(framed.len().next_multiple_of(m), 0);
+    framed
+        .chunks(framed.len() / m)
+        .map(<[u8]>::to_vec)
+        .collect()
+}
+
+/// `encode`, `encode_object` and every `encode_shard` against the
+/// reference, then `reconstruct` from a random m-subset of the shards.
+fn assert_matches_reference(m: usize, n: usize, object: &[u8], subset_seed: u64) {
+    let rs = ReedSolomon::new(m, n);
+    let data = reference_frame(m, object);
+    let expect = reference_encode(m, n, &data);
+    let ctx = format!("θ({m}, {n}), {} bytes", object.len());
+    assert_eq!(rs.encode(&data).expect("well-formed"), expect, "{ctx}");
+    let shards = rs.encode_object(object);
+    assert_eq!(shards.len(), n, "{ctx}");
+    for (i, want) in expect.iter().enumerate() {
+        assert_eq!(&shards[i][..], &want[..], "encode_object[{i}], {ctx}");
+        assert_eq!(
+            &rs.encode_shard(object, i)[..],
+            &want[..],
+            "encode_shard {i}, {ctx}"
+        );
+    }
+    let keep = m_subset(m, n, subset_seed);
+    let partial: Vec<Option<&[u8]>> = (0..n)
+        .map(|i| keep.contains(&i).then(|| &expect[i][..]))
+        .collect();
+    assert_eq!(
+        rs.reconstruct(&partial).expect("m survivors"),
+        data,
+        "{ctx}, survivors {keep:?}"
+    );
+    assert_eq!(
+        rs.decode_object(&partial).expect("m survivors"),
+        object,
+        "{ctx}"
+    );
+}
+
+/// The lengths where framing changes shape, at every code shape up to
+/// n = 8: empty, shorter than / exactly / one past the 8-byte header's
+/// width, and objects and frames that are exact multiples of `m` and one
+/// byte past them.
+#[test]
+fn encoders_match_reference_at_the_edge_lengths() {
+    for n in 1..=8usize {
+        for m in 1..=n {
+            let mut lengths = vec![0, 1, 7, 8, 9];
+            for multiple in [5 * m, 40 * m] {
+                // Object a multiple of m; frame (8 + len) a multiple of m.
+                lengths.extend([multiple, multiple + 1]);
+                lengths.extend([8 * multiple - 8, 8 * multiple - 7]);
+            }
+            for len in lengths {
+                let object: Vec<u8> = (0..len).map(|i| (i * 151 + 11 * m + n) as u8).collect();
+                assert_matches_reference(m, n, &object, (len * 64 + m * 8 + n) as u64);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The differential oracle over random shapes 1 ≤ m ≤ n ≤ 8 and
+    /// random contents of up to 70 000 bytes.
+    #[test]
+    fn encoders_match_reference(
+        n in 1usize..=8,
+        m_seed in any::<usize>(),
+        object in proptest::collection::vec(any::<u8>(), 0..70_000),
+        subset_seed in any::<u64>(),
+    ) {
+        assert_matches_reference(m_seed % n + 1, n, &object, subset_seed);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -20,14 +140,7 @@ proptest! {
         let shards = rs.encode_object(&data);
         prop_assert_eq!(shards.len(), n);
 
-        // Pick a pseudo-random m-subset of survivors.
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut s = subset_seed;
-        for i in (1..n).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            order.swap(i, (s >> 33) as usize % (i + 1));
-        }
-        let keep: std::collections::HashSet<usize> = order.into_iter().take(m).collect();
+        let keep = m_subset(m, n, subset_seed);
         let partial: Vec<Option<Vec<u8>>> = shards
             .iter()
             .enumerate()

@@ -164,7 +164,7 @@ impl RsService {
                 ..
             } => (*client, *req_id, key.clone()),
         };
-        let mut slots: Vec<Option<Vec<u8>>> = vec![None; self.codec.total_shards()];
+        let mut slots: Vec<Option<&Bytes>> = vec![None; self.codec.total_shards()];
         let mut have = 0usize;
         for v in copies {
             if let WireValue::PutShard {
@@ -172,7 +172,7 @@ impl RsService {
             } = v
             {
                 if !shard.is_empty() && slots[*shard_idx as usize].is_none() {
-                    slots[*shard_idx as usize] = Some(shard.to_vec());
+                    slots[*shard_idx as usize] = Some(shard);
                     have += 1;
                 }
             }
@@ -401,7 +401,7 @@ impl Service for RsService {
                 let dest_idx = dest_idx.expect("storage peers are in the fixed view");
                 let shard = match host.objects.get(key) {
                     Some((version, object)) if *version == slot => {
-                        host.codec.encode_object(object)[dest_idx].clone()
+                        host.codec.encode_shard(object, dest_idx)
                     }
                     _ => Bytes::new(),
                 };
@@ -666,9 +666,9 @@ fn try_finish_reads(r: &mut RsReplica, ctx: &mut Context<Msg<RsService>>) {
     for key_ver in done {
         let host = r.service_mut();
         let read = host.pending_reads.remove(&key_ver).expect("present");
-        let mut slots: Vec<Option<Vec<u8>>> = vec![None; host.codec.total_shards()];
+        let mut slots: Vec<Option<&Bytes>> = vec![None; host.codec.total_shards()];
         for (idx, bytes) in &read.shards {
-            slots[*idx as usize] = Some(bytes.to_vec());
+            slots[*idx as usize] = Some(bytes);
         }
         let resp = match host.codec.decode_object(&slots) {
             Ok(object) => {
@@ -694,5 +694,93 @@ mod tests {
     #[test]
     fn a_read_without_m_shards_gives_up_after_five_seconds() {
         assert_eq!(READ_TIMEOUT, SimTime::from_secs(5));
+    }
+
+    fn pending(client: usize, op: StoreCmd) -> PendingOp<StoreCmd> {
+        PendingOp {
+            client: NodeId(client),
+            req_id: 7,
+            op,
+            trace: obs::TraceContext::NONE,
+            at: SimTime::ZERO,
+        }
+    }
+
+    fn put(client: usize, key: &str, len: usize) -> PendingOp<StoreCmd> {
+        let object = (0..len)
+            .map(|i| (i * 13 + client) as u8)
+            .collect::<Vec<u8>>();
+        let key = key.to_string();
+        pending(
+            client,
+            StoreCmd::Put {
+                key,
+                object: object.into(),
+            },
+        )
+    }
+
+    /// `wire` with its shard bytes dropped.
+    fn metadata(wire: WireValue) -> WireValue {
+        match wire {
+            WireValue::Batch(subs) => WireValue::Batch(subs.into_iter().map(metadata).collect()),
+            WireValue::PutShard {
+                client,
+                req_id,
+                key,
+                shard_idx,
+                ..
+            } => WireValue::PutShard {
+                client,
+                req_id,
+                key,
+                shard_idx,
+                shard: Bytes::new(),
+            },
+            other => other,
+        }
+    }
+
+    /// A catch-up reply re-encodes one shard, so it must be the very
+    /// value the proposal sent that destination — whichever replica's
+    /// copy the leader reshapes from — while the object is cached at the
+    /// slot; and metadata only (an empty shard, which `absorb` upgrades
+    /// later) once the cached version differs or the key is gone.
+    #[test]
+    fn reshape_is_wire_for_while_the_object_is_cached() {
+        const N: usize = 5;
+        let slot: Slot = 9;
+        let get = pending(12, StoreCmd::Get { key: "a".into() });
+        for ops in [
+            vec![put(10, "a", 4096)],
+            vec![put(10, "a", 100), get, put(11, "b", 65_537)],
+        ] {
+            let mut host = RsService::new(&RsConfig::default(), N);
+            let coded = RsService::value(&mut host, ops);
+            RsService::chosen(&mut host, slot, &coded);
+            for j in 0..N {
+                let held = RsService::wire_for(&coded, j);
+                for i in 0..N {
+                    let sent = RsService::wire_for(&coded, i);
+                    assert_eq!(RsService::reshape(&host, &held, slot, Some(i)), sent);
+                }
+            }
+
+            let (held, sent) = (
+                RsService::wire_for(&coded, 1),
+                RsService::wire_for(&coded, 4),
+            );
+            // The slot is not the cached version of any key.
+            assert_eq!(
+                RsService::reshape(&host, &held, slot + 1, Some(4)),
+                metadata(sent.clone())
+            );
+            // No key is cached.
+            host.objects.clear();
+            assert_eq!(
+                RsService::reshape(&host, &held, slot, Some(4)),
+                metadata(sent)
+            );
+        }
     }
 }

@@ -412,7 +412,7 @@ pub fn check_storage_cluster(
 
     // 2 + 3. Per-key shard audit across live replicas.
     for (key, (version, object)) in &expected {
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut shards: Vec<Option<&[u8]>> = vec![None; n];
         let mut newest = 0u64;
         for &id in c.servers() {
             let Some(r) = c.replica(id) else { continue };
@@ -427,7 +427,7 @@ pub fn check_storage_cluster(
                 }
                 if e.version == *version {
                     if let Some(bytes) = &e.shard {
-                        shards[e.shard_idx as usize] = Some(bytes.to_vec());
+                        shards[e.shard_idx as usize] = Some(&bytes[..]);
                     }
                 }
             }
