@@ -36,9 +36,14 @@ echo "== benchmark package tests =="
 # own outside this workspace, reaching the crates through their public
 # functions only — so the step above neither compiles it nor notices a
 # renamed function it calls. Unit tests plus a 1/20-scale smoke run, ~2 s.
-# --locked: benchmark/Cargo.lock is frozen with benchmark/, so a PR that
-# moves a dependency edge of a crate the benchmark links fails here
-# instead of silently rewriting a file under benchmark/.
+# --locked: benchmark/Cargo.lock is frozen with benchmark/, and cargo
+# compares the resolve it would write with the one recorded. Measured on
+# cargo 1.95: an added or re-targeted edge fails here, and so does a
+# removed edge into a crate the benchmark still reaches another way
+# (tests/dependencies.rs FROZEN); removing every edge into a crate, so
+# that nothing reaches it any more, passes and leaves that crate's entry
+# stale in the lock (rayon, serde, serde_derive today). Nothing is written
+# either way.
 cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
 
 echo "== repro smoke + cross-process repeatability =="
@@ -116,5 +121,15 @@ done
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== frozen benchmark directory =="
+# The --locked step never writes benchmark/Cargo.lock, but the BENCHMARK.json
+# command runs without --locked and prunes the stale entries from it; a
+# local benchmark run (or an edit) must not ride along into a commit.
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  DIRTY="$(git status --porcelain -- benchmark BENCHMARK.json)"
+  [[ -z "$DIRTY" ]] \
+    || { echo "benchmark/ is frozen, but the working tree changes it (git checkout -- benchmark/Cargo.lock?):" >&2; echo "$DIRTY" >&2; exit 1; }
+fi
 
 echo "CI OK"

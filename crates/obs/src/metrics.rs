@@ -20,7 +20,7 @@ struct RegistryInner {
 ///
 /// Cloning a `Registry` (or any instrument handle) is cheap and the
 /// clone records into the same cells, so handles can be fanned out
-/// across rayon/crossbeam workers freely. A registry created with
+/// across worker threads freely. A registry created with
 /// [`Registry::disabled`] hands out no-op instruments; that path is a
 /// single pointer check per operation.
 #[derive(Clone)]

@@ -38,6 +38,7 @@ pub mod node;
 pub mod open_loop;
 pub mod replica;
 pub mod service;
+mod session;
 pub mod smr;
 
 pub use ballot::{Ballot, Slot};

@@ -15,15 +15,13 @@
 //! here and shows up as latency, exactly like an open-loop load
 //! generator's connection pool.
 
-use std::collections::VecDeque;
-
-use obs::{FieldValue, Obs, SpanHandle};
+use obs::Obs;
 use simnet::{Context, NodeId, SimTime, TimerToken};
 
 use crate::ballot::Slot;
 use crate::msg::Msg;
-use crate::replica::sim_micros;
 use crate::service::Service;
+use crate::session::Session;
 
 /// Arrival-release timer (tokens 0–2 belong to the replica and the
 /// closed-loop client).
@@ -48,44 +46,30 @@ pub struct OpenOp<S: Service> {
 #[derive(Clone, Debug)]
 pub struct OpenLoopClient<S: Service> {
     me: NodeId,
-    servers: Vec<NodeId>,
-    local_reads: bool,
+    session: Session<S>,
     /// Open a causal `client.request` root span for every Nth launched
     /// operation (0 disables tracing entirely). Sampling keeps the
     /// bounded trace ring representative at 100k-request scale.
     trace_every: u64,
     records: Vec<OpenOp<S>>,
-    /// Scheduled times still waiting for their arrival timer, oldest
-    /// first (parallel prefix of `records`).
-    pending_arrivals: VecDeque<SimTime>,
     /// Records released by the arrival process (prefix of `records`).
     arrived: usize,
-    /// Records sent at least once (prefix of `arrived`).
+    /// Records sent at least once (prefix of `arrived`); while the
+    /// session is busy, `launched - 1` is the one in flight.
     launched: usize,
-    /// In-flight record index, if any.
-    current: Option<usize>,
-    last_sent: SimTime,
-    target: usize,
-    /// Current attempt is a follower-local read (cleared on timeout).
-    read_in_flight: bool,
-    span: Option<SpanHandle>,
-    leader_hint: Option<NodeId>,
-    floor: Slot,
+    completed: usize,
     retransmits: u64,
     local_served: u64,
-    obs: Obs,
 }
 
 impl<S: Service> OpenLoopClient<S> {
     /// A session that plays `schedule` (must be sorted by time) against
     /// `servers`. `req_id`s are assigned in schedule order starting at 1.
     pub fn new(me: NodeId, servers: Vec<NodeId>, schedule: Vec<(SimTime, S::Cmd)>) -> Self {
-        assert!(!servers.is_empty(), "session needs at least one server");
         debug_assert!(
             schedule.windows(2).all(|w| w[0].0 <= w[1].0),
             "schedule must be sorted by arrival time"
         );
-        let pending_arrivals = schedule.iter().map(|(t, _)| *t).collect();
         let records = schedule
             .into_iter()
             .map(|(scheduled, cmd)| OpenOp {
@@ -97,35 +81,28 @@ impl<S: Service> OpenLoopClient<S> {
             .collect();
         OpenLoopClient {
             me,
-            servers,
-            local_reads: false,
+            session: Session::new(me, servers),
             trace_every: 1,
             records,
-            pending_arrivals,
             arrived: 0,
             launched: 0,
-            current: None,
-            last_sent: SimTime::ZERO,
-            target: 0,
-            read_in_flight: false,
-            span: None,
-            leader_hint: None,
-            floor: 0,
+            completed: 0,
             retransmits: 0,
             local_served: 0,
-            obs: Obs::disabled(),
         }
     }
 
     /// Attach an observability handle (builder-style).
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.session.obs = obs;
         self
     }
 
-    /// Route read-only commands to followers as local reads.
+    /// Route read-only commands to followers as local reads. Requires the
+    /// replicas to run with `local_reads` enabled too; a timed-out read
+    /// falls back to the serialized leader path either way.
     pub fn with_local_reads(mut self, enabled: bool) -> Self {
-        self.local_reads = enabled;
+        self.session.local_reads = enabled;
         self
     }
 
@@ -142,12 +119,7 @@ impl<S: Service> OpenLoopClient<S> {
 
     /// Operations acknowledged so far.
     pub fn completions(&self) -> usize {
-        self.records.iter().filter(|r| r.completed.is_some()).count()
-    }
-
-    /// Operations not yet acknowledged (scheduled or in flight).
-    pub fn outstanding(&self) -> usize {
-        self.records.len() - self.completions()
+        self.completed
     }
 
     /// Retransmissions performed.
@@ -162,70 +134,30 @@ impl<S: Service> OpenLoopClient<S> {
 
     /// The session floor (highest acknowledged applied index).
     pub fn floor(&self) -> Slot {
-        self.floor
+        self.session.floor()
     }
 
     fn arm_next_arrival(&mut self, ctx: &mut Context<Msg<S>>) {
-        if let Some(&next) = self.pending_arrivals.front() {
-            ctx.set_timer(next.saturating_sub(ctx.now), ARRIVAL_TOKEN);
+        if let Some(next) = self.records.get(self.arrived) {
+            ctx.set_timer(next.scheduled.saturating_sub(ctx.now), ARRIVAL_TOKEN);
         }
-    }
-
-    fn send_current(&mut self, ctx: &mut Context<Msg<S>>) {
-        let Some(idx) = self.current else { return };
-        self.last_sent = ctx.now;
-        let trace = match &self.span {
-            Some(span) => span.context(),
-            None => ctx.trace(),
-        };
-        let op = S::op(self.records[idx].cmd.clone());
-        let req_id = idx as u64 + 1;
-        if self.read_in_flight {
-            let target = self.servers[self.target % self.servers.len()];
-            let read = S::read_request(self.me, req_id, &op, self.floor)
-                .expect("read flag only set for readable ops");
-            ctx.send_traced(target, Msg::Ext(read), trace);
-        } else {
-            let target = match self.leader_hint {
-                Some(l) if self.servers.contains(&l) => l,
-                _ => self.servers[self.target % self.servers.len()],
-            };
-            let client = self.me;
-            ctx.send_traced(target, Msg::Request { client, req_id, op }, trace);
-        }
-        ctx.set_timer(S::CLIENT_TIMEOUT, RETRY_TOKEN);
     }
 
     /// Put the next released record on the wire if the slot is free.
     fn try_launch(&mut self, ctx: &mut Context<Msg<S>>) {
-        if self.current.is_some() || self.launched >= self.arrived {
+        if self.session.busy() || self.launched >= self.arrived {
             return;
         }
         let idx = self.launched;
         self.launched += 1;
-        let read = self.local_reads && {
-            let op = S::op(self.records[idx].cmd.clone());
-            S::read_request(self.me, idx as u64 + 1, &op, self.floor).is_some()
-        };
-        self.records[idx].read = read;
-        self.read_in_flight = read;
-        self.current = Some(idx);
+        let op = S::op(self.records[idx].cmd.clone());
+        let traced = self.trace_every > 0 && (idx as u64).is_multiple_of(self.trace_every);
         // Spread sessions' first picks deterministically by identity.
-        self.target = self.me.0 + idx;
-        self.span = if self.trace_every > 0 && (idx as u64).is_multiple_of(self.trace_every) {
-            self.obs.set_time_micros(sim_micros(ctx.now));
-            Some(self.obs.trace.span_open_causal(
-                "client.request",
-                ctx.new_trace(),
-                &[
-                    ("client", FieldValue::U64(self.me.0 as u64)),
-                    ("req_id", FieldValue::U64(idx as u64 + 1)),
-                ],
-            ))
-        } else {
-            None
-        };
-        self.send_current(ctx);
+        let first_target = self.me.0 + idx;
+        self.records[idx].read = self
+            .session
+            .launch(idx as u64 + 1, op, first_target, traced, ctx);
+        ctx.set_timer(S::CLIENT_TIMEOUT, RETRY_TOKEN);
     }
 
     /// Boot: arm the first arrival.
@@ -238,79 +170,37 @@ impl<S: Service> OpenLoopClient<S> {
         match token {
             ARRIVAL_TOKEN => {
                 while self
-                    .pending_arrivals
-                    .front()
-                    .is_some_and(|&t| t <= ctx.now)
+                    .records
+                    .get(self.arrived)
+                    .is_some_and(|r| r.scheduled <= ctx.now)
                 {
-                    self.pending_arrivals.pop_front();
                     self.arrived += 1;
                 }
                 self.arm_next_arrival(ctx);
                 self.try_launch(ctx);
             }
             RETRY_TOKEN => {
-                if self.current.is_none() {
-                    return; // stale timer from a completed op
-                }
-                if ctx.now.saturating_sub(self.last_sent) >= S::CLIENT_TIMEOUT {
+                // A stale timer from a completed op retries nothing.
+                let retried = self.session.retry_if_timed_out(ctx);
+                if retried {
                     self.retransmits += 1;
-                    self.target += 1;
-                    self.leader_hint = None;
-                    // A timed-out read falls back to the leader path.
-                    self.read_in_flight = false;
-                    if let Some(span) = &self.span {
-                        self.obs.set_time_micros(sim_micros(ctx.now));
-                        self.obs.trace.event_causal(
-                            "client.retransmit",
-                            span.context(),
-                            &[("req_id", FieldValue::U64(
-                                self.current.map(|i| i as u64 + 1).unwrap_or(0),
-                            ))],
-                        );
-                    }
-                    self.send_current(ctx);
+                    ctx.set_timer(S::CLIENT_TIMEOUT, RETRY_TOKEN);
                 }
             }
             _ => {}
         }
     }
 
-    /// Message dispatch (responses only).
+    /// Message dispatch (responses only). A session never sends a
+    /// reconfiguration, so it does not take the response-less reply.
     pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
-        let (req_id, resp, at, from_leader) = match msg {
-            Msg::Response { req_id, resp, at } => (req_id, resp, at, true),
-            Msg::Ext(ext) => match S::read_reply(ext) {
-                Some((req_id, resp, at)) => (req_id, Some(resp), at, false),
-                None => return,
-            },
-            _ => return,
+        let Some(reply) = self.session.on_reply(from, msg, false, ctx.now) else {
+            return;
         };
-        let Some(idx) = self.current else { return };
-        if idx as u64 + 1 != req_id {
-            return; // stale response for an already completed op
-        }
-        let Some(resp) = resp else {
-            return; // reconfig-shaped response; sessions never send those
-        };
-        self.current = None;
-        if from_leader {
-            self.leader_hint = Some(from);
-        } else {
-            self.local_served += 1;
-        }
-        self.floor = self.floor.max(at);
-        self.records[idx].completed = Some((ctx.now, resp));
-        if let Some(span) = self.span.take() {
-            self.obs.set_time_micros(sim_micros(ctx.now));
-            self.obs.trace.span_close(
-                span,
-                "client.request",
-                &[
-                    ("req_id", FieldValue::U64(req_id)),
-                    ("leader", FieldValue::U64(from.0 as u64)),
-                ],
-            );
-        }
+        let resp = reply.resp.expect("empty replies are not accepted");
+        self.records[self.launched - 1].completed = Some((ctx.now, resp));
+        self.completed += 1;
+        self.local_served += u64::from(reply.local);
         self.try_launch(ctx);
     }
 }

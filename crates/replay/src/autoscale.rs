@@ -27,15 +27,16 @@ use obs::{AuditKind, Obs};
 /// standing target suffices (the load model underestimated).
 const AVAILABILITY_FLOOR: f64 = 0.99;
 
+/// Consecutive intervals the demand forecast must sit below the standing
+/// target (with full headroom) before the target shrinks.
+pub const HYSTERESIS_INTERVALS: u32 = 3;
+
 /// Auto-scaler parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct AutoscaleConfig {
     /// Headroom kept over forecast demand (0.25 ⇒ target strength =
     /// demand × 1.25, rounded up).
     pub headroom: f64,
-    /// Consecutive intervals the demand forecast must sit below the
-    /// standing target (with full headroom) before the target shrinks.
-    pub hysteresis_intervals: u32,
     /// The target never drops below this strength floor.
     pub min_strength: u32,
     /// The target never exceeds this strength cap.
@@ -46,7 +47,6 @@ impl Default for AutoscaleConfig {
     fn default() -> Self {
         AutoscaleConfig {
             headroom: 0.25,
-            hysteresis_intervals: 3,
             min_strength: 5,
             max_strength: 64,
         }
@@ -167,7 +167,7 @@ impl AutoScaler {
             (ScaleAction::Out, "slo_burn")
         } else if desired < self.target {
             self.headroom_streak += 1;
-            if self.headroom_streak >= cfg.hysteresis_intervals {
+            if self.headroom_streak >= HYSTERESIS_INTERVALS {
                 self.target = desired;
                 self.headroom_streak = 0;
                 (ScaleAction::In, "sustained_headroom")
@@ -236,11 +236,10 @@ mod tests {
         6.0 - 4.0 * phase.cos()
     }
 
-    fn scaler(hysteresis: u32) -> AutoScaler {
+    fn scaler() -> AutoScaler {
         let demand: Vec<(u64, f64)> = (0..2_880).step_by(60).map(|m| (m, diurnal(m))).collect();
         AutoScaler::new(
             AutoscaleConfig {
-                hysteresis_intervals: hysteresis,
                 min_strength: 3,
                 max_strength: 32,
                 ..AutoscaleConfig::default()
@@ -262,7 +261,7 @@ mod tests {
 
     #[test]
     fn scales_out_into_the_diurnal_peak() {
-        let mut s = scaler(3);
+        let mut s = scaler();
         let obs = Obs::disabled();
         let mut targets = Vec::new();
         for b in (0..1_440).step_by(360) {
@@ -280,7 +279,7 @@ mod tests {
 
     #[test]
     fn scale_in_waits_out_hysteresis() {
-        let mut s = scaler(3);
+        let mut s = scaler();
         let obs = Obs::disabled();
         // Spike then flat trough: the spike scales out immediately...
         s.plan(720, 1_080, None, &obs);
@@ -301,7 +300,7 @@ mod tests {
 
     #[test]
     fn slo_burn_scales_out_without_demand_growth() {
-        let mut s = scaler(3);
+        let mut s = scaler();
         let obs = Obs::disabled();
         let before = s.plan(0, 60, None, &obs);
         let burned = s.plan(

@@ -46,7 +46,9 @@ pub mod results;
 pub mod scenario;
 pub mod service_level;
 
-pub use autoscale::{demand_series, AutoScaler, AutoscaleConfig, ObservedInterval, ScaleAction};
+pub use autoscale::{
+    demand_series, AutoScaler, AutoscaleConfig, ObservedInterval, ScaleAction, HYSTERESIS_INTERVALS,
+};
 pub use chaos::{capacity_fault_schedule, market_fault_schedule};
 pub use lifecycle::{InstanceRecord, Replay, ReplayConfig};
 pub use repair::{RepairConfig, RepairPolicy};

@@ -24,6 +24,10 @@ use spot_market::{Market, Price, Zone};
 
 use crate::lifecycle::snapshots_at;
 
+/// Latency bound a request must meet to count as served (simulated
+/// milliseconds).
+pub const SLA_MS: u64 = 5_000;
+
 /// Service-level replay parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceReplayConfig {
@@ -35,9 +39,6 @@ pub struct ServiceReplayConfig {
     pub window_minutes: u64,
     /// Bidding interval in hours.
     pub interval_hours: u64,
-    /// Latency bound a request must meet to count as served (simulated
-    /// milliseconds).
-    pub sla_ms: u64,
     /// Simulation seed.
     pub seed: u64,
 }
@@ -112,12 +113,12 @@ pub fn record_trace_metrics(obs: &Obs) {
 /// Online request-latency SLO: feed the assembled traces' commit
 /// latencies (one observation per completed operation, timestamped on
 /// the market-minute axis — one sim second is one market minute) into a
-/// [`SloTracker`] with the paper's 0.99 objective against `sla_ms`.
+/// [`SloTracker`] with the paper's 0.99 objective against [`SLA_MS`].
 /// Burn-rate alerts land in `obs.alerts` as `slo.request_latency.*`;
 /// the verdict is published as `slo.request_latency.availability` /
 /// `slo.request_latency.budget_remaining` ppm counters. No-op unless
 /// both tracing and alerting are enabled.
-pub fn record_latency_slo(obs: &Obs, eval_start: u64, window_minutes: u64, sla_ms: u64) {
+pub fn record_latency_slo(obs: &Obs, eval_start: u64, window_minutes: u64) {
     if !obs.trace.is_enabled() || !obs.alerts.is_enabled() {
         return;
     }
@@ -130,7 +131,7 @@ pub fn record_latency_slo(obs: &Obs, eval_start: u64, window_minutes: u64, sla_m
             let done_micros = t.root()?.end_micros?;
             Some((
                 eval_start + done_micros / 1_000_000,
-                latency <= sla_ms.saturating_mul(1_000),
+                latency <= SLA_MS * 1_000,
             ))
         })
         .collect();
@@ -147,10 +148,10 @@ pub fn record_latency_slo(obs: &Obs, eval_start: u64, window_minutes: u64, sla_m
         .add(slo.alerts_fired());
 }
 
-/// Fraction of issued operations answered within `sla_ms`; one that was
+/// Fraction of issued operations answered within [`SLA_MS`]; one that was
 /// never answered is a miss.
-fn sla_fraction(latencies: &[u64], unfinished: usize, sla_ms: u64) -> f64 {
-    let within = latencies.iter().filter(|&&l| l <= sla_ms).count();
+fn sla_fraction(latencies: &[u64], unfinished: usize) -> f64 {
+    let within = latencies.iter().filter(|&&l| l <= SLA_MS).count();
     within as f64 / (latencies.len() + unfinished).max(1) as f64
 }
 
@@ -362,14 +363,14 @@ pub fn lock_service_replay<S: BiddingStrategy>(
     let max = latencies.iter().copied().max().unwrap_or(0);
     let agreed = cluster.assert_log_agreement();
     record_trace_metrics(obs);
-    record_latency_slo(obs, config.eval_start, config.window_minutes, config.sla_ms);
+    record_latency_slo(obs, config.eval_start, config.window_minutes);
 
     ServiceReplayOutcome {
         ops_completed: completed,
         ops_unfinished: unfinished,
         mean_latency_ms: mean,
         max_latency_ms: max,
-        sla_fraction: sla_fraction(&latencies, unfinished, config.sla_ms),
+        sla_fraction: sla_fraction(&latencies, unfinished),
         reconfigs,
         crashes,
         agreed_log_len: agreed,
@@ -444,18 +445,13 @@ pub fn storage_service_replay<S: BiddingStrategy>(
 
     let mut crashes = 0usize;
     let mut rebinds = 0usize;
-    let mut expected: std::collections::HashMap<String, u8> = Default::default();
     let mut op_counter = 0usize;
     let total_ops = (config.window_minutes / 3).max(4) as usize;
-    let submit_some = |cluster: &mut RsCluster,
-                           op_counter: &mut usize,
-                           expected: &mut std::collections::HashMap<String, u8>,
-                           upto: usize| {
+    let submit_some = |cluster: &mut RsCluster, op_counter: &mut usize, upto: usize| {
         while *op_counter < upto {
             let key = format!("obj-{}", *op_counter % 7);
             if (*op_counter).is_multiple_of(2) {
                 let tag = (*op_counter % 251) as u8;
-                expected.insert(key.clone(), tag);
                 cluster.submit(
                     client,
                     StoreCmd::Put {
@@ -469,7 +465,7 @@ pub fn storage_service_replay<S: BiddingStrategy>(
             *op_counter += 1;
         }
     };
-    submit_some(&mut cluster, &mut op_counter, &mut expected, total_ops.min(40));
+    submit_some(&mut cluster, &mut op_counter, total_ops.min(40));
 
     let mut boundary = config.eval_start;
     let window_end = config.eval_start + config.window_minutes;
@@ -493,7 +489,7 @@ pub fn storage_service_replay<S: BiddingStrategy>(
                 .sim
                 .run_until(to_sim(kill_minute - config.eval_start));
             let upto = (op_counter + 8).min(total_ops);
-            submit_some(&mut cluster, &mut op_counter, &mut expected, upto);
+            submit_some(&mut cluster, &mut op_counter, upto);
             let victim = cluster.servers()[slot];
             cluster.crash(victim);
             dead.push(slot);
@@ -556,7 +552,7 @@ pub fn storage_service_replay<S: BiddingStrategy>(
             }
         }
         let upto = (op_counter + 16).min(total_ops);
-        submit_some(&mut cluster, &mut op_counter, &mut expected, upto);
+        submit_some(&mut cluster, &mut op_counter, upto);
         boundary = interval_end;
     }
 
@@ -599,7 +595,7 @@ pub fn storage_service_replay<S: BiddingStrategy>(
         }
     }
     record_trace_metrics(obs);
-    record_latency_slo(obs, config.eval_start, config.window_minutes, config.sla_ms);
+    record_latency_slo(obs, config.eval_start, config.window_minutes);
 
     StorageReplayOutcome {
         ops_completed: completed,
@@ -619,8 +615,8 @@ mod tests {
 
     #[test]
     fn an_unanswered_request_is_an_sla_miss() {
-        assert_eq!(sla_fraction(&[10, 20], 1, 15), 1.0 / 3.0);
-        assert_eq!(sla_fraction(&[], 0, 15), 0.0);
+        assert_eq!(sla_fraction(&[SLA_MS, SLA_MS + 1], 1), 1.0 / 3.0);
+        assert_eq!(sla_fraction(&[], 0), 0.0);
     }
 
     #[test]
@@ -640,7 +636,6 @@ mod tests {
                 eval_start: train,
                 window_minutes: 4 * 60,
                 interval_hours: 2,
-                sla_ms: 5_000,
                 seed: 9,
             },
             &Obs::disabled(),
@@ -669,7 +664,6 @@ mod tests {
                 eval_start: train,
                 window_minutes: 4 * 60,
                 interval_hours: 2,
-                sla_ms: 5_000,
                 seed: 3,
             },
             &Obs::disabled(),

@@ -209,7 +209,6 @@ fn observed_replays(
             eval_start: train,
             window_minutes: service_hours * 60,
             interval_hours: 2,
-            sla_ms: 5_000,
             seed,
         },
         &obs,

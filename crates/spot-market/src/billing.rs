@@ -11,13 +11,11 @@
 //! * On-demand instances are charged their fixed hourly price per *started*
 //!   hour.
 
-use serde::{Deserialize, Serialize};
-
 use crate::money::Price;
 use crate::trace::PriceTrace;
 
 /// Who ended an instance's life.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Termination {
     /// Terminated by EC2 because the spot price exceeded the bid — the
     /// final partial hour is not charged.

@@ -27,7 +27,6 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::instance::InstanceType;
 use crate::money::Price;
@@ -35,7 +34,7 @@ use crate::topology::Zone;
 use crate::trace::{PricePoint, PriceTrace};
 
 /// Tunable parameters of the per-zone price process.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GenParams {
     /// Base spot price as a fraction of the on-demand price (grid bottom).
     pub base_fraction: f64,

@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::money::Price;
 use crate::topology::Region;
 
 /// An EC2 instance type from the 2014 catalogue.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum InstanceType {
     /// `m1.small` — 1 vCPU, 1.7 GiB; the lock-service instance type.
     M1Small,

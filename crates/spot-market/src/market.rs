@@ -297,61 +297,6 @@ impl Market {
             capacity,
         }
     }
-
-    /// Serialize every trace as JSON — the interchange format for feeding
-    /// *real* archived spot-price data into the harness (and for saving a
-    /// generated market for external analysis).
-    pub fn export_traces(&self) -> String {
-        let dump: Vec<(Zone, InstanceType, &PriceTrace)> = {
-            let mut v: Vec<_> = self
-                .traces
-                .iter()
-                .map(|((z, t), trace)| (*z, *t, trace))
-                .collect();
-            v.sort_by_key(|(z, t, _)| (z.ordinal(), *t));
-            v
-        };
-        serde_json::to_string(&dump).expect("traces serialize")
-    }
-
-    /// Rebuild a market from [`Market::export_traces`] output. The zone
-    /// and type lists of `config` are replaced by what the dump contains;
-    /// the horizon must match every trace.
-    pub fn import_traces(mut config: MarketConfig, json: &str) -> Result<Market, String> {
-        let dump: Vec<(Zone, InstanceType, PriceTrace)> =
-            serde_json::from_str(json).map_err(|e| e.to_string())?;
-        if dump.is_empty() {
-            return Err("empty trace dump".into());
-        }
-        let horizon = dump[0].2.horizon();
-        let mut traces = HashMap::new();
-        let mut zones = Vec::new();
-        let mut types = Vec::new();
-        for (zone, ty, trace) in dump {
-            if trace.horizon() != horizon {
-                return Err(format!(
-                    "horizon mismatch: {} vs {horizon}",
-                    trace.horizon()
-                ));
-            }
-            if !zones.contains(&zone) {
-                zones.push(zone);
-            }
-            if !types.contains(&ty) {
-                types.push(ty);
-            }
-            traces.insert((zone, ty), trace);
-        }
-        config.zones = zones;
-        config.types = types;
-        config.horizon_minutes = horizon;
-        let capacity = build_capacity(&config);
-        Ok(Market {
-            config,
-            traces,
-            capacity,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -432,24 +377,6 @@ mod tests {
                 m.price(z, InstanceType::M1Small, minute + 1_000)
             );
         }
-    }
-
-    #[test]
-    fn export_import_round_trip() {
-        let m = small_market();
-        let json = m.export_traces();
-        let cfg = MarketConfig::paper(0, 1); // replaced by the dump
-        let re = Market::import_traces(cfg, &json).expect("import");
-        assert_eq!(re.horizon(), m.horizon());
-        assert_eq!(re.zones(), m.zones());
-        for &z in m.zones() {
-            assert_eq!(
-                re.trace(z, InstanceType::M1Small),
-                m.trace(z, InstanceType::M1Small)
-            );
-        }
-        assert!(Market::import_traces(MarketConfig::paper(0, 1), "[]").is_err());
-        assert!(Market::import_traces(MarketConfig::paper(0, 1), "nonsense").is_err());
     }
 
     #[test]

@@ -8,12 +8,10 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A non-negative amount of money in micro-dollars (10⁻⁶ USD).
 ///
 /// Used both for hourly prices/bids and for accumulated charges.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Price(pub u64);
 
 impl Price {

@@ -3,13 +3,11 @@
 //! deconstruction) and the calibration targets for the synthetic
 //! generator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::money::Price;
 use crate::trace::PriceTrace;
 
 /// Summary statistics of one price trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TraceStats {
     /// Time-weighted mean price (dollars).
     pub mean: f64,

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An Amazon EC2 region (Table 1 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Region {
     /// US East (Virginia), 4 availability zones.
     UsEast1,
@@ -120,7 +118,7 @@ impl fmt::Display for Region {
 
 /// A single availability zone: a region plus a zone letter index
 /// (0 → `a`, 1 → `b`, …).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Zone {
     /// The region this zone belongs to.
     pub region: Region,

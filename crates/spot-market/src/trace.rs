@@ -5,13 +5,11 @@
 //! paper adopts for the semi-Markov model (Eq. 12: sojourn times are
 //! discretized to minutes because 2014 prices changed many times per hour).
 
-use serde::{Deserialize, Serialize};
-
 use crate::money::Price;
 
 /// A price change point: from `minute` (inclusive) the market price is
 /// `price` until the next point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PricePoint {
     /// Minute index since trace start.
     pub minute: u64,
@@ -31,7 +29,7 @@ pub struct Segment {
 }
 
 /// A spot-price history for one (zone, instance type) pair.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PriceTrace {
     points: Vec<PricePoint>,
     /// Total trace length in minutes; prices are defined on `[0, horizon)`.

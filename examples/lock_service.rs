@@ -28,7 +28,6 @@ fn main() {
             eval_start: train,
             window_minutes: window,
             interval_hours: 3,
-            sla_ms: 5_000,
             seed: 99,
         },
         &Obs::disabled(),

@@ -612,7 +612,6 @@ fn lock_market_replay() -> u64 {
             eval_start: 2 * WEEK,
             window_minutes: 4 * 60,
             interval_hours: 2,
-            sla_ms: 5_000,
             seed: 4242,
         },
         &obs,

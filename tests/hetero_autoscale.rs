@@ -10,7 +10,7 @@ use spot_jupiter::replay::experiments::{
 };
 use spot_jupiter::replay::{
     demand_series, AutoScaler, AutoscaleConfig, Replay, ReplayConfig, ReplayResult, Scenario,
-    SweepSpec,
+    SweepSpec, HYSTERESIS_INTERVALS,
 };
 use spot_jupiter::spot_market::InstanceType;
 use test_util::hetero_market_days;
@@ -103,10 +103,9 @@ fn autoscaler_scales_out_under_diurnal_peak_deterministically() {
 /// diurnal trough cannot oscillate the fleet.
 #[test]
 fn scale_in_waits_out_hysteresis_in_replay() {
-    let cfg = AutoscaleConfig::default();
     let (_, (_, ins), decisions) = autoscale_run(11);
     assert!(ins >= 1, "diurnal trough never scaled in: {decisions:?}");
-    let need = cfg.hysteresis_intervals as usize - 1;
+    let need = HYSTERESIS_INTERVALS as usize - 1;
     for (i, (action, reason)) in decisions.iter().enumerate() {
         if action == "scale_in" {
             assert_eq!(reason, "sustained_headroom");

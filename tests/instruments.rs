@@ -184,7 +184,6 @@ fn every_recorded_signal_is_in_the_inventory_with_a_reader() {
         eval_start: EVAL_START,
         window_minutes: 4 * 60,
         interval_hours: 2,
-        sla_ms: 5_000,
         seed: 7,
     };
     let (obs, _clock) = Obs::simulated();

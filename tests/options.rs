@@ -131,9 +131,6 @@ fn every_config_field_is_inventoried() {
         headroom: _,
         // ONE VALUE (0.25): `experiments::autoscale_report` reads it back to size the
         // static-peak baseline
-        hysteresis_intervals: _,
-        // ONE VALUE (3): autoscale.rs's tests route it through `scaler(hysteresis)`, always 3;
-        // next to fold
         min_strength: _,
         // 5 by default; 4 in `experiments::autoscale_report`
         max_strength: _,
@@ -159,15 +156,12 @@ fn every_config_field_is_inventoried() {
         // 2 h in `repro report`, 4 h in `repro metrics`; 12 h in examples/lock_service.rs
         interval_hours: _,
         // 2 in repro; 3 in examples/lock_service.rs
-        sla_ms: _,
-        // ONE VALUE (5 000) in repro, the example and every test; next to fold
         seed: _,
         // `--seed` in repro; 99 in examples/lock_service.rs
     } = ServiceReplayConfig {
         eval_start: 0,
         window_minutes: 1,
         interval_hours: 1,
-        sla_ms: 1,
         seed: 0,
     };
 

@@ -27,7 +27,6 @@ fn service_level_replay_meets_sla() {
             eval_start: train,
             window_minutes: 3 * 60,
             interval_hours: 1,
-            sla_ms: 5_000,
             seed: 4,
         },
         &Obs::disabled(),

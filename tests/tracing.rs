@@ -5,10 +5,9 @@
 //! trace-id allocation is a pure function of the simulation seed,
 //! independent of how many host threads run simulations concurrently.
 //!
-//! (The vendored `rayon` shim executes parallel iterators sequentially,
-//! so the thread-count test drives real `std::thread` concurrency
-//! instead — the stronger property: even simulations racing on separate
-//! OS threads allocate identical trace ids.)
+//! (The thread-count test drives real `std::thread` concurrency:
+//! simulations racing on separate OS threads allocate identical trace
+//! ids.)
 
 use spot_jupiter::obs::{assemble_traces, chrome_trace_json, critical_path, CausalTrace, Obs};
 use spot_jupiter::paxos::{ClientOp, Cluster, LockCmd, LockService, ReplicaConfig};
