@@ -50,7 +50,9 @@ echo "== repro smoke + cross-process repeatability =="
 # Each quick target runs twice, in two processes, at one seed; the rows
 # must be byte-identical. A second process gets fresh hash seeds and a
 # fresh address space, so a `HashMap` iteration order or a pointer value
-# leaking into a result shows up as a diff here.
+# leaking into a result shows up as a diff here. The `workload` pair is
+# what guards `LockService`'s lock table, a `HashMap` under std's keyed
+# hasher: an ordered read of it would differ between the two processes.
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 for target in fig6 repair workload hetero era; do

@@ -5,7 +5,7 @@
 //! [`Service`], which owns the value codec (what each acceptor receives,
 //! how phase 1 recovers a value, how chosen entries are reshaped for a
 //! peer), application, request admission and its own messages. Every
-//! [`StateMachine`] is a service whose values travel verbatim — the
+//! [`StateMachine`] is a service whose values are one shared `Arc` — the
 //! Chubby-like distributed **lock service** (§5.1.1) — and the `storage`
 //! crate plugs in the RS-Paxos shard codec (§5.1.2). The core provides
 //!

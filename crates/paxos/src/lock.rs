@@ -6,7 +6,7 @@
 //! lock can never be held by two clients at once — follows from the state
 //! machine's determinism plus Paxos' agreement on the command order.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use simnet::NodeId;
 
@@ -100,7 +100,9 @@ struct Holding {
 /// table stays deterministic).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LockService {
-    locks: BTreeMap<String, Holding>,
+    /// Keyed SipHash: lock names come from clients. Nothing reads it in
+    /// order; an iteration whose order can be observed must sort first.
+    locks: HashMap<String, Holding>,
     /// High-water command timestamp (ms).
     clock_ms: u64,
 }

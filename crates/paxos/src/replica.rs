@@ -334,8 +334,8 @@ impl<S: Service> Replica<S> {
     // ---------------------------------------------------------- snapshots
 
     /// Package the applied state as a snapshot.
-    pub(crate) fn snapshot(&self) -> SnapshotData<S> {
-        SnapshotData {
+    pub(crate) fn snapshot(&self) -> Box<SnapshotData<S>> {
+        Box::new(SnapshotData {
             applied: self.applied,
             view: self.view.clone(),
             view_id: self.view_id,
@@ -345,7 +345,7 @@ impl<S: Service> Replica<S> {
                 .iter()
                 .map(|(&c, (r, resp))| (c, *r, resp.clone()))
                 .collect(),
-        }
+        })
     }
 
     /// Adopt a snapshot that is ahead of the local applied prefix.
@@ -1193,12 +1193,12 @@ impl<S: Service> Replica<S> {
 
     fn on_catchup_reply(
         &mut self,
-        snapshot: Option<SnapshotData<S>>,
+        snapshot: Option<Box<SnapshotData<S>>>,
         entries: Vec<ChosenEntry<S::Wire>>,
         ctx: &mut Context<Msg<S>>,
     ) {
         if let Some(snap) = snapshot {
-            self.install_snapshot(snap, ctx.now);
+            self.install_snapshot(*snap, ctx.now);
         }
         for e in entries {
             self.note_chosen(e, ctx);

@@ -7,9 +7,9 @@
 //! on the wire to each acceptor, how it is recovered in phase 1, what
 //! applying it means, which requests may share a slot, and the messages
 //! only this service exchanges. Two services exist: any
-//! [`StateMachine`](crate::StateMachine) (values travel verbatim, the
-//! lock service) and `storage::RsService` (values travel as erasure-coded
-//! shards, RS-Paxos).
+//! [`StateMachine`](crate::StateMachine) (a value is one shared `Arc`
+//! that every acceptor receives, the lock service) and
+//! `storage::RsService` (values travel as erasure-coded shards, RS-Paxos).
 
 use std::collections::VecDeque;
 use std::fmt::Debug;

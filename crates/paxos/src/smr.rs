@@ -1,9 +1,10 @@
 //! State-machine replication: every [`StateMachine`] is a [`Service`]
-//! whose values travel verbatim (the identity codec), with membership
-//! change through the log and follower-local reads.
+//! whose slot value is one shared `Arc` (a send is a refcount bump), with
+//! membership change through the log and follower-local reads.
 
 use std::collections::VecDeque;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use obs::{Counter, Obs};
 use simnet::{Context, NodeId, SimTime};
@@ -156,12 +157,12 @@ impl<SM: StateMachine> Replica<SM> {
         &mut self,
         client: NodeId,
         req_id: u64,
-        add: Vec<NodeId>,
+        add: &[NodeId],
         remove: &[NodeId],
         ctx: &mut Context<Msg<SM>>,
     ) {
         let mut joiners = Vec::new();
-        for n in add {
+        for &n in add {
             if !self.view.contains(&n) {
                 self.view.push(n);
                 joiners.push(n);
@@ -202,8 +203,8 @@ impl<SM: StateMachine> Service for SM {
     type Cmd = SM::Command;
     type Resp = SM::Response;
     type Op = ClientOp<SM::Command>;
-    type Value = Command<SM::Command>;
-    type Wire = Command<SM::Command>;
+    type Value = Arc<Command<SM::Command>>;
+    type Wire = Arc<Command<SM::Command>>;
     type Ext = ReadMsg<SM>;
     type Snap = SM;
     type Host = SmHost<SM>;
@@ -221,30 +222,27 @@ impl<SM: StateMachine> Service for SM {
         }
     }
 
-    fn wire_for(value: &Command<SM::Command>, _dest_idx: usize) -> Command<SM::Command> {
-        value.clone()
+    fn wire_for(value: &Self::Value, _dest_idx: usize) -> Self::Wire {
+        Arc::clone(value)
     }
 
     /// Any copy will do: acceptors at one ballot accepted one value.
-    fn recover(_host: &SmHost<SM>, copies: &[&Command<SM::Command>]) -> Command<SM::Command> {
-        copies.first().map_or(Command::Noop, |&c| c.clone())
+    fn recover(_host: &SmHost<SM>, copies: &[&Self::Wire]) -> Self::Value {
+        copies
+            .first()
+            .map_or_else(|| Arc::new(Command::Noop), |&c| Arc::clone(c))
     }
 
-    fn reshape(
-        _host: &SmHost<SM>,
-        chosen: &Command<SM::Command>,
-        _slot: Slot,
-        _dest_idx: Option<usize>,
-    ) -> Command<SM::Command> {
-        chosen.clone()
+    fn reshape(_host: &SmHost<SM>, chosen: &Self::Wire, _: Slot, _: Option<usize>) -> Self::Wire {
+        Arc::clone(chosen)
     }
 
-    fn same_decision(a: &Command<SM::Command>, b: &Command<SM::Command>) -> bool {
-        a == b
+    fn same_decision(a: &Self::Wire, b: &Self::Wire) -> bool {
+        **a == **b
     }
 
-    fn carries(value: &Command<SM::Command>, client: NodeId, req_id: u64) -> bool {
-        match value {
+    fn carries(value: &Self::Value, client: NodeId, req_id: u64) -> bool {
+        match &**value {
             Command::App {
                 client: c,
                 req_id: r,
@@ -284,12 +282,9 @@ impl<SM: StateMachine> Service for SM {
         }
     }
 
-    fn value(
-        host: &mut SmHost<SM>,
-        mut ops: Vec<PendingOp<ClientOp<SM::Command>>>,
-    ) -> Command<SM::Command> {
+    fn value(host: &mut SmHost<SM>, mut ops: Vec<PendingOp<ClientOp<SM::Command>>>) -> Self::Value {
         if ops.len() > 1 {
-            return Command::Batch(
+            return Arc::new(Command::Batch(
                 ops.into_iter()
                     .map(|p| match p.op {
                         ClientOp::App(cmd) => BatchEntry {
@@ -300,12 +295,12 @@ impl<SM: StateMachine> Service for SM {
                         ClientOp::Reconfig { .. } => unreachable!("compose batches only App ops"),
                     })
                     .collect(),
-            );
+            ));
         }
         let PendingOp {
             client, req_id, op, ..
         } = ops.pop().expect("at least one op");
-        match op {
+        Arc::new(match op {
             ClientOp::App(cmd) => Command::App {
                 client,
                 req_id,
@@ -320,22 +315,17 @@ impl<SM: StateMachine> Service for SM {
                     remove,
                 }
             }
-        }
+        })
     }
 
-    fn apply(
-        r: &mut Replica<SM>,
-        _slot: Slot,
-        value: Command<SM::Command>,
-        ctx: &mut Context<Msg<SM>>,
-    ) {
-        match value {
+    fn apply(r: &mut Replica<SM>, _slot: Slot, value: Self::Wire, ctx: &mut Context<Msg<SM>>) {
+        match &*value {
             Command::Noop => {}
             Command::App {
                 client,
                 req_id,
                 cmd,
-            } => r.apply_app(client, req_id, &cmd, ctx),
+            } => r.apply_app(*client, *req_id, cmd, ctx),
             Command::Batch(entries) => {
                 // Atomic within the slot: every entry applies (in order)
                 // before the next slot is considered.
@@ -348,7 +338,7 @@ impl<SM: StateMachine> Service for SM {
                 req_id,
                 add,
                 remove,
-            } => r.apply_reconfig(client, req_id, add, &remove, ctx),
+            } => r.apply_reconfig(*client, *req_id, add, remove, ctx),
         }
     }
 

@@ -1,7 +1,10 @@
 //! End-to-end protocol tests: elections, replication, failover, catch-up,
 //! reconfiguration and client semantics on a simulated cluster.
 
-use paxos::{ClientOp, Cluster, LockCmd, LockResp, LockService, ReplicaConfig};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use paxos::{ClientOp, Cluster, Command, LockCmd, LockResp, LockService, ReplicaConfig};
 use simnet::{NetworkConfig, NodeId, SimTime};
 
 fn cluster(n: usize, seed: u64) -> Cluster<LockService> {
@@ -391,4 +394,60 @@ fn observability_captures_consensus_activity() {
     let events = o.trace.events();
     assert!(events.iter().any(|e| e.name == "paxos.election"));
     assert!(events.iter().any(|e| e.name == "paxos.quorum_wait"));
+}
+
+#[test]
+fn a_decided_value_exists_once() {
+    // Every replica's copy of a slot is the one allocation the leader
+    // proposed: accepts, commits, catch-up and the stored chosen value
+    // share it. A deep copy on any single path (`wire_for` for an accept
+    // or a commit, `reshape` for a catch-up entry) leaves two replicas
+    // holding equal values at different addresses.
+    let cfg = ReplicaConfig {
+        batch_max_ops: 4,
+        pipeline: 2,
+        ..ReplicaConfig::default()
+    };
+    let mut c = Cluster::new(5, LockService::new(), cfg, NetworkConfig::default(), 23);
+    for s in 0..6u64 {
+        let schedule = (0..40u64)
+            .map(|i| {
+                let at = SimTime::from_millis(3_000 + 50 * i + 7 * s);
+                let name = format!("k{}", (s * 40 + i) % 17);
+                (
+                    at,
+                    LockCmd::Acquire {
+                        name,
+                        owner: NodeId(100 + s as usize),
+                    },
+                )
+            })
+            .collect();
+        c.add_open_loop(schedule);
+    }
+    c.sim.run_until(SimTime::from_secs(20));
+    c.assert_log_agreement();
+
+    let mut first: BTreeMap<u64, Arc<Command<LockCmd>>> = BTreeMap::new();
+    let (mut shared, mut batches) = (0, 0);
+    for &id in c.servers() {
+        for (slot, value) in c.replica(id).expect("fault-free run").applied_prefix() {
+            match first.get(&slot) {
+                None => {
+                    batches += usize::from(matches!(*value, Command::Batch(_)));
+                    first.insert(slot, value);
+                }
+                Some(v) => {
+                    assert!(Arc::ptr_eq(v, &value), "slot {slot} held as two copies");
+                    shared += 1;
+                }
+            }
+        }
+    }
+    assert!(batches > 0, "the run batched");
+    assert!(
+        shared >= 4 * first.len(),
+        "{shared} shared copies of {} slots",
+        first.len()
+    );
 }

@@ -152,3 +152,18 @@ pub enum ShardMsg {
         shard: Bytes,
     },
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::RsService;
+    use paxos::Msg;
+
+    /// The simulator's event heap moves every envelope ~log₂(queue) times
+    /// per pop, so every message pays for the largest variant. A snapshot
+    /// held inline made the store's 136 bytes.
+    #[test]
+    fn store_envelope_is_at_most_96_bytes() {
+        let size = std::mem::size_of::<Msg<RsService>>();
+        assert!(size <= 96, "Msg<RsService> is {size} bytes");
+    }
+}

@@ -47,6 +47,7 @@
 //!    object byte-for-byte.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use erasure::ReedSolomon;
 use paxos::{
@@ -100,7 +101,7 @@ pub fn check_lock_cluster(c: &Cluster<LockService>) -> Result<LockCheckStats, St
 
     // Live, non-retired replicas that still hold their whole log; a
     // compacted log cannot be replayed from the empty state.
-    type Prefix = Vec<(u64, Command<LockCmd>)>;
+    type Prefix = Vec<(u64, Arc<Command<LockCmd>>)>;
     let live = || {
         c.servers()
             .iter()
@@ -138,7 +139,7 @@ pub fn check_lock_cluster(c: &Cluster<LockService>) -> Result<LockCheckStats, St
     stats.replayed = longest.len();
     stats.batches_checked = longest
         .iter()
-        .filter(|(_, c)| matches!(c, Command::Batch(_)))
+        .filter(|(_, c)| matches!(**c, Command::Batch(_)))
         .count();
     let (_, log_info) = replay_dedup(&longest)?;
 
@@ -201,7 +202,7 @@ struct LogReplayInfo {
 /// replica's dedup semantics, enforcing the mutual-exclusion and
 /// lease-monotonicity invariants along the way.
 fn replay_dedup(
-    prefix: &[(u64, Command<LockCmd>)],
+    prefix: &[(u64, Arc<Command<LockCmd>>)],
 ) -> Result<(LockService, LogReplayInfo), String> {
     let mut sm = LockService::new();
     let mut dedup: HashMap<NodeId, (u64, LockResp)> = HashMap::new();
@@ -220,7 +221,7 @@ fn replay_dedup(
         // check compares each replica's machine against this replay of
         // its own full prefix, so any replica that applied a strict
         // subset of a batch's entries diverges from the model.
-        let entries: Vec<(NodeId, u64, &LockCmd)> = match cmd {
+        let entries: Vec<(NodeId, u64, &LockCmd)> = match &**cmd {
             Command::Noop => continue,
             Command::Reconfig { client, req_id, .. } => {
                 let m = info.max_req.entry(*client).or_default();

@@ -1,7 +1,9 @@
 //! # test-util — shared fixtures, seeded RNG plumbing and safety checkers
 //!
-//! Support code for the workspace's test suites, in four layers:
+//! Support code for the workspace's test suites, in five layers:
 //!
+//! * [`alloc`] — a counting global allocator, for tests that bound how
+//!   many heap allocations a path makes;
 //! * [`rng`] — seed derivation and seeded-RNG construction, so every test
 //!   spells randomness the same way and every failure prints a
 //!   reproducing seed;
@@ -20,6 +22,7 @@
 //! dev-dependency cycles (the chaos suites that need both live in the
 //! workspace root's `tests/`).
 
+pub mod alloc;
 pub mod chaos;
 pub mod check;
 pub mod env;

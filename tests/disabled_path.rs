@@ -6,51 +6,17 @@
 //! repo benchmark's `obs.disabled_ns_per_op`.
 //!
 //! The file is its own test binary with a single test because it installs
-//! a counting `#[global_allocator]`; the count is per thread and armed
-//! only around the measured loops, so the harness does not disturb it.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! the counting `#[global_allocator]` of `test_util::alloc`; the count is
+//! per thread and armed only around the measured loops, so the harness
+//! does not disturb it.
 
 use spot_jupiter::obs::{
     AlertSink, FleetDeficitWatchdog, LivenessWatchdog, Obs, SloSpec, SloTracker, TraceContext,
 };
-
-thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every request is forwarded to `System` unchanged; the
-// bookkeeping touches only const-initialised, destructor-free
-// thread-locals and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.try_with(Cell::get).unwrap_or(false) {
-            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use test_util::alloc::{allocations, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// Heap allocations (`alloc`, `alloc_zeroed`, `realloc`) `f` makes on
-/// this thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    ALLOCATIONS.with(|n| n.set(0));
-    ARMED.with(|a| a.set(true));
-    f();
-    ARMED.with(|a| a.set(false));
-    ALLOCATIONS.with(Cell::get)
-}
 
 const OPS: u64 = 100_000;
 
@@ -68,7 +34,8 @@ fn traced_op(obs: &Obs, trace_id: u64) {
 #[test]
 fn disabled_tracing_and_monitors_never_allocate() {
     // The counter counts: a boxed value is one allocation.
-    assert_eq!(allocations(|| drop(std::hint::black_box(Box::new(7u64)))), 1);
+    let boxed = allocations(|| drop(std::hint::black_box(Box::new(7u64))));
+    assert_eq!(boxed.count, 1);
 
     let disabled = Obs::disabled();
     let tracing = allocations(|| {
@@ -76,7 +43,10 @@ fn disabled_tracing_and_monitors_never_allocate() {
             traced_op(&disabled, i | 1);
         }
     });
-    assert_eq!(tracing, 0, "disabled tracing allocated over {OPS} ops");
+    assert_eq!(
+        tracing.count, 0,
+        "disabled tracing allocated over {OPS} ops"
+    );
 
     let sink = AlertSink::disabled();
     let mut liveness = LivenessWatchdog::new(sink.clone(), 30_000_000);
@@ -89,7 +59,10 @@ fn disabled_tracing_and_monitors_never_allocate() {
             slo.record(i, 1.0, 1.0);
         }
     });
-    assert_eq!(monitors, 0, "disabled monitors allocated over {OPS} ops");
+    assert_eq!(
+        monitors.count, 0,
+        "disabled monitors allocated over {OPS} ops"
+    );
 
     // Enabled, the same calls do their deterministic work: three events
     // per traced op …
