@@ -55,7 +55,7 @@ echo "== repro smoke + cross-process repeatability =="
 # hasher: an ordered read of it would differ between the two processes.
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
-for target in fig6 repair workload hetero era; do
+for target in all workload hetero era; do
   for run in a b; do
     ./target/release/repro --quick --seed 2014 "$target" | grep -v '^#' > "$TMP/$target.$run.txt"
   done
@@ -63,15 +63,14 @@ for target in fig6 repair workload hetero era; do
     || { echo "$target rows differ between two processes at one seed" >&2; exit 1; }
 done
 
-# One thread against the default pool: `Scenario::run` takes one worker
-# per core the process may run on, so pinned to one core it replays every
-# cell inline; the rows must not notice.
+# One thread against the default pool: the evaluation plan replays every
+# cell of `all` in one pool of one worker per core the process may run
+# on, so pinned to one core it replays every cell inline; the rows must
+# not notice.
 ONE_CPU="$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')" # first CPU we may run on
-for target in fig6 repair; do
-  taskset -c "$ONE_CPU" ./target/release/repro --quick --seed 2014 "$target" | grep -v '^#' > "$TMP/$target.1.txt"
-  diff "$TMP/$target.a.txt" "$TMP/$target.1.txt" \
-    || { echo "$target rows differ between one thread and the default pool" >&2; exit 1; }
-done
+taskset -c "$ONE_CPU" ./target/release/repro --quick --seed 2014 all | grep -v '^#' > "$TMP/all.1.txt"
+diff "$TMP/all.a.txt" "$TMP/all.1.txt" \
+  || { echo "all rows differ between one thread and the default pool" >&2; exit 1; }
 
 # Workload: the quick request-level replay (~20k lock + ~2k storage
 # requests) must report the batched lock row.

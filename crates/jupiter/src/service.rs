@@ -5,7 +5,7 @@ use spot_market::InstanceType;
 use spot_model::ON_DEMAND_FP;
 
 /// What kind of distributed service is being bid for.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServiceSpec {
     /// Human-readable name (reports only).
     pub name: String,

@@ -1,15 +1,21 @@
 //! Drivers for every table and figure in the paper's evaluation (§5),
-//! plus the ablations DESIGN.md calls out. Each driver returns structured
-//! rows; the `repro` binary renders them as the paper's series.
+//! plus the ablations DESIGN.md calls out; the `repro` binary renders
+//! what they return as the paper's series.
 //!
-//! Every replayed cell — whatever sweep it belongs to — is reduced to the
-//! one [`Row`]; a figure is a choice of grid here and a choice of columns
-//! in `repro`. Only the analyses that replay nothing (Fig. 4, Ablations
-//! A, B, E, F, the calibration backtests) have row types of their own.
+//! A table that replays declares its [`Cell`]s — plain keys — and the one
+//! evaluation plan, [`replay`], replays each distinct key of a command
+//! once and reduces it to the one [`Row`]; a figure is a list of keys
+//! here and a choice of columns in `repro`. Only the analyses that replay
+//! nothing (Fig. 4, Ablations A, B, E, F, the calibration backtests) are
+//! drivers with row types of their own.
 
 #![deny(clippy::too_many_lines)]
 
-use jupiter::{BiddingStrategy, ExtraStrategy, JupiterStrategy, ServiceSpec};
+use std::time::Instant;
+
+use jupiter::{
+    BiddingStrategy, ExtraStrategy, FeedbackStrategy, FixedOnce, JupiterStrategy, ServiceSpec,
+};
 use spot_market::{
     BidEra, InstanceType, Market, MarketConfig, Price, PriceTrace, TraceGenerator, Zone,
 };
@@ -18,7 +24,7 @@ use spot_model::{backtest, BidRule, CalibrationReport, FailureModel, FailureMode
 use crate::par::{host_workers, par_map};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
-use crate::scenario::{CellOutcome, Scenario, SweepSpec};
+use crate::scenario::{Scenario, SweepSpec};
 
 /// Experiment scale: the paper's full runs or a quick smoke-scale variant
 /// for tests and debug builds.
@@ -78,23 +84,239 @@ impl Scale {
         Market::generate(cfg)
     }
 
-    /// A [`Scenario`] over this scale's market: train on the prefix,
-    /// evaluate the remaining span.
-    pub fn scenario(&self, ty: InstanceType) -> Scenario {
-        Scenario::new(self.market(ty), self.train_minutes(), self.horizon_minutes())
+    /// The heterogeneous `m1.small` + `m3.large` market at this scale.
+    fn hetero_market(&self) -> Market {
+        let mut cfg = MarketConfig::hetero_paper(self.seed, self.horizon_minutes());
+        cfg.zones.truncate(self.zones);
+        Market::generate(cfg)
     }
 }
 
-// ------------------------------------------------------------ Rows, sweeps
+// ------------------------------------------------------ The evaluation plan
 
-/// One replayed cell — a (strategy × interval × repair × pool × era)
-/// point of some sweep, or the on-demand baseline it is measured against
-/// — reduced to what the figures plot. An axis a sweep does not vary
-/// reads its default.
+/// A cell's bidder. The variants are declared dearest first — per
+/// paper-scale cell on one core: Jupiter-absorbing 60–68 s; Jupiter, fixed
+/// or adaptive, 7–15 s; fixed-once, Feedback and Extra at most 0.12 s — so
+/// the plan's one scheduling decision, a stable sort by bidder, starts the
+/// longest replays first.
+#[derive(Clone, Copy, Debug, PartialEq, PartialOrd)]
+pub enum Bidder {
+    /// Jupiter with the absorbing (survival) failure estimator.
+    JupiterAbsorbing,
+    /// The paper's Jupiter (Fig. 3).
+    Jupiter,
+    /// Jupiter's first decision held for the whole deployment.
+    FixedOnce,
+    /// The Li et al.-style feedback controller.
+    Feedback,
+    /// Extra(k, p): k spare nodes, bids a portion p above spot.
+    Extra(usize, f64),
+}
+
+impl Bidder {
+    /// A fresh strategy instance.
+    fn build(self) -> Box<dyn BiddingStrategy> {
+        match self {
+            Bidder::JupiterAbsorbing => Box::new(JupiterStrategy::absorbing()),
+            Bidder::Jupiter => Box::new(JupiterStrategy::new()),
+            Bidder::FixedOnce => Box::new(FixedOnce::new(JupiterStrategy::new())),
+            Bidder::Feedback => Box::new(FeedbackStrategy::new()),
+            Bidder::Extra(nodes, portion) => Box::new(ExtraStrategy::new(nodes, portion)),
+        }
+    }
+}
+
+/// A key of the evaluation plan — one replayed cell, or one on-demand
+/// baseline — in plain values. Tables that declare equal keys share one
+/// replay, so a display label (Ablation D's `Jupiter fixed 6h`, Fig. 5's
+/// service column) never goes here.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Cell {
+    /// The deployed service, its pool column applied. A heterogeneous one
+    /// (several pools or a strength floor) replays on the heterogeneous
+    /// market, any other on a market of its one instance type.
+    pub service: ServiceSpec,
+    /// Evaluation weeks after the scale's training weeks.
+    pub eval_weeks: u64,
+    /// `None` holds the service on demand for the whole window: the
+    /// baseline, which replays nothing.
+    pub bidder: Option<Bidder>,
+    /// Bidding interval in hours; `None` is the §5.5 adaptive schedule,
+    /// which replays with repair off in the bidding era.
+    pub interval_hours: Option<u64>,
+    /// The repair policy.
+    pub repair: RepairPolicy,
+    /// The interruption era.
+    pub era: BidEra,
+}
+
+impl Cell {
+    /// The on-demand baseline of `service` over the scale's evaluation
+    /// span.
+    fn baseline(service: &ServiceSpec, scale: &Scale) -> Cell {
+        Cell {
+            service: service.clone(),
+            eval_weeks: scale.eval_weeks,
+            bidder: None,
+            interval_hours: None,
+            repair: RepairPolicy::Off,
+            era: BidEra::Bidding,
+        }
+    }
+
+    /// The instance type of this key's market; `None`: the heterogeneous
+    /// market.
+    fn market(&self) -> Option<InstanceType> {
+        (!self.service.is_hetero()).then_some(self.service.instance_type)
+    }
+
+    /// This key's row, replayed over `scenario` (its market and window).
+    fn replay(&self, scenario: &Scenario) -> Row {
+        let spec = &self.service;
+        let Some(bidder) = self.bidder else {
+            return Row {
+                service: spec.name.clone(),
+                strategy: "Baseline".into(),
+                cost: scenario.baseline_cost(spec),
+                availability: spec.baseline_availability(),
+                ..Row::default()
+            };
+        };
+        let result = match self.interval_hours {
+            Some(hours) => {
+                let sweep = SweepSpec::new(spec.clone())
+                    .strategy(move |_| bidder.build())
+                    .intervals(vec![hours])
+                    .repairs(vec![RepairConfig {
+                        policy: self.repair,
+                    }])
+                    .eras(vec![self.era]);
+                scenario.run(&sweep).remove(0).result
+            }
+            None => scenario.run_adaptive(spec, bidder.build()),
+        };
+        let n = result.intervals.len();
+        let mean_interval_hours = match self.interval_hours {
+            Some(hours) => hours as f64,
+            None if n > 1 => {
+                let span = result.intervals[n - 1].start - result.intervals[0].start;
+                span as f64 / 60.0 / (n - 1) as f64
+            }
+            None => 0.0,
+        };
+        let pools: Vec<&str> = spec
+            .pools()
+            .into_iter()
+            .map(InstanceType::api_name)
+            .collect();
+        Row {
+            service: spec.name.clone(),
+            interval_hours: self.interval_hours.unwrap_or(0),
+            policy: self.repair,
+            era: self.era,
+            pool_label: pools.join("+"),
+            mean_interval_hours,
+            ..Row::from_result(&result)
+        }
+    }
+}
+
+/// `bidders` at each of `hours` (intervals outer), deploying `service`
+/// over the scale's evaluation span with repair off, in the bidding era.
+fn grid(service: &ServiceSpec, scale: &Scale, hours: &[u64], bidders: &[Bidder]) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for &h in hours {
+        for &bidder in bidders {
+            cells.push(Cell {
+                bidder: Some(bidder),
+                interval_hours: Some(h),
+                ..Cell::baseline(service, scale)
+            });
+        }
+    }
+    cells
+}
+
+/// `items` without repeats, in first-seen order.
+fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut seen = Vec::new();
+    for item in items {
+        if !seen.contains(&item) {
+            seen.push(item);
+        }
+    }
+    seen
+}
+
+/// The evaluation plan: replay each distinct key the `tables` declare
+/// once, and return each table one row per key, in declaration order.
+///
+/// The keys over one (market, evaluation span) share one [`Scenario`] —
+/// one market, one model store — whichever table declared them, and the
+/// distinct keys replay in one [`par_map`] over the host's cores, longest
+/// first, so no core idles at the end of one table while another waits.
+/// Each distinct key's wall time goes to stderr as a `# cell` line.
+pub fn replay<const N: usize>(
+    scale: &Scale,
+    tables: [fn(&Scale) -> Vec<Cell>; N],
+) -> [Vec<Row>; N] {
+    let tables = tables.map(|declare| declare(scale));
+    let cells = tables.concat();
+    let mut keys = distinct(&cells);
+    keys.sort_by(|a, b| {
+        a.bidder
+            .partial_cmp(&b.bidder)
+            .expect("portions are numbers")
+    });
+    let windows = distinct(keys.iter().map(|c| (c.market(), c.eval_weeks)));
+    let scenarios: Vec<Scenario> = (windows.iter())
+        .map(|&(market, eval_weeks)| {
+            let window = Scale {
+                eval_weeks,
+                ..scale.clone()
+            };
+            let market = market.map_or_else(|| window.hetero_market(), |ty| window.market(ty));
+            Scenario::new(market, window.train_minutes(), window.horizon_minutes())
+        })
+        .collect();
+    let rows = par_map(&keys, host_workers(), |cell| {
+        let at = windows
+            .iter()
+            .position(|&w| w == (cell.market(), cell.eval_weeks));
+        let start = Instant::now();
+        let row = cell.replay(&scenarios[at.expect("a scenario per window")]);
+        (row, start.elapsed())
+    });
+    for (cell, (_, took)) in keys.iter().zip(&rows) {
+        let (service, pools) = (&cell.service, cell.service.pools());
+        eprintln!(
+            "# cell {} {pools:?}≥{} {}w {:?} {:?}h {} {:?} {:.2}s",
+            service.name,
+            service.min_strength,
+            cell.eval_weeks,
+            cell.bidder,
+            cell.interval_hours,
+            cell.repair,
+            cell.era,
+            took.as_secs_f64()
+        );
+    }
+    let mut rows = (cells.iter()).map(|cell| {
+        rows[keys.iter().position(|k| *k == cell).expect("a key")]
+            .0
+            .clone()
+    });
+    tables.map(|table| rows.by_ref().take(table.len()).collect())
+}
+
+// -------------------------------------------------------------------- Rows
+
+/// One replayed cell, or the on-demand baseline it is measured against,
+/// reduced to what the figures plot. An axis a table does not vary reads
+/// its default.
 #[derive(Clone, Debug, Default)]
 pub struct Row {
-    /// Which service, where one table mixes services (Fig. 5); empty
-    /// elsewhere.
+    /// The service's name.
     pub service: String,
     /// Bidding interval in hours (0 marks the interval-free baseline).
     pub interval_hours: u64,
@@ -131,22 +353,8 @@ pub struct Row {
 }
 
 impl Row {
-    /// One sweep cell as a row.
-    pub fn from_cell(cell: &CellOutcome) -> Row {
-        let pools: Vec<&str> = cell.pool_types.iter().map(|t| t.api_name()).collect();
-        Row {
-            interval_hours: cell.interval_hours,
-            policy: cell.repair,
-            era: cell.era,
-            pool_label: pools.join("+"),
-            mean_interval_hours: cell.interval_hours as f64,
-            ..Row::from_result(&cell.result)
-        }
-    }
-
-    /// The columns a bare replay result determines, for the drivers that
-    /// call [`crate::Replay`] outside a sweep grid; the grid axes keep
-    /// their defaults.
+    /// The columns a replay result determines; the key's axes keep their
+    /// defaults.
     fn from_result(result: &ReplayResult) -> Row {
         Row {
             strategy: result.strategy.clone(),
@@ -161,47 +369,6 @@ impl Row {
             ..Row::default()
         }
     }
-
-    /// The on-demand baseline of `spec` over `scenario`'s window as a row.
-    fn baseline(scenario: &Scenario, spec: &ServiceSpec) -> Row {
-        Row {
-            strategy: "Baseline".into(),
-            cost: scenario.baseline_cost(spec),
-            availability: spec.baseline_availability(),
-            ..Row::default()
-        }
-    }
-}
-
-/// A sweep's rows plus the constants that frame them.
-#[derive(Clone, Debug)]
-pub struct Sweep {
-    /// One row per cell, in [`Scenario::run`]'s grid order.
-    pub rows: Vec<Row>,
-    /// What the service would cost held on-demand for the whole window —
-    /// every cell must stay below this.
-    pub baseline_cost: Price,
-    /// The strength floor every cell had to reach (0: none).
-    pub min_strength: u32,
-    /// The one bidding interval used (0: the sweep varies it).
-    pub interval_hours: u64,
-}
-
-impl Sweep {
-    /// Replay `sweep` over `scenario`, framed by its service's baseline
-    /// and strength floor.
-    fn run(scenario: &Scenario, sweep: &SweepSpec, interval_hours: u64) -> Sweep {
-        Sweep {
-            rows: cell_rows(scenario, sweep),
-            baseline_cost: scenario.baseline_cost(sweep.service()),
-            min_strength: sweep.service().min_strength,
-            interval_hours,
-        }
-    }
-}
-
-fn cell_rows(scenario: &Scenario, sweep: &SweepSpec) -> Vec<Row> {
-    scenario.run(sweep).iter().map(Row::from_cell).collect()
 }
 
 // ---------------------------------------------------------------- Fig. 1
@@ -295,169 +462,158 @@ pub fn fig4(scale: &Scale) -> Vec<Fig4Row> {
 
 // ---------------------------------------------------------------- Fig. 5
 
-/// Fig. 5: a one-week run of the lock service and the storage service
-/// under Jupiter and Extra(0, 0.1), against the on-demand baseline,
-/// bidding hourly.
-pub fn fig5(scale: &Scale) -> Vec<Row> {
+/// Fig. 5: a one-week run of the lock service and of the storage service
+/// under Jupiter and Extra(0, 0.1), bidding hourly, each followed by its
+/// on-demand baseline.
+pub fn fig5(scale: &Scale) -> Vec<Cell> {
     // A single held-out week, whatever the scale's evaluation span.
     let week = Scale {
         eval_weeks: 1,
         ..scale.clone()
     };
-    let mut rows = Vec::new();
-    for spec in [ServiceSpec::lock_service(), ServiceSpec::storage_service()] {
-        let scenario = week.scenario(spec.instance_type);
-        let sweep = SweepSpec::new(spec.clone())
-            .strategy(|_| Box::new(JupiterStrategy::new()))
-            .strategy(|_| Box::new(ExtraStrategy::new(0, 0.1)))
-            .intervals(vec![1]);
-        let mut of_service = cell_rows(&scenario, &sweep);
-        of_service.push(Row::baseline(&scenario, &spec));
-        for row in &mut of_service {
-            row.service = spec.name.clone();
-        }
-        rows.append(&mut of_service);
+    let bidders = [Bidder::Jupiter, Bidder::Extra(0, 0.1)];
+    let mut cells = Vec::new();
+    for service in [ServiceSpec::lock_service(), ServiceSpec::storage_service()] {
+        cells.extend(grid(&service, &week, &[1], &bidders));
+        cells.push(Cell::baseline(&service, &week));
     }
-    rows
+    cells
 }
 
 // ------------------------------------------------------- Figs. 6/7, 8/9
 
-fn sweep(spec: &ServiceSpec, scale: &Scale) -> Vec<Row> {
-    let scenario = scale.scenario(spec.instance_type);
-    let sweep = SweepSpec::new(spec.clone())
-        .strategy(|_| Box::new(JupiterStrategy::new()))
-        .strategy(|_| Box::new(ExtraStrategy::new(0, 0.2)))
-        .strategy(|_| Box::new(ExtraStrategy::new(2, 0.2)))
-        .intervals(scale.intervals.clone());
-    let mut rows = cell_rows(&scenario, &sweep);
-    rows.push(Row::baseline(&scenario, spec));
-    rows.sort_by(|a, b| (a.interval_hours, &a.strategy).cmp(&(b.interval_hours, &b.strategy)));
-    rows
+/// The baseline, then each interval under Extra(0, 0.2), Extra(2, 0.2)
+/// and Jupiter: the figures' row order.
+fn interval_sweep(service: ServiceSpec, scale: &Scale) -> Vec<Cell> {
+    use Bidder::{Extra, Jupiter};
+    let bidders = [Extra(0, 0.2), Extra(2, 0.2), Jupiter];
+    let sweep = grid(&service, scale, &scale.intervals, &bidders);
+    [vec![Cell::baseline(&service, scale)], sweep].concat()
 }
 
 /// Figs. 6 & 7: lock-service cost and availability across bidding
 /// intervals and strategies over the evaluation span.
-pub fn lock_sweep(scale: &Scale) -> Vec<Row> {
-    sweep(&ServiceSpec::lock_service(), scale)
+pub fn lock_sweep(scale: &Scale) -> Vec<Cell> {
+    interval_sweep(ServiceSpec::lock_service(), scale)
 }
 
 /// Figs. 8 & 9: the same sweep for the erasure-coded storage service.
-pub fn storage_sweep(scale: &Scale) -> Vec<Row> {
-    sweep(&ServiceSpec::storage_service(), scale)
+pub fn storage_sweep(scale: &Scale) -> Vec<Cell> {
+    interval_sweep(ServiceSpec::storage_service(), scale)
 }
 
-/// The headline numbers: best-interval Jupiter cost reduction vs the
-/// on-demand baseline (the paper reports 81.23 % and 85.32 %).
+/// One service's headline number: the best-interval Jupiter cost
+/// reduction vs the on-demand baseline (the paper reports 81.23 % for the
+/// lock service and 85.32 % for storage).
 #[derive(Clone, Debug)]
 pub struct Headline {
-    /// Lock-service cost reduction in percent.
-    pub lock_reduction_pct: f64,
-    /// Storage-service cost reduction in percent.
-    pub storage_reduction_pct: f64,
-    /// The best interval for the lock service.
-    pub lock_best_interval: u64,
-    /// The best interval for the storage service.
-    pub storage_best_interval: u64,
-    /// Whether the lock service's best interval actually held the
-    /// baseline availability level (false = the reported number is the
-    /// most-available fallback, not an SLA-matched saving).
-    pub lock_met_sla: bool,
-    /// The same flag for the storage service.
-    pub storage_met_sla: bool,
+    /// Cost reduction in percent.
+    pub reduction_pct: f64,
+    /// The best interval.
+    pub best_interval: u64,
+    /// Whether the best interval actually held the baseline availability
+    /// level (false = the reported number is the most-available fallback,
+    /// not an SLA-matched saving).
+    pub met_sla: bool,
 }
 
-/// Compute the headline savings from sweep rows: the cheapest Jupiter
-/// interval **among those that hold the baseline availability level**
-/// (the paper's claim is cost reduction *at matched availability*; an
-/// interval that dips below the target is disqualified even if cheaper).
-pub fn headline(lock: &[Row], storage: &[Row]) -> Headline {
-    fn best(rows: &[Row]) -> (u64, f64, bool) {
-        let baseline_row = rows
-            .iter()
-            .find(|r| r.strategy == "Baseline")
-            .expect("baseline present");
-        let baseline = baseline_row.cost.as_dollars();
-        let target = baseline_row.availability;
-        let qualifying = rows
-            .iter()
-            .filter(|r| r.strategy == "Jupiter" && r.availability >= target)
-            .min_by(|a, b| a.cost.cmp(&b.cost));
-        let met_sla = qualifying.is_some();
-        // Fall back to the most-available interval when none qualifies —
-        // flagged, so the caller never mistakes it for an SLA-matched
-        // saving.
-        let best = qualifying.unwrap_or_else(|| {
-            rows.iter()
-                .filter(|r| r.strategy == "Jupiter")
-                .max_by(|a, b| {
-                    a.availability
-                        .partial_cmp(&b.availability)
-                        .expect("finite availability")
-                })
-                .expect("jupiter rows present")
-        });
-        (
-            best.interval_hours,
-            100.0 * (1.0 - best.cost.as_dollars() / baseline),
-            met_sla,
-        )
-    }
-    let (lock_best_interval, lock_reduction_pct, lock_met_sla) = best(lock);
-    let (storage_best_interval, storage_reduction_pct, storage_met_sla) = best(storage);
+/// Compute one service's headline saving from its sweep rows: the
+/// cheapest Jupiter interval **among those that hold the baseline
+/// availability level** (the paper's claim is cost reduction *at matched
+/// availability*; an interval that dips below the target is disqualified
+/// even if cheaper).
+pub fn headline(rows: &[Row]) -> Headline {
+    let baseline_row = rows
+        .iter()
+        .find(|r| r.strategy == "Baseline")
+        .expect("baseline present");
+    let baseline = baseline_row.cost.as_dollars();
+    let target = baseline_row.availability;
+    let qualifying = rows
+        .iter()
+        .filter(|r| r.strategy == "Jupiter" && r.availability >= target)
+        .min_by(|a, b| a.cost.cmp(&b.cost));
+    let met_sla = qualifying.is_some();
+    // Fall back to the most-available interval when none qualifies —
+    // flagged, so the caller never mistakes it for an SLA-matched saving.
+    let best = qualifying.unwrap_or_else(|| {
+        rows.iter()
+            .filter(|r| r.strategy == "Jupiter")
+            .max_by(|a, b| {
+                a.availability
+                    .partial_cmp(&b.availability)
+                    .expect("finite availability")
+            })
+            .expect("jupiter rows present")
+    });
     Headline {
-        lock_reduction_pct,
-        storage_reduction_pct,
-        lock_best_interval,
-        storage_best_interval,
-        lock_met_sla,
-        storage_met_sla,
+        reduction_pct: 100.0 * (1.0 - best.cost.as_dollars() / baseline),
+        best_interval: best.interval_hours,
+        met_sla,
     }
 }
 
 // ----------------------------------------------------- Repair-policy sweep
 
-/// The repair-controller experiment: the lock service under Jupiter and
-/// the kill-prone Extra(0, 0.2) heuristic, each interval replayed with
-/// repair off, spot-only reactive rebids, and the hybrid on-demand
-/// fallback. Boundary decisions are frozen across policies, so any
-/// availability difference is the repair controller's doing.
-pub fn repair_sweep(scale: &Scale) -> Sweep {
-    let spec = ServiceSpec::lock_service();
-    let scenario = scale.scenario(spec.instance_type);
-    let sweep = SweepSpec::new(spec)
-        .strategy(|_| Box::new(JupiterStrategy::new()))
-        .strategy(|_| Box::new(ExtraStrategy::new(0, 0.2)))
-        .intervals(scale.intervals.clone())
-        .repairs(vec![
-            RepairConfig::off(),
-            RepairConfig::reactive(),
-            RepairConfig::hybrid(),
-        ]);
-    Sweep::run(&scenario, &sweep, 0)
+/// The repair-controller experiment: the lock service's on-demand
+/// baseline, then Jupiter and the kill-prone Extra(0, 0.2) heuristic at
+/// each interval, replayed with repair off, spot-only reactive rebids,
+/// and the hybrid on-demand fallback. Boundary decisions are frozen
+/// across policies, so any availability difference is the repair
+/// controller's doing.
+pub fn repair_sweep(scale: &Scale) -> Vec<Cell> {
+    // Three policies per (interval, bidder) triple the grid, so a scale
+    // sweeping more than three intervals keeps {3, 6, 12} h: the
+    // short-interval cells rarely see mid-interval kills anyway.
+    let intervals = if scale.intervals.len() > 3 {
+        vec![3, 6, 12]
+    } else {
+        scale.intervals.clone()
+    };
+    let lock = ServiceSpec::lock_service();
+    let bidders = [Bidder::Jupiter, Bidder::Extra(0, 0.2)];
+    let mut cells = vec![Cell::baseline(&lock, scale)];
+    for cell in grid(&lock, scale, &intervals, &bidders) {
+        for repair in [
+            RepairPolicy::Off,
+            RepairPolicy::Reactive,
+            RepairPolicy::Hybrid,
+        ] {
+            cells.push(Cell {
+                repair,
+                ..cell.clone()
+            });
+        }
+    }
+    cells
 }
 
 // ------------------------------------------------------------- Era sweep
 
-/// The capacity-era experiment: the erasure-coded storage service (RS-Paxos
-/// θ(3,5) tolerates a single failure, so repair latency shows up directly
-/// as unavailability) under Jupiter and the feedback controller, replayed
-/// under both interruption eras with reactive repair racing proactive
-/// migration. Under the bidding era there are no notices, so the Migrate
-/// rows replay exactly as Reactive — the capacity-era delta between the
-/// two policies is the advance notice's worth.
-pub fn era_sweep(scale: &Scale) -> Sweep {
-    use jupiter::FeedbackStrategy;
-    const INTERVAL: u64 = 3;
-    let spec = ServiceSpec::storage_service();
-    let scenario = scale.scenario(spec.instance_type);
-    let sweep = SweepSpec::new(spec)
-        .strategy(|_| Box::new(JupiterStrategy::new()))
-        .strategy(|_| Box::new(FeedbackStrategy::new()))
-        .intervals(vec![INTERVAL])
-        .repairs(vec![RepairConfig::reactive(), RepairConfig::migrate()])
-        .eras(vec![BidEra::Bidding, BidEra::CapacityReclaim]);
-    Sweep::run(&scenario, &sweep, INTERVAL)
+/// The capacity-era experiment: the erasure-coded storage service's
+/// on-demand baseline, then the service (RS-Paxos θ(3,5) tolerates a
+/// single failure, so repair latency shows up directly as
+/// unavailability) under Jupiter and the feedback controller at a 3 h
+/// interval, replayed under both interruption eras with reactive repair
+/// racing proactive migration. Under the bidding era there are no
+/// notices, so the Migrate rows replay exactly as Reactive — the
+/// capacity-era delta between the two policies is the advance notice's
+/// worth.
+pub fn era_sweep(scale: &Scale) -> Vec<Cell> {
+    let storage = ServiceSpec::storage_service();
+    let mut cells = vec![Cell::baseline(&storage, scale)];
+    for cell in grid(&storage, scale, &[3], &[Bidder::Jupiter, Bidder::Feedback]) {
+        for repair in [RepairPolicy::Reactive, RepairPolicy::Migrate] {
+            for era in [BidEra::Bidding, BidEra::CapacityReclaim] {
+                cells.push(Cell {
+                    repair,
+                    era,
+                    ..cell.clone()
+                });
+            }
+        }
+    }
+    cells
 }
 
 // -------------------------------------------------------------- Ablations
@@ -602,56 +758,22 @@ pub fn ablation_greedy_vs_exact(scale: &Scale) -> Vec<OptimalityRow> {
 /// Ablation: Jupiter under fixed 1 h / 6 h / 12 h intervals versus the
 /// adaptive schedule that tracks the price-change rate (§5.5's proposed
 /// extension).
-pub fn ablation_adaptive(scale: &Scale) -> Vec<Row> {
-    let spec = ServiceSpec::lock_service();
-    let scenario = scale.scenario(spec.instance_type);
-    let sweep = SweepSpec::new(spec.clone())
-        .strategy(|_| Box::new(JupiterStrategy::new()))
-        .intervals(vec![1, 6, 12]);
-    let mut rows: Vec<Row> = scenario
-        .run(&sweep)
-        .iter()
-        .map(|cell| Row {
-            strategy: format!("Jupiter fixed {}h", cell.interval_hours),
-            ..Row::from_cell(cell)
-        })
-        .collect();
-
-    // The adaptive run reuses the fixed cells' kernels from the store.
-    let r = scenario.run_adaptive(&spec, JupiterStrategy::new());
-    let mean_interval_hours = if r.intervals.len() > 1 {
-        let total: u64 = r
-            .intervals
-            .windows(2)
-            .map(|w| w[1].start - w[0].start)
-            .sum();
-        total as f64 / 60.0 / (r.intervals.len() - 1) as f64
-    } else {
-        0.0
+pub fn ablation_adaptive(scale: &Scale) -> Vec<Cell> {
+    let lock = ServiceSpec::lock_service();
+    let fixed = grid(&lock, scale, &[1, 6, 12], &[Bidder::Jupiter]);
+    let adaptive = Cell {
+        interval_hours: None,
+        ..fixed[0].clone()
     };
-    rows.push(Row {
-        mean_interval_hours,
-        ..Row::from_result(&r)
-    });
-    rows
-}
-
-/// The lock service under Jupiter and under `rival`, at the best fixed
-/// interval (6 h).
-fn jupiter_against<S: BiddingStrategy + 'static>(scale: &Scale, rival: fn() -> S) -> Vec<Row> {
-    let spec = ServiceSpec::lock_service();
-    let scenario = scale.scenario(spec.instance_type);
-    let sweep = SweepSpec::new(spec)
-        .strategy(|_| Box::new(JupiterStrategy::new()))
-        .strategy(move |_| Box::new(rival()))
-        .intervals(vec![6]);
-    cell_rows(&scenario, &sweep)
+    [fixed, vec![adaptive]].concat()
 }
 
 /// Estimator-variant replay: the paper's expectation-based Jupiter versus
-/// the absorbing-estimator variant.
-pub fn ablation_estimator_replay(scale: &Scale) -> Vec<Row> {
-    jupiter_against(scale, JupiterStrategy::absorbing)
+/// the absorbing-estimator variant, on the lock service at the best fixed
+/// interval (6 h).
+pub fn ablation_estimator_replay(scale: &Scale) -> Vec<Cell> {
+    let bidders = [Bidder::Jupiter, Bidder::JupiterAbsorbing];
+    grid(&ServiceSpec::lock_service(), scale, &[6], &bidders)
 }
 
 /// Weighted-voting vs simple-majority availability at heterogeneous
@@ -692,9 +814,11 @@ pub fn ablation_weighted_voting() -> Vec<VotingRow> {
 }
 
 /// Fixed-once ablation: Andrzejak-style pre-computed bids held for the
-/// whole deployment versus online re-bidding (the paper's §6 critique).
-pub fn ablation_fixed_once(scale: &Scale) -> Vec<Row> {
-    jupiter_against(scale, || jupiter::FixedOnce::new(JupiterStrategy::new()))
+/// whole deployment versus online re-bidding (the paper's §6 critique),
+/// on the lock service at 6 h.
+pub fn ablation_fixed_once(scale: &Scale) -> Vec<Cell> {
+    let bidders = [Bidder::Jupiter, Bidder::FixedOnce];
+    grid(&ServiceSpec::lock_service(), scale, &[6], &bidders)
 }
 
 /// The walk-forward backtest both calibration drivers run: 6 h horizon,
@@ -816,34 +940,27 @@ pub fn ablation_model_mismatch(scale: &Scale) -> Vec<MismatchRow> {
 
 // ------------------------------------------ Heterogeneous-pool race
 
-/// The tentpole experiment: Jupiter, the Li et al.-style feedback
-/// controller, and the kill-prone Extra heuristic race over single-type
-/// pools and the mixed pool on one heterogeneous market, all holding the
-/// same capacity-weighted strength floor. The mix should match the best
-/// single type's availability at strictly lower cost — the optimizer is
-/// free to buy strength wherever it is cheapest per dollar.
-pub fn hetero_sweep(scale: &Scale) -> Sweep {
-    use jupiter::FeedbackStrategy;
-    const MIN_STRENGTH: u32 = 8;
-    const INTERVAL: u64 = 6;
-    let mut cfg = MarketConfig::hetero_paper(scale.seed, scale.horizon_minutes());
-    cfg.zones.truncate(scale.zones);
-    let market = Market::generate(cfg);
-    let scenario = Scenario::new(market, scale.train_minutes(), scale.horizon_minutes());
-    let spec = ServiceSpec::lock_service()
-        .with_pools(&[InstanceType::M1Small, InstanceType::M3Large])
-        .with_min_strength(MIN_STRENGTH);
-    let sweep = SweepSpec::new(spec)
-        .strategy(|_| Box::new(JupiterStrategy::new()))
-        .strategy(|_| Box::new(FeedbackStrategy::new()))
-        .strategy(|_| Box::new(ExtraStrategy::new(2, 0.2)))
-        .intervals(vec![INTERVAL])
-        .pools(vec![
-            vec![InstanceType::M1Small],
-            vec![InstanceType::M3Large],
-            vec![InstanceType::M1Small, InstanceType::M3Large],
-        ]);
-    Sweep::run(&scenario, &sweep, INTERVAL)
+/// The tentpole experiment: the mixed-pool lock service's on-demand
+/// baseline, then Jupiter, the Li et al.-style feedback controller, and
+/// the kill-prone Extra heuristic racing at a 6 h interval over
+/// single-type pools and the mixed pool on one heterogeneous market, all
+/// holding the same capacity-weighted strength floor. The mix should
+/// match the best single type's availability at strictly lower cost —
+/// the optimizer is free to buy strength wherever it is cheapest per
+/// dollar.
+pub fn hetero_sweep(scale: &Scale) -> Vec<Cell> {
+    use InstanceType::{M1Small, M3Large};
+    let mixed = ServiceSpec::lock_service()
+        .with_pools(&[M1Small, M3Large])
+        .with_min_strength(8);
+    let mut cells = vec![Cell::baseline(&mixed, scale)];
+    for bidder in [Bidder::Jupiter, Bidder::Feedback, Bidder::Extra(2, 0.2)] {
+        for pools in [vec![M1Small], vec![M3Large], vec![M1Small, M3Large]] {
+            let column = mixed.clone().with_pools(&pools);
+            cells.extend(grid(&column, scale, &[6], &[bidder]));
+        }
+    }
+    cells
 }
 
 // --------------------------------------------- Auto-scaler experiment
@@ -907,13 +1024,11 @@ pub fn autoscale_report(scale: &Scale) -> AutoscaleReport {
     use crate::autoscale::{demand_series, AutoScaler, AutoscaleConfig};
     use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
 
-    let mut cfg = MarketConfig::hetero_paper(scale.seed, scale.horizon_minutes());
-    cfg.zones.truncate(scale.zones);
-    let market = Market::generate(cfg);
+    let market = scale.hetero_market();
     let eval_start = scale.train_minutes();
     let eval_end = scale.horizon_minutes();
-    let spec = ServiceSpec::lock_service()
-        .with_pools(&[InstanceType::M1Small, InstanceType::M3Large]);
+    let spec =
+        ServiceSpec::lock_service().with_pools(&[InstanceType::M1Small, InstanceType::M3Large]);
 
     let demand = demand_series(
         diurnal_rate,
@@ -975,10 +1090,10 @@ mod tests {
             row("Jupiter", 6, 30.0, 0.99995), // qualifies
             row("Jupiter", 12, 20.0, 0.99),   // cheapest but disqualified
         ];
-        let h = headline(&sweep, &sweep);
-        assert_eq!(h.lock_best_interval, 6);
-        assert!((h.lock_reduction_pct - 70.0).abs() < 1e-9);
-        assert!(h.lock_met_sla && h.storage_met_sla);
+        let h = headline(&sweep);
+        assert_eq!(h.best_interval, 6);
+        assert!((h.reduction_pct - 70.0).abs() < 1e-9);
+        assert!(h.met_sla);
 
         // When nothing qualifies, fall back to the most available row —
         // and say so instead of silently reporting the fallback as a
@@ -988,14 +1103,61 @@ mod tests {
             row("Jupiter", 6, 30.0, 0.995),
             row("Jupiter", 12, 20.0, 0.99),
         ];
-        let h = headline(&sweep, &sweep);
-        assert_eq!(h.lock_best_interval, 6);
-        assert!(!h.lock_met_sla && !h.storage_met_sla);
+        let h = headline(&sweep);
+        assert_eq!(h.best_interval, 6);
+        assert!(!h.met_sla);
+    }
+
+    /// The keys `repro all` declares: Figs. 5–9 (the headline reads the
+    /// rows of 6–9), the repair sweep and Ablations C, D and G.
+    fn all(scale: &Scale) -> Vec<Cell> {
+        [
+            fig5,
+            lock_sweep,
+            storage_sweep,
+            repair_sweep,
+            ablation_estimator_replay,
+            ablation_adaptive,
+            ablation_fixed_once,
+        ]
+        .map(|declare| declare(scale))
+        .concat()
+    }
+
+    #[test]
+    fn the_plan_replays_each_distinct_cell_of_all_once() {
+        // Keys only, nothing replays. Each row: the scale, then replayed
+        // keys declared and distinct, then distinct baselines.
+        for (scale, declared, replayed, baselines) in [
+            (Scale::quick(2014), 24, 18, 2),
+            (Scale::paper(2014), 60, 49, 4),
+        ] {
+            let cells = all(&scale);
+            let distinct = distinct(&cells);
+            let replays = cells.iter().filter(|c| c.bidder.is_some()).count();
+            assert_eq!(replays, declared, "{scale:?}");
+            let replays = distinct.iter().filter(|c| c.bidder.is_some()).count();
+            assert_eq!(replays, replayed, "{scale:?}");
+            assert_eq!(distinct.len() - replayed, baselines, "{scale:?}");
+        }
+        // The quick scale's one evaluation week is Fig. 5's week, so Fig.
+        // 5's lock Jupiter @ 1 h is also Ablation D's fixed 1 h; at paper
+        // scale the windows differ.
+        let quick = Scale::quick(2014);
+        assert_eq!(fig5(&quick)[0], ablation_adaptive(&quick)[0]);
+        let paper = Scale::paper(2014);
+        assert_ne!(fig5(&paper)[0], ablation_adaptive(&paper)[0]);
+    }
+
+    /// What the plan returns for the keys `declare` lists at quick scale.
+    fn replayed(declare: fn(&Scale) -> Vec<Cell>) -> Vec<Row> {
+        let [rows] = replay(&Scale::quick(7), [declare]);
+        rows
     }
 
     #[test]
     fn fixed_once_ablation_runs() {
-        let rows = ablation_fixed_once(&Scale::quick(7));
+        let rows = replayed(ablation_fixed_once);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().any(|r| r.strategy.contains("fixed-once")));
         for r in &rows {
@@ -1006,11 +1168,13 @@ mod tests {
 
     #[test]
     fn repair_sweep_is_monotone_and_bounded() {
-        let s = repair_sweep(&Scale::quick(7));
+        let rows = replayed(repair_sweep);
+        let (baseline, rows) = rows.split_first().expect("the baseline leads");
+        assert_eq!(baseline.strategy, "Baseline");
         // 1 interval × 2 strategies × 3 policies.
-        assert_eq!(s.rows.len(), 6);
-        assert!(s.baseline_cost > Price::ZERO);
-        for chunk in s.rows.chunks(3) {
+        assert_eq!(rows.len(), 6);
+        assert!(baseline.cost > Price::ZERO);
+        for chunk in rows.chunks(3) {
             let [off, reactive, hybrid] = chunk else {
                 panic!("three policies per (interval, strategy)");
             };
@@ -1026,24 +1190,24 @@ mod tests {
             assert_eq!(reactive.on_demand_cost, Price::ZERO);
             // Bounded extra cost: repair stays below holding the fleet
             // on-demand outright.
-            assert!(hybrid.cost < s.baseline_cost, "{hybrid:?}");
+            assert!(hybrid.cost < baseline.cost, "{hybrid:?}");
         }
     }
 
     #[test]
     fn era_sweep_migration_beats_reactive_under_capacity() {
-        let s = era_sweep(&Scale::quick(7));
+        let rows = replayed(era_sweep);
+        let (baseline, rows) = rows.split_first().expect("the baseline leads");
         // 2 strategies × 2 policies × 2 eras at one interval.
-        assert_eq!(s.rows.len(), 8);
-        assert!(s.baseline_cost > Price::ZERO);
-        for r in &s.rows {
+        assert_eq!(rows.len(), 8);
+        assert!(baseline.cost > Price::ZERO);
+        for r in rows {
             assert!((0.0..=1.0).contains(&r.availability), "{r:?}");
             assert!(r.cost > Price::ZERO, "{r:?}");
-            assert!(r.cost < s.baseline_cost, "{r:?}");
+            assert!(r.cost < baseline.cost, "{r:?}");
         }
         let find = |strategy: &str, policy: RepairPolicy, era: BidEra| {
-            s.rows
-                .iter()
+            rows.iter()
                 .find(|r| r.strategy == strategy && r.policy == policy && r.era == era)
                 .expect("cell present")
         };
@@ -1143,26 +1307,27 @@ mod tests {
 
     #[test]
     fn hetero_sweep_races_strategies_over_pool_columns() {
-        let s = hetero_sweep(&Scale::quick(7));
+        let rows = replayed(hetero_sweep);
+        let (baseline, rows) = rows.split_first().expect("the baseline leads");
         // 3 strategies × 3 pool columns at one interval.
-        assert_eq!(s.rows.len(), 9);
+        assert_eq!(rows.len(), 9);
         let strategies: std::collections::BTreeSet<&str> =
-            s.rows.iter().map(|r| r.strategy.as_str()).collect();
+            rows.iter().map(|r| r.strategy.as_str()).collect();
         assert!(strategies.contains("Jupiter"));
         assert!(strategies.contains("Feedback"));
         assert_eq!(strategies.len(), 3);
         let labels: std::collections::BTreeSet<&str> =
-            s.rows.iter().map(|r| r.pool_label.as_str()).collect();
+            rows.iter().map(|r| r.pool_label.as_str()).collect();
         assert_eq!(
             labels,
             ["m1.small", "m3.large", "m1.small+m3.large"]
                 .into_iter()
                 .collect()
         );
-        for r in &s.rows {
+        for r in rows {
             assert!((0.0..=1.0).contains(&r.availability), "{r:?}");
             assert!(r.cost > Price::ZERO, "{r:?}");
-            assert!(r.cost < s.baseline_cost, "{r:?} vs {:?}", s.baseline_cost);
+            assert!(r.cost < baseline.cost, "{r:?} vs {:?}", baseline.cost);
         }
     }
 

@@ -30,8 +30,8 @@
 //! them over one shared market and model store.
 //!
 //! [`experiments`] packages the paper's figures (4 through 9 plus the
-//! headline savings and the ablations) as callable drivers returning
-//! structured rows; [`service_level`] replays shorter windows against the
+//! headline savings and the ablations) as cell keys one plan replays, and
+//! analyses returning rows; [`service_level`] replays shorter windows against the
 //! *actual* Paxos lock service / RS-Paxos store with injected crashes, for
 //! the feasibility check (§5.4) where message-level behaviour matters.
 

@@ -14,7 +14,10 @@
 //!
 //! Every table goes through the one renderer in [`table`]: the replayed
 //! cells of every figure are `replay::experiments::Row`s, and a figure's
-//! table is a list of `(header, width, field)` columns over them.
+//! table is a list of `(header, width, field)` columns over them. The
+//! tables one command prints declare their cells to one evaluation plan
+//! (`replay::experiments::replay`), so a cell two tables share replays
+//! once.
 //!
 //! `--metrics-out PATH` runs an instrumented pass — a Jupiter market
 //! replay plus a short service-level Paxos replay, both recording into a
@@ -121,39 +124,68 @@ fn main() {
     let t0 = Instant::now();
     match what {
         "all" => {
+            let [fig5_rows, lock, storage, repair_rows, estimators, adaptive, fixed_once] =
+                experiments::replay(
+                    &scale,
+                    [
+                        experiments::fig5,
+                        experiments::lock_sweep,
+                        experiments::storage_sweep,
+                        experiments::repair_sweep,
+                        experiments::ablation_estimator_replay,
+                        experiments::ablation_adaptive,
+                        experiments::ablation_fixed_once,
+                    ],
+                );
             table1();
             fig1(seed);
             fig4(&scale);
-            fig5(&scale);
-            let lock = experiments::lock_sweep(&scale);
-            sweep_table("Figure 6/7 — lock service", &lock);
-            let storage = experiments::storage_sweep(&scale);
-            sweep_table("Figure 8/9 — storage service", &storage);
+            fig5(&fig5_rows);
+            sweep_table(LOCK, &lock);
+            sweep_table(STORAGE, &storage);
             headline(&lock, &storage);
-            repair(&scale);
-            ablations(&scale);
+            repair(&repair_rows);
+            ablations(&scale, &estimators, &adaptive, &fixed_once);
         }
         "table1" => table1(),
         "fig1" => fig1(seed),
         "fig4" => fig4(&scale),
-        "fig5" => fig5(&scale),
+        "fig5" => fig5(&experiments::replay(&scale, [experiments::fig5])[0]),
         "fig6" | "fig7" => sweep_table(
-            "Figure 6/7 — lock service",
-            &experiments::lock_sweep(&scale),
+            LOCK,
+            &experiments::replay(&scale, [experiments::lock_sweep])[0],
         ),
         "fig8" | "fig9" => sweep_table(
-            "Figure 8/9 — storage service",
-            &experiments::storage_sweep(&scale),
+            STORAGE,
+            &experiments::replay(&scale, [experiments::storage_sweep])[0],
         ),
-        "headline" => headline(
-            &experiments::lock_sweep(&scale),
-            &experiments::storage_sweep(&scale),
+        "headline" => {
+            let [lock, storage] = experiments::replay(
+                &scale,
+                [experiments::lock_sweep, experiments::storage_sweep],
+            );
+            headline(&lock, &storage);
+        }
+        "repair" => repair(&experiments::replay(&scale, [experiments::repair_sweep])[0]),
+        "hetero" => hetero(
+            &scale,
+            &experiments::replay(&scale, [experiments::hetero_sweep])[0],
         ),
-        "repair" => repair(&scale),
-        "hetero" => hetero(&scale),
-        "era" => era(&scale),
-        "ablations" => ablations(&scale),
-        "ablation-g" => ablation_g(&scale),
+        "era" => era(&experiments::replay(&scale, [experiments::era_sweep])[0]),
+        "ablations" => {
+            let [estimators, adaptive, fixed_once] = experiments::replay(
+                &scale,
+                [
+                    experiments::ablation_estimator_replay,
+                    experiments::ablation_adaptive,
+                    experiments::ablation_fixed_once,
+                ],
+            );
+            ablations(&scale, &estimators, &adaptive, &fixed_once);
+        }
+        "ablation-g" => {
+            ablation_g(&experiments::replay(&scale, [experiments::ablation_fixed_once])[0])
+        }
         "calibration" => calibration(&scale),
         "workload" => workload_target(args.quick, seed),
         "metrics" => {} // instrumented pass runs below
@@ -363,10 +395,10 @@ fn fig4(scale: &Scale) {
     );
 }
 
-fn fig5(scale: &Scale) {
+fn fig5(rows: &[Row]) {
     println!("\n== Figure 5: one-week cost under different bidding strategies ==");
     table::print(
-        &experiments::fig5(scale),
+        rows,
         &[
             table::SERVICE,
             strategy("strategy", 14),
@@ -375,6 +407,9 @@ fn fig5(scale: &Scale) {
         ],
     );
 }
+
+const LOCK: &str = "Figure 6/7 — lock service";
+const STORAGE: &str = "Figure 8/9 — storage service";
 
 fn sweep_table(title: &str, rows: &[Row]) {
     println!("\n== {title}: cost and availability vs bidding interval ==");
@@ -397,47 +432,31 @@ fn outcome_table(label: &'static str, width: usize, rows: &[Row]) {
 }
 
 fn headline(lock: &[Row], storage: &[Row]) {
-    let h = experiments::headline(lock, storage);
-    let sla = |met: bool| {
-        if met {
+    println!("\n== Headline: Jupiter cost reduction vs on-demand baseline ==");
+    for (service, rows, paper) in [
+        ("lock service:   ", lock, "81.23%"),
+        ("storage service:", storage, "85.32%"),
+    ] {
+        let h = experiments::headline(rows);
+        let sla = if h.met_sla {
             "SLA met"
         } else {
             "SLA MISSED — most-available fallback"
-        }
-    };
-    println!("\n== Headline: Jupiter cost reduction vs on-demand baseline ==");
-    println!(
-        "lock service:    {:.2}% (best interval {} h, {}; paper: 81.23%)",
-        h.lock_reduction_pct,
-        h.lock_best_interval,
-        sla(h.lock_met_sla)
-    );
-    println!(
-        "storage service: {:.2}% (best interval {} h, {}; paper: 85.32%)",
-        h.storage_reduction_pct,
-        h.storage_best_interval,
-        sla(h.storage_met_sla)
-    );
+        };
+        println!(
+            "{service} {:.2}% (best interval {} h, {sla}; paper: {paper})",
+            h.reduction_pct, h.best_interval
+        );
+    }
 }
 
-fn repair(scale: &Scale) {
-    // Three policies per (interval, strategy) cell triples the grid, so
-    // the paper-scale sweep trims to the {3, 6, 12} h intervals — the
-    // short-interval cells rarely see mid-interval kills anyway.
-    let scale = if scale.intervals.len() > 3 {
-        Scale {
-            intervals: vec![3, 6, 12],
-            ..scale.clone()
-        }
-    } else {
-        scale.clone()
-    };
-    let s = experiments::repair_sweep(&scale);
+fn repair(rows: &[Row]) {
+    let (baseline, rows) = rows.split_first().expect("the baseline leads");
     println!(
         "\n== Repair-policy sweep: mid-interval rebids and on-demand fallback (lock service) =="
     );
     table::print(
-        &s.rows,
+        rows,
         &[
             table::INTERVAL,
             strategy("strategy", 14),
@@ -451,7 +470,7 @@ fn repair(scale: &Scale) {
     );
     println!(
         "on-demand baseline: ${:.2} (every repairing cell must undercut it)",
-        s.baseline_cost.as_dollars()
+        baseline.cost.as_dollars()
     );
 }
 
@@ -459,14 +478,14 @@ fn repair(scale: &Scale) {
 /// deployment replayed under the bidding era (out-of-bid kills) and the
 /// capacity-reclaim era (hidden capacity processes with advance notices),
 /// with reactive repair racing the proactive-migration controller in each.
-fn era(scale: &Scale) {
-    let s = experiments::era_sweep(scale);
+fn era(rows: &[Row]) {
+    let (baseline, rows) = rows.split_first().expect("the baseline leads");
     println!(
         "\n== Interruption eras: reactive repair vs proactive migration ({} h interval) ==",
-        s.interval_hours
+        rows[0].interval_hours
     );
     table::print(
-        &s.rows,
+        rows,
         &[
             table::ERA,
             table::REPAIR,
@@ -481,7 +500,7 @@ fn era(scale: &Scale) {
     );
     println!(
         "on-demand baseline: ${:.2} (every cell must undercut it)",
-        s.baseline_cost.as_dollars()
+        baseline.cost.as_dollars()
     );
 }
 
@@ -489,14 +508,15 @@ fn era(scale: &Scale) {
 /// the feedback controller vs Extra over single-type and mixed pools at a
 /// shared strength floor) followed by the auto-scaler experiment (diurnal
 /// demand, load-tracked fleet strength vs peak provisioning).
-fn hetero(scale: &Scale) {
-    let s = experiments::hetero_sweep(scale);
+fn hetero(scale: &Scale, rows: &[Row]) {
+    let (baseline, rows) = rows.split_first().expect("the baseline leads");
     println!(
         "\n== Heterogeneous pools: strategy race at strength ≥ {} ({} h interval) ==",
-        s.min_strength, s.interval_hours
+        experiments::hetero_sweep(scale)[0].service.min_strength,
+        rows[0].interval_hours
     );
     table::print(
-        &s.rows,
+        rows,
         &[
             strategy("strategy", 12),
             table::POOLS,
@@ -508,7 +528,7 @@ fn hetero(scale: &Scale) {
     );
     println!(
         "on-demand baseline: ${:.2} (every cell must undercut it)",
-        s.baseline_cost.as_dollars()
+        baseline.cost.as_dollars()
     );
 
     let r = experiments::autoscale_report(scale);
@@ -547,12 +567,13 @@ fn hetero(scale: &Scale) {
     }
 }
 
-fn ablation_g(scale: &Scale) {
+fn ablation_g(rows: &[Row]) {
     println!("\n== Ablation G: one-shot fixed bids (Andrzejak-style) vs online re-bidding ==");
-    outcome_table("strategy", 26, &experiments::ablation_fixed_once(scale));
+    outcome_table("strategy", 26, rows);
 }
 
-fn ablations(scale: &Scale) {
+/// Ablations A–G; C, D and G print the rows the plan replayed for them.
+fn ablations(scale: &Scale, estimators: &[Row], adaptive: &[Row], fixed_once: &[Row]) {
     println!("\n== Ablation A: expectation (Eq. 5) vs absorbing failure estimates ==");
     let rows = experiments::ablation_estimator(scale);
     let n = rows.len().max(1) as f64;
@@ -581,17 +602,16 @@ fn ablations(scale: &Scale) {
     );
 
     println!("\n== Ablation C: expectation vs absorbing Jupiter, 6 h replay ==");
-    outcome_table(
-        "strategy",
-        14,
-        &experiments::ablation_estimator_replay(scale),
-    );
+    outcome_table("strategy", 14, estimators);
 
     println!("\n== Ablation D: adaptive bidding interval (§5.5 extension) ==");
     table::print(
-        &experiments::ablation_adaptive(scale),
+        adaptive,
         &[
-            strategy("schedule", 22),
+            left("schedule", 22, |r| match r.interval_hours {
+                0 => r.strategy.clone(), // the adaptive schedule
+                h => format!("{} fixed {h}h", r.strategy),
+            }),
             COST,
             AVAILABILITY,
             table::MEAN_INTERVAL,
@@ -608,7 +628,7 @@ fn ablations(scale: &Scale) {
         ],
     );
 
-    ablation_g(scale);
+    ablation_g(fixed_once);
 
     println!("\n== Ablation F: model mismatch (semi-Markov vs banded AR(1) market) ==");
     table::print(

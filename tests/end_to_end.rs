@@ -154,7 +154,7 @@ fn decision_respects_all_constraints() {
 
 #[test]
 fn sweep_has_all_series() {
-    let rows = experiments::lock_sweep(&Scale::quick(3));
+    let [rows] = experiments::replay(&Scale::quick(3), [experiments::lock_sweep]);
     let strategies: std::collections::HashSet<&str> =
         rows.iter().map(|r| r.strategy.as_str()).collect();
     assert!(strategies.contains("Jupiter"));

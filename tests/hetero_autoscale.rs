@@ -6,7 +6,7 @@
 use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
 use spot_jupiter::obs::{AuditKind, Obs};
 use spot_jupiter::replay::experiments::{
-    diurnal_rate, lock_sweep, Scale, PER_STRENGTH_THROUGHPUT,
+    diurnal_rate, lock_sweep, replay, Scale, PER_STRENGTH_THROUGHPUT,
 };
 use spot_jupiter::replay::{
     demand_series, AutoScaler, AutoscaleConfig, Replay, ReplayConfig, ReplayResult, Scenario,
@@ -21,7 +21,7 @@ use test_util::hetero_market_days;
 /// branch, so every cost, availability, and kill count is unchanged).
 #[test]
 fn single_type_quick_sweep_reproduces_pr8_fingerprints() {
-    let rows = lock_sweep(&Scale::quick(2014));
+    let [rows] = replay(&Scale::quick(2014), [lock_sweep]);
     let got: Vec<(String, String, String, usize)> = rows
         .iter()
         .map(|r| {
