@@ -43,7 +43,7 @@ pub struct ChaosOutcome {
     /// Reads answered `Unavailable` (storage runs; 0 for lock runs).
     pub unavailable_reads: usize,
     /// Keys degraded below `m` surviving byte shards (storage runs; see
-    /// [`crate::check::StorageCheckStats::eroded_keys`]).
+    /// [`crate::check::CheckStats::eroded_keys`]).
     pub eroded_keys: usize,
     /// Batch slot values the run chose and audited (0 unless the driver
     /// ran with leader batching enabled): the witness that a batched
@@ -235,15 +235,15 @@ fn run_lock_chaos_with(
     let stats = check_lock_cluster(&c)?;
     Ok(ChaosOutcome {
         fingerprint: c.sim.fingerprint(),
-        ops_checked: stats.responses_checked,
+        ops_checked: stats.ops_checked,
         unavailable_reads: 0,
         eroded_keys: 0,
         batches_checked: stats.batches_checked,
     })
 }
 
-/// Run the θ(3,5) storage workload under `schedule` and check
-/// read-your-writes plus final decoded-value integrity.
+/// Run the θ(3,5) storage workload under `schedule` and check the
+/// client histories plus final decoded-value integrity.
 pub fn run_storage_chaos(schedule: &ChaosSchedule, obs: &Obs) -> Result<ChaosOutcome, String> {
     let cfg = RsConfig {
         obs: obs.clone(),
@@ -256,10 +256,10 @@ pub fn run_storage_chaos(schedule: &ChaosSchedule, obs: &Obs) -> Result<ChaosOut
 /// pipelining on (batch 4, pipeline 2, a 20 ms batch window), and a
 /// second closed-loop writer over a disjoint key range so multi-entry
 /// batches actually form (a batch carries at most one command per
-/// client). The checker's read-your-writes and decoded-value audits
-/// double as the batch-atomicity check: a partially applied batch
-/// leaves a key at a version whose bytes never completed, which the
-/// final shard audit rejects.
+/// client). The history check and the decoded-value audit double as the
+/// batch-atomicity check: a partially applied batch leaves a key at a
+/// version whose bytes never completed, which the final shard audit
+/// rejects.
 pub fn run_storage_chaos_batched(
     schedule: &ChaosSchedule,
     obs: &Obs,
@@ -285,9 +285,9 @@ fn run_storage_chaos_with(
     let writers: Vec<_> = (0..n_writers).map(|_| c.add_client()).collect();
 
     // Closed-loop writers over disjoint three-key ranges: rounds of
-    // put/get with the occasional delete. One writer per key keeps the
-    // read-your-writes audit exact; object bytes are a pure function of
-    // (seed, round, key) so any stale read is detectable.
+    // put/get with the occasional delete. One writer per key gives every
+    // key one final state for the shard audit; object bytes are a pure
+    // function of (seed, round, key) so any stale read is detectable.
     for (wi, &client) in writers.iter().enumerate() {
         let mut wl = rng_from(derive_seed(schedule.seed, STREAM_WORKLOAD + wi as u64));
         for round in 0..6u64 {
@@ -321,7 +321,7 @@ fn run_storage_chaos_with(
 
     run_schedule(&mut c, schedule, &writers, obs, "storage client")?;
 
-    let stats = check_storage_cluster(&c, &writers, m)?;
+    let stats = check_storage_cluster(&c, m)?;
     // The lifetime batch counter (it survives log catch-up gaps) is the
     // witness that batching actually ran.
     let batches_checked = c

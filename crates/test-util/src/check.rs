@@ -4,86 +4,343 @@
 //! sweeps can shrink a failing schedule and attach a report instead of
 //! dying at the first assert.
 //!
-//! # Lock-service invariants (Paxos, majority quorum)
+//! # One history check for both services
+//!
+//! `linearize` judges what the clients saw, not what the replicas
+//! hold: is there an order of the answered operations, consistent with
+//! real time, under which a sequential `Model` reproduces every
+//! observed response? It is Wing & Gong's search with Lowe's memo. Every
+//! client keeps one operation on the wire, so a history is one ordered
+//! sequence per client, a search state is the per-client cursors plus
+//! the model state, and the memo holds every such pair already explored.
+//! An unanswered operation may take effect at any point after it was
+//! invoked, or never. A follower-local read is session-monotone, not
+//! linearizable: it is ordered after its own session's earlier
+//! operations, but may miss writes of other sessions.
+//!
+//! The one search covers response fidelity, mutual exclusion, lease
+//! monotonicity, read-your-writes and exactly-once application, over
+//! every replica's lifetime, compacted or not. It sees a duplicate or
+//! lost effect once some later response depends on it; an effect no
+//! client ever observes is out of its reach. The lock model is
+//! [`LockService`] itself; its one lease clock spans every lock name, so
+//! histories are not split by name. The store model is `StoreModel`.
+//!
+//! # What still reads replica state
 //!
 //! 1. **Agreement** — all live replicas agree on every applied slot any
-//!    two of them still hold, compared by slot number
-//!    ([`Cluster::check_log_agreement`], the one checker both services
-//!    share).
-//! 2. **Exactly-once** — each replica's state machine equals a fresh
-//!    replay of its own applied prefix under per-client request
-//!    deduplication (the replica's own dedup semantics). Only replicas
-//!    that still hold their whole log (compaction floor 0) can be
-//!    replayed this way; checks 2–6 cover those.
-//! 3. **Response fidelity** — every response a client recorded matches
-//!    the response the deduplicated log replay produces for that
-//!    `(client, req_id)`; a completed operation may only be missing from
-//!    the log if no later operation of the same client is present (the
-//!    in-flight tail).
-//! 4. **Mutual exclusion** — after every `Granted` in the replay, the
-//!    model's holder is the grantee; at most one live holder per lock
-//!    ever exists.
-//! 5. **Lease monotonicity** — `Renewed { until_ms }` never moves a held
-//!    lease's expiry backwards.
-//! 6. **Batch atomicity** — a chosen `Command::Batch` is non-empty,
-//!    carries at most one command per `(client, req_id)`, and is applied
-//!    whole: the exactly-once check replays each replica's full prefix,
-//!    so a replica that applied only some of a batch's entries diverges
-//!    from the model and fails.
-//!
-//! # Storage invariants (RS-Paxos θ(m, n))
-//!
-//! 0. **Agreement** — as for the lock service, with stored values
-//!    compared modulo the shard each replica holds.
-//! 1. **Read-your-writes** — with one closed-loop writer per key, every
-//!    completed `Get` returns exactly the latest completed `Put`'s bytes
-//!    (or nothing after a `Delete`); `Unavailable` is tolerated and
-//!    counted, wrong or stale data is not.
-//! 2. **No phantom versions** — no live replica holds a version newer
-//!    than the last acknowledged write.
-//! 3. **Decoded-value** — for every present key, the shards held by live
-//!    replicas at the newest acknowledged version include at least `m`
-//!    actual byte shards, and decoding them reproduces the acknowledged
-//!    object byte-for-byte.
+//!    two of them still hold ([`Cluster::check_log_agreement`]).
+//! 2. **Batch well-formedness** — a chosen lock-service `Batch` is
+//!    non-empty and carries at most one command per `(client, req_id)`.
+//!    A batch applied in part loses an acknowledged effect, which the
+//!    history check sees as above.
+//! 3. **Store shard audit** — no live replica holds a version newer than
+//!    the last acknowledged write, and every acknowledged object decodes
+//!    byte-for-byte from the shards live replicas hold.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt::Debug;
 
+use bytes::Bytes;
 use erasure::ReedSolomon;
 use paxos::{
-    ClientOp, Cluster, Command, LockCmd, LockResp, LockService, PaxosNode, StateMachine,
+    ClientOp, Cluster, Command, CompletedOp, LockCmd, LockResp, LockService, PaxosNode, Service,
+    StateMachine,
 };
-use simnet::NodeId;
-use storage::{RsCluster, RsNode, StoreCmd, StoreResp};
+use simnet::{NodeId, SimTime};
+use storage::{RsCluster, RsService, StoreCmd, StoreResp};
 
-/// What the lock checker verified (sizes for sanity asserts in tests).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LockCheckStats {
-    /// Length of the longest applied prefix that was model-replayed.
-    pub replayed: usize,
-    /// Client-recorded responses cross-checked against the replay.
-    pub responses_checked: usize,
-    /// Live replicas whose state machines were compared.
-    pub replicas_checked: usize,
-    /// Batch commands audited in the longest applied prefix. Each one
-    /// passed the atomicity bar: well-formed (non-empty, no duplicate
-    /// `(client, req_id)`), applied as one slot, and — via the
-    /// exactly-once check — never applied as a strict subset of its
-    /// entries on any replica.
-    pub batches_checked: usize,
+/// One client operation as the history check sees it.
+#[derive(Clone, Debug)]
+pub(crate) struct Op<C, R> {
+    /// Client-local request id.
+    pub req_id: u64,
+    /// The command.
+    pub cmd: C,
+    /// When the client put it on the wire.
+    pub invoked: SimTime,
+    /// Completion time and the observed response (`None`: unanswered).
+    pub completed: Option<(SimTime, R)>,
+    /// Served from a follower's applied state: ordered only against its
+    /// own session.
+    pub local: bool,
 }
 
-/// What the storage checker verified.
+/// One client's operations in the order it sent them. Only the last
+/// may be unanswered.
+pub(crate) type History<C, R> = (NodeId, Vec<Op<C, R>>);
+
+/// A sequential specification histories are checked against.
+pub(crate) trait Model: Clone + PartialEq {
+    /// A command.
+    type Cmd;
+    /// A response.
+    type Resp: Debug;
+
+    /// The state after `cmd`, or the model's own answer when it differs
+    /// from `observed` (`None`, unanswered, matches any answer).
+    fn step(&self, cmd: &Self::Cmd, observed: Option<&Self::Resp>) -> Result<Self, String>;
+
+    /// A response as a failure prints it.
+    fn show(resp: &Self::Resp) -> String {
+        format!("{resp:?}")
+    }
+}
+
+impl Model for LockService {
+    type Cmd = LockCmd;
+    type Resp = LockResp;
+
+    fn step(&self, cmd: &LockCmd, observed: Option<&LockResp>) -> Result<Self, String> {
+        let mut next = self.clone();
+        let resp = next.apply(cmd);
+        match observed {
+            Some(o) if *o != resp => Err(format!("{resp:?}")),
+            _ => Ok(next),
+        }
+    }
+}
+
+/// The store's sequential model: key → (version, object) for every key
+/// ever written. A put's version is its log slot, so the model cannot
+/// predict it, only that it grows; a delete keeps the version.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct StoreModel(pub BTreeMap<String, (u64, Option<Bytes>)>);
+
+impl Model for StoreModel {
+    type Cmd = StoreCmd;
+    type Resp = StoreResp;
+
+    fn step(&self, cmd: &StoreCmd, observed: Option<&StoreResp>) -> Result<Self, String> {
+        let (StoreCmd::Put { key, .. } | StoreCmd::Get { key } | StoreCmd::Delete { key }) = cmd;
+        let version = self.0.get(key).map(|(v, _)| *v);
+        let object = self.0.get(key).and_then(|(_, o)| o.clone());
+        let mut next = self.clone();
+        match (cmd, observed) {
+            // Too few shards to decode says nothing about the state.
+            (StoreCmd::Get { .. }, None | Some(StoreResp::Unavailable)) => {}
+            (StoreCmd::Get { .. }, Some(StoreResp::Value { object: got })) if *got == object => {}
+            (StoreCmd::Get { .. }, _) => return Err(Self::show(&StoreResp::Value { object })),
+            (StoreCmd::Put { object, .. }, Some(StoreResp::Stored { version: v }))
+                if version.is_none_or(|p| *v > p) =>
+            {
+                next.0.insert(key.clone(), (*v, Some(object.clone())));
+            }
+            // An unanswered put keeps the old version as a lower bound.
+            (StoreCmd::Put { object, .. }, None) => {
+                let bound = version.unwrap_or(0);
+                next.0.insert(key.clone(), (bound, Some(object.clone())));
+            }
+            (StoreCmd::Put { .. }, _) => {
+                return Err(
+                    version.map_or("Stored".into(), |p| format!("Stored {{ version > {p} }}"))
+                )
+            }
+            (StoreCmd::Delete { .. }, None | Some(StoreResp::Deleted)) => {
+                if let Some(entry) = next.0.get_mut(key) {
+                    entry.1 = None;
+                }
+            }
+            (StoreCmd::Delete { .. }, _) => return Err("Deleted".into()),
+        }
+        Ok(next)
+    }
+
+    fn show(resp: &StoreResp) -> String {
+        match resp {
+            StoreResp::Value { object: Some(o) } => {
+                format!("Value({} bytes {:02x?}…)", o.len(), &o[..o.len().min(4)])
+            }
+            other => format!("{other:?}"),
+        }
+    }
+}
+
+/// An order [`linearize`] found.
+#[derive(Debug)]
+pub(crate) struct Linearized<M> {
+    /// Answered operations it orders.
+    pub ops: usize,
+    /// The model state after it.
+    pub state: M,
+}
+
+/// Find an order of `histories`' answered operations, consistent with
+/// real time, under which `init` stepped through it reproduces every
+/// observed response. `Err` names the operation at which no order
+/// extends the longest consistent prefix, with the model's answer there.
+pub(crate) fn linearize<M: Model>(
+    init: M,
+    histories: &[History<M::Cmd, M::Resp>],
+) -> Result<Linearized<M>, String> {
+    let answered: Vec<usize> = histories
+        .iter()
+        .map(|(_, ops)| ops.iter().take_while(|o| o.completed.is_some()).count())
+        .collect();
+    let mut search = Search {
+        histories,
+        answered: &answered,
+        seen: HashMap::new(),
+        deepest: (0, vec![0; histories.len()], init.clone()),
+    };
+    match search.dfs(&mut vec![0; histories.len()], init) {
+        Some(state) => Ok(Linearized {
+            ops: answered.iter().sum(),
+            state,
+        }),
+        None => Err(search.diagnose()),
+    }
+}
+
+struct Search<'a, M: Model> {
+    histories: &'a [History<M::Cmd, M::Resp>],
+    answered: &'a [usize],
+    /// Lowe's memo: the model states explored at each cursor vector.
+    seen: HashMap<Vec<usize>, Vec<M>>,
+    /// The first state reached at the greatest depth, for the report.
+    deepest: (usize, Vec<usize>, M),
+}
+
+impl<'a, M: Model> Search<'a, M> {
+    fn next(&self, cursors: &[usize], c: usize) -> Option<&'a Op<M::Cmd, M::Resp>> {
+        self.histories[c].1.get(cursors[c])
+    }
+
+    /// An operation may go next unless another client's next operation
+    /// completed before it was invoked.
+    fn may_go(&self, cursors: &[usize], op: &Op<M::Cmd, M::Resp>) -> bool {
+        op.local
+            || (0..cursors.len()).all(|d| {
+                let done = self.next(cursors, d).and_then(|o| o.completed.as_ref());
+                done.is_none_or(|(t, _)| *t >= op.invoked)
+            })
+    }
+
+    fn dfs(&mut self, cursors: &mut Vec<usize>, state: M) -> Option<M> {
+        if cursors.iter().zip(self.answered).all(|(c, a)| c >= a) {
+            return Some(state);
+        }
+        let explored = self.seen.entry(cursors.clone()).or_default();
+        if explored.contains(&state) {
+            return None;
+        }
+        explored.push(state.clone());
+        let depth: usize = cursors.iter().sum();
+        if depth > self.deepest.0 {
+            self.deepest = (depth, cursors.clone(), state.clone());
+        }
+        for c in 0..cursors.len() {
+            let Some(op) = self.next(cursors, c).filter(|op| self.may_go(cursors, op)) else {
+                continue;
+            };
+            let Ok(after) = state.step(&op.cmd, op.completed.as_ref().map(|(_, r)| r)) else {
+                continue;
+            };
+            cursors[c] += 1;
+            let found = self.dfs(cursors, after);
+            cursors[c] -= 1;
+            if found.is_some() {
+                return found;
+            }
+        }
+        None
+    }
+
+    /// At the deepest state, the answered operation that completed first
+    /// must go next (nothing else completed before it was invoked), and
+    /// the model disagrees with its response.
+    fn diagnose(&self) -> String {
+        let (depth, cursors, state) = &self.deepest;
+        let (c, op, (done, resp)) = (0..cursors.len())
+            .filter_map(|c| {
+                let op = self.next(cursors, c)?;
+                Some((c, op, op.completed.as_ref()?))
+            })
+            .min_by_key(|(_, _, (t, _))| *t)
+            .expect("an answered operation is left");
+        let answer = state
+            .step(&op.cmd, Some(resp))
+            .err()
+            .expect("the first answered operation cannot go next");
+        format!(
+            "not linearizable: {depth} of {} answered operations order consistently; then client \
+             {} req {} (invoked {} ms, completed {} ms{}) observed {} where the model answers \
+             {answer}",
+            self.answered.iter().sum::<usize>(),
+            self.histories[c].0,
+            op.req_id,
+            op.invoked.as_millis(),
+            done.as_millis(),
+            if op.local { ", local read" } else { "" },
+            M::show(resp),
+        )
+    }
+}
+
+/// Every client's history on `c`, closed-loop clients and open-loop
+/// sessions alike. `cmd` reads the command out of a closed-loop
+/// operation (`None` for a reconfiguration, which carries no state
+/// machine payload and is left out).
+fn histories<S: Service>(
+    c: &Cluster<S>,
+    cmd: impl Fn(&S::Op) -> Option<S::Cmd>,
+) -> Vec<History<S::Cmd, S::Resp>> {
+    let ops = |node: &PaxosNode<S>| -> Option<Vec<_>> {
+        Some(match node {
+            PaxosNode::Server(_) => return None,
+            PaxosNode::Client(cl) => {
+                let app = |o: &CompletedOp<S>| {
+                    let answer = |(t, r): (_, Option<_>)| (t, r.expect("app ops get responses"));
+                    Some(Op {
+                        req_id: o.req_id,
+                        cmd: cmd(&o.op)?,
+                        invoked: o.issued_at,
+                        completed: o.completed.clone().map(answer),
+                        local: false,
+                    })
+                };
+                cl.history().iter().filter_map(app).collect()
+            }
+            // A session launches an operation at its scheduled time or
+            // when the one before completes, whichever is later; nothing
+            // after an unanswered operation was launched.
+            PaxosNode::OpenLoop(s) => {
+                let mut free_at = Some(SimTime::ZERO);
+                s.records()
+                    .iter()
+                    .zip(1..)
+                    .map_while(|(r, req_id)| {
+                        let invoked = free_at?.max(r.scheduled);
+                        free_at = r.completed.as_ref().map(|(t, _)| *t);
+                        Some(Op {
+                            req_id,
+                            cmd: r.cmd.clone(),
+                            invoked,
+                            completed: r.completed.clone(),
+                            local: r.read,
+                        })
+                    })
+                    .collect()
+            }
+        })
+    };
+    (0..c.sim.node_count())
+        .map(NodeId)
+        .filter_map(|id| Some((id, ops(c.sim.actor(id)?)?)))
+        .collect()
+}
+
+/// What a checker verified (sizes for sanity asserts in tests).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct StorageCheckStats {
-    /// Completed client operations scanned.
+pub struct CheckStats {
+    /// Answered client operations the history check ordered.
     pub ops_checked: usize,
-    /// Reads that returned `Unavailable` (tolerated, reported).
+    /// Distinct chosen lock-service `Batch` slots the scan audited.
+    pub batches_checked: usize,
+    /// Store reads that returned `Unavailable` (tolerated, reported).
     pub unavailable_reads: usize,
-    /// Keys whose final value was decoded from live shards.
-    pub keys_decoded: usize,
-    /// Keys whose newest acknowledged version survives on fewer than `m`
-    /// byte-carrying replicas. Tolerated but counted: repeated
+    /// Store keys whose newest acknowledged version survives on fewer
+    /// than `m` byte-carrying replicas. Tolerated but counted: repeated
     /// crash/restart cycles — each individually within the θ(m, n)
     /// margin — can erode shards because catch-up from a source without
     /// the full object restores version metadata only. A *wrong* decode
@@ -91,328 +348,62 @@ pub struct StorageCheckStats {
     pub eroded_keys: usize,
 }
 
-/// Run the full lock-service invariant suite against a cluster (after
-/// the driver has let it settle: schedule done, clients drained).
-pub fn check_lock_cluster(c: &Cluster<LockService>) -> Result<LockCheckStats, String> {
-    let mut stats = LockCheckStats::default();
-
-    // 1. Agreement on every slot two replicas still hold.
+/// Check a lock cluster once it has settled (schedule done, clients
+/// drained): agreement, chosen-batch well-formedness and the history
+/// check against [`LockService`].
+pub fn check_lock_cluster(c: &Cluster<LockService>) -> Result<CheckStats, String> {
     c.check_log_agreement()?;
+    let mut batches = BTreeSet::new();
+    for r in c.servers().iter().filter_map(|&id| c.replica(id)) {
+        for (slot, value) in r.applied_prefix() {
+            let Command::Batch(entries) = &*value else {
+                continue;
+            };
+            if entries.is_empty() {
+                return Err(format!("slot {slot}: empty batch was chosen"));
+            }
+            let mut seen = HashSet::new();
+            if let Some(e) = entries.iter().find(|e| !seen.insert((e.client, e.req_id))) {
+                let (client, req_id) = (e.client, e.req_id);
+                return Err(format!(
+                    "slot {slot}: batch contains ({client}, {req_id}) twice"
+                ));
+            }
+            batches.insert(slot);
+        }
+    }
+    let app = |op: &ClientOp<LockCmd>| match op {
+        ClientOp::App(cmd) => Some(cmd.clone()),
+        ClientOp::Reconfig { .. } => None,
+    };
+    let run = linearize(LockService::new(), &histories(c, app))?;
+    Ok(CheckStats {
+        ops_checked: run.ops,
+        batches_checked: batches.len(),
+        ..CheckStats::default()
+    })
+}
 
-    // Live, non-retired replicas that still hold their whole log; a
-    // compacted log cannot be replayed from the empty state.
-    type Prefix = Vec<(u64, Arc<Command<LockCmd>>)>;
-    let live = || {
-        c.servers()
+/// Check a storage cluster whose erasure code has `m` data shards:
+/// agreement, the history check against `StoreModel`, then the shard
+/// audit of the order's final state.
+pub fn check_storage_cluster(c: &RsCluster, m: usize) -> Result<CheckStats, String> {
+    c.check_log_agreement()?;
+    let histories = histories::<RsService>(c, |op| Some(op.clone()));
+    let run = linearize(StoreModel::default(), &histories)?;
+    let unavailable = |o: &&Op<_, _>| matches!(o.completed, Some((_, StoreResp::Unavailable)));
+    let mut stats = CheckStats {
+        ops_checked: run.ops,
+        unavailable_reads: histories
             .iter()
-            .filter_map(|&id| Some((id, c.replica(id)?)))
+            .flat_map(|h| &h.1)
+            .filter(unavailable)
+            .count(),
+        ..CheckStats::default()
     };
-    if live().next().is_none() {
-        return Err("no live replicas to check".into());
-    }
-    let prefixes: Vec<(NodeId, Prefix)> = live()
-        .filter(|(_, r)| !r.is_retired() && r.compaction_floor() == 0)
-        .map(|(id, r)| (id, r.applied_prefix()))
-        .collect();
-
-    // 2. Exactly-once: each replica equals the dedup-replay of its own
-    // prefix.
-    for (id, prefix) in &prefixes {
-        let (model, _) = replay_dedup(prefix)?;
-        let actual = c.replica(*id).expect("live replica").state_machine();
-        if &model != actual {
-            return Err(format!(
-                "replica {id} state diverges from the dedup-replay of its own log"
-            ));
-        }
-        stats.replicas_checked += 1;
-    }
-
-    // 3–5. Model replay of the longest prefix with shadow invariants.
-    let Some(longest) = prefixes
-        .iter()
-        .max_by_key(|(_, p)| p.len())
-        .map(|(_, p)| p.clone())
-    else {
-        return Ok(stats);
-    };
-    stats.replayed = longest.len();
-    stats.batches_checked = longest
-        .iter()
-        .filter(|(_, c)| matches!(**c, Command::Batch(_)))
-        .count();
-    let (_, log_info) = replay_dedup(&longest)?;
-
-    // Client histories vs the replayed responses.
-    for &client in c.clients() {
-        let Some(history) = c
-            .sim
-            .actor(client)
-            .and_then(PaxosNode::as_client)
-            .map(|cl| cl.history())
-        else {
-            continue;
-        };
-        let max_in_log = log_info.max_req.get(&client).copied().unwrap_or(0);
-        for op in history {
-            let Some((_, resp)) = &op.completed else {
-                continue;
-            };
-            let ClientOp::App(_) = &op.op else {
-                continue; // reconfig responses carry no SM payload
-            };
-            match log_info.responses.get(&(client, op.req_id)) {
-                Some(expected) => {
-                    let got = resp.as_ref();
-                    if got != Some(expected) {
-                        return Err(format!(
-                            "client {client} req {} completed with {:?} but the log replay \
-                             produced {:?}",
-                            op.req_id, got, expected
-                        ));
-                    }
-                    stats.responses_checked += 1;
-                }
-                None if op.req_id <= max_in_log => {
-                    return Err(format!(
-                        "client {client} req {} completed but is missing from the log \
-                         (later req {} is present)",
-                        op.req_id, max_in_log
-                    ));
-                }
-                None => {} // in-flight tail not yet visible on live replicas
-            }
-        }
-    }
-
-    Ok(stats)
-}
-
-/// Bookkeeping produced by [`replay_dedup`].
-#[derive(Default)]
-struct LogReplayInfo {
-    /// Response per `(client, req_id)` (first occurrence; dedup makes
-    /// re-proposals identical).
-    responses: HashMap<(NodeId, u64), LockResp>,
-    /// Highest req_id per client present in the log.
-    max_req: HashMap<NodeId, u64>,
-}
-
-/// Replay a log prefix through a fresh [`LockService`] with the
-/// replica's dedup semantics, enforcing the mutual-exclusion and
-/// lease-monotonicity invariants along the way.
-fn replay_dedup(
-    prefix: &[(u64, Arc<Command<LockCmd>>)],
-) -> Result<(LockService, LogReplayInfo), String> {
-    let mut sm = LockService::new();
-    let mut dedup: HashMap<NodeId, (u64, LockResp)> = HashMap::new();
-    let mut info = LogReplayInfo::default();
-    // Lease expiry per lock, for monotonicity.
-    let mut lease_until: HashMap<String, u64> = HashMap::new();
-    // Shadow of the service's high-water command clock: leases are judged
-    // dead once `clock >= expiry`, including at the moment of grant (a
-    // lease acquired with an old timestamp can be dead on arrival).
-    let mut clock: u64 = 0;
-
-    for (slot, cmd) in prefix {
-        // A batch is one slot value applied atomically: flatten it into
-        // per-entry applications after checking it is well-formed. A
-        // partially applied batch cannot hide here — the exactly-once
-        // check compares each replica's machine against this replay of
-        // its own full prefix, so any replica that applied a strict
-        // subset of a batch's entries diverges from the model.
-        let entries: Vec<(NodeId, u64, &LockCmd)> = match &**cmd {
-            Command::Noop => continue,
-            Command::Reconfig { client, req_id, .. } => {
-                let m = info.max_req.entry(*client).or_default();
-                *m = (*m).max(*req_id);
-                continue;
-            }
-            Command::App {
-                client,
-                req_id,
-                cmd,
-            } => vec![(*client, *req_id, cmd)],
-            Command::Batch(batch) => {
-                if batch.is_empty() {
-                    return Err(format!("slot {slot}: empty batch was chosen"));
-                }
-                let mut seen = std::collections::HashSet::new();
-                for e in batch {
-                    if !seen.insert((e.client, e.req_id)) {
-                        return Err(format!(
-                            "slot {slot}: batch contains ({}, {}) twice",
-                            e.client, e.req_id
-                        ));
-                    }
-                }
-                batch.iter().map(|e| (e.client, e.req_id, &e.cmd)).collect()
-            }
-        };
-        for (client, req_id, cmd) in entries {
-            {
-                let m = info.max_req.entry(client).or_default();
-                *m = (*m).max(req_id);
-                let already = dedup
-                    .get(&client)
-                    .map(|(last, _)| *last >= req_id)
-                    .unwrap_or(false);
-                let resp = if already {
-                    dedup.get(&client).expect("dedup entry").1.clone()
-                } else {
-                    if let LockCmd::AcquireLease { now_ms, .. } | LockCmd::Renew { now_ms, .. } =
-                        cmd
-                    {
-                        clock = clock.max(*now_ms);
-                    }
-                    let resp = sm.apply(cmd);
-                    dedup.insert(client, (req_id, resp.clone()));
-
-                    // 4. Mutual exclusion: a grant installs its owner.
-                    if resp == LockResp::Granted {
-                        match cmd {
-                            LockCmd::Acquire { name, owner }
-                                if sm.holder(name) != Some(*owner) =>
-                            {
-                                return Err(format!(
-                                    "slot {slot}: {owner} granted {name:?} but the \
-                                     model holder is {:?}",
-                                    sm.holder(name)
-                                ));
-                            }
-                            LockCmd::Acquire { .. } => {}
-                            LockCmd::AcquireLease {
-                                name,
-                                owner,
-                                now_ms,
-                                ttl_ms,
-                            } => {
-                                let exp = now_ms + ttl_ms;
-                                let want = if clock < exp {
-                                    Some(*owner)
-                                } else {
-                                    // Dead-on-arrival grant: the lease was
-                                    // already over at the grant clock.
-                                    None
-                                };
-                                if sm.holder(name) != want {
-                                    return Err(format!(
-                                        "slot {slot}: {owner} granted {name:?} (exp \
-                                         {exp}, clock {clock}) but the model holder \
-                                         is {:?}",
-                                        sm.holder(name)
-                                    ));
-                                }
-                                if want.is_some() {
-                                    lease_until.insert(name.clone(), exp);
-                                } else {
-                                    lease_until.remove(name);
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    // 5. Lease monotonicity.
-                    match (cmd, &resp) {
-                        (LockCmd::Renew { name, .. }, LockResp::Renewed { until_ms }) => {
-                            let prev = lease_until.get(name).copied().unwrap_or(0);
-                            if *until_ms < prev {
-                                return Err(format!(
-                                    "slot {slot}: lease on {name:?} renewed backwards \
-                                     ({until_ms} < {prev})"
-                                ));
-                            }
-                            lease_until.insert(name.clone(), *until_ms);
-                        }
-                        (LockCmd::Release { name, .. }, LockResp::Released) => {
-                            lease_until.remove(name);
-                        }
-                        _ => {}
-                    }
-                    resp
-                };
-                info.responses.entry((client, req_id)).or_insert(resp);
-            }
-        }
-    }
-    Ok((sm, info))
-}
-
-/// Run the storage invariant suite. `writers` are the closed-loop
-/// clients to audit (the workload must use one writer per key for the
-/// read-your-writes check to be exact); `m` is the erasure data-shard
-/// count of the deployment.
-pub fn check_storage_cluster(
-    c: &RsCluster,
-    writers: &[NodeId],
-    m: usize,
-) -> Result<StorageCheckStats, String> {
-    let mut stats = StorageCheckStats::default();
-    c.check_log_agreement()?;
     let n = c.servers().len();
     let codec = ReedSolomon::new(m, n);
-
-    // 1. Read-your-writes over each writer's history; build the expected
-    // final image along the way.
-    let mut expected: HashMap<String, (u64, Option<bytes::Bytes>)> = HashMap::new();
-    for &client in writers {
-        let Some(history) = c
-            .sim
-            .actor(client)
-            .and_then(RsNode::as_client)
-            .map(|cl| cl.history())
-        else {
-            continue;
-        };
-        for op in history {
-            let Some((_, Some(resp))) = &op.completed else {
-                continue;
-            };
-            stats.ops_checked += 1;
-            match (&op.op, resp) {
-                (StoreCmd::Put { key, object }, StoreResp::Stored { version }) => {
-                    if let Some((prev, _)) = expected.get(key) {
-                        if version <= prev {
-                            return Err(format!(
-                                "put of {key:?} acknowledged at version {version}, not after \
-                                 the previous {prev}"
-                            ));
-                        }
-                    }
-                    expected.insert(key.clone(), (*version, Some(object.clone())));
-                }
-                (StoreCmd::Put { key, .. }, other) => {
-                    return Err(format!("put of {key:?} answered {other:?}"));
-                }
-                (StoreCmd::Delete { key }, StoreResp::Deleted) => {
-                    let version = expected.get(key).map(|(v, _)| *v).unwrap_or(0);
-                    expected.insert(key.clone(), (version, None));
-                }
-                (StoreCmd::Delete { key }, other) => {
-                    return Err(format!("delete of {key:?} answered {other:?}"));
-                }
-                (StoreCmd::Get { key }, StoreResp::Value { object }) => {
-                    let want = expected.get(key).and_then(|(_, o)| o.as_ref());
-                    if object.as_ref() != want {
-                        return Err(format!(
-                            "stale or wrong read of {key:?}: got {:?} bytes, wanted {:?}",
-                            object.as_ref().map(|b| b.len()),
-                            want.map(|b| b.len())
-                        ));
-                    }
-                }
-                (StoreCmd::Get { .. }, StoreResp::Unavailable) => {
-                    stats.unavailable_reads += 1;
-                }
-                (StoreCmd::Get { key }, other) => {
-                    return Err(format!("get of {key:?} answered {other:?}"));
-                }
-            }
-        }
-    }
-
-    // 2 + 3. Per-key shard audit across live replicas.
-    for (key, (version, object)) in &expected {
+    for (key, (version, object)) in &run.state.0 {
         let mut shards: Vec<Option<&[u8]>> = vec![None; n];
         let mut newest = 0u64;
         for &id in c.servers() {
@@ -454,8 +445,197 @@ pub fn check_storage_cluster(
                 "decoded value of {key:?}@{version} differs from the acknowledged write"
             ));
         }
-        stats.keys_decoded += 1;
+    }
+    Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn op<C, R>(req_id: u64, cmd: C, from: u64, to: u64, resp: R) -> Op<C, R> {
+        Op {
+            req_id,
+            cmd,
+            invoked: SimTime::from_millis(from),
+            completed: Some((SimTime::from_millis(to), resp)),
+            local: false,
+        }
     }
 
-    Ok(stats)
+    fn acquire(owner: usize) -> LockCmd {
+        LockCmd::Acquire {
+            name: "L".into(),
+            owner: NodeId(owner),
+        }
+    }
+
+    fn lock(histories: &[History<LockCmd, LockResp>]) -> Result<usize, String> {
+        linearize(LockService::new(), histories).map(|l| l.ops)
+    }
+
+    #[test]
+    fn the_search_reorders_concurrent_operations() {
+        // Client 1 is invoked first, yet only client 2's acquire taking
+        // effect first explains both answers.
+        let first = (
+            NodeId(1),
+            vec![op(
+                1,
+                acquire(1),
+                0,
+                100,
+                LockResp::Busy { holder: NodeId(2) },
+            )],
+        );
+        let second = vec![op(1, acquire(2), 10, 50, LockResp::Granted)];
+        assert_eq!(lock(&[first.clone(), (NodeId(2), second)]), Ok(2));
+        // Invoked after client 1's answer, client 2 cannot go first.
+        let late = vec![op(1, acquire(2), 150, 200, LockResp::Granted)];
+        assert!(lock(&[first, (NodeId(2), late)]).is_err());
+        // An unanswered acquire may or may not have taken effect.
+        let mut pending = op(1, acquire(1), 0, 0, LockResp::Granted);
+        pending.completed = None;
+        for seen in [None, Some(NodeId(1))] {
+            let read = op(
+                1,
+                LockCmd::Holder { name: "L".into() },
+                10,
+                20,
+                LockResp::HolderIs(seen),
+            );
+            let run = lock(&[(NodeId(1), vec![pending.clone()]), (NodeId(2), vec![read])]);
+            assert_eq!(run, Ok(1));
+        }
+    }
+
+    #[test]
+    fn two_overlapping_grants_are_rejected() {
+        let a = vec![op(1, acquire(1), 0, 100, LockResp::Granted)];
+        let b = vec![op(1, acquire(2), 10, 90, LockResp::Granted)];
+        assert!(lock(&[(NodeId(1), a), (NodeId(2), b)]).is_err());
+    }
+
+    #[test]
+    fn a_duplicate_effect_exposed_by_a_later_denial_is_rejected() {
+        // Busy after the release means client 1's acquire took effect twice.
+        let release = LockCmd::Release {
+            name: "L".into(),
+            owner: NodeId(1),
+        };
+        let a = vec![
+            op(1, acquire(1), 0, 10, LockResp::Granted),
+            op(2, release, 20, 30, LockResp::Released),
+        ];
+        let b = vec![op(
+            1,
+            acquire(2),
+            40,
+            50,
+            LockResp::Busy { holder: NodeId(1) },
+        )];
+        let err = lock(&[(NodeId(1), a), (NodeId(2), b)]).unwrap_err();
+        // The report names the operation, its times and both answers.
+        for part in [
+            "2 of 3 answered operations",
+            "client n2 req 1 (invoked 40 ms, completed 50 ms)",
+            "observed Busy { holder: n1 }",
+            "the model answers Granted",
+        ] {
+            assert!(err.contains(part), "{part:?} missing from {err}");
+        }
+    }
+
+    #[test]
+    fn a_renewal_moving_backwards_is_rejected() {
+        let (name, owner) = ("L".to_string(), NodeId(1));
+        let renew = |now_ms| LockCmd::Renew {
+            name: name.clone(),
+            owner,
+            now_ms,
+        };
+        let lease = LockCmd::AcquireLease {
+            name: name.clone(),
+            owner,
+            now_ms: 1_000,
+            ttl_ms: 500,
+        };
+        let history = |until_ms| {
+            vec![(
+                owner,
+                vec![
+                    op(1, lease.clone(), 0, 10, LockResp::Granted),
+                    op(
+                        2,
+                        renew(1_200),
+                        20,
+                        30,
+                        LockResp::Renewed { until_ms: 1_700 },
+                    ),
+                    op(3, renew(1_300), 40, 50, LockResp::Renewed { until_ms }),
+                ],
+            )]
+        };
+        assert_eq!(lock(&history(1_800)), Ok(3));
+        assert!(lock(&history(1_600)).is_err());
+    }
+
+    #[test]
+    fn a_get_of_the_previous_version_is_rejected() {
+        let (v1, v2) = (Bytes::from_static(b"one"), Bytes::from_static(b"two"));
+        let put = |object: &Bytes| StoreCmd::Put {
+            key: "k".into(),
+            object: object.clone(),
+        };
+        let history = |got: &Bytes| {
+            let get = StoreCmd::Get { key: "k".into() };
+            let read = StoreResp::Value {
+                object: Some(got.clone()),
+            };
+            vec![(
+                NodeId(1),
+                vec![
+                    op(1, put(&v1), 0, 10, StoreResp::Stored { version: 3 }),
+                    op(2, put(&v2), 20, 30, StoreResp::Stored { version: 7 }),
+                    op(3, get, 40, 50, read),
+                ],
+            )]
+        };
+        assert!(linearize(StoreModel::default(), &history(&v2)).is_ok());
+        let err = linearize(StoreModel::default(), &history(&v1)).unwrap_err();
+        assert!(
+            err.contains("the model answers Value(3 bytes [74, 77, 6f]…)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_session_reading_below_its_own_write_is_rejected() {
+        let holder = |seen, local| Op {
+            local,
+            ..op(
+                2,
+                LockCmd::Holder { name: "L".into() },
+                20,
+                30,
+                LockResp::HolderIs(seen),
+            )
+        };
+        let own = |read| {
+            vec![(
+                NodeId(1),
+                vec![op(1, acquire(1), 0, 10, LockResp::Granted), read],
+            )]
+        };
+        assert!(lock(&own(holder(None, true))).is_err());
+        assert_eq!(lock(&own(holder(Some(NodeId(1)), true))), Ok(2));
+        // A local read may miss another session's write; a read through
+        // the log may not.
+        let other = |read| {
+            let writer = (NodeId(2), vec![op(1, acquire(2), 0, 10, LockResp::Granted)]);
+            vec![writer, (NodeId(1), vec![read])]
+        };
+        assert_eq!(lock(&other(holder(None, true))), Ok(2));
+        assert!(lock(&other(holder(None, false))).is_err());
+    }
 }

@@ -11,11 +11,11 @@
 //!   the exact re-run command a failing chaos test prints;
 //! * [`fixtures`] — the synthetic-market and cluster constructions that
 //!   used to be copy-pasted across the root integration tests;
-//! * [`check`] + [`chaos`] — the safety checkers (lock invariants for the
-//!   Paxos lock service, read-your-writes / decoded-value for RS-Paxos
-//!   θ(3,5)) and the drivers that run a [`simnet::ChaosSchedule`] against
-//!   a live cluster and report failures with seed, schedule, and obs
-//!   trace attached.
+//! * [`check`] + [`chaos`] — the safety checkers (one linearizability
+//!   search over both services' client histories, plus agreement, batch
+//!   and shard audits) and the chaos runs that play a
+//!   [`simnet::ChaosSchedule`] against a live cluster and report failures
+//!   with seed, schedule, and obs trace attached.
 //!
 //! This crate is a test dependency only: nothing in the shipped library
 //! path depends on it, so the `paxos`/`storage` crates stay free of

@@ -246,7 +246,9 @@ fn agreement_is_checked_by_slot_across_compaction_floors() {
     assert!(floor(leader) >= 16, "two compactions at the leader");
     assert_ne!(floor(sleeper), floor(leader), "floors differ");
     assert!(c.assert_log_agreement() >= 26);
-    check_lock_cluster(&c).expect("logs that agree pass the checker");
+    let stats = check_lock_cluster(&c).expect("logs that agree pass the checker");
+    // The history check judges every acquire, compacted away or not.
+    assert_eq!(stats.ops_checked, 26);
 }
 
 /// Compress a schedule's timeline to at most `max` total duration,
@@ -386,26 +388,9 @@ fn market_derived_churn_preserves_lock_safety() {
     let compressed = compress(&schedule, SimTime::from_secs(120));
     let out = run_lock_chaos(&compressed, &Obs::disabled())
         .unwrap_or_else(|e| panic!("market-derived schedule broke safety: {e}\n{compressed}"));
-
-    // Correlated price spikes can kill all five replicas at once; a total
-    // wipe loses the log (and with it the cross-checkable history), which
-    // the checker rightly tolerates. Only demand audited ops when at
-    // least one replica survived throughout.
-    let mut down = 0usize;
-    let mut max_down = 0usize;
-    for ev in &compressed.events {
-        match ev.action {
-            ChaosAction::Crash(_) => {
-                down += 1;
-                max_down = max_down.max(down);
-            }
-            ChaosAction::Restart(_) => down = down.saturating_sub(1),
-            _ => {}
-        }
-    }
-    if max_down < 5 {
-        assert!(out.ops_checked > 0, "no ops audited despite a surviving replica");
-    }
+    // Histories live at the clients, so even a wipe of all five replicas
+    // (each reboots from its disk) leaves every answered op to check.
+    assert!(out.ops_checked > 0, "no ops audited");
 }
 
 #[test]
