@@ -28,6 +28,16 @@ fi
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 
+echo "== examples =="
+# Clippy compiles the eight examples/ binaries, but nothing else runs
+# them; each runs once here (~1.2 s together in release).
+cargo build --release --offline --examples
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  ./target/release/examples/"$name" > /dev/null \
+    || { echo "example $name failed" >&2; exit 1; }
+done
+
 echo "== cargo test =="
 cargo test -q --offline --workspace
 

@@ -31,12 +31,13 @@ const AVAILABILITY_FLOOR: f64 = 0.99;
 /// target (with full headroom) before the target shrinks.
 pub const HYSTERESIS_INTERVALS: u32 = 3;
 
+/// Headroom kept over forecast demand (0.25 ⇒ target strength = demand ×
+/// 1.25, rounded up).
+pub const HEADROOM: f64 = 0.25;
+
 /// Auto-scaler parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct AutoscaleConfig {
-    /// Headroom kept over forecast demand (0.25 ⇒ target strength =
-    /// demand × 1.25, rounded up).
-    pub headroom: f64,
     /// The target never drops below this strength floor.
     pub min_strength: u32,
     /// The target never exceeds this strength cap.
@@ -46,7 +47,6 @@ pub struct AutoscaleConfig {
 impl Default for AutoscaleConfig {
     fn default() -> Self {
         AutoscaleConfig {
-            headroom: 0.25,
             min_strength: 5,
             max_strength: 64,
         }
@@ -147,7 +147,7 @@ impl AutoScaler {
     ) -> u32 {
         let cfg = self.config;
         let demand = self.peak_demand(boundary, interval_end);
-        let desired = ((demand * (1.0 + cfg.headroom)).ceil() as u32)
+        let desired = ((demand * (1.0 + HEADROOM)).ceil() as u32)
             .clamp(cfg.min_strength, cfg.max_strength);
         let availability = observed.map_or(1.0, |o| o.availability);
         let slo_burn = availability < AVAILABILITY_FLOOR;
@@ -160,7 +160,7 @@ impl AutoScaler {
         } else if slo_burn {
             // The forecast says we have enough, but the interval burned
             // the floor anyway: grow by one headroom notch immediately.
-            self.target = ((self.target as f64 * (1.0 + cfg.headroom)).ceil() as u32)
+            self.target = ((self.target as f64 * (1.0 + HEADROOM)).ceil() as u32)
                 .max(self.target + 1)
                 .min(cfg.max_strength);
             self.headroom_streak = 0;
@@ -242,7 +242,6 @@ mod tests {
             AutoscaleConfig {
                 min_strength: 3,
                 max_strength: 32,
-                ..AutoscaleConfig::default()
             },
             demand,
         )

@@ -7,7 +7,7 @@
 //! booting minutes later — drives the Paxos/RS-Paxos safety checkers
 //! instead of (or alongside) purely random schedules.
 //!
-//! Time mapping matches [`crate::service_level`]: one market minute is one
+//! Time mapping is [`crate::service_level`]'s: one market minute is one
 //! simulated second, so sub-second protocol dynamics (elections, lease
 //! renewal) play out between consecutive market events.
 
@@ -15,11 +15,7 @@ use simnet::{ChaosAction, ChaosEvent, ChaosSchedule, NodeId, SimTime};
 use spot_market::{Termination, Zone};
 
 use crate::results::ReplayResult;
-
-/// One market minute of the evaluation window as simulated time.
-fn to_sim(minute_rel: u64) -> SimTime {
-    SimTime::from_secs(minute_rel)
-}
+use crate::service_level::to_sim;
 
 /// Derive a crash/restart schedule for a `slots`-replica protocol cluster
 /// from a market replay's instance records.
@@ -35,24 +31,23 @@ fn to_sim(minute_rel: u64) -> SimTime {
 ///
 /// The result carries `seed = 0`: it is derived data, reproducible from
 /// the replay's own inputs rather than from a chaos seed.
-pub fn market_fault_schedule(result: &ReplayResult, eval_start: u64, slots: usize) -> ChaosSchedule {
+pub fn market_fault_schedule(
+    result: &ReplayResult,
+    eval_start: u64,
+    slots: usize,
+) -> ChaosSchedule {
     assert!(slots >= 1, "need at least one replica slot");
-    let mut zone_slots: Vec<Zone> = Vec::new();
-    let slot_for = |zone: Zone, zone_slots: &mut Vec<Zone>| -> usize {
-        match zone_slots.iter().position(|&z| z == zone) {
-            Some(i) => i % slots,
-            None => {
-                zone_slots.push(zone);
-                (zone_slots.len() - 1) % slots
-            }
-        }
-    };
+    let mut zones: Vec<Zone> = Vec::new();
 
     // Raw (minute, is_crash, slot) stream. Restarts sort before crashes at
     // the same minute so a kill-and-replace minute nets out to "down".
     let mut raw: Vec<(u64, bool, usize)> = Vec::new();
     for rec in &result.instances {
-        let slot = slot_for(rec.zone, &mut zone_slots);
+        if !zones.contains(&rec.zone) {
+            zones.push(rec.zone);
+        }
+        let index = zones.iter().position(|&z| z == rec.zone);
+        let slot = index.unwrap_or_default() % slots;
         if rec.termination == Termination::Provider && rec.ended_at >= eval_start {
             raw.push((rec.ended_at, true, slot));
         }
@@ -65,30 +60,22 @@ pub fn market_fault_schedule(result: &ReplayResult, eval_start: u64, slots: usiz
     let mut down = vec![false; slots];
     let mut events = Vec::new();
     for (minute, is_crash, slot) in raw {
-        let at = to_sim(minute.saturating_sub(eval_start));
-        if is_crash && !down[slot] {
-            down[slot] = true;
-            events.push(ChaosEvent {
-                at,
-                action: ChaosAction::Crash(NodeId(slot)),
-            });
-        } else if !is_crash && down[slot] {
-            down[slot] = false;
-            events.push(ChaosEvent {
-                at,
-                action: ChaosAction::Restart(NodeId(slot)),
-            });
+        if is_crash != down[slot] {
+            down[slot] = is_crash;
+            let at = to_sim(minute.saturating_sub(eval_start));
+            let action = if is_crash {
+                ChaosAction::Crash(NodeId(slot))
+            } else {
+                ChaosAction::Restart(NodeId(slot))
+            };
+            events.push(ChaosEvent { at, action });
         }
     }
 
     let end = to_sim(result.window_minutes);
-    for (slot, is_down) in down.iter().enumerate() {
-        if *is_down {
-            events.push(ChaosEvent {
-                at: end,
-                action: ChaosAction::Restart(NodeId(slot)),
-            });
-        }
+    for slot in (0..slots).filter(|&s| down[s]) {
+        let action = ChaosAction::Restart(NodeId(slot));
+        events.push(ChaosEvent { at: end, action });
     }
 
     ChaosSchedule { seed: 0, events }
@@ -183,7 +170,10 @@ mod tests {
         }
         assert!(down.iter().all(|d| !d), "slots left down at window end");
         assert!(
-            schedule.events.iter().all(|e| e.at <= to_sim(result.window_minutes)),
+            schedule
+                .events
+                .iter()
+                .all(|e| e.at <= to_sim(result.window_minutes)),
             "event beyond the window"
         );
     }
@@ -204,7 +194,10 @@ mod tests {
             .filter(|e| matches!(e.action, ChaosAction::Crash(_)))
             .count();
         // Same-slot collisions can merge kills, never invent them.
-        assert!(crashes >= 1 && crashes <= kills, "crashes={crashes} kills={kills}");
+        assert!(
+            crashes >= 1 && crashes <= kills,
+            "crashes={crashes} kills={kills}"
+        );
     }
 
     #[test]
@@ -225,8 +218,8 @@ mod tests {
         let market = Market::generate(cfg);
         let spec = ServiceSpec::lock_service();
         let eval_start = 7 * 24 * 60;
-        let config = ReplayConfig::new(eval_start, 14 * 24 * 60, 3)
-            .with_era(BidEra::CapacityReclaim);
+        let config =
+            ReplayConfig::new(eval_start, 14 * 24 * 60, 3).with_era(BidEra::CapacityReclaim);
         let result = Replay::new(&market, &spec, config)
             .repair(RepairConfig::migrate())
             .run(ExtraStrategy::new(0, 0.2));

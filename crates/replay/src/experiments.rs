@@ -1021,7 +1021,7 @@ pub const PER_STRENGTH_THROUGHPUT: f64 = 12.5;
 /// The controller must hold the availability floor while billing less
 /// than peak provisioning.
 pub fn autoscale_report(scale: &Scale) -> AutoscaleReport {
-    use crate::autoscale::{demand_series, AutoScaler, AutoscaleConfig};
+    use crate::autoscale::{demand_series, AutoScaler, AutoscaleConfig, HEADROOM};
     use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
 
     let market = scale.hetero_market();
@@ -1040,10 +1040,9 @@ pub fn autoscale_report(scale: &Scale) -> AutoscaleReport {
     let asc = AutoscaleConfig {
         min_strength: 4,
         max_strength: 24,
-        ..AutoscaleConfig::default()
     };
     let peak_demand = demand.iter().map(|&(_, d)| d).fold(0.0, f64::max);
-    let peak_strength = ((peak_demand * (1.0 + asc.headroom)).ceil() as u32)
+    let peak_strength = ((peak_demand * (1.0 + HEADROOM)).ceil() as u32)
         .clamp(asc.min_strength, asc.max_strength);
     let mut scaler = AutoScaler::new(asc, demand);
 

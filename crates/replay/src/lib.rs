@@ -47,7 +47,8 @@ pub mod scenario;
 pub mod service_level;
 
 pub use autoscale::{
-    demand_series, AutoScaler, AutoscaleConfig, ObservedInterval, ScaleAction, HYSTERESIS_INTERVALS,
+    demand_series, AutoScaler, AutoscaleConfig, ObservedInterval, ScaleAction, HEADROOM,
+    HYSTERESIS_INTERVALS,
 };
 pub use chaos::{capacity_fault_schedule, market_fault_schedule};
 pub use lifecycle::{InstanceRecord, Replay, ReplayConfig};

@@ -1,28 +1,37 @@
-//! Service-level replay: run the *actual* Paxos lock service while the
-//! spot market kills and replaces its instances.
+//! Service-level replay: run the *actual* Paxos lock service and RS-Paxos
+//! store on the fleet the market replay billed.
 //!
 //! The market-level replay ([`crate::lifecycle`]) accounts availability by
 //! quorum arithmetic, as the paper's 11-week trace replays do. This module
-//! closes the loop for the feasibility claim (§5.4): the bid schedule is
-//! executed against a real replicated lock service on the simulated
-//! network — instances join through Paxos **view change**, out-of-bid
-//! terminations crash live replicas mid-protocol, and a closed-loop client
-//! measures request-level behaviour through every failover.
+//! closes the loop for the feasibility claim (§5.4) without a bidding loop
+//! of its own: each driver runs [`Replay`] once (repair off, bidding era)
+//! and plays the [`crate::InstanceRecord`]s it returns against a live
+//! cluster on the simulated network. With repair off every launch is at a
+//! decision, 15 minutes before its boundary, and has booted by it; every
+//! `Termination::User` inside the window is a boundary retirement and
+//! every `Termination::Provider` an out-of-bid kill. The lock service
+//! admits a boundary's joiners and drops its retirees in one Paxos **view
+//! change**, kills crash live replicas mid-protocol, and a closed-loop
+//! client measures request-level behaviour through every failover — on
+//! exactly the fleet the figures bill.
 //!
-//! Time mapping: one market minute = one simulated second, so a 12-hour
-//! market window runs as a 43 200 s protocol simulation. Leader failovers
-//! (~1–2 s simulated) therefore correspond to one or two market minutes of
-//! measured unavailability — the same order as real Chubby failovers.
+//! Time mapping ([`to_sim`]): one market minute = one simulated second, so
+//! a 12-hour market window runs as a 43 200 s protocol simulation. Leader
+//! failovers (~1–2 s simulated) therefore correspond to one or two market
+//! minutes of measured unavailability — the same order as real Chubby
+//! failovers.
 
 use std::collections::BTreeMap;
 
-use jupiter::{BiddingFramework, BiddingStrategy, ServiceSpec};
+use jupiter::{BiddingStrategy, ServiceSpec};
 use obs::{Obs, SloSpec, SloTracker};
-use paxos::{ClientOp, Cluster, LockCmd, LockService, ReplicaConfig};
+use paxos::{
+    ClientOp, Cluster, CompletedOp, LockCmd, LockService, PaxosNode, ReplicaConfig, Service,
+};
 use simnet::{NetworkConfig, NodeId, SimTime};
-use spot_market::{Market, Price, Zone};
+use spot_market::{Market, Termination};
 
-use crate::lifecycle::snapshots_at;
+use crate::lifecycle::{Replay, ReplayConfig};
 
 /// Latency bound a request must meet to count as served (simulated
 /// milliseconds).
@@ -65,8 +74,94 @@ pub struct ServiceReplayOutcome {
     pub agreed_log_len: usize,
 }
 
-fn to_sim(minute_rel: u64) -> SimTime {
+/// Market minutes past the window start as simulated time: one market
+/// minute is one simulated second (shared with [`crate::chaos`]).
+pub(crate) fn to_sim(minute_rel: u64) -> SimTime {
     SimTime::from_secs(minute_rel)
+}
+
+/// One change to the billed fleet. The derived order is the order in
+/// which changes sharing a market minute apply: a retiree leaves and a
+/// replacement boots before the boundary's view change, and a kill at a
+/// boundary minute lands after it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Change {
+    /// Record `i` is terminated by the user at its boundary.
+    Retire(usize),
+    /// Record `i` has booted.
+    Boot(usize),
+    /// A bidding-interval boundary.
+    Boundary,
+    /// Record `i` is killed out-of-bid.
+    Kill(usize),
+}
+
+/// Replay `strategy` for `spec` over the window and return the billed
+/// fleet: the records running at the window start, then every later
+/// change inside the window in `(minute, change)` order. The replay runs
+/// unobserved: it stamps market-minute time into the clock it is given,
+/// and the caller's `Obs` carries this run's sim-millisecond spans.
+fn billed_fleet<S: BiddingStrategy>(
+    market: &Market,
+    spec: &ServiceSpec,
+    strategy: S,
+    config: ServiceReplayConfig,
+) -> (Vec<usize>, Vec<(u64, Change)>) {
+    let (start, end) = (config.eval_start, config.eval_start + config.window_minutes);
+    let window = ReplayConfig::new(start, end, config.interval_hours);
+    let result = Replay::new(market, spec, window).run(strategy);
+    let boundaries = result.intervals[1..]
+        .iter()
+        .map(|iv| (iv.start, Change::Boundary));
+    let mut changes: Vec<(u64, Change)> = boundaries.collect();
+    for (i, rec) in result.instances.iter().enumerate() {
+        if rec.running_from < rec.ended_at {
+            changes.push((rec.running_from.max(start), Change::Boot(i)));
+        }
+        match rec.termination {
+            _ if rec.ended_at >= end => {}
+            Termination::User => changes.push((rec.ended_at, Change::Retire(i))),
+            Termination::Provider => changes.push((rec.ended_at, Change::Kill(i))),
+        }
+    }
+    changes.sort_unstable();
+    let first: Vec<usize> = changes
+        .iter()
+        .map_while(|&(minute, change)| match change {
+            Change::Boot(i) if minute == start => Some(i),
+            _ => None,
+        })
+        .collect();
+    changes.drain(..first.len());
+    (first, changes)
+}
+
+/// Apply each of `changes` to `cluster` at its minute, run to the window
+/// end, drain `client` (bounded) and return its history. Time advances
+/// through [`Cluster::run_until_drained`], so a service that stops
+/// answering raises the harness's `watchdog.liveness` alert at its sim
+/// time instead of stalling silently.
+fn play<S: Service>(
+    cluster: &mut Cluster<S>,
+    client: NodeId,
+    config: ServiceReplayConfig,
+    changes: Vec<(u64, Change)>,
+    mut apply: impl FnMut(&mut Cluster<S>, u64, Change),
+) -> Vec<CompletedOp<S>> {
+    let run_to = |cluster: &mut Cluster<S>, minute: u64| {
+        let at = to_sim(minute - config.eval_start);
+        cluster.run_until_drained(client, at);
+        cluster.sim.run_until(at);
+    };
+    for (minute, change) in changes {
+        run_to(cluster, minute);
+        apply(cluster, minute, change);
+    }
+    run_to(cluster, config.eval_start + config.window_minutes);
+    let deadline = cluster.sim.now() + SimTime::from_secs(300);
+    cluster.run_until_drained(client, deadline);
+    let node = cluster.sim.actor(client).and_then(PaxosNode::as_client);
+    node.map(|c| c.history().to_vec()).unwrap_or_default()
 }
 
 /// Exact quantile of a sorted sample (nearest-rank); 0 on empty input.
@@ -155,8 +250,11 @@ fn sla_fraction(latencies: &[u64], unfinished: usize) -> f64 {
     within as f64 / (latencies.len() + unfinished).max(1) as f64
 }
 
-/// Run the lock service under a bidding strategy for a short market
-/// window. Returns request-level metrics; every Paxos replica and this
+/// Run the lock service on the fleet `strategy` bids for over a short
+/// market window. The records running at the window start are the
+/// initial cluster; each boundary spawns its joiners and removes its
+/// retirees in one `Reconfig`, and a kill crashes its replica at the kill
+/// minute. Returns request-level metrics; every Paxos replica and this
 /// loop record into `obs` (`paxos.*`, `service.*`, `trace.*`), and a
 /// strategy built `with_obs` adds its `jupiter.*`.
 pub fn lock_service_replay<S: BiddingStrategy>(
@@ -165,215 +263,114 @@ pub fn lock_service_replay<S: BiddingStrategy>(
     config: ServiceReplayConfig,
     obs: &Obs,
 ) -> ServiceReplayOutcome {
-    let spec = ServiceSpec::lock_service();
-    let ty = spec.instance_type;
-    assert!(
-        config.eval_start + config.window_minutes <= market.horizon(),
-        "window beyond market horizon"
-    );
-
-    // Train the failure models on the revealed prefix.
-    let mut framework = BiddingFramework::new(spec.clone(), strategy);
-    for &z in market.zones() {
-        framework.observe(z, ty, &market.trace(z, ty).window(0, config.eval_start));
-    }
-
-    // The protocol cluster. Node 0..n₀ are created per the first decision.
-    let snapshot = |minute: u64| snapshots_at(market, &[ty], minute);
-    let interval_min = config.interval_hours * 60;
-    let first = framework.decide(&snapshot(config.eval_start), interval_min as u32);
-    assert!(first.n() > 0, "strategy found no initial deployment");
-
-    let mut cluster: Cluster<LockService> = Cluster::new(
-        first.n(),
-        LockService::new(),
-        ReplicaConfig {
-            obs: obs.clone(),
-            ..ReplicaConfig::default()
-        },
-        NetworkConfig::default(),
-        config.seed,
-    );
-    // zone → (node, bid) for the live fleet. A `BTreeMap`: the nodes a
-    // boundary retires go into one `Reconfig` command — a value in the
-    // replicated log — and are crashed in walk order, neither of which
-    // may vary from run to run.
-    let mut fleet: BTreeMap<Zone, (NodeId, Price)> = BTreeMap::new();
-    for (slot, pb) in first.bids.iter().enumerate() {
-        fleet.insert(pb.zone, (NodeId(slot), pb.bid));
-    }
+    let (first, changes) = billed_fleet(market, &ServiceSpec::lock_service(), strategy, config);
+    assert!(!first.is_empty(), "strategy found no initial deployment");
+    let replicas = ReplicaConfig {
+        obs: obs.clone(),
+        ..ReplicaConfig::default()
+    };
+    let net = NetworkConfig::default();
+    let mut cluster = Cluster::new(first.len(), LockService::new(), replicas, net, config.seed);
+    // Record → its live replica. A `BTreeMap`: the nodes a boundary
+    // retires go into one `Reconfig` command — a value in the replicated
+    // log — and are crashed in order, neither of which may vary from run
+    // to run.
+    let mut node: BTreeMap<usize, NodeId> = first.into_iter().zip((0..).map(NodeId)).collect();
     let admin = cluster.add_client();
     let worker = cluster.add_client();
 
-    let mut reconfigs = 0usize;
-    let mut crashes = 0usize;
+    let (mut reconfigs, mut crashes) = (0usize, 0usize);
     // Cumulative trajectories on the market-minute axis — the crash/churn
     // view of the same window the market replay records per interval.
     let crash_series = obs.series.series("service.crashes");
     let fleet_series = obs.series.series("service.fleet_size");
     let reconfig_series = obs.series.series("service.reconfigs");
-    fleet_series.record(config.eval_start, fleet.len() as f64);
+    fleet_series.record(config.eval_start, node.len() as f64);
 
-    // Pre-queue a steady lock workload: acquire/release pairs.
+    // A steady lock workload of acquire/release pairs, one op roughly
+    // every two simulated seconds, queued `more` at a time.
+    let total_ops = (config.window_minutes / 2).max(4) as usize;
     let mut queued = 0usize;
-    let refill = |cluster: &mut Cluster<LockService>, queued: &mut usize, upto: usize| {
-        while *queued < upto {
-            let name = format!("lease-{}", *queued / 2);
-            let cmd = if (*queued).is_multiple_of(2) {
-                LockCmd::Acquire {
-                    name,
-                    owner: worker,
-                }
+    let mut refill = |cluster: &mut Cluster<LockService>, more: usize| {
+        let upto = (queued + more).min(total_ops);
+        for k in queued..upto {
+            let (name, owner) = (format!("lease-{}", k / 2), worker);
+            let cmd = if k.is_multiple_of(2) {
+                LockCmd::Acquire { name, owner }
             } else {
-                LockCmd::Release {
-                    name,
-                    owner: worker,
-                }
+                LockCmd::Release { name, owner }
             };
             cluster.submit(worker, ClientOp::App(cmd));
-            *queued += 1;
         }
+        queued = upto;
     };
-    // One op roughly every two simulated seconds.
-    let total_ops = (config.window_minutes / 2).max(4) as usize;
-    refill(&mut cluster, &mut queued, total_ops.min(64));
+    refill(&mut cluster, 64);
 
-    let mut boundary = config.eval_start;
-    let window_end = config.eval_start + config.window_minutes;
-    while boundary < window_end {
-        let interval_end = (boundary + interval_min).min(window_end);
-
-        // Kills within this interval, in market-minute order.
-        let mut kills: Vec<(u64, Zone)> = fleet
-            .iter()
-            .filter_map(|(&zone, &(_, bid))| {
-                market
-                    .out_of_bid_at(zone, ty, bid, boundary, interval_end)
-                    .map(|k| (k, zone))
-            })
-            .collect();
-        kills.sort_unstable();
-
-        for (kill_minute, zone) in kills {
-            cluster
-                .sim
-                .run_until(to_sim(kill_minute - config.eval_start));
-            let upto = (queued + 16).min(total_ops);
-            refill(&mut cluster, &mut queued, upto);
-            if let Some((node, _)) = fleet.remove(&zone) {
-                cluster.crash(node);
+    let (mut joining, mut leaving) = (Vec::new(), Vec::new());
+    let apply = |cluster: &mut Cluster<LockService>, minute, change| match change {
+        Change::Boot(i) => joining.push(i),
+        Change::Retire(i) => leaving.push(i),
+        Change::Kill(i) => {
+            if let Some(n) = node.remove(&i) {
+                refill(cluster, 16);
+                cluster.crash(n);
                 crashes += 1;
-                crash_series.record(kill_minute, crashes as f64);
+                crash_series.record(minute, crashes as f64);
             }
         }
-        cluster
-            .sim
-            .run_until(to_sim(interval_end - config.eval_start));
-        if interval_end >= window_end {
-            break;
-        }
-
-        // ---- bidding-interval boundary: re-decide and reconfigure -------
-        // Fold the newly revealed prices of every zone into the models.
-        for &z in market.zones() {
-            framework.observe(z, ty, &market.trace(z, ty).window(boundary, interval_end));
-        }
-        let decision = framework.decide(&snapshot(interval_end), interval_min as u32);
-        if decision.n() == 0 {
-            boundary = interval_end;
-            continue; // keep the current fleet rather than run nothing
-        }
-
-        let mut add_nodes = Vec::new();
-        let mut new_fleet: BTreeMap<Zone, (NodeId, Price)> = BTreeMap::new();
-        for pb in &decision.bids {
-            let (zone, bid) = (pb.zone, pb.bid);
-            match fleet.get(&zone) {
-                // A standing higher bid keeps protecting the instance —
-                // carry it over instead of churning the membership.
-                Some(&(node, old_bid)) if old_bid >= bid => {
-                    new_fleet.insert(zone, (node, old_bid));
-                }
-                _ => {
-                    if !market.grants(zone, ty, bid, interval_end) {
-                        continue;
-                    }
-                    let node = cluster.spawn_server(LockService::new());
-                    add_nodes.push(node);
-                    new_fleet.insert(zone, (node, bid));
-                }
+        Change::Boundary => {
+            // Retiring every live member with no joiner would leave
+            // nothing to serve: keep the members instead.
+            if joining.is_empty() && node.keys().all(|i| leaving.contains(i)) {
+                leaving.clear();
             }
-        }
-        let remove_nodes: Vec<NodeId> = fleet
-            .iter()
-            .filter(|(z, _)| !new_fleet.contains_key(*z))
-            .map(|(_, &(n, _))| n)
-            .collect();
-        if !add_nodes.is_empty() || !remove_nodes.is_empty() {
-            cluster.submit(
-                admin,
-                ClientOp::Reconfig {
-                    add: add_nodes,
-                    remove: remove_nodes.clone(),
-                },
-            );
-            let deadline = cluster.sim.now() + SimTime::from_secs(120);
-            cluster.run_until_drained(admin, deadline);
-            cluster.refresh_clients();
-            for node in remove_nodes {
-                if cluster.sim.is_up(node) {
-                    cluster.crash(node); // the instance is returned to EC2
-                }
+            let remove: Vec<NodeId> = leaving.drain(..).filter_map(|i| node.remove(&i)).collect();
+            let mut add = Vec::new();
+            for i in joining.drain(..) {
+                let n = cluster.spawn_server(LockService::new());
+                node.insert(i, n);
+                add.push(n);
             }
-            reconfigs += 1;
+            if !add.is_empty() || !remove.is_empty() {
+                let op = ClientOp::Reconfig {
+                    add,
+                    remove: remove.clone(),
+                };
+                cluster.submit(admin, op);
+                let deadline = cluster.sim.now() + SimTime::from_secs(120);
+                cluster.run_until_drained(admin, deadline);
+                cluster.refresh_clients();
+                // The retired instances are returned to EC2.
+                remove.iter().for_each(|&n| cluster.crash(n));
+                reconfigs += 1;
+            }
+            fleet_series.record(minute, node.len() as f64);
+            reconfig_series.record(minute, reconfigs as f64);
+            refill(cluster, 32);
         }
-        fleet = new_fleet;
-        fleet_series.record(interval_end, fleet.len() as f64);
-        reconfig_series.record(interval_end, reconfigs as f64);
-        let upto = (queued + 32).min(total_ops);
-        refill(&mut cluster, &mut queued, upto);
-        boundary = interval_end;
-    }
-
-    // Drain what remains, bounded.
-    let deadline = cluster.sim.now() + SimTime::from_secs(300);
-    cluster.run_until_drained(worker, deadline);
-
-    // ---- metrics -------------------------------------------------------
-    let history = cluster
-        .sim
-        .actor(worker)
-        .and_then(paxos::PaxosNode::as_client)
-        .map(|c| c.history().to_vec())
-        .unwrap_or_default();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut unfinished = 0usize;
-    for op in &history {
-        match &op.completed {
-            Some((done, _)) => latencies.push(done.as_millis() - op.issued_at.as_millis()),
-            None => unfinished += 1,
-        }
-    }
-    let completed = latencies.len();
-    let mean = if completed == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<u64>() as f64 / completed as f64
     };
-    let max = latencies.iter().copied().max().unwrap_or(0);
-    let agreed = cluster.assert_log_agreement();
+    let history = play(&mut cluster, worker, config, changes, apply);
+
+    let latencies: Vec<u64> = history
+        .iter()
+        .filter_map(|op| {
+            let (done, _) = op.completed.as_ref()?;
+            Some(done.as_millis() - op.issued_at.as_millis())
+        })
+        .collect();
+    let unfinished = history.len() - latencies.len();
     record_trace_metrics(obs);
     record_latency_slo(obs, config.eval_start, config.window_minutes);
 
     ServiceReplayOutcome {
-        ops_completed: completed,
+        ops_completed: latencies.len(),
         ops_unfinished: unfinished,
-        mean_latency_ms: mean,
-        max_latency_ms: max,
+        mean_latency_ms: latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64,
+        max_latency_ms: latencies.iter().copied().max().unwrap_or(0),
         sla_fraction: sla_fraction(&latencies, unfinished),
         reconfigs,
         crashes,
-        agreed_log_len: agreed,
+        agreed_log_len: cluster.assert_log_agreement(),
     }
 }
 
@@ -390,185 +387,94 @@ pub struct StorageReplayOutcome {
     pub reads: usize,
     /// Out-of-bid crashes injected.
     pub crashes: usize,
-    /// Replica slot rebinds (zone or bid changes at boundaries).
+    /// Replica slot rebinds: a booted record taking over a slot another
+    /// record held.
     pub rebinds: usize,
 }
 
-/// Run the RS-Paxos storage service under a bidding strategy for a short
-/// market window.
+/// Run the RS-Paxos storage service on the fleet `strategy` bids for over
+/// a short market window.
 ///
-/// RS-Paxos keeps a fixed five-slot membership (shard index = slot), so
-/// zone changes at bidding-interval boundaries are modelled as slot
-/// *rebinds*: the outgoing instance is terminated and a fresh replica
-/// takes over the slot, recovering state through protocol catch-up —
-/// operationally the replacement flow of §4 with the shard index pinned.
-/// Every RS-Paxos replica records into `obs` (`storage.*`, `trace.*`); a
-/// strategy built `with_obs` adds its `jupiter.*`.
+/// RS-Paxos keeps a fixed five-slot membership (shard index = slot), so a
+/// record holds a free slot from its boot (or, when all five are held,
+/// from the moment one frees) to its end, and a slot changing hands is a
+/// *rebind*: a pristine replica takes over the slot and recovers state
+/// through protocol catch-up — operationally the replacement flow of §4
+/// with the shard index pinned. A kill or a retirement leaves its slot
+/// down until another record takes it; records beyond five at once are
+/// not hosted. Every RS-Paxos replica records into `obs` (`storage.*`,
+/// `trace.*`); a strategy built `with_obs` adds its `jupiter.*`.
 pub fn storage_service_replay<S: BiddingStrategy>(
     market: &Market,
     strategy: S,
     config: ServiceReplayConfig,
     obs: &Obs,
 ) -> StorageReplayOutcome {
-    use storage::{RsCluster, RsConfig, StoreCmd, StoreResp};
+    use storage::{RsCluster, RsConfig, RsService, StoreCmd, StoreResp};
+    const SLOTS: usize = 5;
 
-    let spec = ServiceSpec::storage_service();
-    let ty = spec.instance_type;
-    assert!(
-        config.eval_start + config.window_minutes <= market.horizon(),
-        "window beyond market horizon"
-    );
-
-    let mut framework = BiddingFramework::new(spec.clone(), strategy);
-    for &z in market.zones() {
-        framework.observe(z, ty, &market.trace(z, ty).window(0, config.eval_start));
-    }
-    let snapshot = |minute: u64| snapshots_at(market, &[ty], minute);
-    let interval_min = config.interval_hours * 60;
-    let pick = |decision: &jupiter::BidDecision| -> Vec<(Zone, Price)> {
-        decision.bids.iter().map(|b| (b.zone, b.bid)).take(5).collect()
+    let (mut first, changes) =
+        billed_fleet(market, &ServiceSpec::storage_service(), strategy, config);
+    let rs = RsConfig {
+        obs: obs.clone(),
+        ..RsConfig::default()
     };
-    let first = framework.decide(&snapshot(config.eval_start), interval_min as u32);
-    let mut assignment = pick(&first);
-    assert_eq!(assignment.len(), 5, "storage needs five zones");
-
-    let mut cluster = RsCluster::new(
-        5,
-        RsConfig {
-            obs: obs.clone(),
-            ..RsConfig::default()
-        },
-        NetworkConfig::default(),
-        config.seed,
-    );
+    let mut cluster = RsCluster::new(SLOTS, rs, NetworkConfig::default(), config.seed);
     let client = cluster.add_client();
+    // Slot `s` is replica `NodeId(s)`; its record, if any (a slot no
+    // record holds is down). Booted records wait for a free slot in boot
+    // order.
+    let mut holder: Vec<Option<usize>> = (0..SLOTS).map(|s| first.get(s).copied()).collect();
+    let mut waiting = first.split_off(first.len().min(SLOTS));
+    (first.len()..SLOTS).for_each(|s| cluster.crash(NodeId(s)));
 
-    let mut crashes = 0usize;
-    let mut rebinds = 0usize;
-    let mut op_counter = 0usize;
+    let (mut crashes, mut rebinds) = (0usize, 0usize);
     let total_ops = (config.window_minutes / 3).max(4) as usize;
-    let submit_some = |cluster: &mut RsCluster, op_counter: &mut usize, upto: usize| {
-        while *op_counter < upto {
-            let key = format!("obj-{}", *op_counter % 7);
-            if (*op_counter).is_multiple_of(2) {
-                let tag = (*op_counter % 251) as u8;
-                cluster.submit(
-                    client,
-                    StoreCmd::Put {
-                        key,
-                        object: bytes::Bytes::from(vec![tag; 256]),
-                    },
-                );
+    let mut submitted = 0usize;
+    let mut submit = |cluster: &mut Cluster<RsService>, more: usize| {
+        let upto = (submitted + more).min(total_ops);
+        for k in submitted..upto {
+            let key = format!("obj-{}", k % 7);
+            let op = if k.is_multiple_of(2) {
+                let object = bytes::Bytes::from(vec![(k % 251) as u8; 256]);
+                StoreCmd::Put { key, object }
             } else {
-                cluster.submit(client, StoreCmd::Get { key });
+                StoreCmd::Get { key }
+            };
+            cluster.submit(client, op);
+        }
+        submitted = upto;
+    };
+    submit(&mut cluster, 40);
+
+    let apply = |cluster: &mut Cluster<RsService>, _, change| {
+        match change {
+            Change::Boot(i) => waiting.push(i),
+            Change::Boundary => submit(cluster, 16),
+            Change::Retire(i) | Change::Kill(i) => {
+                let kill = matches!(change, Change::Kill(_));
+                if kill {
+                    submit(cluster, 8);
+                }
+                waiting.retain(|&j| j != i);
+                if let Some(slot) = holder.iter().position(|&h| h == Some(i)) {
+                    cluster.crash(NodeId(slot));
+                    holder[slot] = None;
+                    crashes += usize::from(kill);
+                }
             }
-            *op_counter += 1;
+        }
+        while let (Some(slot), false) =
+            (holder.iter().position(Option::is_none), waiting.is_empty())
+        {
+            cluster.restart_pristine(NodeId(slot));
+            holder[slot] = Some(waiting.remove(0));
+            rebinds += 1;
         }
     };
-    submit_some(&mut cluster, &mut op_counter, total_ops.min(40));
+    let history = play(&mut cluster, client, config, changes, apply);
 
-    let mut boundary = config.eval_start;
-    let window_end = config.eval_start + config.window_minutes;
-    let mut dead: Vec<usize> = Vec::new();
-    while boundary < window_end {
-        let interval_end = (boundary + interval_min).min(window_end);
-        // Kills within this interval, slot by slot.
-        let mut kills: Vec<(u64, usize)> = assignment
-            .iter()
-            .enumerate()
-            .filter(|(slot, _)| !dead.contains(slot))
-            .filter_map(|(slot, &(zone, bid))| {
-                market
-                    .out_of_bid_at(zone, ty, bid, boundary, interval_end)
-                    .map(|k| (k, slot))
-            })
-            .collect();
-        kills.sort_unstable();
-        for (kill_minute, slot) in kills {
-            cluster
-                .sim
-                .run_until(to_sim(kill_minute - config.eval_start));
-            let upto = (op_counter + 8).min(total_ops);
-            submit_some(&mut cluster, &mut op_counter, upto);
-            let victim = cluster.servers()[slot];
-            cluster.crash(victim);
-            dead.push(slot);
-            crashes += 1;
-        }
-        cluster
-            .sim
-            .run_until(to_sim(interval_end - config.eval_start));
-        if interval_end >= window_end {
-            break;
-        }
-
-        // Boundary: fold in revealed prices, re-decide, rebind slots.
-        for &z in market.zones() {
-            framework.observe(z, ty, &market.trace(z, ty).window(boundary, interval_end));
-        }
-        let decision = framework.decide(&snapshot(interval_end), interval_min as u32);
-        let target = pick(&decision);
-        if target.len() == 5 {
-            // Keep slots whose zone survives with an adequate standing
-            // bid; rebind the rest (restart = replacement instance).
-            let mut unused: Vec<(Zone, Price)> = target
-                .iter()
-                .copied()
-                .filter(|(z, _)| !assignment.iter().any(|(az, _)| az == z))
-                .collect();
-            for (slot, entry) in assignment.iter_mut().enumerate() {
-                let (zone, bid) = *entry;
-                let keep = target
-                    .iter()
-                    .any(|&(z, b)| z == zone && bid >= b)
-                    && !dead.contains(&slot);
-                if keep {
-                    continue;
-                }
-                let Some((nz, nb)) = unused.pop() else {
-                    // No replacement zone: revive the slot in place.
-                    if dead.contains(&slot) {
-                        cluster.restart(cluster.servers()[slot]);
-                        dead.retain(|&s| s != slot);
-                        rebinds += 1;
-                    }
-                    continue;
-                };
-                if !dead.contains(&slot) {
-                    let victim = cluster.servers()[slot];
-                    cluster.crash(victim);
-                } else {
-                    dead.retain(|&s| s != slot);
-                }
-                cluster.restart(cluster.servers()[slot]);
-                *entry = (nz, nb);
-                rebinds += 1;
-            }
-        } else {
-            // Strategy found nothing better: revive any dead slots.
-            for slot in dead.drain(..) {
-                cluster.restart(cluster.servers()[slot]);
-                rebinds += 1;
-            }
-        }
-        let upto = (op_counter + 16).min(total_ops);
-        submit_some(&mut cluster, &mut op_counter, upto);
-        boundary = interval_end;
-    }
-
-    let deadline = cluster.sim.now() + SimTime::from_secs(300);
-    cluster.run_until_drained(client, deadline);
-
-    let history = cluster
-        .sim
-        .actor(client)
-        .and_then(storage::RsNode::as_client)
-        .map(|c| c.history().to_vec())
-        .unwrap_or_default();
-    let mut completed = 0usize;
-    let mut unfinished = 0usize;
-    let mut reads = 0usize;
-    let mut correct_reads = 0usize;
+    let (mut completed, mut unfinished, mut reads, mut correct_reads) = (0, 0, 0, 0);
     // Replay the history to know what each get should have returned.
     let mut shadow: std::collections::HashMap<String, u8> = Default::default();
     for op in &history {

@@ -37,7 +37,6 @@ fn main() {
         AutoscaleConfig {
             min_strength: 4,
             max_strength: 24,
-            ..AutoscaleConfig::default()
         },
         demand,
     );

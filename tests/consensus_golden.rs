@@ -34,7 +34,12 @@
 //! `lock_market_replay` was 0x52edf1a18c2f40d1 then; it was re-keyed at
 //! 4fda18e, where writing its three `service.*` series through
 //! `SeriesSnapshot::to_json` instead of the since-deleted JSON-lines
-//! exporter gives the value below (same samples, other bytes).
+//! exporter gives 0x640f8dd960cbf900 (same samples, other bytes). It was
+//! re-pinned once more when `lock_service_replay` stopped re-running the
+//! bidding loop and began playing the market replay's instance records:
+//! the live service now runs the billed fleet, `trace.ops` went 96 → 97
+//! and the digest moved to the value below; the heartbeat count and the
+//! p99 held.
 
 use std::fmt::{self, Write as _};
 
@@ -74,7 +79,7 @@ const WANT: [(&str, u64); 18] = [
     ("store chaos batched 4", 0x7f945874ac4e2f39),
     ("store open loop", 0x6531026a967d91be),
     // Recorded at 1de41dd (see the header).
-    ("lock market replay", 0x640f8dd960cbf900),
+    ("lock market replay", 0xebf8c2f878198f3d),
     ("store workload batch 8", 0x0f3eee4c8d5af7d4),
 ];
 
@@ -619,7 +624,7 @@ fn lock_market_replay() -> u64 {
     let snap = obs.metrics.snapshot();
     // Legible on their own; the digest below covers them too.
     assert_eq!(snap.counter("paxos.msg_sent.heartbeat"), Some(4780));
-    assert_eq!(snap.counter("trace.ops"), Some(96));
+    assert_eq!(snap.counter("trace.ops"), Some(97));
     assert_eq!(snap.counter("trace.commit_latency_p99_micros"), Some(1_272_000));
     let mut d = Digest::new();
     writeln!(d, "{outcome:?}").unwrap();

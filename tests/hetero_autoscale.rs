@@ -55,7 +55,6 @@ fn autoscale_run(seed: u64) -> (ReplayResult, (u64, u64), Vec<(String, String)>)
         AutoscaleConfig {
             min_strength: 4,
             max_strength: 24,
-            ..AutoscaleConfig::default()
         },
         demand,
     );

@@ -163,7 +163,6 @@ fn every_recorded_signal_is_in_the_inventory_with_a_reader() {
         AutoscaleConfig {
             min_strength: 4,
             max_strength: 24,
-            ..AutoscaleConfig::default()
         },
         demand,
     );

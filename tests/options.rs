@@ -128,9 +128,6 @@ fn every_config_field_is_inventoried() {
     } = RepairConfig::off();
 
     let AutoscaleConfig {
-        headroom: _,
-        // ONE VALUE (0.25): `experiments::autoscale_report` reads it back to size the
-        // static-peak baseline
         min_strength: _,
         // 5 by default; 4 in `experiments::autoscale_report`
         max_strength: _,

@@ -151,7 +151,6 @@ fn whole_result_digests_match_the_pre_refactor_loop() {
         AutoscaleConfig {
             min_strength: 4,
             max_strength: 24,
-            ..AutoscaleConfig::default()
         },
         demand,
     );

@@ -3,15 +3,86 @@
 //! schedules.
 
 use bytes::Bytes;
-use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
-use spot_jupiter::obs::Obs;
+use spot_jupiter::jupiter::{BiddingStrategy, ExtraStrategy, JupiterStrategy, ServiceSpec};
+use spot_jupiter::obs::{AlertSink, Obs};
 use spot_jupiter::paxos::{ClientOp, LockCmd, LockService, ReplicaConfig};
+use spot_jupiter::replay::lifecycle::DECISION_LEAD;
 use spot_jupiter::replay::service_level::{lock_service_replay, ServiceReplayConfig};
-use spot_jupiter::replay::{RepairConfig, RepairPolicy, Scenario, SweepSpec};
+use spot_jupiter::replay::{RepairConfig, RepairPolicy, Replay, ReplayConfig, Scenario, SweepSpec};
 use spot_jupiter::simnet::SimTime;
-use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig};
+use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig, Termination};
 use spot_jupiter::storage::{RsConfig, StoreCmd, StoreResp};
 use test_util::{lock_cluster, storage_cluster};
+
+/// ROADMAP item 2's wedge recipe: an 8-zone m1.small market at seed 2014,
+/// two training weeks, then three days re-bid every 3 h.
+const TRAIN: u64 = 2 * 7 * 24 * 60;
+const WINDOW: u64 = 3 * 24 * 60;
+
+fn recipe() -> (Market, ServiceReplayConfig) {
+    let mut cfg = MarketConfig::paper(2014, TRAIN + WINDOW);
+    cfg.zones.truncate(8);
+    cfg.types = vec![InstanceType::M1Small];
+    let config = ServiceReplayConfig {
+        eval_start: TRAIN,
+        window_minutes: WINDOW,
+        interval_hours: 3,
+        seed: 2014,
+    };
+    (Market::generate(cfg), config)
+}
+
+#[test]
+fn the_wedge_recipe_is_never_silent() {
+    // Extra(0, 0.2) stops answering partway through the window. Whatever
+    // the cause, a stall must raise the liveness watchdog inside the
+    // window (one market minute is one simulated second).
+    let (market, config) = recipe();
+    let obs = Obs {
+        alerts: AlertSink::new(AlertSink::DEFAULT_CAPACITY),
+        ..Obs::disabled()
+    };
+    let out = lock_service_replay(&market, ExtraStrategy::new(0, 0.2), config, &obs);
+    let alarmed = obs
+        .alerts
+        .snapshot()
+        .iter()
+        .any(|a| a.monitor == "watchdog.liveness" && a.at_micros < WINDOW * 1_000_000);
+    assert!(out.ops_unfinished == 0 || alarmed, "silent stall: {out:?}");
+}
+
+#[test]
+fn the_live_service_runs_the_billed_fleet() {
+    // Every kill the market replay bills crashes a live replica, and every
+    // boundary where the billed membership changes is one view change.
+    let (market, config) = recipe();
+    let spec = ServiceSpec::lock_service();
+    let end = TRAIN + WINDOW;
+    let strategies: [fn() -> Box<dyn BiddingStrategy>; 2] = [
+        || Box::new(JupiterStrategy::new()),
+        || Box::new(ExtraStrategy::new(0, 0.2)),
+    ];
+    for make in strategies {
+        let billed = Replay::new(&market, &spec, ReplayConfig::new(TRAIN, end, 3)).run(make());
+        let records = &billed.instances;
+        let kills = records
+            .iter()
+            .filter(|r| r.termination == Termination::Provider && r.ended_at < end)
+            .count();
+        let changed = billed.intervals[1..]
+            .iter()
+            .filter(|iv| {
+                records.iter().any(|r| {
+                    r.granted_at + DECISION_LEAD == iv.start
+                        || (r.termination == Termination::User && r.ended_at == iv.start)
+                })
+            })
+            .count();
+        let live = lock_service_replay(&market, make(), config, &Obs::disabled());
+        assert_eq!(live.crashes, kills, "{}", billed.strategy);
+        assert_eq!(live.reconfigs, changed, "{}", billed.strategy);
+    }
+}
 
 #[test]
 fn service_level_replay_meets_sla() {
