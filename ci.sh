@@ -133,6 +133,11 @@ done
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings =="
+# A broken or private intra-doc link fails here, so deleting an item
+# cannot leave a dangling [`...`] link behind in its readers' docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== frozen benchmark directory =="
 # The --locked step never writes benchmark/Cargo.lock, but the BENCHMARK.json
 # command runs without --locked and prunes the stale entries from it; a

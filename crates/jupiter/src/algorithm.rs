@@ -26,19 +26,20 @@ use crate::strategy::{BidDecision, BiddingStrategy, PoolBid, ZoneState};
 
 /// Pick `n` pools from `bids` approximately minimizing total cost subject
 /// to the capacity-weight floor: start from the `n` cheapest bids (the
-/// paper's homogeneous order), then repeatedly apply the single swap — a
+/// paper's greedy order), then repeatedly apply the single swap — a
 /// selected pool out, a strictly heavier unselected pool in — with the
 /// lowest marginal cost per unit of strength gained, until the floor is
 /// met. When the node-count constraint binds (the cheap picks already
 /// satisfy the floor) this buys no excess strength; when the strength
 /// constraint binds it pays for strength wherever it is cheapest per
 /// unit. Returns `None` when no `n`-pool subset can reach the target.
-fn select_with_strength(bids: &[PoolBid], n: usize, min_strength: u32) -> Option<Vec<PoolBid>> {
-    let mut sorted: Vec<PoolBid> = bids.to_vec();
-    sorted.sort_by_key(|b| (b.bid, b.zone.ordinal(), b.instance_type.ordinal()));
-    let selected: Vec<PoolBid> = sorted[..n].to_vec();
-    let rest: Vec<PoolBid> = sorted.split_off(n);
-    upgrade_to_strength(selected, rest, min_strength)
+fn select_with_strength(
+    mut bids: Vec<PoolBid>,
+    n: usize,
+    min_strength: u32,
+) -> Option<Vec<PoolBid>> {
+    bids.sort_by_key(|b| (b.bid, b.zone.ordinal(), b.instance_type.ordinal()));
+    upgrade_to_strength(bids, n, min_strength)
 }
 
 /// [`select_with_strength`] with a zone-diversified starting selection:
@@ -47,18 +48,17 @@ fn select_with_strength(bids: &[PoolBid], n: usize, min_strength: u32) -> Option
 /// pools — which share capacity crunches under `BidEra::CapacityReclaim`
 /// — are only doubled up once every zone is covered. The strength
 /// upgrade loop then runs unchanged.
-fn select_diversified(bids: &[PoolBid], n: usize, min_strength: u32) -> Option<Vec<PoolBid>> {
-    let mut sorted: Vec<PoolBid> = bids.to_vec();
-    sorted.sort_by_key(|b| (b.bid, b.zone.ordinal(), b.instance_type.ordinal()));
-    let mut selected: Vec<PoolBid> = Vec::with_capacity(n);
-    let mut used = vec![false; sorted.len()];
+fn select_diversified(mut bids: Vec<PoolBid>, n: usize, min_strength: u32) -> Option<Vec<PoolBid>> {
+    bids.sort_by_key(|b| (b.bid, b.zone.ordinal(), b.instance_type.ordinal()));
+    let mut selected: Vec<PoolBid> = Vec::with_capacity(bids.len());
+    let mut used = vec![false; bids.len()];
     while selected.len() < n {
         // One pick per zone per pass, cheapest first; a second pool in a
         // zone is only taken once every zone with an unused pool has one
         // more pick than it had last pass.
         let mut pass_zones: Vec<spot_market::Zone> = Vec::new();
         let mut progressed = false;
-        for (i, b) in sorted.iter().enumerate() {
+        for (i, b) in bids.iter().enumerate() {
             if selected.len() >= n {
                 break;
             }
@@ -77,24 +77,27 @@ fn select_diversified(bids: &[PoolBid], n: usize, min_strength: u32) -> Option<V
     if selected.len() < n {
         return None;
     }
-    let rest: Vec<PoolBid> = sorted
-        .into_iter()
-        .zip(used)
-        .filter_map(|(b, u)| (!u).then_some(b))
-        .collect();
-    upgrade_to_strength(selected, rest, min_strength)
+    selected.extend(
+        bids.into_iter()
+            .zip(used)
+            .filter_map(|(b, u)| (!u).then_some(b)),
+    );
+    upgrade_to_strength(selected, n, min_strength)
 }
 
 /// The marginal-cost strength-upgrade loop shared by the plain and the
-/// diversified selections (see [`select_with_strength`]).
+/// diversified selections (see [`select_with_strength`]): the first
+/// `picks` pools are the starting selection, the rest the candidates in
+/// order. Returns the selection alone.
 fn upgrade_to_strength(
-    mut selected: Vec<PoolBid>,
-    mut rest: Vec<PoolBid>,
+    mut pools: Vec<PoolBid>,
+    picks: usize,
     min_strength: u32,
 ) -> Option<Vec<PoolBid>> {
     let weight = |b: &PoolBid| b.instance_type.capacity_weight();
-    let mut strength: u32 = selected.iter().map(weight).sum();
+    let mut strength: u32 = pools[..picks].iter().map(weight).sum();
     while strength < min_strength {
+        let (selected, rest) = pools.split_at(picks);
         // Marginal-cost comparison is exact via cross-multiplication:
         // Δcost_a / gain_a < Δcost_b / gain_b  ⇔  Δcost_a·gain_b <
         // Δcost_b·gain_a (gains positive; Δcost may be negative once
@@ -131,10 +134,11 @@ fn upgrade_to_strength(
             }
         }
         let (_, gain, vi, ri) = best?;
-        selected[vi] = rest.remove(ri);
+        pools[vi] = pools.remove(picks + ri);
         strength = (i128::from(strength) + gain) as u32;
     }
-    Some(selected)
+    pools.truncate(picks);
+    Some(pools)
 }
 
 /// Which per-instance failure estimator drives the minimum-bid search.
@@ -353,7 +357,7 @@ impl JupiterStrategy {
                 instance_type: zones[zi].instance_type,
                 bid: b,
             };
-            let mut bids: Vec<PoolBid> = match self.estimator {
+            let bids: Vec<PoolBid> = match self.estimator {
                 Estimator::Expectation => (0..zones.len())
                     .filter_map(|zi| expectation_min_bid(zi, fp_target).map(|b| pool_bid(zi, b)))
                     .collect(),
@@ -364,34 +368,19 @@ impl JupiterStrategy {
             if bids.len() < n {
                 continue; // not enough pools can meet the target
             }
-            if spec.is_hetero() {
-                // Heterogeneous selection: the n cheapest pools, upgraded
-                // to heavier types at the lowest marginal cost per unit of
-                // strength until the capacity floor holds. Under
-                // `diversify` the starting selection covers zones
-                // round-robin before doubling up in any zone.
-                let selected = if spec.diversify {
-                    select_diversified(&bids, n, spec.min_strength)
-                } else {
-                    select_with_strength(&bids, n, spec.min_strength)
-                };
-                let Some(selected) = selected else {
-                    continue; // no n-pool subset reaches the strength floor
-                };
-                bids = selected;
-            } else if spec.diversify {
-                // Homogeneous diversified: one pool per zone (which the
-                // paper's single-type setup already is — every zone is
-                // its own pool — so this only reorders multi-pool lists).
-                bids = match select_diversified(&bids, n, 0) {
-                    Some(sel) => sel,
-                    None => continue,
-                };
+            // The n cheapest pools (the paper's greedy), upgraded to
+            // heavier types at the lowest marginal cost per unit of
+            // strength until the capacity floor holds. Under `diversify`
+            // the starting selection covers zones round-robin before
+            // doubling up in any zone.
+            let selected = if spec.diversify {
+                select_diversified(bids, n, spec.min_strength)
             } else {
-                // The paper's greedy: cheapest n zones.
-                bids.sort_by_key(|b| (b.bid, b.zone.ordinal()));
-                bids.truncate(n);
-            }
+                select_with_strength(bids, n, spec.min_strength)
+            };
+            let Some(bids) = selected else {
+                continue; // no n-pool subset reaches the strength floor
+            };
             candidates_feasible.inc();
             let candidate = BidDecision { bids };
             let cost = candidate.cost_upper_bound();
@@ -681,8 +670,7 @@ mod tests {
     }
 
     /// Two pools per zone (small + large). With a strength floor the mix
-    /// must reach it; without one, the hetero path at equal weights
-    /// reduces to the legacy cheapest-bid order.
+    /// must reach it.
     #[test]
     fn hetero_mix_meets_strength_floor() {
         let small_models: Vec<FailureModel> = (0..6).map(|_| model(0.008, 0.012, 60)).collect();
@@ -743,23 +731,22 @@ mod tests {
             mk(3, InstanceType::M3Large, 0.022),
         ];
         // Pick 2 with floor 8: only the two larges can reach it.
-        let sel = select_with_strength(&bids, 2, 8).expect("feasible");
+        let sel = select_with_strength(bids.clone(), 2, 8).expect("feasible");
         assert_eq!(
             sel.iter().map(|b| b.instance_type.capacity_weight()).sum::<u32>(),
             8
         );
         // Floor 9 is impossible with 2 pools (max 4+4).
-        assert!(select_with_strength(&bids, 2, 9).is_none());
+        assert!(select_with_strength(bids.clone(), 2, 9).is_none());
         // Floor 0 keeps the plain cheapest-first prefix — no upgrades.
-        let sel0 = select_with_strength(&bids, 2, 0).expect("feasible");
+        let sel0 = select_with_strength(bids.clone(), 2, 0).expect("feasible");
         assert_eq!(sel0.len(), 2);
         assert!(sel0.iter().all(|b| b.instance_type == InstanceType::M1Small));
     }
 
     /// Two pools per zone with the cheap bids concentrated in two zones:
     /// the plain selection doubles up there, the diversified one covers
-    /// distinct zones first — and with `diversify` off the decision is
-    /// byte-identical to the legacy order.
+    /// distinct zones first.
     #[test]
     fn diversified_selection_spreads_across_zones() {
         let mk = |zi: usize, ty: InstanceType, bid: f64| PoolBid {
@@ -774,8 +761,8 @@ mod tests {
             bids.push(mk(i, InstanceType::M1Small, base + i as f64 * 0.0001));
             bids.push(mk(i, InstanceType::M1Medium, base + 0.001 + i as f64 * 0.0001));
         }
-        let plain = select_with_strength(&bids, 4, 0).expect("feasible");
-        let spread = select_diversified(&bids, 4, 0).expect("feasible");
+        let plain = select_with_strength(bids.clone(), 4, 0).expect("feasible");
+        let spread = select_diversified(bids.clone(), 4, 0).expect("feasible");
         let distinct = |sel: &[PoolBid]| {
             let mut zs: Vec<_> = sel.iter().map(|b| b.zone).collect();
             zs.sort_by_key(|z| z.ordinal());
@@ -785,13 +772,13 @@ mod tests {
         assert_eq!(distinct(&plain), 2, "cheapest-4 doubles up: {plain:?}");
         assert_eq!(distinct(&spread), 4, "diversified covers 4 zones: {spread:?}");
         // The diversified pick still honors a strength floor.
-        let with_floor = select_diversified(&bids, 4, 7);
+        let with_floor = select_diversified(bids.clone(), 4, 7);
         if let Some(sel) = with_floor {
             let s: u32 = sel.iter().map(|b| b.instance_type.capacity_weight()).sum();
             assert!(s >= 7);
         }
         // Asking for more pools than exist fails cleanly.
-        assert!(select_diversified(&bids[..3], 4, 0).is_none());
+        assert!(select_diversified(bids[..3].to_vec(), 4, 0).is_none());
     }
 
     /// The node-count floor binding: the cheap picks already reach the
@@ -812,7 +799,7 @@ mod tests {
         }
         // n = 5, floor 8: start with the 5 cheapest smalls (strength 5),
         // one upgrade (+3) reaches 8.
-        let sel = select_with_strength(&bids, 5, 8).expect("feasible");
+        let sel = select_with_strength(bids.clone(), 5, 8).expect("feasible");
         let strength: u32 = sel.iter().map(|b| b.instance_type.capacity_weight()).sum();
         assert_eq!(strength, 8, "{sel:?}");
         let larges = sel

@@ -58,7 +58,7 @@ impl BiddingStrategy for ExtraStrategy {
 }
 
 /// A one-shot bidding wrapper modelling Andrzejak et al.'s decision model
-/// (the paper's related work, [3]): compute an SLA-respecting bid
+/// (the paper's related work, \[3\]): compute an SLA-respecting bid
 /// assignment **once**, then hold it unchanged for the whole deployment —
 /// no re-bidding at interval boundaries. The paper argues this "simple
 /// approach is not suitable for the case of frequent fluctuation of spot

@@ -21,9 +21,9 @@ pub struct ServiceSpec {
     /// 1e-6.
     pub epsilon: f64,
     /// The instance-type pools replicas may be placed in. Empty (the
-    /// default) means the single-type deployment `[instance_type]` — the
-    /// paper's setup, preserved byte-identically by every optimizer path.
-    /// With ≥2 types the optimizer chooses a *type mix* per zone.
+    /// default) means the single-type deployment `[instance_type]`, the
+    /// paper's setup. With ≥2 types the optimizer chooses a *type mix*
+    /// per zone.
     pub pool_types: Vec<InstanceType>,
     /// Minimum capacity-weighted fleet strength (Σ
     /// [`InstanceType::capacity_weight`] over chosen replicas) a decision
@@ -31,10 +31,11 @@ pub struct ServiceSpec {
     /// this each interval from observed load.
     pub min_strength: u32,
     /// Prefer spreading replicas across *zones* when selecting pools.
-    /// Off (the default) keeps every legacy selection byte-identical;
-    /// the replay framework turns it on under `BidEra::CapacityReclaim`,
-    /// where same-zone pools share capacity crunches and cross-zone
-    /// pools have independent interruption processes.
+    /// Off by default: the cheapest pools are taken outright. The replay
+    /// framework turns it on under `BidEra::CapacityReclaim`, where
+    /// same-zone pools share capacity crunches and cross-zone pools have
+    /// independent interruption processes. With one pool per zone both
+    /// orders pick the same pools.
     pub diversify: bool,
 }
 
@@ -104,9 +105,10 @@ impl ServiceSpec {
         }
     }
 
-    /// Whether this spec exercises the heterogeneous decision paths (≥2
-    /// pool types or a strength floor). Single-type, unconstrained specs
-    /// take the legacy byte-identical paths everywhere.
+    /// Whether this spec is heterogeneous (≥2 pool types or a strength
+    /// floor): its replays record the per-type fleet series and name the
+    /// price and bid series by zone and type, and `repro` replays it on
+    /// the mixed-type market.
     pub fn is_hetero(&self) -> bool {
         self.pool_types.len() > 1 || self.min_strength > 0
     }

@@ -50,7 +50,7 @@ pub use timeseries::{
     SeriesPoint, SeriesSnapshot, SeriesStore, TimeSeries, DEFAULT_SERIES_CAPACITY,
 };
 pub use trace::{
-    event_to_json, Event, EventKind, FieldValue, Span, SpanHandle, TraceContext, Tracer,
+    event_to_json, Event, EventKind, FieldValue, SpanHandle, TraceContext, Tracer,
 };
 
 use std::sync::Arc;

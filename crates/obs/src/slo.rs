@@ -107,7 +107,7 @@ impl SloTracker {
     }
 
     /// Register the audit seq of a decision now in effect; the most
-    /// recent [`MAX_REFS`] are attached to any alert fired later.
+    /// recent `MAX_REFS` are attached to any alert fired later.
     pub fn link_decision(&mut self, seq: u64) {
         if !self.sink.is_enabled() {
             return;

@@ -12,9 +12,10 @@ use crate::ring::Ring;
 pub enum EventKind {
     /// A point-in-time occurrence.
     Instant,
-    /// The opening edge of a [`Span`].
+    /// The opening edge of a span ([`Tracer::span_open`]).
     SpanStart,
-    /// The closing edge of a [`Span`]; carries `duration_micros`.
+    /// The closing edge of a span ([`Tracer::span_close`]); carries
+    /// `duration_micros`.
     SpanEnd,
 }
 
@@ -205,47 +206,15 @@ impl Tracer {
         });
     }
 
-    /// Open a span: records the start edge now and the end edge (with
-    /// duration) when the returned guard drops or [`Span::end`] runs.
-    pub fn span(&self, name: &str, fields: &[(&str, FieldValue)]) -> Span {
-        let Some(inner) = &self.inner else {
-            return Span {
-                tracer: Tracer::disabled(),
-                id: 0,
-                name: String::new(),
-                start_micros: 0,
-                finished: true,
-            };
-        };
-        let id = inner.next_span_id.fetch_add(1, Ordering::Relaxed);
-        let start_micros = inner.clock.now_micros();
-        inner.push(Event {
-            at_micros: start_micros,
-            name: name.to_owned(),
-            kind: EventKind::SpanStart,
-            span_id: Some(id),
-            trace_id: 0,
-            parent_span: 0,
-            fields: owned_fields(fields),
-        });
-        Span {
-            tracer: self.clone(),
-            id,
-            name: name.to_owned(),
-            start_micros,
-            finished: false,
-        }
-    }
-
-    /// Open a span without a guard: records the start edge and returns
-    /// a [`SpanHandle`] (`Copy`, storable in `Clone`/`Debug` state
-    /// machines) to pass to [`Tracer::span_close`] later. Returns the
-    /// inert handle when disabled.
+    /// Open a span: records the start edge and returns a [`SpanHandle`]
+    /// (`Copy`, storable in `Clone`/`Debug` state machines) to pass to
+    /// [`Tracer::span_close`] later. Returns the inert handle when
+    /// disabled.
     pub fn span_open(&self, name: &str, fields: &[(&str, FieldValue)]) -> SpanHandle {
         self.span_open_causal(name, TraceContext::NONE, fields)
     }
 
-    /// Open a guard-free span as a causal child: the start edge carries
+    /// Open a span as a causal child: the start edge carries
     /// `tctx`'s trace id and names `tctx.span_id` (possibly a span on a
     /// remote node) as its parent. The returned handle's
     /// [`SpanHandle::context`] continues the trace with this span as
@@ -424,7 +393,7 @@ pub(crate) fn field_value_to_json(out: &mut String, value: &FieldValue) {
     }
 }
 
-/// A guard-free open span: just the span id and start timestamp, so it
+/// An open span: just the span id and start timestamp, so it
 /// is `Copy` and can live inside `Clone`/`Debug` state (e.g. a Paxos
 /// replica's in-flight proposals). Obtained from [`Tracer::span_open`],
 /// closed with [`Tracer::span_close`].
@@ -455,59 +424,5 @@ impl SpanHandle {
             trace_id: self.trace_id,
             span_id: self.id,
         }
-    }
-}
-
-/// Guard for an open span; ends the span on drop. Obtained from
-/// [`Tracer::span`].
-#[must_use = "a span measures until it is dropped or `.end()` is called"]
-pub struct Span {
-    tracer: Tracer,
-    id: u64,
-    name: String,
-    start_micros: u64,
-    finished: bool,
-}
-
-impl Span {
-    /// Close the span now, attaching `fields` to the end edge.
-    pub fn end_with(mut self, fields: &[(&str, FieldValue)]) {
-        self.finish(fields);
-    }
-
-    /// Close the span now.
-    pub fn end(mut self) {
-        self.finish(&[]);
-    }
-
-    fn finish(&mut self, fields: &[(&str, FieldValue)]) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let Some(inner) = &self.tracer.inner else {
-            return;
-        };
-        let now = inner.clock.now_micros();
-        let mut all = owned_fields(fields);
-        all.push((
-            "duration_micros".to_owned(),
-            FieldValue::U64(now.saturating_sub(self.start_micros)),
-        ));
-        inner.push(Event {
-            at_micros: now,
-            name: self.name.clone(),
-            kind: EventKind::SpanEnd,
-            span_id: Some(self.id),
-            trace_id: 0,
-            parent_span: 0,
-            fields: all,
-        });
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.finish(&[]);
     }
 }

@@ -194,7 +194,8 @@ fn disabled_instruments_are_inert() {
     Histogram::default().record(1);
     let tracer = Tracer::disabled();
     tracer.event("x", &[]);
-    tracer.span("y", &[]).end();
+    let span = tracer.span_open("y", &[]);
+    tracer.span_close(span, "y", &[]);
     assert!(tracer.events().is_empty());
 }
 
@@ -203,9 +204,9 @@ fn manual_clock_span_durations_use_virtual_time() {
     let clock = Arc::new(ManualClock::new());
     let tracer = Tracer::new(clock.clone(), 64);
     clock.set_micros(1_000);
-    let span = tracer.span("interval", &[("idx", FieldValue::U64(3))]);
+    let span = tracer.span_open("interval", &[("idx", FieldValue::U64(3))]);
     clock.set_micros(251_000);
-    span.end();
+    tracer.span_close(span, "interval", &[]);
     let events = tracer.events();
     assert_eq!(events.len(), 2);
     assert_eq!(events[0].kind, EventKind::SpanStart);

@@ -22,17 +22,16 @@ pub struct ReplicaConfig {
     /// Compact the log (snapshot + prune) once this many slots have been
     /// applied since the previous compaction. `None` disables compaction.
     pub compact_after: Option<u64>,
-    /// Maximum client operations folded into one slot. `1` disables
-    /// batching (each request gets its own slot, the pre-batching wire
-    /// behavior, byte-identical message streams).
+    /// Maximum client operations folded into one slot. `1` makes every
+    /// slot a one-op batch of the same request queue, so each request
+    /// gets its own slot and never lingers.
     pub batch_max_ops: usize,
     /// How long the leader lingers on a partial batch before proposing
-    /// it anyway. Only consulted when batching is enabled.
+    /// it anyway (never, at a batch size of 1).
     pub batch_delay: SimTime,
     /// Maximum in-flight (accepted-but-unchosen) proposals at the
-    /// leader. `0` means unlimited — the pre-pipelining behavior.
-    /// With a bound, excess requests queue at the leader and are
-    /// batched into slots as the window frees up.
+    /// leader. `0` means unlimited. With a bound, excess requests queue
+    /// at the leader and are batched into slots as the window frees up.
     pub pipeline: usize,
     /// Serve read-only commands ([`crate::StateMachine::is_read_only`])
     /// from the local applied state instead of the log. Guarantees
@@ -653,7 +652,7 @@ impl<S: Service> Replica<S> {
                 },
             );
         }
-        self.flush_pending(ctx);
+        self.maybe_flush_batches(true, ctx);
         self.send_heartbeat(ctx);
     }
 
@@ -710,13 +709,6 @@ impl<S: Service> Replica<S> {
         self.maybe_choose(slot, ctx);
     }
 
-    /// Whether requests go through the batching/pipelining queue rather
-    /// than the classic one-request-one-slot fast path. Off by default;
-    /// the classic path keeps byte-identical message streams.
-    fn batching_enabled(&self) -> bool {
-        self.cfg.batch_max_ops > 1 || self.cfg.pipeline > 0
-    }
-
     /// Exactly-once admission: answer a retransmission of the last
     /// applied request from the cache, drop stale ones and duplicates of
     /// an in-flight proposal (it will answer). `false` means settled.
@@ -753,29 +745,10 @@ impl<S: Service> Replica<S> {
         slot
     }
 
-    pub(crate) fn flush_pending(&mut self, ctx: &mut Context<Msg<S>>) {
-        if !self.is_leader() {
-            return;
-        }
-        if self.batching_enabled() {
-            self.maybe_flush_batches(true, ctx);
-            return;
-        }
-        while !S::barrier(&self.svc, None) {
-            let Some(p) = self.pending.pop_front() else {
-                break;
-            };
-            self.propose_op(p, ctx);
-        }
-    }
-
-    /// The classic path: one admitted request, one slot.
+    /// Propose a request the service keeps out of batches alone, in its
+    /// own slot, re-admitted: it may have settled while it queued.
     fn propose_op(&mut self, p: PendingOp<S::Op>, ctx: &mut Context<Msg<S>>) {
         if !self.admit(p.client, p.req_id, ctx) {
-            return;
-        }
-        if S::barrier(&self.svc, Some(&p.op)) {
-            self.pending.push_back(p);
             return;
         }
         let trace = p.trace;
@@ -784,7 +757,7 @@ impl<S: Service> Replica<S> {
         self.send_accepts(slot, value, trace, ctx);
     }
 
-    /// Queue one admitted request for batched proposing.
+    /// Queue one admitted request for proposing.
     fn enqueue_op(&mut self, p: PendingOp<S::Op>, ctx: &mut Context<Msg<S>>) {
         if !self.admit(p.client, p.req_id, ctx)
             || self
@@ -800,15 +773,20 @@ impl<S: Service> Replica<S> {
 
     /// Drain the pending queue into slot proposals: full batches go out
     /// immediately, a partial batch lingers up to `batch_delay` (unless
-    /// `force`), and the pipeline cap bounds in-flight proposals. Called
-    /// on request arrival, on the linger timer, when a slot is chosen,
-    /// and (forced) at leadership acquisition.
-    fn maybe_flush_batches(&mut self, force: bool, ctx: &mut Context<Msg<S>>) {
+    /// `force`), and the pipeline cap bounds in-flight proposals. The
+    /// queue stalls while its front request is barred. Called on request
+    /// arrival, on the linger timer, when a slot is chosen, and (forced)
+    /// at leadership acquisition.
+    pub(crate) fn maybe_flush_batches(&mut self, force: bool, ctx: &mut Context<Msg<S>>) {
         let max_ops = self.cfg.batch_max_ops.max(1);
         loop {
-            if !self.is_leader() || self.pending.is_empty() || S::barrier(&self.svc, None) {
+            let Some(front) = self.pending.front() else {
+                return;
+            };
+            if !self.is_leader() || S::barrier(&self.svc, &front.op) {
                 return;
             }
+            let oldest = front.at;
             if self.cfg.pipeline > 0 && self.proposals.len() >= self.cfg.pipeline {
                 return; // window full; maybe_choose re-flushes on commit
             }
@@ -820,7 +798,6 @@ impl<S: Service> Replica<S> {
                 }
                 Compose::Batch { take, full } => (take, full),
             };
-            let oldest = self.pending.front().expect("checked non-empty").at;
             let age = ctx.now.saturating_sub(oldest);
             if !force && !full && age < self.cfg.batch_delay {
                 // Linger: re-check when the oldest entry's delay expires.
@@ -888,9 +865,7 @@ impl<S: Service> Replica<S> {
         });
         self.advance(ctx);
         // A slot just left the pipeline window: queued requests may go.
-        if self.batching_enabled() {
-            self.maybe_flush_batches(false, ctx);
-        }
+        self.maybe_flush_batches(false, ctx);
     }
 
     // ----------------------------------------------------------- learning
@@ -998,9 +973,7 @@ impl<S: Service> Replica<S> {
             self.send_heartbeat(ctx);
         }
         // Backstop for the linger timer (lost across reboots).
-        if self.batching_enabled() && !self.pending.is_empty() {
-            self.maybe_flush_batches(false, ctx);
-        }
+        self.maybe_flush_batches(false, ctx);
         // Re-send stale proposals. Retries are causally part of the
         // original quorum wait, not the timer that noticed the staleness.
         let stale: Vec<Slot> = self
@@ -1205,8 +1178,8 @@ impl<S: Service> Replica<S> {
         }
     }
 
-    /// Route one client operation: propose (or enqueue for batching)
-    /// when leading, forward to the believed leader otherwise.
+    /// Route one client operation: enqueue it for proposing when
+    /// leading, forward it to the believed leader otherwise.
     pub(crate) fn handle_request(
         &mut self,
         client: NodeId,
@@ -1222,11 +1195,7 @@ impl<S: Service> Replica<S> {
                 trace: ctx.trace(),
                 at: ctx.now,
             };
-            if self.batching_enabled() {
-                self.enqueue_op(p, ctx);
-            } else {
-                self.propose_op(p, ctx);
-            }
+            self.enqueue_op(p, ctx);
         } else if let Some(leader) = self.leader {
             if leader != self.me {
                 self.send_msg(ctx, leader, Msg::Request { client, req_id, op });

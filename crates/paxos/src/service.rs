@@ -41,8 +41,8 @@ pub struct PendingOp<O> {
 /// How the head of the request queue goes into the log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Compose {
-    /// Propose the front request alone, re-admitted through the
-    /// one-request-one-slot path.
+    /// Propose the front request alone in its own slot, re-admitted (it
+    /// may have settled while it queued).
     Alone,
     /// Fold the first `take` requests into one slot value.
     Batch {
@@ -122,10 +122,9 @@ pub trait Service: Clone + Debug + Sized {
     /// Whether `value` carries the request `(client, req_id)`.
     fn carries(value: &Self::Value, client: NodeId, req_id: u64) -> bool;
 
-    /// Whether requests must wait: with `None`, whether the whole queue
-    /// is stalled; with an operation, whether that one must be queued
-    /// rather than proposed now.
-    fn barrier(_host: &Self::Host, _op: Option<&Self::Op>) -> bool {
+    /// Whether `op`, at the front of the request queue, must wait there;
+    /// the queue behind it waits too.
+    fn barrier(_host: &Self::Host, _op: &Self::Op) -> bool {
         false
     }
 

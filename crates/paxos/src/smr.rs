@@ -195,7 +195,7 @@ impl<SM: StateMachine> Replica<SM> {
                 self.send_msg(ctx, peer, reply);
             }
         }
-        self.flush_pending(ctx);
+        self.maybe_flush_batches(true, ctx);
     }
 }
 
@@ -260,10 +260,10 @@ impl<SM: StateMachine> Service for SM {
         }
     }
 
-    /// One reconfiguration at a time: while one is in flight the queue
-    /// stalls, and a second one waits in it.
-    fn barrier(host: &SmHost<SM>, op: Option<&ClientOp<SM::Command>>) -> bool {
-        host.reconfig_in_flight && !matches!(op, Some(ClientOp::App(_)))
+    /// One reconfiguration at a time: while one is in flight a second one
+    /// waits at the front of the queue, and so do the requests behind it.
+    fn barrier(host: &SmHost<SM>, op: &ClientOp<SM::Command>) -> bool {
+        host.reconfig_in_flight && !matches!(op, ClientOp::App(_))
     }
 
     /// The longest run of application commands shares a slot; a

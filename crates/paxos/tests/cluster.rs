@@ -4,7 +4,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use paxos::{ClientOp, Cluster, Command, LockCmd, LockResp, LockService, ReplicaConfig};
+use obs::{Event, EventKind, FieldValue};
+use paxos::{ClientOp, Cluster, Command, LockCmd, LockResp, LockService, PaxosNode, ReplicaConfig};
 use simnet::{NetworkConfig, NodeId, SimTime};
 
 fn cluster(n: usize, seed: u64) -> Cluster<LockService> {
@@ -449,5 +450,117 @@ fn a_decided_value_exists_once() {
         shared >= 4 * first.len(),
         "{shared} shared copies of {} slots",
         first.len()
+    );
+}
+
+#[test]
+fn batched_apps_flow_past_an_in_flight_reconfiguration() {
+    // Batching with a pipeline window: a Reconfig in flight bars only a
+    // second Reconfig at the front of the queue, so an App request that
+    // arrives meanwhile is proposed in a slot above it before it applies.
+    // The admin client sends each Reconfig on its 100 ms tick; the session
+    // releases an App 40 ms later, which usually lands inside that
+    // Reconfig's quorum round trip. Four rounds make "usually" certain.
+    let (o, _clock) = obs::Obs::simulated();
+    let cfg = ReplicaConfig {
+        batch_max_ops: 4,
+        pipeline: 2,
+        obs: o.clone(),
+        ..ReplicaConfig::default()
+    };
+    let mut c = Cluster::new(5, LockService::new(), cfg, NetworkConfig::default(), 24);
+    let admin = c.add_client();
+    let ticks: Vec<u64> = (0..4).map(|k| 3_300 + 500 * k).collect();
+    let schedule: Vec<(SimTime, LockCmd)> = ticks
+        .iter()
+        .flat_map(|&t| [t + 40, t + 250])
+        .map(|at| {
+            let name = format!("k{at}");
+            (
+                SimTime::from_millis(at),
+                LockCmd::Acquire {
+                    name,
+                    owner: NodeId(100),
+                },
+            )
+        })
+        .collect();
+    let ops = schedule.len();
+    let session = c.add_open_loop(schedule);
+    let mut newcomers = Vec::new();
+    for &tick in &ticks {
+        c.sim.run_until(SimTime::from_millis(tick - 50));
+        let newcomer = c.spawn_server(LockService::new());
+        let add = vec![newcomer];
+        c.submit(
+            admin,
+            ClientOp::Reconfig {
+                add,
+                remove: vec![],
+            },
+        );
+        newcomers.push(newcomer);
+    }
+    assert!(c.run_until_drained(admin, SimTime::from_secs(60)));
+    c.sim.run_until(c.sim.now() + SimTime::from_secs(10));
+
+    // (a) Every op completed, the view changed, and the logs agree.
+    let open_loop = c.sim.actor(session).and_then(PaxosNode::as_open_loop);
+    assert_eq!(open_loop.expect("session exists").completions(), ops);
+    let view = c.current_view().unwrap();
+    assert!(newcomers.iter().all(|n| view.contains(n)), "{view:?}");
+    c.assert_log_agreement();
+
+    // (b) Some App slot above a Reconfig's was proposed before the
+    // Reconfig's proposer applied it.
+    let prefix = c
+        .replica(c.leader().expect("a leader"))
+        .unwrap()
+        .applied_prefix();
+    let reconfigs: Vec<u64> = prefix
+        .iter()
+        .filter(|(_, v)| matches!(**v, Command::Reconfig { .. }))
+        .map(|&(slot, _)| slot)
+        .collect();
+    let apps: Vec<u64> = prefix
+        .iter()
+        .filter(|(_, v)| matches!(**v, Command::App { .. } | Command::Batch(_)))
+        .map(|&(slot, _)| slot)
+        .collect();
+    assert_eq!(reconfigs.len(), newcomers.len());
+    let events = o.trace.events();
+    assert_eq!(o.trace.dropped(), 0);
+    let field = |e: &Event, key: &str| {
+        e.fields.iter().find_map(|(k, v)| match v {
+            FieldValue::U64(x) if k == key => Some(*x),
+            _ => None,
+        })
+    };
+    let proposals: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.name == "paxos.propose" && e.kind == EventKind::SpanStart)
+        .collect();
+    let overtaken = reconfigs.iter().filter(|&&r| {
+        let proposer = proposals
+            .iter()
+            .find(|e| field(e, "slot") == Some(r))
+            .and_then(|e| field(e, "node"));
+        let applied_at = events
+            .iter()
+            .find(|e| {
+                e.name == "paxos.apply"
+                    && field(e, "slot") == Some(r)
+                    && field(e, "node") == proposer
+            })
+            .expect("the proposer applied the Reconfig")
+            .at_micros;
+        proposals.iter().any(|e| {
+            let slot = field(e, "slot").expect("propose spans carry a slot");
+            slot > r && apps.contains(&slot) && e.at_micros < applied_at
+        })
+    });
+    assert!(
+        overtaken.count() > 0,
+        "no App slot above a Reconfig slot {reconfigs:?} was proposed before it applied"
     );
 }

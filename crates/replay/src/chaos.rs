@@ -1,8 +1,9 @@
 //! Market-derived fault schedules: out-of-bid terminations as chaos.
 //!
 //! The market-level replay ([`crate::lifecycle`]) records every instance's
-//! life as an [`InstanceRecord`]. This module converts those records into
-//! a [`ChaosSchedule`] for a protocol cluster, so the *timing pattern* of
+//! life as an [`InstanceRecord`](crate::InstanceRecord). This module
+//! converts those records into a [`ChaosSchedule`] for a protocol
+//! cluster, so the *timing pattern* of
 //! real out-of-bid churn — correlated kills at price spikes, replacements
 //! booting minutes later — drives the Paxos/RS-Paxos safety checkers
 //! instead of (or alongside) purely random schedules.

@@ -21,10 +21,11 @@ use spot_market::{
 };
 use spot_model::{backtest, BidRule, CalibrationReport, FailureModel, FailureModelConfig};
 
+use crate::lifecycle::Replay;
 use crate::par::{host_workers, par_map};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
-use crate::scenario::{Scenario, SweepSpec};
+use crate::scenario::Scenario;
 
 /// Experiment scale: the paper's full runs or a quick smoke-scale variant
 /// for tests and debug builds.
@@ -182,19 +183,18 @@ impl Cell {
                 ..Row::default()
             };
         };
-        let result = match self.interval_hours {
-            Some(hours) => {
-                let sweep = SweepSpec::new(spec.clone())
-                    .strategy(move |_| bidder.build())
-                    .intervals(vec![hours])
-                    .repairs(vec![RepairConfig {
-                        policy: self.repair,
-                    }])
-                    .eras(vec![self.era]);
-                scenario.run(&sweep).remove(0).result
-            }
-            None => scenario.run_adaptive(spec, bidder.build()),
+        // The adaptive schedule replaces the interval; any valid one does.
+        let config = scenario.config(self.interval_hours.unwrap_or(1));
+        let replay = Replay::new(scenario.market(), spec, config.with_era(self.era))
+            .repair(RepairConfig {
+                policy: self.repair,
+            })
+            .store(scenario.store());
+        let replay = match self.interval_hours {
+            Some(_) => replay,
+            None => replay.adaptive(),
         };
+        let result = replay.run(bidder.build());
         let n = result.intervals.len();
         let mean_interval_hours = match self.interval_hours {
             Some(hours) => hours as f64,
@@ -253,7 +253,7 @@ fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
 ///
 /// The keys over one (market, evaluation span) share one [`Scenario`] —
 /// one market, one model store — whichever table declared them, and the
-/// distinct keys replay in one [`par_map`] over the host's cores, longest
+/// distinct keys replay in one `par_map` over the host's cores, longest
 /// first, so no core idles at the end of one table while another waits.
 /// Each distinct key's wall time goes to stderr as a `# cell` line.
 pub fn replay<const N: usize>(
@@ -1022,7 +1022,7 @@ pub const PER_STRENGTH_THROUGHPUT: f64 = 12.5;
 /// than peak provisioning.
 pub fn autoscale_report(scale: &Scale) -> AutoscaleReport {
     use crate::autoscale::{demand_series, AutoScaler, AutoscaleConfig, HEADROOM};
-    use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
+    use crate::lifecycle::{on_demand_baseline_cost, ReplayConfig};
 
     let market = scale.hetero_market();
     let eval_start = scale.train_minutes();

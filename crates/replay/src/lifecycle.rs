@@ -485,7 +485,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
         self.obs.set_time_micros(minute_micros(start));
         self.budget_dog.interval_start();
         let iv = self.decide(start, end, horizon);
-        let span = self.obs.trace.span(
+        let span = self.obs.trace.span_open(
             "replay.interval",
             &[
                 ("start", FieldValue::U64(start)),
@@ -502,10 +502,14 @@ impl<S: BiddingStrategy> Run<'_, S> {
         let up = self.account(&iv, rebids);
         self.bill(&iv);
         self.obs.set_time_micros(minute_micros(end));
-        span.end_with(&[
-            ("up_minutes", FieldValue::U64(up)),
-            ("kills", FieldValue::U64(self.kills as u64)),
-        ]);
+        self.obs.trace.span_close(
+            span,
+            "replay.interval",
+            &[
+                ("up_minutes", FieldValue::U64(up)),
+                ("kills", FieldValue::U64(self.kills as u64)),
+            ],
+        );
         end
     }
 

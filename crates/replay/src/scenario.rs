@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use jupiter::{BiddingStrategy, ModelStore, ServiceSpec};
 use obs::Obs;
-use spot_market::{BidEra, InstanceType, Market, Price};
+use spot_market::{BidEra, Market, Price};
 
 use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
 use crate::par::{host_workers, par_map};
@@ -48,9 +48,6 @@ pub struct SweepSpec {
     strategies: Vec<StrategyFactory>,
     intervals: Vec<u64>,
     repairs: Vec<RepairConfig>,
-    /// Instance-pool columns; an empty inner vec means "as the service
-    /// declares" (the default single column).
-    pools: Vec<Vec<InstanceType>>,
     /// Interruption-era columns; defaults to the single
     /// [`BidEra::Bidding`] column, so pre-era sweeps replay byte-identically.
     eras: Vec<BidEra>,
@@ -67,7 +64,6 @@ impl SweepSpec {
             strategies: Vec::new(),
             intervals: Vec::new(),
             repairs: vec![RepairConfig::off()],
-            pools: vec![Vec::new()],
             eras: vec![BidEra::Bidding],
         }
     }
@@ -95,22 +91,6 @@ impl SweepSpec {
         self
     }
 
-    /// Set the instance-pool columns to sweep (the `hetero` axis,
-    /// replacing the default single as-declared column): each entry
-    /// replays the whole grid with the service deployed over exactly that
-    /// set of (zone × type) pools, so single-type fleets race directly
-    /// against mixes over the same market. The service's strength floor
-    /// (`min_strength`) carries over unchanged into every column.
-    pub fn pools(mut self, pools: impl Into<Vec<Vec<InstanceType>>>) -> Self {
-        self.pools = pools.into();
-        assert!(!self.pools.is_empty(), "the pool axis cannot be empty");
-        assert!(
-            self.pools.iter().all(|p| !p.is_empty()),
-            "a pool column must name at least one instance type"
-        );
-        self
-    }
-
     /// Set the interruption-era columns to sweep (replacing the default
     /// single [`BidEra::Bidding`] column): each entry replays the whole
     /// grid under that death regime over the same market, so the paper's
@@ -129,11 +109,7 @@ impl SweepSpec {
 
     /// Number of cells the grid enumerates.
     pub fn cells(&self) -> usize {
-        self.strategies.len()
-            * self.intervals.len()
-            * self.repairs.len()
-            * self.pools.len()
-            * self.eras.len()
+        self.strategies.len() * self.intervals.len() * self.repairs.len() * self.eras.len()
     }
 }
 
@@ -145,8 +121,6 @@ pub struct CellOutcome {
     pub repair: RepairPolicy,
     /// The interruption era this cell replayed under.
     pub era: BidEra,
-    /// The instance-type pools the cell's service was deployed over.
-    pub pool_types: Vec<InstanceType>,
     /// The replay accounting for this cell.
     pub result: ReplayResult,
 }
@@ -200,75 +174,61 @@ impl Scenario {
         ReplayConfig::new(self.eval_start, self.eval_end, interval_hours)
     }
 
-    /// Replay the full strategy × interval × repair × pool × era grid of
-    /// `spec` over the shared market and store, on one thread per core
-    /// the host offers (a single cell, or a single core, replays inline
-    /// on the caller). Cells are returned in grid order (intervals outer,
-    /// then strategies, repairs, pools, eras innermost), and once all are
-    /// back each cell's private registry is merged into the scenario
-    /// [`Obs`] in that same order, so output and metrics are independent
-    /// of the thread count and of scheduling. Cells with repair off
-    /// keep the historical `cell.{strategy}.{interval}h.` prefix;
-    /// repairing cells append the policy label
-    /// (`….{interval}h.{policy}.`), non-default pool columns their type
-    /// list, and non-default era columns the era label.
+    /// Replay the full strategy × interval × repair × era grid of `spec`
+    /// over the shared market and store, on one thread per core the host
+    /// offers (a single cell, or a single core, replays inline on the
+    /// caller). Cells are returned in grid order (intervals outer, then
+    /// strategies, repairs, eras innermost), and once all are back each
+    /// cell's private registry is merged into the scenario [`Obs`] in
+    /// that same order, so output and metrics are independent of the
+    /// thread count and of scheduling. Cells with repair off keep the
+    /// historical `cell.{strategy}.{interval}h.` prefix; repairing cells
+    /// append the policy label (`….{interval}h.{policy}.`), and
+    /// non-default era columns the era label.
     pub fn run(&self, spec: &SweepSpec) -> Vec<CellOutcome> {
         self.run_on(spec, host_workers())
     }
 
     /// [`Self::run`] on at most `workers` threads.
     fn run_on(&self, spec: &SweepSpec, workers: usize) -> Vec<CellOutcome> {
-        let jobs: Vec<(u64, usize, usize, usize, usize)> = spec
+        let jobs: Vec<(u64, usize, usize, usize)> = spec
             .intervals
             .iter()
             .flat_map(|&h| {
                 let repairs = spec.repairs.len();
-                let pools = spec.pools.len();
                 let eras = spec.eras.len();
                 (0..spec.strategies.len()).flat_map(move |s| {
-                    (0..repairs).flat_map(move |r| {
-                        (0..pools)
-                            .flat_map(move |p| (0..eras).map(move |e| (h, s, r, p, e)))
-                    })
+                    (0..repairs).flat_map(move |r| (0..eras).map(move |e| (h, s, r, e)))
                 })
             })
             .collect();
-        let cells: Vec<(CellOutcome, bool, Obs)> =
-            par_map(&jobs, workers, |&(h, s, r, p, e)| {
-                let cell_obs = if self.obs.metrics.is_enabled() {
-                    Obs::simulated().0
-                } else {
-                    Obs::disabled()
-                };
-                let strategy = (spec.strategies[s])(&cell_obs);
-                let repair = spec.repairs[r];
-                let era = spec.eras[e];
-                let default_pools = spec.pools[p].is_empty();
-                let service = if default_pools {
-                    spec.service.clone()
-                } else {
-                    spec.service.clone().with_pools(&spec.pools[p])
-                };
-                let result = Replay::new(&self.market, &service, self.config(h).with_era(era))
-                    .repair(repair)
-                    .store(&self.store)
-                    .obs(&cell_obs)
-                    .run(strategy);
-                (
-                    CellOutcome {
-                        interval_hours: h,
-                        repair: repair.policy,
-                        era,
-                        pool_types: service.pools(),
-                        result,
-                    },
-                    default_pools,
-                    cell_obs,
-                )
-            });
+        let cells: Vec<(CellOutcome, Obs)> = par_map(&jobs, workers, |&(h, s, r, e)| {
+            let cell_obs = if self.obs.metrics.is_enabled() {
+                Obs::simulated().0
+            } else {
+                Obs::disabled()
+            };
+            let strategy = (spec.strategies[s])(&cell_obs);
+            let repair = spec.repairs[r];
+            let era = spec.eras[e];
+            let result = Replay::new(&self.market, &spec.service, self.config(h).with_era(era))
+                .repair(repair)
+                .store(&self.store)
+                .obs(&cell_obs)
+                .run(strategy);
+            (
+                CellOutcome {
+                    interval_hours: h,
+                    repair: repair.policy,
+                    era,
+                    result,
+                },
+                cell_obs,
+            )
+        });
         cells
             .into_iter()
-            .map(|(cell, default_pools, cell_obs)| {
+            .map(|(cell, cell_obs)| {
                 let mut prefix = if cell.repair == RepairPolicy::Off {
                     format!("cell.{}.{}h.", cell.result.strategy, cell.interval_hours)
                 } else {
@@ -279,17 +239,9 @@ impl Scenario {
                         cell.repair.label()
                     )
                 };
-                if !default_pools {
-                    // Pool columns separate by their type list, so the
-                    // default column keeps its historical prefix.
-                    let label: Vec<String> =
-                        cell.pool_types.iter().map(|t| t.to_string()).collect();
-                    prefix.push_str(&label.join("+"));
-                    prefix.push('.');
-                }
                 if cell.era != BidEra::Bidding {
-                    // Era columns likewise: the default bidding era keeps
-                    // its historical prefix byte-identically.
+                    // Era columns separate by their label, so the default
+                    // bidding era keeps its historical prefix.
                     prefix.push_str(cell.era.label());
                     prefix.push('.');
                 }
@@ -297,20 +249,6 @@ impl Scenario {
                 cell
             })
             .collect()
-    }
-
-    /// Replay one strategy under the §5.5 adaptive interval schedule,
-    /// training from the same shared store as the fixed-interval cells.
-    pub fn run_adaptive<S: BiddingStrategy>(
-        &self,
-        service: &ServiceSpec,
-        strategy: S,
-    ) -> ReplayResult {
-        // The schedule replaces the fixed interval; any valid value does.
-        Replay::new(&self.market, service, self.config(1))
-            .adaptive()
-            .store(&self.store)
-            .run(strategy)
     }
 
     /// The on-demand baseline cost over this scenario's window.
@@ -385,8 +323,8 @@ mod tests {
             .iter()
             .map(|c| {
                 format!(
-                    "{}h {:?} {:?} {:?} {:?}",
-                    c.interval_hours, c.repair, c.era, c.pool_types, c.result
+                    "{}h {:?} {:?} {:?}",
+                    c.interval_hours, c.repair, c.era, c.result
                 )
             })
             .collect();
@@ -493,49 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_axis_multiplies_the_grid_and_labels_cells() {
-        let mut cfg = MarketConfig::hetero_paper(21, 3 * 7 * 24 * 60);
-        cfg.zones.truncate(6);
-        let market = Market::generate(cfg);
-        let (obs, _clock) = Obs::simulated();
-        let scenario =
-            Scenario::new(market, 2 * 7 * 24 * 60, 3 * 7 * 24 * 60).with_obs(obs.clone());
-        let service = ServiceSpec::lock_service().with_min_strength(5);
-        let spec = SweepSpec::new(service)
-            .strategy(|_| Box::new(JupiterStrategy::new()))
-            .intervals(vec![6])
-            .pools(vec![
-                vec![InstanceType::M1Small],
-                vec![InstanceType::M1Small, InstanceType::M3Large],
-            ]);
-        assert_eq!(spec.cells(), 2);
-        let cells = scenario.run(&spec);
-        assert_eq!(cells[0].pool_types, vec![InstanceType::M1Small]);
-        assert_eq!(
-            cells[1].pool_types,
-            vec![InstanceType::M1Small, InstanceType::M3Large]
-        );
-        // Every cell meets the strength floor whenever it deploys.
-        for c in &cells {
-            for rec in c.result.instances.iter().filter(|r| !r.on_demand) {
-                assert!(c.pool_types.contains(&rec.instance_type), "{rec:?}");
-            }
-        }
-        // Pool columns land under type-labelled prefixes.
-        let snap = obs.metrics.snapshot();
-        assert!(
-            snap.counter("cell.Jupiter.6h.m1.small.replay.bids_placed")
-                .unwrap_or(0)
-                > 0
-        );
-        assert!(
-            snap.counter("cell.Jupiter.6h.m1.small+m3.large.replay.bids_placed")
-                .unwrap_or(0)
-                > 0
-        );
-    }
-
-    #[test]
     fn adaptive_shares_the_store() {
         let (obs, _clock) = Obs::simulated();
         let scenario =
@@ -545,7 +440,10 @@ mod tests {
             .strategy(|_| Box::new(JupiterStrategy::new()))
             .intervals(vec![6]);
         scenario.run(&spec);
-        let r = scenario.run_adaptive(&service, JupiterStrategy::new());
+        let r = Replay::new(scenario.market(), &service, scenario.config(1))
+            .adaptive()
+            .store(scenario.store())
+            .run(JupiterStrategy::new());
         assert!(r.strategy.contains("[adaptive]"));
         let snap = obs.metrics.snapshot();
         // The adaptive run refit nothing: all its kernels were stored.

@@ -15,7 +15,7 @@
 //! client measures request-level behaviour through every failover — on
 //! exactly the fleet the figures bill.
 //!
-//! Time mapping ([`to_sim`]): one market minute = one simulated second, so
+//! Time mapping (`to_sim`): one market minute = one simulated second, so
 //! a 12-hour market window runs as a 43 200 s protocol simulation. Leader
 //! failovers (~1–2 s simulated) therefore correspond to one or two market
 //! minutes of measured unavailability — the same order as real Chubby

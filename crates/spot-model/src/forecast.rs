@@ -4,16 +4,16 @@
 //! (the semi-Markov state), evolve the joint distribution over
 //! (price level, sojourn age) minute by minute across the next bidding
 //! interval. Two summaries are exposed, both driven by the one
-//! [`Evolution`] core:
+//! `Evolution` core:
 //!
-//! * [`forecast`] — for every price level `s_l`, the average over the
+//! * `forecast` — for every price level `s_l`, the average over the
 //!   horizon of `P(price > s_l)`. This is the discretized Eq. 5: the
 //!   expected fraction of the interval an instance bidding `b` spends
 //!   out-of-bid, evaluated lazily for any `b` via
 //!   [`Forecast::out_of_bid_fraction`]. Computing all levels at once makes
 //!   the bidding algorithm's minimum-bid search O(levels) per zone instead
 //!   of one evolution per candidate bid.
-//! * [`survival_probability`] — the *absorbing* variant: the probability
+//! * `survival_probability` — the *absorbing* variant: the probability
 //!   that the price never exceeds the bid during the horizon (the instance
 //!   survives the whole interval). The paper's availability accounting is
 //!   per-time-unit, so its Eq. 5 uses the expectation form; the absorbing

@@ -20,13 +20,13 @@ pub struct RsConfig {
     /// Erasure data-shard count `m` (the code is θ(m, view.len())).
     pub m: usize,
     /// Maximum client commands combined into one slot. `1` (the
-    /// default) disables batching and preserves the classic one-command
-    /// -per-slot behavior bit for bit.
+    /// default) makes every slot a one-op batch of the replica's one
+    /// request queue.
     pub batch_max_ops: usize,
     /// How long the leader holds a non-full batch open for stragglers.
     pub batch_delay: SimTime,
     /// Maximum concurrently outstanding proposals (accept pipelining).
-    /// `0` means unlimited, the classic behavior.
+    /// `0` (the default) means unlimited.
     pub pipeline: usize,
     /// Observability sink (metrics + tracing). Disabled by default; when
     /// enabled the replica counts messages by kind, tracks elections and

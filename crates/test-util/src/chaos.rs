@@ -46,8 +46,8 @@ pub struct ChaosOutcome {
     /// [`crate::check::CheckStats::eroded_keys`]).
     pub eroded_keys: usize,
     /// Batch slot values the run chose and audited (0 unless the driver
-    /// ran with leader batching enabled): the witness that a batched
-    /// sweep actually exercised the batched proposal path.
+    /// ran with a batch size above 1): the witness that a batched sweep
+    /// actually folded several requests into one slot.
     pub batches_checked: usize,
 }
 

@@ -7,8 +7,8 @@
 //! * [`rng`] — seed derivation and seeded-RNG construction, so every test
 //!   spells randomness the same way and every failure prints a
 //!   reproducing seed;
-//! * [`env`] — the `CHAOS_SCHEDULES` / `CHAOS_SEED` environment knobs and
-//!   the exact re-run command a failing chaos test prints;
+//! * [`env`](mod@env) — the `CHAOS_SCHEDULES` / `CHAOS_SEED` environment
+//!   knobs and the exact re-run command a failing chaos test prints;
 //! * [`fixtures`] — the synthetic-market and cluster constructions that
 //!   used to be copy-pasted across the root integration tests;
 //! * [`check`] + [`chaos`] — the safety checkers (one linearizability

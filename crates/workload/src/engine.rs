@@ -63,9 +63,6 @@ pub struct WorkloadSpec {
     pub batch_max_ops: usize,
     /// Accept pipelining: max in-flight proposals (0 = unlimited).
     pub pipeline: usize,
-    /// Serve read-only commands from follower-local applied state
-    /// (lock service only; the store's followers hold single shards).
-    pub local_reads: bool,
     /// Trace every Nth request (0 = none); sampling keeps the bounded
     /// trace ring representative at 100k-request scale.
     pub trace_every: u64,
@@ -88,7 +85,6 @@ impl Default for WorkloadSpec {
             replicas: 5,
             batch_max_ops: 1,
             pipeline: 0,
-            local_reads: false,
             trace_every: 64,
             start_at: SimTime::from_secs(3),
             drain_grace: SimTime::from_secs(120),
@@ -105,8 +101,6 @@ pub struct WorkloadReport {
     pub completed: u64,
     /// Client-side retransmissions.
     pub retransmits: u64,
-    /// Completions served locally by followers (lock service only).
-    pub local_served: u64,
     /// Completions within the SLA bound.
     pub sla_met: u64,
     /// SLO availability in parts-per-million: `sla_met / requests`
@@ -142,7 +136,6 @@ fn summarize(
     spec: &WorkloadSpec,
     outcomes: Vec<Outcome>,
     retransmits: u64,
-    local_served: u64,
     elapsed: SimTime,
     obs: &Obs,
 ) -> WorkloadReport {
@@ -193,7 +186,6 @@ fn summarize(
         requests,
         completed,
         retransmits,
-        local_served,
         sla_met,
         availability_ppm,
         latency_p50: p50,
@@ -260,7 +252,6 @@ fn drive<S: Service>(
     cluster: &mut Cluster<S>,
     stream: Vec<(SimTime, S::Cmd)>,
     spec: &WorkloadSpec,
-    local_reads: bool,
     obs: &Obs,
 ) -> WorkloadReport {
     let requests = stream.len();
@@ -269,7 +260,6 @@ fn drive<S: Service>(
         let id = NodeId(cluster.sim.node_count());
         let session = OpenLoopClient::new(id, cluster.servers().to_vec(), sched)
             .with_obs(obs.clone())
-            .with_local_reads(local_reads)
             .with_trace_every(spec.trace_every);
         let got = cluster.sim.add_node(PaxosNode::OpenLoop(session));
         assert_eq!(got, id);
@@ -297,7 +287,7 @@ fn drive<S: Service>(
     }
 
     let mut outcomes = Vec::with_capacity(requests);
-    let (mut retransmits, mut local_served) = (0u64, 0u64);
+    let mut retransmits = 0u64;
     for &id in &session_ids {
         let s = cluster
             .sim
@@ -305,7 +295,6 @@ fn drive<S: Service>(
             .and_then(PaxosNode::as_open_loop)
             .expect("session exists");
         retransmits += s.retransmits();
-        local_served += s.local_served();
         for r in s.records() {
             outcomes.push(Outcome {
                 scheduled: r.scheduled,
@@ -313,14 +302,7 @@ fn drive<S: Service>(
             });
         }
     }
-    summarize(
-        spec,
-        outcomes,
-        retransmits,
-        local_served,
-        cluster.sim.now(),
-        obs,
-    )
+    summarize(spec, outcomes, retransmits, cluster.sim.now(), obs)
 }
 
 /// Run `spec` against a fresh lock-service cluster; the replicas'
@@ -330,18 +312,16 @@ pub fn run_lock_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> 
     let cfg = ReplicaConfig {
         batch_max_ops: spec.batch_max_ops,
         pipeline: spec.pipeline,
-        local_reads: spec.local_reads,
         obs: obs.clone(),
         ..ReplicaConfig::default()
     };
     let mut cluster = Cluster::new(spec.replicas, LockService::new(), cfg, net, spec.seed);
     let stream = schedule(spec, |rng, user| lock_cmd(rng, spec, user));
-    drive(&mut cluster, stream, spec, spec.local_reads, obs)
+    drive(&mut cluster, stream, spec, obs)
 }
 
 /// Run `spec` against a fresh RS-Paxos storage cluster (`storage.*`
-/// instruments into `obs`). Local reads do not apply — a follower holds
-/// one shard and cannot reconstruct an object.
+/// instruments into `obs`).
 pub fn run_storage_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) -> WorkloadReport {
     let cfg = RsConfig {
         batch_max_ops: spec.batch_max_ops,
@@ -351,7 +331,7 @@ pub fn run_storage_workload(spec: &WorkloadSpec, net: NetworkConfig, obs: &Obs) 
     };
     let mut cluster = RsCluster::new(spec.replicas, cfg, net, spec.seed);
     let stream = schedule(spec, |rng, user| store_cmd(rng, spec, user));
-    drive(&mut cluster, stream, spec, false, obs)
+    drive(&mut cluster, stream, spec, obs)
 }
 
 #[cfg(test)]

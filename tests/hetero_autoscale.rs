@@ -15,10 +15,11 @@ use spot_jupiter::replay::{
 use spot_jupiter::spot_market::InstanceType;
 use test_util::hetero_market_days;
 
-/// The exact quick-scale Figure 6 numbers committed in PR 8: the legacy
-/// single-type path must keep replaying byte-identically now that the
-/// framework is pool-aware (single-type specs take the legacy selection
-/// branch, so every cost, availability, and kill count is unchanged).
+/// The exact quick-scale Figure 6 numbers committed in PR 8: single-type
+/// specs must keep replaying byte-identically now that the framework is
+/// pool-aware (Jupiter's one selection routine, at one pool per zone and
+/// no strength floor, is the paper's sort-and-truncate, so every cost,
+/// availability, and kill count is unchanged).
 #[test]
 fn single_type_quick_sweep_reproduces_pr8_fingerprints() {
     let [rows] = replay(&Scale::quick(2014), [lock_sweep]);
@@ -123,46 +124,46 @@ fn sweep_cells() -> Vec<(u64, Vec<InstanceType>, String, String, String, usize)>
     let m = hetero_market_days(5, 4, 10);
     let horizon = m.horizon();
     let scenario = Scenario::new(m, 5 * 24 * 60, horizon);
-    let sweep = SweepSpec::new(
-        ServiceSpec::lock_service()
-            .with_pools(&[InstanceType::M1Small, InstanceType::M3Large])
-            .with_min_strength(8),
-    )
-    .strategy(|_| Box::new(JupiterStrategy::new()))
-    .strategy(|_| Box::new(ExtraStrategy::new(2, 0.2)))
-    .intervals([6u64])
-    .pools(vec![
+    let columns = [
         vec![InstanceType::M1Small],
         vec![InstanceType::M3Large],
         vec![InstanceType::M1Small, InstanceType::M3Large],
-    ]);
-    scenario
-        .run(&sweep)
-        .into_iter()
-        .map(|cell| {
+    ];
+    let mut cells = Vec::new();
+    for pools in columns {
+        let sweep = SweepSpec::new(
+            ServiceSpec::lock_service()
+                .with_pools(&pools)
+                .with_min_strength(8),
+        )
+        .strategy(|_| Box::new(JupiterStrategy::new()))
+        .strategy(|_| Box::new(ExtraStrategy::new(2, 0.2)))
+        .intervals([6u64]);
+        cells.extend(scenario.run(&sweep).into_iter().map(|cell| {
             (
                 cell.interval_hours,
-                cell.pool_types.clone(),
+                pools.clone(),
                 cell.result.strategy.clone(),
                 format!("{:.6}", cell.result.total_cost.as_dollars()),
                 format!("{:.9}", cell.result.availability()),
                 cell.result.instances.len(),
             )
-        })
-        .collect()
+        }));
+    }
+    cells
 }
 
 /// The hetero sweep grid must not depend on how the cells are
 /// scheduled: every run replays the exact same numbers cell by cell.
-/// (`Scenario::run` replays the six cells on every core the host
-/// offers, so on a multi-core box the two sweeps here already meet
+/// (`Scenario::run` replays each pool column's two cells on every core
+/// the host offers, so on a multi-core box the two sweeps here already meet
 /// different interleavings; `replay::scenario`'s unit test forces 1 vs 4
 /// workers on one grid, and ci.sh runs the repro binary's hetero target
 /// twice at one seed in separate processes and diffs the rows.)
 #[test]
 fn hetero_sweep_is_schedule_deterministic() {
     let first = sweep_cells();
-    assert_eq!(first.len(), 6, "2 strategies x 1 interval x 3 pool columns");
+    assert_eq!(first.len(), 6, "3 pool columns x 2 strategies x 1 interval");
     let second = sweep_cells();
     assert_eq!(first, second);
 }

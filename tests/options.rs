@@ -82,9 +82,6 @@ fn every_config_field_is_inventoried() {
         // 8 vs 1 (`repro workload`: "lock batch=8" vs "lock batch=1 pipeline=4")
         pipeline: _,
         // 0 by default; 4 in `repro workload`'s batching section
-        local_reads: _,
-        // ONE VALUE (false): feeds `WorkloadReport`'s locally-served count; ROADMAP "Parked"
-        // (follower reads) is its second value
         trace_every: _,
         // 64 by default (`repro workload`); 0 in tests/workload.rs, 4 in tests/instruments.rs
         start_at: _,
