@@ -10,7 +10,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use simnet::{Context, NodeId, SimTime, TimerToken};
 
-use crate::ballot::Slot;
 use crate::msg::Msg;
 use crate::service::Service;
 use crate::session::Session;
@@ -61,11 +60,6 @@ impl<S: Service> ClientState<S> {
         self
     }
 
-    /// The session floor (highest acknowledged applied index).
-    pub fn floor(&self) -> Slot {
-        self.session.floor()
-    }
-
     /// Queue an operation for submission (fired from the next tick).
     /// Request ids are 1, 2, … in submission order.
     pub fn submit(&mut self, op: S::Op) -> u64 {
@@ -114,9 +108,9 @@ impl<S: Service> ClientState<S> {
     /// Message dispatch (responses only). The reply to a reconfiguration
     /// carries no response and completes it all the same.
     pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
-        if let Some(reply) = self.session.on_reply(from, msg, true, ctx.now) {
+        if let Some(resp) = self.session.on_reply(from, msg, true, ctx.now) {
             let entry = self.history.last_mut().expect("in-flight op recorded");
-            entry.completed = Some((ctx.now, reply.resp));
+            entry.completed = Some((ctx.now, resp));
         }
     }
 }

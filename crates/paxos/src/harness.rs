@@ -41,7 +41,7 @@ impl<SM: StateMachine> Cluster<SM> {
         net: NetworkConfig,
         seed: u64,
     ) -> Self {
-        let host = SmHost::new(sm, &replica_cfg.obs);
+        let host = SmHost::new(sm);
         Cluster::with_service(n, host, replica_cfg, net, seed)
     }
 
@@ -49,7 +49,7 @@ impl<SM: StateMachine> Cluster<SM> {
     /// rejoins and catches up from the log. `view` is the membership it
     /// should assume (typically another replica's current view).
     pub fn restart(&mut self, id: NodeId, sm: SM, view: Vec<NodeId>) {
-        let host = SmHost::new(sm, &self.replica_cfg.obs);
+        let host = SmHost::new(sm);
         self.restart_with(id, host, view);
     }
 
@@ -61,7 +61,7 @@ impl<SM: StateMachine> Cluster<SM> {
         if !view.contains(&id) {
             view.push(id);
         }
-        let host = SmHost::new(sm, &self.replica_cfg.obs);
+        let host = SmHost::new(sm);
         let got = self
             .sim
             .add_node(PaxosNode::Server(self.fresh_replica(id, host, view)));
@@ -105,11 +105,6 @@ impl<S: Service> Cluster<S> {
     /// The current server node ids (as known to the driver).
     pub fn servers(&self) -> &[NodeId] {
         &self.servers
-    }
-
-    /// The client node ids.
-    pub fn clients(&self) -> &[NodeId] {
-        &self.clients
     }
 
     /// Add a closed-loop client.

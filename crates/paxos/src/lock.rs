@@ -232,19 +232,6 @@ impl StateMachine for LockService {
             LockCmd::Holder { name } => LockResp::HolderIs(self.live(name).map(|h| h.owner)),
         }
     }
-
-    fn is_read_only(cmd: &LockCmd) -> bool {
-        matches!(cmd, LockCmd::Holder { .. })
-    }
-
-    fn peek(&self, cmd: &LockCmd) -> Option<LockResp> {
-        match cmd {
-            LockCmd::Holder { name } => {
-                Some(LockResp::HolderIs(self.live(name).map(|h| h.owner)))
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

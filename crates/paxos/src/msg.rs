@@ -195,11 +195,6 @@ pub enum Msg<S: Service> {
         req_id: u64,
         /// The service's response (`None` for reconfigurations).
         resp: Option<S::Resp>,
-        /// The responder's applied index after this operation took
-        /// effect. Clients carry the maximum seen as their session
-        /// `floor`, which gates follower-served reads (session
-        /// monotonicity).
-        at: Slot,
     },
     /// A message only this service exchanges ([`Service::Ext`]).
     Ext(S::Ext),

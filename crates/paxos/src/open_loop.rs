@@ -18,7 +18,6 @@
 use obs::Obs;
 use simnet::{Context, NodeId, SimTime, TimerToken};
 
-use crate::ballot::Slot;
 use crate::msg::Msg;
 use crate::service::Service;
 use crate::session::Session;
@@ -38,8 +37,6 @@ pub struct OpenOp<S: Service> {
     pub scheduled: SimTime,
     /// Completion time and response, once acknowledged.
     pub completed: Option<(SimTime, S::Resp)>,
-    /// Whether this was routed as a follower-local read.
-    pub read: bool,
 }
 
 /// An open-loop session actor driving one cluster.
@@ -59,7 +56,6 @@ pub struct OpenLoopClient<S: Service> {
     launched: usize,
     completed: usize,
     retransmits: u64,
-    local_served: u64,
 }
 
 impl<S: Service> OpenLoopClient<S> {
@@ -73,7 +69,6 @@ impl<S: Service> OpenLoopClient<S> {
         let records = schedule
             .into_iter()
             .map(|(scheduled, cmd)| OpenOp {
-                read: false, // resolved at launch, once local_reads is known
                 cmd,
                 scheduled,
                 completed: None,
@@ -88,21 +83,12 @@ impl<S: Service> OpenLoopClient<S> {
             launched: 0,
             completed: 0,
             retransmits: 0,
-            local_served: 0,
         }
     }
 
     /// Attach an observability handle (builder-style).
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.session.obs = obs;
-        self
-    }
-
-    /// Route read-only commands to followers as local reads. Requires the
-    /// replicas to run with `local_reads` enabled too; a timed-out read
-    /// falls back to the serialized leader path either way.
-    pub fn with_local_reads(mut self, enabled: bool) -> Self {
-        self.session.local_reads = enabled;
         self
     }
 
@@ -127,16 +113,6 @@ impl<S: Service> OpenLoopClient<S> {
         self.retransmits
     }
 
-    /// Completions served locally by a follower.
-    pub fn local_served(&self) -> u64 {
-        self.local_served
-    }
-
-    /// The session floor (highest acknowledged applied index).
-    pub fn floor(&self) -> Slot {
-        self.session.floor()
-    }
-
     fn arm_next_arrival(&mut self, ctx: &mut Context<Msg<S>>) {
         if let Some(next) = self.records.get(self.arrived) {
             ctx.set_timer(next.scheduled.saturating_sub(ctx.now), ARRIVAL_TOKEN);
@@ -154,8 +130,7 @@ impl<S: Service> OpenLoopClient<S> {
         let traced = self.trace_every > 0 && (idx as u64).is_multiple_of(self.trace_every);
         // Spread sessions' first picks deterministically by identity.
         let first_target = self.me.0 + idx;
-        self.records[idx].read = self
-            .session
+        self.session
             .launch(idx as u64 + 1, op, first_target, traced, ctx);
         ctx.set_timer(S::CLIENT_TIMEOUT, RETRY_TOKEN);
     }
@@ -194,13 +169,12 @@ impl<S: Service> OpenLoopClient<S> {
     /// Message dispatch (responses only). A session never sends a
     /// reconfiguration, so it does not take the response-less reply.
     pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
-        let Some(reply) = self.session.on_reply(from, msg, false, ctx.now) else {
+        let Some(resp) = self.session.on_reply(from, msg, false, ctx.now) else {
             return;
         };
-        let resp = reply.resp.expect("empty replies are not accepted");
+        let resp = resp.expect("empty replies are not accepted");
         self.records[self.launched - 1].completed = Some((ctx.now, resp));
         self.completed += 1;
-        self.local_served += u64::from(reply.local);
         self.try_launch(ctx);
     }
 }

@@ -33,11 +33,6 @@ pub struct ReplicaConfig {
     /// leader. `0` means unlimited. With a bound, excess requests queue
     /// at the leader and are batched into slots as the window frees up.
     pub pipeline: usize,
-    /// Serve read-only commands ([`crate::StateMachine::is_read_only`])
-    /// from the local applied state instead of the log. Guarantees
-    /// session monotonicity (a read never precedes the issuing client's
-    /// last acknowledged write), not full linearizability.
-    pub local_reads: bool,
     /// Observability sink (metrics + tracing). Disabled by default; when
     /// enabled the replica counts messages by kind, tracks elections and
     /// ballot churn, and times phase-1/phase-2 round trips in sim time.
@@ -52,7 +47,6 @@ impl Default for ReplicaConfig {
             batch_max_ops: 1,
             batch_delay: SimTime::from_millis(5),
             pipeline: 0,
-            local_reads: false,
             obs: Obs::disabled(),
         }
     }
@@ -480,7 +474,6 @@ impl<S: Service> Replica<S> {
         self.leader = None;
         // In-flight client requests died with the process; clients retry.
         self.pending.clear();
-        S::rebooted(&mut self.svc);
         // `on_start` re-arms the tick timer and election deadline at boot.
     }
 
@@ -716,8 +709,7 @@ impl<S: Service> Replica<S> {
         if let Some((last, resp)) = self.dedup.get(&client) {
             if *last == req_id {
                 let resp = resp.clone();
-                let at = self.applied;
-                self.send_msg(ctx, client, Msg::Response { req_id, resp, at });
+                self.send_msg(ctx, client, Msg::Response { req_id, resp });
                 return false;
             }
             if *last > req_id {
@@ -903,13 +895,10 @@ impl<S: Service> Replica<S> {
             S::apply(self, slot, value, ctx);
         }
         self.maybe_compact();
-        S::advanced(self, ctx);
     }
 
     /// Record `resp` as `client`'s latest answer unless a later request
-    /// of theirs already applied, and (at the leader) send it. The
-    /// applied index already points past the containing slot, so it
-    /// doubles as the response's `at`.
+    /// of theirs already applied, and (at the leader) send it.
     pub fn finish(
         &mut self,
         client: NodeId,
@@ -925,8 +914,7 @@ impl<S: Service> Replica<S> {
             self.dedup.insert(client, (req_id, resp.clone()));
         }
         if self.is_leader() {
-            let at = self.applied;
-            self.send_msg(ctx, client, Msg::Response { req_id, resp, at });
+            self.send_msg(ctx, client, Msg::Response { req_id, resp });
         }
     }
 

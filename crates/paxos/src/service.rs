@@ -143,9 +143,6 @@ pub trait Service: Clone + Debug + Sized {
     /// Apply the chosen `value` of `slot`; slots arrive in order, once.
     fn apply(r: &mut Replica<Self>, slot: Slot, value: Self::Wire, ctx: &mut Context<Msg<Self>>);
 
-    /// Every contiguously chosen slot has been applied.
-    fn advanced(_r: &mut Replica<Self>, _ctx: &mut Context<Msg<Self>>) {}
-
     /// The leader's bookkeeping tick, after heartbeats and retries.
     fn tick(_r: &mut Replica<Self>, _ctx: &mut Context<Msg<Self>>) {}
 
@@ -155,9 +152,6 @@ pub trait Service: Clone + Debug + Sized {
     /// The replica stopped leading or campaigning; `queue` holds the
     /// requests it had admitted but not proposed.
     fn stepped_down(host: &mut Self::Host, queue: &mut VecDeque<PendingOp<Self::Op>>);
-
-    /// The process restarted: drop volatile service state.
-    fn rebooted(_host: &mut Self::Host) {}
 
     /// The applied state, for a snapshot.
     fn snapshot(host: &Self::Host) -> Self::Snap;
@@ -169,22 +163,4 @@ pub trait Service: Clone + Debug + Sized {
 
     /// The operation a session submits for `cmd`.
     fn op(cmd: Self::Cmd) -> Self::Op;
-
-    /// The message that asks a replica to serve `op` from its applied
-    /// state at or past the session `floor` instead of through the log;
-    /// `None` when `op` cannot be served that way.
-    fn read_request(
-        _client: NodeId,
-        _req_id: u64,
-        _op: &Self::Op,
-        _floor: Slot,
-    ) -> Option<Self::Ext> {
-        None
-    }
-
-    /// `(req_id, response, applied index)` if `ext` answers a
-    /// [`Service::read_request`].
-    fn read_reply(_ext: Self::Ext) -> Option<(u64, Self::Resp, Slot)> {
-        None
-    }
 }

@@ -103,7 +103,6 @@ pub struct Replay<'a> {
     spec: &'a ServiceSpec,
     config: ReplayConfig,
     repair: RepairConfig,
-    schedule: Option<Box<dyn FnMut(u64) -> u64 + 'a>>,
     adaptive: bool,
     store: Option<&'a ModelStore>,
     scaler: Option<&'a mut AutoScaler>,
@@ -118,7 +117,6 @@ impl<'a> Replay<'a> {
             spec,
             config,
             repair: RepairConfig::off(),
-            schedule: None,
             adaptive: false,
             store: None,
             scaler: None,
@@ -135,21 +133,13 @@ impl<'a> Replay<'a> {
         self
     }
 
-    /// A dynamic interval schedule: `next_interval(boundary)` is the
-    /// length in minutes (at least 60) of the interval starting at
-    /// `boundary`, replacing the fixed `config.interval_hours`.
-    pub fn schedule(mut self, next_interval: impl FnMut(u64) -> u64 + 'a) -> Self {
-        self.schedule = Some(Box::new(next_interval));
-        self
-    }
-
-    /// The §5.5 schedule: size each interval by
-    /// [`adaptive_interval`] from the revealed price-change rate. The
-    /// result's strategy name gains an `" [adaptive]"` suffix.
+    /// The §5.5 schedule: size each interval (at least 60 minutes) by
+    /// [`adaptive_interval`] from the revealed price-change rate, instead
+    /// of the fixed `config.interval_hours`. The result's strategy name
+    /// gains an `" [adaptive]"` suffix.
     pub fn adaptive(mut self) -> Self {
-        let (market, spec) = (self.market, self.spec);
         self.adaptive = true;
-        self.schedule(move |boundary| adaptive_interval(market, spec, boundary))
+        self
     }
 
     /// Serve the training fit from a shared `store`: the kernel for each
@@ -199,7 +189,6 @@ impl<'a> Replay<'a> {
             }
         };
         let fixed = config.interval_hours * 60;
-        let mut schedule = self.schedule.unwrap_or_else(|| Box::new(move |_| fixed));
 
         let primary_ty = spec.instance_type;
         // On-demand fallbacks run the primary type in the cheapest on-demand
@@ -246,7 +235,14 @@ impl<'a> Replay<'a> {
         };
         let mut boundary = config.eval_start;
         while boundary < config.eval_end {
-            boundary = run.interval(boundary, schedule(boundary).max(60));
+            // The adaptive schedule reads the caller's spec, not the
+            // diversified clone.
+            let length = if self.adaptive {
+                adaptive_interval(market, self.spec, boundary)
+            } else {
+                fixed
+            };
+            boundary = run.interval(boundary, length.max(60));
         }
         let mut result = run.finish();
         if self.adaptive {

@@ -10,10 +10,11 @@
 //! decision, 15 minutes before its boundary, and has booted by it; every
 //! `Termination::User` inside the window is a boundary retirement and
 //! every `Termination::Provider` an out-of-bid kill. The lock service
-//! admits a boundary's joiners and drops its retirees in one Paxos **view
-//! change**, kills crash live replicas mid-protocol, and a closed-loop
-//! client measures request-level behaviour through every failover — on
-//! exactly the fleet the figures bill.
+//! admits a boundary's joiners and drops its retirees and the replicas
+//! killed since the last boundary in one Paxos **view change**, kills
+//! crash live replicas mid-protocol, and a closed-loop client measures
+//! request-level behaviour through every failover — on exactly the fleet
+//! the figures bill.
 //!
 //! Time mapping (`to_sim`): one market minute = one simulated second, so
 //! a 12-hour market window runs as a 43 200 s protocol simulation. Leader
@@ -252,11 +253,12 @@ fn sla_fraction(latencies: &[u64], unfinished: usize) -> f64 {
 
 /// Run the lock service on the fleet `strategy` bids for over a short
 /// market window. The records running at the window start are the
-/// initial cluster; each boundary spawns its joiners and removes its
-/// retirees in one `Reconfig`, and a kill crashes its replica at the kill
-/// minute. Returns request-level metrics; every Paxos replica and this
-/// loop record into `obs` (`paxos.*`, `service.*`, `trace.*`), and a
-/// strategy built `with_obs` adds its `jupiter.*`.
+/// initial cluster; a kill crashes its replica at the kill minute, and
+/// each boundary spawns its joiners and removes its retirees and the
+/// interval's killed replicas in one `Reconfig`. Returns request-level
+/// metrics; every Paxos replica and this loop record into `obs`
+/// (`paxos.*`, `service.*`, `trace.*`), and a strategy built `with_obs`
+/// adds its `jupiter.*`.
 pub fn lock_service_replay<S: BiddingStrategy>(
     market: &Market,
     strategy: S,
@@ -306,7 +308,7 @@ pub fn lock_service_replay<S: BiddingStrategy>(
     };
     refill(&mut cluster, 64);
 
-    let (mut joining, mut leaving) = (Vec::new(), Vec::new());
+    let (mut joining, mut leaving, mut killed) = (Vec::new(), Vec::new(), Vec::new());
     let apply = |cluster: &mut Cluster<LockService>, minute, change| match change {
         Change::Boot(i) => joining.push(i),
         Change::Retire(i) => leaving.push(i),
@@ -314,6 +316,7 @@ pub fn lock_service_replay<S: BiddingStrategy>(
             if let Some(n) = node.remove(&i) {
                 refill(cluster, 16);
                 cluster.crash(n);
+                killed.push(n);
                 crashes += 1;
                 crash_series.record(minute, crashes as f64);
             }
@@ -324,24 +327,23 @@ pub fn lock_service_replay<S: BiddingStrategy>(
             if joining.is_empty() && node.keys().all(|i| leaving.contains(i)) {
                 leaving.clear();
             }
-            let remove: Vec<NodeId> = leaving.drain(..).filter_map(|i| node.remove(&i)).collect();
+            let retired: Vec<NodeId> = leaving.drain(..).filter_map(|i| node.remove(&i)).collect();
             let mut add = Vec::new();
             for i in joining.drain(..) {
                 let n = cluster.spawn_server(LockService::new());
                 node.insert(i, n);
                 add.push(n);
             }
-            if !add.is_empty() || !remove.is_empty() {
-                let op = ClientOp::Reconfig {
-                    add,
-                    remove: remove.clone(),
-                };
+            if !add.is_empty() || !retired.is_empty() || !killed.is_empty() {
+                let remove = retired.iter().copied().chain(killed.drain(..)).collect();
+                let op = ClientOp::Reconfig { add, remove };
                 cluster.submit(admin, op);
                 let deadline = cluster.sim.now() + SimTime::from_secs(120);
                 cluster.run_until_drained(admin, deadline);
                 cluster.refresh_clients();
-                // The retired instances are returned to EC2.
-                remove.iter().for_each(|&n| cluster.crash(n));
+                // The retired instances are returned to EC2; the killed
+                // ones are down already.
+                retired.iter().for_each(|&n| cluster.crash(n));
                 reconfigs += 1;
             }
             fleet_series.record(minute, node.len() as f64);

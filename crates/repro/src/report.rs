@@ -1028,7 +1028,9 @@ mod tests {
     /// and the inline stylesheet, before they became [`CHARTS`] and
     /// [`STYLE`]; re-keyed at 4fda18e with the counters PR 18 deletes
     /// dropped from the all-counters table by name (it prints whatever
-    /// the registry holds).
+    /// the registry holds), and again, the same way, when the
+    /// follower-local reads and their six `paxos.*` counters went
+    /// (`paxos.reads_*` and `paxos.msg_{sent,recv}.read_*`).
     /// `*_micros` series carry host wall-clock values, so their points are
     /// flattened to 0 in the input (the chart itself stays).
     #[test]
@@ -1050,7 +1052,7 @@ mod tests {
         let digest = html.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(digest, 0x68e3_fcc5_736f_69b4, "got {digest:#018x}");
+        assert_eq!(digest, 0x9b98_887d_7afb_a3b4, "got {digest:#018x}");
     }
 
     #[test]

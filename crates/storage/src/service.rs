@@ -57,7 +57,6 @@ impl RsConfig {
             batch_max_ops: self.batch_max_ops,
             batch_delay: self.batch_delay,
             pipeline: self.pipeline,
-            local_reads: false,
             obs: self.obs.clone(),
         }
     }

@@ -170,9 +170,7 @@ pub fn run_lock_chaos(schedule: &ChaosSchedule, obs: &Obs) -> Result<ChaosOutcom
 /// (batch 4, pipeline 2, a 20 ms batch window): same schedules, same
 /// safety bar, plus the batch-atomicity audit in the checker. A third
 /// closed-loop client raises the odds that concurrent requests coalesce
-/// into real multi-entry batches. Follower-local reads stay off — they
-/// are exercised by their own seeded interleaving test, not by the
-/// fault sweeps.
+/// into real multi-entry batches.
 pub fn run_lock_chaos_batched(schedule: &ChaosSchedule, obs: &Obs) -> Result<ChaosOutcome, String> {
     let cfg = ReplicaConfig {
         batch_max_ops: 4,

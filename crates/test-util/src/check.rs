@@ -14,9 +14,7 @@
 //! sequence per client, a search state is the per-client cursors plus
 //! the model state, and the memo holds every such pair already explored.
 //! An unanswered operation may take effect at any point after it was
-//! invoked, or never. A follower-local read is session-monotone, not
-//! linearizable: it is ordered after its own session's earlier
-//! operations, but may miss writes of other sessions.
+//! invoked, or never.
 //!
 //! The one search covers response fidelity, mutual exclusion, lease
 //! monotonicity, read-your-writes and exactly-once application, over
@@ -61,9 +59,6 @@ pub(crate) struct Op<C, R> {
     pub invoked: SimTime,
     /// Completion time and the observed response (`None`: unanswered).
     pub completed: Option<(SimTime, R)>,
-    /// Served from a follower's applied state: ordered only against its
-    /// own session.
-    pub local: bool,
 }
 
 /// One client's operations in the order it sent them. Only the last
@@ -209,11 +204,10 @@ impl<'a, M: Model> Search<'a, M> {
     /// An operation may go next unless another client's next operation
     /// completed before it was invoked.
     fn may_go(&self, cursors: &[usize], op: &Op<M::Cmd, M::Resp>) -> bool {
-        op.local
-            || (0..cursors.len()).all(|d| {
-                let done = self.next(cursors, d).and_then(|o| o.completed.as_ref());
-                done.is_none_or(|(t, _)| *t >= op.invoked)
-            })
+        (0..cursors.len()).all(|d| {
+            let done = self.next(cursors, d).and_then(|o| o.completed.as_ref());
+            done.is_none_or(|(t, _)| *t >= op.invoked)
+        })
     }
 
     fn dfs(&mut self, cursors: &mut Vec<usize>, state: M) -> Option<M> {
@@ -264,14 +258,13 @@ impl<'a, M: Model> Search<'a, M> {
             .expect("the first answered operation cannot go next");
         format!(
             "not linearizable: {depth} of {} answered operations order consistently; then client \
-             {} req {} (invoked {} ms, completed {} ms{}) observed {} where the model answers \
+             {} req {} (invoked {} ms, completed {} ms) observed {} where the model answers \
              {answer}",
             self.answered.iter().sum::<usize>(),
             self.histories[c].0,
             op.req_id,
             op.invoked.as_millis(),
             done.as_millis(),
-            if op.local { ", local read" } else { "" },
             M::show(resp),
         )
     }
@@ -296,7 +289,6 @@ fn histories<S: Service>(
                         cmd: cmd(&o.op)?,
                         invoked: o.issued_at,
                         completed: o.completed.clone().map(answer),
-                        local: false,
                     })
                 };
                 cl.history().iter().filter_map(app).collect()
@@ -317,7 +309,6 @@ fn histories<S: Service>(
                             cmd: r.cmd.clone(),
                             invoked,
                             completed: r.completed.clone(),
-                            local: r.read,
                         })
                     })
                     .collect()
@@ -459,7 +450,6 @@ mod tests {
             cmd,
             invoked: SimTime::from_millis(from),
             completed: Some((SimTime::from_millis(to), resp)),
-            local: false,
         }
     }
 
@@ -611,9 +601,8 @@ mod tests {
 
     #[test]
     fn a_session_reading_below_its_own_write_is_rejected() {
-        let holder = |seen, local| Op {
-            local,
-            ..op(
+        let holder = |seen| {
+            op(
                 2,
                 LockCmd::Holder { name: "L".into() },
                 20,
@@ -627,15 +616,11 @@ mod tests {
                 vec![op(1, acquire(1), 0, 10, LockResp::Granted), read],
             )]
         };
-        assert!(lock(&own(holder(None, true))).is_err());
-        assert_eq!(lock(&own(holder(Some(NodeId(1)), true))), Ok(2));
-        // A local read may miss another session's write; a read through
-        // the log may not.
-        let other = |read| {
-            let writer = (NodeId(2), vec![op(1, acquire(2), 0, 10, LockResp::Granted)]);
-            vec![writer, (NodeId(1), vec![read])]
-        };
-        assert_eq!(lock(&other(holder(None, true))), Ok(2));
-        assert!(lock(&other(holder(None, false))).is_err());
+        assert!(lock(&own(holder(None))).is_err());
+        assert_eq!(lock(&own(holder(Some(NodeId(1))))), Ok(2));
+        // Nor may a read miss another session's write that completed
+        // before it was invoked.
+        let writer = (NodeId(2), vec![op(1, acquire(2), 0, 10, LockResp::Granted)]);
+        assert!(lock(&[writer, (NodeId(1), vec![holder(None)])]).is_err());
     }
 }

@@ -51,8 +51,6 @@ const INVENTORY: &[(&str, &str, &str)] = &[
     ("paxos.msg_sent.{kind}", "counter", "benchmark paxos.* ratios; consensus_golden metrics_part"),
     ("paxos.phase1_micros", "histogram", "consensus_golden metrics_part"),
     ("paxos.phase2_micros", "histogram", "consensus_golden metrics_part; paxos tests/cluster.rs"),
-    ("paxos.reads_deferred", "counter", "consensus_golden lock local reads"),
-    ("paxos.reads_local", "counter", "consensus_golden lock local reads"),
     ("pool.fleet.{type}", "series", "repro hetero table; ci.sh grep"),
     ("pool.strength", "series", "repro hetero table"),
     ("repair.backoff_waits", "counter", "examples/repair_controller.rs"),

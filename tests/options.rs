@@ -35,9 +35,6 @@ fn every_config_field_is_inventoried() {
         // sweeps c, d)
         pipeline: _,
         // 0 by default (benchmark `lock_serving`); 4 in `repro workload`'s batching section
-        local_reads: _,
-        // false by default; true in tests/workload.rs `run_local_read_interleaving` and
-        // consensus_golden `lock_local_reads`
         obs: _,
         // disabled by default; the caller's `Obs` in `run_lock_workload` /
         // `lock_service_replay`

@@ -14,20 +14,21 @@ use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig, Termination}
 use spot_jupiter::storage::{RsConfig, StoreCmd, StoreResp};
 use test_util::{lock_cluster, storage_cluster};
 
-/// ROADMAP item 2's wedge recipe: an 8-zone m1.small market at seed 2014,
-/// two training weeks, then three days re-bid every 3 h.
+/// ROADMAP item 2's wedge recipe: an 8-zone m1.small market at `seed`,
+/// two training weeks, then three days re-bid every 3 h; the replay seed
+/// is the market seed.
 const TRAIN: u64 = 2 * 7 * 24 * 60;
 const WINDOW: u64 = 3 * 24 * 60;
 
-fn recipe() -> (Market, ServiceReplayConfig) {
-    let mut cfg = MarketConfig::paper(2014, TRAIN + WINDOW);
+fn recipe(seed: u64) -> (Market, ServiceReplayConfig) {
+    let mut cfg = MarketConfig::paper(seed, TRAIN + WINDOW);
     cfg.zones.truncate(8);
     cfg.types = vec![InstanceType::M1Small];
     let config = ServiceReplayConfig {
         eval_start: TRAIN,
         window_minutes: WINDOW,
         interval_hours: 3,
-        seed: 2014,
+        seed,
     };
     (Market::generate(cfg), config)
 }
@@ -37,7 +38,7 @@ fn the_wedge_recipe_is_never_silent() {
     // Extra(0, 0.2) stops answering partway through the window. Whatever
     // the cause, a stall must raise the liveness watchdog inside the
     // window (one market minute is one simulated second).
-    let (market, config) = recipe();
+    let (market, config) = recipe(2014);
     let obs = Obs {
         alerts: AlertSink::new(AlertSink::DEFAULT_CAPACITY),
         ..Obs::disabled()
@@ -54,8 +55,9 @@ fn the_wedge_recipe_is_never_silent() {
 #[test]
 fn the_live_service_runs_the_billed_fleet() {
     // Every kill the market replay bills crashes a live replica, and every
-    // boundary where the billed membership changes is one view change.
-    let (market, config) = recipe();
+    // boundary where the billed membership changes is one view change:
+    // a joiner, a retiree, or a replica killed since the last boundary.
+    let (market, config) = recipe(2014);
     let spec = ServiceSpec::lock_service();
     let end = TRAIN + WINDOW;
     let strategies: [fn() -> Box<dyn BiddingStrategy>; 2] = [
@@ -69,18 +71,34 @@ fn the_live_service_runs_the_billed_fleet() {
             .iter()
             .filter(|r| r.termination == Termination::Provider && r.ended_at < end)
             .count();
-        let changed = billed.intervals[1..]
-            .iter()
-            .filter(|iv| {
-                records.iter().any(|r| {
-                    r.granted_at + DECISION_LEAD == iv.start
-                        || (r.termination == Termination::User && r.ended_at == iv.start)
+        let changed = billed
+            .intervals
+            .windows(2)
+            .filter(|w| {
+                let (last, iv) = (w[0].start, w[1].start);
+                records.iter().any(|r| match r.termination {
+                    _ if r.granted_at + DECISION_LEAD == iv => true,
+                    Termination::User => r.ended_at == iv,
+                    // A kill at a boundary minute lands after its view change.
+                    Termination::Provider => (last..iv).contains(&r.ended_at),
                 })
             })
             .count();
         let live = lock_service_replay(&market, make(), config, &Obs::disabled());
         assert_eq!(live.crashes, kills, "{}", billed.strategy);
         assert_eq!(live.reconfigs, changed, "{}", billed.strategy);
+    }
+}
+
+#[test]
+fn killed_replicas_leave_the_view_at_the_next_boundary() {
+    // At seed 31 the market replay keeps its quorum, yet the live service
+    // wedged while each kill left a dead voter in the view.
+    let (market, config) = recipe(31);
+    for (n, portion) in [(0, 0.2), (2, 0.2)] {
+        let strategy = ExtraStrategy::new(n, portion);
+        let out = lock_service_replay(&market, strategy, config, &Obs::disabled());
+        assert_eq!(out.ops_unfinished, 0, "Extra({n}, {portion}): {out:?}");
     }
 }
 

@@ -12,22 +12,14 @@
 //! * the batching regression bar — at a reference load that saturates a
 //!   depth-2 accept pipeline, enabling batching must not worsen the
 //!   request-level p99 (`tests/consensus_golden.rs` pins a batched
-//!   run's exact numbers);
-//! * session monotonicity of follower-local reads — a seeded
-//!   interleaving sweep whose session history the lock checker judges
-//!   (a follower-served read must never return a value older than the
-//!   session's last acknowledged write), with a printed-seed repro on
-//!   failure.
+//!   run's exact numbers).
 
 use proptest::prelude::*;
 use spot_jupiter::obs::Obs;
-use spot_jupiter::paxos::open_loop::OpenLoopClient;
-use spot_jupiter::paxos::{Cluster, LockCmd, LockService, PaxosNode, ReplicaConfig};
-use spot_jupiter::simnet::{NetworkConfig, NodeId, SimTime};
+use spot_jupiter::simnet::{NetworkConfig, SimTime};
 use spot_jupiter::workload::{
     run_lock_workload, ArrivalProcess, WorkloadReport, WorkloadSpec,
 };
-use test_util::{check_lock_cluster, derive_seed, rng_from};
 
 // ---- arrival-process properties -----------------------------------------
 
@@ -179,109 +171,5 @@ fn batching_does_not_worsen_p99_at_reference_load() {
         "batching worsened SLO availability: {} ppm < {} ppm",
         batched.availability_ppm,
         unbatched.availability_ppm
-    );
-}
-
-// ---- follower-local reads: session monotonicity -------------------------
-
-/// One seeded interleaving: a single open-loop session alternates
-/// Acquire → Holder → Release → Holder on one lock against a 5-replica
-/// cluster with follower-local reads enabled. For one session, session
-/// monotonicity ("a read never returns a value older than my last
-/// acknowledged write") is linearizability, which the history checker
-/// judges.
-///
-/// Returns (reads checked, reads served locally by a follower).
-fn run_local_read_interleaving(seed: u64) -> (usize, usize) {
-    let owner = NodeId(1);
-    let cfg = ReplicaConfig {
-        local_reads: true,
-        ..ReplicaConfig::default()
-    };
-    let mut cluster = Cluster::new(
-        5,
-        LockService::new(),
-        cfg,
-        NetworkConfig::default(),
-        derive_seed(seed, 1),
-    );
-
-    // Seeded gaps: the interleaving of reads with commit/apply traffic
-    // at each follower is what varies run to run.
-    let mut rng = rng_from(derive_seed(seed, 2));
-    let mut t = SimTime::from_secs(3);
-    let mut schedule = Vec::new();
-    use rand::Rng;
-    for _ in 0..12 {
-        for cmd in [
-            LockCmd::Acquire {
-                name: "L".into(),
-                owner,
-            },
-            LockCmd::Holder { name: "L".into() },
-            LockCmd::Release {
-                name: "L".into(),
-                owner,
-            },
-            LockCmd::Holder { name: "L".into() },
-        ] {
-            t += SimTime::from_millis(rng.gen_range(20..400));
-            schedule.push((t, cmd));
-        }
-    }
-    let total = schedule.len();
-
-    let id = NodeId(cluster.sim.node_count());
-    let session = OpenLoopClient::new(id, cluster.servers().to_vec(), schedule)
-        .with_local_reads(true)
-        .with_trace_every(0);
-    let got = cluster.sim.add_node(PaxosNode::OpenLoop(session));
-    assert_eq!(got, id);
-
-    let deadline = t + SimTime::from_secs(120);
-    loop {
-        let session = cluster
-            .sim
-            .actor(id)
-            .and_then(PaxosNode::as_open_loop)
-            .expect("session exists");
-        if session.completions() == total || cluster.sim.now() >= deadline {
-            break;
-        }
-        let next = cluster.sim.now() + SimTime::from_secs(1);
-        cluster.sim.run_until(next.min(deadline));
-    }
-
-    let session = cluster
-        .sim
-        .actor(id)
-        .and_then(PaxosNode::as_open_loop)
-        .expect("session exists");
-    let repro = format!("repro: run_local_read_interleaving({seed:#x})");
-    assert_eq!(session.completions(), total, "ops left unanswered — {repro}");
-    check_lock_cluster(&cluster).unwrap_or_else(|e| panic!("{e} — {repro}"));
-    let reads = session
-        .records()
-        .iter()
-        .filter(|op| matches!(op.cmd, LockCmd::Holder { .. }))
-        .count();
-    (reads, session.local_served() as usize)
-}
-
-#[test]
-fn follower_local_reads_preserve_session_monotonicity() {
-    let mut reads = 0;
-    let mut local = 0;
-    for seed in 0..24u64 {
-        let (r, l) = run_local_read_interleaving(derive_seed(0x10CA1, seed));
-        reads += r;
-        local += l;
-    }
-    assert!(reads > 0, "sweep never checked a read");
-    // The property is vacuous unless followers actually served reads.
-    assert!(
-        local > 0,
-        "no read was ever served from follower-local state — the local-read \
-         path is not being exercised"
     );
 }
