@@ -25,6 +25,20 @@ if [[ $# -gt 0 ]]; then
   exit 2
 fi
 
+echo "== no proptest regression files =="
+# The vendored proptest shim never reads `*.proptest-regressions` files, so
+# a counterexample recorded in one never re-runs. It belongs in a
+# fixed-input #[test] beside the property it came from.
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  REGRESSIONS="$(git ls-files '*.proptest-regressions')"
+  if [[ -n "$REGRESSIONS" ]]; then
+    while read -r file; do
+      echo "$file: the vendored proptest shim does not read it, so its cases never re-run; make each a fixed-input #[test] and delete the file" >&2
+    done <<< "$REGRESSIONS"
+    exit 1
+  fi
+fi
+
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 

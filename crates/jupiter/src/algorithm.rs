@@ -646,6 +646,45 @@ mod tests {
     }
 
     #[test]
+    fn absorbing_path_equals_the_unmemoized_search() {
+        // The absorbing estimator's memoized binary search must choose
+        // what the cache-less reference does: every chosen bid equals
+        // `FailureModel::min_bid_for_fp_absorbing` at the decision's own
+        // per-node FP target.
+        let models: Vec<FailureModel> = (0..6).map(|i| model(0.008, 0.012, 40 + 10 * i)).collect();
+        let states: Vec<ZoneState> = models
+            .iter()
+            .enumerate()
+            .map(|(i, m)| ZoneState {
+                zone: zone(i),
+                instance_type: InstanceType::M1Small,
+                spot_price: p(0.008),
+                sojourn_age: 5,
+                on_demand: p(0.044),
+                model: m,
+            })
+            .collect();
+        let spec = ServiceSpec::lock_service();
+        let d = JupiterStrategy::absorbing().decide(&states, &spec, 240);
+        assert!(d.n() > 0, "the market affords a decision");
+        let target = spec.node_fp_target(d.n()).expect("chosen n has a target");
+        for b in &d.bids {
+            let s = states
+                .iter()
+                .find(|s| s.zone == b.zone)
+                .expect("known zone");
+            let reference = s.model.min_bid_for_fp_absorbing(
+                target,
+                s.spot_price,
+                s.sojourn_age,
+                240,
+                s.on_demand,
+            );
+            assert_eq!(reference, Some(b.bid), "{}", b.zone.name());
+        }
+    }
+
+    #[test]
     fn storage_spec_uses_larger_quorums() {
         // With the RS rule the same market needs more reliable nodes:
         // the decision never uses fewer than m = 3 nodes.

@@ -1,17 +1,20 @@
 //! Availability computations (Eq. 1) — exact, three algorithms.
 //!
 //! * [`acceptance_availability`] — exhaustive over all `2^n` subsets; works
-//!   for arbitrary acceptance predicates, exponential in `n`.
+//!   for arbitrary acceptance predicates, exponential in `n`. The reference
+//!   the two dynamic programs are tested against.
 //! * [`threshold_availability`] — Poisson-binomial tail via an O(n²)
-//!   dynamic program; exact for `k`-of-`n` systems.
+//!   dynamic program; exact for `k`-of-`n` quorums ([`crate::QuorumRule`]).
 //! * [`weighted_availability`] — dynamic program over achievable weight
-//!   sums, O(n·W); exact for weighted majorities.
+//!   sums, O(n·W); exact for weighted majorities (Eq. 11 votes).
 
-use crate::acceptance::Mask;
-use crate::systems::QuorumSystem;
+/// A live-node set as a bitmask: bit `i` set ⇔ node `i` alive.
+pub type Mask = u32;
 
 /// Probability that the live-node set satisfies `accept`, with node `i`
-/// failing independently with probability `fps[i]` (Eq. 1).
+/// failing independently with probability `fps[i]` (Eq. 1). `accept`
+/// names the acceptance set of Definition 1: the live sets that make
+/// progress.
 pub fn acceptance_availability(n: usize, fps: &[f64], accept: impl Fn(Mask) -> bool) -> f64 {
     assert_eq!(fps.len(), n);
     assert!(n <= 30, "enumeration over 2^{n} subsets is infeasible");
@@ -95,15 +98,82 @@ pub fn weighted_availability(weights: &[u64], fps: &[f64]) -> f64 {
         .sum()
 }
 
-/// Availability of any [`QuorumSystem`] by exhaustive enumeration —
-/// reference implementation for cross-checking the DPs.
-pub fn system_availability<Q: QuorumSystem>(system: &Q, fps: &[f64]) -> f64 {
-    acceptance_availability(system.n(), fps, |m| system.is_quorum(m))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuorumRule;
+
+    /// Failure probabilities under which exactly the nodes of `mask` are
+    /// alive: any availability at them is 1 if `mask` is accepted, else 0.
+    fn live(n: usize, mask: Mask) -> Vec<f64> {
+        (0..n)
+            .map(|i| if mask & (1 << i) != 0 { 0.0 } else { 1.0 })
+            .collect()
+    }
+
+    #[test]
+    fn paper_example_availability() {
+        // §3: 5 nodes, p = 0.01 each, majority quorum ⇒ 0.9999901494, by
+        // enumeration (`paper_example_via_threshold_dp` takes the DP).
+        let av = acceptance_availability(5, &[0.01; 5], |m| m.count_ones() >= 3);
+        assert!((av - 0.9999901494).abs() < 1e-10, "got {av}");
+    }
+
+    #[test]
+    fn availability_of_monarchy_is_king_availability() {
+        // Every accepted set contains node 0.
+        let av = acceptance_availability(4, &[0.2, 0.5, 0.5, 0.5], |m| m & 1 != 0);
+        assert!((av - 0.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rs_paxos_quorum_tolerates_one_failure_of_five() {
+        // θ(3,5) ⇒ quorum 4; availability = P(≥4 alive).
+        let k = QuorumRule::RsPaxos { m: 3 }.quorum_size(5);
+        assert_eq!(k, 4);
+        let p = 0.01f64;
+        let q = 1.0 - p;
+        let expect = q.powi(5) + 5.0 * q.powi(4) * p;
+        let dp = threshold_availability(&[p; 5], k);
+        let brute = acceptance_availability(5, &[p; 5], |m| m.count_ones() as usize >= k);
+        assert!((dp - expect).abs() < 1e-12 && (brute - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn availabilities_agree_between_dp_and_enumeration() {
+        let fps = [0.01, 0.2, 0.05, 0.1, 0.3];
+        let dp = threshold_availability(&fps, 3);
+        let brute = acceptance_availability(5, &fps, |m| m.count_ones() >= 3);
+        assert!((dp - brute).abs() < 1e-12);
+
+        let votes = [4u64, 2, 1, 1, 1];
+        let dp = weighted_availability(&votes, &fps);
+        let brute = acceptance_availability(5, &fps, |m| {
+            let live: u64 = (0..5).filter(|i| m & (1 << i) != 0).map(|i| votes[i]).sum();
+            2 * live > 9
+        });
+        assert!((dp - brute).abs() < 1e-12);
+    }
+
+    #[test]
+    fn weighted_majority_semantics() {
+        // Votes 3,1,1: node 0 alone is a quorum (3 > 5/2); nodes 1+2
+        // alone are not (2 < 2.5).
+        assert_eq!(weighted_availability(&[3, 1, 1], &live(3, 0b001)), 1.0);
+        assert_eq!(weighted_availability(&[3, 1, 1], &live(3, 0b110)), 0.0);
+    }
+
+    #[test]
+    fn weighted_equal_weights_match_majority() {
+        for mask in 0..(1 << 5) {
+            let fps = live(5, mask);
+            assert_eq!(
+                weighted_availability(&[1; 5], &fps),
+                threshold_availability(&fps, 3),
+                "live set {mask:05b}"
+            );
+        }
+    }
 
     #[test]
     fn paper_example_via_threshold_dp() {

@@ -1,35 +1,34 @@
-//! # quorum — acceptance sets, quorum systems and service availability
+//! # quorum — quorum sizes and service availability
 //!
-//! The availability side of the paper (§2.2, §3, §4.1):
+//! The availability side of the paper (§2.2, §3, §4.1). A service makes
+//! progress while its live nodes hold a quorum; with nodes failing
+//! independently, its availability is the probability that the live set
+//! is accepted (Definition 1, Eq. 1).
 //!
-//! * [`acceptance`] — Definition 1's *acceptance sets* (intersecting,
-//!   monotone collections of node subsets) as explicit bitmask collections,
-//!   with property checks and minimal-quorum extraction.
-//! * [`systems`] — the quorum systems used by the services: simple
-//!   majority (Paxos), `k`-of-`n` thresholds (the RS-Paxos write quorum,
-//!   which needs intersection ≥ m and therefore `k = ⌈(n+m)/2⌉`), and
-//!   weighted majorities.
-//! * [`availability`] — the non-failure probability of an acceptance set
-//!   (Eq. 1), via exact subset enumeration for arbitrary systems and an
-//!   O(n²) Poisson-binomial dynamic program for threshold systems.
+//! * [`rule`] — [`QuorumRule`], the one quorum description the services
+//!   and the bidding framework use: simple majority (Paxos) or the
+//!   RS-Paxos `⌈(n+m)/2⌉`, whose quorums intersect in ≥ m nodes so a coded
+//!   value stays reconstructible.
+//! * [`availability`] — Eq. 1: an O(n²) Poisson-binomial dynamic program
+//!   for `k`-of-`n` quorums, an O(n·W) dynamic program for vote vectors,
+//!   and the exact `2^n` enumeration over live-node [`Mask`]s the two are
+//!   tested against.
 //! * [`weighted`] — the optimal vote assignment w_i = log₂((1-p_i)/p_i)
 //!   (Eq. 11, Spasojevic & Berman; Tong & Kain) with the monarchy/dummy
-//!   rules of Amir & Wool, giving the *optimal availability acceptance set*
-//!   of Definition 2.
+//!   rules of Amir & Wool: the *optimal availability acceptance set* of
+//!   Definition 2, which the §4.1 ablation weighs against majority.
 //! * [`solve`] — the inverse problem the bidding algorithm needs
 //!   (Fig. 3 line 4): the largest equal per-node failure probability that
 //!   still meets a service availability target (`node_failure_pr`).
 
-pub mod acceptance;
 pub mod availability;
 pub mod rule;
 pub mod solve;
-pub mod systems;
 pub mod weighted;
 
-pub use acceptance::AcceptanceSet;
-pub use availability::{acceptance_availability, system_availability, threshold_availability};
+pub use availability::{
+    acceptance_availability, threshold_availability, weighted_availability, Mask,
+};
 pub use rule::QuorumRule;
 pub use solve::node_failure_pr;
-pub use systems::{MajorityQuorum, QuorumSystem, ThresholdQuorum, WeightedMajority};
-pub use weighted::{optimal_system, optimal_weights};
+pub use weighted::{optimal_votes, optimal_weights};

@@ -32,11 +32,6 @@ impl QuorumRule {
             QuorumRule::RsPaxos { m } => *m,
         }
     }
-
-    /// Failures tolerated at group size `n`.
-    pub fn failure_tolerance(&self, n: usize) -> usize {
-        n - self.quorum_size(n)
-    }
 }
 
 #[cfg(test)]
@@ -56,8 +51,17 @@ mod tests {
     #[test]
     fn tolerance_matches_paper() {
         // 5-node lock service tolerates 2; θ(3,5) storage tolerates 1.
-        assert_eq!(QuorumRule::Majority.failure_tolerance(5), 2);
-        assert_eq!(QuorumRule::RsPaxos { m: 3 }.failure_tolerance(5), 1);
+        assert_eq!(5 - QuorumRule::Majority.quorum_size(5), 2);
+        assert_eq!(5 - QuorumRule::RsPaxos { m: 3 }.quorum_size(5), 1);
+    }
+
+    #[test]
+    fn even_majorities_still_intersect() {
+        // Two quorums of 3 among 4 share a node; one failure is tolerated.
+        let k = QuorumRule::Majority.quorum_size(4);
+        assert_eq!(k, 3);
+        assert!(2 * k > 4);
+        assert_eq!(4 - k, 1);
     }
 
     #[test]

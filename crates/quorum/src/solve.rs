@@ -46,14 +46,13 @@ pub fn node_failure_pr(n: usize, k: usize, target: f64) -> Option<f64> {
     Some(lo)
 }
 
-/// [`node_failure_pr`] for a simple-majority quorum over `n` nodes.
-pub fn node_failure_pr_majority(n: usize, target: f64) -> Option<f64> {
-    node_failure_pr(n, n / 2 + 1, target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn majority(n: usize, target: f64) -> Option<f64> {
+        node_failure_pr(n, n / 2 + 1, target)
+    }
 
     #[test]
     fn paper_target_five_node_majority() {
@@ -61,7 +60,7 @@ mod tests {
         // availability 0.9999901494 — so inverting that availability for
         // 5 nodes must give back p ≈ 0.01.
         let target = 0.9999901494;
-        let p = node_failure_pr_majority(5, target).unwrap();
+        let p = majority(5, target).unwrap();
         assert!((p - 0.01).abs() < 1e-6, "got {p}");
     }
 
@@ -83,9 +82,9 @@ mod tests {
         // the effect the bidding algorithm exploits when cheap zones are
         // plentiful.
         let target = 0.999999;
-        let p3 = node_failure_pr_majority(3, target).unwrap();
-        let p5 = node_failure_pr_majority(5, target).unwrap();
-        let p7 = node_failure_pr_majority(7, target).unwrap();
+        let p3 = majority(3, target).unwrap();
+        let p5 = majority(5, target).unwrap();
+        let p7 = majority(7, target).unwrap();
         assert!(p3 < p5 && p5 < p7, "{p3} {p5} {p7}");
     }
 

@@ -18,8 +18,6 @@
 //! compatibility, which the paper cites) to equalize failure
 //! probabilities and use plain majority.
 
-use crate::systems::WeightedMajority;
-
 /// Resolution used when quantizing real-valued log-odds weights to the
 /// integer votes a voting protocol needs. 16 steps per unit keeps the
 /// quantization error far below the availability differences we measure.
@@ -67,7 +65,7 @@ pub fn optimal_weights(fps: &[f64]) -> Vec<f64> {
 /// Quantize real weights to integer votes at `WEIGHT_SCALE` resolution.
 /// Infinite weights (perfect nodes) map to a weight exceeding the sum of
 /// all finite ones, making the perfect node a monarch.
-pub fn quantize_weights(weights: &[f64]) -> Vec<u64> {
+fn quantize_weights(weights: &[f64]) -> Vec<u64> {
     let finite_sum: f64 = weights.iter().filter(|w| w.is_finite()).sum();
     let monarch_weight = ((finite_sum * WEIGHT_SCALE) as u64 + 1) * 2;
     let q: Vec<u64> = weights
@@ -96,16 +94,27 @@ pub fn quantize_weights(weights: &[f64]) -> Vec<u64> {
     q
 }
 
-/// The optimal-availability weighted-majority system for `fps`.
-pub fn optimal_system(fps: &[f64]) -> WeightedMajority {
-    WeightedMajority::new(quantize_weights(&optimal_weights(fps)))
+/// The integer votes of the optimal-availability weighted-majority system
+/// for `fps`: [`optimal_weights`] quantized, never all zero. A live set is
+/// a quorum when its votes strictly exceed half the total
+/// ([`weighted_availability`](crate::weighted_availability)).
+pub fn optimal_votes(fps: &[f64]) -> Vec<u64> {
+    quantize_weights(&optimal_weights(fps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::availability::acceptance_availability;
-    use crate::systems::{MajorityQuorum, QuorumSystem};
+    use crate::availability::{threshold_availability, weighted_availability, Mask};
+
+    /// Whether the live set `mask` holds a strict majority of `votes`.
+    fn is_quorum(votes: &[u64], mask: Mask) -> bool {
+        let live: u64 = (0..votes.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| votes[i])
+            .sum();
+        2 * live > votes.iter().sum::<u64>()
+    }
 
     #[test]
     fn equal_probabilities_give_equal_weights() {
@@ -113,11 +122,10 @@ mod tests {
         for &x in &w {
             assert!((x - w[0]).abs() < 1e-12);
         }
-        let sys = optimal_system(&[0.01; 5]);
+        let votes = optimal_votes(&[0.01; 5]);
         // Equal weights ⇒ behaves exactly like simple majority.
-        let maj = MajorityQuorum::new(5);
         for mask in 0..(1u32 << 5) {
-            assert_eq!(sys.is_quorum(mask), maj.is_quorum(mask));
+            assert_eq!(is_quorum(&votes, mask), mask.count_ones() >= 3);
         }
     }
 
@@ -125,9 +133,9 @@ mod tests {
     fn monarchy_when_all_unreliable() {
         let w = optimal_weights(&[0.7, 0.6, 0.9]);
         assert_eq!(w, vec![0.0, 1.0, 0.0]);
-        let sys = optimal_system(&[0.7, 0.6, 0.9]);
-        assert!(sys.is_quorum(0b010));
-        assert!(!sys.is_quorum(0b101));
+        let votes = optimal_votes(&[0.7, 0.6, 0.9]);
+        assert!(is_quorum(&votes, 0b010));
+        assert!(!is_quorum(&votes, 0b101));
     }
 
     #[test]
@@ -142,9 +150,9 @@ mod tests {
         // §4.1: p = (0.01, 0.1, 0.1) ⇒ node 0's weight exceeds the sum of
         // the other two (log₂99 ≈ 6.63 > 2·log₂9 ≈ 6.34) — a monarchy in
         // effect.
-        let sys = optimal_system(&[0.01, 0.1, 0.1]);
-        assert!(sys.is_quorum(0b001), "king alone should be a quorum");
-        assert!(!sys.is_quorum(0b110), "subjects alone should not");
+        let votes = optimal_votes(&[0.01, 0.1, 0.1]);
+        assert!(is_quorum(&votes, 0b001), "king alone should be a quorum");
+        assert!(!is_quorum(&votes, 0b110), "subjects alone should not");
     }
 
     #[test]
@@ -159,8 +167,8 @@ mod tests {
             &[0.3, 0.05, 0.05, 0.3, 0.3],
         ];
         for fps in profiles {
-            let opt = optimal_system(fps).availability(fps);
-            let maj = MajorityQuorum::new(fps.len()).availability(fps);
+            let opt = weighted_availability(&optimal_votes(fps), fps);
+            let maj = threshold_availability(fps, fps.len() / 2 + 1);
             assert!(
                 opt >= maj - 1e-12,
                 "weighted {opt} < majority {maj} for {fps:?}"
@@ -170,16 +178,16 @@ mod tests {
 
     #[test]
     fn perfect_node_becomes_monarch() {
-        let sys = optimal_system(&[0.0, 0.1, 0.1]);
-        assert!(sys.is_quorum(0b001));
         let fps = [0.0, 0.1, 0.1];
-        let av = acceptance_availability(3, &fps, |m| sys.is_quorum(m));
+        let votes = optimal_votes(&fps);
+        assert!(is_quorum(&votes, 0b001));
+        let av = weighted_availability(&votes, &fps);
         assert!((av - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn all_half_probabilities_fall_back_to_equal_votes() {
-        let q = quantize_weights(&optimal_weights(&[0.5, 0.5, 0.4999]));
+        let q = optimal_votes(&[0.5, 0.5, 0.4999]);
         assert!(q.iter().sum::<u64>() > 0);
     }
 }

@@ -1,13 +1,11 @@
 //! Edge cases of the inverse-availability solver, the quorum rules, and
-//! the weighted-majority construction: the degenerate inputs the bidding
-//! loop can feed them (single-node groups, all-equal bids, unreliable or
+//! the optimal vote assignment: the degenerate inputs the bidding loop
+//! can feed them (single-node groups, all-equal bids, unreliable or
 //! perfect nodes) and the θ(3,5) arithmetic the storage service leans on.
 
-use quorum::availability::threshold_availability;
-use quorum::solve::{node_failure_pr, node_failure_pr_majority};
-use quorum::systems::ThresholdQuorum;
-use quorum::weighted::quantize_weights;
-use quorum::{optimal_system, optimal_weights, system_availability, QuorumRule, QuorumSystem};
+use quorum::availability::{threshold_availability, weighted_availability};
+use quorum::solve::node_failure_pr;
+use quorum::{optimal_votes, optimal_weights, QuorumRule};
 
 // ------------------------------------------------------- solve: n = 1
 
@@ -23,7 +21,8 @@ fn single_node_inversion_is_exact() {
             1.0 - target
         );
     }
-    let p = node_failure_pr_majority(1, 0.995).expect("feasible");
+    let k = QuorumRule::Majority.quorum_size(1);
+    let p = node_failure_pr(1, k, 0.995).expect("feasible");
     assert!((p - 0.005).abs() < 1e-9, "majority of one: {p}");
 }
 
@@ -65,8 +64,7 @@ fn equal_failure_probabilities_reduce_to_simple_majority() {
         weights.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-12),
         "equal inputs, unequal weights: {weights:?}"
     );
-    let system = optimal_system(&fps);
-    let weighted = system_availability(&system, &fps);
+    let weighted = weighted_availability(&optimal_votes(&fps), &fps);
     let majority = threshold_availability(&fps, 3);
     assert!(
         (weighted - majority).abs() < 1e-12,
@@ -83,8 +81,7 @@ fn hopeless_nodes_elect_a_monarch() {
     let fps = [0.9, 0.55, 0.7];
     let weights = optimal_weights(&fps);
     assert_eq!(weights, vec![0.0, 1.0, 0.0]);
-    let system = optimal_system(&fps);
-    let avail = system_availability(&system, &fps);
+    let avail = weighted_availability(&optimal_votes(&fps), &fps);
     assert!(
         (avail - (1.0 - 0.55)).abs() < 1e-12,
         "monarchy availability {avail}"
@@ -95,9 +92,9 @@ fn hopeless_nodes_elect_a_monarch() {
 fn perfect_node_dominates_quantization() {
     // p = 0 maps to infinite weight; quantization must keep it a monarch
     // rather than overflow or drown it among finite weights.
-    let weights = optimal_weights(&[0.0, 0.01, 0.4]);
-    assert!(weights[0].is_infinite());
-    let q = quantize_weights(&weights);
+    let fps = [0.0, 0.01, 0.4];
+    assert!(optimal_weights(&fps)[0].is_infinite());
+    let q = optimal_votes(&fps);
     let others: u64 = q[1] + q[2];
     assert!(q[0] > others, "perfect node outvotes the rest: {q:?}");
 }
@@ -107,12 +104,14 @@ fn coin_flip_nodes_still_yield_a_working_system() {
     // p = 1/2 everywhere: real weights all quantize to zero; the fallback
     // crowns a single node instead of returning the empty (invalid)
     // weighting.
-    let weights = optimal_weights(&[0.5, 0.5, 0.5]);
-    let q = quantize_weights(&weights);
-    assert_eq!(q.iter().filter(|&&w| w > 0).count(), 1, "one king: {q:?}");
     let fps = [0.5, 0.5, 0.5];
-    let avail = system_availability(&optimal_system(&fps), &fps);
-    assert!((avail - 0.5).abs() < 1e-12, "monarch of a coin flip: {avail}");
+    let q = optimal_votes(&fps);
+    assert_eq!(q.iter().filter(|&&w| w > 0).count(), 1, "one king: {q:?}");
+    let avail = weighted_availability(&q, &fps);
+    assert!(
+        (avail - 0.5).abs() < 1e-12,
+        "monarch of a coin flip: {avail}"
+    );
 }
 
 // ----------------------------------------------------- θ(3,5) quorums
@@ -122,22 +121,17 @@ fn rs_paxos_theta_3_5_tolerates_exactly_one_failure() {
     let rule = QuorumRule::RsPaxos { m: 3 };
     // Quorums of ⌈(5+3)/2⌉ = 4: any two intersect in ≥ 3 replicas, enough
     // to reconstruct a 3-data-shard object.
-    assert_eq!(rule.quorum_size(5), 4);
-    assert_eq!(rule.failure_tolerance(5), 1);
+    let k = rule.quorum_size(5);
+    assert_eq!(k, 4);
+    assert_eq!(5 - k, 1);
     assert_eq!(rule.min_nodes(), 3);
     // Contrast: majority over 5 tolerates 2 but guarantees only a
     // 1-replica intersection.
-    assert_eq!(QuorumRule::Majority.failure_tolerance(5), 2);
+    assert_eq!(5 - QuorumRule::Majority.quorum_size(5), 2);
 
-    // The threshold system sees the same arithmetic: with one node down a
-    // quorum still exists, with two it cannot.
-    let sys = ThresholdQuorum::rs_paxos(5, 3);
-    assert_eq!(sys.threshold(), 4);
-    let one_down = 0b01111u32; // node 4 failed
-    let two_down = 0b00111u32; // nodes 3, 4 failed
-    assert!(sys.is_quorum(one_down));
-    assert!(!sys.is_quorum(two_down));
-    // And availability with perfectly reliable nodes minus one is 1.
-    let fps = [0.0, 0.0, 0.0, 0.0, 1.0];
-    assert!((system_availability(&sys, &fps) - 1.0).abs() < 1e-12);
+    // With one node down a quorum still exists, with two it cannot.
+    let one_down = [0.0, 0.0, 0.0, 0.0, 1.0]; // node 4 failed
+    let two_down = [0.0, 0.0, 0.0, 1.0, 1.0]; // nodes 3, 4 failed
+    assert_eq!(threshold_availability(&one_down, k), 1.0);
+    assert_eq!(threshold_availability(&two_down, k), 0.0);
 }

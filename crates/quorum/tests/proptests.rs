@@ -1,13 +1,156 @@
-//! Property-based tests of the availability machinery.
+//! Property-based tests of the availability machinery, and Definition 1
+//! checked by enumeration over live-node masks.
 
 use proptest::prelude::*;
 use quorum::{
-    acceptance_availability, node_failure_pr, optimal_system, threshold_availability,
-    AcceptanceSet, MajorityQuorum, QuorumSystem, ThresholdQuorum, WeightedMajority,
+    acceptance_availability, node_failure_pr, optimal_votes, optimal_weights,
+    threshold_availability, weighted_availability, Mask, QuorumRule,
 };
 
 fn fps(n: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..=0.49, n..=n)
+}
+
+/// Whether the live set `mask` holds a strict majority of `votes`.
+fn wins(votes: &[u64], mask: Mask) -> bool {
+    let live: u64 = (0..votes.len())
+        .filter(|i| mask & (1 << i) != 0)
+        .map(|i| votes[i])
+        .sum();
+    2 * live > votes.iter().sum::<u64>()
+}
+
+/// Definition 1 (2): `S ∈ A ∧ T ⊇ S ⇒ T ∈ A`. One-node additions
+/// suffice: closure under them implies closure under supersets.
+fn is_monotone(n: usize, accept: impl Fn(Mask) -> bool) -> bool {
+    (0..1 << n)
+        .filter(|&s| accept(s))
+        .all(|s| (0..n).all(|i| accept(s | 1 << i)))
+}
+
+/// Definition 1 (1), strengthened to what RS-Paxos needs: every two
+/// accepted sets share at least `overlap` nodes (plain intersection is
+/// `overlap = 1`).
+fn intersect_in(n: usize, accept: impl Fn(Mask) -> bool, overlap: u32) -> bool {
+    let accepted: Vec<Mask> = (0..1 << n).filter(|&s| accept(s)).collect();
+    accepted
+        .iter()
+        .all(|&s| accepted.iter().all(|&t| (s & t).count_ones() >= overlap))
+}
+
+/// A valid, non-trivial acceptance set: the full universe is accepted,
+/// and both Definition 1 clauses hold.
+fn is_acceptance_set(n: usize, accept: impl Fn(Mask) -> bool) -> bool {
+    accept((1 << n) - 1) && is_monotone(n, &accept) && intersect_in(n, &accept, 1)
+}
+
+#[test]
+fn majority_is_valid_acceptance_set() {
+    for n in 1..=9 {
+        let k = QuorumRule::Majority.quorum_size(n);
+        assert!(
+            is_acceptance_set(n, |s| s.count_ones() as usize >= k),
+            "n={n}"
+        );
+    }
+}
+
+/// RS-Paxos quorums pairwise intersect in at least m nodes, so a chosen
+/// coded value stays reconstructible, and one node fewer would not.
+#[test]
+fn rs_quorums_intersect_in_m() {
+    for n in 1..=9 {
+        for m in 1..=n {
+            let rule = QuorumRule::RsPaxos { m };
+            let k = rule.quorum_size(n);
+            let quorum = |s: Mask| s.count_ones() as usize >= k;
+            assert!(is_acceptance_set(n, quorum), "n={n} m={m}");
+            assert!(intersect_in(n, quorum, m as u32), "n={n} m={m}");
+            let smaller = |s: Mask| s.count_ones() as usize + 1 >= k;
+            assert!(
+                !intersect_in(n, smaller, m as u32),
+                "n={n} m={m}: k not minimal"
+            );
+        }
+    }
+}
+
+#[test]
+fn singleton_system_is_valid_monarchy() {
+    // A monarchy: every accepted set contains node 0.
+    assert!(is_acceptance_set(4, |s| s & 1 != 0));
+}
+
+#[test]
+fn non_intersecting_collection_detected() {
+    // "Any single node" is monotone but not intersecting.
+    let any = |s: Mask| s.count_ones() >= 1;
+    assert!(is_monotone(3, any));
+    assert!(!intersect_in(3, any, 1));
+    assert!(!is_acceptance_set(3, any));
+}
+
+#[test]
+fn non_monotone_collection_detected() {
+    // "Exactly two nodes" is intersecting over 3 nodes but not monotone.
+    let two = |s: Mask| s.count_ones() == 2;
+    assert!(intersect_in(3, two, 1));
+    assert!(!is_monotone(3, two));
+    assert!(!is_acceptance_set(3, two));
+}
+
+/// Two profiles outside the `≤ 0.2` range of
+/// `weighted_voting_close_to_majority`, recorded when that property still
+/// drew failure probabilities up to 0.49. They show the quantization
+/// caveat of `quorum::weighted`: the real-valued Eq. 11 weights beat
+/// simple majority (Definition 2), their quantized votes lose to it, and
+/// with a near-half node the loss passes 0.02.
+#[test]
+fn recorded_profiles_lose_to_majority_only_after_quantization() {
+    let profiles: [([f64; 5], bool); 2] = [
+        (
+            [
+                0.1616731770713125,
+                0.31740936789926083,
+                0.2295214810364769,
+                0.1436690997939265,
+                0.10566680193178102,
+            ],
+            false,
+        ),
+        (
+            [
+                0.4688063260687427,
+                0.23972399676564343,
+                0.2115545231145962,
+                0.23927602070452955,
+                0.19171859459876642,
+            ],
+            true,
+        ),
+    ];
+    for (p, past_bound) in profiles {
+        let weights = optimal_weights(&p);
+        let total: f64 = weights.iter().sum();
+        let real = acceptance_availability(5, &p, |s| {
+            let live: f64 = (0..5)
+                .filter(|i| s & (1 << i) != 0)
+                .map(|i| weights[i])
+                .sum();
+            2.0 * live > total
+        });
+        let quantized = weighted_availability(&optimal_votes(&p), &p);
+        let majority = threshold_availability(&p, 3);
+        assert!(
+            real >= majority,
+            "real-valued {real} < majority {majority} for {p:?}"
+        );
+        assert!(
+            quantized < majority,
+            "quantized {quantized} ≥ majority {majority} for {p:?}"
+        );
+        assert_eq!(quantized < majority - 0.02, past_bound, "{p:?}");
+    }
 }
 
 proptest! {
@@ -31,15 +174,14 @@ proptest! {
         prop_assert!(after <= before + 1e-12, "worse node improved availability");
     }
 
-    /// Weighted-majority systems induce valid acceptance sets
-    /// (Definition 1: intersecting and monotone).
+    /// Weighted majorities induce valid acceptance sets (Definition 1:
+    /// intersecting and monotone).
     #[test]
     fn weighted_majority_is_valid_acceptance_set(
         weights in proptest::collection::vec(0u64..5, 3..7),
     ) {
         prop_assume!(weights.iter().sum::<u64>() > 0);
-        let sys = WeightedMajority::new(weights);
-        prop_assert!(sys.acceptance_set().is_valid());
+        prop_assert!(is_acceptance_set(weights.len(), |s| wins(&weights, s)));
     }
 
     /// Eq. 11 weights are the *continuously* optimal assignment; after
@@ -51,13 +193,14 @@ proptest! {
     /// majority, and exactly majority on equal profiles.
     /// Restricted to the reliable regime the framework actually operates
     /// in (per-node FP ≤ 0.2): with near-half failure probabilities the
-    /// quantization tie loss can grow past a few percent.
+    /// quantization tie loss can grow past a few percent (see
+    /// `recorded_profiles_lose_to_majority_only_after_quantization`).
     #[test]
     fn weighted_voting_close_to_majority(
         p in proptest::collection::vec(1e-6f64..=0.2, 5..=5),
     ) {
-        let weighted = optimal_system(&p).availability(&p);
-        let majority = MajorityQuorum::new(5).availability(&p);
+        let weighted = weighted_availability(&optimal_votes(&p), &p);
+        let majority = threshold_availability(&p, 3);
         prop_assert!(
             weighted >= majority - 0.02,
             "weighted {weighted} ≪ majority {majority} for {p:?}"
@@ -67,11 +210,9 @@ proptest! {
     /// On equal failure probabilities the weighted system IS majority.
     #[test]
     fn weighted_voting_equals_majority_when_equal(p in 1e-6f64..0.49) {
-        let fps = vec![p; 5];
-        let sys = optimal_system(&fps);
-        let maj = MajorityQuorum::new(5);
+        let votes = optimal_votes(&[p; 5]);
         for mask in 0..(1u32 << 5) {
-            prop_assert_eq!(sys.is_quorum(mask), maj.is_quorum(mask));
+            prop_assert_eq!(wins(&votes, mask), mask.count_ones() >= 3);
         }
     }
 
@@ -81,8 +222,8 @@ proptest! {
     #[test]
     fn weighted_voting_wins_in_monarchy_regime(weak in 0.3f64..0.49) {
         let fps = vec![0.001, weak, weak, weak, weak];
-        let weighted = optimal_system(&fps).availability(&fps);
-        let majority = MajorityQuorum::new(5).availability(&fps);
+        let weighted = weighted_availability(&optimal_votes(&fps), &fps);
+        let majority = threshold_availability(&fps, 3);
         prop_assert!(
             weighted > majority,
             "weighted {weighted} ≤ majority {majority}"
@@ -101,25 +242,5 @@ proptest! {
             let above = threshold_availability(&vec![p + 1e-3; n], k);
             prop_assert!(above < target, "not tight at n={n}");
         }
-    }
-
-    /// RS-Paxos quorums always pairwise-intersect in at least m nodes.
-    #[test]
-    fn rs_quorums_intersect_in_m(n in 3usize..=9, m in 1usize..=4) {
-        prop_assume!(m <= n);
-        let q = ThresholdQuorum::rs_paxos(n, m);
-        let k = q.threshold();
-        // Worst case: two quorums overlapping as little as possible.
-        prop_assert!(2 * k >= n + m, "2·{k} < {n} + {m}");
-    }
-
-    /// Acceptance-set availability equals the sum over minimal-quorum
-    /// up-closure (Eq. 1 is representation-independent).
-    #[test]
-    fn availability_via_minimal_quorums(p in fps(5), k in 3usize..=5) {
-        let a = AcceptanceSet::from_predicate(5, |m| m.count_ones() as usize >= k);
-        let direct = a.availability(&p);
-        let rebuilt = AcceptanceSet::from_quorums(5, &a.minimal_quorums());
-        prop_assert!((rebuilt.availability(&p) - direct).abs() < 1e-12);
     }
 }

@@ -791,7 +791,7 @@ pub struct VotingRow {
 
 /// The §4.1 ablation across representative failure-probability profiles.
 pub fn ablation_weighted_voting() -> Vec<VotingRow> {
-    use quorum::{optimal_system, MajorityQuorum, QuorumSystem};
+    use quorum::{optimal_votes, threshold_availability, weighted_availability, QuorumRule};
     let profiles: Vec<Vec<f64>> = vec![
         vec![0.01; 5],                         // equal, the Jupiter target
         vec![0.01, 0.012, 0.009, 0.011, 0.01], // near-equal (realistic)
@@ -802,8 +802,8 @@ pub fn ablation_weighted_voting() -> Vec<VotingRow> {
     profiles
         .into_iter()
         .map(|p| {
-            let majority = MajorityQuorum::new(p.len()).availability(&p);
-            let weighted = optimal_system(&p).availability(&p);
+            let majority = threshold_availability(&p, QuorumRule::Majority.quorum_size(p.len()));
+            let weighted = weighted_availability(&optimal_votes(&p), &p);
             VotingRow {
                 profile: p,
                 majority,

@@ -30,6 +30,59 @@ fn trace_strategy() -> impl Strategy<Value = PriceTrace> {
         })
 }
 
+/// The `billing_orderings` property at one input.
+fn billing_orderings_hold(trace: &PriceTrace, start: u64, len: u64) -> Result<(), TestCaseError> {
+    let start = start.min(trace.horizon() - 1);
+    let end = (start + len).min(trace.horizon());
+    let provider = spot_charge(trace, start, end, Termination::Provider);
+    let user = spot_charge(trace, start, end, Termination::User);
+    prop_assert!(provider <= user);
+    // Provider-kill charges ARE monotone in whole-hour counts: adding
+    // a full billed hour can only add a non-negative charge.
+    if end + 60 <= trace.horizon() {
+        let longer = spot_charge(trace, start, end + 60, Termination::Provider);
+        prop_assert!(longer >= provider);
+    }
+    Ok(())
+}
+
+/// The `billing_bounds` property at one input.
+fn billing_bounds_hold(trace: &PriceTrace, start: u64, len: u64) -> Result<(), TestCaseError> {
+    let start = start.min(trace.horizon() - 1);
+    let end = (start + len).min(trace.horizon());
+    prop_assume!(start < end);
+    let cost = spot_charge(trace, start, end, Termination::User);
+    let max = trace.max_price_in(start, end);
+    let hours_up = (end - start).div_ceil(60);
+    prop_assert!(cost <= max * hours_up);
+    let min = trace
+        .segments()
+        .filter(|s| s.start < end && s.start + s.duration > start)
+        .map(|s| s.price)
+        .min()
+        .expect("overlap");
+    let hours_down = (end - start) / 60;
+    prop_assert!(cost >= min * hours_down);
+    Ok(())
+}
+
+/// A shrunk failure case an earlier version of these properties
+/// recorded: the lifetime 1..27 ends on a $2.8859 spike that starts at
+/// minute 26, inside a partial hour. Both billing properties hold on it.
+#[test]
+fn spike_at_the_end_of_a_partial_hour() {
+    let point = |minute, micros| PricePoint {
+        minute,
+        price: Price::from_micros(micros),
+    };
+    let trace = PriceTrace::new(
+        vec![point(0, 10_000), point(26, 2_885_900), point(60, 10_000)],
+        120,
+    );
+    billing_orderings_hold(&trace, 1, 26).unwrap();
+    billing_bounds_hold(&trace, 1, 26).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -81,38 +134,14 @@ proptest! {
     /// "discovered" by asserting the opposite.)
     #[test]
     fn billing_orderings(trace in trace_strategy(), start in 0u64..50, len in 0u64..300) {
-        let start = start.min(trace.horizon() - 1);
-        let end = (start + len).min(trace.horizon());
-        let provider = spot_charge(&trace, start, end, Termination::Provider);
-        let user = spot_charge(&trace, start, end, Termination::User);
-        prop_assert!(provider <= user);
-        // Provider-kill charges ARE monotone in whole-hour counts: adding
-        // a full billed hour can only add a non-negative charge.
-        if end + 60 <= trace.horizon() {
-            let longer = spot_charge(&trace, start, end + 60, Termination::Provider);
-            prop_assert!(longer >= provider);
-        }
+        billing_orderings_hold(&trace, start, len)?;
     }
 
     /// Spot billing never exceeds max-price × started hours, and a
     /// full-lifetime charge is bounded below by min-price × full hours.
     #[test]
     fn billing_bounds(trace in trace_strategy(), start in 0u64..50, len in 1u64..300) {
-        let start = start.min(trace.horizon() - 1);
-        let end = (start + len).min(trace.horizon());
-        prop_assume!(start < end);
-        let cost = spot_charge(&trace, start, end, Termination::User);
-        let max = trace.max_price_in(start, end);
-        let hours_up = (end - start).div_ceil(60);
-        prop_assert!(cost <= max * hours_up);
-        let min = trace
-            .segments()
-            .filter(|s| s.start < end && s.start + s.duration > start)
-            .map(|s| s.price)
-            .min()
-            .expect("overlap");
-        let hours_down = (end - start) / 60;
-        prop_assert!(cost >= min * hours_down);
+        billing_bounds_hold(&trace, start, len)?;
     }
 
     /// On-demand billing: per started hour, monotone, zero for zero time.
