@@ -143,6 +143,14 @@ for artifact in trace.json audit.jsonl alerts.jsonl; do
   cmp "$TMP/report.html.$artifact" "$TMP/again.html.$artifact" \
     || { echo "report smoke: $artifact differs between two processes at one seed" >&2; exit 1; }
 done
+# One thread against the default pool: the report replays one cell, so
+# its Jupiter decisions fan the zones out over the host's cores; pinned
+# to one core they run inline, and the record must not notice.
+taskset -c "$ONE_CPU" ./target/release/repro --seed 2014 --report-out "$TMP/one.html" report > /dev/null
+for artifact in trace.json audit.jsonl alerts.jsonl; do
+  cmp "$TMP/report.html.$artifact" "$TMP/one.html.$artifact" \
+    || { echo "report smoke: $artifact differs between one thread and the default pool" >&2; exit 1; }
+done
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

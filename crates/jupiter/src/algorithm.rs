@@ -13,14 +13,16 @@
 //! 3. sort the feasible bids and greedily take the `n` cheapest;
 //! 4. the candidate's score is its cost upper bound Σ bids.
 //!
-//! The answer is the candidate with the lowest upper bound. Zone forecasts
-//! are computed once and shared across all `n` (they do not depend on the
-//! node count); the semi-Markov forward evolution per zone is the dominant
-//! cost of a decision.
+//! The answer is the candidate with the lowest upper bound. Step 2 does
+//! not look across zones and dominates a decision (the semi-Markov forward
+//! evolution), so it runs zone-major: one [`par_map`] job per zone
+//! forecasts it once — the forecast does not depend on `n` — and returns
+//! its minimal bid at every target; steps 3–4 then run on the caller.
 
-use obs::Obs;
+use obs::{Counter, Histogram, Obs};
 use spot_market::Price;
 
+use crate::par::{host_workers, par_map};
 use crate::service::ServiceSpec;
 use crate::strategy::{BidDecision, BiddingStrategy, PoolBid, ZoneState};
 
@@ -208,10 +210,10 @@ impl BiddingStrategy for JupiterStrategy {
             return BidDecision::empty();
         }
         if !self.obs.is_enabled() {
-            return self.decide_inner(zones, spec, horizon_minutes);
+            return self.decide_inner(zones, spec, horizon_minutes, host_workers());
         }
         let start = std::time::Instant::now();
-        let decision = self.decide_inner(zones, spec, horizon_minutes);
+        let decision = self.decide_inner(zones, spec, horizon_minutes, host_workers());
         let micros = start.elapsed().as_micros() as u64;
         self.obs.histogram("jupiter.decide_micros").record(micros);
         // The per-decision trajectory on the market-minute axis (the obs
@@ -224,147 +226,75 @@ impl BiddingStrategy for JupiterStrategy {
     }
 }
 
+/// The `jupiter.*` instruments a zone's job records into. They are
+/// atomics, so the jobs of one decision share them across threads.
+struct Probes {
+    forecast_micros: Histogram,
+    forecasts_computed: Counter,
+    fp_cache_hits: Counter,
+    fp_cache_misses: Counter,
+    forward_micros: Histogram,
+}
+
+impl Probes {
+    /// The FP at bid-grid `slot`: from `memo` if an earlier node count
+    /// probed it, else `fp()`, remembered.
+    fn memo(&self, memo: &mut [Option<f64>], slot: usize, fp: impl FnOnce() -> f64) -> f64 {
+        if let Some(fp) = memo[slot] {
+            self.fp_cache_hits.inc();
+            return fp;
+        }
+        self.fp_cache_misses.inc();
+        *memo[slot].insert(fp())
+    }
+}
+
 impl JupiterStrategy {
-    fn decide_inner(
+    /// Fig. 3 with the per-zone half on at most `workers` threads: every
+    /// zone's minimal bids in one [`par_map`], then the selection over
+    /// node counts on the caller.
+    pub(crate) fn decide_inner(
         &self,
         zones: &[ZoneState<'_>],
         spec: &ServiceSpec,
         horizon_minutes: u32,
+        workers: usize,
     ) -> BidDecision {
-        let forecast_micros = self.obs.histogram("jupiter.forecast_micros");
-        let forecasts_computed = self.obs.counter("jupiter.forecasts_computed");
-        let fp_cache_hits = self.obs.counter("jupiter.fp_cache_hits");
-        let fp_cache_misses = self.obs.counter("jupiter.fp_cache_misses");
-        let forward_micros = self.obs.histogram("jupiter.forward_evolution_micros");
-        // One forecast per zone, shared by every node-count candidate
-        // (expectation estimator). For the absorbing estimator every
-        // probed level costs a full forward evolution, so probes are
-        // memoized per zone *across* node counts — distinct targets
-        // mostly revisit the same handful of ladder levels.
-        let forecasts: Vec<_> = match self.estimator {
-            Estimator::Expectation => zones
-                .iter()
-                .map(|z| {
-                    let f = forecast_micros.time(|| z.forecast(horizon_minutes));
-                    if f.is_some() {
-                        forecasts_computed.inc();
-                    }
-                    f
-                })
-                .collect(),
-            Estimator::Absorbing => vec![None; zones.len()],
+        let probes = Probes {
+            forecast_micros: self.obs.histogram("jupiter.forecast_micros"),
+            forecasts_computed: self.obs.counter("jupiter.forecasts_computed"),
+            fp_cache_hits: self.obs.counter("jupiter.fp_cache_hits"),
+            fp_cache_misses: self.obs.counter("jupiter.fp_cache_misses"),
+            forward_micros: self.obs.histogram("jupiter.forward_evolution_micros"),
         };
-        // Every probed bid is either a ladder level of the zone's frozen
-        // kernel or the zone's own spot price, so the memo is a dense
-        // bid-grid vector (slot 0 = off-ladder spot price, slot 1 + l =
-        // ladder level l) instead of a locked hash map.
-        let absorbing_cache: Vec<Vec<std::sync::OnceLock<f64>>> = zones
-            .iter()
-            .map(|z| vec![std::sync::OnceLock::new(); z.model.kernel().n_states() + 1])
-            .collect();
-        // The expectation estimator probes the same bid grid: the node
-        // counts n = 1..max_n revisit the same forecast levels at shifting
-        // targets, so the per-(zone, level) FP is memoized across the
-        // enumeration — and across nothing else, since forecast, spot
-        // price and horizon are fixed within one decide (slot 0 =
-        // off-ladder spot price, slot 1 + l = forecast level l).
-        let expectation_cache: Vec<Vec<std::sync::OnceLock<f64>>> = forecasts
-            .iter()
-            .map(|f| {
-                vec![
-                    std::sync::OnceLock::new();
-                    f.as_ref().map_or(0, |f| f.levels().len() + 1)
-                ]
-            })
-            .collect();
-        let expectation_fp = |zi: usize, slot: usize, bid: Price| -> f64 {
-            let cell = &expectation_cache[zi][slot];
-            if let Some(&fp) = cell.get() {
-                fp_cache_hits.inc();
-                return fp;
-            }
-            fp_cache_misses.inc();
-            let z = &zones[zi];
-            let f = forecasts[zi].as_ref().expect("slots exist only when forecast does");
-            *cell.get_or_init(|| z.model.fp_from_forecast(f, bid, z.spot_price))
-        };
-        // The minimal feasible bid at `target`: `ZoneState::min_bid` with
-        // the FP lookups served from the grid.
-        let expectation_min_bid = |zi: usize, target: f64| -> Option<Price> {
-            let z = &zones[zi];
-            let f = forecasts[zi].as_ref()?;
-            f.bid_candidates(z.spot_price, z.on_demand)
-                .filter(|&(slot, b)| expectation_fp(zi, slot, b) <= target)
-                .map(|(_, b)| b)
-                .min()
-        };
-        let absorbing_fp = |zi: usize, bid: Price| -> f64 {
-            let z = &zones[zi];
-            let slot = match z.model.kernel().level_index(bid) {
-                Some(l) => l + 1,
-                None => 0,
-            };
-            let cell = &absorbing_cache[zi][slot];
-            if let Some(&fp) = cell.get() {
-                fp_cache_hits.inc();
-                return fp;
-            }
-            fp_cache_misses.inc();
-            let fp = forward_micros.time(|| {
-                z.model
-                    .estimate_fp_absorbing(bid, z.spot_price, z.sojourn_age, horizon_minutes)
-            });
-            *cell.get_or_init(|| fp)
-        };
-        // Minimal feasible bid on the level ladder by binary search
-        // (absorbing FP is non-increasing in the bid).
-        let absorbing_min_bid = |zi: usize, target: f64| -> Option<Price> {
-            let z = &zones[zi];
-            let candidates: Vec<Price> = std::iter::once(z.spot_price)
-                .chain(z.model.kernel().prices().iter().copied())
-                .filter(|&b| b >= z.spot_price && b < z.on_demand)
-                .collect();
-            if candidates.is_empty() {
-                return None;
-            }
-            let (mut lo, mut hi) = (0usize, candidates.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if absorbing_fp(zi, candidates[mid]) <= target {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            candidates
-                .get(lo)
-                .copied()
-                .filter(|&b| absorbing_fp(zi, b) <= target)
-        };
+        let max_n = self.max_nodes.unwrap_or(zones.len()).min(zones.len());
+        let targets: Vec<Option<f64>> = (1..=max_n).map(|n| spec.node_fp_target(n)).collect();
+        // Until selection the zones are independent, and one zone's
+        // forecast or bid search is nearly all of a decision.
+        let zone_bids = par_map(zones, workers, |z| {
+            self.zone_min_bids(z, &targets, horizon_minutes, &probes)
+        });
 
         let candidates_evaluated = self.obs.counter("jupiter.candidates_evaluated");
         let candidates_feasible = self.obs.counter("jupiter.candidates_feasible");
-        let max_n = self.max_nodes.unwrap_or(zones.len()).min(zones.len());
         let mut best: Option<(Price, BidDecision)> = None;
-        for n in 1..=max_n {
-            let Some(fp_target) = spec.node_fp_target(n) else {
+        for (n, target) in (1..).zip(&targets) {
+            if target.is_none() {
                 continue;
-            };
+            }
             candidates_evaluated.inc();
             // Minimal feasible bid per pool at this target.
-            let pool_bid = |zi: usize, b: Price| PoolBid {
-                zone: zones[zi].zone,
-                instance_type: zones[zi].instance_type,
-                bid: b,
-            };
-            let bids: Vec<PoolBid> = match self.estimator {
-                Estimator::Expectation => (0..zones.len())
-                    .filter_map(|zi| expectation_min_bid(zi, fp_target).map(|b| pool_bid(zi, b)))
-                    .collect(),
-                Estimator::Absorbing => (0..zones.len())
-                    .filter_map(|zi| absorbing_min_bid(zi, fp_target).map(|b| pool_bid(zi, b)))
-                    .collect(),
-            };
+            let bids: Vec<PoolBid> = zones
+                .iter()
+                .zip(&zone_bids)
+                .filter_map(|(z, bids)| {
+                    bids[n - 1].map(|bid| PoolBid {
+                        zone: z.zone,
+                        instance_type: z.instance_type,
+                        bid,
+                    })
+                })
+                .collect();
             if bids.len() < n {
                 continue; // not enough pools can meet the target
             }
@@ -391,6 +321,80 @@ impl JupiterStrategy {
         }
         best.map(|(_, d)| d).unwrap_or_else(BidDecision::empty)
     }
+
+    /// One zone's job: its minimal bid at each per-node FP target (`None`
+    /// where the target is absent or out of reach), node counts
+    /// ascending. Every probed bid is the zone's own spot price or a
+    /// level of its forecast (expectation) or frozen kernel (absorbing),
+    /// so the FP memo is a dense bid grid — slot 0 the off-ladder spot
+    /// price, slot 1 + l level l — that the node counts share: distinct
+    /// targets mostly revisit the same handful of levels.
+    fn zone_min_bids(
+        &self,
+        z: &ZoneState<'_>,
+        targets: &[Option<f64>],
+        horizon_minutes: u32,
+        probes: &Probes,
+    ) -> Vec<Option<Price>> {
+        match self.estimator {
+            // One forecast answers every candidate bid at every target.
+            Estimator::Expectation => {
+                let Some(f) = probes.forecast_micros.time(|| z.forecast(horizon_minutes)) else {
+                    return vec![None; targets.len()];
+                };
+                probes.forecasts_computed.inc();
+                let mut memo = vec![None; f.levels().len() + 1];
+                let targets = targets.iter().map(|&target| {
+                    let target = target?;
+                    f.bid_candidates(z.spot_price, z.on_demand)
+                        .filter(|&(slot, b)| {
+                            let fp = || z.model.fp_from_forecast(&f, b, z.spot_price);
+                            probes.memo(&mut memo, slot, fp) <= target
+                        })
+                        .map(|(_, b)| b)
+                        .min()
+                });
+                targets.collect()
+            }
+            // Every probed level costs a full forward evolution: binary
+            // search the ladder (absorbing FP is non-increasing in the bid).
+            Estimator::Absorbing => {
+                let kernel = z.model.kernel();
+                let mut memo = vec![None; kernel.n_states() + 1];
+                let mut fp = |bid: Price| {
+                    let slot = kernel.level_index(bid).map_or(0, |l| l + 1);
+                    probes.memo(&mut memo, slot, || {
+                        probes.forward_micros.time(|| {
+                            z.model.estimate_fp_absorbing(
+                                bid,
+                                z.spot_price,
+                                z.sojourn_age,
+                                horizon_minutes,
+                            )
+                        })
+                    })
+                };
+                let candidates: Vec<Price> = std::iter::once(z.spot_price)
+                    .chain(kernel.prices().iter().copied())
+                    .filter(|&b| b >= z.spot_price && b < z.on_demand)
+                    .collect();
+                let targets = targets.iter().map(|&target| {
+                    let target = target?;
+                    let (mut lo, mut hi) = (0usize, candidates.len());
+                    while lo < hi {
+                        let mid = (lo + hi) / 2;
+                        if fp(candidates[mid]) <= target {
+                            hi = mid;
+                        } else {
+                            lo = mid + 1;
+                        }
+                    }
+                    candidates.get(lo).copied().filter(|&b| fp(b) <= target)
+                });
+                targets.collect()
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -406,6 +410,10 @@ mod tests {
     /// A zone whose price alternates `low` (stay minutes) → `high`
     /// (3 min) — riskier the longer `high` dwells relative to `low`.
     fn model(low: f64, high: f64, stay: u64) -> FailureModel {
+        FailureModel::from_trace(&model_trace(low, high, stay), FailureModelConfig::default())
+    }
+
+    fn model_trace(low: f64, high: f64, stay: u64) -> PriceTrace {
         let mut points = Vec::new();
         let mut t = 0;
         for _ in 0..200 {
@@ -420,7 +428,7 @@ mod tests {
             });
             t += 3;
         }
-        FailureModel::from_trace(&PriceTrace::new(points, t), FailureModelConfig::default())
+        PriceTrace::new(points, t)
     }
 
     fn zone(i: usize) -> Zone {
@@ -681,6 +689,52 @@ mod tests {
                 s.on_demand,
             );
             assert_eq!(reference, Some(b.bid), "{}", b.zone.name());
+        }
+    }
+
+    #[test]
+    fn one_worker_and_four_decide_alike() {
+        // Eight zones with distinct kernels, half of them holding an
+        // observed window the zone's job folds in. Fresh models per run,
+        // so both runs fold.
+        let run = |strategy: &JupiterStrategy, workers: usize| {
+            let models: Vec<FailureModel> = (0..8u64)
+                .map(|i| {
+                    let f = i as f64 * 0.0005;
+                    let mut m = model(0.006 + f, 0.011 + f, 30 + 9 * i);
+                    if i % 2 == 1 {
+                        m.observe(&model_trace(0.006 + f, 0.013 + f, 20 + 7 * i));
+                    }
+                    m
+                })
+                .collect();
+            let states: Vec<ZoneState> = models
+                .iter()
+                .enumerate()
+                .map(|(i, m)| ZoneState {
+                    zone: zone(i),
+                    instance_type: InstanceType::M1Small,
+                    spot_price: p(0.006 + i as f64 * 0.0005),
+                    sojourn_age: 3 * i as u32,
+                    on_demand: p(0.044),
+                    model: m,
+                })
+                .collect();
+            let (o, _clock) = Obs::simulated();
+            let strategy = strategy.clone().with_obs(o.clone());
+            let d = strategy.decide_inner(&states, &ServiceSpec::lock_service(), 240, workers);
+            let snap = o.metrics.snapshot();
+            let counts: Vec<(String, u64)> = (snap.counters.into_iter())
+                .chain(snap.histograms.into_iter().map(|(n, h)| (n, h.count)))
+                .filter(|(n, _)| n.starts_with("jupiter."))
+                .collect();
+            (d, counts)
+        };
+        for strategy in [JupiterStrategy::new(), JupiterStrategy::absorbing()] {
+            let one = run(&strategy, 1);
+            assert!(one.0.n() > 0, "{}: the market affords a decision", strategy.name());
+            assert!(one.1.len() >= 5, "{:?}", one.1);
+            assert_eq!(one, run(&strategy, 4), "{}", strategy.name());
         }
     }
 

@@ -88,6 +88,45 @@ impl Search<'_> {
     }
 }
 
+impl ExhaustiveSolver {
+    /// One zone's candidate bids: the model's price levels within
+    /// [spot, on-demand) with their FP, fp-dominated bids (same fp,
+    /// higher price) dropped and the rest thinned to
+    /// `max_levels_per_zone`. Empty when the zone is untrained.
+    fn hull(&self, z: &ZoneState<'_>, horizon_minutes: u32) -> Vec<(Price, f64)> {
+        let Some(f) = z.forecast(horizon_minutes) else {
+            return Vec::new();
+        };
+        let mut options: Vec<(Price, f64)> = std::iter::once(z.spot_price)
+            .chain(f.levels().iter().copied())
+            .filter(|&b| b >= z.spot_price && b < z.on_demand)
+            .map(|b| (b, z.model.fp_from_forecast(&f, b, z.spot_price)))
+            .collect();
+        options.sort_by_key(|(b, _)| *b);
+        options.dedup_by_key(|(b, _)| *b);
+        // Remove fp-dominated entries (monotone hull).
+        let mut hull: Vec<(Price, f64)> = Vec::new();
+        for (b, fp) in options {
+            if hull.last().map(|(_, lf)| fp < *lf).unwrap_or(true) {
+                hull.push((b, fp));
+            }
+        }
+        // Thin evenly if too many.
+        if hull.len() > self.max_levels_per_zone {
+            let step = hull.len() as f64 / self.max_levels_per_zone as f64;
+            let mut thinned = Vec::with_capacity(self.max_levels_per_zone);
+            for i in 0..self.max_levels_per_zone {
+                thinned.push(hull[(i as f64 * step) as usize]);
+            }
+            if thinned.last() != hull.last() {
+                thinned.push(*hull.last().expect("non-empty"));
+            }
+            hull = thinned;
+        }
+        hull
+    }
+}
+
 impl BiddingStrategy for ExhaustiveSolver {
     fn name(&self) -> String {
         "Exhaustive".into()
@@ -105,47 +144,13 @@ impl BiddingStrategy for ExhaustiveSolver {
             self.max_zones,
             zones.len()
         );
-        let mut candidates = Vec::new();
-        for (zone_idx, z) in zones.iter().enumerate() {
-            let Some(f) = z.forecast(horizon_minutes) else {
-                continue;
-            };
-            // Candidate bids: the model's price levels within
-            // [spot, on-demand), thinned; dominated bids (same fp, higher
-            // price) dropped.
-            let mut options: Vec<(Price, f64)> = std::iter::once(z.spot_price)
-                .chain(f.levels().iter().copied())
-                .filter(|&b| b >= z.spot_price && b < z.on_demand)
-                .map(|b| (b, z.model.fp_from_forecast(&f, b, z.spot_price)))
-                .collect();
-            options.sort_by_key(|(b, _)| *b);
-            options.dedup_by_key(|(b, _)| *b);
-            // Remove fp-dominated entries (monotone hull).
-            let mut hull: Vec<(Price, f64)> = Vec::new();
-            for (b, fp) in options {
-                if hull.last().map(|(_, lf)| fp < *lf).unwrap_or(true) {
-                    hull.push((b, fp));
-                }
-            }
-            // Thin evenly if too many.
-            if hull.len() > self.max_levels_per_zone {
-                let step = hull.len() as f64 / self.max_levels_per_zone as f64;
-                let mut thinned = Vec::with_capacity(self.max_levels_per_zone);
-                for i in 0..self.max_levels_per_zone {
-                    thinned.push(hull[(i as f64 * step) as usize]);
-                }
-                if thinned.last() != hull.last() {
-                    thinned.push(*hull.last().expect("non-empty"));
-                }
-                hull = thinned;
-            }
-            if !hull.is_empty() {
-                candidates.push(ZoneCandidates {
-                    zone_idx,
-                    options: hull,
-                });
-            }
-        }
+        let candidates: Vec<ZoneCandidates> = (zones.iter().enumerate())
+            .map(|(zone_idx, z)| ZoneCandidates {
+                zone_idx,
+                options: self.hull(z, horizon_minutes),
+            })
+            .filter(|c| !c.options.is_empty())
+            .collect();
 
         let mut search = Search {
             zones: &candidates,
@@ -175,6 +180,7 @@ impl BiddingStrategy for ExhaustiveSolver {
 mod tests {
     use super::*;
     use crate::algorithm::JupiterStrategy;
+    use proptest::prelude::*;
     use spot_market::{PricePoint, PriceTrace};
     use spot_model::{FailureModel, FailureModelConfig};
 
@@ -237,11 +243,116 @@ mod tests {
         assert!(threshold_availability(&fps, k) >= spec.availability_target());
     }
 
+    /// A trace wandering over `levels` price levels, `base + step · l`
+    /// hundredths of a cent, one `(level, dwell minutes)` hop at a time.
+    fn wandering(levels: u64, base: u64, step: u64, hops: &[(u64, u64)]) -> PriceTrace {
+        let mut points = Vec::new();
+        let mut t = 0;
+        for &(level, dwell) in hops {
+            let price = Price::from_micros((base + step * (level % levels)) * 100);
+            if points.last().map(|q: &PricePoint| q.price) != Some(price) {
+                points.push(PricePoint { minute: t, price });
+            }
+            t += dwell; // a repeated level stretches the sojourn
+        }
+        PriceTrace::new(points, t)
+    }
+
+    /// One zone: level count, base, step, hops, and (spot level, age).
+    type ZoneMarket = (u64, u64, u64, Vec<(u64, u64)>, (u64, u32));
+
+    fn zone_market() -> impl Strategy<Value = ZoneMarket> {
+        (
+            2u64..=11,
+            40u64..120,
+            2u64..30,
+            proptest::collection::vec((0u64..11, 1u64..90), 40..120),
+            (0u64..11, 0u32..120),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Jupiter's decision is one point of the exact search space: its
+        /// bids are hull points (the minimal bid meeting a target has a
+        /// lower FP than every cheaper bid), no zone's hull is thinned
+        /// (≤ 11 kernel levels, spot among them), and equal-FP targets
+        /// meet the exact Poisson-binomial constraint. So the exact
+        /// optimum costs no more, on every instance.
+        #[test]
+        fn exact_never_costs_more_than_greedy(
+            zones in proptest::collection::vec(zone_market(), 2..=6),
+            horizon in 60u32..480,
+            slack in 0usize..3,
+            rs_paxos in 0u32..2,
+        ) {
+            let models: Vec<FailureModel> = zones
+                .iter()
+                .map(|(levels, base, step, hops, _)| {
+                    FailureModel::from_trace(
+                        &wandering(*levels, *base, *step, hops),
+                        FailureModelConfig::default(),
+                    )
+                })
+                .collect();
+            let all = spot_market::topology::all_zones();
+            let st: Vec<ZoneState> = models
+                .iter()
+                .zip(&zones)
+                .enumerate()
+                .map(|(i, (m, (levels, base, step, _, (spot, age))))| ZoneState {
+                    zone: all[i],
+                    instance_type: spot_market::InstanceType::M1Small,
+                    spot_price: Price::from_micros((base + step * (spot % levels)) * 100),
+                    sojourn_age: *age,
+                    on_demand: p(0.044),
+                    model: m,
+                })
+                .collect();
+            let base = if rs_paxos == 1 {
+                ServiceSpec::storage_service()
+            } else {
+                ServiceSpec::lock_service()
+            };
+            // Looser targets let two to four zones carry a decision.
+            let spec = ServiceSpec {
+                epsilon: [1e-6, 1e-3, 2e-2][slack],
+                ..base
+            };
+            let greedy = JupiterStrategy::new().decide(&st, &spec, horizon);
+            let exact = ExhaustiveSolver::default().decide(&st, &spec, horizon);
+            if greedy.n() == 0 {
+                return Ok(()); // the exact search may still find a mix
+            }
+            let fps: Vec<f64> = greedy
+                .bids
+                .iter()
+                .map(|pb| {
+                    let z = st.iter().find(|s| s.zone == pb.zone).expect("known zone");
+                    let f = z.forecast(horizon).expect("a bid zone is trained");
+                    z.model.fp_from_forecast(&f, pb.bid, z.spot_price)
+                })
+                .collect();
+            let k = spec.quorum.quorum_size(greedy.n());
+            prop_assert!(
+                threshold_availability(&fps, k) >= spec.availability_target(),
+                "greedy {:?} misses the target: fps {fps:?}",
+                greedy.bids
+            );
+            prop_assert!(exact.n() > 0, "greedy {:?} is feasible", greedy.bids);
+            prop_assert!(
+                exact.cost_upper_bound() <= greedy.cost_upper_bound(),
+                "exact {} > greedy {}",
+                exact.cost_upper_bound(),
+                greedy.cost_upper_bound()
+            );
+        }
+    }
+
     #[test]
-    fn exact_never_costs_more_than_greedy() {
-        // The greedy solution is one point of the exact search space
-        // (equal-FP targets are a subset of heterogeneous assignments), so
-        // the exact optimum is ≤ greedy on the same instance.
+    fn greedy_is_within_twice_the_exact_cost_on_a_benign_market() {
+        // The paper's near-optimality claim on a fixed six-zone market.
         let models: Vec<FailureModel> = vec![
             model(0.006, 0.010, 40),
             model(0.008, 0.012, 60),
@@ -255,14 +366,7 @@ mod tests {
         let greedy = JupiterStrategy::new().decide(&st, &spec, 240);
         let exact = ExhaustiveSolver::default().decide(&st, &spec, 240);
         assert!(greedy.n() > 0 && exact.n() > 0);
-        assert!(
-            exact.cost_upper_bound() <= greedy.cost_upper_bound(),
-            "exact {} > greedy {}",
-            exact.cost_upper_bound(),
-            greedy.cost_upper_bound()
-        );
-        // …and greedy should be close (the paper's near-optimality claim):
-        // within 2× on such benign instances.
+        assert!(exact.cost_upper_bound() <= greedy.cost_upper_bound());
         assert!(
             greedy.cost_upper_bound().as_micros() <= exact.cost_upper_bound().as_micros() * 2,
             "greedy is far from optimal: {} vs {}",

@@ -34,12 +34,16 @@
 //!   keyed by (zone, instance type, trained-until minute), so many
 //!   concurrent policy evaluations over the same market train each model
 //!   exactly once.
+//! * [`par`] — [`par::par_map`], the workspace's one parallel map: the
+//!   zones of a decision (and the replay harness's cells) on the host's
+//!   cores, inline when called from inside another map's job.
 
 pub mod algorithm;
 pub mod exhaustive;
 pub mod feedback;
 pub mod framework;
 pub mod heuristic;
+pub mod par;
 pub mod service;
 pub mod store;
 pub mod strategy;

@@ -13,6 +13,7 @@
 
 use std::time::Instant;
 
+use jupiter::par::{host_workers, par_map};
 use jupiter::{
     BiddingStrategy, ExtraStrategy, FeedbackStrategy, FixedOnce, JupiterStrategy, ServiceSpec,
 };
@@ -22,7 +23,6 @@ use spot_market::{
 use spot_model::{backtest, BidRule, CalibrationReport, FailureModel, FailureModelConfig};
 
 use crate::lifecycle::Replay;
-use crate::par::{host_workers, par_map};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
 use crate::scenario::Scenario;

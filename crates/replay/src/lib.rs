@@ -40,7 +40,6 @@ pub mod autoscale;
 pub mod chaos;
 pub mod experiments;
 pub mod lifecycle;
-mod par;
 pub mod repair;
 pub mod results;
 pub mod scenario;

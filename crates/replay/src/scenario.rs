@@ -27,12 +27,12 @@
 
 use std::sync::Arc;
 
+use jupiter::par::{host_workers, par_map};
 use jupiter::{BiddingStrategy, ModelStore, ServiceSpec};
 use obs::Obs;
 use spot_market::{BidEra, Market, Price};
 
 use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
-use crate::par::{host_workers, par_map};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
 
