@@ -37,6 +37,10 @@
 //! * [`par`] — [`par::par_map`], the workspace's one parallel map: the
 //!   zones of a decision (and the replay harness's cells) on the host's
 //!   cores, inline when called from inside another map's job.
+//!
+//! The crate is safe Rust: its speed comes from work skipped and cores
+//! used, never from `unsafe`.
+#![forbid(unsafe_code)]
 
 pub mod algorithm;
 pub mod exhaustive;

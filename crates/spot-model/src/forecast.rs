@@ -22,31 +22,38 @@
 //! # Shape of the evolution
 //!
 //! Mass, `stay = 1 − hazard` and the marginal-path hazard `hm` are flat
-//! *age-major* arrays: cell (state `i`, age `a`) sits at `a · n + i`, so
-//! the cells of one age are adjacent and ages `[0, k)` are the prefix
-//! `[0, k · n)`. One minute moves every cell's staying mass one age up
-//! (`out[a + 1][i] = stay[a][i] · w`, the top age bucket also keeping its
-//! own stayers) and scatters the leaving mass `hazard · w` into the age-0
-//! cells of the successor states: through the state's *marginal*
-//! next-state distribution for almost every cell, through an exact-sojourn
-//! conditional for the few cells that have one (≥ 3 observations at that
-//! exact age). Three facts keep the minute cheap:
+//! arrays in *tiles* of four states: cell (state `i`, age `a`) sits at
+//! `(i / 4) · max_age · 4 + a · 4 + i % 4`, so a tile holds its four
+//! states' ages contiguously, one `[f64; 4]` per age. The ladder is
+//! padded to whole tiles with lanes whose `stay` and `hm` are `0.0`; no
+//! mass ever enters them. One minute moves every cell's staying mass one
+//! age up (`out[a + 1][i] = stay[a][i] · w`, the top age bucket also
+//! keeping its own stayers) and scatters the leaving mass `hazard · w`
+//! into the age-0 cells of the successor states: through the state's
+//! *marginal* next-state distribution for almost every cell, through an
+//! exact-sojourn conditional for the few cells that have one (≥ 3
+//! observations at that exact age). Four facts keep the minute cheap:
 //!
 //! * **Active range.** After `t` minutes only ages `< t` can hold mass,
 //!   plus the one *diagonal* cell the starting mass has been climbing
 //!   (`(start_state, start_age + t)`, capped at the top bucket, which it
-//!   joins for good at minute `max_age − 1`). Every loop — shift, leaving
-//!   totals, row sums — covers ages `[0, min(t, max_age))` and that one
-//!   cell; the rest of both buffers is exactly `0.0` and is never read.
-//! * **Branch-free dense pass.** Within the active range every cell does
-//!   `out[a + 1] = stay[a] · w; leaving += hm[a] · w` with no test on `w`,
-//!   the hazard or the cell kind: `hm` is `0.0` where an exact conditional
-//!   applies, and those cells are revisited from a short per-state list.
-//! * **States are the vector lanes.** Each state's `leaving` total and row
-//!   sum is a serial chain of additions over its ages; age-major order
-//!   lays the `n` independent chains side by side, so one pass over the
-//!   active prefix advances all of them element-wise and the shift is a
-//!   single flat multiply.
+//!   joins for good at minute `max_age − 1`). The sweep covers ages
+//!   `[0, min(t, max_age))` and that one cell; the rest of both buffers
+//!   is exactly `0.0` and is never read.
+//! * **One branch-free sweep per tile.** Within the active range every
+//!   age does `out[a + 1] = stay[a] · w; leaving += hm[a] · w; sum += w`
+//!   on four lanes at once, the two totals held in registers, with no
+//!   test on `w`, the hazard or the cell kind: `hm` is `0.0` where an
+//!   exact conditional applies, and those cells are revisited from a
+//!   short per-state list. Each lane's totals are serial chains over its
+//!   ages; a tile advances four of them side by side.
+//! * **Row sums ride the next minute.** The `sum`s minute `t + 1`'s sweep
+//!   forms are minute `t`'s row sums, over the same cells in the same
+//!   order, so `forecast` reads them from there and only the last minute
+//!   takes a row-sum pass of its own.
+//! * **Live tiles only.** The absorbing variant sweeps the
+//!   `live.div_ceil(4)` tiles that hold a state at or below the bid;
+//!   tiles wholly above it are exactly `0.0` and stay so.
 //!
 //! # Addend order
 //!
@@ -61,10 +68,13 @@
 //! * each age-0 cell receives, for source states in ascending order, that
 //!   state's exact-conditional contributions in ascending age and *then*
 //!   its marginal contribution — so the scatter runs state by state after
-//!   the dense pass has produced every `leaving` total;
+//!   the sweep has produced every `leaving` total;
 //! * the top bucket is `stay[top − 1] · w[top − 1]` first, `stay[top] ·
 //!   w[top]` second;
-//! * row sums run over ascending age, levels are accumulated top-down.
+//! * row sums run over ascending age, the diagonal cell or top bucket
+//!   last — a minute's row sums come from the next minute's sweep, which
+//!   visits its cells in exactly that order, and the last minute's from
+//!   `row_sums`, which does too; levels are accumulated top-down.
 
 use std::ops::Range;
 
@@ -147,6 +157,15 @@ impl Forecast {
     }
 }
 
+/// States per tile: the lanes one sweep advances side by side.
+const LANES: usize = 4;
+
+/// The flat index of cell (state `i`, age `a`) in an evolution with
+/// `max_age` ages: tile `i / LANES`, then age, then lane `i % LANES`.
+fn cell(max_age: usize, i: usize, a: usize) -> usize {
+    (i / LANES) * max_age * LANES + a * LANES + i % LANES
+}
+
 /// A (state, age) cell whose leaving mass follows an exact-sojourn
 /// conditional instead of the state's marginal distribution.
 struct ExactCell {
@@ -158,8 +177,10 @@ struct ExactCell {
 }
 
 /// Precomputed hazards and next-state lists for the evolution, flat and
-/// age-major: cell `(i, a)` — state `i` at sojourn age `a`, about to live
-/// the minute that takes its age to `a + 1` — sits at `a · n + i`.
+/// tiled: cell `(i, a)` — state `i` at sojourn age `a`, about to live the
+/// minute that takes its age to `a + 1` — sits at [`cell`]`(max_age, i,
+/// a)`. The states are padded to whole tiles with lanes whose `stay` and
+/// `hm` are `0.0`.
 struct Tables {
     n: usize,
     max_age: usize,
@@ -172,8 +193,8 @@ struct Tables {
     /// state `i` owns `exact[exact_rows[i]..exact_rows[i + 1]]`.
     exact: Vec<ExactCell>,
     exact_rows: Vec<usize>,
-    /// Sparse next-state lists as `(j, p_j > 0)` in ascending `j`: state
-    /// `i`'s marginal distribution is
+    /// Sparse next-state lists as `(age-0 cell of j, p_j > 0)` in
+    /// ascending `j`: state `i`'s marginal distribution is
     /// `targets[marginal_rows[i]..marginal_rows[i + 1]]`, each exact cell
     /// names its own run.
     targets: Vec<(usize, f64)>,
@@ -183,35 +204,43 @@ struct Tables {
 impl Tables {
     fn build(kernel: &FrozenKernel, max_age: usize) -> Tables {
         let n = kernel.n_states();
+        let to_cell = |(j, p): (usize, f64)| (cell(max_age, j, 0), p);
         let mut targets = Vec::new();
         let mut marginal_rows = Vec::with_capacity(n + 1);
         for i in 0..n as u16 {
             marginal_rows.push(targets.len());
             let dist = kernel.marginal_next_state_dist(i);
-            targets.extend(dist.into_iter().enumerate().filter(|&(_, p)| p > 0.0));
+            targets.extend(
+                dist.into_iter()
+                    .enumerate()
+                    .filter(|&(_, p)| p > 0.0)
+                    .map(to_cell),
+            );
         }
         marginal_rows.push(targets.len());
 
-        let mut stay = vec![0.0; n * max_age];
-        let mut hm = vec![0.0; n * max_age];
+        let len = n.div_ceil(LANES) * max_age * LANES;
+        let mut stay = vec![0.0; len];
+        let mut hm = vec![0.0; len];
         let mut exact = Vec::new();
         let mut exact_rows = Vec::with_capacity(n + 1);
         for i in 0..n {
             let hazard = kernel.hazards_up_to(i as u16, max_age);
             for (a, &h) in hazard.iter().enumerate() {
-                stay[a * n + i] = 1.0 - h;
-                hm[a * n + i] = h;
+                stay[cell(max_age, i, a)] = 1.0 - h;
+                hm[cell(max_age, i, a)] = h;
             }
             exact_rows.push(exact.len());
             for (age, dist) in kernel.exact_dists_up_to(i as u16, max_age) {
                 let first = targets.len();
-                targets.extend(dist);
+                targets.extend(dist.map(to_cell));
+                let at = cell(max_age, i, age);
                 exact.push(ExactCell {
-                    cell: age * n + i,
+                    cell: at,
                     hazard: hazard[age],
                     targets: first..targets.len(),
                 });
-                hm[age * n + i] = 0.0;
+                hm[at] = 0.0;
             }
         }
         exact_rows.push(exact.len());
@@ -225,6 +254,10 @@ impl Tables {
             targets,
             marginal_rows,
         }
+    }
+
+    fn cell(&self, i: usize, a: usize) -> usize {
+        cell(self.max_age, i, a)
     }
 }
 
@@ -245,8 +278,12 @@ struct Evolution<'t> {
     /// The other half of the double buffer; zero outside the active range
     /// it last held, like `mass`.
     scratch: Vec<f64>,
-    /// Per state, the mass leaving along the marginal path this minute.
+    /// Per lane of the live tiles, the mass leaving along the marginal
+    /// path this minute.
     leaving: Vec<f64>,
+    /// Per lane of the live tiles, the row sum of the distribution the
+    /// last [`Self::step`] started from, formed by that step's sweep.
+    entry_sums: Vec<f64>,
 }
 
 impl<'t> Evolution<'t> {
@@ -255,8 +292,9 @@ impl<'t> Evolution<'t> {
         debug_assert!(start_state < live, "start state out of range");
         debug_assert!(live <= tables.n);
         let start_age = (start_age as usize).min(tables.max_age - 1);
-        let mut mass = vec![0.0f64; tables.n * tables.max_age];
-        mass[start_age * tables.n + start_state] = 1.0;
+        let mut mass = vec![0.0f64; tables.stay.len()];
+        mass[tables.cell(start_state, start_age)] = 1.0;
+        let lanes = live.div_ceil(LANES) * LANES;
         Evolution {
             tables,
             live,
@@ -265,7 +303,8 @@ impl<'t> Evolution<'t> {
             minute: 0,
             scratch: vec![0.0; mass.len()],
             mass,
-            leaving: vec![0.0; live],
+            leaving: vec![0.0; lanes],
+            entry_sums: vec![0.0; lanes],
         }
     }
 
@@ -280,50 +319,55 @@ impl<'t> Evolution<'t> {
     /// Evolve the distribution one minute.
     fn step(&mut self) {
         let t = self.tables;
-        let (n, live) = (t.n, self.live);
         let top = t.max_age - 1;
-        let dense = self.minute.min(t.max_age);
+        let tile = t.max_age * LANES;
         let diagonal = self.diagonal_age();
-        let (mass, out) = (&self.mass, &mut self.scratch);
+        let (diagonal_tile, diagonal_lane) = (self.start_state / LANES, self.start_state % LANES);
+        // The dense ages `[0, min(minute, max_age))` short of the top
+        // bucket, which (once dense) is handled with the diagonal cell.
+        let shifted = self.minute.min(top);
 
-        // Dense pass over ages `[0, shifted)`: move the staying mass one
-        // age up and total, per state, the mass leaving along the marginal
-        // path. Ages `1..=shifted` of `out` are assigned, which covers
-        // whatever the buffer held two minutes ago; age 0 is refilled by
-        // the scatter.
-        let shifted = dense.min(top);
-        let cells = shifted * n;
-        for ((o, &stay), &w) in out[n..n + cells].iter_mut().zip(&t.stay).zip(mass) {
-            *o = stay * w;
-        }
-        self.leaving.fill(0.0);
-        for (hm, w) in t.hm[..cells].chunks_exact(n).zip(mass.chunks_exact(n)) {
-            for ((leaving, &hm), &w) in self.leaving.iter_mut().zip(hm).zip(w) {
-                *leaving += hm * w;
+        // One sweep per live tile: move the staying mass one age up and
+        // total, per lane, the leaving mass and the row sum. Ages
+        // `1..=shifted` of `out` are assigned, which covers whatever the
+        // buffer held two minutes ago; age 0 is refilled by the scatter.
+        // Tiles above the live ones hold only `0.0` and stay so.
+        for k in 0..self.live.div_ceil(LANES) {
+            let cells = k * tile..(k + 1) * tile;
+            let (mass, stay, hm) = (
+                lanes(&self.mass[cells.clone()]),
+                lanes(&t.stay[cells.clone()]),
+                lanes(&t.hm[cells.clone()]),
+            );
+            let out = self.scratch[cells].as_chunks_mut::<LANES>().0;
+            let (mut l, mut s) = sweep(&mut out[1..=shifted], mass, stay, hm);
+            // Above the shifted ages lies one more source: the diagonal
+            // cell, or the whole top bucket once the dense range covers
+            // every age. Its target is either untouched (still `0.0`) or
+            // the top bucket the sweep just assigned; `+=` is right for
+            // both.
+            let mut above = |age: usize, lane: usize| {
+                let w = mass[age][lane];
+                out[(age + 1).min(top)][lane] += stay[age][lane] * w;
+                l[lane] += hm[age][lane] * w;
+                s[lane] += w;
+            };
+            match diagonal {
+                Some(age) if k == diagonal_tile => above(age, diagonal_lane),
+                Some(_) => {}
+                None => (0..LANES).for_each(|lane| above(top, lane)),
             }
+            self.leaving[k * LANES..][..LANES].copy_from_slice(&l);
+            self.entry_sums[k * LANES..][..LANES].copy_from_slice(&s);
         }
-        // Above the shifted ages lies one more source: the diagonal cell,
-        // or the whole top bucket once the dense range covers every age.
-        // Its target is either untouched (still `0.0`) or the top bucket
-        // the shift just assigned; `+=` is right for both.
-        match diagonal {
-            Some(age) => {
-                let cell = age * n + self.start_state;
-                out[(age + 1).min(top) * n + self.start_state] += t.stay[cell] * mass[cell];
-                self.leaving[self.start_state] += t.hm[cell] * mass[cell];
-            }
-            None => {
-                for (i, leaving) in self.leaving.iter_mut().enumerate() {
-                    let cell = top * n + i;
-                    out[cell] += t.stay[cell] * mass[cell];
-                    *leaving += t.hm[cell] * mass[cell];
-                }
-            }
-        }
+
         // Scatter into the age-0 cells, source states in ascending order:
         // exact-conditional cells by ascending age, then the marginal path.
-        out[..n].fill(0.0);
-        for i in 0..live {
+        let (mass, out) = (&self.mass, &mut self.scratch);
+        for zero in out.chunks_exact_mut(tile) {
+            zero[..LANES].fill(0.0);
+        }
+        for i in 0..self.live {
             for exact in &t.exact[t.exact_rows[i]..t.exact_rows[i + 1]] {
                 let w = mass[exact.cell];
                 if w != 0.0 {
@@ -341,30 +385,66 @@ impl<'t> Evolution<'t> {
             }
         }
         // Absorb what entered a state that does not evolve.
-        out[live..n].fill(0.0);
+        for j in self.live..t.n {
+            out[t.cell(j, 0)] = 0.0;
+        }
         // The diagonal cell has moved on; clear it so this buffer is zero
         // above the dense range when it comes back as `out`.
         if let Some(age) = diagonal {
-            self.mass[age * n + self.start_state] = 0.0;
+            self.mass[t.cell(self.start_state, age)] = 0.0;
         }
         std::mem::swap(&mut self.mass, &mut self.scratch);
         self.minute += 1;
     }
 
-    /// `sums[i] = Σ_a mass[i][a]` for the evolving states.
+    /// `sums[i] = Σ_a mass[i][a]` for the evolving states, in the order the
+    /// next step's sweep would form them.
     fn row_sums(&self, sums: &mut [f64]) {
-        let n = self.tables.n;
-        let sums = &mut sums[..self.live];
-        sums.fill(0.0);
-        let dense = self.minute.min(self.tables.max_age);
-        for row in self.mass[..dense * n].chunks_exact(n) {
-            for (sum, &w) in sums.iter_mut().zip(row) {
-                *sum += w;
-            }
+        let t = self.tables;
+        let dense = self.minute.min(t.max_age);
+        for (i, sum) in sums[..self.live].iter_mut().enumerate() {
+            let ages = self.mass[t.cell(i, 0)..].iter().step_by(LANES).take(dense);
+            *sum = ages.fold(0.0, |sum, &w| sum + w);
         }
         if let Some(age) = self.diagonal_age() {
-            sums[self.start_state] += self.mass[age * n + self.start_state];
+            sums[self.start_state] += self.mass[t.cell(self.start_state, age)];
         }
+    }
+}
+
+/// A tile's cells as one `[f64; LANES]` per age.
+fn lanes(tile: &[f64]) -> &[[f64; LANES]] {
+    tile.as_chunks().0
+}
+
+/// The dense part of one tile's minute: for each age `a` of `mass`,
+/// `out[a] = stay[a] · w` (the caller passes `out` one age up), and per
+/// lane the running totals `leaving += hm[a] · w` and `sum += w` in
+/// ascending age.
+fn sweep(
+    out: &mut [[f64; LANES]],
+    mass: &[[f64; LANES]],
+    stay: &[[f64; LANES]],
+    hm: &[[f64; LANES]],
+) -> ([f64; LANES], [f64; LANES]) {
+    let mut leaving = [0.0; LANES];
+    let mut sum = [0.0; LANES];
+    for (((out, w), stay), hm) in out.iter_mut().zip(mass).zip(stay).zip(hm) {
+        *out = std::array::from_fn(|lane| stay[lane] * w[lane]);
+        leaving = std::array::from_fn(|lane| leaving[lane] + hm[lane] * w[lane]);
+        sum = std::array::from_fn(|lane| sum[lane] + w[lane]);
+    }
+    (leaving, sum)
+}
+
+/// `above_sum[l] += P(price > s_l)` for one minute whose per-state masses
+/// are `in_state`, accumulated top-down as suffix sums.
+fn add_above(above_sum: &mut [f64], in_state: &[f64]) {
+    let mut suffix = 0.0;
+    for (above, &w) in above_sum.iter_mut().zip(in_state).rev() {
+        // above level l means strictly higher states.
+        *above += suffix;
+        suffix += w;
     }
 }
 
@@ -384,19 +464,18 @@ pub(crate) fn forecast(
     let n = tables.n;
     let mut evolution = Evolution::new(&tables, n, start_state, start_age);
 
+    // P(price > s_l) = Σ_{i > l} Σ_a mass[i][a]. Each step's sweep forms
+    // the row sums of the minute before it, so minute t's sums are read
+    // after step t + 1 and only the last minute's need a pass of their own.
     let mut above_sum = vec![0.0f64; n];
-    let mut in_state = vec![0.0f64; n];
-    for _ in 0..horizon {
+    evolution.step();
+    for _ in 1..horizon {
         evolution.step();
-        evolution.row_sums(&mut in_state);
-        // P(price > s_l) = Σ_{i > l} Σ_a mass[i][a]; build via suffix sums.
-        let mut suffix = 0.0;
-        for l in (0..n).rev() {
-            // above level l means strictly higher states.
-            above_sum[l] += suffix;
-            suffix += in_state[l];
-        }
+        add_above(&mut above_sum, &evolution.entry_sums[..n]);
     }
+    let mut in_state = vec![0.0f64; n];
+    evolution.row_sums(&mut in_state);
+    add_above(&mut above_sum, &in_state);
     let above_fraction = above_sum
         .iter()
         .map(|&s| (s / horizon as f64).clamp(0.0, 1.0))
@@ -503,14 +582,58 @@ mod tests {
         );
     }
 
+    /// Every cell that the active-range invariant says is empty is exactly
+    /// `0.0` in both buffers: padding lanes, states that do not evolve, and
+    /// in `mass` every age at or above `min(minute, max_age)` except the
+    /// diagonal cell; in `scratch` every such age of the minute before
+    /// (its diagonal cell was cleared). The double buffer has no clearing
+    /// pass, so the next minute's sweep relies on this.
+    fn assert_zero_outside_the_active_range(evolution: &Evolution) {
+        let t = evolution.tables;
+        let minute = evolution.minute;
+        let buffers = [
+            ("mass", &evolution.mass, minute, evolution.diagonal_age()),
+            (
+                "scratch",
+                &evolution.scratch,
+                minute.saturating_sub(1),
+                None,
+            ),
+        ];
+        for (name, buffer, dense, diagonal) in buffers {
+            let dense = dense.min(t.max_age);
+            for i in 0..t.n.div_ceil(LANES) * LANES {
+                for a in 0..t.max_age {
+                    let active = i < evolution.live
+                        && (a < dense || i == evolution.start_state && diagonal == Some(a));
+                    let w = buffer[t.cell(i, a)];
+                    assert!(
+                        active || w == 0.0,
+                        "{name}: state {i} age {a} holds {w:e} after minute {minute}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn mass_is_conserved() {
         let k = kernel();
         let tables = Tables::build(&k, 16);
+        // The two states leave two padding lanes, which never move mass.
+        for a in 0..16 {
+            for i in k.n_states()..LANES {
+                let pad = tables.cell(i, a);
+                assert_eq!((tables.stay[pad], tables.hm[pad]), (0.0, 0.0));
+            }
+        }
         for start_age in [0, 9, 40] {
             let mut evolution = Evolution::new(&tables, k.n_states(), 0, start_age);
+            let mut before = vec![0.0; k.n_states()];
             for _ in 0..200 {
+                evolution.row_sums(&mut before);
                 evolution.step();
+                assert_zero_outside_the_active_range(&evolution);
                 // Everything, not only the active range: nothing may hide
                 // outside it either.
                 let total: f64 = evolution.mass.iter().sum();
@@ -519,6 +642,11 @@ mod tests {
                 evolution.row_sums(&mut in_state);
                 let rows: f64 = in_state.iter().sum();
                 assert!((rows - 1.0).abs() < 1e-9, "row sums miss mass: {rows}");
+                // The sweep's sums are the row sums of the minute before,
+                // bit for bit: `forecast` reads them instead.
+                for (i, (swept, summed)) in evolution.entry_sums.iter().zip(&before).enumerate() {
+                    assert_eq!(swept.to_bits(), summed.to_bits(), "state {i}");
+                }
             }
         }
     }
@@ -660,16 +788,31 @@ mod tests {
 
     #[test]
     fn random_kernels_cover_the_cases_the_differential_test_is_for() {
-        // The generator must actually produce exact-conditional cells and
-        // unseen states, or the proptest above compares only the easy path.
+        // The generator must actually produce exact-conditional cells,
+        // unseen states and every tile edge, or the proptest above
+        // compares only the easy path.
         use rand::SeedableRng;
         let mut rng = proptest::TestRng::seed_from_u64(7);
         let (mut exact_cells, mut unseen_states) = (0, 0);
+        let mut last_tile_widths = [0; LANES];
+        // Absorbing evolutions that leave tiles above the live ones, by
+        // whether the live states end mid-tile or on a tile boundary.
+        let (mut live_mid_tile, mut live_on_boundary) = (0, 0);
         for _ in 0..32 {
             let k = random_kernel().sample(&mut rng);
             let tables = Tables::build(&k, 200);
             exact_cells += tables.exact.len();
             unseen_states += usize::from(k.prices().last() == Some(&Price::from_micros(50_000)));
+            let n = k.n_states();
+            last_tile_widths[n % LANES] += 1;
+            for &bid in &k.prices()[..n - 1] {
+                let live = k.prices().partition_point(|&p| p <= bid);
+                if live % LANES == 0 {
+                    live_on_boundary += 1;
+                } else if live.div_ceil(LANES) < n.div_ceil(LANES) {
+                    live_mid_tile += 1;
+                }
+            }
         }
         assert!(
             exact_cells > 100,
@@ -678,6 +821,70 @@ mod tests {
         assert!(
             unseen_states > 4,
             "only {unseen_states} unseen states in 32 kernels"
+        );
+        assert!(
+            last_tile_widths[1..].iter().all(|&c| c > 0),
+            "ladder lengths mod {LANES}: {last_tile_widths:?}"
+        );
+        assert!(
+            live_mid_tile > 0 && live_on_boundary > 0,
+            "{live_mid_tile} live counts mid-tile, {live_on_boundary} on a boundary"
+        );
+    }
+
+    /// The ladders `bid_replay` decides on: the paper market of seed 2014
+    /// cut to 8 zones of m1.small, each fitted on its first two weeks and
+    /// started from its price and sojourn age at the first decision minute
+    /// (15 minutes before the evaluation window).
+    #[test]
+    fn evolution_is_bit_identical_to_the_reference_on_paper_kernels() {
+        use spot_market::{InstanceType, Market, MarketConfig};
+
+        const DAY: u64 = 24 * 60;
+        let first_decision = 14 * DAY - 15;
+        let mut market = MarketConfig::paper(2014, 17 * DAY);
+        market.zones.truncate(8);
+        market.types = vec![InstanceType::M1Small];
+        let market = Market::generate(market);
+        let config = ForecastConfig::default();
+        let horizon = 180;
+        let mut sizes = Vec::new();
+        for &zone in market.zones() {
+            let trace = market.trace(zone, InstanceType::M1Small);
+            let k = FrozenKernel::from_trace(&trace.window(0, first_decision));
+            let state = k
+                .nearest_state(trace.price_at(first_decision))
+                .expect("a fitted ladder");
+            let age = trace.sojourn_age_at(first_decision) as u32;
+            sizes.push(k.n_states());
+
+            let new = forecast(&k, state, age, horizon, config);
+            let old = reference::forecast(&k, state, age, horizon, config);
+            for (l, (a, b)) in new
+                .above_fraction
+                .iter()
+                .zip(&old.above_fraction)
+                .enumerate()
+            {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{zone:?} level {l}: {a:e} vs {b:e}"
+                );
+            }
+            for &bid in k.prices() {
+                let new = survival_probability(&k, bid, state, age, horizon, config);
+                let old = reference::survival_probability(&k, bid, state, age, horizon, config);
+                assert_eq!(
+                    new.to_bits(),
+                    old.to_bits(),
+                    "{zone:?} bid {bid:?}: {new:e} vs {old:e}"
+                );
+            }
+        }
+        assert!(
+            sizes.iter().all(|n| (12..=23).contains(n)),
+            "ladder sizes {sizes:?}"
         );
     }
 }

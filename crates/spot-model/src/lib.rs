@@ -24,6 +24,11 @@
 //!   `estimate_fp(bid, …)` and the minimal-bid query the bidding algorithm
 //!   needs, and offers an *absorbing* (survival) variant used by the
 //!   ablation experiments.
+//!
+//! The crate is safe Rust: no `unsafe`, no `std::arch`. The forecast
+//! evolution is fast by its memory layout (four-state tiles the compiler
+//! vectorizes), not by intrinsics.
+#![forbid(unsafe_code)]
 
 pub mod backtest;
 pub mod failure;
