@@ -97,10 +97,9 @@ impl ExhaustiveSolver {
         let Some(f) = z.forecast(horizon_minutes) else {
             return Vec::new();
         };
-        let mut options: Vec<(Price, f64)> = std::iter::once(z.spot_price)
-            .chain(f.levels().iter().copied())
-            .filter(|&b| b >= z.spot_price && b < z.on_demand)
-            .map(|b| (b, z.model.fp_from_forecast(&f, b, z.spot_price)))
+        let mut options: Vec<(Price, f64)> = f
+            .bid_candidates(z.spot_price, z.on_demand)
+            .map(|(_, b)| (b, z.model.fp_from_forecast(&f, b, z.spot_price)))
             .collect();
         options.sort_by_key(|(b, _)| *b);
         options.dedup_by_key(|(b, _)| *b);

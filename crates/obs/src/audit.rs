@@ -1,13 +1,11 @@
 //! The decision audit log: every bid selection and every repair action
-//! recorded as a versioned structured record in a bounded ring, so a
+//! recorded as a versioned structured record in a bounded [`Log`], so a
 //! fired alert (see [`crate::monitor`]) can be cross-referenced to the
 //! decisions that preceded it. Export is JSON lines via
-//! [`AuditRecord::to_json`] / [`audit_jsonl`].
-
-use std::sync::{Arc, Mutex};
+//! [`AuditRecord::to_json`] and [`crate::json_lines`].
 
 use crate::json;
-use crate::ring::Ring;
+use crate::log::Log;
 
 /// Version stamped into every serialized audit record; bump on any
 /// breaking change to [`AuditRecord::to_json`].
@@ -244,105 +242,23 @@ impl AuditRecord {
     }
 }
 
-/// Bounded ring of [`AuditRecord`]s. Cloning shares the ring;
-/// [`AuditLog::disabled`] records nothing and returns no sequence
-/// numbers.
-#[derive(Clone, Default)]
-pub struct AuditLog {
-    ring: Option<Arc<Mutex<Ring<AuditRecord>>>>,
-}
+/// The decision audit log: a [`Log`] of [`AuditRecord`]s.
+pub type AuditLog = Log<AuditRecord>;
 
-impl AuditLog {
-    /// Default ring capacity — sized for a full multi-week replay
-    /// (hundreds of boundary decisions × fleet size, plus repairs).
+impl Log<AuditRecord> {
+    /// Default capacity — sized for a full multi-week replay (hundreds
+    /// of boundary decisions × fleet size, plus repairs).
     pub const DEFAULT_CAPACITY: usize = 16_384;
-
-    /// An enabled log keeping at most `capacity` records.
-    pub fn new(capacity: usize) -> AuditLog {
-        AuditLog {
-            ring: Some(Arc::new(Mutex::new(Ring::new(capacity)))),
-        }
-    }
-
-    /// A log that records nothing.
-    pub fn disabled() -> AuditLog {
-        AuditLog { ring: None }
-    }
-
-    /// Whether records are kept.
-    pub fn is_enabled(&self) -> bool {
-        self.ring.is_some()
-    }
 
     /// Append a record; returns its sequence number, or `None` when
     /// disabled.
     pub fn record(&self, at_minute: u64, kind: AuditKind) -> Option<u64> {
-        let mut ring = self.ring.as_ref()?.lock().unwrap();
-        Some(ring.push(|seq| AuditRecord {
+        self.push(|seq| AuditRecord {
             seq,
             at_minute,
             kind,
-        }))
+        })
     }
-
-    /// Copy of the buffered records, oldest first.
-    pub fn snapshot(&self) -> Vec<AuditRecord> {
-        self.ring
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.lock().unwrap().snapshot())
-    }
-
-    /// Records evicted from the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.ring.as_ref().map_or(0, |r| r.lock().unwrap().dropped())
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.ring.as_ref().map_or(0, |r| r.lock().unwrap().len())
-    }
-
-    /// Whether no record has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl std::fmt::Debug for AuditLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.ring {
-            Some(ring) => {
-                let ring = ring.lock().unwrap();
-                f.debug_struct("AuditLog")
-                    .field("records", &ring.len())
-                    .field("dropped", &ring.dropped())
-                    .finish()
-            }
-            None => f.write_str("AuditLog(disabled)"),
-        }
-    }
-}
-
-/// Audit records as JSON lines (one [`AuditRecord::to_json`] object per
-/// line).
-pub fn audit_jsonl(records: &[AuditRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_json());
-        out.push('\n');
-    }
-    out
-}
-
-/// Alert events as JSON lines (one
-/// [`crate::monitor::AlertEvent::to_json`] object per line).
-pub fn alerts_jsonl(alerts: &[crate::monitor::AlertEvent]) -> String {
-    let mut out = String::new();
-    for a in alerts {
-        out.push_str(&a.to_json());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -370,11 +286,13 @@ mod tests {
         for minute in 0..3 {
             log.record(minute, bid_kind());
         }
+        // `record` stamps the log's sequence number into each record,
+        // and the numbers keep counting across evictions.
         let records = log.snapshot();
         assert_eq!(records.len(), 2);
         assert_eq!(log.dropped(), 1);
-        assert_eq!(records[0].seq, 2);
-        assert_eq!(records[1].seq, 3);
+        assert_eq!((records[0].seq, records[0].at_minute), (2, 1));
+        assert_eq!((records[1].seq, records[1].at_minute), (3, 2));
     }
 
     #[test]
@@ -420,7 +338,7 @@ mod tests {
                 observed_availability: 0.997,
             },
         );
-        let jsonl = audit_jsonl(&log.snapshot());
+        let jsonl = crate::json_lines(&log.snapshot(), AuditRecord::to_json);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("{\"schema_version\":3,\"seq\":1,"));

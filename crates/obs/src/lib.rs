@@ -14,29 +14,34 @@
 //!   time is only ever a recorded *value* ([`Histogram::time`]), never a
 //!   timestamp.
 //! * **One way out per signal kind.** [`Obs::to_json`] for metrics and
-//!   series, [`chrome_trace_json`] for the causal trace, [`audit_jsonl`]
-//!   / [`alerts_jsonl`] for decisions and alerts, and
-//!   [`Tracer::to_json_lines`] for a failure dump.
+//!   series, [`chrome_trace_json`] for the causal trace, [`json_lines`]
+//!   for decisions and alerts, and [`Tracer::to_json_lines`] for a
+//!   failure dump.
+//! * **One bounded log.** The audit log, the alert sink and the tracer's
+//!   event buffer are each a [`Log`]: the newest `capacity` items,
+//!   sequence-numbered, evictions counted.
 //!
 //! The crate has zero dependencies; JSON export is hand-rolled.
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod causal;
 mod clock;
 mod json;
+mod log;
 mod metrics;
 pub mod monitor;
-mod ring;
 pub mod slo;
 mod timeseries;
 mod trace;
 
-pub use audit::{audit_jsonl, alerts_jsonl, AuditKind, AuditLog, AuditRecord, AUDIT_SCHEMA_VERSION};
+pub use audit::{AuditKind, AuditLog, AuditRecord, AUDIT_SCHEMA_VERSION};
 pub use causal::{
     assemble_traces, chrome_trace_json, critical_path, hop_self_times, CausalInstant,
     CausalSpan, CausalTrace, PathSegment,
 };
 pub use clock::ManualClock;
+pub use log::{json_lines, Log};
 pub use monitor::{
     AlertEvent, AlertSink, FleetDeficitWatchdog, LivenessWatchdog, RepairBudgetWatchdog,
     Severity, ALERT_SCHEMA_VERSION,

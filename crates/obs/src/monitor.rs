@@ -1,5 +1,5 @@
-//! Online alerting: structured [`AlertEvent`]s in a bounded ring (the
-//! alert analogue of the [`crate::Tracer`] event ring) plus the watchdog
+//! Online alerting: structured [`AlertEvent`]s in a bounded [`Log`] (the
+//! alert analogue of the [`crate::Tracer`]'s event log) plus the watchdog
 //! monitors the replay and protocol harnesses thread through their
 //! loops — a liveness detector, a fleet-strength deficit detector, and a
 //! repair-budget-exhaustion detector.
@@ -9,10 +9,8 @@
 //! `None` check, so un-monitored replays are untouched (the root
 //! `tests/disabled_path.rs` holds those calls to zero allocations).
 
-use std::sync::{Arc, Mutex};
-
 use crate::json;
-use crate::ring::Ring;
+use crate::log::Log;
 use crate::trace::{field_value_to_json, FieldValue};
 
 /// Version stamped into every serialized alert record; bump on any
@@ -105,34 +103,13 @@ impl AlertEvent {
     }
 }
 
-/// Bounded ring of fired [`AlertEvent`]s. Cloning shares the ring;
-/// [`AlertSink::disabled`] records nothing.
-#[derive(Clone, Default)]
-pub struct AlertSink {
-    ring: Option<Arc<Mutex<Ring<AlertEvent>>>>,
-}
+/// Fired alerts: a [`Log`] of [`AlertEvent`]s.
+pub type AlertSink = Log<AlertEvent>;
 
-impl AlertSink {
-    /// Default ring capacity (alerts are rare; this never drops in
-    /// practice, but the bound keeps pathological monitors harmless).
+impl Log<AlertEvent> {
+    /// Default capacity (alerts are rare; this never drops in practice,
+    /// but the bound keeps pathological monitors harmless).
     pub const DEFAULT_CAPACITY: usize = 4_096;
-
-    /// An enabled sink keeping at most `capacity` alerts.
-    pub fn new(capacity: usize) -> AlertSink {
-        AlertSink {
-            ring: Some(Arc::new(Mutex::new(Ring::new(capacity)))),
-        }
-    }
-
-    /// A sink that records nothing.
-    pub fn disabled() -> AlertSink {
-        AlertSink { ring: None }
-    }
-
-    /// Whether alerts are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.ring.is_some()
-    }
 
     /// Fire an alert; returns its sequence number, or `None` when
     /// disabled.
@@ -145,8 +122,7 @@ impl AlertSink {
         audit_refs: Vec<u64>,
         fields: Vec<(String, FieldValue)>,
     ) -> Option<u64> {
-        let mut ring = self.ring.as_ref()?.lock().unwrap();
-        Some(ring.push(|seq| AlertEvent {
+        self.push(|seq| AlertEvent {
             seq,
             at_micros,
             monitor: monitor.to_owned(),
@@ -154,44 +130,7 @@ impl AlertSink {
             message,
             audit_refs,
             fields,
-        }))
-    }
-
-    /// Copy of the buffered alerts, oldest first.
-    pub fn snapshot(&self) -> Vec<AlertEvent> {
-        self.ring
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.lock().unwrap().snapshot())
-    }
-
-    /// Alerts evicted from the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.ring.as_ref().map_or(0, |r| r.lock().unwrap().dropped())
-    }
-
-    /// Number of buffered alerts.
-    pub fn len(&self) -> usize {
-        self.ring.as_ref().map_or(0, |r| r.lock().unwrap().len())
-    }
-
-    /// Whether no alert has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl std::fmt::Debug for AlertSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.ring {
-            Some(ring) => {
-                let ring = ring.lock().unwrap();
-                f.debug_struct("AlertSink")
-                    .field("alerts", &ring.len())
-                    .field("dropped", &ring.dropped())
-                    .finish()
-            }
-            None => f.write_str("AlertSink(disabled)"),
-        }
+        })
     }
 }
 
@@ -386,9 +325,10 @@ mod tests {
         let alerts = sink.snapshot();
         assert_eq!(alerts.len(), 2);
         assert_eq!(sink.dropped(), 2);
-        // Seqs keep counting across evictions.
-        assert_eq!(alerts[0].seq, 3);
-        assert_eq!(alerts[1].seq, 4);
+        // `emit` stamps the sink's sequence number into each alert, and
+        // the numbers keep counting across evictions.
+        assert_eq!((alerts[0].seq, alerts[0].at_micros), (3, 2));
+        assert_eq!((alerts[1].seq, alerts[1].at_micros), (4, 3));
     }
 
     #[test]

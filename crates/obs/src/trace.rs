@@ -1,11 +1,11 @@
 //! Structured event tracing on simulated time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::clock::ManualClock;
 use crate::json;
-use crate::ring::Ring;
+use crate::log::{json_lines, Log};
 
 /// What an [`Event`] marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,24 +132,25 @@ impl TraceContext {
     }
 }
 
+/// The enabled tracer: its clock and span-id counter beside the event
+/// log.
 struct TracerInner {
     clock: Arc<ManualClock>,
-    /// The most recent events.
-    events: Mutex<Ring<Event>>,
     next_span_id: AtomicU64,
+    events: Log<Event>,
 }
 
-/// Records [`Event`]s into a bounded ring buffer, timestamping from a
-/// [`ManualClock`]. Cloning shares the buffer; disabled tracers record
+/// Records [`Event`]s into a bounded [`Log`], timestamping from a
+/// [`ManualClock`]. Cloning shares the log; disabled tracers record
 /// nothing and never read the clock.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<TracerInner>>,
 }
 
 impl Tracer {
-    /// Default ring-buffer capacity (events kept before the oldest are
-    /// dropped and counted in [`Tracer::dropped`]).
+    /// Default log capacity (events kept before the oldest are dropped
+    /// and counted in [`Tracer::dropped`]).
     pub const DEFAULT_CAPACITY: usize = 16_384;
 
     /// An enabled tracer timestamping from `clock`, keeping at most
@@ -158,15 +159,15 @@ impl Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 clock,
-                events: Mutex::new(Ring::new(capacity)),
                 next_span_id: AtomicU64::new(1),
+                events: Log::new(capacity),
             })),
         }
     }
 
     /// A tracer that records nothing.
     pub fn disabled() -> Tracer {
-        Tracer { inner: None }
+        Tracer::default()
     }
 
     /// Whether events are recorded.
@@ -272,18 +273,16 @@ impl Tracer {
         });
     }
 
-    /// Number of events evicted from the ring buffer so far.
+    /// Number of events evicted from the log so far.
     pub fn dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.events.lock().unwrap().dropped())
+        self.inner.as_ref().map_or(0, |i| i.events.dropped())
     }
 
     /// Copy of the buffered events, oldest first.
     pub fn events(&self) -> Vec<Event> {
         self.inner
             .as_ref()
-            .map_or_else(Vec::new, |i| i.events.lock().unwrap().snapshot())
+            .map_or_else(Vec::new, |i| i.events.snapshot())
     }
 
     /// The trace as one JSON object:
@@ -304,39 +303,23 @@ impl Tracer {
 
     /// The buffered events as JSON lines (one event object per line).
     pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for event in self.events() {
-            out.push_str(&event_to_json(&event));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Default for Tracer {
-    fn default() -> Tracer {
-        Tracer::disabled()
+        json_lines(&self.events(), event_to_json)
     }
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(inner) => {
-                let events = inner.events.lock().unwrap();
-                f.debug_struct("Tracer")
-                    .field("events", &events.len())
-                    .field("dropped", &events.dropped())
-                    .finish()
-            }
+            Some(inner) => f.debug_tuple("Tracer").field(&inner.events).finish(),
             None => f.write_str("Tracer(disabled)"),
         }
     }
 }
 
 impl TracerInner {
+    /// Append `event`, built before the log's lock is taken.
     fn push(&self, event: Event) {
-        self.events.lock().unwrap().push(|_| event);
+        self.events.push(|_| event);
     }
 }
 

@@ -7,8 +7,8 @@
 //! `BLESS=1 cargo test -p obs --test exporters`.
 
 use obs::{
-    alerts_jsonl, audit_jsonl, chrome_trace_json, AlertSink, AuditKind, AuditLog, FieldValue,
-    Obs, Registry, SeriesStore, Severity, TraceContext, ALERT_SCHEMA_VERSION,
+    chrome_trace_json, json_lines, AlertEvent, AlertSink, AuditKind, AuditLog, AuditRecord,
+    FieldValue, Obs, Registry, SeriesStore, Severity, TraceContext, ALERT_SCHEMA_VERSION,
     AUDIT_SCHEMA_VERSION,
 };
 use proptest::prelude::*;
@@ -61,7 +61,7 @@ fn audit_and_alert_jsonl_golden() {
             billing_delta_dollars: 0.26,
         },
     );
-    let audit = audit_jsonl(&log.snapshot());
+    let audit = json_lines(&log.snapshot(), AuditRecord::to_json);
     for line in audit.lines() {
         serde_json::parse_value(line)
             .unwrap_or_else(|e| panic!("invalid audit line {line:?}: {e}"));
@@ -84,7 +84,7 @@ fn audit_and_alert_jsonl_golden() {
             ("window_minutes".to_string(), FieldValue::U64(60)),
         ],
     );
-    let alerts = alerts_jsonl(&sink.snapshot());
+    let alerts = json_lines(&sink.snapshot(), AlertEvent::to_json);
     for line in alerts.lines() {
         serde_json::parse_value(line)
             .unwrap_or_else(|e| panic!("invalid alert line {line:?}: {e}"));

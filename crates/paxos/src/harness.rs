@@ -27,7 +27,7 @@ pub struct Cluster<S: Service> {
     servers: Vec<NodeId>,
     clients: Vec<NodeId>,
     replica_cfg: ReplicaConfig,
-    /// Pristine service state, cloned for chaos-driven restarts.
+    /// Pristine service state, cloned for every replacement replica.
     pristine: S::Host,
     seed: u64,
 }
@@ -43,31 +43,6 @@ impl<SM: StateMachine> Cluster<SM> {
     ) -> Self {
         let host = SmHost::new(sm);
         Cluster::with_service(n, host, replica_cfg, net, seed)
-    }
-
-    /// Restart a crashed replica with an empty state machine clone — it
-    /// rejoins and catches up from the log. `view` is the membership it
-    /// should assume (typically another replica's current view).
-    pub fn restart(&mut self, id: NodeId, sm: SM, view: Vec<NodeId>) {
-        let host = SmHost::new(sm);
-        self.restart_with(id, host, view);
-    }
-
-    /// Launch a brand-new replica (a fresh spot instance) that expects to
-    /// be added to the view via reconfiguration. Returns its node id.
-    pub fn spawn_server(&mut self, sm: SM) -> NodeId {
-        let id = NodeId(self.sim.node_count());
-        let mut view = self.current_view().unwrap_or_else(|| self.servers.clone());
-        if !view.contains(&id) {
-            view.push(id);
-        }
-        let host = SmHost::new(sm);
-        let got = self
-            .sim
-            .add_node(PaxosNode::Server(self.fresh_replica(id, host, view)));
-        assert_eq!(got, id);
-        self.servers.push(id);
-        id
     }
 }
 
@@ -204,19 +179,34 @@ impl<S: Service> Cluster<S> {
         )
     }
 
-    /// Restart a crashed replica slot with fresh service state `host` —
-    /// it rejoins and catches up from the log. `view` is the membership
-    /// it should assume (typically another replica's current view).
-    pub fn restart_with(&mut self, id: NodeId, host: S::Host, view: Vec<NodeId>) {
-        let replica = self.fresh_replica(id, host, view);
+    /// Restart a crashed replica slot whose disk is gone (a replacement
+    /// instance): pristine service state and the most advanced live
+    /// replica's view — it rejoins and catches up from its peers.
+    pub fn restart_pristine(&mut self, id: NodeId) {
+        let replica = self.fresh_replica(id, self.pristine.clone(), self.view());
         self.sim.restart(id, PaxosNode::Server(replica));
     }
 
-    /// Restart a crashed replica slot whose disk is gone: pristine
-    /// service state, the most advanced live replica's view.
-    pub fn restart_pristine(&mut self, id: NodeId) {
-        let view = self.current_view().unwrap_or_else(|| self.servers.clone());
-        self.restart_with(id, self.pristine.clone(), view);
+    /// Launch a brand-new replica (a fresh spot instance) with pristine
+    /// service state, expecting to be added to the view via
+    /// reconfiguration. Returns its node id.
+    pub fn spawn_server(&mut self) -> NodeId {
+        let id = NodeId(self.sim.node_count());
+        let mut view = self.view();
+        if !view.contains(&id) {
+            view.push(id);
+        }
+        let replica = self.fresh_replica(id, self.pristine.clone(), view);
+        let got = self.sim.add_node(PaxosNode::Server(replica));
+        assert_eq!(got, id);
+        self.servers.push(id);
+        id
+    }
+
+    /// [`Cluster::current_view`], or every server the driver knows of
+    /// when no replica is live.
+    fn view(&self) -> Vec<NodeId> {
+        self.current_view().unwrap_or_else(|| self.servers.clone())
     }
 
     /// The membership view of the most advanced live replica.

@@ -28,6 +28,7 @@
 //! Everything runs inside a deterministic [`simnet::Simulation`], so whole
 //! cluster lifetimes — including the crash schedules the spot market
 //! inflicts — replay bit-identically from a seed.
+#![forbid(unsafe_code)]
 
 pub mod ballot;
 pub mod client;

@@ -37,8 +37,8 @@ fn run_chaos(seed: u64, rounds: usize) {
             1 if !down.is_empty() => {
                 let idx = rng.gen_range(0..down.len());
                 let node = down.swap_remove(idx);
-                let view = c.current_view().expect("some replica alive");
-                c.restart(node, LockService::new(), view);
+                assert!(c.current_view().is_some(), "some replica alive");
+                c.restart_pristine(node);
             }
             _ => {}
         }
@@ -62,8 +62,8 @@ fn run_chaos(seed: u64, rounds: usize) {
     // Let restarts catch up fully, then check the global invariant: every
     // live replica's state machine holds every acquired lock.
     for &n in &down.clone() {
-        let view = c.current_view().expect("view");
-        c.restart(n, LockService::new(), view);
+        assert!(c.current_view().is_some(), "some replica alive");
+        c.restart_pristine(n);
     }
     c.sim.run_until(c.sim.now() + SimTime::from_secs(60));
     let committed = c.assert_log_agreement();

@@ -132,8 +132,8 @@ fn restarted_replica_catches_up() {
         c.submit(client, acquire(client, name));
         assert!(c.run_until_drained(client, SimTime::from_secs(60)));
     }
-    let view = c.current_view().unwrap();
-    c.restart(victim, LockService::new(), view);
+    assert!(c.current_view().is_some());
+    c.restart_pristine(victim);
     c.sim.run_until(c.sim.now() + SimTime::from_secs(30));
     let restarted = c.replica(victim).unwrap();
     assert!(
@@ -153,7 +153,7 @@ fn reconfiguration_replaces_a_replica() {
 
     // Launch a fresh instance, add it, then remove an old one — exactly
     // the replacement flow at a bidding-interval boundary (§4).
-    let newcomer = c.spawn_server(LockService::new());
+    let newcomer = c.spawn_server();
     let outgoing = c
         .servers()
         .iter()
@@ -282,8 +282,8 @@ fn log_compaction_and_snapshot_catchup() {
     );
 
     // Restart: the victim must recover through a snapshot, not the log.
-    let view = c.current_view().unwrap();
-    c.restart(victim, LockService::new(), view);
+    assert!(c.current_view().is_some());
+    c.restart_pristine(victim);
     c.sim.run_until(c.sim.now() + SimTime::from_secs(30));
     let r = c.replica(victim).unwrap();
     assert!(r.commit_index() >= 12, "commit_index {}", r.commit_index());
@@ -313,7 +313,7 @@ fn joiner_after_compaction_gets_snapshot() {
             "op {i}"
         );
     }
-    let newcomer = c.spawn_server(LockService::new());
+    let newcomer = c.spawn_server();
     let outgoing = c
         .servers()
         .iter()
@@ -490,7 +490,7 @@ fn batched_apps_flow_past_an_in_flight_reconfiguration() {
     let mut newcomers = Vec::new();
     for &tick in &ticks {
         c.sim.run_until(SimTime::from_millis(tick - 50));
-        let newcomer = c.spawn_server(LockService::new());
+        let newcomer = c.spawn_server();
         let add = vec![newcomer];
         c.submit(
             admin,

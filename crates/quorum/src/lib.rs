@@ -20,6 +20,7 @@
 //! * [`solve`] — the inverse problem the bidding algorithm needs
 //!   (Fig. 3 line 4): the largest equal per-node failure probability that
 //!   still meets a service availability target (`node_failure_pr`).
+#![forbid(unsafe_code)]
 
 pub mod availability;
 pub mod rule;

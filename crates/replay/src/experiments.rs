@@ -22,7 +22,7 @@ use spot_market::{
 };
 use spot_model::{backtest, BidRule, CalibrationReport, FailureModel, FailureModelConfig};
 
-use crate::lifecycle::Replay;
+use crate::lifecycle::{trained_framework, Replay};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
 use crate::scenario::Scenario;
@@ -438,9 +438,9 @@ pub fn fig4(scale: &Scale) -> Vec<Fig4Row> {
         let (bid, estimated) = match &forecast {
             None => (None, 1.0),
             Some(f) => {
-                let bid = std::iter::once(spot)
-                    .chain(f.levels().iter().copied())
-                    .filter(|&b| b >= spot && b < cap)
+                let bid = f
+                    .bid_candidates(spot, cap)
+                    .map(|(_, b)| b)
                     .find(|&b| f.out_of_bid_fraction(b) <= TARGET);
                 let est = bid.map(|b| f.out_of_bid_fraction(b)).unwrap_or(1.0);
                 (bid, est)
@@ -713,29 +713,21 @@ pub fn ablation_greedy_vs_exact(scale: &Scale) -> Vec<OptimalityRow> {
     let train_end = scale.train_minutes();
     let spec = ServiceSpec::lock_service();
 
-    let mut greedy_fw = jupiter::BiddingFramework::new(spec.clone(), JupiterStrategy::new());
-    let mut exact_fw = jupiter::BiddingFramework::new(
-        spec.clone(),
-        jupiter::ExhaustiveSolver {
-            max_zones: 8,
-            max_levels_per_zone: 8,
-        },
-    );
     // Both solvers rank the same market, so they share one fit per zone
     // through a store rather than training twice.
     let store = jupiter::ModelStore::new();
-    for &z in market.zones() {
-        let key = jupiter::ModelKey {
-            zone: z,
-            instance_type: ty,
-            trained_until: train_end,
-        };
-        let kernel = store.get_or_fit(key, || {
-            spot_model::FrozenKernel::from_trace(&market.trace(z, ty).window(0, train_end))
-        });
-        greedy_fw.install_kernel(z, ty, std::sync::Arc::clone(&kernel));
-        exact_fw.install_kernel(z, ty, kernel);
-    }
+    let greedy_fw = trained_framework(
+        &market,
+        spec.clone(),
+        JupiterStrategy::new(),
+        &store,
+        train_end,
+    );
+    let exact = jupiter::ExhaustiveSolver {
+        max_zones: 8,
+        max_levels_per_zone: 8,
+    };
+    let exact_fw = trained_framework(&market, spec, exact, &store, train_end);
 
     let mut rows = Vec::new();
     let mut minute = train_end;

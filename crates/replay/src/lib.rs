@@ -34,6 +34,7 @@
 //! analyses returning rows; [`service_level`] replays shorter windows against the
 //! *actual* Paxos lock service / RS-Paxos store with injected crashes, for
 //! the feasibility check (§5.4) where message-level behaviour matters.
+#![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod autoscale;

@@ -216,7 +216,6 @@ impl<'a> Replay<'a> {
             scaler: self.scaler,
             feedback: None,
             fleet: Vec::new(),
-            on_demand: Vec::new(),
             refs: Vec::new(),
             kills: 0,
             records: Vec::new(),
@@ -257,7 +256,7 @@ impl<'a> Replay<'a> {
 /// the replay must never peek at future prices — and the fit is keyed by
 /// (zone, type, prefix end), so every replay of the same market window
 /// reuses one shared kernel per pool.
-fn trained_framework<S: BiddingStrategy>(
+pub(crate) fn trained_framework<S: BiddingStrategy>(
     market: &Market,
     spec: ServiceSpec,
     strategy: S,
@@ -307,12 +306,17 @@ fn minute_micros(minute: u64) -> u64 {
     minute.saturating_mul(60_000_000)
 }
 
-/// A live instance in the fleet.
+/// A live instance in the fleet: a spot instance, or an on-demand
+/// fallback the repair controller launched in the run's `od_zone`, which
+/// the provider never kills, is billed at `bid` (the hourly on-demand
+/// price) and runs until the next boundary, where the fresh spot decision
+/// replaces it.
 #[derive(Clone, Debug)]
 struct Active {
     zone: Zone,
     ty: InstanceType,
     bid: Price,
+    on_demand: bool,
     granted_at: u64,
     running_from: u64,
     /// Precomputed death minute within the current interval: the first
@@ -337,13 +341,21 @@ impl Active {
     }
 }
 
-/// An on-demand fallback launched by the repair controller, in the run's
-/// `od_zone` at `od_hourly`. It cannot be out-of-bid killed; it runs until
-/// the next boundary, where the fresh spot decision replaces it.
-#[derive(Clone, Copy, Debug)]
-struct OnDemandActive {
-    launched_at: u64,
-    running_from: u64,
+/// Whether an instance of `fleet` (other than `fleet[except]`), spot or
+/// on-demand, holds the `(zone, ty)` pool past minute `at`.
+fn occupied(
+    fleet: &[Active],
+    zone: Zone,
+    ty: InstanceType,
+    at: u64,
+    except: Option<usize>,
+) -> bool {
+    fleet.iter().enumerate().any(|(i, inst)| {
+        Some(i) != except
+            && inst.zone == zone
+            && inst.ty == ty
+            && inst.dies_at.is_none_or(|d| d > at)
+    })
 }
 
 /// Every handle the loop records into on every run, created once up
@@ -448,7 +460,6 @@ struct Run<'a, S: BiddingStrategy> {
     /// The interval just ended, as the scaler's next feedback.
     feedback: Option<ObservedInterval>,
     fleet: Vec<Active>,
-    on_demand: Vec<OnDemandActive>,
     /// Audit sequence numbers of the current interval's records, handed to
     /// the watchdogs as alert cross-references.
     refs: Vec<u64>,
@@ -631,7 +642,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
         if !self.market.grants(zone, ty, bid, at) {
             return None;
         }
-        let running_from = at + self.market.startup_delay_minutes_typed(zone, ty, at);
+        let running_from = at + self.market.startup_delay_minutes(zone, ty, at);
         let dies_at = dies_before.and_then(|until| self.death_in(zone, ty, bid, at, until));
         self.kills += usize::from(dies_at.is_some());
         self.obs.counter(&format!("replay.granted.{zone}")).inc();
@@ -639,6 +650,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
             zone,
             ty,
             bid,
+            on_demand: false,
             granted_at: at,
             running_from,
             dies_at,
@@ -727,17 +739,6 @@ impl<S: BiddingStrategy> Run<'_, S> {
             }
         }
         self.fleet = fleet;
-    }
-
-    /// Whether a standing instance (other than `except`) or an on-demand
-    /// fallback already holds the `(zone, ty)` pool past minute `at`.
-    fn occupied(&self, zone: Zone, ty: InstanceType, at: u64, except: Option<usize>) -> bool {
-        self.fleet.iter().enumerate().any(|(i, inst)| {
-            Some(i) != except
-                && inst.zone == zone
-                && inst.ty == ty
-                && inst.dies_at.is_none_or(|d| d > at)
-        }) || (zone == self.od_zone && !self.on_demand.is_empty())
     }
 
     /// Proactive migration on interruption notices. Under the capacity
@@ -830,7 +831,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
                 .market
                 .next_reclaim_at(zone, ty, launch_at, deadline + RECLAIM_GUARD)
                 .is_some();
-            if self.occupied(zone, ty, launch_at, Some(victim))
+            if occupied(&self.fleet, zone, ty, launch_at, Some(victim))
                 || imminent
                 || reserved.contains(&(zone, ty))
             {
@@ -925,19 +926,18 @@ impl<S: BiddingStrategy> Run<'_, S> {
             self.ins
                 .repair_deaths_detected
                 .add(self.deaths_between(cursor, at));
-            // Strength at repair time: live or still-booting spot
-            // instances plus standing on-demand fallbacks. A drained
-            // victim stops counting at its handoff — its replacement
-            // already holds the slot, and counting both would mask a
-            // concurrent death elsewhere from the refill. Migration
-            // replacements scheduled for a *later* signal minute have not
-            // been granted yet and hold nothing either.
+            // Strength at repair time: live or still-booting instances,
+            // on-demand fallbacks included. A drained victim stops
+            // counting at its handoff — its replacement already holds the
+            // slot, and counting both would mask a concurrent death
+            // elsewhere from the refill. Migration replacements scheduled
+            // for a *later* signal minute have not been granted yet and
+            // hold nothing either.
             let alive = self
                 .fleet
                 .iter()
                 .filter(|i| i.granted_at <= at && i.gone_at() > at)
-                .count()
-                + self.on_demand.len();
+                .count();
             let missing = target_n.saturating_sub(alive);
             if missing == 0 {
                 cursor = at + 1;
@@ -986,7 +986,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
             if launched >= missing {
                 break;
             }
-            if self.occupied(pb.zone, pb.instance_type, at, None)
+            if occupied(&self.fleet, pb.zone, pb.instance_type, at, None)
                 || self.launch(pb, at, Some(iv.end)).is_none()
             {
                 continue;
@@ -1008,10 +1008,8 @@ impl<S: BiddingStrategy> Run<'_, S> {
 
     /// Fill `slots` with on-demand instances until the next boundary.
     fn top_up_on_demand(&mut self, iv: &Interval, at: u64, died_at: u64, slots: usize) {
+        let (zone, ty) = (self.od_zone, self.primary_ty);
         for _ in 0..slots {
-            let delay = self
-                .market
-                .startup_delay_minutes_typed(self.od_zone, self.primary_ty, at);
             self.ins.repair_on_demand_launches.inc();
             let kind = AuditKind::RepairAction {
                 action: "on_demand_top_up".to_owned(),
@@ -1022,9 +1020,15 @@ impl<S: BiddingStrategy> Run<'_, S> {
                     .as_dollars(),
             };
             self.audit(at, kind, true);
-            self.on_demand.push(OnDemandActive {
-                launched_at: at,
-                running_from: at + delay,
+            self.fleet.push(Active {
+                zone,
+                ty,
+                bid: self.od_hourly,
+                on_demand: true,
+                granted_at: at,
+                running_from: at + self.market.startup_delay_minutes(zone, ty, at),
+                dies_at: None,
+                drained_at: None,
             });
         }
     }
@@ -1059,14 +1063,6 @@ impl<S: BiddingStrategy> Run<'_, S> {
                     next_change = next_change.min(gone_at);
                 } else if minute < inst.running_from {
                     next_change = next_change.min(inst.running_from);
-                }
-            }
-            for od in &self.on_demand {
-                if minute >= od.running_from {
-                    live += 1;
-                    live_strength += self.primary_ty.capacity_weight();
-                } else {
-                    next_change = next_change.min(od.running_from);
                 }
             }
             let span = next_change.max(minute + 1) - minute;
@@ -1104,9 +1100,8 @@ impl<S: BiddingStrategy> Run<'_, S> {
             });
         }
         let cost_upper_bound = iv.decision.cost_upper_bound();
-        self.ins
-            .fleet_series
-            .record(iv.start, self.fleet.len() as f64);
+        let spot = self.fleet.iter().filter(|a| !a.on_demand).count();
+        self.ins.fleet_series.record(iv.start, spot as f64);
         self.ins
             .cost_series
             .record(iv.start, cost_upper_bound.as_dollars());
@@ -1127,9 +1122,20 @@ impl<S: BiddingStrategy> Run<'_, S> {
         up
     }
 
-    /// Terminate `inst` at `end` and book its record.
+    /// Terminate `inst` at `end` and book its record: a spot instance at
+    /// the market's charge, an on-demand fallback at its fixed hourly
+    /// price per started hour.
     fn close(&mut self, inst: &Active, end: u64, termination: Termination) {
         let end = end.max(inst.granted_at);
+        let cost = if inst.on_demand {
+            let cost = spot_market::on_demand_charge(inst.bid, inst.granted_at, end);
+            self.ins.repair_on_demand_minutes.add(end - inst.granted_at);
+            self.on_demand_cost += cost;
+            cost
+        } else {
+            self.market
+                .charge(inst.zone, inst.ty, inst.granted_at, end, termination)
+        };
         self.records.push(InstanceRecord {
             zone: inst.zone,
             instance_type: inst.ty,
@@ -1138,19 +1144,20 @@ impl<S: BiddingStrategy> Run<'_, S> {
             running_from: inst.running_from,
             ended_at: end,
             termination,
-            on_demand: false,
-            cost: self
-                .market
-                .charge(inst.zone, inst.ty, inst.granted_at, end, termination),
+            on_demand: inst.on_demand,
+            cost,
         });
     }
 
-    /// Bill the instances that died this interval, then retire and bill
-    /// the on-demand fallbacks at the boundary: they exist to bridge to
-    /// the next decision, which replaces them with a fresh spot fleet;
-    /// billing is the fixed hourly price per started hour.
+    /// Bill the instances the provider killed this interval, then retire
+    /// and bill the on-demand fallbacks at the boundary: they exist to
+    /// bridge to the next decision, which replaces them with a fresh spot
+    /// fleet.
     fn bill(&mut self, iv: &Interval) {
-        for inst in std::mem::take(&mut self.fleet) {
+        let (on_demand, spot): (Vec<Active>, Vec<Active>) = std::mem::take(&mut self.fleet)
+            .into_iter()
+            .partition(|inst| inst.on_demand);
+        for inst in spot {
             match inst.dies_at {
                 Some(died_at) => {
                     self.ins.death_out_of_bid.inc();
@@ -1159,22 +1166,8 @@ impl<S: BiddingStrategy> Run<'_, S> {
                 None => self.fleet.push(inst),
             }
         }
-        for od in std::mem::take(&mut self.on_demand) {
-            let end = iv.end.max(od.launched_at);
-            let cost = spot_market::on_demand_charge(self.od_hourly, od.launched_at, end);
-            self.ins.repair_on_demand_minutes.add(end - od.launched_at);
-            self.on_demand_cost += cost;
-            self.records.push(InstanceRecord {
-                zone: self.od_zone,
-                instance_type: self.primary_ty,
-                bid: self.od_hourly,
-                granted_at: od.launched_at,
-                running_from: od.running_from,
-                ended_at: end,
-                termination: Termination::User,
-                on_demand: true,
-                cost,
-            });
+        for inst in on_demand {
+            self.close(&inst, iv.end, Termination::User);
         }
     }
 
@@ -1490,5 +1483,42 @@ mod tests {
         }
         // Extra(2,·) holds 7 instances.
         assert!(r.mean_group_size() >= 6.9);
+    }
+
+    #[test]
+    fn an_on_demand_fallback_holds_its_pool_and_no_other() {
+        let zones = small_market(1).zones().to_vec();
+        let (z0, z1) = (zones[0], zones[1]);
+        let (small, large) = (InstanceType::M1Small, InstanceType::M3Large);
+        let instance = |zone, ty, on_demand, dies_at| Active {
+            zone,
+            ty,
+            bid: Price::from_dollars(0.044),
+            on_demand,
+            granted_at: 100,
+            running_from: 105,
+            dies_at,
+            drained_at: None,
+        };
+        // A top-up in (z0, m1.small) and a spot instance in (z1, m3.large)
+        // the provider kills at minute 200.
+        let fleet = [
+            instance(z0, small, true, None),
+            instance(z1, large, false, Some(200)),
+        ];
+        assert!(
+            occupied(&fleet, z0, small, 150, None),
+            "the fallback holds its pool"
+        );
+        // The other type in the on-demand zone is free: a two-type repair
+        // may launch there while the top-up stands.
+        assert!(!occupied(&fleet, z0, large, 150, None));
+        assert!(!occupied(&fleet, z1, small, 150, None));
+        // A spot instance holds its pool until its death minute.
+        assert!(occupied(&fleet, z1, large, 199, None));
+        assert!(!occupied(&fleet, z1, large, 200, None));
+        // The instance being replaced does not block its own pool.
+        assert!(!occupied(&fleet, z1, large, 150, Some(1)));
+        assert!(!occupied(&fleet, z0, small, 150, Some(0)));
     }
 }

@@ -330,7 +330,7 @@ pub fn lock_service_replay<S: BiddingStrategy>(
             let retired: Vec<NodeId> = leaving.drain(..).filter_map(|i| node.remove(&i)).collect();
             let mut add = Vec::new();
             for i in joining.drain(..) {
-                let n = cluster.spawn_server(LockService::new());
+                let n = cluster.spawn_server();
                 node.insert(i, n);
                 add.push(n);
             }

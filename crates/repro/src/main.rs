@@ -39,7 +39,7 @@
 //!
 //! Stdout is a function of the seed and the scale alone:
 //! `tests/golden.rs` pins the quick-scale output byte for byte.
-
+#![forbid(unsafe_code)]
 #![deny(clippy::too_many_lines)]
 
 use std::time::Instant;
@@ -262,7 +262,7 @@ fn observed_replays(
 /// Chrome-trace JSON next to the report; the audit log and fired alerts
 /// as versioned JSONL.
 fn report_pass(seed: u64, path: &str) {
-    use obs::{alerts_jsonl, audit_jsonl, chrome_trace_json};
+    use obs::{chrome_trace_json, json_lines, AlertEvent, AuditRecord};
 
     println!("\n== Report pass: recorded Jupiter replay → {path} ==");
     let (obs, service, result) = observed_replays(seed, 7, 2, RepairConfig::hybrid());
@@ -291,13 +291,13 @@ fn report_pass(seed: u64, path: &str) {
         events.len()
     );
     let audit_path = format!("{path}.audit.jsonl");
-    write_or_exit(&audit_path, audit_jsonl(&result.audit));
+    write_or_exit(&audit_path, json_lines(&result.audit, AuditRecord::to_json));
     println!(
         "audit log exported to {audit_path} ({} records)",
         result.audit.len()
     );
     let alerts_path = format!("{path}.alerts.jsonl");
-    write_or_exit(&alerts_path, alerts_jsonl(&result.alerts));
+    write_or_exit(&alerts_path, json_lines(&result.alerts, AlertEvent::to_json));
     println!(
         "alerts exported to {alerts_path} ({} fired)",
         result.alerts.len()

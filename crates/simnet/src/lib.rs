@@ -27,6 +27,7 @@
 //!   drops, duplicates, delay spikes) and clock skew; any failing run
 //!   reproduces byte-for-byte from the schedule's printed `u64` seed
 //!   (checkable via [`Simulation::fingerprint`]).
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod event;

@@ -32,6 +32,7 @@
 //! conservative at the boundary (it counts `bid == price` as failed); we
 //! keep the market faithful to EC2 and let the model be conservative, which
 //! only ever overestimates failure probability.
+#![forbid(unsafe_code)]
 
 pub mod ar;
 pub mod billing;

@@ -249,12 +249,15 @@ impl Market {
         spot_charge(self.trace(zone, ty), launch, end, termination)
     }
 
-    /// Sample a startup delay in minutes for launching in `zone`.
+    /// Sample a startup delay in minutes for launching a `ty` instance in
+    /// `zone`.
     ///
-    /// Deterministic in `(market seed, zone, minute)`; ranges follow
-    /// [`crate::topology::Region::startup_range_secs`]. Delays are rounded
-    /// up to whole minutes (4–12 typically).
-    pub fn startup_delay_minutes(&self, zone: Zone, minute: u64) -> u64 {
+    /// The zone's delay is deterministic in `(market seed, zone, minute)`;
+    /// ranges follow [`crate::topology::Region::startup_range_secs`],
+    /// rounded up to whole minutes (4–12 typically). The per-type
+    /// surcharge of [`MarketConfig::startup_extra`] comes on top (0 unless
+    /// configured, so single-type markets see the zone delay alone).
+    pub fn startup_delay_minutes(&self, zone: Zone, ty: InstanceType, minute: u64) -> u64 {
         let (lo, hi) = zone.region.startup_range_secs();
         let mut seed = self
             .config
@@ -266,15 +269,7 @@ impl Market {
         seed ^= seed >> 32;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let secs = rng.gen_range(lo..=hi);
-        secs.div_ceil(60)
-    }
-
-    /// [`Market::startup_delay_minutes`] plus the per-type surcharge from
-    /// [`MarketConfig::startup_extra`]. With no surcharges configured this
-    /// is byte-identical to the untyped delay — the legacy single-type
-    /// replay fingerprints depend on that.
-    pub fn startup_delay_minutes_typed(&self, zone: Zone, ty: InstanceType, minute: u64) -> u64 {
-        self.startup_delay_minutes(zone, minute) + self.config.startup_extra(ty)
+        secs.div_ceil(60) + self.config.startup_extra(ty)
     }
 
     /// A new market restricted to `[from, to)` minutes (re-based to 0).
@@ -360,7 +355,7 @@ mod tests {
         for &z in m.zones() {
             let (lo, hi) = z.region.startup_range_secs();
             for minute in [0u64, 100, 5_000] {
-                let d = m.startup_delay_minutes(z, minute);
+                let d = m.startup_delay_minutes(z, InstanceType::M1Small, minute);
                 assert!(d >= lo / 60 && d <= hi.div_ceil(60), "{}: {d}", z.name());
             }
         }
@@ -400,18 +395,19 @@ mod tests {
                 l.trace(z, InstanceType::M3Large)
             );
             // Startup surcharge applies per type, on top of the zone delay.
-            let base = h.startup_delay_minutes(z, 100);
+            let base = h.startup_delay_minutes(z, InstanceType::M1Small, 100);
             assert_eq!(
-                h.startup_delay_minutes_typed(z, InstanceType::M1Small, 100),
-                base
+                base,
+                l.startup_delay_minutes(z, InstanceType::M1Small, 100),
+                "m1.small carries no surcharge"
             );
             assert_eq!(
-                h.startup_delay_minutes_typed(z, InstanceType::M3Large, 100),
+                h.startup_delay_minutes(z, InstanceType::M3Large, 100),
                 base + 2
             );
             assert_eq!(
-                l.startup_delay_minutes_typed(z, InstanceType::M3Large, 100),
-                l.startup_delay_minutes(z, 100),
+                l.startup_delay_minutes(z, InstanceType::M3Large, 100),
+                l.startup_delay_minutes(z, InstanceType::M1Small, 100),
                 "legacy config has no surcharge"
             );
         }

@@ -103,10 +103,9 @@ pub fn backtest(
         };
         let bid = match rule {
             BidRule::SpotMultiple(m) => Some(spot.scale(m)),
-            BidRule::TargetFp { target, cap } => std::iter::once(spot)
-                .chain(forecast.levels().iter().copied())
-                .filter(|&b| b >= spot && b < cap)
-                .find(|&b| model.fp_from_forecast(&forecast, b, spot) <= target),
+            BidRule::TargetFp { target, cap } => {
+                model.min_bid_from_forecast(&forecast, target, spot, cap)
+            }
         };
         let Some(bid) = bid else {
             t += step_minutes;

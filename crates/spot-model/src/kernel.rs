@@ -1,16 +1,18 @@
 //! The discrete semi-Markov chain over spot prices and its empirical
-//! estimator (Eq. 6/7/12/13), split into an append-only [`KernelBuilder`]
-//! and an immutable, query-optimized [`FrozenKernel`].
+//! estimator (Eq. 6/7/12/13): an immutable, query-optimized
+//! [`FrozenKernel`] with one way to build it — [`FrozenKernel::extend`].
 //!
-//! The builder interns price states in O(1) per observation (no re-index
-//! of existing statistics when a new price appears mid-ladder); freezing
-//! sorts the ladder once and lays every state's transition counts out in
-//! a sorted CSR-style table, so the hot queries (`q`, `hazard`,
-//! `exact_next_state_dist`) are binary searches over dense vectors
-//! instead of per-key `HashMap` walks. A frozen kernel is cheap to share
-//! (`Arc<StateTable>` per state) and cheap to fork: [`FrozenKernel::extend`]
-//! folds a new trace window in copy-on-write fashion, deep-cloning only
-//! the states the window actually touched.
+//! `extend` counts a trace window in a private append-only builder that
+//! interns price states in O(1) per observation (no re-index of existing
+//! statistics when a new price appears mid-ladder), then merges it into
+//! a fork of the kernel: the ladder is sorted once and every state's
+//! transition counts are laid out in a sorted CSR-style table, so the hot
+//! queries (`q`, `hazard`, `exact_next_state_dist`) are binary searches
+//! over dense vectors instead of per-key `HashMap` walks. A kernel is
+//! cheap to share (`Arc<StateTable>` per state) and cheap to fork: the
+//! merge is copy-on-write, deep-cloning only the states the window
+//! actually touched. [`FrozenKernel::from_trace`] is the empty kernel
+//! extended once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,10 +44,10 @@ struct BuilderStats {
 ///
 /// States are interned in *insertion* order via a hash index, so folding a
 /// trace in is O(segments) regardless of how many new price levels it
-/// introduces; the sorted state space is materialized once, by
-/// [`KernelBuilder::freeze`].
+/// introduces; the sorted state space is materialized once, when
+/// [`FrozenKernel::extend`] merges the builder into a kernel.
 #[derive(Clone, Debug, Default)]
-pub struct KernelBuilder {
+struct KernelBuilder {
     /// Prices in insertion order (the builder's working index space).
     prices: Vec<Price>,
     index: HashMap<Price, u16>,
@@ -54,11 +56,6 @@ pub struct KernelBuilder {
 }
 
 impl KernelBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The state index for `price`, inserting a new state if unseen.
     /// O(1): existing statistics are never re-indexed.
     fn intern(&mut self, price: Price) -> u16 {
@@ -77,7 +74,7 @@ impl KernelBuilder {
     /// Every *completed* sojourn contributes one `(i → j, k)` observation;
     /// the final segment of the trace is right-censored (its true sojourn
     /// is unknown) and only contributes occupancy time.
-    pub fn observe_trace(&mut self, trace: &PriceTrace) {
+    fn observe_trace(&mut self, trace: &PriceTrace) {
         let segments: Vec<_> = trace.segments().collect();
         for (idx, seg) in segments.iter().enumerate() {
             let i = self.intern(seg.price);
@@ -100,60 +97,6 @@ impl KernelBuilder {
             st.next_marginal[j as usize] += 1;
             st.n_out += 1;
             self.total_transitions += 1;
-        }
-    }
-
-    /// Number of distinct price states seen so far.
-    pub fn n_states(&self) -> usize {
-        self.prices.len()
-    }
-
-    /// Total completed transitions observed so far.
-    pub fn total_transitions(&self) -> u64 {
-        self.total_transitions
-    }
-
-    /// Materialize the immutable, query-optimized kernel: sort the price
-    /// ladder, remap every `j` reference, and lay transition counts out in
-    /// sorted `(k−1, j)` order for binary-search lookup.
-    pub fn freeze(&self) -> FrozenKernel {
-        let n = self.prices.len();
-        // order[s] = builder index of the s-th smallest price;
-        // perm[builder index] = sorted index.
-        let mut order: Vec<u16> = (0..n as u16).collect();
-        order.sort_by_key(|&b| self.prices[b as usize]);
-        let mut perm = vec![0u16; n];
-        for (sorted, &builder) in order.iter().enumerate() {
-            perm[builder as usize] = sorted as u16;
-        }
-        let prices: Vec<Price> = order.iter().map(|&b| self.prices[b as usize]).collect();
-        let states: Vec<Arc<StateTable>> = order
-            .iter()
-            .map(|&b| {
-                let st = &self.stats[b as usize];
-                let mut trans: Vec<(u32, u16, u64)> = st
-                    .trans
-                    .iter()
-                    .map(|(&(k, j), &c)| (k, perm[j as usize], c))
-                    .collect();
-                trans.sort_unstable_by_key(|&(k, j, _)| (k, j));
-                let mut next_marginal = vec![0u64; n];
-                for (j, &c) in st.next_marginal.iter().enumerate() {
-                    next_marginal[perm[j] as usize] = c;
-                }
-                Arc::new(StateTable {
-                    n_out: st.n_out,
-                    occupancy_minutes: st.occupancy_minutes,
-                    sojourn_counts: st.sojourn_counts.clone(),
-                    trans,
-                    next_marginal,
-                })
-            })
-            .collect();
-        FrozenKernel {
-            prices,
-            states,
-            total_transitions: self.total_transitions,
         }
     }
 }
@@ -199,8 +142,8 @@ impl StateTable {
         if self.sojourn_counts.len() < d.sojourn_counts.len() {
             self.sojourn_counts.resize(d.sojourn_counts.len(), 0);
         }
-        for (k, &c) in d.sojourn_counts.iter().enumerate() {
-            self.sojourn_counts[k] += c;
+        for (sum, &c) in self.sojourn_counts.iter_mut().zip(&d.sojourn_counts) {
+            *sum += c;
         }
         if self.next_marginal.len() < n {
             self.next_marginal.resize(n, 0);
@@ -211,23 +154,30 @@ impl StateTable {
             }
         }
         if !d.trans.is_empty() {
-            let mut merged: std::collections::BTreeMap<(u32, u16), u64> = self
-                .trans
-                .iter()
-                .map(|&(k, j, c)| ((k, j), c))
-                .collect();
-            for (&(k, j), &c) in &d.trans {
-                *merged.entry((k, map[j as usize])).or_insert(0) += c;
+            // Append, sort, and coalesce equal `(k−1, j)` keys. The
+            // builder's keys are unique, so only a table that already held
+            // counts can have equal keys to coalesce.
+            let coalesce = !self.trans.is_empty();
+            let trans = d.trans.iter().map(|(&(k, j), &c)| (k, map[j as usize], c));
+            self.trans.extend(trans);
+            self.trans.sort_unstable_by_key(|&(k, j, _)| (k, j));
+            if coalesce {
+                self.trans.dedup_by(|next, kept| {
+                    let same = (next.0, next.1) == (kept.0, kept.1);
+                    if same {
+                        kept.2 += next.2;
+                    }
+                    same
+                });
             }
-            self.trans = merged.into_iter().map(|((k, j), c)| (k, j, c)).collect();
         }
     }
 }
 
 /// The estimated stochastic kernel `Q(i, j, k)` of the price process for
 /// one (zone, instance-type) market — immutable, sorted, and cheap to
-/// share or fork. Build one with [`FrozenKernel::from_trace`] /
-/// [`KernelBuilder::freeze`]; grow one with [`FrozenKernel::extend`].
+/// share or fork. Build one with [`FrozenKernel::from_trace`]; grow one
+/// with [`FrozenKernel::extend`].
 #[derive(Clone, Debug, Default)]
 pub struct FrozenKernel {
     /// Sorted unique prices; the state space `S`.
@@ -243,11 +193,10 @@ impl FrozenKernel {
         Self::default()
     }
 
-    /// Build a kernel from a single trace.
+    /// Build a kernel from a single trace: the empty kernel extended by
+    /// it.
     pub fn from_trace(trace: &PriceTrace) -> Self {
-        let mut b = KernelBuilder::new();
-        b.observe_trace(trace);
-        b.freeze()
+        FrozenKernel::new().extend(trace)
     }
 
     /// Copy-on-write fork: a new kernel equal to `self` with `trace`'s
@@ -260,7 +209,7 @@ impl FrozenKernel {
     /// the window's final segment is right-censored, so transitions across
     /// window boundaries are not recorded.
     pub fn extend(&self, trace: &PriceTrace) -> FrozenKernel {
-        let mut delta = KernelBuilder::new();
+        let mut delta = KernelBuilder::default();
         delta.observe_trace(trace);
         self.merge(&delta)
     }
@@ -595,6 +544,7 @@ impl FrozenKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spot_market::PricePoint;
 
     fn p(d: f64) -> Price {
@@ -801,12 +751,12 @@ mod tests {
     fn incremental_observation_equals_batch() {
         let t = alternating(10);
         let batch = FrozenKernel::from_trace(&t);
-        let mut inc = KernelBuilder::new();
+        let mut inc = KernelBuilder::default();
         // Observing windows [0,40) and [40,80) misses only the boundary
         // transition statistics; totals must line up within that.
         inc.observe_trace(&t.window(0, 40));
         inc.observe_trace(&t.window(40, 80));
-        let inc = inc.freeze();
+        let inc = FrozenKernel::new().merge(&inc);
         assert_eq!(inc.n_states(), batch.n_states());
         // One cross-boundary transition is lost to censoring.
         assert_eq!(inc.total_transitions() + 1, batch.total_transitions());
@@ -819,10 +769,10 @@ mod tests {
         let t = alternating(10);
         let base = FrozenKernel::from_trace(&t.window(0, 40));
         let forked = base.extend(&t.window(40, 80));
-        let mut b = KernelBuilder::new();
+        let mut b = KernelBuilder::default();
         b.observe_trace(&t.window(0, 40));
         b.observe_trace(&t.window(40, 80));
-        let rebuilt = b.freeze();
+        let rebuilt = FrozenKernel::new().merge(&b);
         assert_eq!(forked.prices(), rebuilt.prices());
         assert_eq!(forked.total_transitions(), rebuilt.total_transitions());
         for i in 0..forked.n_states() as u16 {
@@ -880,7 +830,7 @@ mod tests {
         assert_eq!(forked.n_states(), base.n_states());
         // Both states are touched here, so check sharing via the empty
         // delta path instead: merging nothing clones only Arcs.
-        let same = base.merge(&KernelBuilder::new());
+        let same = base.merge(&KernelBuilder::default());
         for (a, b) in same.states.iter().zip(&base.states) {
             assert!(Arc::ptr_eq(a, b), "no-op merge must share tables");
         }
@@ -901,5 +851,103 @@ mod tests {
         let d = k.next_state_dist(0, 5);
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(k.hazard(0, 5) > 0.0, "fallback hazard must be positive");
+    }
+
+    /// A random multi-level trace with enough transitions to train (the
+    /// generator `tests/proptests.rs` trains its models on).
+    fn training_trace() -> impl Strategy<Value = PriceTrace> {
+        (
+            proptest::collection::vec((1u64..30, 0usize..5), 20..120),
+            proptest::collection::vec(50u64..5_000, 5..=5),
+        )
+            .prop_map(|(steps, levels)| {
+                let mut levels: Vec<Price> = levels
+                    .into_iter()
+                    .map(|m| Price::from_micros(m * 100))
+                    .collect();
+                levels.sort_unstable();
+                levels.dedup();
+                let mut points = vec![PricePoint {
+                    minute: 0,
+                    price: levels[0],
+                }];
+                let mut t = 0;
+                for (dt, idx) in steps {
+                    t += dt;
+                    let price = levels[idx % levels.len()];
+                    if points.last().expect("non-empty").price != price {
+                        points.push(PricePoint { minute: t, price });
+                    }
+                }
+                PriceTrace::new(points, t + 30)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Refit equivalence: a kernel grown incrementally — fit the
+        /// first segment, then fork-extend with the remaining segments —
+        /// yields the same `q` / `hazard` / `mean_sojourn` values as one
+        /// builder counting every segment, merged once.
+        #[test]
+        fn incremental_refit_equals_one_shot(
+            trace in training_trace(),
+            cut_pct in 10u64..90,
+            freeze_pct in 20u64..80,
+        ) {
+            let horizon = trace.horizon();
+            let cut = (horizon * cut_pct / 100).max(1);
+            let freeze_at = (cut * freeze_pct / 100).max(1);
+            // Segment windows (each right-censors its own tail — the
+            // windows, not the full trace, are the ground truth both sides
+            // must match).
+            let segments = [
+                trace.window(0, freeze_at),
+                trace.window(freeze_at, cut),
+                trace.window(cut, horizon),
+            ];
+
+            // One-shot: a single builder over every segment.
+            let mut one_shot = KernelBuilder::default();
+            for s in &segments {
+                one_shot.observe_trace(s);
+            }
+            let one_shot = FrozenKernel::new().merge(&one_shot);
+
+            // Incremental: fit the first segment, then copy-on-write
+            // extend per remaining segment.
+            let mut incremental = FrozenKernel::from_trace(&segments[0]);
+            for s in &segments[1..] {
+                incremental = incremental.extend(s);
+            }
+
+            prop_assert_eq!(incremental.prices(), one_shot.prices());
+            prop_assert_eq!(incremental.total_transitions(), one_shot.total_transitions());
+            let n = one_shot.n_states() as u16;
+            for i in 0..n {
+                prop_assert_eq!(
+                    incremental.mean_sojourn(i).to_bits(),
+                    one_shot.mean_sojourn(i).to_bits(),
+                    "mean_sojourn({}) diverged", i
+                );
+                for age in [1u32, 2, 7, 30, MAX_SOJOURN_MINUTES as u32] {
+                    prop_assert_eq!(
+                        incremental.hazard(i, age).to_bits(),
+                        one_shot.hazard(i, age).to_bits(),
+                        "hazard({}, {}) diverged", i, age
+                    );
+                }
+                for j in 0..n {
+                    for k in [1u32, 3, 11, 60] {
+                        prop_assert_eq!(
+                            incremental.q(i, j, k).to_bits(),
+                            one_shot.q(i, j, k).to_bits(),
+                            "q({}, {}, {}) diverged", i, j, k
+                        );
+                    }
+                }
+            }
+        }
     }
 }

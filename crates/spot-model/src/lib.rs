@@ -8,11 +8,11 @@
 //!   prices. Sojourn times are discretized to one minute (Eq. 12) and the
 //!   stochastic kernel `q_{i,j,k} = P(next = s_j, sojourn = k | cur = s_i)`
 //!   is estimated with the empirical (MLE-like) estimator of Eq. 13,
-//!   `q̂ = N_{i,j}^k / N_i`. Counting happens in an append-only
-//!   [`KernelBuilder`]; queries run against the immutable, sorted
-//!   [`FrozenKernel`], which is cheap to share (`Arc` per state table) and
-//!   to fork copy-on-write as new price data arrives ("with more spot
-//!   prices data collected, the estimation can be improved").
+//!   `q̂ = N_{i,j}^k / N_i`. The immutable, sorted [`FrozenKernel`] is
+//!   built one way, [`FrozenKernel::extend`] (a fit is the empty kernel
+//!   extended once); it is cheap to share (`Arc` per state table) and to
+//!   fork copy-on-write as new price data arrives ("with more spot prices
+//!   data collected, the estimation can be improved").
 //! * [`forecast`] — forward evolution of the semi-Markov state
 //!   distribution, conditioned on the current price *and its elapsed
 //!   sojourn* (the non-memoryless part). Produces, for each price level,
@@ -38,7 +38,7 @@ pub mod kernel;
 pub use backtest::{backtest, BidRule, CalibrationReport};
 pub use failure::{FailureModel, FailureModelConfig};
 pub use forecast::{Forecast, ForecastConfig};
-pub use kernel::{FrozenKernel, KernelBuilder, MAX_SOJOURN_MINUTES};
+pub use kernel::{FrozenKernel, MAX_SOJOURN_MINUTES};
 
 /// The failure probability of an on-demand instance per the EC2 SLA the
 /// paper cites: measured availability ≈ 0.99 ⇒ FP⁰ = 0.01 (§3.1).

@@ -105,73 +105,6 @@ proptest! {
         }
     }
 
-    /// Refit equivalence: a kernel grown incrementally — observe the
-    /// trace in segments via a builder, freeze a snapshot midway, then
-    /// fork-extend the frozen kernel with the remaining segments — yields
-    /// the same `q` / `hazard` / `mean_sojourn` values as a one-shot fit
-    /// over the same segment windows.
-    #[test]
-    fn incremental_refit_equals_one_shot(
-        trace in training_trace(),
-        cut_pct in 10u64..90,
-        freeze_pct in 20u64..80,
-    ) {
-        use spot_model::{KernelBuilder, MAX_SOJOURN_MINUTES};
-        let horizon = trace.horizon();
-        let cut = (horizon * cut_pct / 100).max(1);
-        let freeze_at = (cut * freeze_pct / 100).max(1);
-        // Segment windows (each right-censors its own tail — the windows,
-        // not the full trace, are the ground truth both sides must match).
-        let segments = [
-            trace.window(0, freeze_at),
-            trace.window(freeze_at, cut),
-            trace.window(cut, horizon),
-        ];
-
-        // One-shot: a single builder over every segment.
-        let mut one_shot = KernelBuilder::new();
-        for s in &segments {
-            one_shot.observe_trace(s);
-        }
-        let one_shot = one_shot.freeze();
-
-        // Incremental: builder for the first segment, freeze, then
-        // copy-on-write extend per remaining segment.
-        let mut builder = KernelBuilder::new();
-        builder.observe_trace(&segments[0]);
-        let mut incremental = builder.freeze();
-        for s in &segments[1..] {
-            incremental = incremental.extend(s);
-        }
-
-        prop_assert_eq!(incremental.prices(), one_shot.prices());
-        prop_assert_eq!(incremental.total_transitions(), one_shot.total_transitions());
-        let n = one_shot.n_states() as u16;
-        for i in 0..n {
-            prop_assert_eq!(
-                incremental.mean_sojourn(i).to_bits(),
-                one_shot.mean_sojourn(i).to_bits(),
-                "mean_sojourn({}) diverged", i
-            );
-            for age in [1u32, 2, 7, 30, MAX_SOJOURN_MINUTES as u32] {
-                prop_assert_eq!(
-                    incremental.hazard(i, age).to_bits(),
-                    one_shot.hazard(i, age).to_bits(),
-                    "hazard({}, {}) diverged", i, age
-                );
-            }
-            for j in 0..n {
-                for k in [1u32, 3, 11, 60] {
-                    prop_assert_eq!(
-                        incremental.q(i, j, k).to_bits(),
-                        one_shot.q(i, j, k).to_bits(),
-                        "q({}, {}, {}) diverged", i, j, k
-                    );
-                }
-            }
-        }
-    }
-
     /// Fold-on-read equivalence: a model that queues windows and folds
     /// them when read answers exactly like the eager `extend` chain at
     /// every read, wherever the reads fall among the observes — and a

@@ -3,13 +3,15 @@
 use std::ops::{Deref, DerefMut};
 
 use paxos::Cluster;
-use simnet::{NetworkConfig, NodeId};
+use simnet::NetworkConfig;
 
 use crate::service::{RsConfig, RsService};
 
 /// An RS-Paxos storage cluster under simulation: a [`Cluster`] of
 /// [`RsService`] replicas (every driver helper is the shared one) built
-/// from an [`RsConfig`].
+/// from an [`RsConfig`]. A replacement instance taking over a crashed
+/// slot's shard index is [`Cluster::restart_pristine`]; it recovers the
+/// log via catch-up.
 pub struct RsCluster(Cluster<RsService>);
 
 impl RsCluster {
@@ -23,12 +25,6 @@ impl RsCluster {
             net,
             seed,
         ))
-    }
-
-    /// Restart a crashed replica slot (a replacement instance taking over
-    /// the same shard index; it recovers the log via catch-up).
-    pub fn restart(&mut self, id: NodeId) {
-        self.0.restart_pristine(id);
     }
 }
 

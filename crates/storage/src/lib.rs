@@ -32,6 +32,7 @@
 //! view); replacing an instance is modelled as crash + restart of a slot,
 //! which matches the replay harness's accounting. The full add/remove view
 //! change lives in the plain Paxos lock service.
+#![forbid(unsafe_code)]
 
 pub mod harness;
 pub mod msg;

@@ -154,7 +154,7 @@ fn restarted_replica_relearns_its_shards() {
     c.crash(victim);
     c.submit(client, put("k2", object(6, 500)));
     assert!(c.run_until_drained(client, SimTime::from_secs(60)));
-    c.restart(victim);
+    c.restart_pristine(victim);
     let settled = c.sim.now() + SimTime::from_secs(30);
     c.sim.run_until(settled);
     let r = c.replica(victim).unwrap();

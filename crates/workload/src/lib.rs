@@ -14,6 +14,7 @@
 //! sequential ChaCha8 streams derived from the spec seed, and the
 //! simulation itself is a deterministic DES, so a spec replays
 //! bit-identically under any thread count.
+#![forbid(unsafe_code)]
 
 pub mod arrival;
 pub mod engine;

@@ -51,6 +51,7 @@
 //! let decision = fw.decide(&snapshots, 360);
 //! assert!(decision.n() >= 5, "a lock service needs at least five replicas");
 //! ```
+#![forbid(unsafe_code)]
 
 pub use erasure;
 pub use jupiter;

@@ -353,7 +353,7 @@ fn lock_compaction_reconfig() -> u64 {
         "the sleeper installed a snapshot past two compactions"
     );
 
-    let newcomer = c.spawn_server(LockService::new());
+    let newcomer = c.spawn_server();
     let leader = c.leader().expect("leader");
     let outgoing = c
         .servers()

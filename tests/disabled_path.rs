@@ -1,6 +1,7 @@
 //! Disabled observability is free, in a unit that does not depend on the
-//! host: the tracing calls on `Obs::disabled()` and the watchdog / SLO
-//! observes on `AlertSink::disabled()` perform **zero heap allocations**.
+//! host: the tracing and audit calls on `Obs::disabled()` and the alert,
+//! watchdog and SLO calls on `AlertSink::disabled()` perform **zero heap
+//! allocations**.
 //! A disabled path that grows a `String`, a `Vec` or a boxed event fails
 //! here whatever the machine's speed; what the calls cost in time is the
 //! repo benchmark's `obs.disabled_ns_per_op`.
@@ -11,7 +12,8 @@
 //! does not disturb it.
 
 use spot_jupiter::obs::{
-    AlertSink, FleetDeficitWatchdog, LivenessWatchdog, Obs, SloSpec, SloTracker, TraceContext,
+    AlertSink, AuditKind, FleetDeficitWatchdog, LivenessWatchdog, Obs, RepairBudgetWatchdog,
+    Severity, SloSpec, SloTracker, TraceContext,
 };
 use test_util::alloc::{allocations, Counting};
 
@@ -38,9 +40,19 @@ fn disabled_tracing_and_monitors_never_allocate() {
     assert_eq!(boxed.count, 1);
 
     let disabled = Obs::disabled();
+    // Empty strings: cloning the record allocates nothing, so any
+    // allocation counted below is the log's own.
+    let note = AuditKind::RepairAction {
+        action: String::new(),
+        zone: String::new(),
+        trigger_death_minute: 0,
+        bid_dollars: 0.0,
+        billing_delta_dollars: 0.0,
+    };
     let tracing = allocations(|| {
         for i in 0..OPS {
             traced_op(&disabled, i | 1);
+            disabled.audit.record(i, note.clone());
         }
     });
     assert_eq!(
@@ -51,12 +63,23 @@ fn disabled_tracing_and_monitors_never_allocate() {
     let sink = AlertSink::disabled();
     let mut liveness = LivenessWatchdog::new(sink.clone(), 30_000_000);
     let mut fleet = FleetDeficitWatchdog::new(sink.clone());
-    let mut slo = SloTracker::new(SloSpec::paper_availability(60), sink);
+    let mut budget = RepairBudgetWatchdog::new(sink.clone());
+    let mut slo = SloTracker::new(SloSpec::paper_availability(60), sink.clone());
     let monitors = allocations(|| {
         for i in 0..OPS {
             liveness.observe(i, 1);
             fleet.observe(i, 3, 5, 3, &[]);
+            budget.exhausted(i, 4, &[]);
+            budget.interval_start();
             slo.record(i, 1.0, 1.0);
+            sink.emit(
+                i,
+                "m",
+                Severity::Info,
+                String::new(),
+                Vec::new(),
+                Vec::new(),
+            );
         }
     });
     assert_eq!(

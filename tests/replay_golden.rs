@@ -104,8 +104,8 @@ fn digest(r: &ReplayResult) -> u64 {
             writeln!(text, "{}", s.to_json()).unwrap();
         }
     }
-    text.push_str(&obs::audit_jsonl(&r.audit));
-    text.push_str(&obs::alerts_jsonl(&r.alerts));
+    text.push_str(&obs::json_lines(&r.audit, obs::AuditRecord::to_json));
+    text.push_str(&obs::json_lines(&r.alerts, obs::AlertEvent::to_json));
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })

@@ -245,6 +245,65 @@ proptest! {
     }
 
     #[test]
+    fn spot_launches_land_in_free_pools(
+        seed in any::<u64>(),
+        zones in 4usize..8,
+        min_strength in 5u32..11,
+        portion in 0.01f64..0.1,
+    ) {
+        // Fleet occupancy by (zone, type) under hybrid repair on
+        // two-type markets: a spot instance never starts in a pool that
+        // another instance, spot or on-demand, already holds. On-demand
+        // fallbacks are exempt as launches — several may share the
+        // on-demand pool, and a top-up does not wait for its pool to
+        // free. Thin bids keep the repair walk busy.
+        let m = hetero_market_days(seed, zones, 6);
+        let spec = ServiceSpec::lock_service()
+            .with_pools(&[InstanceType::M1Small, InstanceType::M3Large])
+            .with_min_strength(min_strength);
+        let config = ReplayConfig::new(3 * 24 * 60, 6 * 24 * 60, 6);
+        let r = Replay::new(&m, &spec, config)
+            .repair(RepairConfig::hybrid())
+            .run(ExtraStrategy::new(0, portion));
+
+        // Each interval's books, as in `hetero_billing_decomposes_by_pool`:
+        // a record holds its pool over its lifetime clipped to the
+        // interval, and the next boundary's launches (granted
+        // `DECISION_LEAD` early) belong to the next interval.
+        for (i, iv) in r.intervals.iter().enumerate() {
+            let end = r
+                .intervals
+                .get(i + 1)
+                .map(|n| n.start)
+                .unwrap_or(config.eval_end);
+            let held: Vec<_> = r
+                .instances
+                .iter()
+                .filter(|rec| rec.granted_at < end.saturating_sub(DECISION_LEAD))
+                .map(|rec| (rec, rec.granted_at.max(iv.start), rec.ended_at.min(end)))
+                .filter(|&(_, from, to)| from < to)
+                .collect();
+            for (a, &(spot, from, _)) in held.iter().enumerate() {
+                if spot.on_demand {
+                    continue;
+                }
+                for (b, &(other, other_from, other_to)) in held.iter().enumerate() {
+                    // A top-up launched in the same minute as a spot
+                    // replacement came after it.
+                    let before = other_from < from || (other_from == from && !other.on_demand);
+                    prop_assert!(
+                        a == b
+                            || (spot.zone, spot.instance_type) != (other.zone, other.instance_type)
+                            || !(before && from < other_to),
+                        "interval at {}: {:?} started in a pool {:?} holds",
+                        iv.start, spot, other
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn capacity_era_invariants(
         seed in any::<u64>(),
         zones in 4usize..8,

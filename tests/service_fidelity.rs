@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use spot_jupiter::jupiter::{BiddingStrategy, ExtraStrategy, JupiterStrategy, ServiceSpec};
 use spot_jupiter::obs::{AlertSink, Obs};
-use spot_jupiter::paxos::{ClientOp, LockCmd, LockService, ReplicaConfig};
+use spot_jupiter::paxos::{ClientOp, LockCmd, ReplicaConfig};
 use spot_jupiter::replay::lifecycle::DECISION_LEAD;
 use spot_jupiter::replay::service_level::{lock_service_replay, ServiceReplayConfig};
 use spot_jupiter::replay::{RepairConfig, RepairPolicy, Replay, ReplayConfig, Scenario, SweepSpec};
@@ -223,7 +223,7 @@ fn lock_service_rolling_replacement_is_seamless() {
             .into_iter()
             .min()
             .expect("non-empty view");
-        let newcomer = c.spawn_server(LockService::new());
+        let newcomer = c.spawn_server();
         c.submit(
             client,
             ClientOp::Reconfig {
@@ -293,7 +293,7 @@ fn storage_service_handles_churn_with_quorum_margin() {
             }
             other => panic!("round {round}: {other:?}"),
         }
-        c.restart(victim);
+        c.restart_pristine(victim);
         let settled = c.sim.now() + SimTime::from_secs(20);
         c.sim.run_until(settled);
     }
