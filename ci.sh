@@ -77,6 +77,9 @@ echo "== repro smoke + cross-process repeatability =="
 # leaking into a result shows up as a diff here. The `workload` pair is
 # what guards `LockService`'s lock table, a `HashMap` under std's keyed
 # hasher: an ordered read of it would differ between the two processes.
+# It also guards the client list a replica snapshot carries (`Promise`,
+# `CatchupReply`), which a client-indexed table now lists in ascending
+# order; a hashed map there would reorder it per process again.
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 for target in all workload hetero era; do

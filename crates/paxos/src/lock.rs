@@ -211,24 +211,23 @@ impl StateMachine for LockService {
                     _ => LockResp::NotHeld,
                 }
             }
-            LockCmd::Release { name, owner } => match self.live(name) {
-                Some(h) if h.owner == *owner => {
+            LockCmd::Release { name, owner } => {
+                // One probe decides; the holding goes if it is the
+                // owner's live lock or an expired husk of anyone's.
+                let Some(h) = self.locks.get(name) else {
+                    return LockResp::NotHeld;
+                };
+                let expired = Self::expired(h, self.clock_ms);
+                let mine = !expired && h.owner == *owner;
+                if mine || expired {
                     self.locks.remove(name);
-                    LockResp::Released
                 }
-                _ => {
-                    // Clean out an expired husk either way.
-                    if self
-                        .locks
-                        .get(name)
-                        .map(|h| Self::expired(h, self.clock_ms))
-                        .unwrap_or(false)
-                    {
-                        self.locks.remove(name);
-                    }
+                if mine {
+                    LockResp::Released
+                } else {
                     LockResp::NotHeld
                 }
-            },
+            }
             LockCmd::Holder { name } => LockResp::HolderIs(self.live(name).map(|h| h.owner)),
         }
     }

@@ -2,7 +2,7 @@
 //! log, hosting a [`Service`].
 #![deny(clippy::too_many_lines)]
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use obs::{Counter, FieldValue, Histogram, Obs, SpanHandle, TraceContext};
 use rand::{Rng, SeedableRng};
@@ -170,6 +170,47 @@ impl<W> Default for SlotState<W> {
     }
 }
 
+/// The exactly-once cache: per client, the last applied request id and
+/// its response. Client ids are `simnet` node indices, which
+/// [`simnet::Simulation::add_node`] hands out densely from zero, so the
+/// cache is a vector indexed by them and lists its entries in ascending
+/// client order by construction.
+#[derive(Clone, Debug)]
+pub(crate) struct ClientTable<R>(Vec<Option<(u64, Option<R>)>>);
+
+impl<R: Clone> ClientTable<R> {
+    /// `client`'s last applied request id and its response.
+    pub(crate) fn get(&self, client: NodeId) -> Option<&(u64, Option<R>)> {
+        self.0.get(client.0).and_then(Option::as_ref)
+    }
+
+    /// Record `req_id` and its response as `client`'s last applied.
+    pub(crate) fn insert(&mut self, client: NodeId, req_id: u64, resp: Option<R>) {
+        if client.0 >= self.0.len() {
+            self.0.resize_with(client.0 + 1, || None);
+        }
+        self.0[client.0] = Some((req_id, resp));
+    }
+
+    /// The entries in ascending client order, as a snapshot carries them.
+    fn entries(&self) -> Vec<(NodeId, u64, Option<R>)> {
+        let rows = self.0.iter().enumerate();
+        rows.filter_map(|(c, row)| {
+            let (r, resp) = row.as_ref()?;
+            Some((NodeId(c), *r, resp.clone()))
+        })
+        .collect()
+    }
+
+    fn from_entries(entries: Vec<(NodeId, u64, Option<R>)>) -> Self {
+        let mut table = ClientTable(Vec::new());
+        for (c, r, resp) in entries {
+            table.insert(c, r, resp);
+        }
+        table
+    }
+}
+
 /// A Multi-Paxos replica hosting a [`Service`].
 #[derive(Clone, Debug)]
 pub struct Replica<S: Service> {
@@ -193,7 +234,7 @@ pub struct Replica<S: Service> {
     /// implied by the live service state.
     pub(crate) floor: Slot,
     /// Exactly-once cache: client → (last applied req_id, response).
-    pub(crate) dedup: HashMap<NodeId, (u64, Option<S::Resp>)>,
+    pub(crate) dedup: ClientTable<S::Resp>,
 
     /// Highest ballot promised (acceptor duty).
     promised: Ballot,
@@ -238,7 +279,7 @@ impl<S: Service> Replica<S> {
             commit_index: 0,
             applied: 0,
             floor: 0,
-            dedup: HashMap::new(),
+            dedup: ClientTable(Vec::new()),
             promised: Ballot::BOTTOM,
             ballot: Ballot::BOTTOM,
             phase: Phase::Follower,
@@ -333,11 +374,7 @@ impl<S: Service> Replica<S> {
             view: self.view.clone(),
             view_id: self.view_id,
             state: S::snapshot(&self.svc),
-            dedup: self
-                .dedup
-                .iter()
-                .map(|(&c, (r, resp))| (c, *r, resp.clone()))
-                .collect(),
+            dedup: self.dedup.entries(),
         })
     }
 
@@ -347,11 +384,7 @@ impl<S: Service> Replica<S> {
             return;
         }
         S::restore(&mut self.svc, snap.state);
-        self.dedup = snap
-            .dedup
-            .into_iter()
-            .map(|(c, r, resp)| (c, (r, resp)))
-            .collect();
+        self.dedup = ClientTable::from_entries(snap.dedup);
         if snap.view_id >= self.view_id {
             self.view = snap.view;
             self.view_id = snap.view_id;
@@ -706,7 +739,7 @@ impl<S: Service> Replica<S> {
     /// applied request from the cache, drop stale ones and duplicates of
     /// an in-flight proposal (it will answer). `false` means settled.
     fn admit(&mut self, client: NodeId, req_id: u64, ctx: &mut Context<Msg<S>>) -> bool {
-        if let Some((last, resp)) = self.dedup.get(&client) {
+        if let Some((last, resp)) = self.dedup.get(client) {
             if *last == req_id {
                 let resp = resp.clone();
                 self.send_msg(ctx, client, Msg::Response { req_id, resp });
@@ -908,10 +941,10 @@ impl<S: Service> Replica<S> {
     ) {
         if self
             .dedup
-            .get(&client)
+            .get(client)
             .is_none_or(|(last, _)| *last < req_id)
         {
-            self.dedup.insert(client, (req_id, resp.clone()));
+            self.dedup.insert(client, req_id, resp.clone());
         }
         if self.is_leader() {
             self.send_msg(ctx, client, Msg::Response { req_id, resp });
@@ -1195,6 +1228,55 @@ impl<S: Service> Replica<S> {
 
 #[cfg(test)]
 mod tests {
+    use simnet::{NetworkConfig, NodeId, SimTime};
+
+    use super::{Replica, ReplicaConfig};
+    use crate::lock::{LockCmd, LockService};
+    use crate::msg::ClientOp;
+    use crate::smr::SmHost;
+    use crate::Cluster;
+
+    /// The snapshot's client list is a function of the applied history
+    /// alone: two replicas that applied the same log list the same
+    /// clients in ascending order, and installing a snapshot then taking
+    /// one gives the list back.
+    #[test]
+    fn snapshot_client_lists_follow_the_applied_history() {
+        let cfg = ReplicaConfig::default();
+        let net = NetworkConfig::default();
+        let mut c = Cluster::new(3, LockService::new(), cfg.clone(), net, 9);
+        let clients: Vec<NodeId> = (0..6).map(|_| c.add_client()).collect();
+        for &client in clients.iter().rev() {
+            let name = format!("lock-{}", client.0 % 2);
+            c.submit(
+                client,
+                ClientOp::App(LockCmd::Acquire {
+                    name,
+                    owner: client,
+                }),
+            );
+        }
+        for &client in &clients {
+            assert!(c.run_until_drained(client, SimTime::from_secs(60)));
+        }
+        c.sim.run_until(c.sim.now() + SimTime::from_secs(2));
+        let servers = c.servers().to_vec();
+        let snaps: Vec<_> = servers
+            .iter()
+            .map(|&id| c.replica(id).expect("replica up").snapshot())
+            .collect();
+        assert!(snaps.iter().all(|s| s.applied == snaps[0].applied));
+        let listed: Vec<NodeId> = snaps[0].dedup.iter().map(|e| e.0).collect();
+        assert_eq!(listed, clients);
+        for snap in &snaps[1..] {
+            assert_eq!(snap.dedup, snaps[0].dedup);
+        }
+        let host = SmHost::new(LockService::new());
+        let mut fresh = Replica::<LockService>::new(servers[0], servers.clone(), host, cfg, 1);
+        fresh.install_snapshot(*snaps[1].clone(), c.sim.now());
+        assert_eq!(fresh.snapshot().dedup, snaps[1].dedup);
+    }
+
     /// The goldens replay no catch-up longer than 256 entries, so they
     /// only move when this is mistyped below that; the value is held here.
     #[test]

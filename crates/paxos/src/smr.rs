@@ -65,7 +65,7 @@ impl<SM: StateMachine> Replica<SM> {
         cmd: &SM::Command,
         ctx: &mut Context<Msg<SM>>,
     ) {
-        let resp = match self.dedup.get(&client) {
+        let resp = match self.dedup.get(client) {
             Some((last, cached)) if *last >= req_id => cached.clone(),
             _ => Some(self.svc.sm.apply(cmd)),
         };
@@ -91,7 +91,7 @@ impl<SM: StateMachine> Replica<SM> {
         self.view.retain(|n| !remove.contains(n));
         self.view.sort_unstable();
         self.view_id += 1;
-        self.dedup.insert(client, (req_id, None));
+        self.dedup.insert(client, req_id, None);
         if !self.view.contains(&self.me) {
             self.retired = true;
             self.step_down(ctx.now);

@@ -10,7 +10,9 @@
 //! Design points:
 //!
 //! * **Virtual time** in milliseconds ([`SimTime`]). Nothing ever sleeps;
-//!   the simulation pops timestamped events from a priority queue.
+//!   the simulation pops timestamped events from a calendar queue
+//!   ([`event::EventQueue`]: a wheel of one-millisecond buckets over a
+//!   slab, with a far heap for events beyond the wheel's two seconds).
 //! * **Determinism**: all randomness (latency jitter, drops) comes from a
 //!   seeded ChaCha RNG, and simultaneous events are ordered by an insertion
 //!   sequence number, so a run is a pure function of (seed, schedule).

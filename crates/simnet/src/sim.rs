@@ -465,13 +465,9 @@ where
     /// Process a single event if one is pending before `bound`; returns
     /// whether an event was processed. Time advances to the event time.
     pub fn step_before(&mut self, bound: SimTime) -> bool {
-        let Some(at) = self.queue.peek_time() else {
+        let Some(ev) = self.queue.pop_due(bound) else {
             return false;
         };
-        if at > bound {
-            return false;
-        }
-        let ev = self.queue.pop().expect("peeked event vanished");
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         let id = ev.target;
