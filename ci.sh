@@ -93,11 +93,14 @@ done
 # One thread against the default pool: the evaluation plan replays every
 # cell of `all` in one pool of one worker per core the process may run
 # on, so pinned to one core it replays every cell inline; the rows must
-# not notice.
+# not notice. `era` adds the capacity-era cells: reclaims, notices and
+# migrations, replayed on the same workers.
 ONE_CPU="$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')" # first CPU we may run on
-taskset -c "$ONE_CPU" ./target/release/repro --quick --seed 2014 all | grep -v '^#' > "$TMP/all.1.txt"
-diff "$TMP/all.a.txt" "$TMP/all.1.txt" \
-  || { echo "all rows differ between one thread and the default pool" >&2; exit 1; }
+for target in all era; do
+  taskset -c "$ONE_CPU" ./target/release/repro --quick --seed 2014 "$target" | grep -v '^#' > "$TMP/$target.1.txt"
+  diff "$TMP/$target.a.txt" "$TMP/$target.1.txt" \
+    || { echo "$target rows differ between one thread and the default pool" >&2; exit 1; }
+done
 
 # Workload: the quick request-level replay (~20k lock + ~2k storage
 # requests) must report the batched lock row.

@@ -703,7 +703,7 @@ mod tests {
                     let f = i as f64 * 0.0005;
                     let mut m = model(0.006 + f, 0.011 + f, 30 + 9 * i);
                     if i % 2 == 1 {
-                        m.observe(&model_trace(0.006 + f, 0.013 + f, 20 + 7 * i));
+                        m.observe(model_trace(0.006 + f, 0.013 + f, 20 + 7 * i));
                     }
                     m
                 })

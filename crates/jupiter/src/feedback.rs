@@ -13,10 +13,9 @@
 //! scenario engine races it against Jupiter to quantify what the model
 //! buys (and what a well-tuned loop recovers without it).
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
-use spot_market::{InstanceType, Price, Zone};
+use spot_market::{PoolTable, Price, Zone};
 
 use crate::service::ServiceSpec;
 use crate::strategy::{BidDecision, BiddingStrategy, PoolBid, ZoneState};
@@ -53,6 +52,37 @@ struct PoolLoop {
     engaged: bool,
 }
 
+/// The controller's memory across decisions.
+#[derive(Default)]
+struct Loops {
+    /// One PID loop per pool.
+    pools: PoolTable<PoolLoop>,
+    /// Set points solved so far, keyed by (node count, quorum size,
+    /// availability-target bits): the per-node target depends on the spec
+    /// alone, so each is solved once.
+    set_points: Vec<((usize, usize, u64), f64)>,
+}
+
+impl Loops {
+    /// The per-node availability the deployment needs (the loop's set
+    /// point): at the baseline node count, a node may fail with at most
+    /// the per-node FP target probability.
+    fn set_point(&mut self, spec: &ServiceSpec) -> f64 {
+        let n = spec.baseline_nodes.max(spec.quorum.min_nodes());
+        let key = (
+            n,
+            spec.quorum.quorum_size(n),
+            spec.availability_target().to_bits(),
+        );
+        if let Some(&(_, target)) = self.set_points.iter().find(|(k, _)| *k == key) {
+            return target;
+        }
+        let target = 1.0 - spec.node_fp_target(n).unwrap_or(0.01);
+        self.set_points.push((key, target));
+        target
+    }
+}
+
 /// The feedback-control bidder: one PID loop per (zone, type) pool.
 ///
 /// Stateful across decisions (interior mutability, like
@@ -61,7 +91,7 @@ struct PoolLoop {
 /// by the PID law before re-selecting the cheapest pools.
 #[derive(Default)]
 pub struct FeedbackStrategy {
-    loops: Mutex<HashMap<(Zone, InstanceType), PoolLoop>>,
+    loops: Mutex<Loops>,
 }
 
 impl FeedbackStrategy {
@@ -85,19 +115,14 @@ impl BiddingStrategy for FeedbackStrategy {
         if zones.is_empty() {
             return BidDecision::empty();
         }
-        // The per-node availability the deployment needs (the loop's set
-        // point): at the baseline node count, a node may fail with at most
-        // the per-node FP target probability.
-        let target = 1.0
-            - spec
-                .node_fp_target(spec.baseline_nodes.max(spec.quorum.min_nodes()))
-                .unwrap_or(0.01);
-        let mut loops = self.loops.lock().expect("poisoned");
+        let mut guard = self.loops.lock().expect("poisoned");
+        let target = guard.set_point(spec);
+        let loops = &mut guard.pools;
 
         // 1. Control step: update every visible pool's loop from the
         // survival observation.
         for z in zones {
-            let state = loops.entry((z.zone, z.instance_type)).or_default();
+            let state = loops.get_or_insert_with(z.zone, z.instance_type, PoolLoop::default);
             if !state.engaged {
                 state.headroom = INITIAL_HEADROOM;
                 state.last_error = 0.0;
@@ -120,7 +145,7 @@ impl BiddingStrategy for FeedbackStrategy {
         let mut priced: Vec<(Price, &ZoneState)> = zones
             .iter()
             .map(|z| {
-                let state = loops[&(z.zone, z.instance_type)];
+                let state = loops[(z.zone, z.instance_type)];
                 let bid = z
                     .spot_price
                     .scale(1.0 + state.headroom)
@@ -179,15 +204,17 @@ impl BiddingStrategy for FeedbackStrategy {
         // 3. Remember what we actually bid (pools we skipped keep their
         // loop state but observe nothing next round — mark them
         // unengaged so a stale last_bid does not feed a bogus error).
-        for (key, state) in loops.iter_mut() {
+        for state in loops.values_mut() {
             state.engaged = false;
-            if let Some(pb) = bids
-                .iter()
-                .find(|b| (b.zone, b.instance_type) == *key)
-            {
-                state.last_bid = pb.bid;
-                state.engaged = true;
-            }
+        }
+        // Every bid pool was visible, so its loop exists; the first bid
+        // for a pool is the one remembered.
+        for pb in bids.iter().rev() {
+            let state = loops
+                .get_mut(pb.zone, pb.instance_type)
+                .expect("visible pool");
+            state.last_bid = pb.bid;
+            state.engaged = true;
         }
         BidDecision { bids }
     }
@@ -196,7 +223,7 @@ impl BiddingStrategy for FeedbackStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spot_market::{PricePoint, PriceTrace};
+    use spot_market::{InstanceType, PricePoint, PriceTrace};
     use spot_model::{FailureModel, FailureModelConfig};
 
     fn p(d: f64) -> Price {

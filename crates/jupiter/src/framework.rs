@@ -1,10 +1,9 @@
 //! The bidding framework (Fig. 2): failure models per availability zone,
 //! online training, and the bidding loop entry point.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use spot_market::{InstanceType, Price, PriceTrace, Zone};
+use spot_market::{InstanceType, PoolTable, Price, PriceTrace, Zone};
 use spot_model::{FailureModel, FailureModelConfig, FrozenKernel};
 
 use crate::service::ServiceSpec;
@@ -30,7 +29,7 @@ pub struct MarketSnapshot {
 pub struct BiddingFramework<S: BiddingStrategy> {
     spec: ServiceSpec,
     strategy: S,
-    models: HashMap<(Zone, InstanceType), FailureModel>,
+    models: PoolTable<FailureModel>,
     model_config: FailureModelConfig,
 }
 
@@ -44,7 +43,7 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
         BiddingFramework {
             spec,
             strategy,
-            models: HashMap::new(),
+            models: PoolTable::new(),
             model_config,
         }
     }
@@ -73,7 +72,8 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
     /// when the model is next read — the shared base stays untouched.
     pub fn install_kernel(&mut self, zone: Zone, ty: InstanceType, kernel: Arc<FrozenKernel>) {
         self.models.insert(
-            (zone, ty),
+            zone,
+            ty,
             FailureModel::from_kernel(kernel, self.model_config),
         );
     }
@@ -81,17 +81,18 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
     /// Feed spot-price history for a pool into its failure model
     /// (training and continuous online refinement both go through here).
     /// The model folds it in when a strategy next reads it; a strategy
-    /// that never consults its models never pays for the refinement.
-    pub fn observe(&mut self, zone: Zone, ty: InstanceType, trace: &PriceTrace) {
+    /// that never consults its models never pays for the refinement. The
+    /// window is queued as given, without a copy.
+    pub fn observe(&mut self, zone: Zone, ty: InstanceType, trace: PriceTrace) {
+        let config = self.model_config;
         self.models
-            .entry((zone, ty))
-            .or_insert_with(|| FailureModel::new(self.model_config))
+            .get_or_insert_with(zone, ty, || FailureModel::new(config))
             .observe(trace);
     }
 
     /// The trained model for the `(zone, ty)` pool, if any.
     pub fn model(&self, zone: Zone, ty: InstanceType) -> Option<&FailureModel> {
-        self.models.get(&(zone, ty))
+        self.models.get(zone, ty)
     }
 
     /// The model-predicted failure probability for bidding `bid` in the
@@ -105,7 +106,7 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
         horizon_minutes: u32,
     ) -> Option<f64> {
         self.models
-            .get(&(snapshot.zone, snapshot.instance_type))
+            .get(snapshot.zone, snapshot.instance_type)
             .map(|model| {
                 model.estimate_fp(bid, snapshot.spot_price, snapshot.sojourn_age, horizon_minutes)
             })
@@ -117,7 +118,7 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
         let states: Vec<ZoneState<'_>> = snapshots
             .iter()
             .filter_map(|s| {
-                self.models.get(&(s.zone, s.instance_type)).map(|model| ZoneState {
+                self.models.get(s.zone, s.instance_type).map(|model| ZoneState {
                     zone: s.zone,
                     instance_type: s.instance_type,
                     spot_price: s.spot_price,
@@ -154,7 +155,7 @@ mod tests {
 
         let mut fw = BiddingFramework::new(ServiceSpec::lock_service(), JupiterStrategy::new());
         for (z, t) in &traces {
-            fw.observe(*z, ty, t);
+            fw.observe(*z, ty, t.clone());
         }
 
         let snapshots: Vec<MarketSnapshot> = traces
@@ -225,7 +226,7 @@ mod tests {
             let mut fw = BiddingFramework::new(ServiceSpec::lock_service(), strategy);
             for (&z, t) in zones.iter().zip(&traces) {
                 fw.install_kernel(z, ty, Arc::new(FrozenKernel::from_trace(&t.window(0, trained))));
-                fw.observe(z, ty, &t.window(trained, revealed));
+                fw.observe(z, ty, t.window(trained, revealed));
             }
             let decision = fw.decide(&snapshots, 360);
             assert!(decision.n() > 0, "{} placed no bid", fw.strategy_name());
@@ -253,8 +254,8 @@ mod tests {
         let trace = gen.generate(zone, ty, 7 * 24 * 60);
         let mut fw = BiddingFramework::new(ServiceSpec::lock_service(), JupiterStrategy::new());
         assert!(fw.model(zone, ty).is_none());
-        fw.observe(zone, ty, &trace.window(0, 5_000));
-        fw.observe(zone, ty, &trace.window(5_000, 10_000));
+        fw.observe(zone, ty, trace.window(0, 5_000));
+        fw.observe(zone, ty, trace.window(5_000, 10_000));
         let m = fw.model(zone, ty).unwrap();
         assert!(m.is_trained());
         assert!(m.kernel().total_transitions() > 0);

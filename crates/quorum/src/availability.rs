@@ -53,8 +53,17 @@ pub fn threshold_availability(fps: &[f64], k: usize) -> f64 {
     for &p in fps {
         assert!((0.0..=1.0).contains(&p), "failure probability {p} invalid");
     }
+    threshold_tail(fps, k, &mut Vec::new())
+}
+
+/// [`threshold_availability`] without the input checks, over a caller's
+/// scratch buffer (resized and reset here), so a solver that evaluates it
+/// many times allocates once.
+pub(crate) fn threshold_tail(fps: &[f64], k: usize, dist: &mut Vec<f64>) -> f64 {
+    let n = fps.len();
     // dist[j] = P(exactly j alive among the first i nodes).
-    let mut dist = vec![0.0f64; n + 1];
+    dist.clear();
+    dist.resize(n + 1, 0.0);
     dist[0] = 1.0;
     for (i, &p) in fps.iter().enumerate() {
         let alive = 1.0 - p;

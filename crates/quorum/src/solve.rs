@@ -7,7 +7,7 @@
 //! quorum is a fixed threshold (§4.1), so this reduces to inverting the
 //! monotone map `p ↦ P(≥ k of n Bernoulli(1−p) alive)`.
 
-use crate::availability::threshold_availability;
+use crate::availability::threshold_tail;
 
 /// Bisection iterations; 80 halvings of `[0, 1]` reach ~1e-24, far below
 /// any meaningful probability resolution.
@@ -28,7 +28,12 @@ pub fn node_failure_pr(n: usize, k: usize, target: f64) -> Option<f64> {
     if k == 0 || target == 0.0 {
         return Some(1.0);
     }
-    let avail = |p: f64| threshold_availability(&vec![p; n], k);
+    // One node-probability buffer and one DP buffer serve every step.
+    let (mut fps, mut dist) = (vec![0.0; n], Vec::with_capacity(n + 1));
+    let mut avail = |p: f64| {
+        fps.fill(p);
+        threshold_tail(&fps, k, &mut dist)
+    };
     if avail(1.0) >= target {
         return Some(1.0);
     }
@@ -49,6 +54,7 @@ pub fn node_failure_pr(n: usize, k: usize, target: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::availability::threshold_availability;
 
     fn majority(n: usize, target: f64) -> Option<f64> {
         node_failure_pr(n, n / 2 + 1, target)

@@ -669,10 +669,7 @@ pub fn ablation_estimator(scale: &Scale) -> Vec<EstimatorRow> {
             let expectation_fp = model.fp_from_forecast(&f, bid, spot);
             let absorbing_fp = model.estimate_fp_absorbing(bid, spot, age, horizon);
             let end = start + horizon as u64;
-            let killed = trace
-                .first_minute_above(bid, start)
-                .map(|k| k < end)
-                .unwrap_or(false);
+            let killed = trace.first_minute_above(bid, start, end).is_some();
             let realized_fraction = trace.fraction_above(bid, start, end);
             rows.push(EstimatorRow {
                 zone,

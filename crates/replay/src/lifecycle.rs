@@ -289,12 +289,12 @@ pub fn snapshots_at(market: &Market, pools: &[InstanceType], minute: u64) -> Vec
     let mut snapshots = Vec::with_capacity(market.zones().len() * pools.len());
     for &zone in market.zones() {
         for &instance_type in pools {
-            let t = market.trace(zone, instance_type);
+            let (spot_price, age) = market.trace(zone, instance_type).price_and_age_at(minute);
             snapshots.push(MarketSnapshot {
                 zone,
                 instance_type,
-                spot_price: t.price_at(minute),
-                sojourn_age: t.sojourn_age_at(minute).min(u32::MAX as u64) as u32,
+                spot_price,
+                sojourn_age: age.min(u32::MAX as u64) as u32,
             });
         }
     }
@@ -534,7 +534,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
             for &z in market.zones() {
                 for &ty in &self.pools {
                     let revealed = market.trace(z, ty).window(self.observed_until, decision_at);
-                    self.framework.observe(z, ty, &revealed);
+                    self.framework.observe(z, ty, revealed);
                 }
             }
             self.observed_until = decision_at;
@@ -645,7 +645,9 @@ impl<S: BiddingStrategy> Run<'_, S> {
         let running_from = at + self.market.startup_delay_minutes(zone, ty, at);
         let dies_at = dies_before.and_then(|until| self.death_in(zone, ty, bid, at, until));
         self.kills += usize::from(dies_at.is_some());
-        self.obs.counter(&format!("replay.granted.{zone}")).inc();
+        if self.obs.metrics.is_enabled() {
+            self.obs.counter(&format!("replay.granted.{zone}")).inc();
+        }
         self.fleet.push(Active {
             zone,
             ty,
@@ -752,7 +754,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
         if self.config.era != BidEra::CapacityReclaim {
             return;
         }
-        let notices = self.market.notices_in(iv.start, iv.end).len();
+        let notices = self.market.notice_count(iv.start, iv.end);
         self.ins.notice_emitted.add(notices as u64);
         if self.repair_cfg.policy != RepairPolicy::Migrate {
             return;

@@ -234,9 +234,19 @@ impl CapacityProcess {
     }
 
     /// Every interruption notice whose *emission* minute falls in
-    /// `[from, until)`.
-    pub fn notices_in(&self, from: u64, until: u64) -> Vec<InterruptionNotice> {
-        self.reclaims
+    /// `[from, until)`, in time order. Two bisections of the reclaim
+    /// minutes find them.
+    pub fn notices_in(
+        &self,
+        from: u64,
+        until: u64,
+    ) -> impl ExactSizeIterator<Item = InterruptionNotice> + '_ {
+        // Every reclaim is at least the lead, so emission minutes never
+        // underflow.
+        let emitted = |d: &u64| d - NOTICE_LEAD_MINUTES;
+        let first = self.reclaims.partition_point(|d| emitted(d) < from);
+        let rest = &self.reclaims[first..];
+        rest[..rest.partition_point(|d| emitted(d) < until)]
             .iter()
             .map(|&d| InterruptionNotice {
                 zone: self.zone,
@@ -244,8 +254,6 @@ impl CapacityProcess {
                 at_minute: d - NOTICE_LEAD_MINUTES,
                 deadline: d,
             })
-            .filter(|n| n.at_minute >= from && n.at_minute < until)
-            .collect()
     }
 
     /// The latest rebalance recommendation at or before `deadline` but
@@ -339,7 +347,7 @@ mod tests {
         let p = process(7, 2, InstanceType::M1Small);
         let notices = p.notices_in(0, HORIZON);
         assert_eq!(notices.len(), p.reclaims().len());
-        for (n, &d) in notices.iter().zip(p.reclaims()) {
+        for (n, &d) in notices.zip(p.reclaims()) {
             assert_eq!(n.deadline, d);
             assert_eq!(n.deadline - n.at_minute, p.lead());
             assert_eq!(n.zone, p.zone());
@@ -397,6 +405,49 @@ mod tests {
         if let Some(&first) = p.reclaims().first() {
             assert_eq!(p.next_reclaim_at(0, HORIZON), Some(first));
             assert_eq!(p.next_reclaim_at(first + 1, first + 1), None);
+        }
+    }
+
+    #[test]
+    fn bisecting_notices_match_the_scan() {
+        // The reference filters every reclaim of the pool.
+        let scan = |p: &CapacityProcess, from: u64, until: u64| -> Vec<InterruptionNotice> {
+            p.reclaims()
+                .iter()
+                .map(|&d| InterruptionNotice {
+                    zone: p.zone(),
+                    instance_type: p.instance_type(),
+                    at_minute: d - p.lead(),
+                    deadline: d,
+                })
+                .filter(|n| n.at_minute >= from && n.at_minute < until)
+                .collect()
+        };
+        for seed in [3, 2014] {
+            for (zi, ty) in [(0, InstanceType::M1Small), (5, InstanceType::M3Large)] {
+                let p = process(seed, zi, ty);
+                assert!(!p.reclaims().is_empty());
+                // Bounds on, next to and between emission minutes, both
+                // ends of the horizon, past it, and reversed ranges.
+                let mut edges: Vec<u64> = p
+                    .reclaims()
+                    .iter()
+                    .flat_map(|&d| {
+                        let at = d - p.lead();
+                        [at.saturating_sub(1), at, at + 1, d]
+                    })
+                    .chain([0, 1, HORIZON - 1, HORIZON, HORIZON + 5])
+                    .collect();
+                edges.sort_unstable();
+                edges.dedup();
+                for &from in &edges {
+                    for &until in &edges {
+                        let fast: Vec<_> = p.notices_in(from, until).collect();
+                        assert_eq!(fast, scan(&p, from, until), "{from}..{until}");
+                        assert_eq!(p.notices_in(from, until).len(), fast.len());
+                    }
+                }
+            }
         }
     }
 

@@ -19,6 +19,8 @@
 //!   in-hour spot price, free partial hour on provider (out-of-bid)
 //!   termination, charged partial hour on user termination; on-demand
 //!   instances billed per started hour.
+//! * [`pool`] — [`PoolTable`], the dense per-(zone, type) table every
+//!   per-pool map is kept in (a slot per pool, no hashing).
 //! * [`market`] — a facade bundling traces for every (zone, type) pair and
 //!   answering the queries the bidding framework and replay harness need
 //!   (current price, first out-of-bid minute under a bid, billing).
@@ -41,6 +43,7 @@ pub mod gen;
 pub mod instance;
 pub mod market;
 pub mod money;
+pub mod pool;
 pub mod stats;
 pub mod topology;
 pub mod trace;
@@ -52,6 +55,7 @@ pub use gen::{GenParams, TraceGenerator};
 pub use instance::InstanceType;
 pub use market::{Market, MarketConfig};
 pub use money::Price;
+pub use pool::PoolTable;
 pub use stats::TraceStats;
 pub use topology::{Region, Zone};
 pub use trace::{PricePoint, PriceTrace, Segment};

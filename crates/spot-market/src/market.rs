@@ -2,8 +2,6 @@
 //! helpers, the single object the bidding framework and replay harness talk
 //! to.
 
-use std::collections::HashMap;
-
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -12,6 +10,7 @@ use crate::capacity::{CapacityProcess, InterruptionNotice};
 use crate::gen::{GenParams, TraceGenerator};
 use crate::instance::InstanceType;
 use crate::money::Price;
+use crate::pool::PoolTable;
 use crate::topology::Zone;
 use crate::trace::PriceTrace;
 
@@ -115,35 +114,36 @@ impl MarketConfig {
 #[derive(Clone, Debug)]
 pub struct Market {
     config: MarketConfig,
-    traces: HashMap<(Zone, InstanceType), PriceTrace>,
-    capacity: HashMap<(Zone, InstanceType), CapacityProcess>,
+    traces: PoolTable<PriceTrace>,
+    capacity: PoolTable<CapacityProcess>,
 }
 
 /// Materialize every pool's hidden capacity timeline (the post-2017
 /// interruption regime, see [`crate::capacity`]). Seed streams are
 /// disjoint from the price streams, so this never changes a trace byte;
 /// the timelines only matter to replays under `BidEra::CapacityReclaim`.
-fn build_capacity(config: &MarketConfig) -> HashMap<(Zone, InstanceType), CapacityProcess> {
-    let mut map = HashMap::new();
+fn build_capacity(config: &MarketConfig) -> PoolTable<CapacityProcess> {
+    let mut table = PoolTable::new();
     for &ty in &config.types {
         for &zone in &config.zones {
-            map.insert(
-                (zone, ty),
+            table.insert(
+                zone,
+                ty,
                 CapacityProcess::generate(config.seed, zone, ty, config.horizon_minutes),
             );
         }
     }
-    map
+    table
 }
 
 impl Market {
     /// Generate a market from its configuration (deterministic).
     pub fn generate(config: MarketConfig) -> Self {
-        let mut traces = HashMap::new();
+        let mut traces = PoolTable::new();
         for &ty in &config.types {
             let gen = TraceGenerator::with_params(config.seed, config.params_for(ty).clone());
             for &zone in &config.zones {
-                traces.insert((zone, ty), gen.generate(zone, ty, config.horizon_minutes));
+                traces.insert(zone, ty, gen.generate(zone, ty, config.horizon_minutes));
             }
         }
         let capacity = build_capacity(&config);
@@ -172,8 +172,8 @@ impl Market {
     /// The full trace for `(zone, ty)`.
     pub fn trace(&self, zone: Zone, ty: InstanceType) -> &PriceTrace {
         self.traces
-            .get(&(zone, ty))
-            .unwrap_or_else(|| panic!("no trace for {} {}", zone.name(), ty))
+            .get(zone, ty)
+            .unwrap_or_else(|| panic!("no trace for {zone} {ty}"))
     }
 
     /// The spot price of `(zone, ty)` at `minute`.
@@ -198,17 +198,15 @@ impl Market {
         from: u64,
         until: u64,
     ) -> Option<u64> {
-        self.trace(zone, ty)
-            .first_minute_above(bid, from)
-            .filter(|&m| m < until)
+        self.trace(zone, ty).first_minute_above(bid, from, until)
     }
 
     /// The hidden capacity process of `(zone, ty)` — the post-2017
     /// interruption timeline a `CapacityReclaim`-era replay kills by.
     pub fn capacity(&self, zone: Zone, ty: InstanceType) -> &CapacityProcess {
         self.capacity
-            .get(&(zone, ty))
-            .unwrap_or_else(|| panic!("no capacity process for {} {}", zone.name(), ty))
+            .get(zone, ty)
+            .unwrap_or_else(|| panic!("no capacity process for {zone} {ty}"))
     }
 
     /// The first capacity reclamation of `(zone, ty)` at or after `from`,
@@ -235,6 +233,15 @@ impl Market {
             .collect();
         out.sort_by_key(|n| (n.at_minute, n.zone.ordinal(), n.instance_type as u64));
         out
+    }
+
+    /// How many notices [`Market::notices_in`] would return, without
+    /// collecting them.
+    pub fn notice_count(&self, from: u64, until: u64) -> usize {
+        self.capacity
+            .values()
+            .map(|p| p.notices_in(from, until).len())
+            .sum()
     }
 
     /// Billing for a spot instance lifetime (see [`spot_charge`]).
@@ -277,11 +284,7 @@ impl Market {
     pub fn window(&self, from: u64, to: u64) -> Market {
         let mut config = self.config.clone();
         config.horizon_minutes = to - from;
-        let traces = self
-            .traces
-            .iter()
-            .map(|(k, t)| (*k, t.window(from, to)))
-            .collect();
+        let traces = self.traces.map(|t| t.window(from, to));
         // Capacity timelines re-derive from minute 0 of the window
         // (windows exist to split histories for model *training*; kills
         // are always resolved against the full market).
@@ -448,6 +451,12 @@ mod tests {
             .map(|&z| m.capacity(z, InstanceType::M1Small).reclaims().len())
             .sum();
         assert_eq!(m.notices_in(0, horizon).len(), per_pool);
+        assert_eq!(m.notice_count(0, horizon), per_pool);
+        let mid = horizon / 2;
+        assert_eq!(
+            m.notice_count(mid, horizon),
+            m.notices_in(mid, horizon).len()
+        );
         // Market-wide notices come out time-ordered.
         let notices = m.notices_in(0, horizon);
         for w in notices.windows(2) {

@@ -6,7 +6,7 @@
 //! zone runs its own spot market, so a geo-replicated service places at most
 //! one instance per zone (failure independence).
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// An Amazon EC2 region (Table 1 of the paper).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -76,7 +76,7 @@ impl Region {
     }
 
     /// Number of availability zones (Table 1).
-    pub fn az_count(self) -> usize {
+    pub const fn az_count(self) -> usize {
         match self {
             Region::UsEast1 => 4,
             Region::UsWest2 => 3,
@@ -110,6 +110,23 @@ impl Region {
     }
 }
 
+/// Ordinal of each region's first zone: the prefix sums of
+/// [`Region::az_count`] over [`Region::ALL`], indexed by `region as usize`
+/// (the enum declares its variants in `ALL` order).
+const ZONE_BASE: [usize; Region::ALL.len()] = {
+    let mut base = [0; Region::ALL.len()];
+    let mut i = 1;
+    while i < Region::ALL.len() {
+        base[i] = base[i - 1] + Region::ALL[i - 1].az_count();
+        i += 1;
+    }
+    base
+};
+
+/// Number of availability zones across all regions (Table 1): 24.
+pub const ZONE_COUNT: usize =
+    ZONE_BASE[Region::ALL.len() - 1] + Region::ALL[Region::ALL.len() - 1].az_count();
+
 impl fmt::Display for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.api_name())
@@ -140,27 +157,20 @@ impl Zone {
 
     /// The zone's API-style name, e.g. `us-east-1a`.
     pub fn name(self) -> String {
-        let letter = (b'a' + self.index) as char;
-        format!("{}{}", self.region.api_name(), letter)
+        self.to_string()
     }
 
-    /// A stable small integer unique across all zones (for seeding and
-    /// dense indexing).
+    /// A stable small integer unique across all zones, `0..ZONE_COUNT`
+    /// in [`all_zones`] order (for seeding and dense indexing).
     pub fn ordinal(self) -> usize {
-        let mut base = 0usize;
-        for r in Region::ALL {
-            if r == self.region {
-                return base + self.index as usize;
-            }
-            base += r.az_count();
-        }
-        unreachable!("region not in Region::ALL")
+        ZONE_BASE[self.region as usize] + self.index as usize
     }
 }
 
 impl fmt::Display for Zone {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        f.write_str(self.region.api_name())?;
+        f.write_char((b'a' + self.index) as char)
     }
 }
 
@@ -210,6 +220,7 @@ pub fn experiment_zones() -> Vec<Zone> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{InstanceType, PoolTable};
     use std::collections::HashSet;
 
     #[test]
@@ -237,9 +248,36 @@ mod tests {
         let zones = all_zones();
         let ords: HashSet<usize> = zones.iter().map(|z| z.ordinal()).collect();
         assert_eq!(ords.len(), 24);
+        assert_eq!(ZONE_COUNT, 24);
         assert_eq!(*ords.iter().max().unwrap(), 23);
         assert_eq!(Zone::new(Region::UsEast1, 0).ordinal(), 0);
         assert_eq!(Zone::new(Region::UsWest2, 0).ordinal(), 4);
+        // The table is the prefix sums of `az_count` over `Region::ALL`,
+        // so every zone's ordinal is its position in `all_zones`.
+        let mut base = 0;
+        for r in Region::ALL {
+            for i in 0..r.az_count() {
+                assert_eq!(Zone::new(r, i as u8).ordinal(), base + i, "{r} zone {i}");
+            }
+            base += r.az_count();
+        }
+        for (position, zone) in zones.iter().enumerate() {
+            assert_eq!(zone.ordinal(), position, "{zone}");
+        }
+        // The pool slot map is a bijection from zones × types onto
+        // `0..PoolTable::SLOTS`.
+        let mut hit = [false; PoolTable::<()>::SLOTS];
+        for &zone in &zones {
+            for ty in InstanceType::ALL {
+                let slot = PoolTable::<()>::slot(zone, ty);
+                assert!(
+                    !std::mem::replace(&mut hit[slot], true),
+                    "{zone} {ty} shares {slot}"
+                );
+            }
+        }
+        assert_eq!(zones.len() * InstanceType::ALL.len(), hit.len());
+        assert!(hit.iter().all(|&h| h));
     }
 
     #[test]

@@ -73,15 +73,39 @@ impl PriceTrace {
         &self.points
     }
 
+    /// Index of the change point whose segment holds `minute` (the last
+    /// point at or before it; the first point is at minute 0).
+    fn segment_index(&self, minute: u64) -> usize {
+        self.points.partition_point(|p| p.minute <= minute) - 1
+    }
+
     /// The price in effect at `minute` (must be `< horizon`).
     pub fn price_at(&self, minute: u64) -> Price {
+        self.price_and_age_at(minute).0
+    }
+
+    /// The price in effect at `minute` and the minutes it has held by then
+    /// (its sojourn age), from one segment lookup.
+    pub fn price_and_age_at(&self, minute: u64) -> (Price, u64) {
         assert!(minute < self.horizon, "minute {minute} beyond horizon");
-        let idx = self
-            .points
-            .partition_point(|p| p.minute <= minute)
-            .checked_sub(1)
-            .expect("trace starts at 0");
-        self.points[idx].price
+        let point = self.points[self.segment_index(minute)];
+        (point.price, minute - point.minute)
+    }
+
+    /// The segments overlapping `[from, to)` as `(price, lo, hi)`, clipped
+    /// to it: one bisection to the segment holding `from`, then a walk
+    /// that stops at `to`. Requires `from < horizon`.
+    fn clipped(&self, from: u64, to: u64) -> impl Iterator<Item = (Price, u64, u64)> + '_ {
+        let first = self.segment_index(from);
+        let ends = self.points[first + 1..]
+            .iter()
+            .map(|p| p.minute)
+            .chain([self.horizon]);
+        self.points[first..]
+            .iter()
+            .zip(ends)
+            .take_while(move |(p, _)| p.minute < to)
+            .map(move |(p, end)| (p.price, p.minute.max(from), end.min(to)))
     }
 
     /// Iterate over the maximal constant-price segments.
@@ -111,21 +135,24 @@ impl PriceTrace {
     /// The maximum price over `[from, to)`.
     pub fn max_price_in(&self, from: u64, to: u64) -> Price {
         assert!(from < to && to <= self.horizon, "bad window {from}..{to}");
-        self.segments()
-            .filter(|s| s.start < to && s.start + s.duration > from)
-            .map(|s| s.price)
+        self.clipped(from, to)
+            .map(|(price, _, _)| price)
             .max()
             .expect("window overlaps at least one segment")
     }
 
-    /// First minute in `[from, horizon)` at which the price strictly
-    /// exceeds `bid` — the out-of-bid termination minute for an instance
-    /// holding `bid` — or `None` if the bid survives to the horizon.
-    pub fn first_minute_above(&self, bid: Price, from: u64) -> Option<u64> {
-        self.segments()
-            .filter(|s| s.start + s.duration > from && s.price > bid)
-            .map(|s| s.start.max(from))
-            .next()
+    /// First minute in `[from, until)` (and before the horizon) at which
+    /// the price strictly exceeds `bid` — the out-of-bid termination
+    /// minute for an instance holding `bid` — or `None` if the bid
+    /// survives that long.
+    pub fn first_minute_above(&self, bid: Price, from: u64, until: u64) -> Option<u64> {
+        let until = until.min(self.horizon);
+        if from >= until {
+            return None;
+        }
+        self.clipped(from, until)
+            .find(|&(price, _, _)| price > bid)
+            .map(|(_, lo, _)| lo)
     }
 
     /// Fraction of minutes in `[from, to)` during which `price > bid`
@@ -133,14 +160,11 @@ impl PriceTrace {
     /// Fig. 4).
     pub fn fraction_above(&self, bid: Price, from: u64, to: u64) -> f64 {
         assert!(from < to && to <= self.horizon, "bad window {from}..{to}");
-        let mut above = 0u64;
-        for s in self.segments() {
-            let lo = s.start.max(from);
-            let hi = (s.start + s.duration).min(to);
-            if lo < hi && s.price > bid {
-                above += hi - lo;
-            }
-        }
+        let above: u64 = self
+            .clipped(from, to)
+            .filter(|&(price, _, _)| price > bid)
+            .map(|(_, lo, hi)| hi - lo)
+            .sum();
         above as f64 / (to - from) as f64
     }
 
@@ -149,14 +173,13 @@ impl PriceTrace {
     /// suffix.
     pub fn window(&self, from: u64, to: u64) -> PriceTrace {
         assert!(from < to && to <= self.horizon, "bad window {from}..{to}");
-        // The first change point after `from`; the one before it is the
-        // segment `from` falls in.
-        let next = self.points.partition_point(|p| p.minute <= from);
+        // The segment `from` falls in opens the window.
+        let first = self.segment_index(from);
         let mut points = vec![PricePoint {
             minute: 0,
-            price: self.points[next - 1].price,
+            price: self.points[first].price,
         }];
-        for p in self.points[next..].iter().take_while(|p| p.minute < to) {
+        for p in self.points[first + 1..].iter().take_while(|p| p.minute < to) {
             if p.price == points.last().unwrap().price {
                 continue;
             }
@@ -171,13 +194,7 @@ impl PriceTrace {
     /// Minutes the price at `minute` has already held its value (the
     /// semi-Markov sojourn age observed at bidding time).
     pub fn sojourn_age_at(&self, minute: u64) -> u64 {
-        assert!(minute < self.horizon, "minute {minute} beyond horizon");
-        let idx = self
-            .points
-            .partition_point(|p| p.minute <= minute)
-            .checked_sub(1)
-            .expect("trace starts at 0");
-        minute - self.points[idx].minute
+        self.price_and_age_at(minute).1
     }
 
     /// The trace re-quoted on a coarser price grid: every price rounds up
@@ -244,6 +261,46 @@ mod tests {
             }
             PriceTrace::new(points, to - from)
         }
+
+        /// The scanning queries the bisecting ones replaced: every segment
+        /// from minute 0, kept as the differential tests' references.
+        fn first_minute_above_by_scan(&self, bid: Price, from: u64, until: u64) -> Option<u64> {
+            self.segments()
+                .filter(|s| s.start + s.duration > from && s.price > bid)
+                .map(|s| s.start.max(from))
+                .next()
+                .filter(|&m| m < until)
+        }
+
+        fn max_price_in_by_scan(&self, from: u64, to: u64) -> Price {
+            self.segments()
+                .filter(|s| s.start < to && s.start + s.duration > from)
+                .map(|s| s.price)
+                .max()
+                .unwrap()
+        }
+
+        fn fraction_above_by_scan(&self, bid: Price, from: u64, to: u64) -> f64 {
+            let mut above = 0u64;
+            for s in self.segments() {
+                let lo = s.start.max(from);
+                let hi = (s.start + s.duration).min(to);
+                if lo < hi && s.price > bid {
+                    above += hi - lo;
+                }
+            }
+            above as f64 / (to - from) as f64
+        }
+
+        fn price_and_age_by_scan(&self, minute: u64) -> (Price, u64) {
+            let p = self
+                .points
+                .iter()
+                .rev()
+                .find(|p| p.minute <= minute)
+                .unwrap();
+            (p.price, minute - p.minute)
+        }
     }
 
     fn sample() -> PriceTrace {
@@ -308,13 +365,17 @@ mod tests {
     fn out_of_bid_minute() {
         let t = sample();
         // Bid 0.0081 survives until the 0.0117 segment.
-        assert_eq!(t.first_minute_above(p(0.0081), 0), Some(70));
+        assert_eq!(t.first_minute_above(p(0.0081), 0, 120), Some(70));
+        // ... unless the query ends first.
+        assert_eq!(t.first_minute_above(p(0.0081), 0, 70), None);
         // Starting inside the expensive segment fails immediately.
-        assert_eq!(t.first_minute_above(p(0.0081), 80), Some(80));
+        assert_eq!(t.first_minute_above(p(0.0081), 80, 120), Some(80));
         // A bid at the max price never goes out of bid.
-        assert_eq!(t.first_minute_above(p(0.0117), 0), None);
+        assert_eq!(t.first_minute_above(p(0.0117), 0, 120), None);
         // Low bid dies at minute 0.
-        assert_eq!(t.first_minute_above(p(0.0050), 0), Some(0));
+        assert_eq!(t.first_minute_above(p(0.0050), 0, 120), Some(0));
+        // Nothing is asked at or past the horizon.
+        assert_eq!(t.first_minute_above(p(0.0050), 120, u64::MAX), None);
     }
 
     #[test]
@@ -443,6 +504,92 @@ mod tests {
             let from = a % t.horizon();
             let to = (from + len).min(t.horizon());
             proptest::prop_assert_eq!(t.window(from, to), t.window_by_scan(from, to));
+        }
+    }
+
+    /// Every bisecting query equals its linear scan on `t`, for `from` on,
+    /// next to and between change points, in the last segment and (for the
+    /// out-of-bid minute) at or past the horizon, and for bids below, on
+    /// and above every price level, the top level included.
+    fn bisecting_queries_match_the_scans_on(t: &PriceTrace, bids: &[Price]) {
+        let edges = edges(t);
+        for &from in &edges {
+            if from < t.horizon() {
+                assert_eq!(
+                    t.price_and_age_at(from),
+                    t.price_and_age_by_scan(from),
+                    "at {from}"
+                );
+                assert_eq!(t.price_at(from), t.price_and_age_by_scan(from).0);
+                assert_eq!(t.sojourn_age_at(from), t.price_and_age_by_scan(from).1);
+            }
+            for &to in edges.iter().filter(|&&to| to > from) {
+                assert_eq!(
+                    t.max_price_in(from, to),
+                    t.max_price_in_by_scan(from, to),
+                    "{from}..{to}"
+                );
+                for &bid in bids {
+                    assert_eq!(
+                        t.fraction_above(bid, from, to).to_bits(),
+                        t.fraction_above_by_scan(bid, from, to).to_bits(),
+                        "{bid:?} over {from}..{to}"
+                    );
+                }
+            }
+            for until in edges.iter().copied().chain([t.horizon() + 7, u64::MAX]) {
+                for &bid in bids {
+                    assert_eq!(
+                        t.first_minute_above(bid, from, until),
+                        t.first_minute_above_by_scan(bid, from, until),
+                        "{bid:?} from {from} until {until}"
+                    );
+                }
+            }
+        }
+        for from in [t.horizon(), t.horizon() + 1, u64::MAX] {
+            for &bid in bids {
+                assert_eq!(t.first_minute_above(bid, from, u64::MAX), None);
+            }
+        }
+    }
+
+    #[test]
+    fn bisecting_queries_match_the_scans_on_the_sample() {
+        let t = sample();
+        let bids = [p(0.0), p(0.0071), p(0.008), p(0.0081), p(0.0117), p(0.02)];
+        bisecting_queries_match_the_scans_on(&t, &bids);
+        // A bid at the top price never dies, wherever the query starts.
+        for from in 0..t.horizon() {
+            assert_eq!(t.first_minute_above(p(0.0117), from, u64::MAX), None);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The bisecting out-of-bid minute, window maximum, fraction above
+        /// and price/age lookup equal the scans they replaced on random
+        /// traces (see `bisecting_queries_match_the_scans_on`).
+        #[test]
+        fn bisecting_queries_match_the_scans(
+            steps in proptest::collection::vec((1u64..40, 0usize..4), 1..20),
+        ) {
+            let levels = [p(0.01), p(0.02), p(0.03), p(0.05)];
+            let mut points = vec![PricePoint { minute: 0, price: levels[0] }];
+            let mut at = 0;
+            for (dt, level) in steps {
+                at += dt;
+                if points.last().unwrap().price != levels[level] {
+                    points.push(PricePoint { minute: at, price: levels[level] });
+                }
+            }
+            let t = PriceTrace::new(points, at + 40);
+            let mut bids = vec![Price::ZERO, p(0.06)];
+            for level in levels {
+                bids.extend([level - Price::TICK, level, level + Price::TICK]);
+            }
+            bisecting_queries_match_the_scans_on(&t, &bids);
         }
     }
 

@@ -85,14 +85,14 @@ pub fn backtest(
     assert!(train_minutes > 0 && train_minutes < trace.horizon());
     assert!(step_minutes > 0);
     let mut model = FailureModel::new(config);
-    model.observe(&trace.window(0, train_minutes));
+    model.observe(trace.window(0, train_minutes));
     let mut observed = train_minutes;
 
     let mut samples = Vec::new();
     let mut t = train_minutes;
     while t + horizon_minutes as u64 <= trace.horizon() {
         if t > observed {
-            model.observe(&trace.window(observed, t));
+            model.observe(trace.window(observed, t));
             observed = t;
         }
         let spot = trace.price_at(t);
@@ -121,10 +121,7 @@ pub fn backtest(
         });
         let end = t + horizon_minutes as u64;
         let realized_fraction = trace.fraction_above(bid, t, end);
-        let killed = trace
-            .first_minute_above(bid, t)
-            .map(|k| k < end)
-            .unwrap_or(false);
+        let killed = trace.first_minute_above(bid, t, end).is_some();
         samples.push(BacktestSample {
             minute: t,
             bid,

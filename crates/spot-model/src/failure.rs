@@ -89,14 +89,14 @@ impl FailureModel {
     }
 
     /// Add more price history to the model (incremental re-estimation).
-    /// The window is only queued here; the next read folds it in.
-    /// Copy-on-write: other models sharing this kernel are unaffected.
-    pub fn observe(&mut self, trace: &PriceTrace) {
+    /// The window is only queued here, as given; the next read folds it
+    /// in. Copy-on-write: other models sharing this kernel are unaffected.
+    pub fn observe(&mut self, trace: PriceTrace) {
         if let Some(folded) = self.folded.take() {
             self.base = folded;
             self.pending.clear();
         }
-        self.pending.push(trace.clone());
+        self.pending.push(trace);
     }
 
     /// The underlying kernel, with every observed window folded in: one
@@ -479,7 +479,7 @@ mod tests {
     fn observes_without_a_read_fold_nothing() {
         let mut m = FailureModel::new(FailureModelConfig::default());
         for k in 1..=4 {
-            m.observe(&alternating(k));
+            m.observe(alternating(k));
             assert_eq!(m.unfolded(), k);
         }
         assert!(m.folded.get().is_none(), "no kernel was built");
@@ -490,14 +490,14 @@ mod tests {
     fn a_read_folds_and_the_next_observe_promotes_it() {
         let windows = [alternating(3), alternating(5), alternating(2)];
         let mut m = FailureModel::new(FailureModelConfig::default());
-        m.observe(&windows[0]);
-        m.observe(&windows[1]);
+        m.observe(windows[0].clone());
+        m.observe(windows[1].clone());
         let eager = FrozenKernel::new().extend(&windows[0]).extend(&windows[1]);
         assert_eq!(m.kernel().fingerprint(), eager.fingerprint());
         assert_eq!(m.unfolded(), 0);
         assert_eq!(m.pending.len(), 2, "a read leaves the queue to observe");
         let folded = Arc::clone(m.folded.get().expect("the read filled the lock"));
-        m.observe(&windows[2]);
+        m.observe(windows[2].clone());
         assert!(Arc::ptr_eq(&m.base, &folded), "folded kernel is the new base");
         assert_eq!(m.pending.len(), 1, "only the new window is queued");
         assert_eq!(m.unfolded(), 1);
@@ -511,7 +511,7 @@ mod tests {
     fn incremental_training_improves_from_empty() {
         let mut m = FailureModel::new(FailureModelConfig::default());
         assert_eq!(m.estimate_fp(p(0.02), p(0.01), 0, 60), 1.0);
-        m.observe(&alternating(20));
+        m.observe(alternating(20));
         let fp = m.estimate_fp(p(0.02), p(0.01), 0, 60);
         assert!(fp < 0.02, "trained model should trust the top bid: {fp}");
     }

@@ -134,8 +134,8 @@ proptest! {
                 continue;
             }
             let window = trace.window(from, to);
-            lazy.observe(&window);
             eager = eager.extend(&window);
+            lazy.observe(window);
             unread += 1;
             from = to;
             prop_assert_eq!(lazy.unfolded(), unread);

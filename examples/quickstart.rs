@@ -26,7 +26,7 @@ fn main() {
     let mut fw = BiddingFramework::new(spec, JupiterStrategy::new());
     let now = market.horizon() - 1;
     for &zone in market.zones() {
-        fw.observe(zone, ty, market.trace(zone, ty));
+        fw.observe(zone, ty, market.trace(zone, ty).clone());
     }
     let snapshots = snapshots_at(&market, &[ty], now);
 

@@ -39,7 +39,7 @@
 //!     .iter()
 //!     .map(|&z| {
 //!         let t = market.trace(z, ty);
-//!         fw.observe(z, ty, t);
+//!         fw.observe(z, ty, t.clone());
 //!         MarketSnapshot {
 //!             zone: z,
 //!             instance_type: ty,

@@ -1,7 +1,8 @@
 //! Disabled observability is free, in a unit that does not depend on the
 //! host: the tracing and audit calls on `Obs::disabled()` and the alert,
 //! watchdog and SLO calls on `AlertSink::disabled()` perform **zero heap
-//! allocations**.
+//! allocations**, and neither does rendering a `Zone`, which the replay
+//! formats on its grant path.
 //! A disabled path that grows a `String`, a `Vec` or a boxed event fails
 //! here whatever the machine's speed; what the calls cost in time is the
 //! repo benchmark's `obs.disabled_ns_per_op`.
@@ -15,6 +16,8 @@ use spot_jupiter::obs::{
     AlertSink, AuditKind, FleetDeficitWatchdog, LivenessWatchdog, Obs, RepairBudgetWatchdog,
     Severity, SloSpec, SloTracker, TraceContext,
 };
+use spot_jupiter::spot_market::{Region, Zone};
+use std::fmt::Write;
 use test_util::alloc::{allocations, Counting};
 
 #[global_allocator]
@@ -86,6 +89,14 @@ fn disabled_tracing_and_monitors_never_allocate() {
         monitors.count, 0,
         "disabled monitors allocated over {OPS} ops"
     );
+
+    // A zone writes its region name and letter straight into the
+    // formatter: nothing beyond the caller's own buffer.
+    let zone = Zone::new(Region::ApSoutheast2, 1);
+    let mut name = String::with_capacity(32);
+    let rendered = allocations(|| write!(name, "{zone}").unwrap());
+    assert_eq!(rendered.count, 0, "rendering {name} allocated");
+    assert_eq!(name, "ap-southeast-2b");
 
     // Enabled, the same calls do their deterministic work: three events
     // per traced op …
