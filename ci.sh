@@ -94,9 +94,12 @@ done
 # cell of `all` in one pool of one worker per core the process may run
 # on, so pinned to one core it replays every cell inline; the rows must
 # not notice. `era` adds the capacity-era cells: reclaims, notices and
-# migrations, replayed on the same workers.
+# migrations, replayed on the same workers. `hetero` adds mixed-pool
+# cells, where each zone holds two failure models observing their own
+# traces, and the auto-scaler's one-cell replays, whose Jupiter
+# decisions fan out over the zones.
 ONE_CPU="$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')" # first CPU we may run on
-for target in all era; do
+for target in all era hetero; do
   taskset -c "$ONE_CPU" ./target/release/repro --quick --seed 2014 "$target" | grep -v '^#' > "$TMP/$target.1.txt"
   diff "$TMP/$target.a.txt" "$TMP/$target.1.txt" \
     || { echo "$target rows differ between one thread and the default pool" >&2; exit 1; }

@@ -402,6 +402,7 @@ mod tests {
     use super::*;
     use spot_market::{InstanceType, PricePoint, PriceTrace, Region, Zone};
     use spot_model::{FailureModel, FailureModelConfig};
+    use std::sync::Arc;
 
     fn p(d: f64) -> Price {
         Price::from_dollars(d)
@@ -695,7 +696,7 @@ mod tests {
     #[test]
     fn one_worker_and_four_decide_alike() {
         // Eight zones with distinct kernels, half of them holding an
-        // observed window the zone's job folds in. Fresh models per run,
+        // observed range the zone's job cuts and folds in. Fresh models per run,
         // so both runs fold.
         let run = |strategy: &JupiterStrategy, workers: usize| {
             let models: Vec<FailureModel> = (0..8u64)
@@ -703,7 +704,8 @@ mod tests {
                     let f = i as f64 * 0.0005;
                     let mut m = model(0.006 + f, 0.011 + f, 30 + 9 * i);
                     if i % 2 == 1 {
-                        m.observe(model_trace(0.006 + f, 0.013 + f, 20 + 7 * i));
+                        let t = Arc::new(model_trace(0.006 + f, 0.013 + f, 20 + 7 * i));
+                        m.observe(&t, 0..t.horizon());
                     }
                     m
                 })

@@ -1,6 +1,7 @@
 //! The bidding framework (Fig. 2): failure models per availability zone,
 //! online training, and the bidding loop entry point.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use spot_market::{InstanceType, PoolTable, Price, PriceTrace, Zone};
@@ -68,7 +69,7 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
     /// Adopt a pre-trained shared kernel for the `(zone, ty)` pool (the
     /// [`crate::ModelStore`] consumption path): the framework wraps it in
     /// a [`FailureModel`] carrying this service's `FP⁰` composition, and
-    /// windows fed to [`Self::observe`] afterwards fork it copy-on-write
+    /// ranges fed to [`Self::observe`] afterwards fork it copy-on-write
     /// when the model is next read — the shared base stays untouched.
     pub fn install_kernel(&mut self, zone: Zone, ty: InstanceType, kernel: Arc<FrozenKernel>) {
         self.models.insert(
@@ -78,16 +79,23 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
         );
     }
 
-    /// Feed spot-price history for a pool into its failure model
-    /// (training and continuous online refinement both go through here).
-    /// The model folds it in when a strategy next reads it; a strategy
-    /// that never consults its models never pays for the refinement. The
-    /// window is queued as given, without a copy.
-    pub fn observe(&mut self, zone: Zone, ty: InstanceType, trace: PriceTrace) {
+    /// Feed `minutes` of a pool's spot-price history into its failure
+    /// model (training and continuous online refinement both go through
+    /// here). The model queues only the range and keeps a handle to
+    /// `trace`; the window is cut and folded in when a strategy next reads
+    /// the model, so a strategy that never consults its models never pays
+    /// for the copy nor the refinement.
+    pub fn observe(
+        &mut self,
+        zone: Zone,
+        ty: InstanceType,
+        trace: &Arc<PriceTrace>,
+        minutes: Range<u64>,
+    ) {
         let config = self.model_config;
         self.models
             .get_or_insert_with(zone, ty, || FailureModel::new(config))
-            .observe(trace);
+            .observe(trace, minutes);
     }
 
     /// The trained model for the `(zone, ty)` pool, if any.
@@ -148,14 +156,14 @@ mod tests {
             .collect();
         let ty = InstanceType::M1Small;
         let horizon = 4 * 7 * 24 * 60;
-        let traces: Vec<(Zone, PriceTrace)> = zones
+        let traces: Vec<(Zone, Arc<PriceTrace>)> = zones
             .iter()
-            .map(|&z| (z, gen.generate(z, ty, horizon)))
+            .map(|&z| (z, Arc::new(gen.generate(z, ty, horizon))))
             .collect();
 
         let mut fw = BiddingFramework::new(ServiceSpec::lock_service(), JupiterStrategy::new());
         for (z, t) in &traces {
-            fw.observe(*z, ty, t.clone());
+            fw.observe(*z, ty, t, 0..t.horizon());
         }
 
         let snapshots: Vec<MarketSnapshot> = traces
@@ -210,7 +218,10 @@ mod tests {
             .collect();
         let gen = TraceGenerator::new(9);
         let (trained, revealed) = (7 * 24 * 60, 7 * 24 * 60 + 360);
-        let traces: Vec<PriceTrace> = zones.iter().map(|&z| gen.generate(z, ty, revealed)).collect();
+        let traces: Vec<Arc<PriceTrace>> = zones
+            .iter()
+            .map(|&z| Arc::new(gen.generate(z, ty, revealed)))
+            .collect();
         let snapshots: Vec<MarketSnapshot> = zones
             .iter()
             .zip(&traces)
@@ -221,12 +232,12 @@ mod tests {
                 sojourn_age: t.sojourn_age_at(revealed - 1) as u32,
             })
             .collect();
-        // Windows still queued per pool after install + observe + decide.
+        // Ranges still queued per pool after install + observe + decide.
         let unfolded_after_decide = |strategy: Box<dyn BiddingStrategy>| -> Vec<usize> {
             let mut fw = BiddingFramework::new(ServiceSpec::lock_service(), strategy);
             for (&z, t) in zones.iter().zip(&traces) {
                 fw.install_kernel(z, ty, Arc::new(FrozenKernel::from_trace(&t.window(0, trained))));
-                fw.observe(z, ty, t.window(trained, revealed));
+                fw.observe(z, ty, t, trained..revealed);
             }
             let decision = fw.decide(&snapshots, 360);
             assert!(decision.n() > 0, "{} placed no bid", fw.strategy_name());
@@ -251,11 +262,11 @@ mod tests {
         let gen = TraceGenerator::new(5);
         let zone = spot_market::topology::all_zones()[0];
         let ty = InstanceType::M1Small;
-        let trace = gen.generate(zone, ty, 7 * 24 * 60);
+        let trace = Arc::new(gen.generate(zone, ty, 7 * 24 * 60));
         let mut fw = BiddingFramework::new(ServiceSpec::lock_service(), JupiterStrategy::new());
         assert!(fw.model(zone, ty).is_none());
-        fw.observe(zone, ty, trace.window(0, 5_000));
-        fw.observe(zone, ty, trace.window(5_000, 10_000));
+        fw.observe(zone, ty, &trace, 0..5_000);
+        fw.observe(zone, ty, &trace, 5_000..10_000);
         let m = fw.model(zone, ty).unwrap();
         assert!(m.is_trained());
         assert!(m.kernel().total_transitions() > 0);

@@ -520,11 +520,12 @@ impl<S: BiddingStrategy> Run<'_, S> {
         end
     }
 
-    /// Decide shortly before the boundary: hand the newly revealed prices
-    /// to the models (each folds them in when next read — a strategy that
-    /// consults no model builds no kernel), let the scaler re-target the
-    /// strength floor (from this interval's demand forecast and the last
-    /// one's feedback), snapshot the market and ask the strategy.
+    /// Decide shortly before the boundary: hand the newly revealed minutes
+    /// to the models (each cuts and folds them in when next read — a
+    /// strategy that consults no model copies no window and builds no
+    /// kernel), let the scaler re-target the strength floor (from this
+    /// interval's demand forecast and the last one's feedback), snapshot
+    /// the market and ask the strategy.
     fn decide(&mut self, start: u64, end: u64, horizon: u64) -> Interval {
         self.refs.clear();
         self.kills = 0;
@@ -533,8 +534,8 @@ impl<S: BiddingStrategy> Run<'_, S> {
         if decision_at > self.observed_until {
             for &z in market.zones() {
                 for &ty in &self.pools {
-                    let revealed = market.trace(z, ty).window(self.observed_until, decision_at);
-                    self.framework.observe(z, ty, revealed);
+                    let revealed = self.observed_until..decision_at;
+                    self.framework.observe(z, ty, market.trace(z, ty), revealed);
                 }
             }
             self.observed_until = decision_at;

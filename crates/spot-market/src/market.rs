@@ -2,6 +2,8 @@
 //! helpers, the single object the bidding framework and replay harness talk
 //! to.
 
+use std::sync::Arc;
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -114,7 +116,9 @@ impl MarketConfig {
 #[derive(Clone, Debug)]
 pub struct Market {
     config: MarketConfig,
-    traces: PoolTable<PriceTrace>,
+    /// Shared, so a failure model can hold its pool's trace and cut the
+    /// windows it was shown only when it is read.
+    traces: PoolTable<Arc<PriceTrace>>,
     capacity: PoolTable<CapacityProcess>,
 }
 
@@ -143,7 +147,8 @@ impl Market {
         for &ty in &config.types {
             let gen = TraceGenerator::with_params(config.seed, config.params_for(ty).clone());
             for &zone in &config.zones {
-                traces.insert(zone, ty, gen.generate(zone, ty, config.horizon_minutes));
+                let trace = gen.generate(zone, ty, config.horizon_minutes);
+                traces.insert(zone, ty, Arc::new(trace));
             }
         }
         let capacity = build_capacity(&config);
@@ -169,8 +174,9 @@ impl Market {
         self.config.horizon_minutes
     }
 
-    /// The full trace for `(zone, ty)`.
-    pub fn trace(&self, zone: Zone, ty: InstanceType) -> &PriceTrace {
+    /// The full trace for `(zone, ty)`, as the handle
+    /// `FailureModel::observe` takes (it derefs to the [`PriceTrace`]).
+    pub fn trace(&self, zone: Zone, ty: InstanceType) -> &Arc<PriceTrace> {
         self.traces
             .get(zone, ty)
             .unwrap_or_else(|| panic!("no trace for {zone} {ty}"))
@@ -284,7 +290,7 @@ impl Market {
     pub fn window(&self, from: u64, to: u64) -> Market {
         let mut config = self.config.clone();
         config.horizon_minutes = to - from;
-        let traces = self.traces.map(|t| t.window(from, to));
+        let traces = self.traces.map(|t| Arc::new(t.window(from, to)));
         // Capacity timelines re-derive from minute 0 of the window
         // (windows exist to split histories for model *training*; kills
         // are always resolved against the full market).

@@ -7,6 +7,8 @@
 //! and the prediction is compared with the realized out-of-bid fraction
 //! and the realized kill indicator.
 
+use std::sync::Arc;
+
 use spot_market::{Price, PriceTrace};
 
 use crate::failure::{FailureModel, FailureModelConfig};
@@ -84,15 +86,17 @@ pub fn backtest(
 ) -> CalibrationReport {
     assert!(train_minutes > 0 && train_minutes < trace.horizon());
     assert!(step_minutes > 0);
+    // One shared copy the model cuts its observed windows from.
+    let shared = Arc::new(trace.clone());
     let mut model = FailureModel::new(config);
-    model.observe(trace.window(0, train_minutes));
+    model.observe(&shared, 0..train_minutes);
     let mut observed = train_minutes;
 
     let mut samples = Vec::new();
     let mut t = train_minutes;
     while t + horizon_minutes as u64 <= trace.horizon() {
         if t > observed {
-            model.observe(trace.window(observed, t));
+            model.observe(&shared, observed..t);
             observed = t;
         }
         let spot = trace.price_at(t);

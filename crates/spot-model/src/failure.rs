@@ -1,6 +1,7 @@
 //! The spot-instance failure model (Eq. 4/14 plus the interval expectation
 //! of Eq. 5), the object the bidding framework consults.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use spot_market::{Price, PriceTrace};
@@ -49,15 +50,18 @@ impl Default for FailureModelConfig {
 /// assert!((0.01..=1.0).contains(&fp), "never below the on-demand floor");
 /// ```
 ///
-/// Refinement folds on read: [`Self::observe`] queues the window, and the
-/// first reader after it extends the kernel by every queued window in
-/// arrival order. A model nobody reads never builds a kernel.
+/// Refinement folds on read: [`Self::observe`] queues a minute range of a
+/// shared trace, and the first reader after it cuts each queued range's
+/// window and extends the kernel by it, in arrival order. A model nobody
+/// reads never copies a window nor builds a kernel.
 #[derive(Clone, Debug)]
 pub struct FailureModel {
     /// The last kernel a reader saw (or the one the model started from).
     base: Arc<FrozenKernel>,
-    /// Windows observed since `base`, oldest first.
-    pending: Vec<PriceTrace>,
+    /// The trace `pending` indexes into; `None` before the first observe.
+    source: Option<Arc<PriceTrace>>,
+    /// Minute ranges of `source` observed since `base`, oldest first.
+    pending: Vec<Range<u64>>,
     /// `base` extended by all of `pending`; filled by the first read after
     /// an observe, promoted to `base` by the next observe (`&self` readers
     /// cannot drop the superseded `base`, so it lives on until then).
@@ -82,36 +86,47 @@ impl FailureModel {
     pub fn from_kernel(kernel: Arc<FrozenKernel>, config: FailureModelConfig) -> Self {
         FailureModel {
             base: kernel,
+            source: None,
             pending: Vec::new(),
             folded: OnceLock::new(),
             config,
         }
     }
 
-    /// Add more price history to the model (incremental re-estimation).
-    /// The window is only queued here, as given; the next read folds it
-    /// in. Copy-on-write: other models sharing this kernel are unaffected.
-    pub fn observe(&mut self, trace: PriceTrace) {
+    /// Add `trace`'s `minutes` to the model (incremental re-estimation).
+    /// Only the range is queued here; the next read cuts its window and
+    /// folds it in. The model keeps one handle to the trace it observes:
+    /// a range of another trace first folds what is queued, then switches.
+    /// Copy-on-write: other models sharing this kernel are unaffected.
+    pub fn observe(&mut self, trace: &Arc<PriceTrace>, minutes: Range<u64>) {
+        if !self.source.as_ref().is_some_and(|s| Arc::ptr_eq(s, trace)) {
+            self.kernel();
+            self.source = Some(Arc::clone(trace));
+        }
         if let Some(folded) = self.folded.take() {
             self.base = folded;
             self.pending.clear();
         }
-        self.pending.push(trace);
+        self.pending.push(minutes);
     }
 
-    /// The underlying kernel, with every observed window folded in: one
-    /// [`FrozenKernel::extend`] per window, in the order they were
+    /// The underlying kernel, with every observed range folded in: one
+    /// [`FrozenKernel::extend`] per range's window, in the order they were
     /// observed, so each window's final segment stays right-censored.
     pub fn kernel(&self) -> &FrozenKernel {
-        let Some((first, rest)) = self.pending.split_first() else {
+        let (Some(trace), Some((first, rest))) = (&self.source, self.pending.split_first()) else {
             return &self.base;
         };
         self.folded.get_or_init(|| {
-            Arc::new(rest.iter().fold(self.base.extend(first), |k, w| k.extend(w)))
+            let cut = |r: &Range<u64>| trace.window(r.start, r.end);
+            Arc::new(
+                rest.iter()
+                    .fold(self.base.extend(&cut(first)), |k, r| k.extend(&cut(r))),
+            )
         })
     }
 
-    /// Observed windows no reader has folded into the kernel yet.
+    /// Observed ranges no reader has folded into the kernel yet.
     pub fn unfolded(&self) -> usize {
         if self.folded.get().is_some() {
             0
@@ -477,10 +492,11 @@ mod tests {
 
     #[test]
     fn observes_without_a_read_fold_nothing() {
+        let trace = Arc::new(alternating(4));
         let mut m = FailureModel::new(FailureModelConfig::default());
         for k in 1..=4 {
-            m.observe(alternating(k));
-            assert_eq!(m.unfolded(), k);
+            m.observe(&trace, 8 * (k - 1)..8 * k);
+            assert_eq!(m.unfolded(), k as usize);
         }
         assert!(m.folded.get().is_none(), "no kernel was built");
         assert_eq!(m.base.n_states(), 0, "the base is still the empty kernel");
@@ -488,22 +504,30 @@ mod tests {
 
     #[test]
     fn a_read_folds_and_the_next_observe_promotes_it() {
-        let windows = [alternating(3), alternating(5), alternating(2)];
+        let traces = [alternating(3), alternating(5), alternating(2)].map(Arc::new);
+        let whole = |t: &PriceTrace| 0..t.horizon();
         let mut m = FailureModel::new(FailureModelConfig::default());
-        m.observe(windows[0].clone());
-        m.observe(windows[1].clone());
-        let eager = FrozenKernel::new().extend(&windows[0]).extend(&windows[1]);
+        m.observe(&traces[0], whole(&traces[0]));
+        m.observe(&traces[1], whole(&traces[1]));
+        let first = FrozenKernel::new().extend(&traces[0]);
+        assert_eq!(
+            m.base.fingerprint(),
+            first.fingerprint(),
+            "switching traces folded the first one's range"
+        );
+        assert_eq!(m.pending.len(), 1, "only the new trace's range is queued");
+        let eager = first.extend(&traces[1]);
         assert_eq!(m.kernel().fingerprint(), eager.fingerprint());
         assert_eq!(m.unfolded(), 0);
-        assert_eq!(m.pending.len(), 2, "a read leaves the queue to observe");
+        assert_eq!(m.pending.len(), 1, "a read leaves the queue to observe");
         let folded = Arc::clone(m.folded.get().expect("the read filled the lock"));
-        m.observe(windows[2].clone());
+        m.observe(&traces[2], whole(&traces[2]));
         assert!(Arc::ptr_eq(&m.base, &folded), "folded kernel is the new base");
-        assert_eq!(m.pending.len(), 1, "only the new window is queued");
+        assert_eq!(m.pending.len(), 1, "only the new range is queued");
         assert_eq!(m.unfolded(), 1);
         assert_eq!(
             m.kernel().fingerprint(),
-            eager.extend(&windows[2]).fingerprint()
+            eager.extend(&traces[2]).fingerprint()
         );
     }
 
@@ -511,7 +535,8 @@ mod tests {
     fn incremental_training_improves_from_empty() {
         let mut m = FailureModel::new(FailureModelConfig::default());
         assert_eq!(m.estimate_fp(p(0.02), p(0.01), 0, 60), 1.0);
-        m.observe(alternating(20));
+        let trace = Arc::new(alternating(20));
+        m.observe(&trace, 0..trace.horizon());
         let fp = m.estimate_fp(p(0.02), p(0.01), 0, 60);
         assert!(fp < 0.02, "trained model should trust the top bid: {fp}");
     }

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use spot_market::{Price, PricePoint, PriceTrace};
 use spot_model::{FailureModel, FailureModelConfig, FrozenKernel};
+use std::sync::Arc;
 
 /// Strategy: a random multi-level trace with enough transitions to train.
 fn training_trace() -> impl Strategy<Value = PriceTrace> {
@@ -105,10 +106,11 @@ proptest! {
         }
     }
 
-    /// Fold-on-read equivalence: a model that queues windows and folds
-    /// them when read answers exactly like the eager `extend` chain at
-    /// every read, wherever the reads fall among the observes — and a
-    /// clone taken with windows still queued folds to its origin's kernel.
+    /// Fold-on-read equivalence: a model that queues minute ranges of one
+    /// shared trace, and cuts and folds them when read, answers exactly
+    /// like the eager `extend` chain over the cut windows at every read,
+    /// wherever the reads fall among the observes — and a clone taken
+    /// with ranges still queued folds to its origin's kernel.
     #[test]
     fn lazy_refinement_equals_the_eager_chain(
         trace in training_trace(),
@@ -125,6 +127,7 @@ proptest! {
         // The last window always ends in a read, so at least one compares.
         cuts.push((end, true));
 
+        let shared = Arc::new(trace.clone());
         let mut lazy = FailureModel::new(FailureModelConfig::default());
         let mut eager = FrozenKernel::new();
         let mut unread = 0;
@@ -133,9 +136,8 @@ proptest! {
             if to == from {
                 continue;
             }
-            let window = trace.window(from, to);
-            eager = eager.extend(&window);
-            lazy.observe(window);
+            eager = eager.extend(&trace.window(from, to));
+            lazy.observe(&shared, from..to);
             unread += 1;
             from = to;
             prop_assert_eq!(lazy.unfolded(), unread);

@@ -26,7 +26,7 @@ fn main() {
     let mut fw = BiddingFramework::new(spec, JupiterStrategy::new());
     let now = market.horizon() - 1;
     for &zone in market.zones() {
-        fw.observe(zone, ty, market.trace(zone, ty).clone());
+        fw.observe(zone, ty, market.trace(zone, ty), 0..market.horizon());
     }
     let snapshots = snapshots_at(&market, &[ty], now);
 

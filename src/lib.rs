@@ -39,7 +39,7 @@
 //!     .iter()
 //!     .map(|&z| {
 //!         let t = market.trace(z, ty);
-//!         fw.observe(z, ty, t.clone());
+//!         fw.observe(z, ty, t, 0..market.horizon());
 //!         MarketSnapshot {
 //!             zone: z,
 //!             instance_type: ty,

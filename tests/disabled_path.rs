@@ -7,17 +7,23 @@
 //! here whatever the machine's speed; what the calls cost in time is the
 //! repo benchmark's `obs.disabled_ns_per_op`.
 //!
-//! The file is its own test binary with a single test because it installs
-//! the counting `#[global_allocator]` of `test_util::alloc`; the count is
-//! per thread and armed only around the measured loops, so the harness
-//! does not disturb it.
+//! The same unit bounds the replay's per-interval observe for a strategy
+//! that never reads its failure models: a queued minute range, not a
+//! copied price window.
+//!
+//! The file is its own test binary because it installs the counting
+//! `#[global_allocator]` of `test_util::alloc`; the count is per thread
+//! and armed only around the measured loops, so the harness and the
+//! other test's thread do not disturb it.
 
 use spot_jupiter::obs::{
     AlertSink, AuditKind, FleetDeficitWatchdog, LivenessWatchdog, Obs, RepairBudgetWatchdog,
     Severity, SloSpec, SloTracker, TraceContext,
 };
-use spot_jupiter::spot_market::{Region, Zone};
+use spot_jupiter::spot_market::{Price, PricePoint, PriceTrace, Region, Zone};
+use spot_jupiter::spot_model::{FailureModel, FailureModelConfig};
 use std::fmt::Write;
+use std::sync::Arc;
 use test_util::alloc::{allocations, Counting};
 
 #[global_allocator]
@@ -116,4 +122,35 @@ fn disabled_tracing_and_monitors_never_allocate() {
         tracker.record(minute, 0.0, 1.0);
     }
     assert_eq!(alerts.len(), 3);
+}
+
+#[test]
+fn unread_models_queue_ranges_without_copying_windows() {
+    // 10 000 change points, alternating every 3 minutes.
+    let points = (0..10_000u64)
+        .map(|i| PricePoint {
+            minute: 3 * i,
+            price: Price::from_micros(10_000 + 5_000 * (i % 2)),
+        })
+        .collect();
+    let trace = Arc::new(PriceTrace::new(points, 30_000));
+    let mut model = FailureModel::new(FailureModelConfig::default());
+    const OBSERVES: u64 = 1_000;
+    let queued = allocations(|| {
+        for k in 0..OBSERVES {
+            model.observe(&trace, 30 * k..30 * (k + 1));
+        }
+    });
+    // The range queue doubles: ⌈log₂ 1000⌉ + 2 allocations at most, and
+    // no 10-point window cut per observe.
+    assert!(
+        queued.count <= 12,
+        "{OBSERVES} unread observes allocated {} times",
+        queued.count
+    );
+    assert!(queued.bytes < 64 * 1024, "{} bytes", queued.bytes);
+    assert_eq!(model.unfolded(), OBSERVES as usize);
+    // A read then cuts and folds every range.
+    assert!(model.is_trained());
+    assert_eq!(model.unfolded(), 0);
 }

@@ -119,7 +119,7 @@ fn decision_respects_all_constraints() {
     let mut fw = BiddingFramework::new(spec.clone(), JupiterStrategy::new());
     let now = market.horizon() - 1;
     for &zone in market.zones() {
-        fw.observe(zone, ty, market.trace(zone, ty).clone());
+        fw.observe(zone, ty, market.trace(zone, ty), 0..market.horizon());
     }
     let snapshots = snapshots_at(&market, &[ty], now);
     let decision = fw.decide(&snapshots, 360);
