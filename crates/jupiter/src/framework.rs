@@ -31,21 +31,15 @@ pub struct BiddingFramework<S: BiddingStrategy> {
     spec: ServiceSpec,
     strategy: S,
     models: PoolTable<FailureModel>,
-    model_config: FailureModelConfig,
 }
 
 impl<S: BiddingStrategy> BiddingFramework<S> {
     /// A framework for `spec` driven by `strategy`.
     pub fn new(spec: ServiceSpec, strategy: S) -> Self {
-        let model_config = FailureModelConfig {
-            fp0: spec.fp0,
-            ..FailureModelConfig::default()
-        };
         BiddingFramework {
             spec,
             strategy,
             models: PoolTable::new(),
-            model_config,
         }
     }
 
@@ -68,14 +62,14 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
 
     /// Adopt a pre-trained shared kernel for the `(zone, ty)` pool (the
     /// [`crate::ModelStore`] consumption path): the framework wraps it in
-    /// a [`FailureModel`] carrying this service's `FP⁰` composition, and
+    /// a [`FailureModel`] carrying the on-demand `FP⁰` composition, and
     /// ranges fed to [`Self::observe`] afterwards fork it copy-on-write
     /// when the model is next read — the shared base stays untouched.
     pub fn install_kernel(&mut self, zone: Zone, ty: InstanceType, kernel: Arc<FrozenKernel>) {
         self.models.insert(
             zone,
             ty,
-            FailureModel::from_kernel(kernel, self.model_config),
+            FailureModel::from_kernel(kernel, FailureModelConfig::default()),
         );
     }
 
@@ -92,9 +86,12 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
         trace: &Arc<PriceTrace>,
         minutes: Range<u64>,
     ) {
-        let config = self.model_config;
         self.models
-            .get_or_insert_with(zone, ty, || FailureModel::new(config))
+            .get_or_insert_with(
+                zone,
+                ty,
+                || FailureModel::new(FailureModelConfig::default()),
+            )
             .observe(trace, minutes);
     }
 

@@ -55,7 +55,10 @@ pub fn par_map<T: Sync, R: Send>(jobs: &[T], workers: usize, f: impl Fn(&T) -> R
     let cursor = AtomicUsize::new(0);
     let work = || {
         let _in_job = InJob::enter();
-        let mut done = Vec::new();
+        // Sized before the first job allocates: a buffer regrown between
+        // jobs lands above their freed memory and keeps the thread's
+        // malloc arena from shrinking, which raises the peak RSS.
+        let mut done = Vec::with_capacity(jobs.len());
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(job) = jobs.get(i) else { break done };

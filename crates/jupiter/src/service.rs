@@ -15,8 +15,6 @@ pub struct ServiceSpec {
     pub baseline_nodes: usize,
     /// The quorum rule of the replication protocol.
     pub quorum: QuorumRule,
-    /// Failure probability of one on-demand instance (`FP⁰`).
-    pub fp0: f64,
     /// Acceptable availability slack ε (constraint 10); the paper suggests
     /// 1e-6.
     pub epsilon: f64,
@@ -48,7 +46,6 @@ impl ServiceSpec {
             instance_type: InstanceType::M1Small,
             baseline_nodes: 5,
             quorum: QuorumRule::Majority,
-            fp0: ON_DEMAND_FP,
             epsilon: 1e-6,
             pool_types: Vec::new(),
             min_strength: 0,
@@ -64,7 +61,6 @@ impl ServiceSpec {
             instance_type: InstanceType::M3Large,
             baseline_nodes: 5,
             quorum: QuorumRule::RsPaxos { m: 3 },
-            fp0: ON_DEMAND_FP,
             epsilon: 1e-6,
             pool_types: Vec::new(),
             min_strength: 0,
@@ -114,11 +110,12 @@ impl ServiceSpec {
     }
 
     /// The availability of the on-demand baseline — the right-hand side of
-    /// constraint (10). For the lock service this is the paper's
-    /// 0.9999901494.
+    /// constraint (10): `baseline_nodes` on-demand instances, each failing
+    /// with the paper's `FP⁰` = [`ON_DEMAND_FP`]. For the lock service this
+    /// is the paper's 0.9999901494.
     pub fn baseline_availability(&self) -> f64 {
         let k = self.quorum.quorum_size(self.baseline_nodes);
-        quorum::threshold_availability(&vec![self.fp0; self.baseline_nodes], k)
+        quorum::threshold_availability(&vec![ON_DEMAND_FP; self.baseline_nodes], k)
     }
 
     /// The availability a spot deployment must reach (baseline − ε).

@@ -70,63 +70,6 @@ impl Registry {
         }
     }
 
-    /// Fold every instrument of `other` into this registry under the
-    /// name `{prefix}{name}` — how per-strategy or per-run registries are
-    /// combined into one without colliding (e.g. prefix `"Jupiter."`;
-    /// `""` merges in place): counters add, histograms merge buckets and
-    /// exact stats. Disabled registries on either side are a no-op, as
-    /// is merging a registry into itself.
-    pub fn merge_prefixed(&self, other: &Registry, prefix: &str) {
-        let (Some(dst), Some(src)) = (&self.inner, &other.inner) else {
-            return;
-        };
-        // Clone the source cell handles first so no two registry locks
-        // are ever held at once (self-merge would otherwise deadlock).
-        let src_counters: Vec<(String, Arc<AtomicU64>)> = src
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, c)| (n.clone(), c.clone()))
-            .collect();
-        let src_histograms: Vec<(String, Arc<HistogramCells>)> = src
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, c)| (n.clone(), c.clone()))
-            .collect();
-        for (name, cell) in src_counters {
-            let dst_counter = self.counter(&format!("{prefix}{name}"));
-            let dst_cell = dst_counter.cell.as_ref().expect("enabled registry");
-            if Arc::ptr_eq(dst_cell, &cell) {
-                continue; // merging a cell into itself would double it
-            }
-            dst_cell.fetch_add(cell.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        for (name, cells) in src_histograms {
-            let dst_hist = {
-                let mut map = dst.histograms.lock().unwrap();
-                map.entry(format!("{prefix}{name}")).or_default().clone()
-            };
-            if Arc::ptr_eq(&dst_hist, &cells) {
-                continue;
-            }
-            for (dst_bucket, src_bucket) in dst_hist.buckets.iter().zip(cells.buckets.iter()) {
-                dst_bucket.fetch_add(src_bucket.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            dst_hist
-                .count
-                .fetch_add(cells.count.load(Ordering::Relaxed), Ordering::Relaxed);
-            dst_hist
-                .sum
-                .fetch_add(cells.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-            dst_hist
-                .max
-                .fetch_max(cells.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
     /// A point-in-time copy of every instrument's state, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let Some(inner) = &self.inner else {

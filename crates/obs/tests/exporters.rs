@@ -1,6 +1,5 @@
 //! Golden files for the three structured ways out (audit JSONL, alert
-//! JSONL, Chrome trace), `Registry::merge_prefixed` semantics, and the
-//! downsampling envelope property.
+//! JSONL, Chrome trace) and the downsampling envelope property.
 //!
 //! The golden files live in `tests/golden/`; regenerate them after an
 //! intentional format change with
@@ -8,7 +7,7 @@
 
 use obs::{
     chrome_trace_json, json_lines, AlertEvent, AlertSink, AuditKind, AuditLog, AuditRecord,
-    FieldValue, Obs, Registry, SeriesStore, Severity, TraceContext, ALERT_SCHEMA_VERSION,
+    FieldValue, Obs, SeriesStore, Severity, TraceContext, ALERT_SCHEMA_VERSION,
     AUDIT_SCHEMA_VERSION,
 };
 use proptest::prelude::*;
@@ -141,68 +140,6 @@ fn chrome_trace_golden() {
     let json = chrome_trace_json(&t.events());
     serde_json::parse_value(&json).expect("chrome trace is valid JSON");
     check_golden("chrome_trace.json", &json);
-}
-
-// ---- Registry::merge_prefixed --------------------------------------------
-
-#[test]
-fn merge_adds_counters_and_merges_histograms() {
-    let dst = Registry::new();
-    dst.counter("c").add(10);
-    dst.histogram("h").record(8);
-
-    let src = Registry::new();
-    src.counter("c").add(5);
-    src.counter("only_src").add(7);
-    src.histogram("h").record(64);
-
-    dst.merge_prefixed(&src, "");
-    let snap = dst.snapshot();
-    assert_eq!(snap.counter("c"), Some(15));
-    assert_eq!(snap.counter("only_src"), Some(7));
-    let h = snap
-        .histograms
-        .iter()
-        .find(|(n, _)| n == "h")
-        .map(|(_, h)| *h)
-        .expect("merged histogram");
-    assert_eq!(h.count, 2);
-    assert_eq!(h.sum, 72);
-    assert_eq!(h.max, 64);
-
-    // The source is read-only under merge.
-    assert_eq!(src.snapshot().counter("c"), Some(5));
-}
-
-#[test]
-fn merge_with_self_and_disabled_are_no_ops() {
-    let r = Registry::new();
-    r.counter("c").add(3);
-    r.merge_prefixed(&r.clone(), ""); // same cells: must not double
-    assert_eq!(r.snapshot().counter("c"), Some(3));
-
-    r.merge_prefixed(&Registry::disabled(), "");
-    assert_eq!(r.snapshot().counter("c"), Some(3));
-
-    let off = Registry::disabled();
-    off.merge_prefixed(&r, "");
-    assert!(off.snapshot().counters.is_empty());
-}
-
-#[test]
-fn merge_prefixed_namespaces_the_source() {
-    let combined = Registry::new();
-    let jupiter = Registry::new();
-    jupiter.counter("bids").add(4);
-    let greedy = Registry::new();
-    greedy.counter("bids").add(9);
-
-    combined.merge_prefixed(&jupiter, "jupiter.");
-    combined.merge_prefixed(&greedy, "greedy.");
-    let snap = combined.snapshot();
-    assert_eq!(snap.counter("jupiter.bids"), Some(4));
-    assert_eq!(snap.counter("greedy.bids"), Some(9));
-    assert_eq!(snap.counter("bids"), None);
 }
 
 // ---- downsampling envelope ----------------------------------------------

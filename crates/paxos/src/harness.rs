@@ -9,7 +9,7 @@ use simnet::{ChaosAction, NetworkConfig, NodeId, SimTime, Simulation};
 use crate::client::ClientState;
 use crate::node::PaxosNode;
 use crate::open_loop::OpenLoopClient;
-use crate::replica::{sim_micros, Replica, ReplicaConfig};
+use crate::replica::{Replica, ReplicaConfig};
 use crate::service::Service;
 use crate::smr::{SmHost, StateMachine};
 
@@ -129,7 +129,7 @@ impl<S: Service> Cluster<S> {
                 .and_then(PaxosNode::as_client)
                 .map(|c| c.outstanding())
                 .unwrap_or(0);
-            watchdog.observe(sim_micros(self.sim.now()), outstanding as u64);
+            watchdog.observe(self.sim.now().as_micros(), outstanding as u64);
             if outstanding == 0 {
                 return true;
             }

@@ -149,11 +149,6 @@ impl ReplicaMetrics {
     }
 }
 
-/// Sim-time milliseconds as trace microseconds.
-pub(crate) fn sim_micros(t: SimTime) -> u64 {
-    t.as_millis().saturating_mul(1_000)
-}
-
 /// Per-slot acceptor state.
 #[derive(Clone, Debug)]
 struct SlotState<W> {
@@ -460,7 +455,7 @@ impl<S: Service> Replica<S> {
 
     /// Drive the shared trace clock to the simulation's current time.
     fn sync_obs_time(&self, now: SimTime) {
-        self.metrics.obs.set_time_micros(sim_micros(now));
+        self.metrics.obs.set_time_micros(now.as_micros());
     }
 
     fn reset_election_deadline(&mut self, now: SimTime) {
@@ -634,7 +629,7 @@ impl<S: Service> Replica<S> {
         if let Some(started) = self.close_election_span(true) {
             self.metrics
                 .phase1_micros
-                .record(sim_micros(ctx.now.saturating_sub(started)));
+                .record(ctx.now.saturating_sub(started).as_micros());
         }
         self.last_heartbeat_sent = SimTime::ZERO; // heartbeat asap
 
@@ -863,7 +858,7 @@ impl<S: Service> Replica<S> {
         let p = self.proposals.remove(&slot).expect("checked above");
         let m = &self.metrics;
         m.phase2_micros
-            .record(sim_micros(ctx.now.saturating_sub(p.sent_at)));
+            .record(ctx.now.saturating_sub(p.sent_at).as_micros());
         m.obs.trace.span_close(
             p.span,
             &m.quorum_wait,

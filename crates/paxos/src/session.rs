@@ -7,7 +7,6 @@ use obs::{FieldValue, Obs, SpanHandle};
 use simnet::{Context, NodeId, SimTime};
 
 use crate::msg::Msg;
-use crate::replica::sim_micros;
 use crate::service::Service;
 
 #[derive(Clone, Debug)]
@@ -77,7 +76,7 @@ impl<S: Service> Session<S> {
     ) {
         debug_assert!(self.inflight.is_none(), "one operation at a time");
         let span = traced.then(|| {
-            self.obs.set_time_micros(sim_micros(ctx.now));
+            self.obs.set_time_micros(ctx.now.as_micros());
             self.obs.trace.span_open_causal(
                 "client.request",
                 ctx.new_trace(),
@@ -132,7 +131,7 @@ impl<S: Service> Session<S> {
             // Mark the retry inside the trace: a retransmit usually means
             // the previous attempt's sub-tree was orphaned by a drop or a
             // dead leader.
-            self.obs.set_time_micros(sim_micros(ctx.now));
+            self.obs.set_time_micros(ctx.now.as_micros());
             self.obs.trace.event_causal(
                 "client.retransmit",
                 span.context(),
@@ -163,7 +162,7 @@ impl<S: Service> Session<S> {
             .take_if(|f| f.req_id == req_id && (resp.is_some() || accept_empty))?;
         self.leader_hint = Some(from);
         if let Some(span) = f.span {
-            self.obs.set_time_micros(sim_micros(now));
+            self.obs.set_time_micros(now.as_micros());
             self.obs.trace.span_close(
                 span,
                 "client.request",

@@ -956,12 +956,12 @@ pub fn hetero_sweep(scale: &Scale) -> Vec<Cell> {
 
 /// The auto-scaler experiment's outcome: the load-tracked replay against
 /// the peak-provisioned static fleet on the same market.
-#[derive(Clone, Debug)]
 pub struct AutoscaleReport {
-    /// The auto-scaled replay (mixed pool, diurnal demand), with series
-    /// and audit log attached — `pool.fleet.*` and the `scale_decision`
-    /// records live here.
+    /// The auto-scaled replay (mixed pool, diurnal demand).
     pub result: ReplayResult,
+    /// What the auto-scaled replay recorded: the `pool.fleet.*` series and
+    /// the `scale_decision` audit records live here.
+    pub obs: obs::Obs,
     /// The same strategy holding the peak strength target statically.
     pub static_result: ReplayResult,
     /// Applied scale-outs.
@@ -1052,6 +1052,7 @@ pub fn autoscale_report(scale: &Scale) -> AutoscaleReport {
     let baseline_cost = on_demand_baseline_cost(&market, &spec, config);
     AutoscaleReport {
         result,
+        obs,
         static_result,
         scale_outs,
         scale_ins,
@@ -1324,15 +1325,19 @@ mod tests {
         let r = autoscale_report(&Scale::quick(7));
         assert!(r.scale_outs >= 1, "diurnal peak must scale out");
         assert!(
-            r.result
+            r.obs
                 .audit
+                .snapshot()
                 .iter()
                 .any(|rec| rec.kind.label() == "scale_decision"),
             "scale decisions must be audited"
         );
         assert!(
-            r.result.series_named("pool.fleet.m1.small").is_some()
-                || r.result.series_named("pool.fleet.m3.large").is_some(),
+            r.obs
+                .series
+                .snapshot()
+                .iter()
+                .any(|s| s.name == "pool.fleet.m1.small" || s.name == "pool.fleet.m3.large"),
             "per-type fleet series must be recorded"
         );
         assert!((0.0..=1.0).contains(&r.result.availability()));

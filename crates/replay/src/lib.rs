@@ -25,9 +25,9 @@
 //!
 //! One replay is one [`Replay`] builder chain —
 //! `Replay::new(&market, &spec, config).run(strategy)`, optionally with
-//! `.repair(..)`, `.schedule(..)` / `.adaptive()`, `.store(..)`,
-//! `.autoscaler(..)` and `.obs(..)` in between; [`Scenario`] runs a grid of
-//! them over one shared market and model store.
+//! `.repair(..)`, `.adaptive()`, `.store(..)`, `.autoscaler(..)` and
+//! `.obs(..)` in between; [`Scenario`] runs a grid of them over one shared
+//! market, model store and metrics registry.
 //!
 //! [`experiments`] packages the paper's figures (4 through 9 plus the
 //! headline savings and the ablations) as cell keys one plan replays, and

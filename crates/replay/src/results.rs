@@ -78,23 +78,6 @@ pub struct ReplayResult {
     pub instances: Vec<InstanceRecord>,
     /// Per-interval details.
     pub intervals: Vec<IntervalOutcome>,
-    /// Final metrics snapshot, when the replay ran with an enabled
-    /// [`obs::Obs`] (see [`crate::Replay::obs`]); `None` otherwise.
-    pub metrics: Option<obs::MetricsSnapshot>,
-    /// Recorded time series (per-zone prices and bids, fleet size,
-    /// interval cost, availability, deaths — see the series table in
-    /// DESIGN.md), when the replay ran with an enabled [`obs::Obs`]
-    /// whose series store is live; empty otherwise. The time axis is
-    /// market minutes.
-    pub series: Vec<obs::SeriesSnapshot>,
-    /// Alerts fired by the online monitors (SLO burn-rate, fleet-deficit
-    /// and repair-budget watchdogs) during the replay; empty when the
-    /// replay ran without an enabled alert sink.
-    pub alerts: Vec<obs::AlertEvent>,
-    /// The decision audit log (bid selections and repair actions), in
-    /// decision order; alerts cross-reference these by
-    /// [`obs::AuditRecord::seq`]. Empty when auditing was disabled.
-    pub audit: Vec<obs::AuditRecord>,
 }
 
 impl ReplayResult {
@@ -121,11 +104,6 @@ impl ReplayResult {
     /// charges).
     pub fn spot_cost(&self) -> Price {
         self.total_cost - self.on_demand_cost
-    }
-
-    /// The recorded series named `name`, if present.
-    pub fn series_named(&self, name: &str) -> Option<&obs::SeriesSnapshot> {
-        self.series.iter().find(|s| s.name == name)
     }
 
     /// The bill reconciled per `(zone, instance-type)` pool, in zone/type
@@ -195,10 +173,6 @@ mod tests {
                     kills: 1,
                 },
             ],
-            metrics: None,
-            series: Vec::new(),
-            alerts: Vec::new(),
-            audit: Vec::new(),
         }
     }
 

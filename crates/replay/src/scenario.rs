@@ -9,20 +9,18 @@
 //! cells) and a [`ModelStore`] memoizing one [`spot_model::FrozenKernel`]
 //! per (zone, type, training prefix); a [`SweepSpec`] declares the cell
 //! grid; [`Scenario::run`] replays the cells on every core the host offers
-//! (an ordered `std::thread::scope` map, `par.rs`) and then merges each
-//! cell's private obs registry into the scenario registry, in grid order,
-//! under a `cell.{strategy}.{interval}h.` prefix.
+//! (an ordered `std::thread::scope` map, `par.rs`), every cell recording
+//! into the scenario's one metrics registry.
 //!
 //! ```text
 //!          Scenario (shared, read-only across cells)
 //!          ├── Arc<Market>      — the price history
 //!          ├── ModelStore       — Arc<FrozenKernel> per (zone, type, prefix)
-//!          └── Obs              — merged per-cell registries + model_store.*
-//!                 │ run(&SweepSpec)
+//!          └── Obs              — one registry: model_store.* + every cell's
+//!                 │ run(&SweepSpec)                replay.*, repair.*, …
 //!                 ▼
 //!          cell = (strategy factory, interval)   (private per cell)
-//!          ├── BiddingFramework — forks shared kernels copy-on-write
-//!          └── Obs              — replay.* counters for this cell only
+//!          └── BiddingFramework — forks shared kernels copy-on-write
 //! ```
 
 use std::sync::Arc;
@@ -37,8 +35,9 @@ use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
 
 /// Builds one strategy instance for one cell. The factory receives the
-/// cell's private [`Obs`] so strategies that record decision metrics
-/// (e.g. `JupiterStrategy::with_obs`) stay separable per cell.
+/// [`Obs`] the cell records into — the scenario's registry and nothing
+/// else (see [`Scenario::with_obs`]) — so strategies that record decision
+/// metrics (e.g. `JupiterStrategy::with_obs`) add to the sweep's totals.
 pub type StrategyFactory = Box<dyn Fn(&Obs) -> Box<dyn BiddingStrategy> + Send + Sync>;
 
 /// A declarative sweep: which service to deploy and the strategy ×
@@ -149,10 +148,13 @@ impl Scenario {
         }
     }
 
-    /// Record scenario instruments into `obs`: the store's `model_store.*`
-    /// work counters plus every cell's registry merged under
-    /// `cell.{strategy}.{interval}h.`. Call before the first `run` — the
-    /// store is rebuilt, dropping any kernels already fitted.
+    /// Record scenario instruments into `obs`'s registry: the store's
+    /// `model_store.*` work counters plus every cell's counters and
+    /// histograms, summed over the cells. Counters and histograms are
+    /// atomic sums, so the totals do not depend on which thread replayed
+    /// which cell; cells record no trace, series, audit or alerts, whose
+    /// order would. Call before the first `run` — the store is rebuilt,
+    /// dropping any kernels already fitted.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.store = ModelStore::with_obs(obs.clone());
         self.obs = obs;
@@ -178,13 +180,8 @@ impl Scenario {
     /// over the shared market and store, on one thread per core the host
     /// offers (a single cell, or a single core, replays inline on the
     /// caller). Cells are returned in grid order (intervals outer, then
-    /// strategies, repairs, eras innermost), and once all are back each
-    /// cell's private registry is merged into the scenario [`Obs`] in
-    /// that same order, so output and metrics are independent of the
-    /// thread count and of scheduling. Cells with repair off keep the
-    /// historical `cell.{strategy}.{interval}h.` prefix; repairing cells
-    /// append the policy label (`….{interval}h.{policy}.`), and
-    /// non-default era columns the era label.
+    /// strategies, repairs, eras innermost), independent of the thread
+    /// count and of scheduling, and so are the registry's totals.
     pub fn run(&self, spec: &SweepSpec) -> Vec<CellOutcome> {
         self.run_on(spec, host_workers())
     }
@@ -202,12 +199,12 @@ impl Scenario {
                 })
             })
             .collect();
-        let cells: Vec<(CellOutcome, Obs)> = par_map(&jobs, workers, |&(h, s, r, e)| {
-            let cell_obs = if self.obs.metrics.is_enabled() {
-                Obs::simulated().0
-            } else {
-                Obs::disabled()
-            };
+        // `Obs::disabled()` when the scenario is unobserved.
+        let cell_obs = Obs {
+            metrics: self.obs.metrics.clone(),
+            ..Obs::disabled()
+        };
+        par_map(&jobs, workers, |&(h, s, r, e)| {
             let strategy = (spec.strategies[s])(&cell_obs);
             let repair = spec.repairs[r];
             let era = spec.eras[e];
@@ -216,39 +213,13 @@ impl Scenario {
                 .store(&self.store)
                 .obs(&cell_obs)
                 .run(strategy);
-            (
-                CellOutcome {
-                    interval_hours: h,
-                    repair: repair.policy,
-                    era,
-                    result,
-                },
-                cell_obs,
-            )
-        });
-        cells
-            .into_iter()
-            .map(|(cell, cell_obs)| {
-                let mut prefix = if cell.repair == RepairPolicy::Off {
-                    format!("cell.{}.{}h.", cell.result.strategy, cell.interval_hours)
-                } else {
-                    format!(
-                        "cell.{}.{}h.{}.",
-                        cell.result.strategy,
-                        cell.interval_hours,
-                        cell.repair.label()
-                    )
-                };
-                if cell.era != BidEra::Bidding {
-                    // Era columns separate by their label, so the default
-                    // bidding era keeps its historical prefix.
-                    prefix.push_str(cell.era.label());
-                    prefix.push('.');
-                }
-                self.obs.metrics.merge_prefixed(&cell_obs.metrics, &prefix);
-                cell
-            })
-            .collect()
+            CellOutcome {
+                interval_hours: h,
+                repair: repair.policy,
+                era,
+                result,
+            }
+        })
     }
 
     /// The on-demand baseline cost over this scenario's window.
@@ -263,7 +234,6 @@ impl Scenario {
 mod tests {
     use super::*;
     use jupiter::{ExtraStrategy, JupiterStrategy};
-    use obs::Obs;
     use spot_market::{InstanceType, MarketConfig};
 
     fn scenario_market() -> Market {
@@ -303,17 +273,128 @@ mod tests {
         assert_eq!(snap.counter("model_store.fits_performed"), Some(6));
         assert_eq!(snap.counter("model_store.fits_reused"), Some(3 * 6));
         assert_eq!(scenario.store().len(), 6);
-        // Each cell's replay counters land under its own prefix.
-        assert!(snap.counter("cell.Jupiter.6h.replay.bids_placed").unwrap_or(0) > 0);
+        // Every cell's replay counters add into the one registry: the
+        // boundary bids are the decided group sizes, and every kill an
+        // interval counts is one out-of-bid death.
+        let results = || cells.iter().map(|c| &c.result);
+        let groups: usize = results()
+            .flat_map(|r| &r.intervals)
+            .map(|i| i.group_size)
+            .sum();
+        let kills: usize = results().map(ReplayResult::total_kills).sum();
+        assert!(groups > 0 && kills > 0);
+        assert_eq!(snap.counter("replay.bids_placed"), Some(groups as u64));
+        assert_eq!(snap.counter("replay.death.out_of_bid"), Some(kills as u64));
+        assert!(snap
+            .counters
+            .iter()
+            .all(|(name, _)| !name.starts_with("cell.")));
+    }
+
+    /// The three kinds of cell whose registries a sweep must sum: Jupiter
+    /// recording its decisions, Extra under repair, Feedback bidding.
+    fn cell_strategy(s: usize, o: &Obs) -> Box<dyn BiddingStrategy> {
+        match s {
+            0 => Box::new(JupiterStrategy::new().with_obs(o.clone())),
+            1 => Box::new(ExtraStrategy::new(0, 0.02)),
+            _ => Box::new(jupiter::FeedbackStrategy::new()),
+        }
+    }
+
+    /// The `Obs` a sweep hands a cell holds the scenario's registry and
+    /// nothing else.
+    fn registry_only(o: &Obs) -> &Obs {
+        assert!(o.metrics.is_enabled(), "a cell records into the registry");
         assert!(
-            snap.counter("cell.Extra(0,0.2).12h.replay.bids_placed")
-                .unwrap_or(0)
-                > 0
+            !o.trace.is_enabled()
+                && !o.series.is_enabled()
+                && !o.audit.is_enabled()
+                && !o.alerts.is_enabled(),
+            "a cell records nothing but the registry"
         );
+        o
+    }
+
+    #[test]
+    fn a_sweep_registry_is_the_sum_of_its_cells() {
+        let (start, end) = (2 * 7 * 24 * 60, 3 * 7 * 24 * 60);
+        let market = scenario_market();
+        let service = ServiceSpec::lock_service();
+        // Among the twelve cells: Jupiter recording its decisions, Extra
+        // under hybrid repair, Feedback under migrate repair in the
+        // capacity era.
+        let spec = SweepSpec::new(service.clone())
+            .strategy(|o| cell_strategy(0, registry_only(o)))
+            .strategy(|o| cell_strategy(1, registry_only(o)))
+            .strategy(|o| cell_strategy(2, registry_only(o)))
+            .intervals(vec![6])
+            .repairs(vec![RepairConfig::hybrid(), RepairConfig::migrate()])
+            .eras(vec![BidEra::Bidding, BidEra::CapacityReclaim]);
+
+        // Each cell alone, with an `Obs` of its own; the store they share
+        // records into one more.
+        let (store_obs, _clock) = Obs::simulated();
+        let store = ModelStore::with_obs(store_obs.clone());
+        let mut counters = std::collections::BTreeMap::<String, u64>::new();
+        let mut histograms = std::collections::BTreeMap::<String, u64>::new();
+        let mut add = |snap: obs::MetricsSnapshot| {
+            for (name, v) in snap.counters {
+                *counters.entry(name).or_default() += v;
+            }
+            for (name, h) in snap.histograms {
+                *histograms.entry(name).or_default() += h.count;
+            }
+        };
+        for s in 0..3 {
+            for repair in &spec.repairs {
+                for &era in &spec.eras {
+                    let (o, _clock) = Obs::simulated();
+                    let config = ReplayConfig::new(start, end, 6).with_era(era);
+                    Replay::new(&market, &service, config)
+                        .repair(*repair)
+                        .store(&store)
+                        .obs(&o)
+                        .run(cell_strategy(s, &o));
+                    add(o.metrics.snapshot());
+                }
+            }
+        }
+        add(store_obs.metrics.snapshot());
+        assert!(histograms.contains_key("jupiter.decide_micros"));
+        for name in [
+            "replay.bids_placed",
+            "repair.on_demand_launches",
+            "notice.emitted",
+            "migrate.launched",
+        ] {
+            assert!(counters.get(name).is_some_and(|&v| v > 0), "{name}");
+        }
+
+        for workers in [1, 4] {
+            let (obs, _clock) = Obs::simulated();
+            let scenario = Scenario::new(market.clone(), start, end).with_obs(obs.clone());
+            assert_eq!(scenario.run_on(&spec, workers).len(), 12);
+            let snap = obs.metrics.snapshot();
+            let got: std::collections::BTreeMap<String, u64> = snap.counters.into_iter().collect();
+            assert_eq!(got, counters, "{workers} workers");
+            // Every histogram a cell fills holds host time: counts only.
+            let got: std::collections::BTreeMap<String, u64> = snap
+                .histograms
+                .into_iter()
+                .map(|(name, h)| (name, h.count))
+                .collect();
+            assert_eq!(got, histograms, "{workers} workers");
+            // Cells record no trace, series, audit or alerts into the
+            // scenario's `Obs` either.
+            assert!(obs.trace.events().is_empty());
+            assert!(obs.series.snapshot().is_empty());
+            assert!(obs.audit.is_empty());
+            assert!(obs.alerts.is_empty());
+        }
     }
 
     /// `spec` replayed, observed, on at most `workers` threads: every
-    /// cell (axes and whole result) and the merged scenario registry.
+    /// cell (axes and whole result) and the scenario registry.
     fn replay_on(spec: &SweepSpec, workers: usize) -> (Vec<String>, obs::MetricsSnapshot) {
         let (obs, _clock) = Obs::simulated();
         let scenario =
@@ -393,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_axis_multiplies_the_grid_and_prefixes_cells() {
+    fn repair_axis_multiplies_the_grid() {
         let (obs, _clock) = Obs::simulated();
         let scenario =
             Scenario::new(scenario_market(), 2 * 7 * 24 * 60, 3 * 7 * 24 * 60).with_obs(obs.clone());
@@ -410,22 +491,9 @@ mod tests {
         // frozen, so the hybrid cell only ever adds live instances.
         assert!(cells[1].result.up_minutes >= cells[0].result.up_minutes);
         assert!(cells[1].result.degraded_minutes <= cells[0].result.degraded_minutes);
-        // The off cell keeps the historical prefix; the hybrid cell is
-        // separated by its policy label.
+        // Both cells record into the one registry.
         let snap = obs.metrics.snapshot();
-        assert!(
-            snap.counter("cell.Extra(0,0.2).6h.replay.bids_placed")
-                .unwrap_or(0)
-                > 0
-        );
-        assert!(
-            snap.counter("cell.Extra(0,0.2).6h.hybrid.replay.bids_placed")
-                .unwrap_or(0)
-                > 0
-        );
-        assert!(snap
-            .counter("cell.Extra(0,0.2).6h.hybrid.repair.deaths_detected")
-            .is_some());
+        assert!(snap.counter("repair.deaths_detected").is_some());
         // Both cells share one store: still one fit per zone.
         assert_eq!(snap.counter("model_store.fits_performed"), Some(6));
     }

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use jupiter::{BiddingStrategy, ServiceSpec};
-use obs::{Obs, SloSpec, SloTracker};
+use obs::{CausalTrace, Obs, SloSpec, SloTracker};
 use paxos::{
     ClientOp, Cluster, CompletedOp, LockCmd, LockService, PaxosNode, ReplicaConfig, Service,
 };
@@ -177,14 +177,14 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 /// Fold the tracer ring into `trace.*` counters: per-operation commit
 /// latency (the duration of each complete `client.request` root span, as
 /// exact p50/p99 so the consensus golden can pin them) and orphan/
-/// incomplete counts for chaos post-mortems. No-op when tracing is
+/// incomplete counts for chaos post-mortems. Returns the assembled
+/// traces for [`record_latency_slo`]. No-op (no traces) when tracing is
 /// disabled, so the untraced replay path is untouched.
-pub fn record_trace_metrics(obs: &Obs) {
+pub fn record_trace_metrics(obs: &Obs) -> Vec<CausalTrace> {
     if !obs.trace.is_enabled() {
-        return;
+        return Vec::new();
     }
-    let events = obs.trace.events();
-    let traces = obs::assemble_traces(&events);
+    let traces = obs::assemble_traces(&obs.trace.events());
     let mut latencies: Vec<u64> = Vec::new();
     let mut orphans = 0u64;
     let mut incomplete = 0u64;
@@ -204,22 +204,22 @@ pub fn record_trace_metrics(obs: &Obs) {
         .add(quantile(&latencies, 0.50));
     obs.counter("trace.commit_latency_p99_micros")
         .add(quantile(&latencies, 0.99));
+    traces
 }
 
-/// Online request-latency SLO: feed the assembled traces' commit
-/// latencies (one observation per completed operation, timestamped on
-/// the market-minute axis — one sim second is one market minute) into a
-/// [`SloTracker`] with the paper's 0.99 objective against [`SLA_MS`].
-/// Burn-rate alerts land in `obs.alerts` as `slo.request_latency.*`;
-/// the verdict is published as `slo.request_latency.availability` /
+/// Online request-latency SLO: feed the commit latencies of `traces`
+/// (assembled from `obs`'s ring by [`record_trace_metrics`]; one
+/// observation per completed operation, timestamped on the market-minute
+/// axis — one sim second is one market minute) into a [`SloTracker`] with
+/// the paper's 0.99 objective against [`SLA_MS`]. Burn-rate alerts land
+/// in `obs.alerts` as `slo.request_latency.*`; the verdict is published
+/// as `slo.request_latency.availability` /
 /// `slo.request_latency.budget_remaining` ppm counters. No-op unless
 /// both tracing and alerting are enabled.
-pub fn record_latency_slo(obs: &Obs, eval_start: u64, window_minutes: u64) {
+pub fn record_latency_slo(obs: &Obs, traces: &[CausalTrace], eval_start: u64, window_minutes: u64) {
     if !obs.trace.is_enabled() || !obs.alerts.is_enabled() {
         return;
     }
-    let events = obs.trace.events();
-    let traces = obs::assemble_traces(&events);
     let mut completions: Vec<(u64, bool)> = traces
         .iter()
         .filter_map(|t| {
@@ -361,8 +361,8 @@ pub fn lock_service_replay<S: BiddingStrategy>(
         })
         .collect();
     let unfinished = history.len() - latencies.len();
-    record_trace_metrics(obs);
-    record_latency_slo(obs, config.eval_start, config.window_minutes);
+    let traces = record_trace_metrics(obs);
+    record_latency_slo(obs, &traces, config.eval_start, config.window_minutes);
 
     ServiceReplayOutcome {
         ops_completed: latencies.len(),
@@ -502,8 +502,8 @@ pub fn storage_service_replay<S: BiddingStrategy>(
             (_, Some(_)) => completed += 1,
         }
     }
-    record_trace_metrics(obs);
-    record_latency_slo(obs, config.eval_start, config.window_minutes);
+    let traces = record_trace_metrics(obs);
+    record_latency_slo(obs, &traces, config.eval_start, config.window_minutes);
 
     StorageReplayOutcome {
         ops_completed: completed,

@@ -271,37 +271,37 @@ fn report_pass(seed: u64, path: &str) {
         service.ops_completed, service.crashes
     );
 
-    let events = obs.trace.events();
     let subtitle = format!(
         "Jupiter lock-service replay — seed {seed}, 2 training weeks, 1 evaluation week, \
          8 zones, 6 h bidding interval, hybrid repair. Time axis in market hours."
     );
-    let html = report::render_replay_report(&subtitle, &result, &obs.metrics.snapshot(), &events);
+    let series = obs.series.snapshot();
+    let html = report::render_replay_report(&subtitle, &result, &obs, &series);
     write_or_exit(path, &html);
     println!(
         "report written to {path}: {} charts, {} series, {} bytes",
         report::chart_count(&html),
-        result.series.len(),
+        series.len(),
         html.len()
     );
+    let events = obs.trace.events();
     let trace_path = format!("{path}.trace.json");
     write_or_exit(&trace_path, chrome_trace_json(&events));
     println!(
         "trace exported to {trace_path} ({} events; load in chrome://tracing or Perfetto)",
         events.len()
     );
+    let audit = obs.audit.snapshot();
     let audit_path = format!("{path}.audit.jsonl");
-    write_or_exit(&audit_path, json_lines(&result.audit, AuditRecord::to_json));
+    write_or_exit(&audit_path, json_lines(&audit, AuditRecord::to_json));
     println!(
         "audit log exported to {audit_path} ({} records)",
-        result.audit.len()
+        audit.len()
     );
+    let alerts = obs.alerts.snapshot();
     let alerts_path = format!("{path}.alerts.jsonl");
-    write_or_exit(&alerts_path, json_lines(&result.alerts, AlertEvent::to_json));
-    println!(
-        "alerts exported to {alerts_path} ({} fired)",
-        result.alerts.len()
-    );
+    write_or_exit(&alerts_path, json_lines(&alerts, AlertEvent::to_json));
+    println!("alerts exported to {alerts_path} ({} fired)", alerts.len());
 }
 
 /// The instrumented pass behind `--metrics-out`: a Jupiter market replay
@@ -543,8 +543,9 @@ fn hetero(scale: &Scale, rows: &[Row]) {
         r.scale_ins
     );
     let scale_decisions = r
-        .result
+        .obs
         .audit
+        .snapshot()
         .iter()
         .filter(|rec| rec.kind.label() == "scale_decision")
         .count();
@@ -557,12 +558,13 @@ fn hetero(scale: &Scale, rows: &[Row]) {
         right("", 8, |s| fixed(s.max().unwrap_or(0.0).max(0.0), 1)),
         right("", 8, |s| fixed(s.last().unwrap_or(0.0), 1)),
     ];
-    let per_type: Vec<_> = (r.result.series.iter())
+    let series = r.obs.series.snapshot();
+    let per_type: Vec<_> = (series.iter())
         .filter(|s| s.name.starts_with("pool.fleet."))
         .collect();
     table::print_rows(&per_type, &cols);
     // The strength series is a target, not a fleet: no final value.
-    if let Some(strength) = r.result.series_named("pool.strength") {
+    if let Some(strength) = series.iter().find(|s| s.name == "pool.strength") {
         table::print_rows(&[strength], &cols[..3]);
     }
 }

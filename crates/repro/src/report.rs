@@ -12,7 +12,7 @@
 
 use obs::{
     assemble_traces, critical_path, hop_self_times, AlertEvent, AuditKind, AuditRecord,
-    CausalTrace, Event, MetricsSnapshot, SeriesSnapshot, Severity,
+    CausalTrace, Event, Obs, SeriesSnapshot, Severity,
 };
 use replay::ReplayResult;
 
@@ -758,17 +758,20 @@ fn chart(spec: &ChartSpec, suffix: &str, series: &[SeriesSnapshot], marks: &[Mar
     )
 }
 
-/// Render the full report for one recorded replay run. `trace_events` is
-/// the run's trace ring (pass `&[]` when tracing was disabled); complete
-/// request traces in it render as a per-operation Gantt section.
+/// Render the full report for one recorded replay run from the `obs` it
+/// recorded into: its counters, alerts and audit log, and its trace ring,
+/// whose complete request traces render as a per-operation Gantt section.
+/// `series` is `obs`'s series snapshot, taken by the caller so it can be
+/// edited first.
 pub fn render_replay_report(
     subtitle: &str,
     result: &ReplayResult,
-    snapshot: &MetricsSnapshot,
-    trace_events: &[Event],
+    obs: &Obs,
+    series: &[SeriesSnapshot],
 ) -> String {
-    let series = &result.series;
-    let marks = alert_marks(&result.alerts);
+    let snapshot = obs.metrics.snapshot();
+    let alerts = obs.alerts.snapshot();
+    let marks = alert_marks(&alerts);
     let mut figures = String::new();
 
     // The two most-bid zones first, then the whole-replay charts.
@@ -855,8 +858,8 @@ pub fn render_replay_report(
         subtitle = esc(subtitle),
         tiles = tiles,
         figures = figures,
-        alerts = alert_section(&result.alerts, &result.audit),
-        traces = trace_section(trace_events),
+        alerts = alert_section(&alerts, &obs.audit.snapshot()),
+        traces = trace_section(&obs.trace.events()),
         table = table,
         counters = counters,
     )
@@ -916,7 +919,7 @@ mod tests {
 
     #[test]
     fn trace_section_renders_gantt_and_attribution() {
-        use obs::{Obs, TraceContext};
+        use obs::TraceContext;
         let (o, _clock) = Obs::simulated();
         o.set_time_micros(0);
         let root = o.trace.span_open_causal(
@@ -1035,19 +1038,15 @@ mod tests {
     /// flattened to 0 in the input (the chart itself stays).
     #[test]
     fn report_html_digest_is_pinned() {
-        let (obs, _service, mut result) =
+        let (obs, _service, result) =
             crate::observed_replays(2014, 7, 2, replay::RepairConfig::hybrid());
-        for s in &mut result.series {
+        let mut series = obs.series.snapshot();
+        for s in &mut series {
             if s.name.ends_with("_micros") {
                 s.points.iter_mut().for_each(|p| p.last = 0.0);
             }
         }
-        let html = render_replay_report(
-            "digest",
-            &result,
-            &obs.metrics.snapshot(),
-            &obs.trace.events(),
-        );
+        let html = render_replay_report("digest", &result, &obs, &series);
         assert_eq!(chart_count(&html), 13, "two zones, five charts, six Gantts");
         let digest = html.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)

@@ -43,6 +43,13 @@ impl SimTime {
         self.0
     }
 
+    /// The same instant in microseconds, the trace clock's unit
+    /// (saturating at `u64::MAX`).
+    #[inline]
+    pub const fn as_micros(self) -> u64 {
+        self.0.saturating_mul(1_000)
+    }
+
     /// Whole seconds elapsed (truncating).
     #[inline]
     pub const fn as_secs(self) -> u64 {
@@ -116,6 +123,8 @@ mod tests {
         assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
         assert_eq!(SimTime::from_hours(1).as_minutes(), 60);
         assert_eq!(SimTime::from_hours(25).as_hours(), 25);
+        assert_eq!(SimTime::from_millis(1_234).as_micros(), 1_234_000);
+        assert_eq!(SimTime::MAX.as_micros(), u64::MAX);
     }
 
     #[test]

@@ -284,23 +284,6 @@ impl Market {
         let secs = rng.gen_range(lo..=hi);
         secs.div_ceil(60) + self.config.startup_extra(ty)
     }
-
-    /// A new market restricted to `[from, to)` minutes (re-based to 0).
-    /// Used to split a long history into training and evaluation spans.
-    pub fn window(&self, from: u64, to: u64) -> Market {
-        let mut config = self.config.clone();
-        config.horizon_minutes = to - from;
-        let traces = self.traces.map(|t| Arc::new(t.window(from, to)));
-        // Capacity timelines re-derive from minute 0 of the window
-        // (windows exist to split histories for model *training*; kills
-        // are always resolved against the full market).
-        let capacity = build_capacity(&config);
-        Market {
-            config,
-            traces,
-            capacity,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -367,19 +350,6 @@ mod tests {
                 let d = m.startup_delay_minutes(z, InstanceType::M1Small, minute);
                 assert!(d >= lo / 60 && d <= hi.div_ceil(60), "{}: {d}", z.name());
             }
-        }
-    }
-
-    #[test]
-    fn windowing_preserves_prices() {
-        let m = small_market();
-        let w = m.window(1_000, 3_000);
-        let z = m.zones()[0];
-        for minute in (0..2_000).step_by(97) {
-            assert_eq!(
-                w.price(z, InstanceType::M1Small, minute),
-                m.price(z, InstanceType::M1Small, minute + 1_000)
-            );
         }
     }
 

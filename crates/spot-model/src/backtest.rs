@@ -12,6 +12,7 @@ use std::sync::Arc;
 use spot_market::{Price, PriceTrace};
 
 use crate::failure::{FailureModel, FailureModelConfig};
+use crate::ON_DEMAND_FP;
 
 /// How the backtest chooses the bid at each decision point.
 #[derive(Clone, Copy, Debug)]
@@ -120,8 +121,7 @@ pub fn backtest(
             // Out-of-bid only: strip the FP⁰ floor for a like-for-like
             // comparison with the realized kill indicator.
             let composed = model.estimate_fp_absorbing(bid, spot, age, horizon_minutes);
-            let fp0 = model.config().fp0;
-            ((composed - fp0) / (1.0 - fp0)).clamp(0.0, 1.0)
+            ((composed - ON_DEMAND_FP) / (1.0 - ON_DEMAND_FP)).clamp(0.0, 1.0)
         });
         let end = t + horizon_minutes as u64;
         let realized_fraction = trace.fraction_above(bid, t, end);

@@ -11,22 +11,10 @@ use crate::kernel::FrozenKernel;
 use crate::ON_DEMAND_FP;
 
 /// Configuration of a [`FailureModel`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FailureModelConfig {
-    /// Failure probability of an equivalent on-demand instance (`FP⁰`);
-    /// the paper fixes 0.01 from the EC2 SLA.
-    pub fp0: f64,
     /// Forward-evolution configuration.
     pub forecast: ForecastConfig,
-}
-
-impl Default for FailureModelConfig {
-    fn default() -> Self {
-        FailureModelConfig {
-            fp0: ON_DEMAND_FP,
-            forecast: ForecastConfig::default(),
-        }
-    }
 }
 
 /// The failure model for one (zone, instance-type) market: a semi-Markov
@@ -141,9 +129,10 @@ impl FailureModel {
         kernel.n_states() > 0 && kernel.total_transitions() > 0
     }
 
-    /// Compose an out-of-bid probability with the baseline `FP⁰` (Eq. 4).
+    /// Compose an out-of-bid probability with the baseline `FP⁰` =
+    /// [`ON_DEMAND_FP`] (Eq. 4).
     fn compose(&self, oob: f64) -> f64 {
-        1.0 - (1.0 - self.config.fp0) * (1.0 - oob.clamp(0.0, 1.0))
+        1.0 - (1.0 - ON_DEMAND_FP) * (1.0 - oob.clamp(0.0, 1.0))
     }
 
     /// Forecast the next `horizon_minutes` given the current market state
@@ -305,11 +294,6 @@ impl FailureModel {
             }
         }
         candidates.get(lo).copied().filter(|&b| feasible(b))
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &FailureModelConfig {
-        &self.config
     }
 }
 

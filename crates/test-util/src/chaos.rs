@@ -129,7 +129,7 @@ fn run_schedule<S: Service>(
 ) -> Result<(), String> {
     for ev in &schedule.events {
         c.sim.run_until(ev.at);
-        obs.set_time_micros(c.sim.now().as_millis() * 1_000);
+        obs.set_time_micros(c.sim.now().as_micros());
         c.apply_chaos(&ev.action);
     }
 
@@ -151,7 +151,7 @@ fn run_schedule<S: Service>(
             ));
         }
     }
-    obs.set_time_micros(c.sim.now().as_millis() * 1_000);
+    obs.set_time_micros(c.sim.now().as_micros());
     Ok(())
 }
 

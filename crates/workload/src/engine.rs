@@ -35,11 +35,6 @@ const ARRIVAL_SALT: u64 = 0x5EED_A221;
 /// Salt for the command-mix stream.
 const MIX_SALT: u64 = 0x5EED_C033;
 
-/// Sim-time milliseconds as trace microseconds.
-fn sim_micros(t: SimTime) -> u64 {
-    t.as_millis().saturating_mul(1_000)
-}
-
 /// Everything that defines one workload run.
 #[derive(Clone, Debug)]
 pub struct WorkloadSpec {
@@ -278,7 +273,7 @@ fn drive<S: Service>(
             .map(OpenLoopClient::completions)
             .sum();
         let outstanding = requests - completed;
-        watchdog.observe(sim_micros(cluster.sim.now()), outstanding as u64);
+        watchdog.observe(cluster.sim.now().as_micros(), outstanding as u64);
         if outstanding == 0 || cluster.sim.now() >= deadline {
             break;
         }

@@ -19,7 +19,7 @@
 use spot_jupiter::jupiter::{ExtraStrategy, ServiceSpec};
 use spot_jupiter::obs::Obs;
 use spot_jupiter::replay::scenario::{Scenario, SweepSpec};
-use spot_jupiter::replay::RepairConfig;
+use spot_jupiter::replay::{RepairConfig, Replay};
 use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig};
 
 fn main() {
@@ -34,8 +34,7 @@ fn main() {
     let market = Market::generate(cfg);
     let spec = ServiceSpec::lock_service();
 
-    let (obs, _clock) = Obs::simulated();
-    let scenario = Scenario::new(market, train, train + eval).with_obs(obs.clone());
+    let scenario = Scenario::new(market, train, train + eval);
     let interval_hours = 6u64;
     let sweep = SweepSpec::new(spec.clone())
         .strategy(|_| Box::new(ExtraStrategy::new(0, 0.02)))
@@ -72,14 +71,16 @@ fn main() {
     let baseline = scenario.baseline_cost(&spec);
     println!("\non-demand baseline: ${:.2}", baseline.as_dollars());
 
-    // The controller's ledger, from the hybrid cell's merged registry.
+    // The controller's ledger: the hybrid cell replayed alone with its own
+    // `Obs`, on the kernels the sweep fitted.
+    let (obs, _clock) = Obs::simulated();
+    Replay::new(scenario.market(), &spec, scenario.config(interval_hours))
+        .repair(RepairConfig::hybrid())
+        .store(scenario.store())
+        .obs(&obs)
+        .run(ExtraStrategy::new(0, 0.02));
     let snap = obs.metrics.snapshot();
-    let counter = |name: &str| {
-        snap.counter(&format!(
-            "cell.Extra(0,0.02).{interval_hours}h.hybrid.{name}"
-        ))
-        .unwrap_or(0)
-    };
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
     println!("\nhybrid controller ledger:");
     println!("  deaths detected     {:>6}", counter("repair.deaths_detected"));
     println!("  rebids issued       {:>6}", counter("repair.rebids"));

@@ -6,17 +6,28 @@
 //! The comparison is one declarative [`SweepSpec`] run by the scenario
 //! engine: the engine shares one trained kernel per zone across all three
 //! strategy cells (watch `model_store.fits_performed` stay at the zone
-//! count) and folds each cell's private metrics registry into the
-//! scenario registry under a `cell.{strategy}.{interval}h.` prefix.
+//! count) and every cell adds its counters into the scenario's one
+//! registry. The per-strategy ledger replays each strategy again with an
+//! `Obs` of its own, on the scenario's kernels.
 //!
 //! ```text
 //! cargo run --release --example strategy_comparison
 //! ```
 
-use spot_jupiter::jupiter::{ExtraStrategy, JupiterStrategy, ServiceSpec};
-use spot_jupiter::obs::{MetricsSnapshot, Obs};
+use spot_jupiter::jupiter::{BiddingStrategy, ExtraStrategy, JupiterStrategy, ServiceSpec};
+use spot_jupiter::obs::Obs;
 use spot_jupiter::replay::scenario::{Scenario, SweepSpec};
+use spot_jupiter::replay::Replay;
 use spot_jupiter::spot_market::{InstanceType, Market, MarketConfig};
+
+/// The compared strategies; the first records its decisions into `obs`.
+fn strategy(i: usize, obs: &Obs) -> Box<dyn BiddingStrategy> {
+    match i {
+        0 => Box::new(JupiterStrategy::new().with_obs(obs.clone())),
+        1 => Box::new(ExtraStrategy::new(0, 0.2)),
+        _ => Box::new(ExtraStrategy::new(2, 0.2)),
+    }
+}
 
 fn main() {
     // 4 training weeks + 2 evaluation weeks, 12 zones.
@@ -29,16 +40,15 @@ fn main() {
     let spec = ServiceSpec::lock_service();
 
     // The whole comparison is one sweep: the cells share the market and
-    // the per-zone kernels through the scenario; each cell gets a private
-    // Obs (handed to the strategy factory, so Jupiter's decision metrics
-    // stay separable per cell).
+    // the per-zone kernels through the scenario, and record into its
+    // registry.
     let (obs, _clock) = Obs::simulated();
     let scenario = Scenario::new(market, train, train + eval).with_obs(obs.clone());
     let interval_hours = 6u64;
     let sweep = SweepSpec::new(spec.clone())
-        .strategy(|o| Box::new(JupiterStrategy::new().with_obs(o.clone())))
-        .strategy(|_| Box::new(ExtraStrategy::new(0, 0.2)))
-        .strategy(|_| Box::new(ExtraStrategy::new(2, 0.2)))
+        .strategy(|o| strategy(0, o))
+        .strategy(|o| strategy(1, o))
+        .strategy(|o| strategy(2, o))
         .intervals(vec![interval_hours]);
 
     println!(
@@ -50,7 +60,6 @@ fn main() {
         "strategy", "cost ($)", "availability", "downtime (min)", "kills"
     );
     let cells = scenario.run(&sweep);
-    let mut snapshots: Vec<(String, MetricsSnapshot)> = Vec::new();
     for cell in &cells {
         let r = &cell.result;
         println!(
@@ -61,12 +70,6 @@ fn main() {
             r.downtime_minutes(),
             r.total_kills()
         );
-        snapshots.push((
-            r.strategy.clone(),
-            r.metrics
-                .clone()
-                .expect("cells of an observed scenario carry metrics"),
-        ));
     }
     println!(
         "{:<14} {:>10.2} {:>13.6} {:>16} {:>7}",
@@ -77,12 +80,37 @@ fn main() {
         0
     );
 
+    println!("\n== observability: the scenario registry ==");
+    let combined = obs.metrics.snapshot();
+    println!(
+        "{} counters from {} cells in one registry; bids across all: {}; \
+         kernels fitted {} / reused {}",
+        combined.counters.len(),
+        cells.len(),
+        combined.counter("replay.bids_placed").unwrap_or(0),
+        combined.counter("model_store.fits_performed").unwrap_or(0),
+        combined.counter("model_store.fits_reused").unwrap_or(0),
+    );
+
+    // Each strategy once more, alone with its own `Obs`, on the kernels
+    // the sweep fitted.
+    let ledgers: Vec<(String, Obs)> = (0..cells.len())
+        .map(|i| {
+            let (own, _clock) = Obs::simulated();
+            let r = Replay::new(scenario.market(), &spec, scenario.config(interval_hours))
+                .store(scenario.store())
+                .obs(&own)
+                .run(strategy(i, &own));
+            (r.strategy, own)
+        })
+        .collect();
     println!("\n== observability: what each strategy actually did ==");
     println!(
         "{:<14} {:>6} {:>9} {:>10} {:>9} {:>8} {:>13}",
         "strategy", "bids", "granted", "oob death", "boundary", "end", "same-minute"
     );
-    for (name, snap) in &snapshots {
+    for (name, own) in &ledgers {
+        let snap = own.metrics.snapshot();
         println!(
             "{:<14} {:>6} {:>9} {:>10} {:>9} {:>8} {:>13}",
             name,
@@ -96,7 +124,7 @@ fn main() {
     }
 
     println!("\n== observability: decision-making cost (Jupiter only) ==");
-    let jupiter = &snapshots[0].1;
+    let jupiter = ledgers[0].1.metrics.snapshot();
     // Interpolated quantile estimates smooth over the power-of-two
     // bucket bounds (`p50`/`p95` report the raw bucket upper bound).
     if let Some(h) = jupiter.histogram("jupiter.decide_micros") {
@@ -116,28 +144,6 @@ fn main() {
         jupiter.counter("jupiter.candidates_evaluated").unwrap_or(0),
         jupiter.counter("jupiter.candidates_feasible").unwrap_or(0),
     );
-
-    println!("\n== observability: the scenario registry ==");
-    let combined = obs.metrics.snapshot();
-    println!(
-        "{} counters from {} cells in one registry; bids across all: {}; \
-         kernels fitted {} / reused {}",
-        combined.counters.len(),
-        cells.len(),
-        snapshots
-            .iter()
-            .map(|(name, _)| combined
-                .counter(&format!("cell.{name}.{interval_hours}h.replay.bids_placed"))
-                .unwrap_or(0))
-            .sum::<u64>(),
-        combined.counter("model_store.fits_performed").unwrap_or(0),
-        combined.counter("model_store.fits_reused").unwrap_or(0),
-    );
-    for (name, value) in &combined.counters {
-        if name.starts_with("cell.") && name.ends_with(".bids_placed") {
-            println!("  {name} {value}");
-        }
-    }
 
     println!(
         "\nThe paper's claim, in miniature: only the failure-model-driven\n\

@@ -431,7 +431,7 @@ fn capacity_migration_sweep() {
             .repair(RepairConfig::migrate())
             .obs(&obs)
             .run(ExtraStrategy::new(0, 0.2));
-        for r in &result.audit {
+        for r in &obs.audit.snapshot() {
             if let AuditKind::Migration { action, .. } = &r.kind {
                 match action.as_str() {
                     "drained" => drains += 1,

@@ -17,19 +17,21 @@ use test_util::market_days;
 /// exists to page on. 3-hour intervals leave long exposure windows.
 const SEED: u64 = 2014;
 
-fn monitored_replay(seed: u64) -> ReplayResult {
+fn monitored_replay(seed: u64) -> (ReplayResult, Obs) {
     let market = market_days(seed, 8, 7);
     let spec = ServiceSpec::lock_service();
     let config = ReplayConfig::new(2 * 24 * 60, 7 * 24 * 60, 3);
     let (obs, _clock) = Obs::simulated();
-    Replay::new(&market, &spec, config)
+    let result = Replay::new(&market, &spec, config)
         .obs(&obs)
-        .run(ExtraStrategy::new(0, 0.02))
+        .run(ExtraStrategy::new(0, 0.02));
+    (result, obs)
 }
 
 #[test]
 fn correlated_kills_fire_the_fast_burn_alert_at_a_pinned_time() {
-    let result = monitored_replay(SEED);
+    let (result, obs) = monitored_replay(SEED);
+    let (alerts, audit) = (obs.alerts.snapshot(), obs.audit.snapshot());
 
     // The scenario must actually contain correlated provider kills —
     // otherwise the alert below would be testing nothing.
@@ -44,8 +46,7 @@ fn correlated_kills_fire_the_fast_burn_alert_at_a_pinned_time() {
          re-pin the seed"
     );
 
-    let fast = result
-        .alerts
+    let fast = alerts
         .iter()
         .find(|a| a.monitor == "slo.availability.fast_burn")
         .expect("thin-bid replay must burn the fast window");
@@ -70,8 +71,7 @@ fn correlated_kills_fire_the_fast_burn_alert_at_a_pinned_time() {
         "fast-burn alert carries no decision cross-references"
     );
     for &seq in &fast.audit_refs {
-        let rec = result
-            .audit
+        let rec = audit
             .iter()
             .find(|r| r.seq == seq)
             .unwrap_or_else(|| panic!("alert references audit seq {seq} which does not exist"));
@@ -93,7 +93,7 @@ fn correlated_kills_fire_the_fast_burn_alert_at_a_pinned_time() {
     // caused by instances the bidder chose, not by an empty fleet.
     assert!(
         fast.audit_refs.iter().any(|&seq| {
-            result.audit.iter().any(|r| {
+            audit.iter().any(|r| {
                 r.seq == seq && matches!(r.kind, AuditKind::BidSelection { granted: true, .. })
             })
         }),
@@ -103,8 +103,8 @@ fn correlated_kills_fire_the_fast_burn_alert_at_a_pinned_time() {
 
 #[test]
 fn monitored_replays_are_deterministic() {
-    let a = monitored_replay(SEED);
-    let b = monitored_replay(SEED);
-    assert_eq!(a.alerts, b.alerts);
-    assert_eq!(a.audit, b.audit);
+    let (_, a) = monitored_replay(SEED);
+    let (_, b) = monitored_replay(SEED);
+    assert_eq!(a.alerts.snapshot(), b.alerts.snapshot());
+    assert_eq!(a.audit.snapshot(), b.audit.snapshot());
 }

@@ -11,12 +11,14 @@
 //! frozen `benchmark/` surface names it, or DESIGN.md lists its group as
 //! out of scope) — it is the next one to fold when that reason goes.
 
+use spot_jupiter::jupiter::ServiceSpec;
 use spot_jupiter::obs::SloSpec;
 use spot_jupiter::paxos::ReplicaConfig;
 use spot_jupiter::replay::service_level::ServiceReplayConfig;
 use spot_jupiter::replay::{AutoscaleConfig, RepairConfig, ReplayConfig};
 use spot_jupiter::simnet::{ChaosPlan, NetworkConfig, SimTime};
 use spot_jupiter::spot_market::MarketConfig;
+use spot_jupiter::spot_model::FailureModelConfig;
 use spot_jupiter::storage::RsConfig;
 use spot_jupiter::workload::WorkloadSpec;
 
@@ -139,6 +141,34 @@ fn every_config_field_is_inventoried() {
         // `Bidding` by default; `CapacityReclaim` in `experiments::era_sweep` and benchmark
         // `controller_sweep`
     } = ReplayConfig::new(0, 1, 1);
+
+    let ServiceSpec {
+        name: _,
+        // "lock-service" in `lock_service()`; "storage-service" in `storage_service()`
+        instance_type: _,
+        // m1.small in `lock_service()`; m3.large in `storage_service()`
+        baseline_nodes: _,
+        // ONE VALUE (5): the paper's n⁰ of Eq. 8–10, a problem input, out of scope
+        // (DESIGN.md "Options")
+        quorum: _,
+        // `Majority` in `lock_service()`; `RsPaxos { m: 3 }` in `storage_service()`
+        epsilon: _,
+        // 1e-6 in both constructors; 1e-3 and 2e-2 in jupiter exhaustive.rs's proptest,
+        // whose 2–4-zone markets carry a decision only under a looser target
+        pool_types: _,
+        // empty by default; m1.small + m3.large in `experiments::autoscale_report`
+        min_strength: _,
+        // 0 by default; the auto-scaler's target every boundary (`Run::decide`)
+        diversify: _,
+        // false by default; true under `BidEra::CapacityReclaim` (`Replay::run`)
+    } = ServiceSpec::lock_service();
+
+    let FailureModelConfig {
+        forecast: _,
+        // ONE VALUE (`ForecastConfig::default()`): benchmark/src/probes.rs builds the
+        // struct with `FailureModelConfig::default()`, and `ForecastConfig` is out of
+        // scope (DESIGN.md "Options")
+    } = FailureModelConfig::default();
 
     let ServiceReplayConfig {
         eval_start: _,

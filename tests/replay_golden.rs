@@ -1,11 +1,11 @@
 //! Whole-result golden for the replay loop: one FNV-1a-64 digest per run
-//! over everything a replay hands back — the accounting (`strategy`,
-//! `total_cost`, `up_minutes`, `degraded_minutes`, `on_demand_cost`,
-//! every instance record, every interval outcome), the metric key set
-//! and values (`name value` per counter, `name count` per histogram),
-//! every series (`SeriesSnapshot::to_json`), the audit log and the alerts
-//! — across the era / repair / pool / scaler / schedule / store axes at
-//! once.
+//! over the accounting the replay hands back (`strategy`, `total_cost`,
+//! `up_minutes`, `degraded_minutes`, `on_demand_cost`, every instance
+//! record, every interval outcome) and everything it recorded into the
+//! run's `Obs` — the metric key set and values (`name value` per counter,
+//! `name count` per histogram), every series (`SeriesSnapshot::to_json`),
+//! the audit log and the alerts — across the era / repair / pool / scaler
+//! / schedule / store axes at once.
 //!
 //! The accounting these digests pin was first recorded at commit 763eb9e
 //! (the nine `replay_*` wrappers over `replay_core`), before the loop was
@@ -76,9 +76,10 @@ fn config(hours: u64) -> ReplayConfig {
     ReplayConfig::new(EVAL_START, EVAL_END, hours)
 }
 
-fn digest(r: &ReplayResult) -> u64 {
+/// The digest of `r` and of what its replay recorded into `o`.
+fn digest(r: &ReplayResult, o: &Obs) -> u64 {
     use std::fmt::Write as _;
-    let metrics = r.metrics.as_ref().expect("metrics enabled");
+    let metrics = o.metrics.snapshot();
     let mut text = format!(
         "{:?}\n",
         (
@@ -97,15 +98,16 @@ fn digest(r: &ReplayResult) -> u64 {
     for (name, h) in &metrics.histograms {
         writeln!(text, "{name} {}", h.count).unwrap();
     }
-    for s in &r.series {
+    for s in &o.series.snapshot() {
         if s.name.ends_with("_micros") {
             writeln!(text, "{} {}", s.name, s.points.len()).unwrap();
         } else {
             writeln!(text, "{}", s.to_json()).unwrap();
         }
     }
-    text.push_str(&obs::json_lines(&r.audit, obs::AuditRecord::to_json));
-    text.push_str(&obs::json_lines(&r.alerts, obs::AlertEvent::to_json));
+    let (audit, alerts) = (o.audit.snapshot(), o.alerts.snapshot());
+    text.push_str(&obs::json_lines(&audit, obs::AuditRecord::to_json));
+    text.push_str(&obs::json_lines(&alerts, obs::AlertEvent::to_json));
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
@@ -121,21 +123,21 @@ fn whole_result_digests_match_the_pre_refactor_loop() {
     let r = Replay::new(&m, &spec, config(6))
         .obs(&o)
         .run(JupiterStrategy::new().with_obs(o.clone()));
-    got.push(digest(&r));
+    got.push(digest(&r, &o));
 
     let (o, _clock) = Obs::simulated();
     let r = Replay::new(&m, &spec, config(3))
         .repair(RepairConfig::hybrid())
         .obs(&o)
         .run(ExtraStrategy::new(0, 0.02));
-    got.push(digest(&r));
+    got.push(digest(&r, &o));
 
     let (o, _clock) = Obs::simulated();
     let r = Replay::new(&m, &spec, config(3).with_era(BidEra::CapacityReclaim))
         .repair(RepairConfig::migrate())
         .obs(&o)
         .run(FeedbackStrategy::new());
-    got.push(digest(&r));
+    got.push(digest(&r, &o));
 
     let hetero = market(true);
     let pools = [InstanceType::M1Small, InstanceType::M3Large];
@@ -159,14 +161,14 @@ fn whole_result_digests_match_the_pre_refactor_loop() {
         .autoscaler(&mut scaler)
         .obs(&o)
         .run(JupiterStrategy::new().with_obs(o.clone()));
-    got.push(digest(&r));
+    got.push(digest(&r, &o));
 
     let (o, _clock) = Obs::simulated();
     let r = Replay::new(&m, &spec, config(1))
         .adaptive()
         .obs(&o)
         .run(JupiterStrategy::new().with_obs(o.clone()));
-    got.push(digest(&r));
+    got.push(digest(&r, &o));
 
     let (o, _clock) = Obs::simulated();
     let store = ModelStore::with_obs(o.clone());
@@ -176,7 +178,7 @@ fn whole_result_digests_match_the_pre_refactor_loop() {
             .store(&store)
             .obs(&o)
             .run(ExtraStrategy::new(0, 0.2));
-        got.push(digest(&r));
+        got.push(digest(&r, &o));
     }
 
     assert_eq!(got, WANT, "got {got:#018x?}");

@@ -123,7 +123,7 @@ proptest! {
         // death is detected (in-window at the repair cursor or counted
         // too-late at the interval edge), and replacements never exceed
         // detections.
-        let snap = r.metrics.as_ref().expect("observed replay");
+        let snap = obs.metrics.snapshot();
         let deaths = snap.counter("replay.death.out_of_bid").unwrap_or(0);
         let detected = snap.counter("repair.deaths_detected").unwrap_or(0);
         prop_assert_eq!(detected, deaths);
@@ -420,15 +420,15 @@ fn migration_never_loses_to_reactive_at_equal_seeds() {
         let m = market(seed, 6, 6);
         let config =
             ReplayConfig::new(3 * 24 * 60, 6 * 24 * 60, 3).with_era(BidEra::CapacityReclaim);
-        let run = |repair: RepairConfig| {
-            let (obs, _clock) = Obs::simulated();
+        let run = |repair: RepairConfig, obs: &Obs| {
             Replay::new(&m, &spec, config)
                 .repair(repair)
-                .obs(&obs)
+                .obs(obs)
                 .run(ExtraStrategy::new(0, 0.1))
         };
-        let reactive = run(RepairConfig::reactive());
-        let migrate = run(RepairConfig::migrate());
+        let reactive = run(RepairConfig::reactive(), &Obs::disabled());
+        let (obs, _clock) = Obs::simulated();
+        let migrate = run(RepairConfig::migrate(), &obs);
         assert!(
             migrate.degraded_minutes <= reactive.degraded_minutes,
             "seed {seed:#x}: migrate degraded {} > reactive {}",
@@ -445,8 +445,9 @@ fn migration_never_loses_to_reactive_at_equal_seeds() {
         // windows: the victim runs (and bills) to its kill while the
         // replacement already bills from its early grant — and nothing
         // else double-bills.
-        drains_total += migrate
+        drains_total += obs
             .audit
+            .snapshot()
             .iter()
             .filter(|r| {
                 matches!(&r.kind, AuditKind::Migration { action, .. } if action == "drained")
