@@ -133,7 +133,7 @@ DRAINS="$(awk '/^capacity +migrate/ { s += $(NF-1) } END { print s+0 }' "$TMP/er
   || { echo "era smoke: no pre-deadline drains landed" >&2; exit 1; }
 
 echo "== repro report smoke =="
-./target/release/repro --seed 2014 --report-out "$TMP/report.html" report > /dev/null
+./target/release/repro --seed 2014 --report-out "$TMP/report.html" report > "$TMP/report.out"
 for artifact in report.html report.html.trace.json report.html.audit.jsonl report.html.alerts.jsonl; do
   [[ -s "$TMP/$artifact" ]] \
     || { echo "report smoke: $artifact missing or empty" >&2; exit 1; }
@@ -145,13 +145,16 @@ grep -q 'class="audit-timeline"' "$TMP/report.html" \
   || { echo "report smoke: audit timeline marker missing" >&2; exit 1; }
 # The trace, the audit log and the alerts are the run's record on
 # simulated time: a second process at the same seed must write the same
-# bytes (the service-level replay's hash-seed gate). The HTML is not
-# compared — its decide() latency chart is host time.
-./target/release/repro --seed 2014 --report-out "$TMP/again.html" report > /dev/null
+# bytes (the service-level replay's hash-seed gate), and print the same
+# stdout but for the output path. The HTML is not compared — its
+# decide() latency chart is host time.
+./target/release/repro --seed 2014 --report-out "$TMP/again.html" report > "$TMP/again.out"
 for artifact in trace.json audit.jsonl alerts.jsonl; do
   cmp "$TMP/report.html.$artifact" "$TMP/again.html.$artifact" \
     || { echo "report smoke: $artifact differs between two processes at one seed" >&2; exit 1; }
 done
+diff "$TMP/report.out" <(sed "s#$TMP/again.html#$TMP/report.html#g" "$TMP/again.out") \
+  || { echo "report smoke: stdout differs between two processes at one seed" >&2; exit 1; }
 # One thread against the default pool: the report replays one cell, so
 # its Jupiter decisions fan the zones out over the host's cores; pinned
 # to one core they run inline, and the record must not notice.

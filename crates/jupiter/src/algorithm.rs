@@ -17,14 +17,21 @@
 //! not look across zones and dominates a decision (the semi-Markov forward
 //! evolution), so it runs zone-major: one [`par_map`] job per zone
 //! forecasts it once — the forecast does not depend on `n` — and returns
-//! its minimal bid at every target; steps 3–4 then run on the caller.
+//! its minimal bid at every target; steps 3–4 then run on the caller. A
+//! replay's decision pass goes one step further: one job per zone walks
+//! every boundary of the run ([`BiddingStrategy::decide_schedule`]).
+
+use std::cmp::Reverse;
+use std::time::Instant;
 
 use obs::{Counter, Histogram, Obs};
 use spot_market::Price;
 
 use crate::par::{host_workers, par_map};
 use crate::service::ServiceSpec;
-use crate::strategy::{BidDecision, BiddingStrategy, PoolBid, ZoneState};
+use crate::strategy::{
+    BidDecision, BidView, BiddingStrategy, Boundary, Decided, PoolBid, PoolWalk, ZoneState,
+};
 
 /// Pick `n` pools from `bids` approximately minimizing total cost subject
 /// to the capacity-weight floor: start from the `n` cheapest bids (the
@@ -212,17 +219,33 @@ impl BiddingStrategy for JupiterStrategy {
         if !self.obs.is_enabled() {
             return self.decide_inner(zones, spec, horizon_minutes, host_workers());
         }
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let decision = self.decide_inner(zones, spec, horizon_minutes, host_workers());
-        let micros = start.elapsed().as_micros() as u64;
-        self.obs.histogram("jupiter.decide_micros").record(micros);
-        // The per-decision trajectory on the market-minute axis (the obs
-        // clock is driven in minutes-as-micros by the replay loops).
-        let minute = self.obs.trace.now_micros() / 60_000_000;
-        self.obs
-            .series
-            .record("jupiter.decide_micros", minute, micros as f64);
+        self.record_decide(start.elapsed().as_micros() as u64);
         decision
+    }
+
+    /// Jupiter reads only the market and its models, so it decides a
+    /// whole schedule up front, zone-major: one [`par_map`] job per pool
+    /// walks every boundary in order — observe, fold, forecast (or
+    /// absorbing search), minimal bid per node-count target — then the
+    /// selection runs per boundary on the caller. One fan-out for the
+    /// whole schedule instead of one per decision, and each job holds one
+    /// kernel at a time.
+    fn decide_schedule(
+        &self,
+        pools: &[PoolWalk<'_>],
+        boundaries: &[Boundary],
+        spec: &ServiceSpec,
+        audit: bool,
+    ) -> Option<Vec<Decided>> {
+        Some(self.schedule_on(pools, boundaries, spec, audit, host_workers()))
+    }
+
+    fn record_decided(&self, decided: &Decided) {
+        if self.obs.is_enabled() {
+            self.record_decide(decided.micros);
+        }
     }
 }
 
@@ -238,10 +261,17 @@ struct Probes {
 
 impl Probes {
     /// The FP at bid-grid `slot`: from `memo` if an earlier node count
-    /// probed it, else `fp()`, remembered.
-    fn memo(&self, memo: &mut [Option<f64>], slot: usize, fp: impl FnOnce() -> f64) -> f64 {
+    /// probed it (counted in `hits`), else `fp()`, remembered.
+    fn memo(
+        &self,
+        memo: &mut [Option<f64>],
+        hits: &mut u64,
+        slot: usize,
+        fp: impl FnOnce() -> f64,
+    ) -> f64 {
         if let Some(fp) = memo[slot] {
             self.fp_cache_hits.inc();
+            *hits += 1;
             return fp;
         }
         self.fp_cache_misses.inc();
@@ -249,7 +279,51 @@ impl Probes {
     }
 }
 
+/// One zone's minimal bids at one decision: per node-count target, the
+/// bid and the estimator's FP there (`None` where the target is absent
+/// or out of reach), and the memo hits it took.
+struct ZoneBids {
+    bids: Vec<Option<(Price, f64)>>,
+    hits: u64,
+}
+
+/// One pool at one boundary of a pass: its minimal bids, their audit
+/// views when the pass is audited (else empty), and the host time the
+/// job spent on them.
+struct PoolAnswer {
+    zone: ZoneBids,
+    views: Vec<Option<BidView>>,
+    micros: u64,
+}
+
 impl JupiterStrategy {
+    /// A decision's `jupiter.decide_micros` sample and series point, the
+    /// point on the market-minute axis (the obs clock is driven in
+    /// minutes-as-micros by the replay loops).
+    fn record_decide(&self, micros: u64) {
+        let minute = self.obs.trace.now_micros() / 60_000_000;
+        self.obs.histogram("jupiter.decide_micros").record(micros);
+        self.obs
+            .series
+            .record("jupiter.decide_micros", minute, micros as f64);
+    }
+
+    fn probes(&self) -> Probes {
+        Probes {
+            forecast_micros: self.obs.histogram("jupiter.forecast_micros"),
+            forecasts_computed: self.obs.counter("jupiter.forecasts_computed"),
+            fp_cache_hits: self.obs.counter("jupiter.fp_cache_hits"),
+            fp_cache_misses: self.obs.counter("jupiter.fp_cache_misses"),
+            forward_micros: self.obs.histogram("jupiter.forward_evolution_micros"),
+        }
+    }
+
+    /// The per-node FP target of each node count `1..=max_n` over `pools`.
+    fn targets(&self, pools: usize, spec: &ServiceSpec) -> Vec<Option<f64>> {
+        let max_n = self.max_nodes.unwrap_or(pools).min(pools);
+        (1..=max_n).map(|n| spec.node_fp_target(n)).collect()
+    }
+
     /// Fig. 3 with the per-zone half on at most `workers` threads: every
     /// zone's minimal bids in one [`par_map`], then the selection over
     /// node counts on the caller.
@@ -260,41 +334,148 @@ impl JupiterStrategy {
         horizon_minutes: u32,
         workers: usize,
     ) -> BidDecision {
-        let probes = Probes {
-            forecast_micros: self.obs.histogram("jupiter.forecast_micros"),
-            forecasts_computed: self.obs.counter("jupiter.forecasts_computed"),
-            fp_cache_hits: self.obs.counter("jupiter.fp_cache_hits"),
-            fp_cache_misses: self.obs.counter("jupiter.fp_cache_misses"),
-            forward_micros: self.obs.histogram("jupiter.forward_evolution_micros"),
-        };
-        let max_n = self.max_nodes.unwrap_or(zones.len()).min(zones.len());
-        let targets: Vec<Option<f64>> = (1..=max_n).map(|n| spec.node_fp_target(n)).collect();
+        let probes = self.probes();
+        let targets = self.targets(zones.len(), spec);
         // Until selection the zones are independent, and one zone's
         // forecast or bid search is nearly all of a decision.
         let zone_bids = par_map(zones, workers, |z| {
             self.zone_min_bids(z, &targets, horizon_minutes, &probes)
         });
+        let bid_at = |p: usize, n: usize| {
+            let z = &zones[p];
+            zone_bids[p].bids[n - 1].map(|(bid, _)| PoolBid {
+                zone: z.zone,
+                instance_type: z.instance_type,
+                bid,
+            })
+        };
+        self.select(zones.len(), bid_at, &targets, spec)
+    }
 
+    /// [`BiddingStrategy::decide_schedule`] with the pool jobs on at most
+    /// `workers` threads. Each decision's `micros` — its
+    /// `jupiter.decide_micros` sample once the books record it — is its
+    /// host time summed over the jobs that worked on it, plus its
+    /// selection.
+    pub(crate) fn schedule_on(
+        &self,
+        pools: &[PoolWalk<'_>],
+        boundaries: &[Boundary],
+        spec: &ServiceSpec,
+        audit: bool,
+        workers: usize,
+    ) -> Vec<Decided> {
+        if pools.is_empty() {
+            let empty = || Decided {
+                decision: BidDecision::empty(),
+                fp_cache_hits: 0,
+                views: Vec::new(),
+                micros: 0,
+            };
+            return boundaries.iter().map(|_| empty()).collect();
+        }
+        let probes = self.probes();
+        let targets = self.targets(pools.len(), spec);
+        // Longest ladder first: a forecast costs about the square of the
+        // ladder, and the dearest pool claimed last would leave the other
+        // workers idle at the end.
+        let mut order: Vec<usize> = (0..pools.len()).collect();
+        order.sort_by_key(|&p| Reverse(pools[p].model.kernel().n_states()));
+        let walked = par_map(&order, workers, |&p| {
+            pools[p].walk(boundaries, |b, state| {
+                let start = Instant::now();
+                let zone = self.zone_min_bids(state, &targets, b.horizon_minutes, &probes);
+                let micros = start.elapsed().as_micros() as u64;
+                let views = if audit {
+                    self.views(state, &zone, b.horizon_minutes)
+                } else {
+                    Vec::new()
+                };
+                PoolAnswer {
+                    zone,
+                    views,
+                    micros,
+                }
+            })
+        });
+        let mut answers: Vec<(usize, Vec<PoolAnswer>)> = order.into_iter().zip(walked).collect();
+        answers.sort_unstable_by_key(|&(p, _)| p);
+        let at = |p: usize, k: usize| &answers[p].1[k];
+        (0..boundaries.len())
+            .map(|k| {
+                let start = Instant::now();
+                let bid_at = |p: usize, n: usize| {
+                    at(p, k).zone.bids[n - 1].map(|(bid, _)| PoolBid {
+                        zone: pools[p].zone,
+                        instance_type: pools[p].instance_type,
+                        bid,
+                    })
+                };
+                let decision = self.select(pools.len(), bid_at, &targets, spec);
+                let jobs: u64 = (0..pools.len()).map(|p| at(p, k).micros).sum();
+                let micros = jobs + start.elapsed().as_micros() as u64;
+                let views = (decision.bids.iter())
+                    .filter(|_| audit)
+                    .map(|pb| {
+                        let p = (pools.iter())
+                            .position(|w| (w.zone, w.instance_type) == (pb.zone, pb.instance_type))
+                            .expect("a chosen pool is a walked pool");
+                        at(p, k).views[decision.n() - 1].expect("a chosen bid has a view")
+                    })
+                    .collect();
+                Decided {
+                    fp_cache_hits: (0..pools.len()).map(|p| at(p, k).zone.hits).sum(),
+                    decision,
+                    views,
+                    micros,
+                }
+            })
+            .collect()
+    }
+
+    /// The audit view of each target's bid in `zone`: the expectation
+    /// path priced it already; the absorbing path's FP is a different
+    /// estimator, so its views share one expected-FP forecast.
+    fn views(&self, state: &ZoneState<'_>, zone: &ZoneBids, horizon: u32) -> Vec<Option<BidView>> {
+        let kernel_id = state.model.kernel().fingerprint();
+        let absorbing = self.estimator == Estimator::Absorbing;
+        let forecast = (absorbing && zone.bids.iter().any(Option::is_some))
+            .then(|| state.forecast(horizon))
+            .flatten();
+        let view = |&(bid, fp): &(Price, f64)| BidView {
+            predicted_fp: match (self.estimator, &forecast) {
+                (Estimator::Expectation, _) => fp,
+                // `estimate_fp`: one whatever the bid when nothing forecasts.
+                (Estimator::Absorbing, None) => 1.0,
+                (Estimator::Absorbing, Some(f)) => {
+                    state.model.fp_from_forecast(f, bid, state.spot_price)
+                }
+            },
+            kernel_id,
+        };
+        zone.bids.iter().map(|b| b.as_ref().map(view)).collect()
+    }
+
+    /// Fig. 3's steps 3–4: for each node count `n` with a target, the
+    /// pools' minimal bids there (`bid_at(pool, n)`), greedily selected;
+    /// the cheapest feasible candidate wins.
+    fn select(
+        &self,
+        pools: usize,
+        bid_at: impl Fn(usize, usize) -> Option<PoolBid>,
+        targets: &[Option<f64>],
+        spec: &ServiceSpec,
+    ) -> BidDecision {
         let candidates_evaluated = self.obs.counter("jupiter.candidates_evaluated");
         let candidates_feasible = self.obs.counter("jupiter.candidates_feasible");
         let mut best: Option<(Price, BidDecision)> = None;
-        for (n, target) in (1..).zip(&targets) {
+        for (n, target) in (1..).zip(targets) {
             if target.is_none() {
                 continue;
             }
             candidates_evaluated.inc();
             // Minimal feasible bid per pool at this target.
-            let bids: Vec<PoolBid> = zones
-                .iter()
-                .zip(&zone_bids)
-                .filter_map(|(z, bids)| {
-                    bids[n - 1].map(|bid| PoolBid {
-                        zone: z.zone,
-                        instance_type: z.instance_type,
-                        bid,
-                    })
-                })
-                .collect();
+            let bids: Vec<PoolBid> = (0..pools).filter_map(|p| bid_at(p, n)).collect();
             if bids.len() < n {
                 continue; // not enough pools can meet the target
             }
@@ -335,24 +516,28 @@ impl JupiterStrategy {
         targets: &[Option<f64>],
         horizon_minutes: u32,
         probes: &Probes,
-    ) -> Vec<Option<Price>> {
-        match self.estimator {
+    ) -> ZoneBids {
+        let mut hits = 0;
+        let bids = match self.estimator {
             // One forecast answers every candidate bid at every target.
             Estimator::Expectation => {
                 let Some(f) = probes.forecast_micros.time(|| z.forecast(horizon_minutes)) else {
-                    return vec![None; targets.len()];
+                    return ZoneBids {
+                        bids: vec![None; targets.len()],
+                        hits,
+                    };
                 };
                 probes.forecasts_computed.inc();
                 let mut memo = vec![None; f.levels().len() + 1];
                 let targets = targets.iter().map(|&target| {
                     let target = target?;
                     f.bid_candidates(z.spot_price, z.on_demand)
-                        .filter(|&(slot, b)| {
+                        .map(|(slot, b)| {
                             let fp = || z.model.fp_from_forecast(&f, b, z.spot_price);
-                            probes.memo(&mut memo, slot, fp) <= target
+                            (b, probes.memo(&mut memo, &mut hits, slot, fp))
                         })
-                        .map(|(_, b)| b)
-                        .min()
+                        .filter(|&(_, fp)| fp <= target)
+                        .min_by_key(|&(b, _)| b)
                 });
                 targets.collect()
             }
@@ -363,7 +548,7 @@ impl JupiterStrategy {
                 let mut memo = vec![None; kernel.n_states() + 1];
                 let mut fp = |bid: Price| {
                     let slot = kernel.level_index(bid).map_or(0, |l| l + 1);
-                    probes.memo(&mut memo, slot, || {
+                    probes.memo(&mut memo, &mut hits, slot, || {
                         probes.forward_micros.time(|| {
                             z.model.estimate_fp_absorbing(
                                 bid,
@@ -389,11 +574,14 @@ impl JupiterStrategy {
                             lo = mid + 1;
                         }
                     }
-                    candidates.get(lo).copied().filter(|&b| fp(b) <= target)
+                    let bid = candidates.get(lo).copied()?;
+                    let at = fp(bid);
+                    (at <= target).then_some((bid, at))
                 });
                 targets.collect()
             }
-        }
+        };
+        ZoneBids { bids, hits }
     }
 }
 

@@ -8,11 +8,13 @@ use spot_market::{InstanceType, PoolTable, Price, PriceTrace, Zone};
 use spot_model::{FailureModel, FailureModelConfig, FrozenKernel};
 
 use crate::service::ServiceSpec;
-use crate::strategy::{BidDecision, BiddingStrategy, ZoneState};
+use crate::strategy::{
+    BidDecision, BidView, BiddingStrategy, Boundary, Decided, PoolWalk, ZoneState,
+};
 
 /// A live market observation for one (zone, instance-type) pool, fed to
 /// [`BiddingFramework::decide`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MarketSnapshot {
     /// The zone.
     pub zone: Zone,
@@ -100,27 +102,9 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
         self.models.get(zone, ty)
     }
 
-    /// The model-predicted failure probability for bidding `bid` in the
-    /// snapshot's zone over the next `horizon_minutes` — the quantity a
-    /// decision audit record captures as `1 − predicted_availability`.
-    /// `None` when the zone has no trained model.
-    pub fn predicted_fp(
-        &self,
-        snapshot: &MarketSnapshot,
-        bid: Price,
-        horizon_minutes: u32,
-    ) -> Option<f64> {
-        self.models
-            .get(snapshot.zone, snapshot.instance_type)
-            .map(|model| {
-                model.estimate_fp(bid, snapshot.spot_price, snapshot.sojourn_age, horizon_minutes)
-            })
-    }
-
-    /// Make the bidding decision for the next interval (Fig. 2's online
-    /// bidding step). Pools without a trained model are skipped.
-    pub fn decide(&self, snapshots: &[MarketSnapshot], horizon_minutes: u32) -> BidDecision {
-        let states: Vec<ZoneState<'_>> = snapshots
+    /// The pools of `snapshots` that have a model, as strategies see them.
+    fn states(&self, snapshots: &[MarketSnapshot]) -> Vec<ZoneState<'_>> {
+        snapshots
             .iter()
             .filter_map(|s| {
                 self.models.get(s.zone, s.instance_type).map(|model| ZoneState {
@@ -132,8 +116,71 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
                     model,
                 })
             })
+            .collect()
+    }
+
+    /// Make the bidding decision for the next interval (Fig. 2's online
+    /// bidding step). Pools without a trained model are skipped.
+    pub fn decide(&self, snapshots: &[MarketSnapshot], horizon_minutes: u32) -> BidDecision {
+        self.strategy.decide(&self.states(snapshots), &self.spec, horizon_minutes)
+    }
+
+    /// The audit view of each bid of `decision`, made on `snapshots` over
+    /// `horizon_minutes`, from the models as they stand.
+    pub fn views(
+        &self,
+        snapshots: &[MarketSnapshot],
+        decision: &BidDecision,
+        horizon_minutes: u32,
+    ) -> Vec<BidView> {
+        let states = self.states(snapshots);
+        (decision.bids.iter())
+            .map(|pb| {
+                let s = (states.iter())
+                    .find(|s| (s.zone, s.instance_type) == (pb.zone, pb.instance_type))
+                    .expect("a decision bids only pools it was shown");
+                BidView {
+                    predicted_fp: (s.model)
+                        .estimate_fp(pb.bid, s.spot_price, s.sojourn_age, horizon_minutes),
+                    kernel_id: s.model.kernel().fingerprint(),
+                }
+            })
+            .collect()
+    }
+
+    /// Record a pass decision as the books take it up
+    /// ([`BiddingStrategy::record_decided`]).
+    pub fn record_decided(&self, decided: &Decided) {
+        self.strategy.record_decided(decided);
+    }
+
+    /// Every decision of a schedule in one pass, before any is acted on,
+    /// or `None` when the strategy decides in the loop
+    /// ([`BiddingStrategy::decide_schedule`]). The pools are those of the
+    /// first boundary's snapshots that have a model, each observing its
+    /// own trace from `traces`; the pass folds copies of the models, so
+    /// this framework's own stay as they were for [`Self::decide`] to
+    /// read. `audit` asks for each chosen bid's [`BidView`].
+    pub fn decide_schedule<'t>(
+        &self,
+        traces: impl Fn(Zone, InstanceType) -> &'t Arc<PriceTrace>,
+        boundaries: &[Boundary],
+        audit: bool,
+    ) -> Option<Vec<Decided>> {
+        let first = boundaries.first().map_or(&[][..], |b| &b.snapshots);
+        let pools: Vec<PoolWalk<'_>> = (first.iter().enumerate())
+            .filter_map(|(slot, s)| {
+                let (zone, instance_type) = (s.zone, s.instance_type);
+                self.models.get(zone, instance_type).map(|model| PoolWalk {
+                    zone,
+                    instance_type,
+                    model,
+                    trace: traces(zone, instance_type),
+                    slot,
+                })
+            })
             .collect();
-        self.strategy.decide(&states, &self.spec, horizon_minutes)
+        self.strategy.decide_schedule(&pools, boundaries, &self.spec, audit)
     }
 }
 

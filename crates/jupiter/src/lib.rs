@@ -59,4 +59,6 @@ pub use framework::BiddingFramework;
 pub use heuristic::{ExtraStrategy, FixedOnce};
 pub use service::ServiceSpec;
 pub use store::{ModelKey, ModelStore};
-pub use strategy::{BidDecision, BiddingStrategy, PoolBid, ZoneState};
+pub use strategy::{
+    BidDecision, BidView, BiddingStrategy, Boundary, Decided, PoolBid, PoolWalk, ZoneState,
+};

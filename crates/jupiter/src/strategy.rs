@@ -1,8 +1,12 @@
 //! The strategy interface and market snapshots.
 
-use spot_market::{InstanceType, Price, Zone};
+use std::ops::Range;
+use std::sync::Arc;
+
+use spot_market::{InstanceType, Price, PriceTrace, Zone};
 use spot_model::{FailureModel, Forecast};
 
+use crate::framework::MarketSnapshot;
 use crate::service::ServiceSpec;
 
 /// Everything a strategy may know about one (zone, instance-type) pool at
@@ -109,6 +113,28 @@ pub trait BiddingStrategy: Send + Sync {
         spec: &ServiceSpec,
         horizon_minutes: u32,
     ) -> BidDecision;
+
+    /// Every decision of a schedule in one pass, before a replay books any
+    /// of them — or `None`, the default, to be asked one boundary at a
+    /// time inside the loop. Only a strategy whose boundary decisions read
+    /// nothing but the market and its models, never what became of
+    /// earlier bids, may answer (the feedback bidder learns from its books
+    /// and does not). Before each decision every pool's model observes
+    /// that boundary's revealed minutes ([`PoolWalk::walk`]).
+    fn decide_schedule(
+        &self,
+        _pools: &[PoolWalk<'_>],
+        _boundaries: &[Boundary],
+        _spec: &ServiceSpec,
+        _audit: bool,
+    ) -> Option<Vec<Decided>> {
+        None
+    }
+
+    /// Record a pass decision as the books take it up, on the books'
+    /// clock, as [`Self::decide`] records its own when the loop asks. The
+    /// default records nothing.
+    fn record_decided(&self, _decided: &Decided) {}
 }
 
 impl BiddingStrategy for Box<dyn BiddingStrategy> {
@@ -123,6 +149,106 @@ impl BiddingStrategy for Box<dyn BiddingStrategy> {
         horizon_minutes: u32,
     ) -> BidDecision {
         self.as_ref().decide(zones, spec, horizon_minutes)
+    }
+
+    fn decide_schedule(
+        &self,
+        pools: &[PoolWalk<'_>],
+        boundaries: &[Boundary],
+        spec: &ServiceSpec,
+        audit: bool,
+    ) -> Option<Vec<Decided>> {
+        self.as_ref().decide_schedule(pools, boundaries, spec, audit)
+    }
+
+    fn record_decided(&self, decided: &Decided) {
+        self.as_ref().record_decided(decided)
+    }
+}
+
+/// One boundary of a schedule, as a decision pass sees it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Boundary {
+    /// The market minute the decision takes effect (the interval start).
+    pub minute: u64,
+    /// Minutes revealed since the previous boundary, observed by every
+    /// pool's model before this decision; empty when nothing is new.
+    pub revealed: Range<u64>,
+    /// The market at decision time: one snapshot per pool, in the order
+    /// the pass's [`PoolWalk`]s index.
+    pub snapshots: Vec<MarketSnapshot>,
+    /// The decision horizon.
+    pub horizon_minutes: u32,
+}
+
+/// A chosen bid as the model that priced it saw it: what the decision's
+/// audit record carries.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct BidView {
+    /// The model's expected failure probability of the bid over the
+    /// horizon ([`FailureModel::estimate_fp`]).
+    pub predicted_fp: f64,
+    /// [`spot_model::FrozenKernel::fingerprint`] of the kernel behind it.
+    pub kernel_id: u64,
+}
+
+/// One boundary's decision out of a decision pass.
+#[derive(Clone, Debug)]
+pub struct Decided {
+    /// The decision.
+    pub decision: BidDecision,
+    /// Failure-probability memo hits while making it (a strategy without
+    /// a memo reports none).
+    pub fp_cache_hits: u64,
+    /// For an audited pass, one view per `decision.bids` entry, in order;
+    /// empty otherwise.
+    pub views: Vec<BidView>,
+    /// Host time spent on it, where the strategy measures it (else 0).
+    pub micros: u64,
+}
+
+/// One pool a decision pass walks: its model as the run installed it
+/// and the trace whose revealed minutes it observes.
+pub struct PoolWalk<'a> {
+    /// The zone.
+    pub zone: Zone,
+    /// The instance-type pool within the zone.
+    pub instance_type: InstanceType,
+    /// The model before the first boundary; walks fold copies of it.
+    pub model: &'a FailureModel,
+    /// The pool's price history.
+    pub trace: &'a Arc<PriceTrace>,
+    /// This pool's index into every [`Boundary::snapshots`].
+    pub slot: usize,
+}
+
+impl PoolWalk<'_> {
+    /// Walk `boundaries` in order on a copy of the model: observe each
+    /// boundary's revealed minutes, then hand `f` the pool's state there.
+    /// One kernel at a time: each fold replaces the last.
+    pub fn walk<R>(
+        &self,
+        boundaries: &[Boundary],
+        mut f: impl FnMut(&Boundary, &ZoneState<'_>) -> R,
+    ) -> Vec<R> {
+        let mut model = self.model.clone();
+        (boundaries.iter())
+            .map(|b| {
+                if !b.revealed.is_empty() {
+                    model.observe(self.trace, b.revealed.clone());
+                }
+                let s = &b.snapshots[self.slot];
+                let state = ZoneState {
+                    zone: self.zone,
+                    instance_type: self.instance_type,
+                    spot_price: s.spot_price,
+                    sojourn_age: s.sojourn_age,
+                    on_demand: self.instance_type.on_demand_price(self.zone.region),
+                    model: &model,
+                };
+                f(b, &state)
+            })
+            .collect()
     }
 }
 

@@ -11,7 +11,7 @@
 
 #![deny(clippy::too_many_lines)]
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use jupiter::par::{host_workers, par_map};
 use jupiter::{
@@ -171,30 +171,36 @@ impl Cell {
         (!self.service.is_hetero()).then_some(self.service.instance_type)
     }
 
-    /// This key's row, replayed over `scenario` (its market and window).
-    fn replay(&self, scenario: &Scenario) -> Row {
-        let spec = &self.service;
-        let Some(bidder) = self.bidder else {
-            return Row {
-                service: spec.name.clone(),
-                strategy: "Baseline".into(),
-                cost: scenario.baseline_cost(spec),
-                availability: spec.baseline_availability(),
-                ..Row::default()
-            };
-        };
+    /// This key's replay over `scenario` (its market and window); the
+    /// baseline has none.
+    fn replay<'a>(&'a self, scenario: &'a Scenario) -> Replay<'a> {
         // The adaptive schedule replaces the interval; any valid one does.
         let config = scenario.config(self.interval_hours.unwrap_or(1));
-        let replay = Replay::new(scenario.market(), spec, config.with_era(self.era))
+        let replay = Replay::new(scenario.market(), &self.service, config.with_era(self.era))
             .repair(RepairConfig {
                 policy: self.repair,
             })
             .store(scenario.store());
-        let replay = match self.interval_hours {
+        match self.interval_hours {
             Some(_) => replay,
             None => replay.adaptive(),
-        };
-        let result = replay.run(bidder.build());
+        }
+    }
+
+    /// The on-demand baseline's row.
+    fn baseline_row(&self, scenario: &Scenario) -> Row {
+        let spec = &self.service;
+        Row {
+            service: spec.name.clone(),
+            strategy: "Baseline".into(),
+            cost: scenario.baseline_cost(spec),
+            availability: spec.baseline_availability(),
+            ..Row::default()
+        }
+    }
+
+    /// This key's row from its replay's `result`.
+    fn row(&self, result: &ReplayResult) -> Row {
         let n = result.intervals.len();
         let mean_interval_hours = match self.interval_hours {
             Some(hours) => hours as f64,
@@ -204,6 +210,7 @@ impl Cell {
             }
             None => 0.0,
         };
+        let spec = &self.service;
         let pools: Vec<&str> = spec
             .pools()
             .into_iter()
@@ -216,9 +223,44 @@ impl Cell {
             era: self.era,
             pool_label: pools.join("+"),
             mean_interval_hours,
-            ..Row::from_result(&result)
+            ..Row::from_result(result)
         }
     }
+
+    /// The key of this cell's decisions. A Jupiter run decides every
+    /// boundary in one pass that does not depend on its repair policy, so
+    /// its key is the cell under repair off; any other cell decides in its
+    /// own loop and is its own key.
+    fn decisions_key(&self) -> Cell {
+        match self.bidder {
+            Some(Bidder::Jupiter | Bidder::JupiterAbsorbing) => Cell {
+                repair: RepairPolicy::Off,
+                ..self.clone()
+            },
+            _ => self.clone(),
+        }
+    }
+}
+
+/// Replay `cells` — keys with one [`Cell::decisions_key`] — over
+/// `scenario` with one decision pass: the first cell's replay makes it,
+/// and every cell's books take their boundary decisions from it. A
+/// strategy without a pass decides in each cell's loop. Each result comes
+/// with its cell's wall time, the pass counted in the first cell's.
+fn replay_group(cells: &[&Cell], scenario: &Scenario) -> Vec<(ReplayResult, Duration)> {
+    let mut pass = None;
+    (cells.iter())
+        .map(|cell| {
+            debug_assert_eq!(cell.decisions_key(), cells[0].decisions_key());
+            let start = Instant::now();
+            let replay = cell.replay(scenario);
+            let framework = replay.framework(cell.bidder.expect("a replaying key").build());
+            let boundaries = replay.boundaries(&framework);
+            let decided = pass.get_or_insert_with(|| replay.decisions(&framework, &boundaries));
+            let result = replay.books(framework, boundaries, decided.clone());
+            (result, start.elapsed())
+        })
+        .collect()
 }
 
 /// `bidders` at each of `hours` (intervals outer), deploying `service`
@@ -252,8 +294,10 @@ fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
 /// once, and return each table one row per key, in declaration order.
 ///
 /// The keys over one (market, evaluation span) share one [`Scenario`] —
-/// one market, one model store — whichever table declared them, and the
-/// distinct keys replay in one `par_map` over the host's cores, longest
+/// one market, one model store — whichever table declared them. Jupiter
+/// keys that differ only in repair policy share one decision pass and
+/// replay as one job (`replay_group`); every other key is a job of its
+/// own. The jobs run in one `par_map` over the host's cores, longest
 /// first, so no core idles at the end of one table while another waits.
 /// Each distinct key's wall time goes to stderr as a `# cell` line.
 pub fn replay<const N: usize>(
@@ -279,15 +323,38 @@ pub fn replay<const N: usize>(
             Scenario::new(market, window.train_minutes(), window.horizon_minutes())
         })
         .collect();
-    let rows = par_map(&keys, host_workers(), |cell| {
+    let groups: Vec<Vec<&Cell>> = distinct(keys.iter().map(|k| k.decisions_key()))
+        .iter()
+        .map(|key| {
+            keys.iter()
+                .copied()
+                .filter(|k| k.decisions_key() == *key)
+                .collect()
+        })
+        .collect();
+    let replayed = par_map(&groups, host_workers(), |group| {
         let at = windows
             .iter()
-            .position(|&w| w == (cell.market(), cell.eval_weeks));
-        let start = Instant::now();
-        let row = cell.replay(&scenarios[at.expect("a scenario per window")]);
-        (row, start.elapsed())
+            .position(|&w| w == (group[0].market(), group[0].eval_weeks));
+        let scenario = &scenarios[at.expect("a scenario per window")];
+        if group[0].bidder.is_none() {
+            let start = Instant::now();
+            let rows = group.iter().map(|cell| cell.baseline_row(scenario));
+            return rows.map(|row| (row, start.elapsed())).collect();
+        }
+        let results = replay_group(group, scenario);
+        let rows = group.iter().zip(results);
+        rows.map(|(cell, (result, took))| (cell.row(&result), took))
+            .collect::<Vec<_>>()
     });
-    for (cell, (_, took)) in keys.iter().zip(&rows) {
+    let rows: Vec<(&Cell, (Row, Duration))> = groups
+        .iter()
+        .flatten()
+        .copied()
+        .zip(replayed.into_iter().flatten())
+        .collect();
+    let row_of = |key: &Cell| &rows.iter().find(|(k, _)| *k == key).expect("a key").1;
+    for cell in &keys {
         let (service, pools) = (&cell.service, cell.service.pools());
         eprintln!(
             "# cell {} {pools:?}≥{} {}w {:?} {:?}h {} {:?} {:.2}s",
@@ -298,14 +365,10 @@ pub fn replay<const N: usize>(
             cell.interval_hours,
             cell.repair,
             cell.era,
-            took.as_secs_f64()
+            row_of(cell).1.as_secs_f64()
         );
     }
-    let mut rows = (cells.iter()).map(|cell| {
-        rows[keys.iter().position(|k| *k == cell).expect("a key")]
-            .0
-            .clone()
-    });
+    let mut rows = (cells.iter()).map(|cell| row_of(cell).0.clone());
     tables.map(|table| rows.by_ref().take(table.len()).collect())
 }
 
@@ -1136,6 +1199,64 @@ mod tests {
         assert_eq!(fig5(&quick)[0], ablation_adaptive(&quick)[0]);
         let paper = Scale::paper(2014);
         assert_ne!(fig5(&paper)[0], ablation_adaptive(&paper)[0]);
+    }
+
+    #[test]
+    fn repairing_keys_share_the_decisions_of_their_off_twin() {
+        use crate::scenario::tests::InLoop;
+        // Every repairing key of `repro all` and `repro era`, at quick
+        // scale: the lock service's on m1.small, the storage service's on
+        // m3.large.
+        let scale = Scale::quick(2014);
+        let keys = distinct([all(&scale), era_sweep(&scale)].concat());
+        let repairing: Vec<&Cell> = (keys.iter())
+            .filter(|c| c.bidder.is_some() && c.repair != RepairPolicy::Off)
+            .collect();
+        assert_eq!(repairing.len(), 12);
+        let scenarios: Vec<(InstanceType, Scenario)> =
+            [InstanceType::M1Small, InstanceType::M3Large]
+                .map(|ty| {
+                    let (start, end) = (scale.train_minutes(), scale.horizon_minutes());
+                    (ty, Scenario::new(scale.market(ty), start, end))
+                })
+                .into();
+        let mut shared_passes = 0;
+        for key in repairing {
+            let ty = key.market().expect("a one-type market");
+            let scenario = &scenarios
+                .iter()
+                .find(|(t, _)| *t == ty)
+                .expect("a scenario")
+                .1;
+            let bidder = key.bidder.expect("a replaying key");
+            // Everything but the host time each decision took.
+            let decisions = |cell: &Cell| {
+                let replay = cell.replay(scenario);
+                let framework = replay.framework(bidder.build());
+                let boundaries = replay.boundaries(&framework);
+                let decided = replay.decisions(&framework, &boundaries)?;
+                let steps = boundaries.into_iter().zip(decided);
+                let steps = steps.map(|(b, d)| (b, d.decision, d.fp_cache_hits, d.views));
+                Some(steps.collect::<Vec<_>>())
+            };
+            let own = decisions(key);
+            let twin = key.decisions_key();
+            // A key shares a twin's pass exactly when its bidder has one.
+            assert_eq!(own.is_some(), twin != *key, "{key:?}");
+            if twin == *key {
+                continue;
+            }
+            shared_passes += 1;
+            assert_eq!(decisions(&twin), own, "{key:?}");
+            // The books on the twin's pass replay as the loop does.
+            let [_, (got, _)] =
+                <[_; 2]>::try_from(replay_group(&[&twin, key], scenario)).expect("two results");
+            let want = key.replay(scenario).run(InLoop(bidder.build()));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{key:?}");
+        }
+        // Jupiter's six lock cells; Extra and the feedback bidder decide
+        // in their loops.
+        assert_eq!(shared_passes, 6);
     }
 
     /// What the plan returns for the keys `declare` lists at quick scale.

@@ -6,9 +6,12 @@
 //! `migrate` → `repair` → `account` → `bill` (DESIGN.md "Replay loop").
 #![deny(clippy::too_many_lines)]
 
+use std::ops::Range;
+
 use jupiter::framework::MarketSnapshot;
 use jupiter::{
-    BidDecision, BiddingFramework, BiddingStrategy, ModelKey, ModelStore, PoolBid, ServiceSpec,
+    BidDecision, BidView, BiddingFramework, BiddingStrategy, Boundary, Decided, ModelKey,
+    ModelStore, PoolBid, ServiceSpec,
 };
 use obs::{
     AuditKind, Counter, FieldValue, FleetDeficitWatchdog, Obs, RepairBudgetWatchdog,
@@ -171,26 +174,105 @@ impl<'a> Replay<'a> {
         self
     }
 
-    /// Replay `strategy` and return its accounting.
+    /// Replay `strategy` and return its accounting: the decision pass,
+    /// then the books.
     pub fn run<S: BiddingStrategy>(self, strategy: S) -> ReplayResult {
-        let (market, config, obs) = (self.market, self.config, &self.obs);
-        assert!(config.eval_end <= market.horizon(), "window beyond market");
-        // Under the capacity era, interruptions are zone-correlated (whole-zone
-        // capacity crunches reclaim several pools at once), so spread replicas
-        // across zones with independent capacity processes.
-        let diversify = self.spec.diversify || config.era == BidEra::CapacityReclaim;
-        let spec = self.spec.clone().with_diversify(diversify);
+        let framework = self.framework(strategy);
+        let boundaries = self.boundaries(&framework);
+        let decided = self.decisions(&framework, &boundaries);
+        self.books(framework, boundaries, decided)
+    }
+
+    /// The run's framework: `strategy` over one kernel per (zone, pool)
+    /// from the shared store, or from a private single-use one. Under the
+    /// capacity era, interruptions are zone-correlated (whole-zone
+    /// capacity crunches reclaim several pools at once), so the deployed
+    /// spec spreads replicas across zones with independent capacity
+    /// processes.
+    pub(crate) fn framework<S: BiddingStrategy>(&self, strategy: S) -> BiddingFramework<S> {
         let private_store;
         let store = match self.store {
             Some(shared) => shared,
             None => {
-                private_store = ModelStore::with_obs(obs.clone());
+                private_store = ModelStore::with_obs(self.obs.clone());
                 &private_store
             }
         };
-        let fixed = config.interval_hours * 60;
+        let diversify = self.spec.diversify || self.config.era == BidEra::CapacityReclaim;
+        let spec = self.spec.clone().with_diversify(diversify);
+        let first_decision = self.config.first_decision();
+        trained_framework(self.market, spec, strategy, store, first_decision)
+    }
 
-        let primary_ty = spec.instance_type;
+    /// Every boundary of the window, in order, over `framework`'s pools:
+    /// the interval's start and scheduled length (fixed, or the §5.5
+    /// adaptive one from the revealed prices; at least 60 minutes either
+    /// way), the minutes revealed since the last boundary's decision, and
+    /// the market at this one's. The adaptive schedule reads the caller's
+    /// spec, not the diversified clone.
+    pub(crate) fn boundaries<S: BiddingStrategy>(
+        &self,
+        framework: &BiddingFramework<S>,
+    ) -> Vec<Boundary> {
+        let (market, config) = (self.market, self.config);
+        assert!(config.eval_end <= market.horizon(), "window beyond market");
+        let pools = framework.spec().pools();
+        let mut boundaries = Vec::new();
+        let mut observed_until = config.first_decision();
+        let mut start = config.eval_start;
+        while start < config.eval_end {
+            let length = if self.adaptive {
+                adaptive_interval(market, self.spec, start)
+            } else {
+                config.interval_hours * 60
+            };
+            let length = length.max(60);
+            let decision_at = start.saturating_sub(DECISION_LEAD);
+            let from = observed_until;
+            observed_until = observed_until.max(decision_at);
+            boundaries.push(Boundary {
+                minute: start,
+                revealed: from..observed_until,
+                snapshots: snapshots_at(market, &pools, decision_at),
+                horizon_minutes: length as u32,
+            });
+            start = (start + length).min(config.eval_end);
+        }
+        boundaries
+    }
+
+    /// The decision pass: every boundary's decision, made from the market
+    /// and the models alone before the books run (DESIGN.md "Replay
+    /// loop"). `None` when the loop decides instead: the strategy has no
+    /// pass (Jupiter has one), or an auto-scaler retargets from the last
+    /// interval's availability. The pass
+    /// depends on the bidder, the deployed service, the schedule, the era
+    /// and the window, not on the repair policy, so the plan shares one
+    /// across repair policies.
+    pub(crate) fn decisions<S: BiddingStrategy>(
+        &self,
+        framework: &BiddingFramework<S>,
+        boundaries: &[Boundary],
+    ) -> Option<Vec<Decided>> {
+        if self.scaler.is_some() {
+            return None;
+        }
+        let (market, audit) = (self.market, self.obs.audit.is_enabled());
+        framework.decide_schedule(|z, ty| market.trace(z, ty), boundaries, audit)
+    }
+
+    /// The books: launch, kill, migrate, repair, account and bill every
+    /// interval, taking each boundary's decision from `decided` (rebids
+    /// still decide live, against the boundary-frozen models), or making
+    /// it in the loop when there is none.
+    pub(crate) fn books<S: BiddingStrategy>(
+        self,
+        framework: BiddingFramework<S>,
+        boundaries: Vec<Boundary>,
+        decided: Option<Vec<Decided>>,
+    ) -> ReplayResult {
+        let (market, config, obs) = (self.market, self.config, &self.obs);
+        let primary_ty = framework.spec().instance_type;
         // On-demand fallbacks run the primary type in the cheapest on-demand
         // zone (ties broken by zone order), mirroring
         // `on_demand_baseline_cost`.
@@ -206,13 +288,13 @@ impl<'a> Replay<'a> {
             repair_cfg: self.repair,
             obs,
             ins: Instruments::new(obs),
-            pools: spec.pools(),
-            hetero: spec.is_hetero(),
+            pools: framework.spec().pools(),
+            hetero: framework.spec().is_hetero(),
             primary_ty,
             od_zone,
             od_hourly: primary_ty.on_demand_price(od_zone.region),
-            observed_until: config.first_decision(),
-            framework: trained_framework(market, spec, strategy, store, config.first_decision()),
+            framework,
+            unshown: Vec::new(),
             scaler: self.scaler,
             feedback: None,
             fleet: Vec::new(),
@@ -232,16 +314,12 @@ impl<'a> Replay<'a> {
             fleet_dog: FleetDeficitWatchdog::new(obs.alerts.clone()),
             budget_dog: RepairBudgetWatchdog::new(obs.alerts.clone()),
         };
-        let mut boundary = config.eval_start;
-        while boundary < config.eval_end {
-            // The adaptive schedule reads the caller's spec, not the
-            // diversified clone.
-            let length = if self.adaptive {
-                adaptive_interval(market, self.spec, boundary)
-            } else {
-                fixed
-            };
-            boundary = run.interval(boundary, length.max(60));
+        let mut decided = decided.map(Vec::into_iter);
+        for boundary in boundaries {
+            let decided = decided
+                .as_mut()
+                .map(|d| d.next().expect("a decision per boundary"));
+            run.interval(boundary, decided);
         }
         let mut result = run.finish();
         if self.adaptive {
@@ -436,6 +514,8 @@ struct Interval {
     snapshots: Vec<MarketSnapshot>,
     decision: BidDecision,
     fp_cache_hit: bool,
+    /// One per bid of `decision` when the run is audited.
+    views: Vec<BidView>,
 }
 
 /// The state of one replay. [`Run::interval`] is the Fig. 3 loop body,
@@ -453,9 +533,10 @@ struct Run<'a, S: BiddingStrategy> {
     primary_ty: InstanceType,
     od_zone: Zone,
     od_hourly: Price,
-    /// Prices before this minute have been folded into the models.
-    observed_until: u64,
     framework: BiddingFramework<S>,
+    /// Revealed windows the framework's models have not been shown yet,
+    /// oldest first ([`Self::decide_live`]).
+    unshown: Vec<Range<u64>>,
     scaler: Option<&'a mut AutoScaler>,
     /// The interval just ended, as the scaler's next feedback.
     feedback: Option<ObservedInterval>,
@@ -485,13 +566,14 @@ struct Run<'a, S: BiddingStrategy> {
 }
 
 impl<S: BiddingStrategy> Run<'_, S> {
-    /// One bidding interval `[start, start + horizon)`, clipped to the
-    /// window; returns the next boundary.
-    fn interval(&mut self, start: u64, horizon: u64) -> u64 {
-        let end = (start + horizon).min(self.config.eval_end);
+    /// One bidding interval, from `boundary` for its scheduled length,
+    /// clipped to the window; `decided` is the pass's decision for it.
+    fn interval(&mut self, boundary: Boundary, decided: Option<Decided>) {
+        let start = boundary.minute;
+        let end = (start + u64::from(boundary.horizon_minutes)).min(self.config.eval_end);
         self.obs.set_time_micros(minute_micros(start));
         self.budget_dog.interval_start();
-        let iv = self.decide(start, end, horizon);
+        let iv = self.decide(boundary, end, decided);
         let span = self.obs.trace.span_open(
             "replay.interval",
             &[
@@ -517,48 +599,36 @@ impl<S: BiddingStrategy> Run<'_, S> {
                 ("kills", FieldValue::U64(self.kills as u64)),
             ],
         );
-        end
     }
 
-    /// Decide shortly before the boundary: hand the newly revealed minutes
-    /// to the models (each cuts and folds them in when next read — a
-    /// strategy that consults no model copies no window and builds no
-    /// kernel), let the scaler re-target the strength floor (from this
-    /// interval's demand forecast and the last one's feedback), snapshot
-    /// the market and ask the strategy.
-    fn decide(&mut self, start: u64, end: u64, horizon: u64) -> Interval {
+    /// The boundary's decision, made shortly before it: take the pass's
+    /// decision, or make one here. The newly revealed minutes wait in
+    /// `unshown` until the books next read a model.
+    fn decide(&mut self, boundary: Boundary, end: u64, decided: Option<Decided>) -> Interval {
         self.refs.clear();
         self.kills = 0;
-        let market = self.market;
-        let decision_at = start.saturating_sub(DECISION_LEAD);
-        if decision_at > self.observed_until {
-            for &z in market.zones() {
-                for &ty in &self.pools {
-                    let revealed = self.observed_until..decision_at;
-                    self.framework.observe(z, ty, market.trace(z, ty), revealed);
-                }
+        let start = boundary.minute;
+        if !boundary.revealed.is_empty() {
+            self.unshown.push(boundary.revealed.clone());
+        }
+        let decided = match decided {
+            Some(decided) => {
+                self.framework.record_decided(&decided);
+                decided
             }
-            self.observed_until = decision_at;
-        }
-        if let Some(scaler) = self.scaler.as_mut() {
-            let target = scaler.plan(start, end, self.feedback.take(), self.obs);
-            self.framework.set_min_strength(target);
-        }
-        let snapshots = snapshots_at(market, &self.pools, decision_at);
-        let hits_before = self.ins.fp_cache_hits.get();
-        let decision = self.framework.decide(&snapshots, horizon as u32);
-        let fp_cache_hit = self.ins.fp_cache_hits.get() > hits_before;
-        self.ins.bids_placed.add(decision.bids.len() as u64);
+            None => self.decide_in_loop(&boundary, end),
+        };
+        self.ins.bids_placed.add(decided.decision.bids.len() as u64);
         if self.obs.series.is_enabled() {
             // The Fig. 4/7 raw material: spot price per pool and the
             // active bid wherever one is standing, both at decision time.
-            for s in &snapshots {
+            for s in &boundary.snapshots {
                 let name = self.pool_series("price", s.zone, s.instance_type);
                 self.obs
                     .series
                     .record(&name, start, s.spot_price.as_dollars());
             }
-            for pb in &decision.bids {
+            for pb in &decided.decision.bids {
                 let name = self.pool_series("bid", pb.zone, pb.instance_type);
                 self.obs.series.record(&name, start, pb.bid.as_dollars());
             }
@@ -566,12 +636,60 @@ impl<S: BiddingStrategy> Run<'_, S> {
         Interval {
             start,
             end,
-            horizon,
-            decision_at,
-            snapshots,
-            decision,
-            fp_cache_hit,
+            horizon: u64::from(boundary.horizon_minutes),
+            decision_at: start.saturating_sub(DECISION_LEAD),
+            snapshots: boundary.snapshots,
+            decision: decided.decision,
+            fp_cache_hit: decided.fp_cache_hits > 0,
+            views: decided.views,
         }
+    }
+
+    /// A boundary decided in the loop: the scaler re-targets the strength
+    /// floor (from this interval's demand forecast and the last one's
+    /// feedback), and the strategy decides on the boundary's market. The
+    /// memo hits are the delta of the strategy's counter, which the replay
+    /// sees when both record into one `Obs`.
+    fn decide_in_loop(&mut self, boundary: &Boundary, end: u64) -> Decided {
+        if let Some(scaler) = self.scaler.as_mut() {
+            let target = scaler.plan(boundary.minute, end, self.feedback.take(), self.obs);
+            self.framework.set_min_strength(target);
+        }
+        let (snapshots, horizon) = (&boundary.snapshots, boundary.horizon_minutes);
+        let hits_before = self.ins.fp_cache_hits.get();
+        let decision = self.decide_live(snapshots, horizon);
+        let fp_cache_hits = self.ins.fp_cache_hits.get() - hits_before;
+        let views = if self.obs.audit.is_enabled() {
+            self.framework.views(snapshots, &decision, horizon)
+        } else {
+            Vec::new()
+        };
+        Decided {
+            decision,
+            fp_cache_hits,
+            views,
+            micros: 0,
+        }
+    }
+
+    /// A decision the books make themselves — a boundary without a pass,
+    /// a rebid, a migration — on the models as the last boundary left them:
+    /// the revealed windows not yet shown go to every pool's model first,
+    /// oldest first (each model cuts and folds them when the strategy
+    /// reads it, so a strategy that consults no model copies no window
+    /// and builds no kernel), and a run whose books never decide shows
+    /// them nothing.
+    fn decide_live(&mut self, snapshots: &[MarketSnapshot], horizon: u32) -> BidDecision {
+        let market = self.market;
+        for revealed in std::mem::take(&mut self.unshown) {
+            for &z in market.zones() {
+                for &ty in &self.pools {
+                    let range = revealed.clone();
+                    self.framework.observe(z, ty, market.trace(z, ty), range);
+                }
+            }
+        }
+        self.framework.decide(snapshots, horizon)
     }
 
     /// `replay.{kind}.{zone}`, with the type appended on heterogeneous
@@ -692,32 +810,27 @@ impl<S: BiddingStrategy> Run<'_, S> {
         }
     }
 
-    /// One audit record per selected bid, enriched with the model view the
-    /// bid came from; `granted` is known now the launch pass ran
-    /// (carried-over instances count as granted).
+    /// One audit record per selected bid, from the decision's view of
+    /// it; `granted` is known now the launch pass ran (carried-over
+    /// instances count as granted).
     fn audit_decision(&mut self, iv: &Interval) {
         if !self.obs.audit.is_enabled() {
             return;
         }
         let horizon_hours = iv.horizon as f64 / 60.0;
-        for pb in &iv.decision.bids {
-            let snap = iv
-                .snapshots
-                .iter()
-                .find(|s| s.zone == pb.zone && s.instance_type == pb.instance_type);
-            let fp = snap.and_then(|s| self.framework.predicted_fp(s, pb.bid, iv.horizon as u32));
+        for (pb, view) in iv.decision.bids.iter().zip(&iv.views) {
+            let snap = (iv.snapshots.iter())
+                .find(|s| s.zone == pb.zone && s.instance_type == pb.instance_type)
+                .expect("a decision bids only pools it was shown");
             let kind = AuditKind::BidSelection {
                 zone: pb.zone.to_string(),
                 instance_type: pb.instance_type.to_string(),
                 capacity_weight: pb.instance_type.capacity_weight() as f64,
                 bid_dollars: pb.bid.as_dollars(),
-                spot_price_dollars: snap.map_or(0.0, |s| s.spot_price.as_dollars()),
-                predicted_availability: fp.map_or(-1.0, |p| 1.0 - p),
+                spot_price_dollars: snap.spot_price.as_dollars(),
+                predicted_availability: 1.0 - view.predicted_fp,
                 predicted_cost_dollars: pb.bid.as_dollars() * horizon_hours,
-                kernel_id: self
-                    .framework
-                    .model(pb.zone, pb.instance_type)
-                    .map_or(0, |m| m.kernel().fingerprint()),
+                kernel_id: view.kernel_id,
                 fp_cache_hit: iv.fp_cache_hit,
                 granted: self.in_fleet(pb.zone, pb.instance_type),
             };
@@ -812,8 +925,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
         // the victim's zone come first at equal price.
         let snapshots = snapshots_at(self.market, &self.pools, launch_at);
         let mut choices = self
-            .framework
-            .decide(&snapshots, (iv.end - launch_at) as u32)
+            .decide_live(&snapshots, (iv.end - launch_at) as u32)
             .bids;
         choices.sort_by_key(|pb| {
             (
@@ -982,7 +1094,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
     fn rebid(&mut self, iv: &Interval, at: u64, died_at: u64, missing: usize) -> usize {
         self.ins.repair_rebids.inc();
         let snapshots = snapshots_at(self.market, &self.pools, at);
-        let mut choices = self.framework.decide(&snapshots, (iv.end - at) as u32).bids;
+        let mut choices = self.decide_live(&snapshots, (iv.end - at) as u32).bids;
         choices.sort_by_key(|pb| (pb.bid, pb.zone.ordinal(), pb.instance_type.ordinal()));
         let mut launched = 0;
         for pb in choices {

@@ -231,7 +231,7 @@ impl Scenario {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use jupiter::{ExtraStrategy, JupiterStrategy};
     use spot_market::{InstanceType, MarketConfig};
@@ -517,5 +517,120 @@ mod tests {
         // The adaptive run refit nothing: all its kernels were stored.
         assert_eq!(snap.counter("model_store.fits_performed"), Some(6));
         assert_eq!(snap.counter("model_store.fits_reused"), Some(6));
+    }
+
+    /// `S` without its decision pass, if it has one: asked one boundary at
+    /// a time inside the loop.
+    pub(crate) struct InLoop<S>(pub(crate) S);
+
+    impl<S: BiddingStrategy> BiddingStrategy for InLoop<S> {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn decide(
+            &self,
+            zones: &[jupiter::ZoneState<'_>],
+            spec: &ServiceSpec,
+            horizon_minutes: u32,
+        ) -> jupiter::BidDecision {
+            self.0.decide(zones, spec, horizon_minutes)
+        }
+    }
+
+    /// Every cell's whole result and the registry's counters and
+    /// histogram counts (histograms hold host time).
+    fn ledger(cells: &[CellOutcome], obs: &Obs) -> (Vec<String>, Vec<(String, u64)>) {
+        let results = cells.iter().map(|c| format!("{:?}", c.result)).collect();
+        let snap = obs.metrics.snapshot();
+        let histograms = snap.histograms.into_iter().map(|(n, h)| (n, h.count));
+        (
+            results,
+            snap.counters.into_iter().chain(histograms).collect(),
+        )
+    }
+
+    #[test]
+    fn the_decision_pass_replays_exactly_as_the_loop() {
+        use jupiter::FixedOnce;
+        // Two evaluation days at 6 h: eight boundaries per cell.
+        let (start, end) = (2 * 7 * 24 * 60, 2 * 7 * 24 * 60 + 2 * 24 * 60);
+        let market = scenario_market();
+        let bidder = |b: usize, o: &Obs| -> Box<dyn BiddingStrategy> {
+            match b {
+                0 => Box::new(JupiterStrategy::new().with_obs(o.clone())),
+                1 => Box::new(JupiterStrategy::absorbing().with_obs(o.clone())),
+                2 => Box::new(ExtraStrategy::new(0, 0.2)),
+                _ => Box::new(FixedOnce::new(JupiterStrategy::new().with_obs(o.clone()))),
+            }
+        };
+        let sweep = |in_loop: bool| {
+            let mut spec = SweepSpec::new(ServiceSpec::lock_service());
+            for b in 0..4 {
+                spec = spec.strategy(move |o| match in_loop {
+                    false => bidder(b, o),
+                    true => Box::new(InLoop(bidder(b, o))),
+                });
+            }
+            spec.intervals(vec![6])
+                .repairs(vec![
+                    RepairConfig::off(),
+                    RepairConfig::hybrid(),
+                    RepairConfig::migrate(),
+                ])
+                .eras(vec![BidEra::Bidding, BidEra::CapacityReclaim])
+        };
+        let replayed = |in_loop: bool, workers: usize| {
+            let (obs, _clock) = Obs::simulated();
+            let scenario = Scenario::new(market.clone(), start, end).with_obs(obs.clone());
+            ledger(&scenario.run_on(&sweep(in_loop), workers), &obs)
+        };
+        let pass = replayed(false, 1);
+        assert_eq!(pass.0.len(), 24);
+        for name in [
+            "jupiter.forward_evolution_micros",
+            "repair.rebids",
+            "migrate.launched",
+        ] {
+            let count = pass.1.iter().find(|(n, _)| n == name).map(|&(_, c)| c);
+            assert!(count.is_some_and(|c| c > 0), "{name} {count:?}");
+        }
+        // One worker fans each pass out over the pools; four put the cells
+        // on workers, where each pass runs inline.
+        assert_eq!(pass, replayed(true, 1), "one worker");
+        assert_eq!(replayed(false, 4), replayed(true, 4), "four workers");
+        assert_eq!(pass, replayed(false, 4));
+
+        // The adaptive schedule, observed whole: the audit records come
+        // from the pass's views, the loop's from the live models, and
+        // every series point sits at the same minute (host-time values
+        // aside).
+        let adaptive = |strategy: &dyn Fn(&Obs) -> Box<dyn BiddingStrategy>| {
+            let (obs, _clock) = Obs::simulated();
+            let config = ReplayConfig::new(start, end, 1);
+            let r = Replay::new(&market, &ServiceSpec::lock_service(), config)
+                .adaptive()
+                .repair(RepairConfig::hybrid())
+                .obs(&obs)
+                .run(strategy(&obs));
+            let audit = obs::json_lines(&obs.audit.snapshot(), obs::AuditRecord::to_json);
+            let series: Vec<String> = (obs.series.snapshot().into_iter())
+                .map(|mut s| {
+                    if s.name.ends_with("_micros") {
+                        for p in &mut s.points {
+                            (p.min, p.max, p.first, p.last, p.sum) = (0.0, 0.0, 0.0, 0.0, 0.0);
+                        }
+                    }
+                    format!("{s:?}")
+                })
+                .collect();
+            (ledger(&[], &obs), format!("{r:?}"), audit, series)
+        };
+        for b in [0, 1] {
+            let pass = adaptive(&|o| bidder(b, o));
+            assert!(pass.2.contains("bid_selection"), "the run is audited");
+            assert!(pass.3.iter().any(|s| s.contains("jupiter.decide_micros")));
+            assert_eq!(pass, adaptive(&|o| Box::new(InLoop(bidder(b, o)))), "{b}");
+        }
     }
 }

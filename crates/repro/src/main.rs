@@ -278,11 +278,11 @@ fn report_pass(seed: u64, path: &str) {
     let series = obs.series.snapshot();
     let html = report::render_replay_report(&subtitle, &result, &obs, &series);
     write_or_exit(path, &html);
+    // No byte count: the decide-latency chart's tick labels are host time.
     println!(
-        "report written to {path}: {} charts, {} series, {} bytes",
+        "report written to {path}: {} charts, {} series",
         report::chart_count(&html),
-        series.len(),
-        html.len()
+        series.len()
     );
     let events = obs.trace.events();
     let trace_path = format!("{path}.trace.json");

@@ -224,8 +224,7 @@ impl Tables {
         let mut hm = vec![0.0; len];
         let mut exact = Vec::new();
         let mut exact_rows = Vec::with_capacity(n + 1);
-        for i in 0..n {
-            let hazard = kernel.hazards_up_to(i as u16, max_age);
+        for (i, hazard) in kernel.hazard_rows(max_age).enumerate() {
             for (a, &h) in hazard.iter().enumerate() {
                 stay[cell(max_age, i, a)] = 1.0 - h;
                 hm[cell(max_age, i, a)] = h;

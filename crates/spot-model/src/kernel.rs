@@ -383,18 +383,40 @@ impl FrozenKernel {
     /// recomputes them and is O(max sojourn) per call — this batch form is
     /// what forecast-table construction uses).
     pub fn hazards_up_to(&self, i: u16, max_age: usize) -> Vec<f64> {
+        self.hazards_or(i, max_age, || self.global_fallback_hazard())
+    }
+
+    /// [`Self::hazards_up_to`] for every state, states ascending: the
+    /// global fallback hazard is walked out at most once for all the
+    /// unobserved states, not once each.
+    pub(crate) fn hazard_rows(&self, max_age: usize) -> impl Iterator<Item = Vec<f64>> + '_ {
+        let fallback = std::cell::OnceCell::new();
+        (0..self.n_states() as u16).map(move |i| {
+            self.hazards_or(i, max_age, || {
+                *fallback.get_or_init(|| self.global_fallback_hazard())
+            })
+        })
+    }
+
+    /// The hazards of state `i` with `fallback` as the flat hazard of an
+    /// unobserved state. The suffix sums also give the state's mean
+    /// sojourn: Σ_a Σ_{k ≥ a} N(τ = k) = Σ_k k · N(τ = k), the integer
+    /// [`Self::mean_sojourn`] sums.
+    fn hazards_or(&self, i: u16, max_age: usize, fallback: impl FnOnce() -> f64) -> Vec<f64> {
         let st = &self.states[i as usize];
         if st.n_out == 0 {
-            return vec![self.global_fallback_hazard(); max_age];
+            return vec![fallback(); max_age];
         }
-        let p_geo = (1.0 / self.mean_sojourn(i).max(1.0)).clamp(0.0, 1.0);
-        let alpha = Self::HAZARD_SMOOTHING;
         // suffix[a-1] = Σ_{k ≥ a} N(τ = k).
         let len = st.sojourn_counts.len();
         let mut suffix = vec![0u64; len + 1];
         for k in (0..len).rev() {
             suffix[k] = suffix[k + 1] + st.sojourn_counts[k];
         }
+        let sojourn_minutes: u64 = suffix.iter().sum();
+        let mean = sojourn_minutes as f64 / st.n_out as f64;
+        let p_geo = (1.0 / mean.max(1.0)).clamp(0.0, 1.0);
+        let alpha = Self::HAZARD_SMOOTHING;
         (1..=max_age)
             .map(|age| {
                 let at = st.sojourn_counts.get(age - 1).copied().unwrap_or(0);
