@@ -96,8 +96,8 @@ done
 # not notice. `era` adds the capacity-era cells: reclaims, notices and
 # migrations, replayed on the same workers. `hetero` adds mixed-pool
 # cells, where each zone holds two failure models observing their own
-# traces, and the auto-scaler's one-cell replays, whose Jupiter
-# decisions fan out over the zones.
+# traces, and the auto-scaler's one-cell replays, which decide in the
+# loop, each Jupiter decision fanning out over the zones.
 ONE_CPU="$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')" # first CPU we may run on
 for target in all era hetero; do
   taskset -c "$ONE_CPU" ./target/release/repro --quick --seed 2014 "$target" | grep -v '^#' > "$TMP/$target.1.txt"
@@ -156,13 +156,16 @@ done
 diff "$TMP/report.out" <(sed "s#$TMP/again.html#$TMP/report.html#g" "$TMP/again.out") \
   || { echo "report smoke: stdout differs between two processes at one seed" >&2; exit 1; }
 # One thread against the default pool: the report replays one cell, so
-# its Jupiter decisions fan the zones out over the host's cores; pinned
-# to one core they run inline, and the record must not notice.
-taskset -c "$ONE_CPU" ./target/release/repro --seed 2014 --report-out "$TMP/one.html" report > /dev/null
+# its decision pass runs one job per pool over the host's cores, and
+# only its rebids fan out per decision; pinned to one core both run
+# inline, and neither the record nor stdout may notice.
+taskset -c "$ONE_CPU" ./target/release/repro --seed 2014 --report-out "$TMP/one.html" report > "$TMP/one.out"
 for artifact in trace.json audit.jsonl alerts.jsonl; do
   cmp "$TMP/report.html.$artifact" "$TMP/one.html.$artifact" \
     || { echo "report smoke: $artifact differs between one thread and the default pool" >&2; exit 1; }
 done
+diff "$TMP/report.out" <(sed "s#$TMP/one.html#$TMP/report.html#g" "$TMP/one.out") \
+  || { echo "report smoke: stdout differs between one thread and the default pool" >&2; exit 1; }
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

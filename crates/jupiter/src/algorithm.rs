@@ -25,7 +25,7 @@ use std::cmp::Reverse;
 use std::time::Instant;
 
 use obs::{Counter, Histogram, Obs};
-use spot_market::Price;
+use spot_market::{Price, Zone};
 
 use crate::par::{host_workers, par_map};
 use crate::service::ServiceSpec;
@@ -52,46 +52,38 @@ fn select_with_strength(
 }
 
 /// [`select_with_strength`] with a zone-diversified starting selection:
-/// instead of the `n` cheapest pools outright, take the cheapest pool
-/// per *zone* first (round-robin passes in price order), so same-zone
-/// pools — which share capacity crunches under `BidEra::CapacityReclaim`
-/// — are only doubled up once every zone is covered. The strength
-/// upgrade loop then runs unchanged.
+/// instead of the `n` cheapest pools outright, take each zone's cheapest
+/// pool first, then each zone's second cheapest, and so on, in price
+/// order within each round ([`zone_ranks`]), so same-zone pools — which
+/// share capacity crunches under `BidEra::CapacityReclaim` — are only
+/// doubled up once every zone is covered. The strength upgrade loop then
+/// runs unchanged, over the unselected pools in price order.
 fn select_diversified(mut bids: Vec<PoolBid>, n: usize, min_strength: u32) -> Option<Vec<PoolBid>> {
-    bids.sort_by_key(|b| (b.bid, b.zone.ordinal(), b.instance_type.ordinal()));
-    let mut selected: Vec<PoolBid> = Vec::with_capacity(bids.len());
-    let mut used = vec![false; bids.len()];
-    while selected.len() < n {
-        // One pick per zone per pass, cheapest first; a second pool in a
-        // zone is only taken once every zone with an unused pool has one
-        // more pick than it had last pass.
-        let mut pass_zones: Vec<spot_market::Zone> = Vec::new();
-        let mut progressed = false;
-        for (i, b) in bids.iter().enumerate() {
-            if selected.len() >= n {
-                break;
-            }
-            if used[i] || pass_zones.contains(&b.zone) {
-                continue;
-            }
-            used[i] = true;
-            pass_zones.push(b.zone);
-            selected.push(*b);
-            progressed = true;
-        }
-        if !progressed {
-            break; // every pool is used: bids.len() < n, caller filters
-        }
-    }
-    if selected.len() < n {
+    if bids.len() < n {
         return None;
     }
-    selected.extend(
-        bids.into_iter()
-            .zip(used)
-            .filter_map(|(b, u)| (!u).then_some(b)),
-    );
-    upgrade_to_strength(selected, n, min_strength)
+    bids.sort_by_key(|b| (b.bid, b.zone.ordinal(), b.instance_type.ordinal()));
+    let rank = zone_ranks(bids.iter().map(|b| b.zone));
+    let mut order: Vec<usize> = (0..bids.len()).collect();
+    order.sort_by_key(|&i| rank[i]);
+    order[n..].sort_unstable();
+    let pools = order.into_iter().map(|i| bids[i]).collect();
+    upgrade_to_strength(pools, n, min_strength)
+}
+
+/// Each pool's price rank within its zone, for `zones` listing the
+/// pools' zones in price order: 0 for a zone's cheapest pool, 1 for its
+/// second cheapest, …. A stable sort by rank is the zone-first order of
+/// Jupiter's and Feedback's diversified picks.
+pub(crate) fn zone_ranks(zones: impl Iterator<Item = Zone>) -> Vec<usize> {
+    let mut seen: Vec<Zone> = Vec::new();
+    zones
+        .map(|zone| {
+            let rank = seen.iter().filter(|&&z| z == zone).count();
+            seen.push(zone);
+            rank
+        })
+        .collect()
 }
 
 /// The marginal-cost strength-upgrade loop shared by the plain and the
@@ -1062,6 +1054,25 @@ mod tests {
         }
         // Asking for more pools than exist fails cleanly.
         assert!(select_diversified(bids[..3].to_vec(), 4, 0).is_none());
+
+        // Equal bids, more picks than zones: each zone's first pool, then
+        // each zone's second, ties by zone and then type ordinal; the
+        // unselected pools stay in price order for the strength upgrade,
+        // whose tie goes to the first heavy pool there (z0's m3.large).
+        use InstanceType::{M1Medium as M, M1Small as S, M3Large as L};
+        let tied: Vec<PoolBid> = [(0, S), (0, M), (0, L), (1, S), (1, L), (2, S)]
+            .into_iter()
+            .map(|(zi, ty)| mk(zi, ty, 0.010))
+            .collect();
+        let order = |n: usize, floor: u32| {
+            let sel = select_diversified(tied.clone(), n, floor).expect("feasible");
+            let zi = |z: spot_market::Zone| (0..3).find(|&i| zone(i) == z).expect("a test zone");
+            sel.iter()
+                .map(|b| (zi(b.zone), b.instance_type))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(order(5, 0), [(0, S), (1, S), (2, S), (0, M), (1, L)]);
+        assert_eq!(order(4, 6), [(0, L), (1, S), (2, S), (0, M)]);
     }
 
     /// The node-count floor binding: the cheap picks already reach the

@@ -15,8 +15,9 @@
 
 use std::sync::Mutex;
 
-use spot_market::{PoolTable, Price, Zone};
+use spot_market::{PoolTable, Price};
 
+use crate::algorithm::zone_ranks;
 use crate::service::ServiceSpec;
 use crate::strategy::{BidDecision, BiddingStrategy, PoolBid, ZoneState};
 
@@ -155,51 +156,29 @@ impl BiddingStrategy for FeedbackStrategy {
             .collect();
         priced.sort_by_key(|(bid, z)| (*bid, z.zone.ordinal(), z.instance_type.ordinal()));
 
-        let mut bids: Vec<PoolBid> = Vec::new();
-        let mut strength = 0u32;
-        let mut taken = vec![false; priced.len()];
-        // Under `spec.diversify` (the capacity-reclaim era) the take
-        // order prefers zones not yet selected: same-zone pools share
-        // capacity crunches, so covering zones first buys independence.
-        // A second sweep then fills any remaining need in plain price
-        // order. With `diversify` off the first sweep is skipped and the
-        // selection is byte-identical to the legacy single sweep.
-        let needs_more = |bids: &Vec<PoolBid>, strength: u32| {
-            bids.len() < spec.baseline_nodes || strength < spec.min_strength
-        };
+        // Under `spec.diversify` (the capacity-reclaim era) each zone's
+        // cheapest pool comes first: same-zone pools share capacity
+        // crunches, so covering zones first buys independence. The rest
+        // follow in price order, as every pool does without `diversify`.
+        let mut order: Vec<usize> = (0..priced.len()).collect();
         if spec.diversify {
-            let mut pass_zones: Vec<Zone> = Vec::new();
-            for (i, (bid, z)) in priced.iter().enumerate() {
-                if !needs_more(&bids, strength) {
-                    break;
-                }
-                if pass_zones.contains(&z.zone) {
-                    continue;
-                }
-                taken[i] = true;
-                pass_zones.push(z.zone);
-                bids.push(PoolBid {
-                    zone: z.zone,
-                    instance_type: z.instance_type,
-                    bid: *bid,
-                });
-                strength += z.instance_type.capacity_weight();
-            }
+            let rank = zone_ranks(priced.iter().map(|(_, z)| z.zone));
+            order.sort_by_key(|&i| rank[i] > 0);
         }
-        for (i, (bid, z)) in priced.iter().enumerate() {
-            if !needs_more(&bids, strength) {
-                break;
-            }
-            if taken[i] {
-                continue;
-            }
-            bids.push(PoolBid {
+        let (mut taken, mut strength) = (0, 0u32);
+        let bids: Vec<PoolBid> = (order.into_iter().map(|i| priced[i]))
+            .take_while(|(_, z)| {
+                let needs_more = taken < spec.baseline_nodes || strength < spec.min_strength;
+                taken += 1;
+                strength += z.instance_type.capacity_weight();
+                needs_more
+            })
+            .map(|(bid, z)| PoolBid {
                 zone: z.zone,
                 instance_type: z.instance_type,
-                bid: *bid,
-            });
-            strength += z.instance_type.capacity_weight();
-        }
+                bid,
+            })
+            .collect();
 
         // 3. Remember what we actually bid (pools we skipped keep their
         // loop state but observe nothing next round — mark them
@@ -413,5 +392,35 @@ mod tests {
         let spread = FeedbackStrategy::new().decide(&st, &spec_div, 60);
         assert_eq!(spread.n(), 5);
         assert_eq!(distinct(&spread), 5, "one pool per zone: {:?}", spread.bids);
+
+        // Equal bids in two zones, five nodes: each zone's cheapest pool,
+        // then the rest in price order (ties by zone, then type ordinal),
+        // not each zone's second before any zone's third.
+        let tied: Vec<ZoneState> = (zones.iter().take(2))
+            .flat_map(|&zone| pools.iter().map(move |&ty| (zone, ty)))
+            .map(|(zone, instance_type)| ZoneState {
+                zone,
+                instance_type,
+                spot_price: p(0.010),
+                sojourn_age: 0,
+                on_demand: p(0.140),
+                model: &m,
+            })
+            .collect();
+        let take = FeedbackStrategy::new().decide(&tied, &spec_div, 60);
+        let order: Vec<_> = (take.bids.iter())
+            .map(|b| (b.zone, b.instance_type))
+            .collect();
+        let (z0, z1) = (zones[0], zones[1]);
+        assert_eq!(
+            order,
+            [
+                (z0, InstanceType::M1Small),
+                (z1, InstanceType::M1Small),
+                (z0, InstanceType::M1Medium),
+                (z0, InstanceType::C3Large),
+                (z1, InstanceType::M1Medium),
+            ]
+        );
     }
 }

@@ -75,10 +75,8 @@ mod tests {
     fn adaptive_replay_runs_and_labels_itself() {
         let market = market();
         let spec = ServiceSpec::lock_service();
-        let config = ReplayConfig::new(7 * 24 * 60, 9 * 24 * 60, 6);
-        let r = Replay::new(&market, &spec, config)
-            .adaptive()
-            .run(ExtraStrategy::new(0, 0.2));
+        let config = ReplayConfig::new(7 * 24 * 60, 9 * 24 * 60, None);
+        let r = Replay::new(&market, &spec, config).run(ExtraStrategy::new(0, 0.2));
         assert!(r.strategy.contains("[adaptive]"));
         assert_eq!(r.window_minutes, 2 * 24 * 60);
         assert!(!r.intervals.is_empty());

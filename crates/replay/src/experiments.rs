@@ -174,17 +174,12 @@ impl Cell {
     /// This key's replay over `scenario` (its market and window); the
     /// baseline has none.
     fn replay<'a>(&'a self, scenario: &'a Scenario) -> Replay<'a> {
-        // The adaptive schedule replaces the interval; any valid one does.
-        let config = scenario.config(self.interval_hours.unwrap_or(1));
-        let replay = Replay::new(scenario.market(), &self.service, config.with_era(self.era))
+        let config = scenario.config(self.interval_hours).with_era(self.era);
+        Replay::new(scenario.market(), &self.service, config)
             .repair(RepairConfig {
                 policy: self.repair,
             })
-            .store(scenario.store());
-        match self.interval_hours {
-            Some(_) => replay,
-            None => replay.adaptive(),
-        }
+            .store(scenario.store())
     }
 
     /// The on-demand baseline's row.

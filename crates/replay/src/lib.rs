@@ -25,8 +25,9 @@
 //!
 //! One replay is one [`Replay`] builder chain —
 //! `Replay::new(&market, &spec, config).run(strategy)`, optionally with
-//! `.repair(..)`, `.adaptive()`, `.store(..)`, `.autoscaler(..)` and
-//! `.obs(..)` in between; [`Scenario`] runs a grid of them over one shared
+//! `.repair(..)`, `.store(..)`, `.autoscaler(..)` and `.obs(..)` in
+//! between (a `None` interval in the [`ReplayConfig`] is the adaptive
+//! schedule); [`Scenario`] runs a grid of them over one shared
 //! market, model store and metrics registry.
 //!
 //! [`experiments`] packages the paper's figures (4 through 9 plus the

@@ -6,8 +6,6 @@
 //! `migrate` → `repair` → `account` → `bill` (DESIGN.md "Replay loop").
 #![deny(clippy::too_many_lines)]
 
-use std::ops::Range;
-
 use jupiter::framework::MarketSnapshot;
 use jupiter::{
     BidDecision, BidView, BiddingFramework, BiddingStrategy, Boundary, Decided, ModelKey,
@@ -43,8 +41,11 @@ pub struct ReplayConfig {
     pub eval_start: u64,
     /// Evaluation window end minute (exclusive).
     pub eval_end: u64,
-    /// Bidding interval in hours (the paper sweeps 1, 3, 6, 9, 12).
-    pub interval_hours: u64,
+    /// Bidding interval in hours (the paper sweeps 1, 3, 6, 9, 12);
+    /// `None` is the §5.5 adaptive schedule, which sizes each interval
+    /// by [`adaptive_interval`] from the revealed price-change rate and
+    /// suffixes the strategy name with `" [adaptive]"`.
+    pub interval_hours: Option<u64>,
     /// Which interruption regime resolves instance deaths. Under the
     /// default [`BidEra::Bidding`] the replay is byte-identical to the
     /// pre-era harness (kills at the first out-of-bid minute); under
@@ -56,10 +57,12 @@ pub struct ReplayConfig {
 
 impl ReplayConfig {
     /// A bidding-era config: train on everything before `eval_start`,
-    /// re-bid every `interval_hours`.
-    pub fn new(eval_start: u64, eval_end: u64, interval_hours: u64) -> Self {
+    /// re-bid every `interval_hours` (a number of hours, or `None` for
+    /// the adaptive schedule).
+    pub fn new(eval_start: u64, eval_end: u64, interval_hours: impl Into<Option<u64>>) -> Self {
+        let interval_hours = interval_hours.into();
         assert!(eval_start < eval_end, "empty evaluation window");
-        assert!(interval_hours >= 1, "interval must be at least an hour");
+        assert_ne!(interval_hours, Some(0), "interval must be at least an hour");
         ReplayConfig {
             eval_start,
             eval_end,
@@ -90,9 +93,8 @@ impl ReplayConfig {
 /// and refined with each interval's revealed prices (Fig. 2).
 ///
 /// `Replay::new(..).run(strategy)` is the paper's plain replay: repair
-/// off, fixed `interval_hours`, a private single-use [`ModelStore`], no
-/// auto-scaler, observability disabled. Each chained input switches one
-/// of those:
+/// off, a private single-use [`ModelStore`], no auto-scaler,
+/// observability disabled. Each chained input switches one of those:
 ///
 /// ```text
 /// Replay::new(&market, &spec, config)
@@ -106,7 +108,6 @@ pub struct Replay<'a> {
     spec: &'a ServiceSpec,
     config: ReplayConfig,
     repair: RepairConfig,
-    adaptive: bool,
     store: Option<&'a ModelStore>,
     scaler: Option<&'a mut AutoScaler>,
     obs: Obs,
@@ -120,7 +121,6 @@ impl<'a> Replay<'a> {
             spec,
             config,
             repair: RepairConfig::off(),
-            adaptive: false,
             store: None,
             scaler: None,
             obs: Obs::disabled(),
@@ -133,15 +133,6 @@ impl<'a> Replay<'a> {
     /// notices ahead of the kill under [`RepairPolicy::Migrate`].
     pub fn repair(mut self, repair: RepairConfig) -> Self {
         self.repair = repair;
-        self
-    }
-
-    /// The §5.5 schedule: size each interval (at least 60 minutes) by
-    /// [`adaptive_interval`] from the revealed price-change rate, instead
-    /// of the fixed `config.interval_hours`. The result's strategy name
-    /// gains an `" [adaptive]"` suffix.
-    pub fn adaptive(mut self) -> Self {
-        self.adaptive = true;
         self
     }
 
@@ -221,10 +212,9 @@ impl<'a> Replay<'a> {
         let mut observed_until = config.first_decision();
         let mut start = config.eval_start;
         while start < config.eval_end {
-            let length = if self.adaptive {
-                adaptive_interval(market, self.spec, start)
-            } else {
-                config.interval_hours * 60
+            let length = match config.interval_hours {
+                Some(hours) => hours * 60,
+                None => adaptive_interval(market, self.spec, start),
             };
             let length = length.max(60);
             let decision_at = start.saturating_sub(DECISION_LEAD);
@@ -273,15 +263,7 @@ impl<'a> Replay<'a> {
     ) -> ReplayResult {
         let (market, config, obs) = (self.market, self.config, &self.obs);
         let primary_ty = framework.spec().instance_type;
-        // On-demand fallbacks run the primary type in the cheapest on-demand
-        // zone (ties broken by zone order), mirroring
-        // `on_demand_baseline_cost`.
-        let od_zone = market
-            .zones()
-            .iter()
-            .copied()
-            .min_by_key(|z| (primary_ty.on_demand_price(z.region), z.ordinal()))
-            .expect("market has zones");
+        let od_zone = cheapest_on_demand_zone(market, primary_ty);
         let mut run = Run {
             market,
             config,
@@ -294,7 +276,6 @@ impl<'a> Replay<'a> {
             od_zone,
             od_hourly: primary_ty.on_demand_price(od_zone.region),
             framework,
-            unshown: Vec::new(),
             scaler: self.scaler,
             feedback: None,
             fleet: Vec::new(),
@@ -322,7 +303,7 @@ impl<'a> Replay<'a> {
             run.interval(boundary, decided);
         }
         let mut result = run.finish();
-        if self.adaptive {
+        if config.interval_hours.is_none() {
             result.strategy.push_str(" [adaptive]");
         }
         result
@@ -534,9 +515,6 @@ struct Run<'a, S: BiddingStrategy> {
     od_zone: Zone,
     od_hourly: Price,
     framework: BiddingFramework<S>,
-    /// Revealed windows the framework's models have not been shown yet,
-    /// oldest first ([`Self::decide_live`]).
-    unshown: Vec<Range<u64>>,
     scaler: Option<&'a mut AutoScaler>,
     /// The interval just ended, as the scaler's next feedback.
     feedback: Option<ObservedInterval>,
@@ -601,15 +579,24 @@ impl<S: BiddingStrategy> Run<'_, S> {
         );
     }
 
-    /// The boundary's decision, made shortly before it: take the pass's
-    /// decision, or make one here. The newly revealed minutes wait in
-    /// `unshown` until the books next read a model.
+    /// The boundary's decision, made shortly before it: every pool's
+    /// model is shown the minutes revealed since the last boundary, then
+    /// the pass's decision is taken up, or one is made here. A model cuts
+    /// and folds what it was shown at its first read, so rebids and
+    /// migrations read models frozen at this boundary, and a run whose
+    /// books read no model copies no window.
     fn decide(&mut self, boundary: Boundary, end: u64, decided: Option<Decided>) -> Interval {
         self.refs.clear();
         self.kills = 0;
         let start = boundary.minute;
         if !boundary.revealed.is_empty() {
-            self.unshown.push(boundary.revealed.clone());
+            let market = self.market;
+            for &z in market.zones() {
+                for &ty in &self.pools {
+                    let range = boundary.revealed.clone();
+                    self.framework.observe(z, ty, market.trace(z, ty), range);
+                }
+            }
         }
         let decided = match decided {
             Some(decided) => {
@@ -657,7 +644,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
         }
         let (snapshots, horizon) = (&boundary.snapshots, boundary.horizon_minutes);
         let hits_before = self.ins.fp_cache_hits.get();
-        let decision = self.decide_live(snapshots, horizon);
+        let decision = self.framework.decide(snapshots, horizon);
         let fp_cache_hits = self.ins.fp_cache_hits.get() - hits_before;
         let views = if self.obs.audit.is_enabled() {
             self.framework.views(snapshots, &decision, horizon)
@@ -670,26 +657,6 @@ impl<S: BiddingStrategy> Run<'_, S> {
             views,
             micros: 0,
         }
-    }
-
-    /// A decision the books make themselves — a boundary without a pass,
-    /// a rebid, a migration — on the models as the last boundary left them:
-    /// the revealed windows not yet shown go to every pool's model first,
-    /// oldest first (each model cuts and folds them when the strategy
-    /// reads it, so a strategy that consults no model copies no window
-    /// and builds no kernel), and a run whose books never decide shows
-    /// them nothing.
-    fn decide_live(&mut self, snapshots: &[MarketSnapshot], horizon: u32) -> BidDecision {
-        let market = self.market;
-        for revealed in std::mem::take(&mut self.unshown) {
-            for &z in market.zones() {
-                for &ty in &self.pools {
-                    let range = revealed.clone();
-                    self.framework.observe(z, ty, market.trace(z, ty), range);
-                }
-            }
-        }
-        self.framework.decide(snapshots, horizon)
     }
 
     /// `replay.{kind}.{zone}`, with the type appended on heterogeneous
@@ -924,8 +891,8 @@ impl<S: BiddingStrategy> Run<'_, S> {
         // Re-ask the framework at the signal minute; candidates outside
         // the victim's zone come first at equal price.
         let snapshots = snapshots_at(self.market, &self.pools, launch_at);
-        let mut choices = self
-            .decide_live(&snapshots, (iv.end - launch_at) as u32)
+        let mut choices = (self.framework)
+            .decide(&snapshots, (iv.end - launch_at) as u32)
             .bids;
         choices.sort_by_key(|pb| {
             (
@@ -1094,7 +1061,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
     fn rebid(&mut self, iv: &Interval, at: u64, died_at: u64, missing: usize) -> usize {
         self.ins.repair_rebids.inc();
         let snapshots = snapshots_at(self.market, &self.pools, at);
-        let mut choices = self.decide_live(&snapshots, (iv.end - at) as u32).bids;
+        let mut choices = self.framework.decide(&snapshots, (iv.end - at) as u32).bids;
         choices.sort_by_key(|pb| (pb.bid, pb.zone.ordinal(), pb.instance_type.ordinal()));
         let mut launched = 0;
         for pb in choices {
@@ -1313,14 +1280,18 @@ impl<S: BiddingStrategy> Run<'_, S> {
 /// instances in the cheapest availability zones").
 pub fn on_demand_baseline_cost(market: &Market, spec: &ServiceSpec, config: ReplayConfig) -> Price {
     let ty = spec.instance_type;
-    let cheapest = market
-        .zones()
-        .iter()
-        .map(|z| ty.on_demand_price(z.region))
-        .min()
-        .expect("market has zones");
+    let cheapest = ty.on_demand_price(cheapest_on_demand_zone(market, ty).region);
     let minutes = config.eval_end - config.eval_start;
     spot_market::on_demand_charge(cheapest, 0, minutes) * spec.baseline_nodes as u64
+}
+
+/// The zone with the lowest on-demand price for `ty`, ties broken by zone
+/// order: the baseline's price and where the repair's on-demand fallbacks
+/// run.
+fn cheapest_on_demand_zone(market: &Market, ty: InstanceType) -> Zone {
+    (market.zones().iter().copied())
+        .min_by_key(|z| (ty.on_demand_price(z.region), z.ordinal()))
+        .expect("market has zones")
 }
 
 #[cfg(test)]

@@ -171,8 +171,9 @@ impl Scenario {
         &self.store
     }
 
-    /// The replay config for one interval choice over this window.
-    pub fn config(&self, interval_hours: u64) -> ReplayConfig {
+    /// The replay config for one interval choice over this window (hours,
+    /// or `None` for the adaptive schedule).
+    pub fn config(&self, interval_hours: impl Into<Option<u64>>) -> ReplayConfig {
         ReplayConfig::new(self.eval_start, self.eval_end, interval_hours)
     }
 
@@ -508,8 +509,7 @@ pub(crate) mod tests {
             .strategy(|_| Box::new(JupiterStrategy::new()))
             .intervals(vec![6]);
         scenario.run(&spec);
-        let r = Replay::new(scenario.market(), &service, scenario.config(1))
-            .adaptive()
+        let r = Replay::new(scenario.market(), &service, scenario.config(None))
             .store(scenario.store())
             .run(JupiterStrategy::new());
         assert!(r.strategy.contains("[adaptive]"));
@@ -607,9 +607,8 @@ pub(crate) mod tests {
         // aside).
         let adaptive = |strategy: &dyn Fn(&Obs) -> Box<dyn BiddingStrategy>| {
             let (obs, _clock) = Obs::simulated();
-            let config = ReplayConfig::new(start, end, 1);
+            let config = ReplayConfig::new(start, end, None);
             let r = Replay::new(&market, &ServiceSpec::lock_service(), config)
-                .adaptive()
                 .repair(RepairConfig::hybrid())
                 .obs(&obs)
                 .run(strategy(&obs));

@@ -136,7 +136,8 @@ fn every_config_field_is_inventoried() {
         eval_end: _,
         // `Scale::horizon_minutes()`
         interval_hours: _,
-        // the paper's 1 / 3 / 6 / 9 / 12 h sweep (`SweepSpec::intervals`)
+        // the paper's 1 / 3 / 6 / 9 / 12 h sweep (`SweepSpec::intervals`); `None` (the §5.5
+        // adaptive schedule) in `experiments::ablation_adaptive`
         era: _,
         // `Bidding` by default; `CapacityReclaim` in `experiments::era_sweep` and benchmark
         // `controller_sweep`

@@ -28,7 +28,7 @@
 //! | `.obs(o)`                                   | `replay_strategy_observed(m, spec, strategy, config, o)` |
 //! | `.repair(r).obs(o)` / `.repair(r).store(s).obs(o)` | `replay_repair_stored(m, spec, strategy, config, r, s, o)` with `s = &ModelStore::with_obs(o.clone())` where none is given |
 //! | `.autoscaler(a).obs(o)`                     | `replay_autoscale_stored(m, spec, strategy, config, RepairConfig::off(), \|_\| 180, &ModelStore::with_obs(o.clone()), a, o)` |
-//! | `.adaptive().obs(o)`                        | `replay_adaptive_stored(m, spec, strategy, config, a, &ModelStore::with_obs(o.clone()), o)` with `a` that tree's default adaptive parameters (constants in `replay::adaptive` since PR 19) |
+//! | `config(None)` … `.obs(o)`                   | `replay_adaptive_stored(m, spec, strategy, config, a, &ModelStore::with_obs(o.clone()), o)` with `a` that tree's default adaptive parameters (constants in `replay::adaptive` since PR 19) |
 //!
 //! Host wall-clock samples cannot be pinned: histograms keep only their
 //! sample count, and `*_micros` series only their point count.
@@ -72,7 +72,7 @@ fn market(hetero: bool) -> Market {
     Market::generate(cfg)
 }
 
-fn config(hours: u64) -> ReplayConfig {
+fn config(hours: impl Into<Option<u64>>) -> ReplayConfig {
     ReplayConfig::new(EVAL_START, EVAL_END, hours)
 }
 
@@ -164,8 +164,7 @@ fn whole_result_digests_match_the_pre_refactor_loop() {
     got.push(digest(&r, &o));
 
     let (o, _clock) = Obs::simulated();
-    let r = Replay::new(&m, &spec, config(1))
-        .adaptive()
+    let r = Replay::new(&m, &spec, config(None))
         .obs(&o)
         .run(JupiterStrategy::new().with_obs(o.clone()));
     got.push(digest(&r, &o));
