@@ -39,6 +39,24 @@ if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
   fi
 fi
 
+echo "== non-test lines per crate =="
+# The one line count the project quotes: every line of a crate's src/
+# but a column-0 `#[cfg(test)]` and the item it gates — a `mod x;` line,
+# or a block through the next column-0 `}`. Prints; gates nothing.
+TOTAL=0
+for dir in crates/*/src src; do
+  LINES="$(find "$dir" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { skip = 0; gated = 0 }
+    skip { if (/^}/) skip = 0; next }
+    gated { gated = 0; if (!/^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/) skip = 1; next }
+    /^#\[cfg\(test\)\]/ { gated = 1; next }
+    { n++ }
+    END { print n + 0 }')"
+  printf '%-24s %6d\n' "$dir" "$LINES"
+  TOTAL=$((TOTAL + LINES))
+done
+printf '%-24s %6d\n' total "$TOTAL"
+
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 

@@ -30,7 +30,7 @@ use spot_market::{Price, Zone};
 use crate::par::{host_workers, par_map};
 use crate::service::ServiceSpec;
 use crate::strategy::{
-    BidDecision, BidView, BiddingStrategy, Boundary, Decided, PoolBid, PoolWalk, ZoneState,
+    BidDecision, BiddingStrategy, Boundary, Decided, PoolBid, PoolWalk, ZoneState,
 };
 
 /// Pick `n` pools from `bids` approximately minimizing total cost subject
@@ -160,8 +160,6 @@ pub enum Estimator {
 /// The paper's bidding algorithm ("Jupiter").
 #[derive(Clone, Debug, Default)]
 pub struct JupiterStrategy {
-    /// Cap the enumeration of node counts (`None` = up to the zone count).
-    pub max_nodes: Option<usize>,
     /// The failure estimator variant.
     pub estimator: Estimator,
     /// Observability sink (disabled by default; see [`Self::with_obs`]).
@@ -178,7 +176,6 @@ impl JupiterStrategy {
     /// estimates.
     pub fn absorbing() -> Self {
         JupiterStrategy {
-            max_nodes: None,
             estimator: Estimator::Absorbing,
             obs: Obs::disabled(),
         }
@@ -229,9 +226,8 @@ impl BiddingStrategy for JupiterStrategy {
         pools: &[PoolWalk<'_>],
         boundaries: &[Boundary],
         spec: &ServiceSpec,
-        audit: bool,
     ) -> Option<Vec<Decided>> {
-        Some(self.schedule_on(pools, boundaries, spec, audit, host_workers()))
+        Some(self.schedule_on(pools, boundaries, spec, host_workers()))
     }
 
     fn record_decided(&self, decided: &Decided) {
@@ -272,20 +268,11 @@ impl Probes {
 }
 
 /// One zone's minimal bids at one decision: per node-count target, the
-/// bid and the estimator's FP there (`None` where the target is absent
-/// or out of reach), and the memo hits it took.
+/// bid (`None` where the target is absent or out of reach), and the memo
+/// hits it took.
 struct ZoneBids {
-    bids: Vec<Option<(Price, f64)>>,
+    bids: Vec<Option<Price>>,
     hits: u64,
-}
-
-/// One pool at one boundary of a pass: its minimal bids, their audit
-/// views when the pass is audited (else empty), and the host time the
-/// job spent on them.
-struct PoolAnswer {
-    zone: ZoneBids,
-    views: Vec<Option<BidView>>,
-    micros: u64,
 }
 
 impl JupiterStrategy {
@@ -310,10 +297,9 @@ impl JupiterStrategy {
         }
     }
 
-    /// The per-node FP target of each node count `1..=max_n` over `pools`.
-    fn targets(&self, pools: usize, spec: &ServiceSpec) -> Vec<Option<f64>> {
-        let max_n = self.max_nodes.unwrap_or(pools).min(pools);
-        (1..=max_n).map(|n| spec.node_fp_target(n)).collect()
+    /// The per-node FP target of each node count `1..=pools`.
+    fn targets(pools: usize, spec: &ServiceSpec) -> Vec<Option<f64>> {
+        (1..=pools).map(|n| spec.node_fp_target(n)).collect()
     }
 
     /// Fig. 3 with the per-zone half on at most `workers` threads: every
@@ -327,7 +313,7 @@ impl JupiterStrategy {
         workers: usize,
     ) -> BidDecision {
         let probes = self.probes();
-        let targets = self.targets(zones.len(), spec);
+        let targets = Self::targets(zones.len(), spec);
         // Until selection the zones are independent, and one zone's
         // forecast or bid search is nearly all of a decision.
         let zone_bids = par_map(zones, workers, |z| {
@@ -335,7 +321,7 @@ impl JupiterStrategy {
         });
         let bid_at = |p: usize, n: usize| {
             let z = &zones[p];
-            zone_bids[p].bids[n - 1].map(|(bid, _)| PoolBid {
+            zone_bids[p].bids[n - 1].map(|bid| PoolBid {
                 zone: z.zone,
                 instance_type: z.instance_type,
                 bid,
@@ -354,98 +340,53 @@ impl JupiterStrategy {
         pools: &[PoolWalk<'_>],
         boundaries: &[Boundary],
         spec: &ServiceSpec,
-        audit: bool,
         workers: usize,
     ) -> Vec<Decided> {
         if pools.is_empty() {
             let empty = || Decided {
                 decision: BidDecision::empty(),
                 fp_cache_hits: 0,
-                views: Vec::new(),
                 micros: 0,
             };
             return boundaries.iter().map(|_| empty()).collect();
         }
         let probes = self.probes();
-        let targets = self.targets(pools.len(), spec);
+        let targets = Self::targets(pools.len(), spec);
         // Longest ladder first: a forecast costs about the square of the
         // ladder, and the dearest pool claimed last would leave the other
         // workers idle at the end.
         let mut order: Vec<usize> = (0..pools.len()).collect();
         order.sort_by_key(|&p| Reverse(pools[p].model.kernel().n_states()));
+        // Per pool, per boundary: its minimal bids and the job's host time.
         let walked = par_map(&order, workers, |&p| {
             pools[p].walk(boundaries, |b, state| {
                 let start = Instant::now();
                 let zone = self.zone_min_bids(state, &targets, b.horizon_minutes, &probes);
-                let micros = start.elapsed().as_micros() as u64;
-                let views = if audit {
-                    self.views(state, &zone, b.horizon_minutes)
-                } else {
-                    Vec::new()
-                };
-                PoolAnswer {
-                    zone,
-                    views,
-                    micros,
-                }
+                (zone, start.elapsed().as_micros() as u64)
             })
         });
-        let mut answers: Vec<(usize, Vec<PoolAnswer>)> = order.into_iter().zip(walked).collect();
+        let mut answers: Vec<_> = order.into_iter().zip(walked).collect();
         answers.sort_unstable_by_key(|&(p, _)| p);
         let at = |p: usize, k: usize| &answers[p].1[k];
         (0..boundaries.len())
             .map(|k| {
                 let start = Instant::now();
                 let bid_at = |p: usize, n: usize| {
-                    at(p, k).zone.bids[n - 1].map(|(bid, _)| PoolBid {
+                    at(p, k).0.bids[n - 1].map(|bid| PoolBid {
                         zone: pools[p].zone,
                         instance_type: pools[p].instance_type,
                         bid,
                     })
                 };
                 let decision = self.select(pools.len(), bid_at, &targets, spec);
-                let jobs: u64 = (0..pools.len()).map(|p| at(p, k).micros).sum();
-                let micros = jobs + start.elapsed().as_micros() as u64;
-                let views = (decision.bids.iter())
-                    .filter(|_| audit)
-                    .map(|pb| {
-                        let p = (pools.iter())
-                            .position(|w| (w.zone, w.instance_type) == (pb.zone, pb.instance_type))
-                            .expect("a chosen pool is a walked pool");
-                        at(p, k).views[decision.n() - 1].expect("a chosen bid has a view")
-                    })
-                    .collect();
+                let jobs: u64 = (0..pools.len()).map(|p| at(p, k).1).sum();
                 Decided {
-                    fp_cache_hits: (0..pools.len()).map(|p| at(p, k).zone.hits).sum(),
                     decision,
-                    views,
-                    micros,
+                    fp_cache_hits: (0..pools.len()).map(|p| at(p, k).0.hits).sum(),
+                    micros: jobs + start.elapsed().as_micros() as u64,
                 }
             })
             .collect()
-    }
-
-    /// The audit view of each target's bid in `zone`: the expectation
-    /// path priced it already; the absorbing path's FP is a different
-    /// estimator, so its views share one expected-FP forecast.
-    fn views(&self, state: &ZoneState<'_>, zone: &ZoneBids, horizon: u32) -> Vec<Option<BidView>> {
-        let kernel_id = state.model.kernel().fingerprint();
-        let absorbing = self.estimator == Estimator::Absorbing;
-        let forecast = (absorbing && zone.bids.iter().any(Option::is_some))
-            .then(|| state.forecast(horizon))
-            .flatten();
-        let view = |&(bid, fp): &(Price, f64)| BidView {
-            predicted_fp: match (self.estimator, &forecast) {
-                (Estimator::Expectation, _) => fp,
-                // `estimate_fp`: one whatever the bid when nothing forecasts.
-                (Estimator::Absorbing, None) => 1.0,
-                (Estimator::Absorbing, Some(f)) => {
-                    state.model.fp_from_forecast(f, bid, state.spot_price)
-                }
-            },
-            kernel_id,
-        };
-        zone.bids.iter().map(|b| b.as_ref().map(view)).collect()
     }
 
     /// Fig. 3's steps 3–4: for each node count `n` with a target, the
@@ -524,12 +465,12 @@ impl JupiterStrategy {
                 let targets = targets.iter().map(|&target| {
                     let target = target?;
                     f.bid_candidates(z.spot_price, z.on_demand)
-                        .map(|(slot, b)| {
+                        .filter(|&(slot, b)| {
                             let fp = || z.model.fp_from_forecast(&f, b, z.spot_price);
-                            (b, probes.memo(&mut memo, &mut hits, slot, fp))
+                            probes.memo(&mut memo, &mut hits, slot, fp) <= target
                         })
-                        .filter(|&(_, fp)| fp <= target)
-                        .min_by_key(|&(b, _)| b)
+                        .map(|(_, b)| b)
+                        .min()
                 });
                 targets.collect()
             }
@@ -567,8 +508,7 @@ impl JupiterStrategy {
                         }
                     }
                     let bid = candidates.get(lo).copied()?;
-                    let at = fp(bid);
-                    (at <= target).then_some((bid, at))
+                    (fp(bid) <= target).then_some(bid)
                 });
                 targets.collect()
             }
@@ -580,7 +520,8 @@ impl JupiterStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spot_market::{InstanceType, PricePoint, PriceTrace, Region, Zone};
+    use crate::framework::MarketSnapshot;
+    use spot_market::{InstanceType, PricePoint, PriceTrace, Region};
     use spot_model::{FailureModel, FailureModelConfig};
     use std::sync::Arc;
 
@@ -917,6 +858,122 @@ mod tests {
             assert!(one.0.n() > 0, "{}: the market affords a decision", strategy.name());
             assert!(one.1.len() >= 5, "{:?}", one.1);
             assert_eq!(one, run(&strategy, 4), "{}", strategy.name());
+        }
+    }
+
+    /// A trace hopping pseudo-randomly over `levels` price levels `base +
+    /// step · l`, the low levels dwelling longest.
+    fn ladder_trace(levels: u64, base: f64, step: f64, seed: u64) -> PriceTrace {
+        let (mut x, mut last, mut t) = (seed, u64::MAX, 0);
+        let mut points = Vec::new();
+        while t < 20_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let level = (x >> 33) % levels;
+            if level != last {
+                let price = p(base + step * level as f64);
+                points.push(PricePoint { minute: t, price });
+                t += 10 + 60 / (1 + level);
+                last = level;
+            }
+        }
+        PriceTrace::new(points, t)
+    }
+
+    #[test]
+    fn the_pass_on_one_worker_and_four_decides_as_the_walked_models_do() {
+        // Eight pools, a small and a large per zone, with ladders of 2 to
+        // 8 levels, so the longest-ladder-first claim order is not the
+        // pool order; six boundaries, five of them revealing new minutes.
+        use InstanceType::{M1Small as S, M3Large as L};
+        let pools: Vec<(Zone, InstanceType, Arc<PriceTrace>)> = (0..8u64)
+            .map(|i| {
+                let (ty, base, step) = match i % 2 {
+                    0 => (S, 0.006 + 0.0004 * i as f64, 0.001),
+                    _ => (L, 0.02 + 0.001 * i as f64, 0.003),
+                };
+                let trace = ladder_trace(2 + (5 * i) % 7, base, step, i + 1);
+                (zone(i as usize / 2), ty, Arc::new(trace))
+            })
+            .collect();
+        let train = 20_000 - 6 * 360;
+        let models: Vec<FailureModel> = (pools.iter())
+            .map(|(_, _, t)| {
+                FailureModel::from_trace(&t.window(0, train), FailureModelConfig::default())
+            })
+            .collect();
+        let ladders: Vec<usize> = models.iter().map(|m| m.kernel().n_states()).collect();
+        assert_eq!(ladders, [2, 7, 5, 3, 8, 6, 4, 2]);
+        let boundaries: Vec<Boundary> = (0..6u64)
+            .map(|k| {
+                let at = train + k * 360;
+                let snapshots = (pools.iter())
+                    .map(|(zone, instance_type, t)| {
+                        let (spot_price, age) = t.price_and_age_at(at - 1);
+                        MarketSnapshot {
+                            zone: *zone,
+                            instance_type: *instance_type,
+                            spot_price,
+                            sojourn_age: age as u32,
+                        }
+                    })
+                    .collect();
+                Boundary {
+                    minute: at + 15,
+                    revealed: at.saturating_sub(360).max(train)..at,
+                    snapshots,
+                    horizon_minutes: 360,
+                }
+            })
+            .collect();
+        let walks: Vec<PoolWalk> = (pools.iter().zip(&models).enumerate())
+            .map(|(slot, ((zone, instance_type, trace), model))| PoolWalk {
+                zone: *zone,
+                instance_type: *instance_type,
+                model,
+                trace,
+                slot,
+            })
+            .collect();
+        let spec = ServiceSpec::lock_service()
+            .with_pools(&[S, L])
+            .with_min_strength(10);
+        for strategy in [JupiterStrategy::new(), JupiterStrategy::absorbing()] {
+            let pass = |workers: usize| -> Vec<(BidDecision, u64)> {
+                let decided = strategy.schedule_on(&walks, &boundaries, &spec, workers);
+                decided.into_iter().map(|d| (d.decision, d.fp_cache_hits)).collect()
+            };
+            // The loop's reference: every model observes each boundary's
+            // revealed minutes, then one `decide_inner` reads them all.
+            let mut walked = models.clone();
+            let want: Vec<(BidDecision, u64)> = (boundaries.iter())
+                .map(|b| {
+                    let states: Vec<ZoneState> = (walked.iter_mut().zip(&pools))
+                        .zip(&b.snapshots)
+                        .map(|((model, (zone, instance_type, trace)), s)| {
+                            if !b.revealed.is_empty() {
+                                model.observe(trace, b.revealed.clone());
+                            }
+                            ZoneState {
+                                zone: *zone,
+                                instance_type: *instance_type,
+                                spot_price: s.spot_price,
+                                sojourn_age: s.sojourn_age,
+                                on_demand: instance_type.on_demand_price(zone.region),
+                                model,
+                            }
+                        })
+                        .collect();
+                    let (o, _clock) = Obs::simulated();
+                    let strategy = strategy.clone().with_obs(o.clone());
+                    let d = strategy.decide_inner(&states, &spec, b.horizon_minutes, 1);
+                    (d, o.metrics.snapshot().counter("jupiter.fp_cache_hits").unwrap_or(0))
+                })
+                .collect();
+            let name = strategy.name();
+            assert!(want.iter().all(|(d, _)| d.strength() >= 10), "{name}: {want:?}");
+            assert!(want.iter().any(|&(_, hits)| hits > 0), "{name}: {want:?}");
+            assert_eq!(pass(1), want, "{name}: one worker");
+            assert_eq!(pass(4), want, "{name}: four workers");
         }
     }
 

@@ -19,13 +19,14 @@ use spot_market::Price;
 use crate::service::ServiceSpec;
 use crate::strategy::{BidDecision, BiddingStrategy, PoolBid, ZoneState};
 
+/// The solver refuses instances with more zones than this (guards against
+/// accidental exponential blow-ups).
+const MAX_ZONES: usize = 8;
+
 /// Exact solver (small instances only — cost grows exponentially with the
 /// zone count).
 #[derive(Clone, Copy, Debug)]
 pub struct ExhaustiveSolver {
-    /// Refuse instances with more zones than this (guards against
-    /// accidental exponential blow-ups).
-    pub max_zones: usize,
     /// Per-zone candidate bids are thinned to at most this many levels.
     pub max_levels_per_zone: usize,
 }
@@ -33,7 +34,6 @@ pub struct ExhaustiveSolver {
 impl Default for ExhaustiveSolver {
     fn default() -> Self {
         ExhaustiveSolver {
-            max_zones: 8,
             max_levels_per_zone: 12,
         }
     }
@@ -138,9 +138,8 @@ impl BiddingStrategy for ExhaustiveSolver {
         horizon_minutes: u32,
     ) -> BidDecision {
         assert!(
-            zones.len() <= self.max_zones,
-            "exhaustive search limited to {} zones, got {}",
-            self.max_zones,
+            zones.len() <= MAX_ZONES,
+            "exhaustive search limited to {MAX_ZONES} zones, got {}",
             zones.len()
         );
         let candidates: Vec<ZoneCandidates> = (zones.iter().enumerate())

@@ -126,7 +126,9 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
     }
 
     /// The audit view of each bid of `decision`, made on `snapshots` over
-    /// `horizon_minutes`, from the models as they stand.
+    /// `horizon_minutes`, from the models as they stand: the one place a
+    /// [`BidView`] is priced, whichever strategy or path made the
+    /// decision.
     pub fn views(
         &self,
         snapshots: &[MarketSnapshot],
@@ -160,12 +162,11 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
     /// first boundary's snapshots that have a model, each observing its
     /// own trace from `traces`; the pass folds copies of the models, so
     /// this framework's own stay as they were for [`Self::decide`] to
-    /// read. `audit` asks for each chosen bid's [`BidView`].
+    /// read.
     pub fn decide_schedule<'t>(
         &self,
         traces: impl Fn(Zone, InstanceType) -> &'t Arc<PriceTrace>,
         boundaries: &[Boundary],
-        audit: bool,
     ) -> Option<Vec<Decided>> {
         let first = boundaries.first().map_or(&[][..], |b| &b.snapshots);
         let pools: Vec<PoolWalk<'_>> = (first.iter().enumerate())
@@ -180,7 +181,7 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
                 })
             })
             .collect();
-        self.strategy.decide_schedule(&pools, boundaries, &self.spec, audit)
+        self.strategy.decide_schedule(&pools, boundaries, &self.spec)
     }
 }
 

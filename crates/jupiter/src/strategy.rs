@@ -126,7 +126,6 @@ pub trait BiddingStrategy: Send + Sync {
         _pools: &[PoolWalk<'_>],
         _boundaries: &[Boundary],
         _spec: &ServiceSpec,
-        _audit: bool,
     ) -> Option<Vec<Decided>> {
         None
     }
@@ -156,9 +155,8 @@ impl BiddingStrategy for Box<dyn BiddingStrategy> {
         pools: &[PoolWalk<'_>],
         boundaries: &[Boundary],
         spec: &ServiceSpec,
-        audit: bool,
     ) -> Option<Vec<Decided>> {
-        self.as_ref().decide_schedule(pools, boundaries, spec, audit)
+        self.as_ref().decide_schedule(pools, boundaries, spec)
     }
 
     fn record_decided(&self, decided: &Decided) {
@@ -181,8 +179,9 @@ pub struct Boundary {
     pub horizon_minutes: u32,
 }
 
-/// A chosen bid as the model that priced it saw it: what the decision's
-/// audit record carries.
+/// A chosen bid as its pool's model prices it: what the decision's audit
+/// record carries ([`crate::BiddingFramework::views`] builds it, however
+/// the decision was made).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BidView {
     /// The model's expected failure probability of the bid over the
@@ -200,9 +199,6 @@ pub struct Decided {
     /// Failure-probability memo hits while making it (a strategy without
     /// a memo reports none).
     pub fp_cache_hits: u64,
-    /// For an audited pass, one view per `decision.bids` entry, in order;
-    /// empty otherwise.
-    pub views: Vec<BidView>,
     /// Host time spent on it, where the strategy measures it (else 0).
     pub micros: u64,
 }

@@ -222,17 +222,14 @@ impl Cell {
         }
     }
 
-    /// The key of this cell's decisions. A Jupiter run decides every
-    /// boundary in one pass that does not depend on its repair policy, so
-    /// its key is the cell under repair off; any other cell decides in its
-    /// own loop and is its own key.
+    /// The key of this cell's decisions: the cell under repair off. A
+    /// decision pass does not depend on the repair policy, so the keys of
+    /// one group share it; a bidder without one decides in each key's
+    /// loop.
     fn decisions_key(&self) -> Cell {
-        match self.bidder {
-            Some(Bidder::Jupiter | Bidder::JupiterAbsorbing) => Cell {
-                repair: RepairPolicy::Off,
-                ..self.clone()
-            },
-            _ => self.clone(),
+        Cell {
+            repair: RepairPolicy::Off,
+            ..self.clone()
         }
     }
 }
@@ -289,10 +286,10 @@ fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
 /// once, and return each table one row per key, in declaration order.
 ///
 /// The keys over one (market, evaluation span) share one [`Scenario`] —
-/// one market, one model store — whichever table declared them. Jupiter
-/// keys that differ only in repair policy share one decision pass and
-/// replay as one job (`replay_group`); every other key is a job of its
-/// own. The jobs run in one `par_map` over the host's cores, longest
+/// one market, one model store — whichever table declared them. Keys
+/// that differ only in repair policy replay as one job (`replay_group`),
+/// sharing one decision pass where their bidder has one. The jobs run in
+/// one `par_map` over the host's cores, longest
 /// first, so no core idles at the end of one table while another waits.
 /// Each distinct key's wall time goes to stderr as a `# cell` line.
 pub fn replay<const N: usize>(
@@ -779,7 +776,6 @@ pub fn ablation_greedy_vs_exact(scale: &Scale) -> Vec<OptimalityRow> {
         train_end,
     );
     let exact = jupiter::ExhaustiveSolver {
-        max_zones: 8,
         max_levels_per_zone: 8,
     };
     let exact_fw = trained_framework(&market, spec, exact, &store, train_end);
@@ -1100,7 +1096,7 @@ pub fn autoscale_report(scale: &Scale) -> AutoscaleReport {
         .store(&store)
         .autoscaler(&mut scaler)
         .obs(&obs)
-        .run(JupiterStrategy::new());
+        .run(JupiterStrategy::new().with_obs(obs.clone()));
     let (scale_outs, scale_ins) = scaler.scale_events();
 
     let static_spec = spec.clone().with_min_strength(peak_strength);
@@ -1231,23 +1227,23 @@ mod tests {
                 let boundaries = replay.boundaries(&framework);
                 let decided = replay.decisions(&framework, &boundaries)?;
                 let steps = boundaries.into_iter().zip(decided);
-                let steps = steps.map(|(b, d)| (b, d.decision, d.fp_cache_hits, d.views));
+                let steps = steps.map(|(b, d)| (b, d.decision, d.fp_cache_hits));
                 Some(steps.collect::<Vec<_>>())
             };
-            let own = decisions(key);
             let twin = key.decisions_key();
-            // A key shares a twin's pass exactly when its bidder has one.
-            assert_eq!(own.is_some(), twin != *key, "{key:?}");
-            if twin == *key {
-                continue;
-            }
-            shared_passes += 1;
-            assert_eq!(decisions(&twin), own, "{key:?}");
-            // The books on the twin's pass replay as the loop does.
+            assert_ne!(twin, *key, "a repairing key has an off twin");
+            // The books in the twin's group replay as the loop does, on
+            // the twin's pass or in their own loop.
             let [_, (got, _)] =
                 <[_; 2]>::try_from(replay_group(&[&twin, key], scenario)).expect("two results");
             let want = key.replay(scenario).run(InLoop(bidder.build()));
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "{key:?}");
+            // A key shares its twin's pass when its bidder has one.
+            let Some(own) = decisions(key) else {
+                continue;
+            };
+            shared_passes += 1;
+            assert_eq!(decisions(&twin), Some(own), "{key:?}");
         }
         // Jupiter's six lock cells; Extra and the feedback bidder decide
         // in their loops.
@@ -1440,13 +1436,22 @@ mod tests {
     fn autoscale_report_tracks_load_and_undercuts_peak_provisioning() {
         let r = autoscale_report(&Scale::quick(7));
         assert!(r.scale_outs >= 1, "diurnal peak must scale out");
+        let audit = r.obs.audit.snapshot();
         assert!(
-            r.obs
-                .audit
-                .snapshot()
-                .iter()
-                .any(|rec| rec.kind.label() == "scale_decision"),
+            audit.iter().any(|rec| rec.kind.label() == "scale_decision"),
             "scale decisions must be audited"
+        );
+        // The strategy records into the run's `Obs`, so its loop decisions'
+        // memo hits reach the audit log.
+        assert!(
+            (audit.iter()).any(|rec| matches!(
+                rec.kind,
+                obs::AuditKind::BidSelection {
+                    fp_cache_hit: true,
+                    ..
+                }
+            )),
+            "some bid selection is served from the FP memo"
         );
         assert!(
             r.obs

@@ -8,8 +8,8 @@
 
 use jupiter::framework::MarketSnapshot;
 use jupiter::{
-    BidDecision, BidView, BiddingFramework, BiddingStrategy, Boundary, Decided, ModelKey,
-    ModelStore, PoolBid, ServiceSpec,
+    BidDecision, BiddingFramework, BiddingStrategy, Boundary, Decided, ModelKey, ModelStore,
+    PoolBid, ServiceSpec,
 };
 use obs::{
     AuditKind, Counter, FieldValue, FleetDeficitWatchdog, Obs, RepairBudgetWatchdog,
@@ -247,8 +247,8 @@ impl<'a> Replay<'a> {
         if self.scaler.is_some() {
             return None;
         }
-        let (market, audit) = (self.market, self.obs.audit.is_enabled());
-        framework.decide_schedule(|z, ty| market.trace(z, ty), boundaries, audit)
+        let market = self.market;
+        framework.decide_schedule(|z, ty| market.trace(z, ty), boundaries)
     }
 
     /// The books: launch, kill, migrate, repair, account and bill every
@@ -449,9 +449,12 @@ struct Instruments {
     deaths_series: TimeSeries,
     degraded_series: TimeSeries,
     rebids_series: TimeSeries,
-    /// Lives in the strategy's registry; when the caller wires the same
-    /// `Obs` into both (the repro/report path), the delta around a decide
-    /// tells the audit log whether the decision was served from cache.
+    /// Lives in the strategy's registry: the delta around a loop decide
+    /// is the audit log's `fp_cache_hit`, so it moves only when the caller
+    /// wires the strategy to this run's `Obs` (`JupiterStrategy::with_obs`,
+    /// as `repro report` and the auto-scaler experiment do); an unwired
+    /// strategy's loop decisions audit as misses. A pass decision carries
+    /// its own hits.
     fp_cache_hits: Counter,
 }
 
@@ -490,13 +493,11 @@ struct Interval {
     end: u64,
     /// The scheduled length in minutes — the decision horizon; `end` is
     /// clipped to the evaluation window, this is not.
-    horizon: u64,
+    horizon: u32,
     decision_at: u64,
     snapshots: Vec<MarketSnapshot>,
     decision: BidDecision,
     fp_cache_hit: bool,
-    /// One per bid of `decision` when the run is audited.
-    views: Vec<BidView>,
 }
 
 /// The state of one replay. [`Run::interval`] is the Fig. 3 loop body,
@@ -582,9 +583,9 @@ impl<S: BiddingStrategy> Run<'_, S> {
     /// The boundary's decision, made shortly before it: every pool's
     /// model is shown the minutes revealed since the last boundary, then
     /// the pass's decision is taken up, or one is made here. A model cuts
-    /// and folds what it was shown at its first read, so rebids and
-    /// migrations read models frozen at this boundary, and a run whose
-    /// books read no model copies no window.
+    /// and folds what it was shown at its first read, so rebids,
+    /// migrations and the audit read models frozen at this boundary, and
+    /// a run whose books read no model copies no window.
     fn decide(&mut self, boundary: Boundary, end: u64, decided: Option<Decided>) -> Interval {
         self.refs.clear();
         self.kills = 0;
@@ -623,12 +624,11 @@ impl<S: BiddingStrategy> Run<'_, S> {
         Interval {
             start,
             end,
-            horizon: u64::from(boundary.horizon_minutes),
+            horizon: boundary.horizon_minutes,
             decision_at: start.saturating_sub(DECISION_LEAD),
             snapshots: boundary.snapshots,
             decision: decided.decision,
             fp_cache_hit: decided.fp_cache_hits > 0,
-            views: decided.views,
         }
     }
 
@@ -642,19 +642,11 @@ impl<S: BiddingStrategy> Run<'_, S> {
             let target = scaler.plan(boundary.minute, end, self.feedback.take(), self.obs);
             self.framework.set_min_strength(target);
         }
-        let (snapshots, horizon) = (&boundary.snapshots, boundary.horizon_minutes);
         let hits_before = self.ins.fp_cache_hits.get();
-        let decision = self.framework.decide(snapshots, horizon);
-        let fp_cache_hits = self.ins.fp_cache_hits.get() - hits_before;
-        let views = if self.obs.audit.is_enabled() {
-            self.framework.views(snapshots, &decision, horizon)
-        } else {
-            Vec::new()
-        };
+        let decision = (self.framework).decide(&boundary.snapshots, boundary.horizon_minutes);
         Decided {
             decision,
-            fp_cache_hits,
-            views,
+            fp_cache_hits: self.ins.fp_cache_hits.get() - hits_before,
             micros: 0,
         }
     }
@@ -777,15 +769,17 @@ impl<S: BiddingStrategy> Run<'_, S> {
         }
     }
 
-    /// One audit record per selected bid, from the decision's view of
-    /// it; `granted` is known now the launch pass ran (carried-over
-    /// instances count as granted).
+    /// One audit record per selected bid, priced by the framework's own
+    /// models — shown this boundary's revealed minutes, so folded as the
+    /// pass's or the loop's were when it decided; `granted` is known now
+    /// the launch pass ran (carried-over instances count as granted).
     fn audit_decision(&mut self, iv: &Interval) {
         if !self.obs.audit.is_enabled() {
             return;
         }
-        let horizon_hours = iv.horizon as f64 / 60.0;
-        for (pb, view) in iv.decision.bids.iter().zip(&iv.views) {
+        let views = (self.framework).views(&iv.snapshots, &iv.decision, iv.horizon);
+        let horizon_hours = f64::from(iv.horizon) / 60.0;
+        for (pb, view) in iv.decision.bids.iter().zip(views) {
             let snap = (iv.snapshots.iter())
                 .find(|s| s.zone == pb.zone && s.instance_type == pb.instance_type)
                 .expect("a decision bids only pools it was shown");

@@ -601,10 +601,9 @@ pub(crate) mod tests {
         assert_eq!(replayed(false, 4), replayed(true, 4), "four workers");
         assert_eq!(pass, replayed(false, 4));
 
-        // The adaptive schedule, observed whole: the audit records come
-        // from the pass's views, the loop's from the live models, and
-        // every series point sits at the same minute (host-time values
-        // aside).
+        // The adaptive schedule, observed whole: the audit records are
+        // equal (the books' models price them on either path), and every
+        // series point sits at the same minute (host-time values aside).
         let adaptive = |strategy: &dyn Fn(&Obs) -> Box<dyn BiddingStrategy>| {
             let (obs, _clock) = Obs::simulated();
             let config = ReplayConfig::new(start, end, None);

@@ -564,10 +564,7 @@ mod tests {
         let market = spot_market::Market::generate(cfg);
         let out = storage_service_replay(
             &market,
-            JupiterStrategy {
-                max_nodes: Some(5),
-                ..JupiterStrategy::new()
-            },
+            JupiterStrategy::new(),
             ServiceReplayConfig {
                 eval_start: train,
                 window_minutes: 4 * 60,

@@ -199,11 +199,7 @@ fn every_recorded_signal_is_in_the_inventory_with_a_reader() {
     let (obs, _clock) = Obs::simulated();
     storage_service_replay(
         &store_market,
-        JupiterStrategy {
-            max_nodes: Some(5),
-            ..JupiterStrategy::new()
-        }
-        .with_obs(obs.clone()),
+        JupiterStrategy::new().with_obs(obs.clone()),
         service,
         &obs,
     );

@@ -11,7 +11,7 @@
 //! frozen `benchmark/` surface names it, or DESIGN.md lists its group as
 //! out of scope) — it is the next one to fold when that reason goes.
 
-use spot_jupiter::jupiter::ServiceSpec;
+use spot_jupiter::jupiter::{ExhaustiveSolver, ExtraStrategy, JupiterStrategy, ServiceSpec};
 use spot_jupiter::obs::SloSpec;
 use spot_jupiter::paxos::ReplicaConfig;
 use spot_jupiter::replay::service_level::ServiceReplayConfig;
@@ -163,6 +163,27 @@ fn every_config_field_is_inventoried() {
         diversify: _,
         // false by default; true under `BidEra::CapacityReclaim` (`Replay::run`)
     } = ServiceSpec::lock_service();
+
+    let JupiterStrategy {
+        estimator: _,
+        // `Expectation` in `JupiterStrategy::new()`; `Absorbing` in
+        // `JupiterStrategy::absorbing()` (`experiments::ablation_estimator_replay`)
+        obs: _,
+        // disabled by default; the caller's `Obs` in repro's `observed_replays`,
+        // `experiments::autoscale_report` and benchmark `bid_replay`
+    } = JupiterStrategy::new();
+
+    let ExtraStrategy {
+        extra_nodes: _,
+        // 0 vs 2: `Extra(0, 0.2)` and `Extra(2, 0.2)` in `experiments::interval_sweep`
+        extra_portion: _,
+        // 0.2 in `experiments::interval_sweep`; 0.1 in `experiments::fig5`
+    } = ExtraStrategy::new(0, 0.2);
+
+    let ExhaustiveSolver {
+        max_levels_per_zone: _,
+        // 12 by default; 8 in `experiments::ablation_greedy_vs_exact`
+    } = ExhaustiveSolver::default();
 
     let FailureModelConfig {
         forecast: _,
