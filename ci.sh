@@ -97,10 +97,12 @@ echo "== repro smoke + cross-process repeatability =="
 # hasher: an ordered read of it would differ between the two processes.
 # It also guards the client list a replica snapshot carries (`Promise`,
 # `CatchupReply`), which a client-indexed table now lists in ascending
-# order; a hashed map there would reorder it per process again.
+# order; a hashed map there would reorder it per process again. The
+# `calibration` pair walks the backtest, whose target-FP rule searches
+# the failure model's bid grid, as Jupiter's decisions do.
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
-for target in all workload hetero era; do
+for target in all workload hetero era calibration; do
   for run in a b; do
     ./target/release/repro --quick --seed 2014 "$target" | grep -v '^#' > "$TMP/$target.$run.txt"
   done
@@ -115,9 +117,11 @@ done
 # migrations, replayed on the same workers. `hetero` adds mixed-pool
 # cells, where each zone holds two failure models observing their own
 # traces, and the auto-scaler's one-cell replays, which decide in the
-# loop, each Jupiter decision fanning out over the zones.
+# loop, each Jupiter decision fanning out over the zones. `calibration`
+# backtests on the calling thread either way (~0.2 s); it rides along so
+# that the bid-grid search is held to one set of bytes on one CPU too.
 ONE_CPU="$(taskset -cp $$ | sed 's/.*: *//; s/[,-].*//')" # first CPU we may run on
-for target in all era hetero; do
+for target in all era hetero calibration; do
   taskset -c "$ONE_CPU" ./target/release/repro --quick --seed 2014 "$target" | grep -v '^#' > "$TMP/$target.1.txt"
   diff "$TMP/$target.a.txt" "$TMP/$target.1.txt" \
     || { echo "$target rows differ between one thread and the default pool" >&2; exit 1; }

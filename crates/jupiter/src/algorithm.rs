@@ -15,9 +15,9 @@
 //!
 //! The answer is the candidate with the lowest upper bound. Step 2 does
 //! not look across zones and dominates a decision (the semi-Markov forward
-//! evolution), so it runs zone-major: one [`par_map`] job per zone
-//! forecasts it once — the forecast does not depend on `n` — and returns
-//! its minimal bid at every target; steps 3–4 then run on the caller. A
+//! evolution), so it runs zone-major: one [`par_map`] job per zone builds
+//! its [`spot_model::BidGrid`] once — the grid does not depend on `n` —
+//! and asks it for every target; steps 3–4 then run on the caller. A
 //! replay's decision pass goes one step further: one job per zone walks
 //! every boundary of the run ([`BiddingStrategy::decide_schedule`]).
 
@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use obs::{Counter, Histogram, Obs};
 use spot_market::{Price, Zone};
+pub use spot_model::Estimator;
 
 use crate::par::{host_workers, par_map};
 use crate::service::ServiceSpec;
@@ -142,21 +143,6 @@ fn upgrade_to_strength(
     Some(pools)
 }
 
-/// Which per-instance failure estimator drives the minimum-bid search.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Estimator {
-    /// The paper's Eq. 5: expected fraction of the interval spent
-    /// out-of-bid. Cheap (one forecast answers every candidate bid), but
-    /// it prices *downtime share*, not the chance of being killed.
-    #[default]
-    Expectation,
-    /// Absorbing variant: the probability of being killed at all during
-    /// the interval. Strictly more conservative; costs one forward
-    /// evolution per probed bid (binary-searched). Used by the ablation
-    /// study.
-    Absorbing,
-}
-
 /// The paper's bidding algorithm ("Jupiter").
 #[derive(Clone, Debug, Default)]
 pub struct JupiterStrategy {
@@ -245,26 +231,6 @@ struct Probes {
     fp_cache_hits: Counter,
     fp_cache_misses: Counter,
     forward_micros: Histogram,
-}
-
-impl Probes {
-    /// The FP at bid-grid `slot`: from `memo` if an earlier node count
-    /// probed it (counted in `hits`), else `fp()`, remembered.
-    fn memo(
-        &self,
-        memo: &mut [Option<f64>],
-        hits: &mut u64,
-        slot: usize,
-        fp: impl FnOnce() -> f64,
-    ) -> f64 {
-        if let Some(fp) = memo[slot] {
-            self.fp_cache_hits.inc();
-            *hits += 1;
-            return fp;
-        }
-        self.fp_cache_misses.inc();
-        *memo[slot].insert(fp())
-    }
 }
 
 /// One zone's minimal bids at one decision: per node-count target, the
@@ -438,11 +404,9 @@ impl JupiterStrategy {
 
     /// One zone's job: its minimal bid at each per-node FP target (`None`
     /// where the target is absent or out of reach), node counts
-    /// ascending. Every probed bid is the zone's own spot price or a
-    /// level of its forecast (expectation) or frozen kernel (absorbing),
-    /// so the FP memo is a dense bid grid — slot 0 the off-ladder spot
-    /// price, slot 1 + l level l — that the node counts share: distinct
-    /// targets mostly revisit the same handful of levels.
+    /// ascending, from one [`spot_model::BidGrid`] the node counts share.
+    /// On the absorbing path each of the grid's misses was one forward
+    /// evolution, recorded at the search's mean time.
     fn zone_min_bids(
         &self,
         z: &ZoneState<'_>,
@@ -450,69 +414,28 @@ impl JupiterStrategy {
         horizon_minutes: u32,
         probes: &Probes,
     ) -> ZoneBids {
-        let mut hits = 0;
-        let bids = match self.estimator {
-            // One forecast answers every candidate bid at every target.
-            Estimator::Expectation => {
-                let Some(f) = probes.forecast_micros.time(|| z.forecast(horizon_minutes)) else {
-                    return ZoneBids {
-                        bids: vec![None; targets.len()],
-                        hits,
-                    };
-                };
-                probes.forecasts_computed.inc();
-                let mut memo = vec![None; f.levels().len() + 1];
-                let targets = targets.iter().map(|&target| {
-                    let target = target?;
-                    f.bid_candidates(z.spot_price, z.on_demand)
-                        .filter(|&(slot, b)| {
-                            let fp = || z.model.fp_from_forecast(&f, b, z.spot_price);
-                            probes.memo(&mut memo, &mut hits, slot, fp) <= target
-                        })
-                        .map(|(_, b)| b)
-                        .min()
-                });
-                targets.collect()
-            }
-            // Every probed level costs a full forward evolution: binary
-            // search the ladder (absorbing FP is non-increasing in the bid).
-            Estimator::Absorbing => {
-                let kernel = z.model.kernel();
-                let mut memo = vec![None; kernel.n_states() + 1];
-                let mut fp = |bid: Price| {
-                    let slot = kernel.level_index(bid).map_or(0, |l| l + 1);
-                    probes.memo(&mut memo, &mut hits, slot, || {
-                        probes.forward_micros.time(|| {
-                            z.model.estimate_fp_absorbing(
-                                bid,
-                                z.spot_price,
-                                z.sojourn_age,
-                                horizon_minutes,
-                            )
-                        })
-                    })
-                };
-                let candidates: Vec<Price> = std::iter::once(z.spot_price)
-                    .chain(kernel.prices().iter().copied())
-                    .filter(|&b| b >= z.spot_price && b < z.on_demand)
-                    .collect();
-                let targets = targets.iter().map(|&target| {
-                    let target = target?;
-                    let (mut lo, mut hi) = (0usize, candidates.len());
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        if fp(candidates[mid]) <= target {
-                            hi = mid;
-                        } else {
-                            lo = mid + 1;
-                        }
-                    }
-                    let bid = candidates.get(lo).copied()?;
-                    (fp(bid) <= target).then_some(bid)
-                });
-                targets.collect()
-            }
+        let expectation = self.estimator == Estimator::Expectation;
+        let build = || {
+            let (spot, age, cap) = (z.spot_price, z.sojourn_age, z.on_demand);
+            (z.model).bid_grid(self.estimator, spot, age, horizon_minutes, cap)
         };
+        let mut grid = if expectation {
+            probes.forecast_micros.time(build)
+        } else {
+            build()
+        };
+        if expectation && grid.is_some() {
+            probes.forecasts_computed.inc();
+        }
+        let start = Instant::now();
+        let bids = targets.iter().map(|&t| grid.as_mut()?.min_bid(t?)).collect();
+        let (hits, misses) = grid.map_or((0, 0), |g| (g.hits, g.misses));
+        if !expectation && misses > 0 {
+            let mean = start.elapsed().as_micros() as u64 / misses;
+            (0..misses).for_each(|_| probes.forward_micros.record(mean));
+        }
+        probes.fp_cache_hits.add(hits);
+        probes.fp_cache_misses.add(misses);
         ZoneBids { bids, hits }
     }
 }
@@ -756,15 +679,18 @@ mod tests {
         assert!(misses >= 1, "first probe of each (zone, level) misses");
         assert!(hits >= 1, "node counts 2..=6 revisit the same grid");
         // Memoization must not change the decision: every chosen bid
-        // equals the cache-less reference probe (ZoneState::min_bid) at
-        // the decision's own per-node FP target.
+        // equals the cache-less reference scan at the decision's own
+        // per-node FP target.
         let target = spec
             .node_fp_target(first.n())
             .expect("chosen n has a target");
         for b in &first.bids {
-            let state = states.iter().find(|s| s.zone == b.zone).expect("known zone");
-            let f = state.forecast(240).expect("alternating trace trains");
-            assert_eq!(state.min_bid(&f, target), Some(b.bid), "{}", b.zone.name());
+            let s = (states.iter())
+                .find(|s| s.zone == b.zone)
+                .expect("known zone");
+            let fp = |bid| s.model.estimate_fp(bid, s.spot_price, s.sojourn_age, 240);
+            let want = scan_min_bid(s, fp, target);
+            assert_eq!(want, Some(b.bid), "{}", b.zone.name());
         }
         let again = strategy.decide(&states, &spec, 240);
         assert_eq!(first, again, "repeated decide is deterministic");
@@ -775,12 +701,20 @@ mod tests {
         );
     }
 
+    /// The reference minimal bid: the first of the spot price and the
+    /// ladder levels, at or above spot and below on-demand, whose `fp` is
+    /// ≤ `target` — a plain ascending scan, no memo, no bisection.
+    fn scan_min_bid(s: &ZoneState<'_>, fp: impl Fn(Price) -> f64, target: f64) -> Option<Price> {
+        (std::iter::once(s.spot_price).chain(s.model.kernel().prices().iter().copied()))
+            .filter(|&b| b >= s.spot_price && b < s.on_demand)
+            .find(|&b| fp(b) <= target)
+    }
+
     #[test]
     fn absorbing_path_equals_the_unmemoized_search() {
         // The absorbing estimator's memoized binary search must choose
-        // what the cache-less reference does: every chosen bid equals
-        // `FailureModel::min_bid_for_fp_absorbing` at the decision's own
-        // per-node FP target.
+        // what a linear scan of the absorbing FP does: every chosen bid
+        // is the scan's at the decision's own per-node FP target.
         let models: Vec<FailureModel> = (0..6).map(|i| model(0.008, 0.012, 40 + 10 * i)).collect();
         let states: Vec<ZoneState> = models
             .iter()
@@ -799,18 +733,12 @@ mod tests {
         assert!(d.n() > 0, "the market affords a decision");
         let target = spec.node_fp_target(d.n()).expect("chosen n has a target");
         for b in &d.bids {
-            let s = states
-                .iter()
+            let s = (states.iter())
                 .find(|s| s.zone == b.zone)
                 .expect("known zone");
-            let reference = s.model.min_bid_for_fp_absorbing(
-                target,
-                s.spot_price,
-                s.sojourn_age,
-                240,
-                s.on_demand,
-            );
-            assert_eq!(reference, Some(b.bid), "{}", b.zone.name());
+            let fp = |bid| (s.model).estimate_fp_absorbing(bid, s.spot_price, s.sojourn_age, 240);
+            let want = scan_min_bid(s, fp, target);
+            assert_eq!(want, Some(b.bid), "{}", b.zone.name());
         }
     }
 
@@ -949,18 +877,11 @@ mod tests {
                 .map(|b| {
                     let states: Vec<ZoneState> = (walked.iter_mut().zip(&pools))
                         .zip(&b.snapshots)
-                        .map(|((model, (zone, instance_type, trace)), s)| {
+                        .map(|((model, (_, _, trace)), s)| {
                             if !b.revealed.is_empty() {
                                 model.observe(trace, b.revealed.clone());
                             }
-                            ZoneState {
-                                zone: *zone,
-                                instance_type: *instance_type,
-                                spot_price: s.spot_price,
-                                sojourn_age: s.sojourn_age,
-                                on_demand: instance_type.on_demand_price(zone.region),
-                                model,
-                            }
+                            ZoneState::new(s, model)
                         })
                         .collect();
                     let (o, _clock) = Obs::simulated();

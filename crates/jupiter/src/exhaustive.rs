@@ -15,6 +15,7 @@
 
 use quorum::threshold_availability;
 use spot_market::Price;
+use spot_model::Estimator;
 
 use crate::service::ServiceSpec;
 use crate::strategy::{BidDecision, BiddingStrategy, PoolBid, ZoneState};
@@ -27,7 +28,9 @@ const MAX_ZONES: usize = 8;
 /// zone count).
 #[derive(Clone, Copy, Debug)]
 pub struct ExhaustiveSolver {
-    /// Per-zone candidate bids are thinned to at most this many levels.
+    /// Per-zone candidate bids are thinned to this many levels, plus the
+    /// zone's top level when the thinning skipped it: up to one more
+    /// than this.
     pub max_levels_per_zone: usize,
 }
 
@@ -89,23 +92,21 @@ impl Search<'_> {
 }
 
 impl ExhaustiveSolver {
-    /// One zone's candidate bids: the model's price levels within
-    /// [spot, on-demand) with their FP, fp-dominated bids (same fp,
-    /// higher price) dropped and the rest thinned to
-    /// `max_levels_per_zone`. Empty when the zone is untrained.
+    /// One zone's candidate bids: its [`spot_model::BidGrid`] — the
+    /// model's price levels within [spot, on-demand) — priced, with
+    /// fp-dominated bids (same fp, higher price) dropped and the rest
+    /// thinned to `max_levels_per_zone`, plus the top level when the
+    /// thinning skipped it. Empty when the zone is untrained.
     fn hull(&self, z: &ZoneState<'_>, horizon_minutes: u32) -> Vec<(Price, f64)> {
-        let Some(f) = z.forecast(horizon_minutes) else {
+        let (spot, age, cap) = (z.spot_price, z.sojourn_age, z.on_demand);
+        let grid = (z.model).bid_grid(Estimator::Expectation, spot, age, horizon_minutes, cap);
+        let Some(mut grid) = grid else {
             return Vec::new();
         };
-        let mut options: Vec<(Price, f64)> = f
-            .bid_candidates(z.spot_price, z.on_demand)
-            .map(|(_, b)| (b, z.model.fp_from_forecast(&f, b, z.spot_price)))
-            .collect();
-        options.sort_by_key(|(b, _)| *b);
-        options.dedup_by_key(|(b, _)| *b);
-        // Remove fp-dominated entries (monotone hull).
+        // The grid is ascending by bid: keep each strict fp drop (the
+        // monotone hull; a repeated bid repeats its fp).
         let mut hull: Vec<(Price, f64)> = Vec::new();
-        for (b, fp) in options {
+        for (b, fp) in grid.priced() {
             if hull.last().map(|(_, lf)| fp < *lf).unwrap_or(true) {
                 hull.push((b, fp));
             }
@@ -328,8 +329,7 @@ mod tests {
                 .iter()
                 .map(|pb| {
                     let z = st.iter().find(|s| s.zone == pb.zone).expect("known zone");
-                    let f = z.forecast(horizon).expect("a bid zone is trained");
-                    z.model.fp_from_forecast(&f, pb.bid, z.spot_price)
+                    z.model.estimate_fp(pb.bid, z.spot_price, z.sojourn_age, horizon)
                 })
                 .collect();
             let k = spec.quorum.quorum_size(greedy.n());

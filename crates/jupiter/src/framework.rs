@@ -104,18 +104,8 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
 
     /// The pools of `snapshots` that have a model, as strategies see them.
     fn states(&self, snapshots: &[MarketSnapshot]) -> Vec<ZoneState<'_>> {
-        snapshots
-            .iter()
-            .filter_map(|s| {
-                self.models.get(s.zone, s.instance_type).map(|model| ZoneState {
-                    zone: s.zone,
-                    instance_type: s.instance_type,
-                    spot_price: s.spot_price,
-                    sojourn_age: s.sojourn_age,
-                    on_demand: s.instance_type.on_demand_price(s.zone.region),
-                    model,
-                })
-            })
+        (snapshots.iter())
+            .filter_map(|s| Some(ZoneState::new(s, self.models.get(s.zone, s.instance_type)?)))
             .collect()
     }
 

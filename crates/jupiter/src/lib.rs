@@ -35,8 +35,9 @@
 //!   concurrent policy evaluations over the same market train each model
 //!   exactly once.
 //! * [`par`] — [`par::par_map`], the workspace's one parallel map: the
-//!   zones of a decision (and the replay harness's cells) on the host's
-//!   cores, inline when called from inside another map's job.
+//!   evaluation plan's key groups, a sweep's cells, a decision pass's
+//!   pool jobs (and a loop decision's zones) on the host's cores, inline
+//!   when called from inside another map's job.
 //!
 //! The crate is safe Rust: its speed comes from work skipped and cores
 //! used, never from `unsafe`.

@@ -4,7 +4,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use spot_market::{InstanceType, Price, PriceTrace, Zone};
-use spot_model::{FailureModel, Forecast};
+use spot_model::FailureModel;
 
 use crate::framework::MarketSnapshot;
 use crate::service::ServiceSpec;
@@ -27,23 +27,23 @@ pub struct ZoneState<'a> {
     pub model: &'a FailureModel,
 }
 
-impl ZoneState<'_> {
+impl<'a> ZoneState<'a> {
+    /// The pool of snapshot `s` priced by `model`, its bids capped at the
+    /// pool's on-demand price.
+    pub(crate) fn new(s: &MarketSnapshot, model: &'a FailureModel) -> Self {
+        ZoneState {
+            zone: s.zone,
+            instance_type: s.instance_type,
+            spot_price: s.spot_price,
+            sojourn_age: s.sojourn_age,
+            on_demand: s.instance_type.on_demand_price(s.zone.region),
+            model,
+        }
+    }
+
     /// Serving strength of one replica in this pool.
     pub fn capacity_weight(&self) -> u32 {
         self.instance_type.capacity_weight()
-    }
-
-    /// Forecast this zone over `horizon` minutes (None if untrained).
-    pub fn forecast(&self, horizon: u32) -> Option<Forecast> {
-        self.model
-            .forecast(self.spot_price, self.sojourn_age, horizon)
-    }
-
-    /// The minimal bid meeting `target_fp` from a precomputed forecast,
-    /// capped strictly below on-demand; `None` when infeasible.
-    pub fn min_bid(&self, forecast: &Forecast, target_fp: f64) -> Option<Price> {
-        self.model
-            .min_bid_from_forecast(forecast, target_fp, self.spot_price, self.on_demand)
     }
 }
 
@@ -233,16 +233,7 @@ impl PoolWalk<'_> {
                 if !b.revealed.is_empty() {
                     model.observe(self.trace, b.revealed.clone());
                 }
-                let s = &b.snapshots[self.slot];
-                let state = ZoneState {
-                    zone: self.zone,
-                    instance_type: self.instance_type,
-                    spot_price: s.spot_price,
-                    sojourn_age: s.sojourn_age,
-                    on_demand: self.instance_type.on_demand_price(self.zone.region),
-                    model: &model,
-                };
-                f(b, &state)
+                f(b, &ZoneState::new(&b.snapshots[self.slot], &model))
             })
             .collect()
     }

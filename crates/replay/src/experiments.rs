@@ -705,23 +705,17 @@ pub fn ablation_estimator(scale: &Scale) -> Vec<EstimatorRow> {
         let trace = market.trace(zone, ty);
         let model =
             FailureModel::from_trace(&trace.window(0, train_end), FailureModelConfig::default());
+        if !model.is_trained() {
+            continue; // no estimate to compare
+        }
         let mut start = train_end;
         while start + horizon as u64 <= scale.horizon_minutes() {
             let spot = trace.price_at(start);
             let age = trace.sojourn_age_at(start) as u32;
             // A mid-risk bid: two levels above spot when possible.
-            let Some(f) = model.forecast(spot, age, horizon) else {
-                start += 7 * 24 * 60;
-                continue;
-            };
-            let bid = f
-                .levels()
-                .iter()
-                .copied()
-                .filter(|&b| b > spot)
-                .nth(1)
-                .unwrap_or(spot);
-            let expectation_fp = model.fp_from_forecast(&f, bid, spot);
+            let levels = model.kernel().prices().iter().copied();
+            let bid = levels.filter(|&b| b > spot).nth(1).unwrap_or(spot);
+            let expectation_fp = model.estimate_fp(bid, spot, age, horizon);
             let absorbing_fp = model.estimate_fp_absorbing(bid, spot, age, horizon);
             let end = start + horizon as u64;
             let killed = trace.first_minute_above(bid, start, end).is_some();

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use spot_market::{Price, PriceTrace};
 
-use crate::failure::{FailureModel, FailureModelConfig};
+use crate::failure::{BidGrid, FailureModel, FailureModelConfig, Pricing};
 use crate::ON_DEMAND_FP;
 
 /// How the backtest chooses the bid at each decision point.
@@ -109,7 +109,8 @@ pub fn backtest(
         let bid = match rule {
             BidRule::SpotMultiple(m) => Some(spot.scale(m)),
             BidRule::TargetFp { target, cap } => {
-                model.min_bid_from_forecast(&forecast, target, spot, cap)
+                let pricing = Pricing::Forecast(forecast.clone());
+                BidGrid::new(&model, pricing, spot, cap).min_bid(target)
             }
         };
         let Some(bid) = bid else {

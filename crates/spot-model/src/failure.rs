@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 
 use spot_market::{Price, PriceTrace};
 
-use crate::forecast::{forecast, survival_probability, Forecast, ForecastConfig};
+use crate::forecast::{bid_candidates, forecast, survival_probability, Forecast, ForecastConfig};
 use crate::kernel::FrozenKernel;
 use crate::ON_DEMAND_FP;
 
@@ -183,15 +183,6 @@ impl FailureModel {
         }
     }
 
-    /// Same composition but from a pre-computed forecast (hot path of the
-    /// bidding algorithm: one forecast, many candidate bids).
-    pub fn fp_from_forecast(&self, f: &Forecast, bid: Price, current_price: Price) -> f64 {
-        if bid < current_price {
-            return 1.0;
-        }
-        self.compose(f.out_of_bid_fraction(bid))
-    }
-
     /// Absorbing-failure variant for the ablation: probability that the
     /// instance does **not** survive the whole interval (out-of-bid at any
     /// point, or baseline failure). Conservative 1.0 in the same cases as
@@ -221,11 +212,32 @@ impl FailureModel {
         self.compose(1.0 - survive)
     }
 
-    /// The minimal bid whose estimated failure probability over the next
-    /// interval is ≤ `target_fp`, restricted to bids strictly below `cap`
-    /// (the bidding framework caps at the on-demand price, §4.2). Returns
-    /// `None` when no such bid exists — the zone cannot meet the target
-    /// this interval.
+    /// The minimal-bid search at this market state under `estimator`,
+    /// over bids strictly below `cap` (the bidding framework caps at the
+    /// on-demand price, §4.2). `None` when the model is untrained or the
+    /// horizon is zero: every estimate is the conservative 1.0 then.
+    pub fn bid_grid(
+        &self,
+        estimator: Estimator,
+        current_price: Price,
+        current_age_minutes: u32,
+        horizon_minutes: u32,
+        cap: Price,
+    ) -> Option<BidGrid<'_>> {
+        let (spot, age, horizon) = (current_price, current_age_minutes, horizon_minutes);
+        let pricing = match estimator {
+            Estimator::Expectation => Pricing::Forecast(self.forecast(spot, age, horizon)?),
+            Estimator::Absorbing => {
+                (self.is_trained() && horizon > 0).then_some(Pricing::Absorbing { age, horizon })?
+            }
+        };
+        Some(BidGrid::new(self, pricing, spot, cap))
+    }
+
+    /// The minimal bid whose expected failure probability over the next
+    /// interval is ≤ `target_fp`, strictly below `cap`: one
+    /// [`BidGrid::min_bid`]. `None` when no such bid exists — the zone
+    /// cannot meet the target this interval.
     pub fn min_bid_for_fp(
         &self,
         target_fp: f64,
@@ -234,66 +246,126 @@ impl FailureModel {
         horizon_minutes: u32,
         cap: Price,
     ) -> Option<Price> {
-        let f = self.forecast(current_price, current_age_minutes, horizon_minutes)?;
-        self.min_bid_from_forecast(&f, target_fp, current_price, cap)
+        let (age, horizon) = (current_age_minutes, horizon_minutes);
+        (self.bid_grid(Estimator::Expectation, current_price, age, horizon, cap)?)
+            .min_bid(target_fp)
     }
+}
 
-    /// [`Self::min_bid_for_fp`] from a pre-computed forecast: the cheapest
-    /// of [`Forecast::bid_candidates`] whose failure probability is ≤
-    /// `target_fp`.
-    pub fn min_bid_from_forecast(
-        &self,
-        f: &Forecast,
-        target_fp: f64,
-        current_price: Price,
-        cap: Price,
-    ) -> Option<Price> {
-        f.bid_candidates(current_price, cap)
-            .map(|(_, bid)| bid)
-            .filter(|&bid| self.fp_from_forecast(f, bid, current_price) <= target_fp)
-            .min()
-    }
+/// Which per-instance failure estimator prices the bids of a minimal-bid
+/// search.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Estimator {
+    /// The paper's Eq. 5: expected fraction of the interval spent
+    /// out-of-bid. Cheap (one forecast answers every candidate bid), but
+    /// it prices *downtime share*, not the chance of being killed.
+    #[default]
+    Expectation,
+    /// Absorbing variant: the probability of being killed at all during
+    /// the interval. Strictly more conservative; costs one forward
+    /// evolution per probed bid (binary-searched). Used by the ablation
+    /// study.
+    Absorbing,
+}
 
-    /// The minimal bid whose **absorbing** failure probability (the
-    /// chance of being killed at all during the interval) is ≤
-    /// `target_fp`, capped strictly below `cap`.
-    ///
-    /// The absorbing estimate needs one forward evolution per candidate
-    /// bid, so this binary-searches the (monotone) price-level ladder
-    /// instead of scanning it — ⌈log₂ levels⌉ evolutions per call.
-    pub fn min_bid_for_fp_absorbing(
-        &self,
-        target_fp: f64,
-        current_price: Price,
-        current_age_minutes: u32,
-        horizon_minutes: u32,
-        cap: Price,
-    ) -> Option<Price> {
-        if !self.is_trained() {
-            return None;
-        }
-        let candidates: Vec<Price> = std::iter::once(current_price)
-            .chain(self.kernel().prices().iter().copied())
-            .filter(|&b| b >= current_price && b < cap)
+/// How a [`BidGrid`] prices a candidate bid.
+pub(crate) enum Pricing {
+    /// [`Estimator::Expectation`]: one forecast answers every candidate.
+    Forecast(Forecast),
+    /// [`Estimator::Absorbing`]: one forward evolution per candidate.
+    Absorbing { age: u32, horizon: u32 },
+}
+
+/// One minimal-bid search (Fig. 3's step 2) at one market state: the
+/// ascending candidate bids — the current price, then every ladder level
+/// at or above it and strictly below the cap — each with a memo slot, so
+/// repeated searches at different targets (a decision's node counts,
+/// which mostly revisit the same few levels) price each candidate once.
+/// Between levels the failure probability is constant, so a feasible bid
+/// can always be lowered onto a candidate.
+pub struct BidGrid<'a> {
+    model: &'a FailureModel,
+    pricing: Pricing,
+    spot: Price,
+    /// `(memo slot, bid)`, ascending by bid. Slot `1 + l` is level `l`;
+    /// slot 0 is the current price, which the absorbing estimator files
+    /// under its level when it sits on one.
+    candidates: Vec<(usize, Price)>,
+    memo: Vec<Option<f64>>,
+    /// Probes answered from the memo.
+    pub hits: u64,
+    /// Probes that priced a candidate (one forward evolution each on the
+    /// absorbing path).
+    pub misses: u64,
+}
+
+impl<'a> BidGrid<'a> {
+    pub(crate) fn new(model: &'a FailureModel, pricing: Pricing, spot: Price, cap: Price) -> Self {
+        let levels = model.kernel().prices();
+        let absorbing = matches!(pricing, Pricing::Absorbing { .. });
+        let candidates = bid_candidates(levels, spot, cap)
+            .map(|(slot, bid)| match slot {
+                0 if absorbing => (levels.binary_search(&bid).map_or(0, |l| l + 1), bid),
+                _ => (slot, bid),
+            })
             .collect();
-        if candidates.is_empty() {
-            return None;
+        BidGrid {
+            model,
+            pricing,
+            spot,
+            candidates,
+            memo: vec![None; levels.len() + 1],
+            hits: 0,
+            misses: 0,
         }
-        let feasible = |b: Price| {
-            self.estimate_fp_absorbing(b, current_price, current_age_minutes, horizon_minutes)
-                <= target_fp
-        };
-        // FP is non-increasing in the bid: find the first feasible index.
-        let (mut lo, mut hi) = (0usize, candidates.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if feasible(candidates[mid]) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
+    }
+
+    /// The cheapest candidate whose failure probability is ≤ `target`.
+    /// The expectation estimator prices every candidate (each a table
+    /// read); the absorbing one is non-increasing in the bid and pays a
+    /// forward evolution per probe, so it bisects.
+    pub fn min_bid(&mut self, target: f64) -> Option<Price> {
+        let n = self.candidates.len();
+        let first = if let Pricing::Forecast(_) = self.pricing {
+            (0..n).filter(|&i| self.fp(i) <= target).min()
+        } else {
+            let (mut lo, mut hi) = (0, n);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if self.fp(mid) <= target {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
             }
+            (lo < n && self.fp(lo) <= target).then_some(lo)
+        };
+        first.map(|i| self.candidates[i].1)
+    }
+
+    /// Every candidate with its failure probability, ascending by bid.
+    pub fn priced(&mut self) -> Vec<(Price, f64)> {
+        (0..self.candidates.len())
+            .map(|i| (self.candidates[i].1, self.fp(i)))
+            .collect()
+    }
+
+    /// Candidate `i`'s failure probability: from the memo when a probe
+    /// took its slot before (a hit), else priced and remembered (a miss).
+    fn fp(&mut self, i: usize) -> f64 {
+        let (slot, bid) = self.candidates[i];
+        if let Some(fp) = self.memo[slot] {
+            self.hits += 1;
+            return fp;
         }
-        candidates.get(lo).copied().filter(|&b| feasible(b))
+        self.misses += 1;
+        let fp = match self.pricing {
+            Pricing::Forecast(ref f) => self.model.compose(f.out_of_bid_fraction(bid)),
+            Pricing::Absorbing { age, horizon } => {
+                (self.model).estimate_fp_absorbing(bid, self.spot, age, horizon)
+            }
+        };
+        *self.memo[slot].insert(fp)
     }
 }
 
@@ -329,7 +401,7 @@ mod tests {
         assert_eq!(m.estimate_fp_absorbing(p(0.02), p(0.01), 0, 0), 1.0);
         assert!(m.min_bid_for_fp(0.5, p(0.01), 0, 0, p(0.044)).is_none());
         assert!(m
-            .min_bid_for_fp_absorbing(0.5, p(0.01), 0, 0, p(0.044))
+            .bid_grid(Estimator::Absorbing, p(0.01), 0, 0, p(0.044))
             .is_none());
     }
 
@@ -339,7 +411,7 @@ mod tests {
         assert!(m.forecast(p(0.01), 0, 60).is_none());
         assert_eq!(m.estimate_fp_absorbing(p(1.0), p(0.01), 0, 60), 1.0);
         assert!(m
-            .min_bid_for_fp_absorbing(0.5, p(0.01), 0, 60, p(1.0))
+            .bid_grid(Estimator::Absorbing, p(0.01), 0, 60, p(1.0))
             .is_none());
         // States but no completed sojourn is still untrained.
         let flat = PriceTrace::new(
@@ -355,20 +427,18 @@ mod tests {
     }
 
     #[test]
-    fn min_bid_from_forecast_matches_the_forecasting_search() {
+    fn one_grid_answers_every_target_and_memoizes() {
         let m = model();
-        let f = m.forecast(p(0.01), 0, 480).unwrap();
-        for (target, cap) in [(0.02, 0.044), (0.5, 0.044), (0.02, 0.015), (0.02, 0.02)] {
-            assert_eq!(
-                m.min_bid_from_forecast(&f, target, p(0.01), p(cap)),
-                m.min_bid_for_fp(target, p(0.01), 0, 480, p(cap)),
-                "target {target} cap {cap}"
-            );
-        }
-        assert_eq!(
-            m.min_bid_from_forecast(&f, 0.02, p(0.01), p(0.044)),
-            Some(p(0.02))
-        );
+        let mut grid = (m.bid_grid(Estimator::Expectation, p(0.01), 0, 480, p(0.044))).unwrap();
+        assert_eq!(grid.min_bid(0.02), Some(p(0.02)));
+        assert_eq!((grid.hits, grid.misses), (0, 3), "spot, then both levels");
+        assert_eq!(grid.min_bid(0.5), Some(p(0.01)));
+        assert_eq!((grid.hits, grid.misses), (3, 3));
+        assert_eq!(grid.min_bid(0.005), None, "below FP⁰");
+        // The absorbing grid files the spot price under its level's slot.
+        let mut grid = (m.bid_grid(Estimator::Absorbing, p(0.01), 0, 480, p(0.044))).unwrap();
+        assert_eq!(grid.min_bid(0.02), Some(p(0.02)));
+        assert_eq!((grid.hits, grid.misses), (1, 2));
     }
 
     #[test]
@@ -428,9 +498,8 @@ mod tests {
     #[test]
     fn fp_decreases_with_bid() {
         let m = model();
-        let f = m.forecast(p(0.01), 0, 120).unwrap();
-        let lo = m.fp_from_forecast(&f, p(0.01), p(0.01));
-        let hi = m.fp_from_forecast(&f, p(0.02), p(0.01));
+        let lo = m.estimate_fp(p(0.01), p(0.01), 0, 120);
+        let hi = m.estimate_fp(p(0.02), p(0.01), 0, 120);
         assert!(hi < lo);
     }
 
@@ -441,7 +510,7 @@ mod tests {
         let m = model();
         for target in [0.05, 0.2, 0.5] {
             let e = m.min_bid_for_fp(target, p(0.01), 0, 240, p(0.044));
-            let a = m.min_bid_for_fp_absorbing(target, p(0.01), 0, 240, p(0.044));
+            let a = absorbing_min_bid(&m, target);
             match (e, a) {
                 (Some(e), Some(a)) => assert!(a >= e, "target {target}: {a:?} < {e:?}"),
                 (None, Some(_)) => panic!("absorbing feasible where expectation is not"),
@@ -449,10 +518,11 @@ mod tests {
             }
         }
         // The fully safe level is feasible for both at a loose target.
-        let a = m
-            .min_bid_for_fp_absorbing(0.02, p(0.01), 0, 240, p(0.044))
-            .unwrap();
-        assert_eq!(a, p(0.02));
+        assert_eq!(absorbing_min_bid(&m, 0.02), Some(p(0.02)));
+    }
+
+    fn absorbing_min_bid(m: &FailureModel, target: f64) -> Option<Price> {
+        (m.bid_grid(Estimator::Absorbing, p(0.01), 0, 240, p(0.044)))?.min_bid(target)
     }
 
     /// `cycles` of the A (5 min) → B (3 min) alternation.

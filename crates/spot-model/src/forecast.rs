@@ -143,18 +143,26 @@ impl Forecast {
     /// below `cap`. Between levels the out-of-bid fraction is constant, so
     /// any feasible bid can be lowered onto one of these without changing
     /// its failure estimate. Each bid comes with its slot on the
-    /// forecast's bid grid (0 = the current price, `1 + l` = level `l`),
-    /// which is what a caller memoizing per-bid estimates indexes by.
+    /// forecast's bid grid (0 = the current price, `1 + l` = level `l`).
     pub fn bid_candidates(
         &self,
         current_price: Price,
         cap: Price,
     ) -> impl Iterator<Item = (usize, Price)> + '_ {
-        std::iter::once(current_price)
-            .chain(self.level_prices.iter().copied())
-            .enumerate()
-            .filter(move |&(_, b)| b >= current_price && b < cap)
+        bid_candidates(&self.level_prices, current_price, cap)
     }
+}
+
+/// [`Forecast::bid_candidates`] on the ladder `levels`.
+pub(crate) fn bid_candidates(
+    levels: &[Price],
+    current_price: Price,
+    cap: Price,
+) -> impl Iterator<Item = (usize, Price)> + '_ {
+    std::iter::once(current_price)
+        .chain(levels.iter().copied())
+        .enumerate()
+        .filter(move |&(_, b)| b >= current_price && b < cap)
 }
 
 /// States per tile: the lanes one sweep advances side by side.

@@ -21,9 +21,10 @@
 //! * [`failure`] — the user-facing [`failure::FailureModel`]: combines the
 //!   out-of-bid probability with the constant instance failure probability
 //!   `FP⁰ = 0.01` of an on-demand instance (Eq. 4/14), answers
-//!   `estimate_fp(bid, …)` and the minimal-bid query the bidding algorithm
-//!   needs, and offers an *absorbing* (survival) variant used by the
-//!   ablation experiments.
+//!   `estimate_fp(bid, …)`, offers an *absorbing* (survival) variant used
+//!   by the ablation experiments, and answers the minimal-bid query the
+//!   bidding algorithm needs under either [`Estimator`]: one
+//!   [`BidGrid`] per market state, whose memo the node counts share.
 //!
 //! The crate is safe Rust: no `unsafe`, no `std::arch`. The forecast
 //! evolution is fast by its memory layout (four-state tiles the compiler
@@ -36,7 +37,7 @@ pub mod forecast;
 pub mod kernel;
 
 pub use backtest::{backtest, BidRule, CalibrationReport};
-pub use failure::{FailureModel, FailureModelConfig};
+pub use failure::{BidGrid, Estimator, FailureModel, FailureModelConfig};
 pub use forecast::{Forecast, ForecastConfig};
 pub use kernel::{FrozenKernel, MAX_SOJOURN_MINUTES};
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use spot_market::{Price, PricePoint, PriceTrace};
-use spot_model::{FailureModel, FailureModelConfig, FrozenKernel};
+use spot_model::{Estimator, FailureModel, FailureModelConfig, FrozenKernel};
 use std::sync::Arc;
 
 /// Strategy: a random multi-level trace with enough transitions to train.
@@ -34,8 +34,78 @@ fn training_trace() -> impl Strategy<Value = PriceTrace> {
         })
 }
 
+/// Strategy: a trace hopping over 2–16 evenly spaced price levels, so
+/// ladders run deep enough for a bisection to take several steps.
+fn ladder_trace() -> impl Strategy<Value = PriceTrace> {
+    (
+        2u64..=16,
+        proptest::collection::vec((1u64..40, 0u64..16), 40..200),
+    )
+        .prop_map(|(levels, steps)| {
+            let level = |i: u64| Price::from_micros(5_000 + 700 * (i % levels));
+            let mut points = vec![PricePoint {
+                minute: 0,
+                price: level(0),
+            }];
+            let mut t = 0;
+            for (dt, i) in steps {
+                t += dt;
+                if points.last().expect("non-empty").price != level(i) {
+                    points.push(PricePoint {
+                        minute: t,
+                        price: level(i),
+                    });
+                }
+            }
+            PriceTrace::new(points, t + 30)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The bid grid's searches are exact: at every target — each
+    /// candidate's own FP, just below it, and random ones — the
+    /// expectation grid's memoized scan and the absorbing grid's
+    /// bisection return the first bid of a plain ascending scan of
+    /// `estimate_fp` / `estimate_fp_absorbing` over the candidates (spot,
+    /// then every level, within [spot, cap)). The bisection's half holds
+    /// because the absorbing FP is non-increasing in the bid, to the bit.
+    #[test]
+    fn grid_searches_equal_linear_scans(
+        trace in ladder_trace(),
+        at in 0.0f64..1.0,
+        horizon in 1u32..240,
+        cap_tenths in 10u64..40,
+        random in proptest::collection::vec(0.0f64..1.0, 3),
+    ) {
+        let model = FailureModel::from_trace(&trace, FailureModelConfig::default());
+        let now = ((trace.horizon() - 1) as f64 * at) as u64;
+        let (spot, age) = trace.price_and_age_at(now);
+        let age = age as u32;
+        let cap = Price::from_micros(spot.as_micros() * cap_tenths / 10);
+        let bids: Vec<Price> = std::iter::once(spot)
+            .chain(model.kernel().prices().iter().copied())
+            .filter(|&b| b >= spot && b < cap)
+            .collect();
+        type Fp = fn(&FailureModel, Price, Price, u32, u32) -> f64;
+        let estimators: [(Estimator, Fp); 2] = [
+            (Estimator::Expectation, FailureModel::estimate_fp),
+            (Estimator::Absorbing, FailureModel::estimate_fp_absorbing),
+        ];
+        for (estimator, fp) in estimators {
+            let fps: Vec<f64> = bids.iter().map(|&b| fp(&model, b, spot, age, horizon)).collect();
+            let Some(mut grid) = model.bid_grid(estimator, spot, age, horizon, cap) else {
+                prop_assert!(!model.is_trained());
+                continue;
+            };
+            let targets = (fps.iter()).flat_map(|&f| [f, f.next_down()]).chain(random.clone());
+            for target in targets {
+                let want = (bids.iter().zip(&fps)).find(|&(_, &f)| f <= target).map(|(&b, _)| b);
+                prop_assert_eq!(grid.min_bid(target), want, "{:?} at {}", estimator, target);
+            }
+        }
+    }
 
     /// Hazards are probabilities; next-state distributions sum to one.
     #[test]

@@ -37,7 +37,7 @@ const INVENTORY: &[(&str, &str, &str)] = &[
     ("jupiter.decide_micros", "series", "repro report chart \"Bidding decision latency\""),
     ("jupiter.forecast_micros", "histogram", "jupiter algorithm.rs test; examples/strategy_comparison.rs"),
     ("jupiter.forecasts_computed", "counter", "benchmark REGISTRY_COUNTERS; jupiter algorithm.rs test"),
-    ("jupiter.forward_evolution_micros", "histogram", "jupiter algorithm.rs test"),
+    ("jupiter.forward_evolution_micros", "histogram", "jupiter algorithm.rs test (the count: one per absorbing grid miss; each value is its search's mean)"),
     ("jupiter.fp_cache_hits", "counter", "benchmark fp_cache_hit_ratio; replay audit `fp_cache_hit`"),
     ("jupiter.fp_cache_misses", "counter", "benchmark fp_cache_hit_ratio; jupiter algorithm.rs test"),
     ("migrate.launched", "counter", "benchmark REGISTRY_COUNTERS"),
