@@ -104,9 +104,10 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
 
     /// The pools of `snapshots` that have a model, as strategies see them.
     fn states(&self, snapshots: &[MarketSnapshot]) -> Vec<ZoneState<'_>> {
-        (snapshots.iter())
-            .filter_map(|s| Some(ZoneState::new(s, self.models.get(s.zone, s.instance_type)?)))
-            .collect()
+        let model = |s: &MarketSnapshot| self.models.get(s.zone, s.instance_type);
+        let mut states = Vec::with_capacity(snapshots.len());
+        states.extend(snapshots.iter().filter_map(|s| Some(ZoneState::new(s, model(s)?))));
+        states
     }
 
     /// Make the bidding decision for the next interval (Fig. 2's online

@@ -669,20 +669,21 @@ impl<S: BiddingStrategy> Run<'_, S> {
     /// it costs nothing extra and avoids paying the churn overlap).
     /// Everything else is user-terminated.
     fn retire_and_launch(&mut self, iv: &Interval) {
-        for inst in std::mem::take(&mut self.fleet) {
+        let mut fleet = std::mem::take(&mut self.fleet);
+        fleet.retain(|inst| {
             // Last interval's `bill` closed every instance that died.
             debug_assert!(inst.dies_at.is_none());
             let keep = iv
                 .decision
                 .bid_for(inst.zone, inst.ty)
                 .is_some_and(|b| b <= inst.bid);
-            if keep {
-                self.fleet.push(inst);
-            } else {
+            if !keep {
                 self.ins.death_boundary.inc();
-                self.close(&inst, iv.start, Termination::User);
+                self.close(inst, iv.start, Termination::User);
             }
-        }
+            keep
+        });
+        self.fleet = fleet;
         for &pb in &iv.decision.bids {
             if !self.in_fleet(pb.zone, pb.instance_type) {
                 self.launch(pb, iv.decision_at, None);
@@ -757,11 +758,15 @@ impl<S: BiddingStrategy> Run<'_, S> {
         }
     }
 
-    /// Write one audit record and keep its sequence number as an alert
-    /// cross-reference for this interval; `link_slo` also hands it to the
-    /// SLO tracker as a decision a burn alert can point back at.
-    fn audit(&mut self, minute: u64, kind: AuditKind, link_slo: bool) {
-        if let Some(seq) = self.obs.audit.record(minute, kind) {
+    /// Write one audit record, built only while the log is on, and keep
+    /// its sequence number as an alert cross-reference for this interval;
+    /// `link_slo` also hands it to the SLO tracker as a decision a burn
+    /// alert can point back at.
+    fn audit(&mut self, minute: u64, kind: impl FnOnce() -> AuditKind, link_slo: bool) {
+        if !self.obs.audit.is_enabled() {
+            return;
+        }
+        if let Some(seq) = self.obs.audit.record(minute, kind()) {
             self.refs.push(seq);
             if link_slo {
                 self.slo.link_decision(seq);
@@ -795,7 +800,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
                 fp_cache_hit: iv.fp_cache_hit,
                 granted: self.in_fleet(pb.zone, pb.instance_type),
             };
-            self.audit(iv.decision_at, kind, true);
+            self.audit(iv.decision_at, || kind, true);
         }
     }
 
@@ -829,8 +834,10 @@ impl<S: BiddingStrategy> Run<'_, S> {
         if self.config.era != BidEra::CapacityReclaim {
             return;
         }
-        let notices = self.market.notice_count(iv.start, iv.end);
-        self.ins.notice_emitted.add(notices as u64);
+        if self.obs.metrics.is_enabled() {
+            let notices = self.market.notice_count(iv.start, iv.end);
+            self.ins.notice_emitted.add(notices as u64);
+        }
         if self.repair_cfg.policy != RepairPolicy::Migrate {
             return;
         }
@@ -897,7 +904,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
             )
         });
         let mut action = "no_pool";
-        let mut to_zone = String::new();
+        let mut to_zone = None;
         let mut bid_dollars = 0.0;
         for pb in choices {
             let (zone, ty) = (pb.zone, pb.instance_type);
@@ -919,7 +926,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
             };
             self.ins.migrate_launched.inc();
             self.ins.bids_placed.inc();
-            to_zone = pb.zone.to_string();
+            to_zone = Some(pb.zone);
             bid_dollars = pb.bid.as_dollars();
             if running_from <= deadline {
                 action = "drained";
@@ -934,10 +941,10 @@ impl<S: BiddingStrategy> Run<'_, S> {
         if matches!(action, "no_pool" | "no_grant") {
             reserved.push((vzone, vty));
         }
-        let kind = AuditKind::Migration {
+        let kind = || AuditKind::Migration {
             action: action.to_owned(),
             from_zone: vzone.to_string(),
-            to_zone,
+            to_zone: to_zone.map(|z| z.to_string()).unwrap_or_default(),
             notice_minute: notice_at,
             deadline_minute: deadline,
             bid_dollars,
@@ -945,8 +952,12 @@ impl<S: BiddingStrategy> Run<'_, S> {
         self.audit(launch_at, kind, true);
     }
 
-    /// Deaths at minutes `[from, to]` the repair walk has not passed yet.
+    /// Deaths at minutes `[from, to]` the repair walk has not passed yet;
+    /// 0 while the metrics registry, its callers' only output, is off.
     fn deaths_between(&self, from: u64, to: u64) -> u64 {
+        if !self.obs.metrics.is_enabled() {
+            return 0;
+        }
         self.fleet
             .iter()
             .filter_map(|i| i.dies_at)
@@ -956,7 +967,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
 
     /// A repair-walk audit record that names no pool and moves no money.
     fn repair_note(&mut self, minute: u64, action: &str, died_at: u64) {
-        let kind = AuditKind::RepairAction {
+        let kind = || AuditKind::RepairAction {
             action: action.to_owned(),
             zone: String::new(),
             trigger_death_minute: died_at,
@@ -1069,7 +1080,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
             }
             self.ins.repair_spot_replacements.inc();
             self.ins.bids_placed.inc();
-            let kind = AuditKind::RepairAction {
+            let kind = || AuditKind::RepairAction {
                 action: "rebid".to_owned(),
                 zone: pb.zone.to_string(),
                 trigger_death_minute: died_at,
@@ -1084,22 +1095,22 @@ impl<S: BiddingStrategy> Run<'_, S> {
 
     /// Fill `slots` with on-demand instances until the next boundary.
     fn top_up_on_demand(&mut self, iv: &Interval, at: u64, died_at: u64, slots: usize) {
-        let (zone, ty) = (self.od_zone, self.primary_ty);
+        let (zone, ty, hourly) = (self.od_zone, self.primary_ty, self.od_hourly);
         for _ in 0..slots {
             self.ins.repair_on_demand_launches.inc();
-            let kind = AuditKind::RepairAction {
+            let kind = || AuditKind::RepairAction {
                 action: "on_demand_top_up".to_owned(),
-                zone: self.od_zone.to_string(),
+                zone: zone.to_string(),
                 trigger_death_minute: died_at,
-                bid_dollars: self.od_hourly.as_dollars(),
-                billing_delta_dollars: spot_market::on_demand_charge(self.od_hourly, at, iv.end)
+                bid_dollars: hourly.as_dollars(),
+                billing_delta_dollars: spot_market::on_demand_charge(hourly, at, iv.end)
                     .as_dollars(),
             };
             self.audit(at, kind, true);
             self.fleet.push(Active {
                 zone,
                 ty,
-                bid: self.od_hourly,
+                bid: hourly,
                 on_demand: true,
                 granted_at: at,
                 running_from: at + self.market.startup_delay_minutes(zone, ty, at),
@@ -1230,21 +1241,22 @@ impl<S: BiddingStrategy> Run<'_, S> {
     /// bridge to the next decision, which replaces them with a fresh spot
     /// fleet.
     fn bill(&mut self, iv: &Interval) {
-        let (on_demand, spot): (Vec<Active>, Vec<Active>) = std::mem::take(&mut self.fleet)
-            .into_iter()
-            .partition(|inst| inst.on_demand);
-        for inst in spot {
-            match inst.dies_at {
-                Some(died_at) => {
-                    self.ins.death_out_of_bid.inc();
-                    self.close(&inst, died_at, Termination::Provider);
-                }
-                None => self.fleet.push(inst),
+        let mut fleet = std::mem::take(&mut self.fleet);
+        fleet.retain(|inst| match inst.dies_at {
+            Some(died_at) if !inst.on_demand => {
+                self.ins.death_out_of_bid.inc();
+                self.close(inst, died_at, Termination::Provider);
+                false
             }
-        }
-        for inst in on_demand {
-            self.close(&inst, iv.end, Termination::User);
-        }
+            _ => true,
+        });
+        fleet.retain(|inst| {
+            if inst.on_demand {
+                self.close(inst, iv.end, Termination::User);
+            }
+            !inst.on_demand
+        });
+        self.fleet = fleet;
     }
 
     /// Close out the surviving fleet at the end of the window and hand

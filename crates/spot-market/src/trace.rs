@@ -4,8 +4,15 @@
 //! price holds until the next change point. One minute is the time unit the
 //! paper adopts for the semi-Markov model (Eq. 12: sojourn times are
 //! discretized to minutes because 2014 prices changed many times per hour).
+//! A lookup is one load from a per-32-minute block index plus a short
+//! forward scan; a trace that is only walked never builds the index.
+
+use std::sync::OnceLock;
 
 use crate::money::Price;
+
+/// Minutes per block of a trace's lookup index, as a shift.
+const BLOCK_SHIFT: u32 = 5;
 
 /// A price change point: from `minute` (inclusive) the market price is
 /// `price` until the next point.
@@ -29,12 +36,24 @@ pub struct Segment {
 }
 
 /// A spot-price history for one (zone, instance type) pair.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct PriceTrace {
     points: Vec<PricePoint>,
     /// Total trace length in minutes; prices are defined on `[0, horizon)`.
     horizon: u64,
+    /// The lookup index, built at the first lookup: `blocks[b]` is the
+    /// index of the point holding minute `b << BLOCK_SHIFT`.
+    blocks: OnceLock<Box<[u32]>>,
 }
+
+/// Equal points over an equal horizon; the index follows from them.
+impl PartialEq for PriceTrace {
+    fn eq(&self, other: &Self) -> bool {
+        (self.horizon, &self.points) == (other.horizon, &other.points)
+    }
+}
+
+impl Eq for PriceTrace {}
 
 impl PriceTrace {
     /// Build a trace from change points.
@@ -60,7 +79,28 @@ impl PriceTrace {
             points.last().unwrap().minute < horizon,
             "last point beyond horizon"
         );
-        PriceTrace { points, horizon }
+        assert!(u32::try_from(points.len()).is_ok(), "too many points");
+        let blocks = OnceLock::new();
+        PriceTrace { points, horizon, blocks }
+    }
+
+    /// The block index, built on first use: each point marks the first
+    /// block it holds, and a running maximum fills the blocks between.
+    fn blocks(&self) -> &[u32] {
+        self.blocks.get_or_init(|| {
+            let first_block = |minute: u64| minute.div_ceil(1 << BLOCK_SHIFT) as usize;
+            let mut blocks = vec![0u32; first_block(self.horizon) + 1];
+            for (i, p) in self.points.iter().enumerate() {
+                blocks[first_block(p.minute)] = i as u32;
+            }
+            let mut held = 0;
+            for b in &mut blocks {
+                held = held.max(*b);
+                *b = held;
+            }
+            blocks.pop();
+            blocks.into()
+        })
     }
 
     /// The trace length in minutes.
@@ -74,9 +114,15 @@ impl PriceTrace {
     }
 
     /// Index of the change point whose segment holds `minute` (the last
-    /// point at or before it; the first point is at minute 0).
+    /// point at or before it; the first point is at minute 0): the block
+    /// index's point, then a scan over the block's later points. Requires
+    /// `minute < horizon`.
     fn segment_index(&self, minute: u64) -> usize {
-        self.points.partition_point(|p| p.minute <= minute) - 1
+        let mut i = self.blocks()[(minute >> BLOCK_SHIFT) as usize] as usize;
+        while self.points.get(i + 1).is_some_and(|p| p.minute <= minute) {
+            i += 1;
+        }
+        i
     }
 
     /// The price in effect at `minute` (must be `< horizon`).
@@ -93,8 +139,8 @@ impl PriceTrace {
     }
 
     /// The segments overlapping `[from, to)` as `(price, lo, hi)`, clipped
-    /// to it: one bisection to the segment holding `from`, then a walk
-    /// that stops at `to`. Requires `from < horizon`.
+    /// to it: one lookup of the segment holding `from`, then a walk that
+    /// stops at `to`. Requires `from < horizon`.
     fn clipped(&self, from: u64, to: u64) -> impl Iterator<Item = (Price, u64, u64)> + '_ {
         let first = self.segment_index(from);
         let ends = self.points[first + 1..]
@@ -290,6 +336,12 @@ mod tests {
                 }
             }
             above as f64 / (to - from) as f64
+        }
+
+        /// The bisection the block index replaced, kept as the reference
+        /// the block-index tests compare against.
+        fn segment_index_by_bisection(&self, minute: u64) -> usize {
+            self.points.partition_point(|p| p.minute <= minute) - 1
         }
 
         fn price_and_age_by_scan(&self, minute: u64) -> (Price, u64) {
@@ -590,6 +642,69 @@ mod tests {
                 bids.extend([level - Price::TICK, level, level + Price::TICK]);
             }
             bisecting_queries_match_the_scans_on(&t, &bids);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The block-indexed lookup equals the bisection it replaced at
+        /// every minute of traces whose change points fall on, next to and
+        /// between block edges (runs of one-minute segments included), over
+        /// horizons that end inside a block; and the range queries built on
+        /// it equal their references over random ranges.
+        #[test]
+        fn block_index_matches_the_bisection(
+            steps in proptest::collection::vec((0usize..4, 1u64..70, 0usize..4), 1..40),
+            tail in 1u64..64,
+            ranges in proptest::collection::vec((0u64..10_000, 1u64..400, 0usize..4), 16),
+        ) {
+            let levels = [p(0.01), p(0.02), p(0.03), p(0.05)];
+            let mut points = vec![PricePoint { minute: 0, price: levels[0] }];
+            let mut at = 0;
+            for (kind, dt, level) in steps {
+                let edge = ((at >> BLOCK_SHIFT) + 1) << BLOCK_SHIFT;
+                at = match kind {
+                    0 => edge,
+                    1 => (edge - 1).max(at + 1),
+                    2 => edge + 1,
+                    _ => at + dt,
+                };
+                if points.last().unwrap().price != levels[level] {
+                    points.push(PricePoint { minute: at, price: levels[level] });
+                }
+            }
+            let mut horizon = at + tail;
+            horizon += u64::from(horizon % (1 << BLOCK_SHIFT) == 0);
+            let t = PriceTrace::new(points, horizon);
+            for minute in 0..horizon {
+                let i = t.segment_index_by_bisection(minute);
+                proptest::prop_assert_eq!(t.segment_index(minute), i, "at {}", minute);
+                let point = t.points[i];
+                proptest::prop_assert_eq!(
+                    t.price_and_age_at(minute),
+                    (point.price, minute - point.minute)
+                );
+            }
+            for (a, len, level) in ranges {
+                let from = a % horizon;
+                let to = (from + len).min(horizon);
+                let bid = levels[level];
+                proptest::prop_assert_eq!(
+                    t.last_price_in(from, to),
+                    t.points[t.segment_index_by_bisection(to - 1)].price
+                );
+                proptest::prop_assert_eq!(
+                    t.first_minute_above(bid, from, to),
+                    t.first_minute_above_by_scan(bid, from, to)
+                );
+                proptest::prop_assert_eq!(t.max_price_in(from, to), t.max_price_in_by_scan(from, to));
+                proptest::prop_assert_eq!(
+                    t.fraction_above(bid, from, to).to_bits(),
+                    t.fraction_above_by_scan(bid, from, to).to_bits()
+                );
+                proptest::prop_assert_eq!(t.window(from, to), t.window_by_scan(from, to));
+            }
         }
     }
 
