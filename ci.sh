@@ -189,6 +189,16 @@ done
 diff "$TMP/report.out" <(sed "s#$TMP/one.html#$TMP/report.html#g" "$TMP/one.out") \
   || { echo "report smoke: stdout differs between one thread and the default pool" >&2; exit 1; }
 
+echo "== paper-scale figures =="
+# The quick runs above check repeatability, not the figures themselves:
+# paper-scale `repro all` (~47 s on 2 cores) must print the committed
+# `repro_figures.txt` byte for byte, so a change that claims identical
+# output is held to it here.
+./target/release/repro --seed 2014 all 2> "$TMP/figures.err" > "$TMP/figures.txt" \
+  || { tail "$TMP/figures.err" >&2; echo "paper-scale repro all failed" >&2; exit 1; }
+cmp "$TMP/figures.txt" repro_figures.txt \
+  || { echo "paper-scale repro all stdout differs from repro_figures.txt" >&2; exit 1; }
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -5,7 +5,7 @@
 //! Scalar multiplication and inversion go through compile-time log/exp
 //! tables: the field's multiplicative group is cyclic of order 255 with
 //! generator 2, so `a·b = exp[(log a + log b) mod 255]`. Bulk work — a
-//! coefficient times a whole shard — goes through [`combine`], which reads
+//! coefficient times a whole shard — goes through `combine`, which reads
 //! one 256-entry product row per coefficient from a compile-time 64 KiB
 //! multiplication table instead.
 
@@ -80,9 +80,6 @@ impl Gf {
     pub const ZERO: Gf = Gf(0);
     /// The multiplicative identity.
     pub const ONE: Gf = Gf(1);
-    /// The generator of the multiplicative group.
-    pub const GENERATOR: Gf = Gf(2);
-
     /// Field addition (== subtraction == XOR).
     #[inline]
     pub fn add(self, rhs: Gf) -> Gf {
@@ -112,7 +109,7 @@ impl Gf {
     }
 
     /// `self` raised to the `k`-th power.
-    pub fn pow(self, mut k: u32) -> Gf {
+    pub(crate) fn pow(self, mut k: u32) -> Gf {
         if self.0 == 0 {
             return if k == 0 { Gf::ONE } else { Gf::ZERO };
         }
@@ -131,7 +128,7 @@ impl Gf {
 /// columns XORs its further passes in, and a short last group is padded
 /// with the zero coefficient over the group's first column, whose
 /// lookups all read 0.
-pub fn combine(coeffs: &[Gf], cols: &[&[u8]]) -> Vec<u8> {
+pub(crate) fn combine(coeffs: &[Gf], cols: &[&[u8]]) -> Vec<u8> {
     assert!(!cols.is_empty(), "at least one column");
     assert_eq!(coeffs.len(), cols.len(), "one coefficient per column");
     let len = cols[0].len();
@@ -226,10 +223,10 @@ mod tests {
     fn generator_has_order_255() {
         let mut x = Gf::ONE;
         for i in 1..255 {
-            x = x.mul(Gf::GENERATOR);
+            x = x.mul(Gf(2));
             assert_ne!(x, Gf::ONE, "generator order divides {i}");
         }
-        assert_eq!(x.mul(Gf::GENERATOR), Gf::ONE);
+        assert_eq!(x.mul(Gf(2)), Gf::ONE);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * [`gf256`] — the finite field GF(2⁸) with the 0x11D reduction
 //!   polynomial: log/exp-table scalar multiplication, division and
-//!   inversion, and [`gf256::combine`], the one bulk kernel — a product
+//!   inversion, and `gf256::combine`, the one bulk kernel — a product
 //!   row per coefficient, a lookup per byte and column.
 //! * [`matrix`] — dense matrices over GF(2⁸): multiplication, Gauss–Jordan
 //!   inversion, Vandermonde construction.

@@ -13,7 +13,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// A zero matrix of the given shape.
-    pub fn zero(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zero(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "degenerate matrix shape");
         Matrix {
             rows,
@@ -23,7 +23,7 @@ impl Matrix {
     }
 
     /// The n×n identity.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zero(n, n);
         for i in 0..n {
             m[(i, i)] = Gf::ONE;
@@ -46,18 +46,8 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// One row as a slice.
-    pub fn row(&self, r: usize) -> &[Gf] {
+    pub(crate) fn row(&self, r: usize) -> &[Gf] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 

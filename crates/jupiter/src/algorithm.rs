@@ -444,6 +444,7 @@ impl JupiterStrategy {
 mod tests {
     use super::*;
     use crate::framework::MarketSnapshot;
+    use crate::strategy::tests::strength;
     use spot_market::{InstanceType, PricePoint, PriceTrace, Region};
     use spot_model::{FailureModel, FailureModelConfig};
     use std::sync::Arc;
@@ -891,7 +892,7 @@ mod tests {
                 })
                 .collect();
             let name = strategy.name();
-            assert!(want.iter().all(|(d, _)| d.strength() >= 10), "{name}: {want:?}");
+            assert!(want.iter().all(|(d, _)| strength(d) >= 10), "{name}: {want:?}");
             assert!(want.iter().any(|&(_, hits)| hits > 0), "{name}: {want:?}");
             assert_eq!(pass(1), want, "{name}: one worker");
             assert_eq!(pass(4), want, "{name}: four workers");
@@ -952,7 +953,7 @@ mod tests {
             .with_min_strength(14);
         let d = JupiterStrategy::new().decide(&states, &spec, 360);
         assert!(d.n() > 0, "hetero instance must be feasible");
-        assert!(d.strength() >= 14, "strength {} < floor", d.strength());
+        assert!(strength(&d) >= 14, "strength {} < floor", strength(&d));
         // 14 strength cannot be met by m1.small alone within 6 zones, so
         // the mix must include large pools.
         assert!(

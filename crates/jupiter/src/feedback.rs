@@ -202,6 +202,7 @@ impl BiddingStrategy for FeedbackStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::tests::strength;
     use spot_market::{InstanceType, PricePoint, PriceTrace};
     use spot_model::{FailureModel, FailureModelConfig};
 
@@ -333,7 +334,7 @@ mod tests {
             .with_min_strength(10);
         let d = FeedbackStrategy::new().decide(&st, &spec, 60);
         assert!(d.n() >= spec.baseline_nodes);
-        assert!(d.strength() >= 10, "strength {} < 10", d.strength());
+        assert!(strength(&d) >= 10, "strength {} < 10", strength(&d));
     }
 
     #[test]

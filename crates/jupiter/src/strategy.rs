@@ -40,11 +40,6 @@ impl<'a> ZoneState<'a> {
             model,
         }
     }
-
-    /// Serving strength of one replica in this pool.
-    pub fn capacity_weight(&self) -> u32 {
-        self.instance_type.capacity_weight()
-    }
 }
 
 /// One placed bid: an instance to run in a (zone, type) pool.
@@ -69,21 +64,13 @@ pub struct BidDecision {
 impl BidDecision {
     /// An empty decision (run nothing — the strategy found no feasible
     /// deployment; the framework falls back to on-demand).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         BidDecision { bids: Vec::new() }
     }
 
     /// The number of instances.
     pub fn n(&self) -> usize {
         self.bids.len()
-    }
-
-    /// Total capacity-weighted serving strength of the decision.
-    pub fn strength(&self) -> u32 {
-        self.bids
-            .iter()
-            .map(|b| b.instance_type.capacity_weight())
-            .sum()
     }
 
     /// The objective value: the cost upper bound Σ bids (one interval at
@@ -120,7 +107,7 @@ pub trait BiddingStrategy: Send + Sync {
     /// nothing but the market and its models, never what became of
     /// earlier bids, may answer (the feedback bidder learns from its books
     /// and does not). Before each decision every pool's model observes
-    /// that boundary's revealed minutes ([`PoolWalk::walk`]).
+    /// that boundary's revealed minutes (`PoolWalk::walk`).
     fn decide_schedule(
         &self,
         _pools: &[PoolWalk<'_>],
@@ -222,7 +209,7 @@ impl PoolWalk<'_> {
     /// Walk `boundaries` in order on a copy of the model: observe each
     /// boundary's revealed minutes, then hand `f` the pool's state there.
     /// One kernel at a time: each fold replaces the last.
-    pub fn walk<R>(
+    pub(crate) fn walk<R>(
         &self,
         boundaries: &[Boundary],
         mut f: impl FnMut(&Boundary, &ZoneState<'_>) -> R,
@@ -240,9 +227,17 @@ impl PoolWalk<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use spot_market::topology::all_zones;
+
+    /// Total capacity-weighted serving strength of a decision.
+    pub(crate) fn strength(d: &BidDecision) -> u32 {
+        d.bids
+            .iter()
+            .map(|b| b.instance_type.capacity_weight())
+            .sum()
+    }
 
     #[test]
     fn decision_accessors() {
@@ -262,7 +257,7 @@ mod tests {
             ],
         };
         assert_eq!(d.n(), 2);
-        assert_eq!(d.strength(), 5);
+        assert_eq!(strength(&d), 5);
         assert_eq!(d.cost_upper_bound(), Price::from_dollars(0.03));
         assert_eq!(
             d.bid_for(zones[0], InstanceType::M1Small),

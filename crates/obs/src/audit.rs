@@ -248,7 +248,7 @@ pub type AuditLog = Log<AuditRecord>;
 impl Log<AuditRecord> {
     /// Default capacity — sized for a full multi-week replay (hundreds
     /// of boundary decisions × fleet size, plus repairs).
-    pub const DEFAULT_CAPACITY: usize = 16_384;
+    pub(crate) const DEFAULT_CAPACITY: usize = 16_384;
 
     /// Append a record; returns its sequence number, or `None` when
     /// disabled.

@@ -51,12 +51,8 @@ pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Histogram, HistogramSummary,
     MetricsSnapshot, Registry, HISTOGRAM_BUCKETS,
 };
-pub use timeseries::{
-    SeriesPoint, SeriesSnapshot, SeriesStore, TimeSeries, DEFAULT_SERIES_CAPACITY,
-};
-pub use trace::{
-    event_to_json, Event, EventKind, FieldValue, SpanHandle, TraceContext, Tracer,
-};
+pub use timeseries::{SeriesPoint, SeriesSnapshot, SeriesStore, TimeSeries};
+pub use trace::{Event, EventKind, FieldValue, SpanHandle, TraceContext, Tracer};
 
 use std::sync::Arc;
 

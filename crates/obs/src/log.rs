@@ -48,7 +48,7 @@ impl<T> Log<T> {
     /// from 1 across evictions), evicting the oldest item when full.
     /// Returns that sequence number, or `None` (without calling `make`)
     /// when disabled.
-    pub fn push(&self, make: impl FnOnce(u64) -> T) -> Option<u64> {
+    pub(crate) fn push(&self, make: impl FnOnce(u64) -> T) -> Option<u64> {
         let mut ring = self.ring()?;
         let seq = ring.next_seq;
         ring.next_seq += 1;
@@ -70,7 +70,7 @@ impl<T> Log<T> {
     }
 
     /// Items evicted so far.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.ring().map_or(0, |r| r.dropped)
     }
 

@@ -382,7 +382,7 @@ impl MetricsSnapshot {
 
     /// This snapshot as one JSON object:
     /// `{"counters": {...}, "histograms": {...}}`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {

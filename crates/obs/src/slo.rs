@@ -207,7 +207,7 @@ impl SloTracker {
 
     /// Burn rate over the trailing `window_minutes` ending at the last
     /// observation: `(bad / total) / (1 − objective)`; 0 with no data.
-    pub fn burn_rate(&self, window_minutes: u64) -> f64 {
+    pub(crate) fn burn_rate(&self, window_minutes: u64) -> f64 {
         let Some(&(last, _, _)) = self.window.back() else {
             return 0.0;
         };

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use crate::json;
 
 /// Default maximum number of retained points per series.
-pub const DEFAULT_SERIES_CAPACITY: usize = 512;
+pub(crate) const DEFAULT_SERIES_CAPACITY: usize = 512;
 
 /// One retained point: a single sample, or the aggregate of several
 /// merged samples covering `[t_first, t_last]`.
@@ -123,7 +123,7 @@ pub struct SeriesStore {
 
 impl SeriesStore {
     /// An enabled, empty store with the default per-series capacity.
-    pub fn new() -> SeriesStore {
+    pub(crate) fn new() -> SeriesStore {
         SeriesStore::with_capacity(DEFAULT_SERIES_CAPACITY)
     }
 
@@ -139,7 +139,7 @@ impl SeriesStore {
     }
 
     /// A store whose series all discard their samples.
-    pub fn disabled() -> SeriesStore {
+    pub(crate) fn disabled() -> SeriesStore {
         SeriesStore { inner: None }
     }
 

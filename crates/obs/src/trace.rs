@@ -151,7 +151,7 @@ pub struct Tracer {
 impl Tracer {
     /// Default log capacity (events kept before the oldest are dropped
     /// and counted in [`Tracer::dropped`]).
-    pub const DEFAULT_CAPACITY: usize = 16_384;
+    pub(crate) const DEFAULT_CAPACITY: usize = 16_384;
 
     /// An enabled tracer timestamping from `clock`, keeping at most
     /// `capacity` events.
@@ -181,7 +181,7 @@ impl Tracer {
     }
 
     /// Drive the clock forward (see [`ManualClock::set_micros`]).
-    pub fn set_time_micros(&self, micros: u64) {
+    pub(crate) fn set_time_micros(&self, micros: u64) {
         if let Some(inner) = &self.inner {
             inner.clock.set_micros(micros);
         }
@@ -288,7 +288,7 @@ impl Tracer {
     /// The trace as one JSON object:
     /// `{"dropped": n, "events": [...]}`; each event is also valid as a
     /// standalone JSON-lines record via [`event_to_json`].
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("{{\"dropped\":{},\"events\":[", self.dropped()));
         for (i, event) in self.events().iter().enumerate() {
@@ -332,7 +332,7 @@ fn owned_fields(fields: &[(&str, FieldValue)]) -> Vec<(String, FieldValue)> {
 
 /// One event as a JSON object (used for both the array export and
 /// JSON-lines output).
-pub fn event_to_json(event: &Event) -> String {
+pub(crate) fn event_to_json(event: &Event) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"at_micros\":{},\"name\":",
@@ -392,7 +392,7 @@ pub struct SpanHandle {
 
 impl SpanHandle {
     /// The no-op handle (what disabled tracers hand out).
-    pub fn inert() -> SpanHandle {
+    pub(crate) fn inert() -> SpanHandle {
         SpanHandle {
             id: 0,
             start_micros: 0,

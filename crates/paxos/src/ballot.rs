@@ -19,15 +19,10 @@ pub struct Ballot {
 
 impl Ballot {
     /// The ballot smaller than every real ballot (initial promise).
-    pub const BOTTOM: Ballot = Ballot {
+    pub(crate) const BOTTOM: Ballot = Ballot {
         round: 0,
         node: NodeId(0),
     };
-
-    /// A first-round ballot for `node`.
-    pub fn initial(node: NodeId) -> Ballot {
-        Ballot { round: 1, node }
-    }
 }
 
 impl fmt::Debug for Ballot {

@@ -42,7 +42,7 @@ pub struct ClientState<S: Service> {
 
 impl<S: Service> ClientState<S> {
     /// A client that talks to `servers`.
-    pub fn new(me: NodeId, servers: Vec<NodeId>, seed: u64) -> Self {
+    pub(crate) fn new(me: NodeId, servers: Vec<NodeId>, seed: u64) -> Self {
         ClientState {
             session: Session::new(me, servers),
             queue: VecDeque::new(),
@@ -55,20 +55,20 @@ impl<S: Service> ClientState<S> {
     /// only recorded when its tracer is enabled. The harness wires the
     /// cluster's handle in so client spans land in the same trace ring as
     /// the replicas'.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
+    pub(crate) fn with_obs(mut self, obs: Obs) -> Self {
         self.session.obs = obs;
         self
     }
 
     /// Queue an operation for submission (fired from the next tick).
     /// Request ids are 1, 2, … in submission order.
-    pub fn submit(&mut self, op: S::Op) -> u64 {
+    pub(crate) fn submit(&mut self, op: S::Op) -> u64 {
         self.queue.push_back(op);
         (self.history.len() + self.queue.len()) as u64
     }
 
     /// Update the server list (after a view change).
-    pub fn set_servers(&mut self, servers: Vec<NodeId>) {
+    pub(crate) fn set_servers(&mut self, servers: Vec<NodeId>) {
         self.session.set_servers(servers);
     }
 
@@ -78,17 +78,17 @@ impl<S: Service> ClientState<S> {
     }
 
     /// Number of operations not yet completed (queued + in flight).
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.queue.len() + usize::from(self.session.busy())
     }
 
     /// Boot: arm the tick.
-    pub fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
+    pub(crate) fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
         ctx.set_timer(TICK, TICK_TOKEN);
     }
 
     /// Tick: launch queued work, retransmit timed-out requests.
-    pub fn on_timer(&mut self, _t: TimerToken, ctx: &mut Context<Msg<S>>) {
+    pub(crate) fn on_timer(&mut self, _t: TimerToken, ctx: &mut Context<Msg<S>>) {
         ctx.set_timer(TICK, TICK_TOKEN);
         if self.session.busy() {
             self.session.retry_if_timed_out(ctx);
@@ -107,7 +107,7 @@ impl<S: Service> ClientState<S> {
 
     /// Message dispatch (responses only). The reply to a reconfiguration
     /// carries no response and completes it all the same.
-    pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
+    pub(crate) fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
         if let Some(resp) = self.session.on_reply(from, msg, true, ctx.now) {
             let entry = self.history.last_mut().expect("in-flight op recorded");
             entry.completed = Some((ctx.now, resp));

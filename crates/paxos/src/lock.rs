@@ -113,15 +113,6 @@ impl LockService {
         Self::default()
     }
 
-    /// Current holder of `name` (leases judged by the last seen command
-    /// timestamp).
-    pub fn holder(&self, name: &str) -> Option<NodeId> {
-        self.locks
-            .get(name)
-            .filter(|h| !Self::expired(h, self.clock_ms))
-            .map(|h| h.owner)
-    }
-
     /// Number of currently held (non-expired) locks.
     pub fn held_count(&self) -> usize {
         self.locks
@@ -241,6 +232,15 @@ mod tests {
         NodeId(i)
     }
 
+    /// Current holder of `name` (leases judged by the last seen command
+    /// timestamp).
+    fn holder(s: &LockService, name: &str) -> Option<NodeId> {
+        s.locks
+            .get(name)
+            .filter(|h| !LockService::expired(h, s.clock_ms))
+            .map(|h| h.owner)
+    }
+
     #[test]
     fn acquire_release_cycle() {
         let mut s = LockService::new();
@@ -327,7 +327,7 @@ mod tests {
             ttl_ms: 500,
         });
         assert_eq!(r, LockResp::Granted);
-        assert_eq!(s.holder("lease"), Some(c(1)));
+        assert_eq!(holder(&s, "lease"), Some(c(1)));
         // Before expiry another client is refused.
         let r = s.apply(&LockCmd::AcquireLease {
             name: "lease".into(),
@@ -344,7 +344,7 @@ mod tests {
             ttl_ms: 500,
         });
         assert_eq!(r, LockResp::Granted);
-        assert_eq!(s.holder("lease"), Some(c(2)));
+        assert_eq!(holder(&s, "lease"), Some(c(2)));
     }
 
     #[test]
@@ -397,7 +397,7 @@ mod tests {
             now_ms: 1_000_000,
             ttl_ms: 1,
         });
-        assert_eq!(s.holder("forever"), Some(c(1)));
+        assert_eq!(holder(&s, "forever"), Some(c(1)));
         // Renew on an unleased lock is a harmless Granted.
         let r = s.apply(&LockCmd::Renew {
             name: "forever".into(),
@@ -422,7 +422,7 @@ mod tests {
             now_ms: 100,
             ttl_ms: 10,
         });
-        assert_eq!(s.holder("x"), None, "x expired");
+        assert_eq!(holder(&s, "x"), None, "x expired");
         // Release by the stale owner reports NotHeld but clears the husk.
         let r = s.apply(&LockCmd::Release {
             name: "x".into(),
@@ -471,6 +471,6 @@ mod tests {
             s.apply(cmd);
             assert!(s.held_count() <= 1);
         }
-        assert_eq!(s.holder("l"), Some(c(2)));
+        assert_eq!(holder(&s, "l"), Some(c(2)));
     }
 }

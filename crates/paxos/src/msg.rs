@@ -203,7 +203,7 @@ pub enum Msg<S: Service> {
 /// Kind names of the messages every service exchanges, indexed by
 /// [`Msg::kind_index`]; a service's own kinds ([`Service::EXT_KINDS`])
 /// follow. Used to label per-type observability counters.
-pub const MSG_KINDS: [&str; 11] = [
+pub(crate) const MSG_KINDS: [&str; 11] = [
     "prepare",
     "promise",
     "accept",
@@ -220,7 +220,7 @@ pub const MSG_KINDS: [&str; 11] = [
 impl<S: Service> Msg<S> {
     /// Index of this variant into [`MSG_KINDS`] followed by
     /// [`Service::EXT_KINDS`].
-    pub fn kind_index(&self) -> usize {
+    pub(crate) fn kind_index(&self) -> usize {
         match self {
             Msg::Prepare { .. } => 0,
             Msg::Promise { .. } => 1,

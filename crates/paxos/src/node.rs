@@ -40,7 +40,7 @@ impl<S: Service> PaxosNode<S> {
     }
 
     /// Mutable client state, if this is a client.
-    pub fn as_client_mut(&mut self) -> Option<&mut ClientState<S>> {
+    pub(crate) fn as_client_mut(&mut self) -> Option<&mut ClientState<S>> {
         match self {
             PaxosNode::Client(c) => Some(c),
             _ => None,

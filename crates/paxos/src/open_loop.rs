@@ -136,12 +136,12 @@ impl<S: Service> OpenLoopClient<S> {
     }
 
     /// Boot: arm the first arrival.
-    pub fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
+    pub(crate) fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
         self.arm_next_arrival(ctx);
     }
 
     /// Timers: arrival releases and retransmission checks.
-    pub fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<S>>) {
+    pub(crate) fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<S>>) {
         match token {
             ARRIVAL_TOKEN => {
                 while self
@@ -168,7 +168,7 @@ impl<S: Service> OpenLoopClient<S> {
 
     /// Message dispatch (responses only). A session never sends a
     /// reconfiguration, so it does not take the response-less reply.
-    pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
+    pub(crate) fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
         let Some(resp) = self.session.on_reply(from, msg, false, ctx.now) else {
             return;
         };

@@ -257,7 +257,13 @@ pub struct Replica<S: Service> {
 impl<S: Service> Replica<S> {
     /// Create a replica with the given identity, initial view, service
     /// state and RNG seed (used only for election jitter).
-    pub fn new(me: NodeId, view: Vec<NodeId>, svc: S::Host, cfg: ReplicaConfig, seed: u64) -> Self {
+    pub(crate) fn new(
+        me: NodeId,
+        view: Vec<NodeId>,
+        svc: S::Host,
+        cfg: ReplicaConfig,
+        seed: u64,
+    ) -> Self {
         let mut view = view;
         view.sort_unstable();
         view.dedup();
@@ -292,11 +298,6 @@ impl<S: Service> Replica<S> {
 
     // ------------------------------------------------------ introspection
 
-    /// This replica's node id.
-    pub fn id(&self) -> NodeId {
-        self.me
-    }
-
     /// The current membership view.
     pub fn view(&self) -> &[NodeId] {
         &self.view
@@ -310,11 +311,6 @@ impl<S: Service> Replica<S> {
     /// Whether this replica currently leads.
     pub fn is_leader(&self) -> bool {
         matches!(self.phase, Phase::Leading)
-    }
-
-    /// The believed leader, if any.
-    pub fn leader_hint(&self) -> Option<NodeId> {
-        self.leader
     }
 
     /// First unchosen slot.
@@ -352,7 +348,7 @@ impl<S: Service> Replica<S> {
     }
 
     /// The quorum size under the configured rule and the current view.
-    pub fn quorum(&self) -> usize {
+    pub(crate) fn quorum(&self) -> usize {
         self.cfg.quorum.quorum_size(self.view.len())
     }
 
@@ -497,7 +493,7 @@ impl<S: Service> Replica<S> {
     /// already-chosen value, letting the new leader choose a different
     /// command for the same slot. A replica whose disk is truly gone must
     /// rejoin as a *new* node via reconfiguration, not reuse its id.
-    pub fn reboot(&mut self) {
+    pub(crate) fn reboot(&mut self) {
         self.step_down(SimTime::ZERO);
         self.leader = None;
         // In-flight client requests died with the process; clients retry.
@@ -962,13 +958,13 @@ impl<S: Service> Replica<S> {
     // ---------------------------------------------------- actor callbacks
 
     /// Boot: arm the tick timer and stagger the first election.
-    pub fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
+    pub(crate) fn on_start(&mut self, ctx: &mut Context<Msg<S>>) {
         self.reset_election_deadline(ctx.now);
         ctx.set_timer(TICK, TICK_TOKEN);
     }
 
     /// Periodic bookkeeping.
-    pub fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<S>>) {
+    pub(crate) fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<Msg<S>>) {
         self.sync_obs_time(ctx.now);
         if token == BATCH_TOKEN {
             // A batch linger expired; flush whatever is due.
@@ -1015,7 +1011,7 @@ impl<S: Service> Replica<S> {
     }
 
     /// Message dispatch.
-    pub fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
+    pub(crate) fn on_message(&mut self, from: NodeId, msg: Msg<S>, ctx: &mut Context<Msg<S>>) {
         self.sync_obs_time(ctx.now);
         self.metrics.recv[msg.kind_index()].inc();
         if self.retired {

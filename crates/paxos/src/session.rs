@@ -32,7 +32,7 @@ pub(crate) struct Session<S: Service> {
 }
 
 impl<S: Service> Session<S> {
-    pub fn new(me: NodeId, servers: Vec<NodeId>) -> Self {
+    pub(crate) fn new(me: NodeId, servers: Vec<NodeId>) -> Self {
         assert!(!servers.is_empty(), "client needs at least one server");
         Session {
             me,
@@ -43,17 +43,17 @@ impl<S: Service> Session<S> {
         }
     }
 
-    pub fn servers(&self) -> &[NodeId] {
+    pub(crate) fn servers(&self) -> &[NodeId] {
         &self.servers
     }
 
     /// Whether an operation is on the wire.
-    pub fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.inflight.is_some()
     }
 
     /// Update the server list (after a view change).
-    pub fn set_servers(&mut self, servers: Vec<NodeId>) {
+    pub(crate) fn set_servers(&mut self, servers: Vec<NodeId>) {
         assert!(!servers.is_empty());
         self.servers = servers;
         self.leader_hint = None;
@@ -66,7 +66,7 @@ impl<S: Service> Session<S> {
     /// leader is hinted. `traced` opens the `client.request` root span,
     /// which covers submit → commit → response, so its duration *is* the
     /// observed commit latency.
-    pub fn launch(
+    pub(crate) fn launch(
         &mut self,
         req_id: u64,
         op: S::Op,
@@ -118,7 +118,7 @@ impl<S: Service> Session<S> {
     /// Retransmit to the next server if the in-flight operation has
     /// waited [`Service::CLIENT_TIMEOUT`] since its last send. Returns
     /// whether it did.
-    pub fn retry_if_timed_out(&mut self, ctx: &mut Context<Msg<S>>) -> bool {
+    pub(crate) fn retry_if_timed_out(&mut self, ctx: &mut Context<Msg<S>>) -> bool {
         let Some(f) = &mut self.inflight else {
             return false;
         };
@@ -146,7 +146,7 @@ impl<S: Service> Session<S> {
     /// `accept_empty` says whether the response-less reply a
     /// reconfiguration gets counts as one. Returns the response (`None`
     /// only for a reconfiguration).
-    pub fn on_reply(
+    pub(crate) fn on_reply(
         &mut self,
         from: NodeId,
         msg: Msg<S>,

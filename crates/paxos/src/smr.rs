@@ -41,7 +41,7 @@ pub struct SmHost<SM: StateMachine> {
 
 impl<SM: StateMachine> SmHost<SM> {
     /// Host `sm`.
-    pub fn new(sm: SM) -> Self {
+    pub(crate) fn new(sm: SM) -> Self {
         SmHost {
             sm,
             reconfig_in_flight: false,

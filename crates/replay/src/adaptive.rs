@@ -22,7 +22,7 @@ const LOOKBACK_MINUTES: u64 = 24 * 60;
 
 /// The interval (minutes) the adaptive rule picks at `boundary`, from the
 /// *revealed* trailing price history only.
-pub fn adaptive_interval(market: &Market, spec: &ServiceSpec, boundary: u64) -> u64 {
+pub(crate) fn adaptive_interval(market: &Market, spec: &ServiceSpec, boundary: u64) -> u64 {
     let ty = spec.instance_type;
     let from = boundary.saturating_sub(LOOKBACK_MINUTES);
     let span_hours = (boundary - from).max(60) as f64 / 60.0;

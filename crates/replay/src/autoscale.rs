@@ -33,7 +33,7 @@ pub const HYSTERESIS_INTERVALS: u32 = 3;
 
 /// Headroom kept over forecast demand (0.25 ⇒ target strength = demand ×
 /// 1.25, rounded up).
-pub const HEADROOM: f64 = 0.25;
+pub(crate) const HEADROOM: f64 = 0.25;
 
 /// Auto-scaler parameters.
 #[derive(Clone, Copy, Debug)]
@@ -65,7 +65,7 @@ pub struct ObservedInterval {
 
 /// One applied re-targeting, kept for the replay's summary accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScaleAction {
+pub(crate) enum ScaleAction {
     /// The target grew.
     Out,
     /// The target shrank.
@@ -115,7 +115,7 @@ impl AutoScaler {
     }
 
     /// The demand step active at `minute`.
-    pub fn demand_at(&self, minute: u64) -> f64 {
+    pub(crate) fn demand_at(&self, minute: u64) -> f64 {
         match self.demand.partition_point(|&(m, _)| m <= minute) {
             0 => 0.0,
             i => self.demand[i - 1].1,
@@ -124,7 +124,7 @@ impl AutoScaler {
 
     /// Peak demand over `[start, end)` — the step at `start` plus every
     /// step that begins inside the window.
-    pub fn peak_demand(&self, start: u64, end: u64) -> f64 {
+    pub(crate) fn peak_demand(&self, start: u64, end: u64) -> f64 {
         let mut peak = self.demand_at(start);
         for &(m, d) in &self.demand {
             if m >= start && m < end && d > peak {
@@ -138,7 +138,7 @@ impl AutoScaler {
     /// is the previous interval's feedback (`None` before the first
     /// interval completes). Returns the new target strength and records
     /// the decision in `obs`'s audit log.
-    pub fn plan(
+    pub(crate) fn plan(
         &mut self,
         boundary: u64,
         interval_end: u64,

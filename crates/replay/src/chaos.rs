@@ -87,14 +87,14 @@ pub fn market_fault_schedule(
 /// are sparse (a handful per pool-week), so the raw minute-per-second
 /// mapping would leave the protocol cluster idling for simulated hours
 /// between correlated bursts.
-pub const CAPACITY_MAX_IDLE_SECS: u64 = 120;
+pub(crate) const CAPACITY_MAX_IDLE_SECS: u64 = 120;
 
 /// [`market_fault_schedule`] for capacity-era replays: the same
 /// crash/restart derivation — under [`spot_market::BidEra::CapacityReclaim`]
 /// every [`Termination::Provider`] record is a capacity reclamation, and a
 /// migration replacement's boot becomes the Restart that *precedes* its
 /// correlated Crash whenever the drain beat the deadline — but with idle
-/// gaps between events compressed to at most [`CAPACITY_MAX_IDLE_SECS`]
+/// gaps between events compressed to at most `CAPACITY_MAX_IDLE_SECS`
 /// simulated seconds. Relative order is preserved exactly, and same-minute
 /// correlated crashes (whole-zone capacity crunches) stay simultaneous, so
 /// the safety checkers see the full notice → drain → view change → kill

@@ -68,17 +68,17 @@ impl Scale {
     }
 
     /// Training prefix length in minutes.
-    pub fn train_minutes(&self) -> u64 {
+    pub(crate) fn train_minutes(&self) -> u64 {
         self.train_weeks * 7 * 24 * 60
     }
 
     /// Full market horizon in minutes.
-    pub fn horizon_minutes(&self) -> u64 {
+    pub(crate) fn horizon_minutes(&self) -> u64 {
         (self.train_weeks + self.eval_weeks) * 7 * 24 * 60
     }
 
     /// Build the market for one instance type at this scale.
-    pub fn market(&self, ty: InstanceType) -> Market {
+    pub(crate) fn market(&self, ty: InstanceType) -> Market {
         let mut cfg = MarketConfig::paper(self.seed, self.horizon_minutes());
         cfg.zones.truncate(self.zones);
         cfg.types = vec![ty];

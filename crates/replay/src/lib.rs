@@ -48,12 +48,11 @@ pub mod scenario;
 pub mod service_level;
 
 pub use autoscale::{
-    demand_series, AutoScaler, AutoscaleConfig, ObservedInterval, ScaleAction, HEADROOM,
-    HYSTERESIS_INTERVALS,
+    demand_series, AutoScaler, AutoscaleConfig, ObservedInterval, HYSTERESIS_INTERVALS,
 };
 pub use chaos::{capacity_fault_schedule, market_fault_schedule};
 pub use lifecycle::{InstanceRecord, Replay, ReplayConfig};
 pub use repair::{RepairConfig, RepairPolicy};
 pub use results::{IntervalOutcome, ReplayResult};
-pub use scenario::{CellOutcome, Scenario, StrategyFactory, SweepSpec};
-pub use service_level::{record_latency_slo, record_trace_metrics};
+pub use scenario::{CellOutcome, Scenario, SweepSpec};
+pub use service_level::record_trace_metrics;

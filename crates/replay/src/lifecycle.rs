@@ -43,7 +43,7 @@ pub struct ReplayConfig {
     pub eval_end: u64,
     /// Bidding interval in hours (the paper sweeps 1, 3, 6, 9, 12);
     /// `None` is the §5.5 adaptive schedule, which sizes each interval
-    /// by [`adaptive_interval`] from the revealed price-change rate and
+    /// by `adaptive_interval` from the revealed price-change rate and
     /// suffixes the strategy name with `" [adaptive]"`.
     pub interval_hours: Option<u64>,
     /// Which interruption regime resolves instance deaths. Under the
@@ -83,7 +83,7 @@ impl ReplayConfig {
     /// depends only on the evaluation window, never on the strategy or
     /// interval, which is what lets every sweep cell share one
     /// [`jupiter::ModelStore`] entry per (zone, type).
-    pub fn first_decision(&self) -> u64 {
+    pub(crate) fn first_decision(&self) -> u64 {
         self.eval_start.saturating_sub(DECISION_LEAD).max(1)
     }
 }

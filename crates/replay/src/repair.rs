@@ -116,7 +116,7 @@ impl RepairConfig {
     }
 
     /// Whether the controller is active at all.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.policy != RepairPolicy::Off
     }
 }

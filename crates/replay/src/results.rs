@@ -123,7 +123,7 @@ impl ReplayResult {
     }
 
     /// Mean group size across intervals.
-    pub fn mean_group_size(&self) -> f64 {
+    pub(crate) fn mean_group_size(&self) -> f64 {
         if self.intervals.is_empty() {
             return 0.0;
         }

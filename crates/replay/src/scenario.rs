@@ -38,7 +38,7 @@ use crate::results::ReplayResult;
 /// [`Obs`] the cell records into — the scenario's registry and nothing
 /// else (see [`Scenario::with_obs`]) — so strategies that record decision
 /// metrics (e.g. `JupiterStrategy::with_obs`) add to the sweep's totals.
-pub type StrategyFactory = Box<dyn Fn(&Obs) -> Box<dyn BiddingStrategy> + Send + Sync>;
+pub(crate) type StrategyFactory = Box<dyn Fn(&Obs) -> Box<dyn BiddingStrategy> + Send + Sync>;
 
 /// A declarative sweep: which service to deploy and the strategy ×
 /// interval grid to replay it under.

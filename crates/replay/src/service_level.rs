@@ -36,7 +36,7 @@ use crate::lifecycle::{Replay, ReplayConfig};
 
 /// Latency bound a request must meet to count as served (simulated
 /// milliseconds).
-pub const SLA_MS: u64 = 5_000;
+pub(crate) const SLA_MS: u64 = 5_000;
 
 /// Service-level replay parameters.
 #[derive(Clone, Copy, Debug)]
@@ -178,7 +178,7 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 /// latency (the duration of each complete `client.request` root span, as
 /// exact p50/p99 so the consensus golden can pin them) and orphan/
 /// incomplete counts for chaos post-mortems. Returns the assembled
-/// traces for [`record_latency_slo`]. No-op (no traces) when tracing is
+/// traces for `record_latency_slo`. No-op (no traces) when tracing is
 /// disabled, so the untraced replay path is untouched.
 pub fn record_trace_metrics(obs: &Obs) -> Vec<CausalTrace> {
     if !obs.trace.is_enabled() {
@@ -216,7 +216,12 @@ pub fn record_trace_metrics(obs: &Obs) -> Vec<CausalTrace> {
 /// as `slo.request_latency.availability` /
 /// `slo.request_latency.budget_remaining` ppm counters. No-op unless
 /// both tracing and alerting are enabled.
-pub fn record_latency_slo(obs: &Obs, traces: &[CausalTrace], eval_start: u64, window_minutes: u64) {
+pub(crate) fn record_latency_slo(
+    obs: &Obs,
+    traces: &[CausalTrace],
+    eval_start: u64,
+    window_minutes: u64,
+) {
     if !obs.trace.is_enabled() || !obs.alerts.is_enabled() {
         return;
     }

@@ -45,7 +45,7 @@ pub enum ChaosAction {
 
 impl ChaosAction {
     /// Short lowercase tag for pretty-printing and digests.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             ChaosAction::Crash(_) => "crash",
             ChaosAction::Restart(_) => "restart",
@@ -252,18 +252,8 @@ impl ChaosSchedule {
         ChaosSchedule { seed, events }
     }
 
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the schedule has no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// The schedule truncated to its first `n` events (same seed tag).
-    pub fn prefix(&self, n: usize) -> Self {
+    pub(crate) fn prefix(&self, n: usize) -> Self {
         ChaosSchedule {
             seed: self.seed,
             events: self.events[..n.min(self.events.len())].to_vec(),
@@ -362,7 +352,7 @@ mod tests {
             assert!(ev.at <= SimTime::from_secs(60));
             last = ev.at;
         }
-        assert!(!s.is_empty());
+        assert!(!s.events.is_empty());
     }
 
     #[test]
@@ -407,9 +397,9 @@ mod tests {
     fn prefix_truncates() {
         let s = ChaosSchedule::generate(1, &plan());
         let p = s.prefix(3);
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.events.len(), 3);
         assert_eq!(p.events[..], s.events[..3]);
-        assert_eq!(s.prefix(10_000).len(), s.len());
+        assert_eq!(s.prefix(10_000).events.len(), s.events.len());
     }
 
     #[test]
@@ -455,6 +445,6 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("seed=0x"));
         // One header line plus one line per event.
-        assert_eq!(text.lines().count(), 1 + s.len());
+        assert_eq!(text.lines().count(), 1 + s.events.len());
     }
 }

@@ -76,7 +76,7 @@ struct Entry<M> {
 /// order. The cursor never passes an event it has not popped, so a push
 /// at the simulation's `now` is always in range.
 #[derive(Debug)]
-pub struct EventQueue<M> {
+pub(crate) struct EventQueue<M> {
     /// Time of the last event popped (ms); no pending event is earlier.
     cursor: u64,
     /// First and last slot of bucket `at % SPAN`: the events at `at`, for
@@ -101,7 +101,7 @@ impl<M> Default for EventQueue<M> {
 
 impl<M> EventQueue<M> {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             cursor: 0,
             buckets: vec![(NIL, NIL); SPAN as usize],
@@ -116,7 +116,7 @@ impl<M> EventQueue<M> {
 
     /// Schedule an event; insertion order breaks timestamp ties. `at`
     /// must not precede the last popped event's time.
-    pub fn push(&mut self, at: SimTime, target: NodeId, kind: EventKind<M>) {
+    pub(crate) fn push(&mut self, at: SimTime, target: NodeId, kind: EventKind<M>) {
         let at_ms = at.as_millis();
         assert!(at_ms >= self.cursor, "event scheduled before a popped one");
         let seq = self.next_seq;
@@ -152,7 +152,7 @@ impl<M> EventQueue<M> {
     /// Remove and return the earliest event if it is due at or before
     /// `bound`. When nothing is due the queue is left as it was, so any
     /// later push at or after the last popped time is still accepted.
-    pub fn pop_due(&mut self, bound: SimTime) -> Option<Event<M>> {
+    pub(crate) fn pop_due(&mut self, bound: SimTime) -> Option<Event<M>> {
         let bucket = match self.first_bucket() {
             Some(bucket) => bucket,
             None => {
@@ -185,16 +185,6 @@ impl<M> EventQueue<M> {
         self.vacant = head;
         self.len -= 1;
         entry.event.take()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Append `slot`, an event at `at`, to its bucket.
@@ -294,11 +284,11 @@ mod tests {
         deliver(&mut q, 42, 0, 0);
         deliver(&mut q, 7, 0, 1);
         assert!(q.pop_due(SimTime::from_millis(6)).is_none());
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.len, 2);
         assert_eq!(q.pop_due(SimTime::from_millis(7)).map(msg), Some(1));
         assert!(q.pop_due(SimTime::from_millis(41)).is_none());
         assert_eq!(q.pop_due(SimTime::from_millis(42)).map(msg), Some(0));
-        assert!(q.is_empty());
+        assert!(q.len == 0);
     }
 
     /// A far event at `T` moves into the wheel when the cursor comes
@@ -416,7 +406,7 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(q.len(), reference.len());
+            assert_eq!(q.len, reference.len());
         }
         while let Some(e) = q.pop_due(SimTime::MAX) {
             got.push((e.at.as_millis(), e.seq, e.target.0));

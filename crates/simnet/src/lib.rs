@@ -11,7 +11,7 @@
 //!
 //! * **Virtual time** in milliseconds ([`SimTime`]). Nothing ever sleeps;
 //!   the simulation pops timestamped events from a calendar queue
-//!   ([`event::EventQueue`]: a wheel of one-millisecond buckets over a
+//!   (`event::EventQueue`: a wheel of one-millisecond buckets over a
 //!   slab, with a far heap for events beyond the wheel's two seconds).
 //! * **Determinism**: all randomness (latency jitter, drops) comes from a
 //!   seeded ChaCha RNG, and simultaneous events are ordered by an insertion

@@ -128,7 +128,7 @@ pub(crate) struct Network {
 }
 
 impl Network {
-    pub fn new(config: NetworkConfig) -> Self {
+    pub(crate) fn new(config: NetworkConfig) -> Self {
         Network {
             config,
             groups: Vec::new(),
@@ -137,28 +137,28 @@ impl Network {
     }
 
     /// Enable link-level chaos for subsequent sends.
-    pub fn set_chaos(&mut self, chaos: LinkChaos) {
+    pub(crate) fn set_chaos(&mut self, chaos: LinkChaos) {
         self.chaos = Some(chaos);
     }
 
     /// Disable link-level chaos.
-    pub fn clear_chaos(&mut self) {
+    pub(crate) fn clear_chaos(&mut self) {
         self.chaos = None;
     }
 
     /// Install a partition: each inner vector is one side. Nodes not listed
     /// in any group are isolated from everyone.
-    pub fn partition(&mut self, groups: Vec<Vec<NodeId>>) {
+    pub(crate) fn partition(&mut self, groups: Vec<Vec<NodeId>>) {
         self.groups = groups;
     }
 
     /// Remove any partition, restoring full connectivity.
-    pub fn heal(&mut self) {
+    pub(crate) fn heal(&mut self) {
         self.groups.clear();
     }
 
     /// Whether a message from `a` may currently reach `b`.
-    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
+    pub(crate) fn connected(&self, a: NodeId, b: NodeId) -> bool {
         if a == b || self.groups.is_empty() {
             return true;
         }
@@ -167,7 +167,12 @@ impl Network {
 
     /// Sample the delivery delay for a message from `a` to `b`, or `None`
     /// if the message is dropped (loss or partition).
-    pub fn sample_delivery(&self, a: NodeId, b: NodeId, rng: &mut ChaCha8Rng) -> Option<SimTime> {
+    pub(crate) fn sample_delivery(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        rng: &mut ChaCha8Rng,
+    ) -> Option<SimTime> {
         if !self.connected(a, b) {
             return None;
         }
@@ -190,7 +195,12 @@ impl Network {
     /// With no chaos installed this consumes exactly the same RNG draws as
     /// [`Network::sample_delivery`], so chaos-free runs are byte-identical
     /// to runs before this layer existed.
-    pub fn sample_deliveries(&self, a: NodeId, b: NodeId, rng: &mut ChaCha8Rng) -> Deliveries {
+    pub(crate) fn sample_deliveries(
+        &self,
+        a: NodeId,
+        b: NodeId,
+        rng: &mut ChaCha8Rng,
+    ) -> Deliveries {
         let base = self.sample_delivery(a, b, rng);
         let (Some(base), Some(chaos)) = (base, self.chaos.as_ref()) else {
             return Deliveries::plain(base);

@@ -360,21 +360,10 @@ where
         }
     }
 
-    /// A node's current clock skew.
-    pub fn clock_skew(&self, id: NodeId) -> SimTime {
-        self.nodes.get(id.0).map(|s| s.skew).unwrap_or(SimTime::ZERO)
-    }
-
     /// Inject a message "from outside" (e.g. a client library): it is
     /// delivered to `to` as if sent by `from` after one network delay.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
         self.enqueue_send(from, to, msg, TraceContext::NONE);
-    }
-
-    /// [`Simulation::inject`] under an explicit trace context, for
-    /// drivers that open a root span around an injected request.
-    pub fn inject_traced(&mut self, from: NodeId, to: NodeId, msg: A::Msg, trace: TraceContext) {
-        self.enqueue_send(from, to, msg, trace);
     }
 
     fn boot(&mut self, id: NodeId) {
@@ -464,7 +453,7 @@ where
 
     /// Process a single event if one is pending before `bound`; returns
     /// whether an event was processed. Time advances to the event time.
-    pub fn step_before(&mut self, bound: SimTime) -> bool {
+    pub(crate) fn step_before(&mut self, bound: SimTime) -> bool {
         let Some(ev) = self.queue.pop_due(bound) else {
             return false;
         };
@@ -846,7 +835,7 @@ mod tests {
             drop_pr: 1.0,
             ..LinkChaos::default()
         });
-        sim.inject_traced(
+        sim.enqueue_send(
             b,
             a,
             7,
@@ -874,7 +863,7 @@ mod tests {
         // Delivery to a crashed node is visible too.
         sim.clear_link_chaos();
         sim.crash(a);
-        sim.inject_traced(
+        sim.enqueue_send(
             b,
             a,
             8,
@@ -912,13 +901,13 @@ mod tests {
         let mut sim = Simulation::new(NetworkConfig::ideal(), 0);
         let n = sim.add_node(Clock { seen_now: vec![] });
         sim.skew_clock(n, 500);
-        assert_eq!(sim.clock_skew(n), SimTime::from_millis(500));
+        assert_eq!(sim.nodes[n.0].skew, SimTime::from_millis(500));
         sim.run_until(SimTime::from_millis(20));
         // Timer fired at global t=10ms but the actor saw t=510ms.
         assert_eq!(sim.actor(n).unwrap().seen_now, vec![SimTime::from_millis(510)]);
         assert_eq!(sim.now(), SimTime::from_millis(20));
         // Skew accumulates.
         sim.skew_clock(n, 100);
-        assert_eq!(sim.clock_skew(n), SimTime::from_millis(600));
+        assert_eq!(sim.nodes[n.0].skew, SimTime::from_millis(600));
     }
 }

@@ -17,7 +17,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// A time infinitely far in the future (used as a run-forever bound).
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from whole milliseconds.
     #[inline]
@@ -29,12 +29,6 @@ impl SimTime {
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000)
-    }
-
-    /// Construct from whole hours.
-    #[inline]
-    pub const fn from_hours(h: u64) -> Self {
-        SimTime(h * 3_600_000)
     }
 
     /// The raw millisecond count.
@@ -58,13 +52,13 @@ impl SimTime {
 
     /// Whole minutes elapsed (truncating).
     #[inline]
-    pub const fn as_minutes(self) -> u64 {
+    pub(crate) const fn as_minutes(self) -> u64 {
         self.0 / 60_000
     }
 
     /// Whole hours elapsed (truncating).
     #[inline]
-    pub const fn as_hours(self) -> u64 {
+    pub(crate) const fn as_hours(self) -> u64 {
         self.0 / 3_600_000
     }
 
@@ -121,8 +115,8 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_secs(2).as_millis(), 2_000);
-        assert_eq!(SimTime::from_hours(1).as_minutes(), 60);
-        assert_eq!(SimTime::from_hours(25).as_hours(), 25);
+        assert_eq!(SimTime::from_secs(3_600).as_minutes(), 60);
+        assert_eq!(SimTime::from_secs(25 * 3_600).as_hours(), 25);
         assert_eq!(SimTime::from_millis(1_234).as_micros(), 1_234_000);
         assert_eq!(SimTime::MAX.as_micros(), u64::MAX);
     }
@@ -147,6 +141,6 @@ mod tests {
 
     #[test]
     fn max_is_sticky_under_addition() {
-        assert_eq!(SimTime::MAX + SimTime::from_hours(5), SimTime::MAX);
+        assert_eq!(SimTime::MAX + SimTime::from_secs(5 * 3_600), SimTime::MAX);
     }
 }

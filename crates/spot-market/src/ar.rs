@@ -107,7 +107,6 @@ impl ArTraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::TraceStats;
     use crate::topology::all_zones;
 
     fn zone() -> Zone {
@@ -137,13 +136,19 @@ mod tests {
         // φ ≈ 0.92 ⇒ strongly positive level autocorrelation.
         let g = ArTraceGenerator::new(9);
         let t = g.generate(zone(), InstanceType::M1Small, 4 * 7 * 24 * 60);
-        let s = TraceStats::of(&t);
-        assert!(
-            s.level_autocorr > 0.5,
-            "expected persistence, got {}",
-            s.level_autocorr
-        );
-        assert!(s.changes_per_hour > 1.0);
+        // Lag-1 autocorrelation of the segment-price sequence.
+        let xs: Vec<f64> = t.segments().map(|s| s.price.as_dollars()).collect();
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        let cov = xs
+            .windows(2)
+            .map(|w| (w[0] - mean) * (w[1] - mean))
+            .sum::<f64>()
+            / (n - 1.0);
+        let autocorr = cov / var;
+        assert!(autocorr > 0.5, "expected persistence, got {autocorr}");
+        assert!(t.changes_per_hour() > 1.0);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub struct CapacityProcess {
 impl CapacityProcess {
     /// Materialize the pool's capacity timeline. Pure function of its
     /// arguments; pools never read each other's streams.
-    pub fn generate(seed: u64, zone: Zone, ty: InstanceType, horizon_minutes: u64) -> Self {
+    pub(crate) fn generate(seed: u64, zone: Zone, ty: InstanceType, horizon_minutes: u64) -> Self {
         let mut rng = rng_for(seed, zone, ty);
         // Per-pool personality, drawn once (mirrors ar.rs): some pools
         // run deeper headroom than others, some are twitchier.
@@ -201,34 +201,14 @@ impl CapacityProcess {
         }
     }
 
-    /// The pool's zone.
-    pub fn zone(&self) -> Zone {
-        self.zone
-    }
-
-    /// The pool's instance type.
-    pub fn instance_type(&self) -> InstanceType {
-        self.instance_type
-    }
-
     /// The notice lead, in minutes.
     pub fn lead(&self) -> u64 {
         NOTICE_LEAD_MINUTES
     }
 
-    /// All reclamation minutes, strictly increasing.
-    pub fn reclaims(&self) -> &[u64] {
-        &self.reclaims
-    }
-
-    /// All rebalance-recommendation minutes, strictly increasing.
-    pub fn rebalances(&self) -> &[u64] {
-        &self.rebalances
-    }
-
     /// The first reclamation at or after `from`, strictly before
     /// `until`.
-    pub fn next_reclaim_at(&self, from: u64, until: u64) -> Option<u64> {
+    pub(crate) fn next_reclaim_at(&self, from: u64, until: u64) -> Option<u64> {
         let idx = self.reclaims.partition_point(|&m| m < from);
         self.reclaims.get(idx).copied().filter(|&m| m < until)
     }
@@ -236,7 +216,7 @@ impl CapacityProcess {
     /// Every interruption notice whose *emission* minute falls in
     /// `[from, until)`, in time order. Two bisections of the reclaim
     /// minutes find them.
-    pub fn notices_in(
+    pub(crate) fn notices_in(
         &self,
         from: u64,
         until: u64,
@@ -333,7 +313,7 @@ mod tests {
         for seed in 0..20 {
             let p = process(seed, 1, InstanceType::M1Small);
             let mut last = 0;
-            for &d in p.reclaims() {
+            for &d in &p.reclaims {
                 assert!(d >= p.lead(), "reclaim at {d} has no room for its notice");
                 assert!(d > last || last == 0, "reclaims must increase");
                 assert!(d < HORIZON);
@@ -346,12 +326,12 @@ mod tests {
     fn every_reclaim_has_a_notice_at_the_configured_lead() {
         let p = process(7, 2, InstanceType::M1Small);
         let notices = p.notices_in(0, HORIZON);
-        assert_eq!(notices.len(), p.reclaims().len());
-        for (n, &d) in notices.zip(p.reclaims()) {
+        assert_eq!(notices.len(), p.reclaims.len());
+        for (n, &d) in notices.zip(&p.reclaims) {
             assert_eq!(n.deadline, d);
             assert_eq!(n.deadline - n.at_minute, p.lead());
-            assert_eq!(n.zone, p.zone());
-            assert_eq!(n.instance_type, p.instance_type());
+            assert_eq!(n.zone, p.zone);
+            assert_eq!(n.instance_type, p.instance_type);
         }
     }
 
@@ -360,7 +340,7 @@ mod tests {
         let mut total = 0usize;
         let pools = 8;
         for zi in 0..pools {
-            total += process(2014, zi, InstanceType::M1Small).reclaims().len();
+            total += process(2014, zi, InstanceType::M1Small).reclaims.len();
         }
         let per_pool_week = total as f64 / pools as f64 / 2.0;
         assert!(
@@ -375,8 +355,8 @@ mod tests {
         let b = process(11, 3, InstanceType::M3Large);
         // Crunch kills land within the 0..5-minute jitter of the shared
         // zone crunch; find at least one such correlated pair.
-        let correlated = a.reclaims().iter().any(|&ra| {
-            b.reclaims().iter().any(|&rb| ra.abs_diff(rb) <= 8)
+        let correlated = a.reclaims.iter().any(|&ra| {
+            b.reclaims.iter().any(|&rb| ra.abs_diff(rb) <= 8)
         });
         assert!(correlated, "same-zone pools must share capacity crunches");
     }
@@ -391,7 +371,7 @@ mod tests {
         let again = process(5, 0, InstanceType::M1Small);
         assert_eq!(alone, again);
         for n in alone.notices_in(0, HORIZON) {
-            assert_eq!((n.zone, n.instance_type), (alone.zone(), alone.instance_type()));
+            assert_eq!((n.zone, n.instance_type), (alone.zone, alone.instance_type));
         }
     }
 
@@ -402,7 +382,7 @@ mod tests {
         let mid = HORIZON / 2;
         let split = p.notices_in(0, mid).len() + p.notices_in(mid, HORIZON).len();
         assert_eq!(all, split, "half-open ranges must partition");
-        if let Some(&first) = p.reclaims().first() {
+        if let Some(&first) = p.reclaims.first() {
             assert_eq!(p.next_reclaim_at(0, HORIZON), Some(first));
             assert_eq!(p.next_reclaim_at(first + 1, first + 1), None);
         }
@@ -412,11 +392,11 @@ mod tests {
     fn bisecting_notices_match_the_scan() {
         // The reference filters every reclaim of the pool.
         let scan = |p: &CapacityProcess, from: u64, until: u64| -> Vec<InterruptionNotice> {
-            p.reclaims()
+            p.reclaims
                 .iter()
                 .map(|&d| InterruptionNotice {
-                    zone: p.zone(),
-                    instance_type: p.instance_type(),
+                    zone: p.zone,
+                    instance_type: p.instance_type,
                     at_minute: d - p.lead(),
                     deadline: d,
                 })
@@ -426,11 +406,11 @@ mod tests {
         for seed in [3, 2014] {
             for (zi, ty) in [(0, InstanceType::M1Small), (5, InstanceType::M3Large)] {
                 let p = process(seed, zi, ty);
-                assert!(!p.reclaims().is_empty());
+                assert!(!p.reclaims.is_empty());
                 // Bounds on, next to and between emission minutes, both
                 // ends of the horizon, past it, and reversed ranges.
                 let mut edges: Vec<u64> = p
-                    .reclaims()
+                    .reclaims
                     .iter()
                     .flat_map(|&d| {
                         let at = d - p.lead();
@@ -460,7 +440,7 @@ mod tests {
         let mut total = 0usize;
         for zi in 0..6 {
             let p = process(2014, zi, InstanceType::M1Small);
-            for &d in p.reclaims() {
+            for &d in &p.reclaims {
                 total += 1;
                 if p.last_rebalance_before(d, d.saturating_sub(45)).is_some() {
                     warned += 1;

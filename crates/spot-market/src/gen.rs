@@ -80,7 +80,7 @@ impl GenParams {
     /// Derive a zone-specific personality from defaults: base level,
     /// volatility and spike rate vary deterministically with the mixed
     /// seed so that zones differ the way real availability zones do.
-    pub fn personalize(&self, rng: &mut ChaCha8Rng) -> GenParams {
+    pub(crate) fn personalize(&self, rng: &mut ChaCha8Rng) -> GenParams {
         let mut p = self.clone();
         p.base_fraction *= rng.gen_range(0.75..1.35);
         // Most zones top out below the on-demand price (safe bids exist,
@@ -249,16 +249,6 @@ impl TraceGenerator {
         }
         PriceTrace::new(points, minutes)
     }
-
-    /// The base (non-personalized) parameters.
-    pub fn params(&self) -> &GenParams {
-        &self.params
-    }
-
-    /// The generator seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
 }
 
 #[cfg(test)]
@@ -367,6 +357,28 @@ mod tests {
             "var {var} vs geometric {}",
             mean * (mean - 1.0)
         );
+    }
+
+    #[test]
+    fn generator_matches_paper_reported_shape() {
+        // The calibration contract of the synthetic market: minute-scale
+        // changes and non-memoryless sojourns (CV > 1 in aggregate).
+        let gen = TraceGenerator::new(99);
+        let mut cvs = Vec::new();
+        for z in all_zones().into_iter().take(8) {
+            let t = gen.generate(z, InstanceType::M1Small, 6 * 7 * 24 * 60);
+            let rate = t.changes_per_hour();
+            assert!(rate > 0.5, "{}: {rate}", z.name());
+            // Completed sojourns: the censored final segment is left out.
+            let d: Vec<f64> = t.segments().map(|s| s.duration as f64).collect();
+            let d = &d[..d.len() - 1];
+            let n = d.len() as f64;
+            let mean = d.iter().sum::<f64>() / n;
+            let var = d.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+            cvs.push(var.sqrt() / mean);
+        }
+        let mean_cv = cvs.iter().sum::<f64>() / cvs.len() as f64;
+        assert!(mean_cv > 1.0, "sojourns look memoryless: CV {mean_cv}");
     }
 
     #[test]

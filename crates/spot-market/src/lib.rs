@@ -44,7 +44,6 @@ pub mod instance;
 pub mod market;
 pub mod money;
 pub mod pool;
-pub mod stats;
 pub mod topology;
 pub mod trace;
 
@@ -56,6 +55,5 @@ pub use instance::InstanceType;
 pub use market::{Market, MarketConfig};
 pub use money::Price;
 pub use pool::PoolTable;
-pub use stats::TraceStats;
 pub use topology::{Region, Zone};
 pub use trace::{PricePoint, PriceTrace, Segment};

@@ -94,7 +94,7 @@ impl MarketConfig {
 
     /// Generator parameters for `ty`: the per-type override if present,
     /// else the shared `gen_params`.
-    pub fn params_for(&self, ty: InstanceType) -> &GenParams {
+    pub(crate) fn params_for(&self, ty: InstanceType) -> &GenParams {
         self.type_params
             .iter()
             .find(|(t, _)| *t == ty)
@@ -103,7 +103,7 @@ impl MarketConfig {
     }
 
     /// The per-type startup surcharge in minutes (0 if unlisted).
-    pub fn startup_extra(&self, ty: InstanceType) -> u64 {
+    pub(crate) fn startup_extra(&self, ty: InstanceType) -> u64 {
         self.type_startup_extra
             .iter()
             .find(|(t, _)| *t == ty)
@@ -157,11 +157,6 @@ impl Market {
             traces,
             capacity,
         }
-    }
-
-    /// The market configuration.
-    pub fn config(&self) -> &MarketConfig {
-        &self.config
     }
 
     /// The zones trading in this market.
@@ -266,9 +261,9 @@ impl Market {
     /// `zone`.
     ///
     /// The zone's delay is deterministic in `(market seed, zone, minute)`;
-    /// ranges follow [`crate::topology::Region::startup_range_secs`],
+    /// ranges follow `crate::topology::Region::startup_range_secs`,
     /// rounded up to whole minutes (4–12 typically). The per-type
-    /// surcharge of [`MarketConfig::startup_extra`] comes on top (0 unless
+    /// surcharge of `MarketConfig::startup_extra` comes on top (0 unless
     /// configured, so single-type markets see the zone delay alone).
     pub fn startup_delay_minutes(&self, zone: Zone, ty: InstanceType, minute: u64) -> u64 {
         let (lo, hi) = zone.region.startup_range_secs();
@@ -424,7 +419,16 @@ mod tests {
         let per_pool: usize = m
             .zones()
             .iter()
-            .map(|&z| m.capacity(z, InstanceType::M1Small).reclaims().len())
+            .map(|&z| {
+                let pool = m.capacity(z, InstanceType::M1Small);
+                let mut reclaims = 0;
+                let mut from = 0;
+                while let Some(d) = pool.next_reclaim_at(from, horizon) {
+                    reclaims += 1;
+                    from = d + 1;
+                }
+                reclaims
+            })
             .sum();
         assert_eq!(m.notices_in(0, horizon).len(), per_pool);
         assert_eq!(m.notice_count(0, horizon), per_pool);

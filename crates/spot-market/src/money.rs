@@ -48,14 +48,9 @@ impl Price {
     }
 
     /// Round up to the next multiple of [`Price::TICK`].
-    pub fn round_up_to_tick(self) -> Price {
+    pub(crate) fn round_up_to_tick(self) -> Price {
         let t = Price::TICK.0;
         Price(self.0.div_ceil(t) * t)
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: Price) -> Price {
-        Price(self.0.saturating_sub(other.0))
     }
 
     /// Multiply by a non-negative scale factor, rounding to nearest.

@@ -19,10 +19,10 @@ pub struct PoolTable<T> {
 
 impl<T> PoolTable<T> {
     /// Slots in every table: every zone × every instance type.
-    pub const SLOTS: usize = ZONE_COUNT * InstanceType::ALL.len();
+    pub(crate) const SLOTS: usize = ZONE_COUNT * InstanceType::ALL.len();
 
     /// The slot of `(zone, ty)`, in `0..SLOTS`.
-    pub fn slot(zone: Zone, ty: InstanceType) -> usize {
+    pub(crate) fn slot(zone: Zone, ty: InstanceType) -> usize {
         zone.ordinal() * InstanceType::ALL.len() + ty.ordinal()
     }
 
@@ -59,20 +59,13 @@ impl<T> PoolTable<T> {
     }
 
     /// Every present value, in slot order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().flatten()
     }
 
     /// Every present value, mutably, in slot order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flatten()
-    }
-
-    /// A table with `f` applied to every present value, slot for slot.
-    pub fn map<U>(&self, mut f: impl FnMut(&T) -> U) -> PoolTable<U> {
-        PoolTable {
-            slots: self.slots.iter().map(|v| v.as_ref().map(&mut f)).collect(),
-        }
     }
 }
 
@@ -118,8 +111,6 @@ mod tests {
             .flat_map(|&z| InstanceType::ALL.map(|ty| (z, ty)))
             .collect();
         assert_eq!(order, expect);
-        let doubled = t.map(|&(z, ty)| z.ordinal() * 10 + ty.ordinal());
-        assert_eq!(doubled[(zones[5], InstanceType::C3Large)], 52);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl Region {
     /// Mao & Humphrey (cited by the paper as \[25\]) measured 200–700 s VM
     /// startup times that "mainly vary in regions"; we give each region a
     /// stable sub-range of that interval.
-    pub fn startup_range_secs(self) -> (u64, u64) {
+    pub(crate) fn startup_range_secs(self) -> (u64, u64) {
         match self {
             Region::UsEast1 => (200, 350),
             Region::UsWest2 => (220, 380),
@@ -124,7 +124,7 @@ const ZONE_BASE: [usize; Region::ALL.len()] = {
 };
 
 /// Number of availability zones across all regions (Table 1): 24.
-pub const ZONE_COUNT: usize =
+pub(crate) const ZONE_COUNT: usize =
     ZONE_BASE[Region::ALL.len() - 1] + Region::ALL[Region::ALL.len() - 1].az_count();
 
 impl fmt::Display for Region {

@@ -502,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn bisecting_window_matches_the_scan_on_the_merge_trace() {
+    fn block_indexed_window_matches_the_scan_on_the_merge_trace() {
         // A → B → A: a window opening inside the first A meets its own
         // price again two points later; one opening on B's change point
         // must start at B without repeating it.
@@ -527,12 +527,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The bisecting `window` equals the linear scan it replaced for
-        /// every pair of edges on or next to a change point (which covers
-        /// `from`/`to` exactly on one and windows inside one segment), and
-        /// for an arbitrary pair besides.
+        /// The block-indexed `window` equals the linear scan it replaced
+        /// for every pair of edges on or next to a change point (which
+        /// covers `from`/`to` exactly on one and windows inside one
+        /// segment), and for an arbitrary pair besides.
         #[test]
-        fn bisecting_window_matches_the_scan(
+        fn block_indexed_window_matches_the_scan(
             steps in proptest::collection::vec((1u64..40, 0usize..4), 1..20),
             a in 0u64..1_000,
             len in 1u64..1_000,
@@ -559,11 +559,11 @@ mod tests {
         }
     }
 
-    /// Every bisecting query equals its linear scan on `t`, for `from` on,
-    /// next to and between change points, in the last segment and (for the
-    /// out-of-bid minute) at or past the horizon, and for bids below, on
-    /// and above every price level, the top level included.
-    fn bisecting_queries_match_the_scans_on(t: &PriceTrace, bids: &[Price]) {
+    /// Every block-indexed query equals its linear scan on `t`, for `from`
+    /// on, next to and between change points, in the last segment and (for
+    /// the out-of-bid minute) at or past the horizon, and for bids below,
+    /// on and above every price level, the top level included.
+    fn block_indexed_queries_match_the_scans_on(t: &PriceTrace, bids: &[Price]) {
         let edges = edges(t);
         for &from in &edges {
             if from < t.horizon() {
@@ -607,10 +607,10 @@ mod tests {
     }
 
     #[test]
-    fn bisecting_queries_match_the_scans_on_the_sample() {
+    fn block_indexed_queries_match_the_scans_on_the_sample() {
         let t = sample();
         let bids = [p(0.0), p(0.0071), p(0.008), p(0.0081), p(0.0117), p(0.02)];
-        bisecting_queries_match_the_scans_on(&t, &bids);
+        block_indexed_queries_match_the_scans_on(&t, &bids);
         // A bid at the top price never dies, wherever the query starts.
         for from in 0..t.horizon() {
             assert_eq!(t.first_minute_above(p(0.0117), from, u64::MAX), None);
@@ -620,11 +620,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The bisecting out-of-bid minute, window maximum, fraction above
-        /// and price/age lookup equal the scans they replaced on random
-        /// traces (see `bisecting_queries_match_the_scans_on`).
+        /// The block-indexed out-of-bid minute, window maximum, fraction
+        /// above and price/age lookup equal the scans they replaced on random
+        /// traces (see `block_indexed_queries_match_the_scans_on`).
         #[test]
-        fn bisecting_queries_match_the_scans(
+        fn block_indexed_queries_match_the_scans(
             steps in proptest::collection::vec((1u64..40, 0usize..4), 1..20),
         ) {
             let levels = [p(0.01), p(0.02), p(0.03), p(0.05)];
@@ -641,7 +641,7 @@ mod tests {
             for level in levels {
                 bids.extend([level - Price::TICK, level, level + Price::TICK]);
             }
-            bisecting_queries_match_the_scans_on(&t, &bids);
+            block_indexed_queries_match_the_scans_on(&t, &bids);
         }
     }
 

@@ -109,8 +109,6 @@ pub struct Forecast {
     /// `above_fraction[l]` = average over the horizon of
     /// `P(price > level_prices[l])`.
     above_fraction: Vec<f64>,
-    /// Horizon in minutes this forecast covers.
-    horizon: u32,
 }
 
 impl Forecast {
@@ -126,11 +124,6 @@ impl Forecast {
             None => 1.0,
             Some(l) => self.above_fraction[l],
         }
-    }
-
-    /// The horizon in minutes.
-    pub fn horizon(&self) -> u32 {
-        self.horizon
     }
 
     /// The price levels the forecast is resolved on.
@@ -490,7 +483,6 @@ pub(crate) fn forecast(
     Forecast {
         level_prices: kernel.prices().to_vec(),
         above_fraction,
-        horizon,
     }
 }
 
@@ -772,7 +764,6 @@ mod tests {
             let new = forecast(&k, state, age, horizon, config);
             let old = reference::forecast(&k, state, age, horizon, config);
             prop_assert_eq!(&new.level_prices, &old.level_prices);
-            prop_assert_eq!(new.horizon, old.horizon);
             for (l, (a, b)) in new.above_fraction.iter().zip(&old.above_fraction).enumerate() {
                 prop_assert_eq!(
                     a.to_bits(), b.to_bits(),

@@ -33,7 +33,7 @@ impl Tables {
     fn build(kernel: &FrozenKernel, max_age: usize) -> Tables {
         let n = kernel.n_states();
         let hazard = (0..n as u16)
-            .map(|i| kernel.hazards_up_to(i, max_age))
+            .map(|i| kernel.hazards_or(i, max_age, || kernel.global_fallback_hazard()))
             .collect();
         let exact = (0..n as u16)
             .map(|i| {
@@ -136,7 +136,6 @@ pub(super) fn forecast(
     Forecast {
         level_prices: kernel.prices().to_vec(),
         above_fraction,
-        horizon,
     }
 }
 

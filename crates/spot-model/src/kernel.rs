@@ -22,7 +22,7 @@ use spot_market::{Price, PriceTrace};
 /// Sojourn times are tracked exactly up to this many minutes; longer stays
 /// are clamped into the final bucket (the paper's state space `T` is finite;
 /// six hours comfortably covers the longest bidding interval evaluated).
-pub const MAX_SOJOURN_MINUTES: usize = 360;
+pub(crate) const MAX_SOJOURN_MINUTES: usize = 360;
 
 /// Per-price-state transition statistics in builder (insertion) order.
 #[derive(Clone, Debug, Default)]
@@ -320,11 +320,6 @@ impl FrozenKernel {
         h
     }
 
-    /// The ladder position of an exact price level, if `price` is one.
-    pub fn level_index(&self, price: Price) -> Option<usize> {
-        self.prices.binary_search(&price).ok()
-    }
-
     /// The state index whose price is nearest to `price` (`None` on an
     /// empty kernel). Used to map a live market price onto the trained
     /// state space.
@@ -378,17 +373,12 @@ impl FrozenKernel {
         ((at as f64 + alpha * p_geo) / (at_or_later as f64 + alpha)).clamp(0.0, 1.0)
     }
 
-    /// All hazards `P(τ = a | τ ≥ a)` for ages `1..=max_age` of state `i`
-    /// in one pass (suffix sums computed once; the per-age [`Self::hazard`]
-    /// recomputes them and is O(max sojourn) per call — this batch form is
-    /// what forecast-table construction uses).
-    pub fn hazards_up_to(&self, i: u16, max_age: usize) -> Vec<f64> {
-        self.hazards_or(i, max_age, || self.global_fallback_hazard())
-    }
-
-    /// [`Self::hazards_up_to`] for every state, states ascending: the
-    /// global fallback hazard is walked out at most once for all the
-    /// unobserved states, not once each.
+    /// All hazards `P(τ = a | τ ≥ a)` for ages `1..=max_age`, one row per
+    /// state, states ascending, each row in one pass (suffix sums computed
+    /// once; the per-age [`Self::hazard`] recomputes them and is O(max
+    /// sojourn) per call — this batch form is what forecast-table
+    /// construction uses). The global fallback hazard is walked out at
+    /// most once for all the unobserved states, not once each.
     pub(crate) fn hazard_rows(&self, max_age: usize) -> impl Iterator<Item = Vec<f64>> + '_ {
         let fallback = std::cell::OnceCell::new();
         (0..self.n_states() as u16).map(move |i| {
@@ -402,7 +392,12 @@ impl FrozenKernel {
     /// unobserved state. The suffix sums also give the state's mean
     /// sojourn: Σ_a Σ_{k ≥ a} N(τ = k) = Σ_k k · N(τ = k), the integer
     /// [`Self::mean_sojourn`] sums.
-    fn hazards_or(&self, i: u16, max_age: usize, fallback: impl FnOnce() -> f64) -> Vec<f64> {
+    pub(crate) fn hazards_or(
+        &self,
+        i: u16,
+        max_age: usize,
+        fallback: impl FnOnce() -> f64,
+    ) -> Vec<f64> {
         let st = &self.states[i as usize];
         if st.n_out == 0 {
             return vec![fallback(); max_age];
@@ -442,7 +437,7 @@ impl FrozenKernel {
         total as f64 / st.n_out as f64
     }
 
-    fn global_fallback_hazard(&self) -> f64 {
+    pub(crate) fn global_fallback_hazard(&self) -> f64 {
         let (total_minutes, total_out) = self.states.iter().fold((0u64, 0u64), |(m, o), s| {
             let mins: u64 = s
                 .sojourn_counts
@@ -463,7 +458,7 @@ impl FrozenKernel {
     /// `age` minutes: `P(j | i, τ = age)` — `Some` only when that exact
     /// sojourn has ≥ 3 observations (one data point says little about
     /// where the price goes after a particular dwell time).
-    pub fn exact_next_state_dist(&self, i: u16, age: u32) -> Option<Vec<f64>> {
+    pub(crate) fn exact_next_state_dist(&self, i: u16, age: u32) -> Option<Vec<f64>> {
         let n = self.n_states();
         assert!(n > 0, "empty kernel");
         let st = &self.states[i as usize];
@@ -523,7 +518,7 @@ impl FrozenKernel {
     /// Marginal next-state distribution `P(j | i)`, falling back to
     /// "uniform over adjacent states" when `i` was never seen completing a
     /// sojourn. Always sums to 1 for a non-empty state space.
-    pub fn marginal_next_state_dist(&self, i: u16) -> Vec<f64> {
+    pub(crate) fn marginal_next_state_dist(&self, i: u16) -> Vec<f64> {
         let n = self.n_states();
         assert!(n > 0, "empty kernel");
         let st = &self.states[i as usize];
@@ -682,9 +677,18 @@ mod tests {
 
     #[test]
     fn batched_hazards_equal_per_age_hazards() {
-        let k = FrozenKernel::from_trace(&alternating(10));
-        for i in 0..k.n_states() as u16 {
-            let batch = k.hazards_up_to(i, 20);
+        // The trace ends on a new top price, a state that never completes
+        // a sojourn, so the batch's cached global fallback is checked
+        // against the one `hazard` walks out afresh.
+        let base = alternating(10);
+        let mut points = base.points().to_vec();
+        points.push(PricePoint {
+            minute: base.horizon(),
+            price: p(0.05),
+        });
+        let k = FrozenKernel::from_trace(&PriceTrace::new(points, base.horizon() + 7));
+        assert_eq!(k.n_states(), 3);
+        for (i, batch) in (0..).zip(k.hazard_rows(20)) {
             for age in 1..=20u32 {
                 let single = k.hazard(i, age);
                 assert!(

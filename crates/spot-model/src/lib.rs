@@ -39,7 +39,7 @@ pub mod kernel;
 pub use backtest::{backtest, BidRule, CalibrationReport};
 pub use failure::{BidGrid, Estimator, FailureModel, FailureModelConfig};
 pub use forecast::{Forecast, ForecastConfig};
-pub use kernel::{FrozenKernel, MAX_SOJOURN_MINUTES};
+pub use kernel::FrozenKernel;
 
 /// The failure probability of an on-demand instance per the EC2 SLA the
 /// paper cites: measured availability ≈ 0.99 ⇒ FP⁰ = 0.01 (§3.1).

@@ -40,7 +40,7 @@ pub mod service;
 pub mod store;
 
 pub use harness::RsCluster;
-pub use msg::{ShardMsg, SlotValue, StoreCmd, StoreResp, WireValue};
+pub use msg::{ShardMsg, StoreCmd, StoreResp, WireValue};
 pub use service::{RsConfig, RsReplica, RsService};
 pub use store::ShardStore;
 

@@ -47,7 +47,7 @@ pub enum StoreResp {
 
 /// The value a slot carries, as the *leader* sees it (full object).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SlotValue {
+pub(crate) enum SlotValue {
     /// A write (full object at the leader; shards on the wire).
     Put {
         /// Originating client.
@@ -122,7 +122,7 @@ pub enum WireValue {
         /// Object key.
         key: String,
     },
-    /// A batch: one wire sub-value per [`SlotValue::Batch`] entry, in
+    /// A batch: one wire sub-value per `SlotValue::Batch` entry, in
     /// the same order (each destination gets its own shard for puts).
     Batch(Vec<WireValue>),
     /// Gap filler.

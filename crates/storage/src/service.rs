@@ -50,7 +50,7 @@ impl RsConfig {
     /// The replica core's configuration for this deployment: `⌈(n+m)/2⌉`
     /// quorums, and no compaction — a snapshot of a [`ShardStore`] would
     /// carry the sender's shards, not the receiver's.
-    pub fn core(&self) -> ReplicaConfig {
+    pub(crate) fn core(&self) -> ReplicaConfig {
         ReplicaConfig {
             quorum: QuorumRule::RsPaxos { m: self.m },
             compact_after: None,
@@ -104,7 +104,7 @@ pub type RsReplica = Replica<RsService>;
 
 impl RsService {
     /// Service state for one replica of a θ(`cfg.m`, `n`) deployment.
-    pub fn new(cfg: &RsConfig, n: usize) -> Self {
+    pub(crate) fn new(cfg: &RsConfig, n: usize) -> Self {
         assert!(cfg.m >= 1 && cfg.m <= n, "invalid erasure m");
         RsService {
             codec: ReedSolomon::new(cfg.m, n),

@@ -25,13 +25,19 @@ pub struct ShardStore {
 
 impl ShardStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Apply a `Put` shard (or metadata-only record). Later versions win;
     /// an equal version with bytes upgrades a metadata-only record.
-    pub fn apply_put(&mut self, key: &str, version: u64, shard_idx: u8, shard: Option<Bytes>) {
+    pub(crate) fn apply_put(
+        &mut self,
+        key: &str,
+        version: u64,
+        shard_idx: u8,
+        shard: Option<Bytes>,
+    ) {
         match self.entries.get_mut(key) {
             Some(e) if e.version > version => {}
             Some(e) if e.version == version => {
@@ -54,7 +60,7 @@ impl ShardStore {
     }
 
     /// Apply a `Delete` (only if not superseded by a newer write).
-    pub fn apply_delete(&mut self, key: &str, version: u64) {
+    pub(crate) fn apply_delete(&mut self, key: &str, version: u64) {
         if let Some(e) = self.entries.get(key) {
             if e.version <= version {
                 self.entries.remove(key);
@@ -65,16 +71,6 @@ impl ShardStore {
     /// This replica's record for `key`.
     pub fn get(&self, key: &str) -> Option<&ShardEntry> {
         self.entries.get(key)
-    }
-
-    /// Number of keys present.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Total bytes of shard data held (the storage-saving metric RS-Paxos
@@ -125,7 +121,7 @@ mod tests {
         assert!(s.get("k").is_none());
         // Deleting a missing key is a no-op.
         s.apply_delete("k", 12);
-        assert!(s.is_empty());
+        assert!(s.entries.is_empty());
     }
 
     #[test]
@@ -135,6 +131,6 @@ mod tests {
         s.apply_put("b", 2, 0, None);
         s.apply_put("c", 3, 0, Some(Bytes::from(vec![0u8; 50])));
         assert_eq!(s.shard_bytes(), 150);
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.entries.len(), 3);
     }
 }

@@ -47,7 +47,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Instantaneous rate (requests per second) at offset `t_secs`.
-    pub fn rate_at(&self, t_secs: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t_secs: f64) -> f64 {
         match self {
             ArrivalProcess::Poisson { rate_per_sec } => *rate_per_sec,
             ArrivalProcess::Bursty {
@@ -77,7 +77,7 @@ impl ArrivalProcess {
     }
 
     /// An upper bound on [`ArrivalProcess::rate_at`] over all `t`.
-    pub fn peak_rate(&self) -> f64 {
+    pub(crate) fn peak_rate(&self) -> f64 {
         match self {
             ArrivalProcess::Poisson { rate_per_sec } => *rate_per_sec,
             ArrivalProcess::Bursty {
@@ -91,7 +91,7 @@ impl ArrivalProcess {
 
     /// Sample the arrival times in `[0, horizon)`, sorted ascending.
     ///
-    /// Uses Lewis–Shedler thinning against [`ArrivalProcess::peak_rate`]:
+    /// Uses Lewis–Shedler thinning against `ArrivalProcess::peak_rate`:
     /// candidate gaps are exponential at the peak rate and each candidate
     /// survives with probability `rate_at(t) / peak`, which reduces to
     /// plain exponential gaps for the homogeneous case.
