@@ -199,6 +199,14 @@ echo "== paper-scale figures =="
 cmp "$TMP/figures.txt" repro_figures.txt \
   || { echo "paper-scale repro all stdout differs from repro_figures.txt" >&2; exit 1; }
 
+echo "== paper-scale calibration =="
+# The walk-forward backtests observe their model once per step through
+# `FailureModel::observe`, a path no replay takes: their stdout must
+# equal the data lines of the committed `repro_calibration.txt` (~1.4 s).
+diff <(./target/release/repro --seed 2014 calibration 2>/dev/null) \
+  <(grep -v -e '^ *Finished' -e '^ *Running' -e '^#' repro_calibration.txt) \
+  || { echo "paper-scale calibration differs from repro_calibration.txt" >&2; exit 1; }
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -25,6 +25,7 @@ use std::cmp::Reverse;
 use std::time::Instant;
 
 use obs::{Counter, Histogram, Obs};
+use spot_market::topology::ZONE_COUNT;
 use spot_market::{Price, Zone};
 pub use spot_model::Estimator;
 
@@ -64,27 +65,24 @@ fn select_diversified(mut bids: Vec<PoolBid>, n: usize, min_strength: u32) -> Op
         return None;
     }
     bids.sort_by_key(|b| (b.bid, b.zone.ordinal(), b.instance_type.ordinal()));
-    let rank = zone_ranks(bids.iter().map(|b| b.zone));
-    let mut order: Vec<usize> = (0..bids.len()).collect();
-    order.sort_by_key(|&i| rank[i]);
-    order[n..].sort_unstable();
-    let pools = order.into_iter().map(|i| bids[i]).collect();
+    let mut rank = zone_ranks();
+    let mut order: Vec<(usize, usize)> = bids.iter().map(|b| rank(b.zone)).zip(0..).collect();
+    order.sort_unstable();
+    order[n..].sort_unstable_by_key(|&(_, i)| i);
+    let pools = order.into_iter().map(|(_, i)| bids[i]).collect();
     upgrade_to_strength(pools, n, min_strength)
 }
 
-/// Each pool's price rank within its zone, for `zones` listing the
-/// pools' zones in price order: 0 for a zone's cheapest pool, 1 for its
-/// second cheapest, …. A stable sort by rank is the zone-first order of
-/// Jupiter's and Feedback's diversified picks.
-pub(crate) fn zone_ranks(zones: impl Iterator<Item = Zone>) -> Vec<usize> {
-    let mut seen: Vec<Zone> = Vec::new();
-    zones
-        .map(|zone| {
-            let rank = seen.iter().filter(|&&z| z == zone).count();
-            seen.push(zone);
-            rank
-        })
-        .collect()
+/// A pool's price rank within its zone, asked of the pools' zones in
+/// price order: 0 for a zone's cheapest pool, 1 for its second cheapest,
+/// …; the counts live on the stack. A stable sort by rank is the
+/// zone-first order of Jupiter's and Feedback's diversified picks.
+pub(crate) fn zone_ranks() -> impl FnMut(Zone) -> usize {
+    let mut seen = [0; ZONE_COUNT];
+    move |zone| {
+        seen[zone.ordinal()] += 1;
+        seen[zone.ordinal()] - 1
+    }
 }
 
 /// The marginal-cost strength-upgrade loop shared by the plain and the
@@ -854,12 +852,20 @@ mod tests {
                 }
             })
             .collect();
-        let walks: Vec<PoolWalk> = (pools.iter().zip(&models).enumerate())
-            .map(|(slot, ((zone, instance_type, trace), model))| PoolWalk {
+        // The pass walks models that follow the boundaries' revealed minutes.
+        let revealed = Arc::new(boundaries.iter().map(|b| b.revealed.clone()).collect());
+        let followed: Vec<FailureModel> = (models.iter().zip(&pools))
+            .map(|(model, (_, _, trace))| {
+                let mut model = model.clone();
+                model.follow(trace, &revealed);
+                model
+            })
+            .collect();
+        let walks: Vec<PoolWalk> = (pools.iter().zip(&followed).enumerate())
+            .map(|(slot, ((zone, instance_type, _), model))| PoolWalk {
                 zone: *zone,
                 instance_type: *instance_type,
                 model,
-                trace,
                 slot,
             })
             .collect();

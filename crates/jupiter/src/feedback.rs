@@ -15,6 +15,7 @@
 
 use std::sync::Mutex;
 
+use quorum::QuorumRule;
 use spot_market::{PoolTable, Price};
 
 use crate::algorithm::zone_ranks;
@@ -58,10 +59,10 @@ struct PoolLoop {
 struct Loops {
     /// One PID loop per pool.
     pools: PoolTable<PoolLoop>,
-    /// Set points solved so far, keyed by (node count, quorum size,
-    /// availability-target bits): the per-node target depends on the spec
-    /// alone, so each is solved once.
-    set_points: Vec<((usize, usize, u64), f64)>,
+    /// Set points solved so far, keyed by the spec fields the target
+    /// depends on (baseline nodes, quorum rule, ε bits), so each is solved
+    /// once and a hit solves nothing.
+    set_points: Vec<((usize, QuorumRule, u64), f64)>,
 }
 
 impl Loops {
@@ -69,15 +70,11 @@ impl Loops {
     /// point): at the baseline node count, a node may fail with at most
     /// the per-node FP target probability.
     fn set_point(&mut self, spec: &ServiceSpec) -> f64 {
-        let n = spec.baseline_nodes.max(spec.quorum.min_nodes());
-        let key = (
-            n,
-            spec.quorum.quorum_size(n),
-            spec.availability_target().to_bits(),
-        );
+        let key = (spec.baseline_nodes, spec.quorum, spec.epsilon.to_bits());
         if let Some(&(_, target)) = self.set_points.iter().find(|(k, _)| *k == key) {
             return target;
         }
+        let n = spec.baseline_nodes.max(spec.quorum.min_nodes());
         let target = 1.0 - spec.node_fp_target(n).unwrap_or(0.01);
         self.set_points.push((key, target));
         target
@@ -143,42 +140,45 @@ impl BiddingStrategy for FeedbackStrategy {
         // 2. Actuation: bid in the cheapest pools (by the would-be bid),
         // taking nodes until both the baseline count and any strength
         // floor are met. Bids stay strictly below on-demand.
-        let mut priced: Vec<(Price, &ZoneState)> = zones
-            .iter()
+        let mut bids: Vec<PoolBid> = (zones.iter())
             .map(|z| {
                 let state = loops[(z.zone, z.instance_type)];
                 let bid = z
                     .spot_price
                     .scale(1.0 + state.headroom)
                     .min(z.on_demand - Price::TICK);
-                (bid.max(z.spot_price), z)
+                PoolBid {
+                    zone: z.zone,
+                    instance_type: z.instance_type,
+                    bid: bid.max(z.spot_price),
+                }
             })
             .collect();
-        priced.sort_by_key(|(bid, z)| (*bid, z.zone.ordinal(), z.instance_type.ordinal()));
+        bids.sort_by_key(|b| (b.bid, b.zone.ordinal(), b.instance_type.ordinal()));
 
         // Under `spec.diversify` (the capacity-reclaim era) each zone's
         // cheapest pool comes first: same-zone pools share capacity
         // crunches, so covering zones first buys independence. The rest
         // follow in price order, as every pool does without `diversify`.
-        let mut order: Vec<usize> = (0..priced.len()).collect();
         if spec.diversify {
-            let rank = zone_ranks(priced.iter().map(|(_, z)| z.zone));
-            order.sort_by_key(|&i| rank[i] > 0);
+            let (mut rank, mut firsts) = (zone_ranks(), 0);
+            for i in 0..bids.len() {
+                if rank(bids[i].zone) == 0 {
+                    bids[firsts..=i].rotate_right(1);
+                    firsts += 1;
+                }
+            }
         }
         let (mut taken, mut strength) = (0, 0u32);
-        let bids: Vec<PoolBid> = (order.into_iter().map(|i| priced[i]))
-            .take_while(|(_, z)| {
+        let keep = (bids.iter())
+            .take_while(|b| {
                 let needs_more = taken < spec.baseline_nodes || strength < spec.min_strength;
                 taken += 1;
-                strength += z.instance_type.capacity_weight();
+                strength += b.instance_type.capacity_weight();
                 needs_more
             })
-            .map(|(bid, z)| PoolBid {
-                zone: z.zone,
-                instance_type: z.instance_type,
-                bid,
-            })
-            .collect();
+            .count();
+        bids.truncate(keep);
 
         // 3. Remember what we actually bid (pools we skipped keep their
         // loop state but observe nothing next round — mark them

@@ -76,11 +76,9 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
     }
 
     /// Feed `minutes` of a pool's spot-price history into its failure
-    /// model (training and continuous online refinement both go through
-    /// here). The model queues only the range and keeps a handle to
-    /// `trace`; the window is cut and folded in when a strategy next reads
-    /// the model, so a strategy that never consults its models never pays
-    /// for the copy nor the refinement.
+    /// model ([`FailureModel::observe`]): the window is cut and folded in
+    /// when a strategy next reads the model, so a strategy that never
+    /// consults its models never pays for the copy nor the refinement.
     pub fn observe(
         &mut self,
         zone: Zone,
@@ -95,6 +93,29 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
                 || FailureModel::new(FailureModelConfig::default()),
             )
             .observe(trace, minutes);
+    }
+
+    /// Every model of a pool of the first boundary's snapshots follows
+    /// its trace from `traces` through the minutes `boundaries` reveal
+    /// ([`FailureModel::follow`]); [`Self::show`] moves their cursors.
+    pub fn follow<'t>(
+        &mut self,
+        traces: impl Fn(Zone, InstanceType) -> &'t Arc<PriceTrace>,
+        boundaries: &[Boundary],
+    ) {
+        let revealed = Arc::new(boundaries.iter().map(|b| b.revealed.clone()).collect());
+        for s in boundaries.first().map_or(&[][..], |b| &b.snapshots) {
+            if let Some(model) = self.models.get_mut(s.zone, s.instance_type) {
+                model.follow(traces(s.zone, s.instance_type), &revealed);
+            }
+        }
+    }
+
+    /// Show every model the first `n` followed boundaries' minutes.
+    pub fn show(&mut self, n: usize) {
+        for model in self.models.values_mut() {
+            model.show(n);
+        }
     }
 
     /// The trained model for the `(zone, ty)` pool, if any.
@@ -150,15 +171,11 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
     /// Every decision of a schedule in one pass, before any is acted on,
     /// or `None` when the strategy decides in the loop
     /// ([`BiddingStrategy::decide_schedule`]). The pools are those of the
-    /// first boundary's snapshots that have a model, each observing its
-    /// own trace from `traces`; the pass folds copies of the models, so
-    /// this framework's own stay as they were for [`Self::decide`] to
-    /// read.
-    pub fn decide_schedule<'t>(
-        &self,
-        traces: impl Fn(Zone, InstanceType) -> &'t Arc<PriceTrace>,
-        boundaries: &[Boundary],
-    ) -> Option<Vec<Decided>> {
+    /// first boundary's snapshots that have a model, which must follow
+    /// `boundaries` ([`Self::follow`]); the pass folds copies of the
+    /// models, so this framework's own stay as they were for
+    /// [`Self::decide`] to read.
+    pub fn decide_schedule(&self, boundaries: &[Boundary]) -> Option<Vec<Decided>> {
         let first = boundaries.first().map_or(&[][..], |b| &b.snapshots);
         let pools: Vec<PoolWalk<'_>> = (first.iter().enumerate())
             .filter_map(|(slot, s)| {
@@ -167,7 +184,6 @@ impl<S: BiddingStrategy> BiddingFramework<S> {
                     zone,
                     instance_type,
                     model,
-                    trace: traces(zone, instance_type),
                     slot,
                 })
             })

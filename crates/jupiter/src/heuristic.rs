@@ -41,18 +41,19 @@ impl BiddingStrategy for ExtraStrategy {
         spec: &ServiceSpec,
         _horizon_minutes: u32,
     ) -> BidDecision {
-        let want = spec.baseline_nodes + self.extra_nodes;
-        let mut by_price: Vec<&ZoneState> = zones.iter().collect();
-        by_price.sort_by_key(|z| (z.spot_price, z.zone.ordinal(), z.instance_type.ordinal()));
-        let bids = by_price
-            .into_iter()
-            .take(want)
+        // Each bid holds its pool's spot price until the cheapest are in.
+        let mut bids: Vec<PoolBid> = (zones.iter())
             .map(|z| PoolBid {
                 zone: z.zone,
                 instance_type: z.instance_type,
-                bid: z.spot_price.scale(1.0 + self.extra_portion),
+                bid: z.spot_price,
             })
             .collect();
+        bids.sort_by_key(|b| (b.bid, b.zone.ordinal(), b.instance_type.ordinal()));
+        bids.truncate(spec.baseline_nodes + self.extra_nodes);
+        for b in &mut bids {
+            b.bid = b.bid.scale(1.0 + self.extra_portion);
+        }
         BidDecision { bids }
     }
 }

@@ -1,9 +1,8 @@
 //! The strategy interface and market snapshots.
 
 use std::ops::Range;
-use std::sync::Arc;
 
-use spot_market::{InstanceType, Price, PriceTrace, Zone};
+use spot_market::{InstanceType, Price, Zone};
 use spot_model::FailureModel;
 
 use crate::framework::MarketSnapshot;
@@ -190,23 +189,22 @@ pub struct Decided {
     pub micros: u64,
 }
 
-/// One pool a decision pass walks: its model as the run installed it
-/// and the trace whose revealed minutes it observes.
+/// One pool a decision pass walks: its model as the run installed it,
+/// following the minutes the boundaries reveal.
 pub struct PoolWalk<'a> {
     /// The zone.
     pub zone: Zone,
     /// The instance-type pool within the zone.
     pub instance_type: InstanceType,
-    /// The model before the first boundary; walks fold copies of it.
+    /// The model before the first boundary ([`FailureModel::follow`]);
+    /// walks fold copies of it.
     pub model: &'a FailureModel,
-    /// The pool's price history.
-    pub trace: &'a Arc<PriceTrace>,
     /// This pool's index into every [`Boundary::snapshots`].
     pub slot: usize,
 }
 
 impl PoolWalk<'_> {
-    /// Walk `boundaries` in order on a copy of the model: observe each
+    /// Walk `boundaries` in order on a copy of the model: show it each
     /// boundary's revealed minutes, then hand `f` the pool's state there.
     /// One kernel at a time: each fold replaces the last.
     pub(crate) fn walk<R>(
@@ -215,11 +213,9 @@ impl PoolWalk<'_> {
         mut f: impl FnMut(&Boundary, &ZoneState<'_>) -> R,
     ) -> Vec<R> {
         let mut model = self.model.clone();
-        (boundaries.iter())
-            .map(|b| {
-                if !b.revealed.is_empty() {
-                    model.observe(self.trace, b.revealed.clone());
-                }
+        (boundaries.iter().enumerate())
+            .map(|(k, b)| {
+                model.show(k + 1);
                 f(b, &ZoneState::new(&b.snapshots[self.slot], &model))
             })
             .collect()

@@ -22,7 +22,7 @@ use spot_market::{
 };
 use spot_model::{backtest, BidRule, CalibrationReport, FailureModel, FailureModelConfig};
 
-use crate::lifecycle::{trained_framework, Replay};
+use crate::lifecycle::{replay_repairs, trained_framework, Replay};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
 use crate::scenario::Scenario;
@@ -171,15 +171,16 @@ impl Cell {
         (!self.service.is_hetero()).then_some(self.service.instance_type)
     }
 
-    /// This key's replay over `scenario` (its market and window); the
-    /// baseline has none.
-    fn replay<'a>(&'a self, scenario: &'a Scenario) -> Replay<'a> {
+    /// This key's replay over `scenario` (its market and window), with a
+    /// fresh strategy; the baseline has none.
+    fn replay<'a>(&'a self, scenario: &'a Scenario) -> (Replay<'a>, Box<dyn BiddingStrategy>) {
         let config = scenario.config(self.interval_hours).with_era(self.era);
-        Replay::new(scenario.market(), &self.service, config)
+        let replay = Replay::new(scenario.market(), &self.service, config)
             .repair(RepairConfig {
                 policy: self.repair,
             })
-            .store(scenario.store())
+            .store(scenario.store());
+        (replay, self.bidder.expect("a replaying key").build())
     }
 
     /// The on-demand baseline's row.
@@ -234,27 +235,6 @@ impl Cell {
     }
 }
 
-/// Replay `cells` — keys with one [`Cell::decisions_key`] — over
-/// `scenario` with one decision pass: the first cell's replay makes it,
-/// and every cell's books take their boundary decisions from it. A
-/// strategy without a pass decides in each cell's loop. Each result comes
-/// with its cell's wall time, the pass counted in the first cell's.
-fn replay_group(cells: &[&Cell], scenario: &Scenario) -> Vec<(ReplayResult, Duration)> {
-    let mut pass = None;
-    (cells.iter())
-        .map(|cell| {
-            debug_assert_eq!(cell.decisions_key(), cells[0].decisions_key());
-            let start = Instant::now();
-            let replay = cell.replay(scenario);
-            let framework = replay.framework(cell.bidder.expect("a replaying key").build());
-            let boundaries = replay.boundaries(&framework);
-            let decided = pass.get_or_insert_with(|| replay.decisions(&framework, &boundaries));
-            let result = replay.books(framework, boundaries, decided.clone());
-            (result, start.elapsed())
-        })
-        .collect()
-}
-
 /// `bidders` at each of `hours` (intervals outer), deploying `service`
 /// over the scale's evaluation span with repair off, in the bidding era.
 fn grid(service: &ServiceSpec, scale: &Scale, hours: &[u64], bidders: &[Bidder]) -> Vec<Cell> {
@@ -287,8 +267,9 @@ fn distinct<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
 ///
 /// The keys over one (market, evaluation span) share one [`Scenario`] —
 /// one market, one model store — whichever table declared them. Keys
-/// that differ only in repair policy replay as one job (`replay_group`),
-/// sharing one decision pass where their bidder has one. The jobs run in
+/// that differ only in repair policy replay as one job (`replay_repairs`),
+/// sharing one boundary schedule, and one decision pass where their
+/// bidder has one. The jobs run in
 /// one `par_map` over the host's cores, longest
 /// first, so no core idles at the end of one table while another waits.
 /// Each distinct key's wall time goes to stderr as a `# cell` line.
@@ -334,7 +315,7 @@ pub fn replay<const N: usize>(
             let rows = group.iter().map(|cell| cell.baseline_row(scenario));
             return rows.map(|row| (row, start.elapsed())).collect();
         }
-        let results = replay_group(group, scenario);
+        let results = replay_repairs(group.iter().map(|cell| cell.replay(scenario)));
         let rows = group.iter().zip(results);
         rows.map(|(cell, (result, took))| (cell.row(&result), took))
             .collect::<Vec<_>>()
@@ -1213,13 +1194,12 @@ mod tests {
                 .find(|(t, _)| *t == ty)
                 .expect("a scenario")
                 .1;
-            let bidder = key.bidder.expect("a replaying key");
             // Everything but the host time each decision took.
             let decisions = |cell: &Cell| {
-                let replay = cell.replay(scenario);
-                let framework = replay.framework(bidder.build());
-                let boundaries = replay.boundaries(&framework);
-                let decided = replay.decisions(&framework, &boundaries)?;
+                let (replay, strategy) = cell.replay(scenario);
+                let boundaries = replay.boundaries();
+                let framework = replay.framework(strategy, &boundaries);
+                let decided = framework.decide_schedule(&boundaries)?;
                 let steps = boundaries.into_iter().zip(decided);
                 let steps = steps.map(|(b, d)| (b, d.decision, d.fp_cache_hits));
                 Some(steps.collect::<Vec<_>>())
@@ -1228,9 +1208,10 @@ mod tests {
             assert_ne!(twin, *key, "a repairing key has an off twin");
             // The books in the twin's group replay as the loop does, on
             // the twin's pass or in their own loop.
-            let [_, (got, _)] =
-                <[_; 2]>::try_from(replay_group(&[&twin, key], scenario)).expect("two results");
-            let want = key.replay(scenario).run(InLoop(bidder.build()));
+            let group = replay_repairs([&twin, key].map(|cell| cell.replay(scenario)));
+            let [_, (got, _)] = <[_; 2]>::try_from(group).expect("two results");
+            let (replay, strategy) = key.replay(scenario);
+            let want = replay.run(InLoop(strategy));
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "{key:?}");
             // A key shares its twin's pass when its bidder has one.
             let Some(own) = decisions(key) else {

@@ -6,6 +6,9 @@
 //! `migrate` → `repair` → `account` → `bill` (DESIGN.md "Replay loop").
 #![deny(clippy::too_many_lines)]
 
+use std::borrow::Cow;
+use std::time::{Duration, Instant};
+
 use jupiter::framework::MarketSnapshot;
 use jupiter::{
     BidDecision, BiddingFramework, BiddingStrategy, Boundary, Decided, ModelKey, ModelStore,
@@ -168,19 +171,21 @@ impl<'a> Replay<'a> {
     /// Replay `strategy` and return its accounting: the decision pass,
     /// then the books.
     pub fn run<S: BiddingStrategy>(self, strategy: S) -> ReplayResult {
-        let framework = self.framework(strategy);
-        let boundaries = self.boundaries(&framework);
-        let decided = self.decisions(&framework, &boundaries);
-        self.books(framework, boundaries, decided)
+        replay_repairs([(self, strategy)]).remove(0).0
     }
 
     /// The run's framework: `strategy` over one kernel per (zone, pool)
-    /// from the shared store, or from a private single-use one. Under the
+    /// from the shared store, or from a private single-use one, each
+    /// pool's model following the minutes `boundaries` reveal. Under the
     /// capacity era, interruptions are zone-correlated (whole-zone
     /// capacity crunches reclaim several pools at once), so the deployed
     /// spec spreads replicas across zones with independent capacity
     /// processes.
-    pub(crate) fn framework<S: BiddingStrategy>(&self, strategy: S) -> BiddingFramework<S> {
+    pub(crate) fn framework<S: BiddingStrategy>(
+        &self,
+        strategy: S,
+        boundaries: &[Boundary],
+    ) -> BiddingFramework<S> {
         let private_store;
         let store = match self.store {
             Some(shared) => shared,
@@ -192,22 +197,21 @@ impl<'a> Replay<'a> {
         let diversify = self.spec.diversify || self.config.era == BidEra::CapacityReclaim;
         let spec = self.spec.clone().with_diversify(diversify);
         let first_decision = self.config.first_decision();
-        trained_framework(self.market, spec, strategy, store, first_decision)
+        let mut framework = trained_framework(self.market, spec, strategy, store, first_decision);
+        framework.follow(|z, ty| self.market.trace(z, ty), boundaries);
+        framework
     }
 
-    /// Every boundary of the window, in order, over `framework`'s pools:
+    /// Every boundary of the window, in order, over the spec's pools:
     /// the interval's start and scheduled length (fixed, or the §5.5
     /// adaptive one from the revealed prices; at least 60 minutes either
     /// way), the minutes revealed since the last boundary's decision, and
     /// the market at this one's. The adaptive schedule reads the caller's
     /// spec, not the diversified clone.
-    pub(crate) fn boundaries<S: BiddingStrategy>(
-        &self,
-        framework: &BiddingFramework<S>,
-    ) -> Vec<Boundary> {
+    pub(crate) fn boundaries(&self) -> Vec<Boundary> {
         let (market, config) = (self.market, self.config);
         assert!(config.eval_end <= market.horizon(), "window beyond market");
-        let pools = framework.spec().pools();
+        let pools = self.spec.pools();
         let mut boundaries = Vec::new();
         let mut observed_until = config.first_decision();
         let mut start = config.eval_start;
@@ -231,35 +235,16 @@ impl<'a> Replay<'a> {
         boundaries
     }
 
-    /// The decision pass: every boundary's decision, made from the market
-    /// and the models alone before the books run (DESIGN.md "Replay
-    /// loop"). `None` when the loop decides instead: the strategy has no
-    /// pass (Jupiter has one), or an auto-scaler retargets from the last
-    /// interval's availability. The pass
-    /// depends on the bidder, the deployed service, the schedule, the era
-    /// and the window, not on the repair policy, so the plan shares one
-    /// across repair policies.
-    pub(crate) fn decisions<S: BiddingStrategy>(
-        &self,
-        framework: &BiddingFramework<S>,
-        boundaries: &[Boundary],
-    ) -> Option<Vec<Decided>> {
-        if self.scaler.is_some() {
-            return None;
-        }
-        let market = self.market;
-        framework.decide_schedule(|z, ty| market.trace(z, ty), boundaries)
-    }
-
     /// The books: launch, kill, migrate, repair, account and bill every
     /// interval, taking each boundary's decision from `decided` (rebids
     /// still decide live, against the boundary-frozen models), or making
-    /// it in the loop when there is none.
+    /// it in the loop when there is none. The framework's models follow
+    /// `boundaries`, a cursor per pool.
     pub(crate) fn books<S: BiddingStrategy>(
         self,
         framework: BiddingFramework<S>,
-        boundaries: Vec<Boundary>,
-        decided: Option<Vec<Decided>>,
+        boundaries: &[Boundary],
+        decided: Option<&[Decided]>,
     ) -> ReplayResult {
         let (market, config, obs) = (self.market, self.config, &self.obs);
         let primary_ty = framework.spec().instance_type;
@@ -279,6 +264,7 @@ impl<'a> Replay<'a> {
             scaler: self.scaler,
             feedback: None,
             fleet: Vec::new(),
+            snapshots: Vec::new(),
             refs: Vec::new(),
             kills: 0,
             records: Vec::new(),
@@ -295,12 +281,9 @@ impl<'a> Replay<'a> {
             fleet_dog: FleetDeficitWatchdog::new(obs.alerts.clone()),
             budget_dog: RepairBudgetWatchdog::new(obs.alerts.clone()),
         };
-        let mut decided = decided.map(Vec::into_iter);
-        for boundary in boundaries {
-            let decided = decided
-                .as_mut()
-                .map(|d| d.next().expect("a decision per boundary"));
-            run.interval(boundary, decided);
+        for (k, boundary) in boundaries.iter().enumerate() {
+            run.framework.show(k + 1);
+            run.interval(boundary, decided.map(|d| &d[k]));
         }
         let mut result = run.finish();
         if config.interval_hours.is_none() {
@@ -308,6 +291,33 @@ impl<'a> Replay<'a> {
         }
         result
     }
+}
+
+/// Replays that differ only in repair policy, each with its own strategy,
+/// over one boundary schedule and one decision pass: the first replay
+/// makes both, and every replay's books borrow them. The pass is every
+/// boundary's decision, made from the market and the models alone before
+/// the books run (DESIGN.md "Replay loop"); `None` when the loop decides
+/// instead: the strategy has no pass (Jupiter has one), or an auto-scaler
+/// retargets from the last interval's availability. Neither depends on
+/// the repair policy. Each result comes with its replay's wall time, the
+/// schedule and pass counted in the first's.
+pub(crate) fn replay_repairs<'a, S: BiddingStrategy>(
+    replays: impl IntoIterator<Item = (Replay<'a>, S)>,
+) -> Vec<(ReplayResult, Duration)> {
+    let (mut boundaries, mut pass) = (None, None);
+    (replays.into_iter())
+        .map(|(replay, strategy)| {
+            let start = Instant::now();
+            let boundaries = boundaries.get_or_insert_with(|| replay.boundaries());
+            let framework = replay.framework(strategy, boundaries);
+            let decided = pass.get_or_insert_with(|| {
+                (replay.scaler.is_none()).then(|| framework.decide_schedule(boundaries))?
+            });
+            let result = replay.books(framework, boundaries, decided.as_deref());
+            (result, start.elapsed())
+        })
+        .collect()
 }
 
 /// A framework for `spec` with one kernel per (zone, pool) installed from
@@ -346,10 +356,17 @@ pub(crate) fn trained_framework<S: BiddingStrategy>(
 /// (zone, pool), zones outer.
 pub fn snapshots_at(market: &Market, pools: &[InstanceType], minute: u64) -> Vec<MarketSnapshot> {
     let mut snapshots = Vec::with_capacity(market.zones().len() * pools.len());
+    fill_snapshots(&mut snapshots, market, pools, minute);
+    snapshots
+}
+
+/// [`snapshots_at`] into `out`, replacing what it held.
+fn fill_snapshots(out: &mut Vec<MarketSnapshot>, market: &Market, pools: &[InstanceType], at: u64) {
+    out.clear();
     for &zone in market.zones() {
         for &instance_type in pools {
-            let (spot_price, age) = market.trace(zone, instance_type).price_and_age_at(minute);
-            snapshots.push(MarketSnapshot {
+            let (spot_price, age) = market.trace(zone, instance_type).price_and_age_at(at);
+            out.push(MarketSnapshot {
                 zone,
                 instance_type,
                 spot_price,
@@ -357,7 +374,6 @@ pub fn snapshots_at(market: &Market, pools: &[InstanceType], minute: u64) -> Vec
             });
         }
     }
-    snapshots
 }
 
 /// Replay-minute as trace microseconds.
@@ -487,16 +503,17 @@ impl Instruments {
     }
 }
 
-/// What `decide` fixes for one bidding interval.
-struct Interval {
+/// What `decide` fixes for one bidding interval, borrowing the boundary's
+/// snapshots and the pass's decision.
+struct Interval<'b> {
     start: u64,
     end: u64,
     /// The scheduled length in minutes — the decision horizon; `end` is
     /// clipped to the evaluation window, this is not.
     horizon: u32,
     decision_at: u64,
-    snapshots: Vec<MarketSnapshot>,
-    decision: BidDecision,
+    snapshots: &'b [MarketSnapshot],
+    decision: Cow<'b, BidDecision>,
     fp_cache_hit: bool,
 }
 
@@ -520,6 +537,8 @@ struct Run<'a, S: BiddingStrategy> {
     /// The interval just ended, as the scaler's next feedback.
     feedback: Option<ObservedInterval>,
     fleet: Vec<Active>,
+    /// The market at a rebid or migration, refilled by each.
+    snapshots: Vec<MarketSnapshot>,
     /// Audit sequence numbers of the current interval's records, handed to
     /// the watchdogs as alert cross-references.
     refs: Vec<u64>,
@@ -547,7 +566,7 @@ struct Run<'a, S: BiddingStrategy> {
 impl<S: BiddingStrategy> Run<'_, S> {
     /// One bidding interval, from `boundary` for its scheduled length,
     /// clipped to the window; `decided` is the pass's decision for it.
-    fn interval(&mut self, boundary: Boundary, decided: Option<Decided>) {
+    fn interval(&mut self, boundary: &Boundary, decided: Option<&Decided>) {
         let start = boundary.minute;
         let end = (start + u64::from(boundary.horizon_minutes)).min(self.config.eval_end);
         self.obs.set_time_micros(minute_micros(start));
@@ -580,43 +599,37 @@ impl<S: BiddingStrategy> Run<'_, S> {
         );
     }
 
-    /// The boundary's decision, made shortly before it: every pool's
-    /// model is shown the minutes revealed since the last boundary, then
+    /// The boundary's decision, made shortly before it, once every
+    /// pool's model was shown the minutes revealed since the last one:
     /// the pass's decision is taken up, or one is made here. A model cuts
     /// and folds what it was shown at its first read, so rebids,
     /// migrations and the audit read models frozen at this boundary, and
     /// a run whose books read no model copies no window.
-    fn decide(&mut self, boundary: Boundary, end: u64, decided: Option<Decided>) -> Interval {
+    fn decide<'b>(&mut self, b: &'b Boundary, end: u64, pass: Option<&'b Decided>) -> Interval<'b> {
         self.refs.clear();
         self.kills = 0;
-        let start = boundary.minute;
-        if !boundary.revealed.is_empty() {
-            let market = self.market;
-            for &z in market.zones() {
-                for &ty in &self.pools {
-                    let range = boundary.revealed.clone();
-                    self.framework.observe(z, ty, market.trace(z, ty), range);
-                }
-            }
-        }
-        let decided = match decided {
+        let start = b.minute;
+        let (decision, fp_cache_hits) = match pass {
             Some(decided) => {
-                self.framework.record_decided(&decided);
-                decided
+                self.framework.record_decided(decided);
+                (Cow::Borrowed(&decided.decision), decided.fp_cache_hits)
             }
-            None => self.decide_in_loop(&boundary, end),
+            None => {
+                let decided = self.decide_in_loop(b, end);
+                (Cow::Owned(decided.decision), decided.fp_cache_hits)
+            }
         };
-        self.ins.bids_placed.add(decided.decision.bids.len() as u64);
+        self.ins.bids_placed.add(decision.bids.len() as u64);
         if self.obs.series.is_enabled() {
             // The Fig. 4/7 raw material: spot price per pool and the
             // active bid wherever one is standing, both at decision time.
-            for s in &boundary.snapshots {
+            for s in &b.snapshots {
                 let name = self.pool_series("price", s.zone, s.instance_type);
                 self.obs
                     .series
                     .record(&name, start, s.spot_price.as_dollars());
             }
-            for pb in &decided.decision.bids {
+            for pb in &decision.bids {
                 let name = self.pool_series("bid", pb.zone, pb.instance_type);
                 self.obs.series.record(&name, start, pb.bid.as_dollars());
             }
@@ -624,11 +637,11 @@ impl<S: BiddingStrategy> Run<'_, S> {
         Interval {
             start,
             end,
-            horizon: boundary.horizon_minutes,
+            horizon: b.horizon_minutes,
             decision_at: start.saturating_sub(DECISION_LEAD),
-            snapshots: boundary.snapshots,
-            decision: decided.decision,
-            fp_cache_hit: decided.fp_cache_hits > 0,
+            snapshots: &b.snapshots,
+            decision,
+            fp_cache_hit: fp_cache_hits > 0,
         }
     }
 
@@ -782,7 +795,7 @@ impl<S: BiddingStrategy> Run<'_, S> {
         if !self.obs.audit.is_enabled() {
             return;
         }
-        let views = (self.framework).views(&iv.snapshots, &iv.decision, iv.horizon);
+        let views = (self.framework).views(iv.snapshots, &iv.decision, iv.horizon);
         let horizon_hours = f64::from(iv.horizon) / 60.0;
         for (pb, view) in iv.decision.bids.iter().zip(views) {
             let snap = (iv.snapshots.iter())
@@ -891,9 +904,9 @@ impl<S: BiddingStrategy> Run<'_, S> {
         }
         // Re-ask the framework at the signal minute; candidates outside
         // the victim's zone come first at equal price.
-        let snapshots = snapshots_at(self.market, &self.pools, launch_at);
+        fill_snapshots(&mut self.snapshots, self.market, &self.pools, launch_at);
         let mut choices = (self.framework)
-            .decide(&snapshots, (iv.end - launch_at) as u32)
+            .decide(&self.snapshots, (iv.end - launch_at) as u32)
             .bids;
         choices.sort_by_key(|pb| {
             (
@@ -1065,8 +1078,8 @@ impl<S: BiddingStrategy> Run<'_, S> {
     /// filled.
     fn rebid(&mut self, iv: &Interval, at: u64, died_at: u64, missing: usize) -> usize {
         self.ins.repair_rebids.inc();
-        let snapshots = snapshots_at(self.market, &self.pools, at);
-        let mut choices = self.framework.decide(&snapshots, (iv.end - at) as u32).bids;
+        fill_snapshots(&mut self.snapshots, self.market, &self.pools, at);
+        let mut choices = self.framework.decide(&self.snapshots, (iv.end - at) as u32).bids;
         choices.sort_by_key(|pb| (pb.bid, pb.zone.ordinal(), pb.instance_type.ordinal()));
         let mut launched = 0;
         for pb in choices {

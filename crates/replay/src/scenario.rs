@@ -30,7 +30,7 @@ use jupiter::{BiddingStrategy, ModelStore, ServiceSpec};
 use obs::Obs;
 use spot_market::{BidEra, Market, Price};
 
-use crate::lifecycle::{on_demand_baseline_cost, Replay, ReplayConfig};
+use crate::lifecycle::{on_demand_baseline_cost, replay_repairs, Replay, ReplayConfig};
 use crate::repair::{RepairConfig, RepairPolicy};
 use crate::results::ReplayResult;
 
@@ -187,40 +187,45 @@ impl Scenario {
         self.run_on(spec, host_workers())
     }
 
-    /// [`Self::run`] on at most `workers` threads.
+    /// [`Self::run`] on at most `workers` threads. The cells that differ
+    /// only in repair policy are one job: one boundary schedule and, where
+    /// the strategy has one, one decision pass (`replay_repairs`).
     fn run_on(&self, spec: &SweepSpec, workers: usize) -> Vec<CellOutcome> {
-        let jobs: Vec<(u64, usize, usize, usize)> = spec
-            .intervals
-            .iter()
-            .flat_map(|&h| {
-                let repairs = spec.repairs.len();
-                let eras = spec.eras.len();
-                (0..spec.strategies.len()).flat_map(move |s| {
-                    (0..repairs).flat_map(move |r| (0..eras).map(move |e| (h, s, r, e)))
-                })
-            })
+        let (repairs, eras) = (spec.repairs.len(), spec.eras.len());
+        let strategies = 0..spec.strategies.len();
+        let jobs: Vec<(u64, usize, BidEra)> = (spec.intervals.iter())
+            .flat_map(|&h| strategies.clone().map(move |s| (h, s)))
+            .flat_map(|(h, s)| spec.eras.iter().map(move |&e| (h, s, e)))
             .collect();
         // `Obs::disabled()` when the scenario is unobserved.
         let cell_obs = Obs {
             metrics: self.obs.metrics.clone(),
             ..Obs::disabled()
         };
-        par_map(&jobs, workers, |&(h, s, r, e)| {
-            let strategy = (spec.strategies[s])(&cell_obs);
-            let repair = spec.repairs[r];
-            let era = spec.eras[e];
-            let result = Replay::new(&self.market, &spec.service, self.config(h).with_era(era))
-                .repair(repair)
-                .store(&self.store)
-                .obs(&cell_obs)
-                .run(strategy);
-            CellOutcome {
-                interval_hours: h,
-                repair: repair.policy,
-                era,
-                result,
-            }
-        })
+        let replayed = par_map(&jobs, workers, |&(h, s, era)| {
+            let config = self.config(h).with_era(era);
+            let replays = (spec.repairs.iter()).map(|&repair| {
+                let replay = Replay::new(&self.market, &spec.service, config)
+                    .repair(repair)
+                    .store(&self.store)
+                    .obs(&cell_obs);
+                (replay, (spec.strategies[s])(&cell_obs))
+            });
+            (replay_repairs(replays).into_iter().zip(&spec.repairs))
+                .map(|((result, _), repair)| CellOutcome {
+                    interval_hours: h,
+                    repair: repair.policy,
+                    era,
+                    result,
+                })
+                .collect::<Vec<_>>()
+        });
+        // Back to grid order, where the repair axis is outside the era axis.
+        let mut replayed: Vec<_> = replayed.into_iter().map(Vec::into_iter).collect();
+        (0..jobs.len() / eras)
+            .flat_map(|hs| (0..repairs).flat_map(move |_| hs * eras..(hs + 1) * eras))
+            .map(|job| replayed[job].next().expect("a cell per repair"))
+            .collect()
     }
 
     /// The on-demand baseline cost over this scenario's window.
@@ -332,35 +337,45 @@ pub(crate) mod tests {
             .repairs(vec![RepairConfig::hybrid(), RepairConfig::migrate()])
             .eras(vec![BidEra::Bidding, BidEra::CapacityReclaim]);
 
-        // Each cell alone, with an `Obs` of its own; the store they share
-        // records into one more.
+        // Each job alone — a strategy's cells in one era, sharing one
+        // schedule and Jupiter's one pass — with an `Obs` of its own, and
+        // each cell alone, with its own pass; the store they share records
+        // into one more.
         let (store_obs, _clock) = Obs::simulated();
-        let store = ModelStore::with_obs(store_obs.clone());
-        let mut counters = std::collections::BTreeMap::<String, u64>::new();
-        let mut histograms = std::collections::BTreeMap::<String, u64>::new();
-        let mut add = |snap: obs::MetricsSnapshot| {
-            for (name, v) in snap.counters {
-                *counters.entry(name).or_default() += v;
-            }
-            for (name, h) in snap.histograms {
-                *histograms.entry(name).or_default() += h.count;
+        let (store, apart) = (ModelStore::with_obs(store_obs.clone()), ModelStore::new());
+        type Sums = std::collections::BTreeMap<String, u64>;
+        let (mut counters, mut histograms) = (Sums::new(), Sums::new());
+        let mut cell_counters = Sums::new();
+        let add = |sums: &mut Sums, counts: Vec<(String, u64)>| {
+            for (name, v) in counts {
+                *sums.entry(name).or_default() += v;
             }
         };
+        let mut add_job = |snap: obs::MetricsSnapshot| {
+            add(&mut counters, snap.counters);
+            let counts = snap.histograms.into_iter().map(|(n, h)| (n, h.count));
+            add(&mut histograms, counts.collect());
+        };
         for s in 0..3 {
-            for repair in &spec.repairs {
-                for &era in &spec.eras {
+            for &era in &spec.eras {
+                let config = ReplayConfig::new(start, end, 6).with_era(era);
+                let replay = |repair, store, o: &Obs| {
+                    let replay = Replay::new(&market, &service, config).repair(repair);
+                    replay.store(store).obs(o)
+                };
+                let (o, _clock) = Obs::simulated();
+                let replays = (spec.repairs.iter())
+                    .map(|&r| (replay(r, &store, &o), cell_strategy(s, &o)));
+                replay_repairs(replays);
+                add_job(o.metrics.snapshot());
+                for &r in &spec.repairs {
                     let (o, _clock) = Obs::simulated();
-                    let config = ReplayConfig::new(start, end, 6).with_era(era);
-                    Replay::new(&market, &service, config)
-                        .repair(*repair)
-                        .store(&store)
-                        .obs(&o)
-                        .run(cell_strategy(s, &o));
-                    add(o.metrics.snapshot());
+                    replay(r, &apart, &o).run(cell_strategy(s, &o));
+                    add(&mut cell_counters, o.metrics.snapshot().counters);
                 }
             }
         }
-        add(store_obs.metrics.snapshot());
+        add_job(store_obs.metrics.snapshot());
         assert!(histograms.contains_key("jupiter.decide_micros"));
         for name in [
             "replay.bids_placed",
@@ -369,7 +384,12 @@ pub(crate) mod tests {
             "migrate.launched",
         ] {
             assert!(counters.get(name).is_some_and(|&v| v > 0), "{name}");
+            // The books count alike whether or not their cells share a pass.
+            assert_eq!(counters.get(name), cell_counters.get(name), "{name}");
         }
+        // Jupiter's pass runs once per job, not once per cell.
+        let forecasts = |sums: &Sums| sums["jupiter.forecasts_computed"];
+        assert!(forecasts(&counters) < forecasts(&cell_counters));
 
         for workers in [1, 4] {
             let (obs, _clock) = Obs::simulated();
@@ -564,7 +584,7 @@ pub(crate) mod tests {
                 _ => Box::new(FixedOnce::new(JupiterStrategy::new().with_obs(o.clone()))),
             }
         };
-        let sweep = |in_loop: bool| {
+        let sweep = |in_loop: bool, repair: RepairConfig| {
             let mut spec = SweepSpec::new(ServiceSpec::lock_service());
             for b in 0..4 {
                 spec = spec.strategy(move |o| match in_loop {
@@ -573,17 +593,21 @@ pub(crate) mod tests {
                 });
             }
             spec.intervals(vec![6])
-                .repairs(vec![
-                    RepairConfig::off(),
-                    RepairConfig::hybrid(),
-                    RepairConfig::migrate(),
-                ])
+                .repairs(vec![repair])
                 .eras(vec![BidEra::Bidding, BidEra::CapacityReclaim])
         };
+        // One sweep per repair policy: a sweep's repair columns share one
+        // pass, which the loop cannot.
         let replayed = |in_loop: bool, workers: usize| {
             let (obs, _clock) = Obs::simulated();
             let scenario = Scenario::new(market.clone(), start, end).with_obs(obs.clone());
-            ledger(&scenario.run_on(&sweep(in_loop), workers), &obs)
+            let repairs = [
+                RepairConfig::off(),
+                RepairConfig::hybrid(),
+                RepairConfig::migrate(),
+            ];
+            let cells = repairs.map(|r| scenario.run_on(&sweep(in_loop, r), workers));
+            ledger(&cells.into_iter().flatten().collect::<Vec<_>>(), &obs)
         };
         let pass = replayed(false, 1);
         assert_eq!(pass.0.len(), 24);

@@ -124,7 +124,7 @@ const ZONE_BASE: [usize; Region::ALL.len()] = {
 };
 
 /// Number of availability zones across all regions (Table 1): 24.
-pub(crate) const ZONE_COUNT: usize =
+pub const ZONE_COUNT: usize =
     ZONE_BASE[Region::ALL.len() - 1] + Region::ALL[Region::ALL.len() - 1].az_count();
 
 impl fmt::Display for Region {

@@ -17,6 +17,9 @@ pub struct FailureModelConfig {
     pub forecast: ForecastConfig,
 }
 
+/// Minute ranges of a trace in the order a run reveals them.
+type Revealed = Arc<Vec<Range<u64>>>;
+
 /// The failure model for one (zone, instance-type) market: a semi-Markov
 /// price kernel plus the composition with the baseline failure probability
 /// `FP⁰` (Eq. 4): `FP = 1 − (1 − FP⁰)(1 − P(out-of-bid))`.
@@ -38,21 +41,26 @@ pub struct FailureModelConfig {
 /// assert!((0.01..=1.0).contains(&fp), "never below the on-demand floor");
 /// ```
 ///
-/// Refinement folds on read: [`Self::observe`] queues a minute range of a
-/// shared trace, and the first reader after it cuts each queued range's
-/// window and extends the kernel by it, in arrival order. A model nobody
-/// reads never copies a window nor builds a kernel.
+/// Refinement folds on read. A model follows a trace through a run's
+/// revealed minute ranges ([`Self::follow`]); showing it the next range
+/// moves a cursor ([`Self::show`]), and the first reader after that cuts
+/// each range's window between the last fold and the cursor and extends
+/// the kernel by it, in order. A model nobody reads never copies a window
+/// nor builds a kernel.
 #[derive(Clone, Debug)]
 pub struct FailureModel {
     /// The last kernel a reader saw (or the one the model started from).
     base: Arc<FrozenKernel>,
-    /// The trace `pending` indexes into; `None` before the first observe.
-    source: Option<Arc<PriceTrace>>,
-    /// Minute ranges of `source` observed since `base`, oldest first.
-    pending: Vec<Range<u64>>,
-    /// `base` extended by all of `pending`; filled by the first read after
-    /// an observe, promoted to `base` by the next observe (`&self` readers
-    /// cannot drop the superseded `base`, so it lives on until then).
+    /// The trace the model follows and the ranges it reveals, in order;
+    /// `None` before the first follow or observe.
+    source: Option<(Arc<PriceTrace>, Revealed)>,
+    /// Ranges `..folded_to` are in `base`; `folded_to..shown` were shown
+    /// since, and `shown` is the cursor.
+    folded_to: usize,
+    shown: usize,
+    /// `base` extended by the shown ranges; filled by the first read after
+    /// a show, promoted to `base` by the next one (`&self` readers cannot
+    /// drop the superseded `base`, so it lives on until then).
     folded: OnceLock<Arc<FrozenKernel>>,
     config: FailureModelConfig,
 }
@@ -75,52 +83,74 @@ impl FailureModel {
         FailureModel {
             base: kernel,
             source: None,
-            pending: Vec::new(),
+            folded_to: 0,
+            shown: 0,
             folded: OnceLock::new(),
             config,
         }
     }
 
-    /// Add `trace`'s `minutes` to the model (incremental re-estimation).
-    /// Only the range is queued here; the next read cuts its window and
-    /// folds it in. The model keeps one handle to the trace it observes:
-    /// a range of another trace first folds what is queued, then switches.
-    /// Copy-on-write: other models sharing this kernel are unaffected.
-    pub fn observe(&mut self, trace: &Arc<PriceTrace>, minutes: Range<u64>) {
-        if !self.source.as_ref().is_some_and(|s| Arc::ptr_eq(s, trace)) {
-            self.kernel();
-            self.source = Some(Arc::clone(trace));
-        }
-        if let Some(folded) = self.folded.take() {
-            self.base = folded;
-            self.pending.clear();
-        }
-        self.pending.push(minutes);
+    /// Follow `trace` through `revealed`, the minute ranges a run reveals
+    /// in order, none of them shown yet. What the model was shown of what
+    /// it followed before is folded first.
+    pub fn follow(&mut self, trace: &Arc<PriceTrace>, revealed: &Arc<Vec<Range<u64>>>) {
+        self.kernel();
+        self.show(self.shown);
+        self.source = Some((Arc::clone(trace), Arc::clone(revealed)));
+        (self.folded_to, self.shown) = (0, 0);
     }
 
-    /// The underlying kernel, with every observed range folded in: one
+    /// Show the model the first `n` ranges it follows: a cursor store, no
+    /// copy. The last read's fold becomes the base. Copy-on-write: other
+    /// models sharing this kernel are unaffected by the fold.
+    pub fn show(&mut self, n: usize) {
+        if let Some(folded) = self.folded.take() {
+            (self.base, self.folded_to) = (folded, self.shown);
+        }
+        self.shown = n;
+    }
+
+    /// Add `trace`'s `minutes` to the model (incremental re-estimation):
+    /// appended to a followed list of the model's own and shown. A range
+    /// of another trace first folds what was shown, then switches.
+    pub fn observe(&mut self, trace: &Arc<PriceTrace>, minutes: Range<u64>) {
+        if !self.source.as_ref().is_some_and(|(t, _)| Arc::ptr_eq(t, trace)) {
+            self.follow(trace, &Arc::default());
+        }
+        self.show(self.shown);
+        let ranges = Arc::make_mut(&mut self.source.as_mut().expect("a followed trace").1);
+        ranges.truncate(self.shown);
+        ranges.drain(..self.folded_to);
+        ranges.push(minutes);
+        (self.folded_to, self.shown) = (0, ranges.len());
+    }
+
+    /// The shown ranges not folded into `base`, empty ones skipped.
+    fn pending(&self) -> impl Iterator<Item = &Range<u64>> {
+        let ranges = self.source.as_ref().map_or(&[][..], |(_, r)| &r[..]);
+        ranges[self.folded_to..self.shown].iter().filter(|r| !r.is_empty())
+    }
+
+    /// The underlying kernel, with every shown range folded in: one
     /// [`FrozenKernel::extend`] per range's window, in the order they were
-    /// observed, so each window's final segment stays right-censored.
+    /// revealed, so each window's final segment stays right-censored.
     pub fn kernel(&self) -> &FrozenKernel {
-        let (Some(trace), Some((first, rest))) = (&self.source, self.pending.split_first()) else {
+        if let Some(folded) = self.folded.get() {
+            return folded;
+        }
+        let mut pending = self.pending();
+        let (Some((trace, _)), Some(first)) = (&self.source, pending.next()) else {
             return &self.base;
         };
         self.folded.get_or_init(|| {
             let cut = |r: &Range<u64>| trace.window(r.start, r.end);
-            Arc::new(
-                rest.iter()
-                    .fold(self.base.extend(&cut(first)), |k, r| k.extend(&cut(r))),
-            )
+            Arc::new(pending.fold(self.base.extend(&cut(first)), |k, r| k.extend(&cut(r))))
         })
     }
 
-    /// Observed ranges no reader has folded into the kernel yet.
+    /// Shown ranges no reader has folded into the kernel yet.
     pub fn unfolded(&self) -> usize {
-        if self.folded.get().is_some() {
-            0
-        } else {
-            self.pending.len()
-        }
+        (self.folded.get()).map_or_else(|| self.pending().count(), |_| 0)
     }
 
     /// Whether the model has seen enough data to estimate anything.
@@ -569,20 +599,71 @@ mod tests {
             first.fingerprint(),
             "switching traces folded the first one's range"
         );
-        assert_eq!(m.pending.len(), 1, "only the new trace's range is queued");
+        assert_eq!(
+            (m.folded_to, m.shown),
+            (0, 1),
+            "only the new trace's range is shown"
+        );
         let eager = first.extend(&traces[1]);
         assert_eq!(m.kernel().fingerprint(), eager.fingerprint());
         assert_eq!(m.unfolded(), 0);
-        assert_eq!(m.pending.len(), 1, "a read leaves the queue to observe");
+        assert_eq!(
+            (m.folded_to, m.shown),
+            (0, 1),
+            "a read leaves the cursor to observe"
+        );
         let folded = Arc::clone(m.folded.get().expect("the read filled the lock"));
         m.observe(&traces[2], whole(&traces[2]));
-        assert!(Arc::ptr_eq(&m.base, &folded), "folded kernel is the new base");
-        assert_eq!(m.pending.len(), 1, "only the new range is queued");
+        assert!(
+            Arc::ptr_eq(&m.base, &folded),
+            "folded kernel is the new base"
+        );
+        assert_eq!(
+            (m.folded_to, m.shown),
+            (0, 1),
+            "only the new range is shown"
+        );
         assert_eq!(m.unfolded(), 1);
         assert_eq!(
             m.kernel().fingerprint(),
             eager.extend(&traces[2]).fingerprint()
         );
+    }
+
+    #[test]
+    fn a_cursor_folds_what_it_was_shown_of_a_shared_schedule() {
+        let trace = Arc::new(alternating(4));
+        let revealed = Arc::new((0..4).map(|k| 8 * k..8 * (k + 1)).collect::<Vec<_>>());
+        let eager = |n: u64| {
+            (0..n).fold(FrozenKernel::new(), |k, i| {
+                k.extend(&trace.window(8 * i, 8 * (i + 1)))
+            })
+        };
+        let mut m = FailureModel::new(FailureModelConfig::default());
+        m.follow(&trace, &revealed);
+        let mut other = m.clone();
+        m.show(2);
+        assert_eq!(m.unfolded(), 2);
+        assert_eq!(m.kernel().fingerprint(), eager(2).fingerprint());
+        m.show(4);
+        assert_eq!(
+            (m.unfolded(), m.folded_to),
+            (2, 2),
+            "the last read's fold is the base"
+        );
+        assert_eq!(m.kernel().fingerprint(), eager(4).fingerprint());
+        assert_eq!(
+            other.unfolded(),
+            0,
+            "a model following the same schedule saw nothing"
+        );
+        // An observe appends after the cursor, to a schedule of its own.
+        other.show(1);
+        other.observe(&trace, 16..32);
+        assert_eq!(revealed.len(), 4, "the shared schedule is untouched");
+        assert_eq!(other.unfolded(), 2);
+        let want = eager(1).extend(&trace.window(16, 32));
+        assert_eq!(other.kernel().fingerprint(), want.fingerprint());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use spot_market::{Price, PricePoint, PriceTrace};
 use spot_model::{Estimator, FailureModel, FailureModelConfig, FrozenKernel};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Strategy: a random multi-level trace with enough transitions to train.
@@ -176,11 +177,13 @@ proptest! {
         }
     }
 
-    /// Fold-on-read equivalence: a model that queues minute ranges of one
-    /// shared trace, and cuts and folds them when read, answers exactly
-    /// like the eager `extend` chain over the cut windows at every read,
-    /// wherever the reads fall among the observes — and a clone taken
-    /// with ranges still queued folds to its origin's kernel.
+    /// Fold-on-read equivalence: a model that observes minute ranges of
+    /// one shared trace, and one that follows them as a revealed schedule
+    /// and is shown them by its cursor, both cut and fold them when read
+    /// and answer exactly like the eager `extend` chain over the cut
+    /// windows at every read, wherever the reads fall among the ranges —
+    /// and a clone taken with ranges still unfolded folds to its origin's
+    /// kernel.
     #[test]
     fn lazy_refinement_equals_the_eager_chain(
         trace in training_trace(),
@@ -198,26 +201,34 @@ proptest! {
         cuts.push((end, true));
 
         let shared = Arc::new(trace.clone());
+        let (mut steps, mut from): (Vec<(Range<u64>, bool)>, u64) = (Vec::new(), 0);
+        for (to, read) in cuts {
+            if to > from {
+                steps.push((std::mem::replace(&mut from, to)..to, read));
+            }
+        }
+        // The same ranges as one revealed schedule, shown by a cursor.
+        let revealed = Arc::new(steps.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>());
+        let mut cursor = FailureModel::new(FailureModelConfig::default());
+        cursor.follow(&shared, &revealed);
         let mut lazy = FailureModel::new(FailureModelConfig::default());
         let mut eager = FrozenKernel::new();
         let mut unread = 0;
-        let mut from = 0;
-        for (to, read) in cuts {
-            if to == from {
-                continue;
-            }
-            eager = eager.extend(&trace.window(from, to));
-            lazy.observe(&shared, from..to);
+        for (k, (range, read)) in steps.into_iter().enumerate() {
+            let to = range.end;
+            eager = eager.extend(&trace.window(range.start, range.end));
+            lazy.observe(&shared, range);
+            cursor.show(k + 1);
             unread += 1;
-            from = to;
             prop_assert_eq!(lazy.unfolded(), unread);
+            prop_assert_eq!(cursor.unfolded(), unread);
             if !read {
                 continue;
             }
-            let forked = lazy.clone();
+            let (forked, forked_cursor) = (lazy.clone(), cursor.clone());
             let reference =
                 FailureModel::from_kernel(eager.clone().into(), FailureModelConfig::default());
-            for model in [&lazy, &forked] {
+            for model in [&lazy, &forked, &cursor, &forked_cursor] {
                 prop_assert_eq!(model.kernel().fingerprint(), eager.fingerprint());
                 prop_assert_eq!(model.kernel().prices(), eager.prices());
                 let spot = trace.price_at(to - 1);

@@ -8,8 +8,8 @@
 //! repo benchmark's `obs.disabled_ns_per_op`.
 //!
 //! The same unit bounds the replay's per-interval observe for a strategy
-//! that never reads its failure models: a queued minute range, not a
-//! copied price window.
+//! that never reads its failure models: a cursor store, no queued range
+//! and no copied price window.
 //!
 //! The file is its own test binary because it installs the counting
 //! `#[global_allocator]` of `test_util::alloc`; the count is per thread
@@ -125,7 +125,7 @@ fn disabled_tracing_and_monitors_never_allocate() {
 }
 
 #[test]
-fn unread_models_queue_ranges_without_copying_windows() {
+fn unread_models_move_a_cursor_without_copying_windows() {
     // 10 000 change points, alternating every 3 minutes.
     let points = (0..10_000u64)
         .map(|i| PricePoint {
@@ -134,21 +134,17 @@ fn unread_models_queue_ranges_without_copying_windows() {
         })
         .collect();
     let trace = Arc::new(PriceTrace::new(points, 30_000));
-    let mut model = FailureModel::new(FailureModelConfig::default());
     const OBSERVES: u64 = 1_000;
-    let queued = allocations(|| {
-        for k in 0..OBSERVES {
-            model.observe(&trace, 30 * k..30 * (k + 1));
+    let revealed = Arc::new((0..OBSERVES).map(|k| 30 * k..30 * (k + 1)).collect());
+    let mut model = FailureModel::new(FailureModelConfig::default());
+    model.follow(&trace, &revealed);
+    let shown = allocations(|| {
+        for k in 1..=OBSERVES as usize {
+            model.show(k);
         }
     });
-    // The range queue doubles: ⌈log₂ 1000⌉ + 2 allocations at most, and
-    // no 10-point window cut per observe.
-    assert!(
-        queued.count <= 12,
-        "{OBSERVES} unread observes allocated {} times",
-        queued.count
-    );
-    assert!(queued.bytes < 64 * 1024, "{} bytes", queued.bytes);
+    // A cursor store per boundary: no range queued, no window cut.
+    assert_eq!(shown.count, 0, "{OBSERVES} unread shows allocated");
     assert_eq!(model.unfolded(), OBSERVES as usize);
     // A read then cuts and folds every range.
     assert!(model.is_trained());
