@@ -887,20 +887,26 @@ impl<S: Service> Replica<S> {
     // ----------------------------------------------------------- learning
 
     fn note_chosen(&mut self, entry: ChosenEntry<S::Wire>, ctx: &mut Context<Msg<S>>) {
+        let applied = entry.slot < self.applied;
         match &mut self.slot_state(entry.slot).chosen {
+            Some(_) if applied => {} // its value went to the service
             Some(existing) => S::absorb(existing, entry.value),
             empty => *empty = Some(entry.value),
         }
         self.advance(ctx);
     }
 
-    /// Apply every contiguously chosen slot, then compact when due.
+    /// Apply every contiguously chosen slot, then compact when due. The
+    /// service takes each value; the log keeps the decision and drops the
+    /// accepted copy, which nothing reads once the slot is chosen. A late
+    /// `Accept` for an applied slot is acked, not kept (`on_accept`).
     fn advance(&mut self, ctx: &mut Context<Msg<S>>) {
-        while let Some(value) = self
-            .slots
-            .get(&self.commit_index)
-            .and_then(|st| st.chosen.clone())
-        {
+        while let Some(st) = self.slots.get_mut(&self.commit_index) {
+            let Some(chosen) = st.chosen.as_mut() else {
+                break;
+            };
+            let value = S::take_applied(chosen);
+            st.accepted = None;
             let slot = self.commit_index;
             self.commit_index += 1;
             debug_assert_eq!(slot, self.applied, "out-of-order apply");
@@ -1139,7 +1145,9 @@ impl<S: Service> Replica<S> {
         if ballot.node != self.me {
             self.reset_election_deadline(ctx.now);
         }
-        self.slot_state(slot).accepted = Some((ballot, value));
+        if slot >= self.applied {
+            self.slot_state(slot).accepted = Some((ballot, value));
+        }
         self.send_msg(ctx, from, Msg::Accepted { ballot, slot });
     }
 
@@ -1219,13 +1227,62 @@ impl<S: Service> Replica<S> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use obs::Obs;
     use simnet::{NetworkConfig, NodeId, SimTime};
 
     use super::{Replica, ReplicaConfig};
     use crate::lock::{LockCmd, LockService};
-    use crate::msg::ClientOp;
+    use crate::msg::{ClientOp, Command, Msg};
     use crate::smr::SmHost;
     use crate::Cluster;
+
+    /// An `Accept` for a slot the replica already applied is acked, so
+    /// the leader sees the same messages, but its value is not kept: the
+    /// slot's accepted copy, dropped at apply, stays dropped.
+    #[test]
+    fn a_late_accept_for_an_applied_slot_is_acked_not_kept() {
+        let (obs, _) = Obs::simulated();
+        let cfg = ReplicaConfig {
+            obs: obs.clone(),
+            ..ReplicaConfig::default()
+        };
+        let mut c = Cluster::new(3, LockService::new(), cfg, NetworkConfig::default(), 9);
+        let client = c.add_client();
+        let name = "lock".to_string();
+        c.submit(
+            client,
+            ClientOp::App(LockCmd::Acquire {
+                name,
+                owner: client,
+            }),
+        );
+        assert!(c.run_until_drained(client, SimTime::from_secs(60)));
+        c.sim.run_until(c.sim.now() + SimTime::from_secs(1));
+        let leader = c.leader().expect("a leader");
+        let follower = *c.servers().iter().find(|&&id| id != leader).unwrap();
+        let ballot = c.replica(leader).unwrap().ballot;
+        let slot = c.replica(follower).unwrap().applied - 1;
+        let kept =
+            |c: &Cluster<LockService>| c.replica(follower).unwrap().slots[&slot].accepted.is_some();
+        assert!(!kept(&c), "apply drops the accepted copy");
+        let acks = || obs.metrics.snapshot().counter("paxos.msg_sent.accepted");
+        let before = acks().unwrap_or(0);
+        let value = Arc::new(Command::Noop);
+        c.sim.inject(
+            leader,
+            follower,
+            Msg::Accept {
+                ballot,
+                slot,
+                value,
+            },
+        );
+        c.sim.run_until(c.sim.now() + SimTime::from_millis(100));
+        assert_eq!(acks(), Some(before + 1), "the late Accept is acked");
+        assert!(!kept(&c), "the late Accept's value is not kept");
+    }
 
     /// The snapshot's client list is a function of the applied history
     /// alone: two replicas that applied the same log list the same

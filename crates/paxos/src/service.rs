@@ -113,6 +113,12 @@ pub trait Service: Clone + Debug + Sized {
     /// stored one.
     fn absorb(_existing: &mut Self::Wire, _incoming: Self::Wire) {}
 
+    /// Seam 4: the value [`Service::apply`] gets for a slot, taken out of
+    /// the log's chosen copy, which keeps the decision. The default clones.
+    fn take_applied(chosen: &mut Self::Wire) -> Self::Wire {
+        chosen.clone()
+    }
+
     /// Whether two replicas' stored values for one slot record the same
     /// decision (the agreement check).
     fn same_decision(a: &Self::Wire, b: &Self::Wire) -> bool;

@@ -92,11 +92,12 @@ impl<M> Context<M> {
         incoming: TraceContext,
         trace_base: u64,
         trace_count: u64,
+        effects: Vec<Effect<M>>,
     ) -> Self {
         Context {
             now,
             me,
-            effects: Vec::new(),
+            effects,
             incoming,
             trace_base,
             trace_count,
@@ -196,6 +197,8 @@ pub struct Simulation<A: Actor> {
     trace_base: u64,
     /// Count of trace ids allocated so far.
     trace_count: u64,
+    /// Lent to each event's [`Context`]; `flush` drains it and hands it back.
+    effects: Vec<Effect<A::Msg>>,
 }
 
 impl<A: Actor> Simulation<A>
@@ -216,6 +219,7 @@ where
             tracer: Tracer::disabled(),
             trace_base: mix(0xCA05_A11D, seed),
             trace_count: 0,
+            effects: Vec::new(),
         }
     }
 
@@ -375,6 +379,7 @@ where
             TraceContext::NONE,
             self.trace_base,
             self.trace_count,
+            std::mem::take(&mut self.effects),
         );
         slot.actor
             .as_mut()
@@ -440,7 +445,8 @@ where
 
     fn flush(&mut self, from: NodeId, epoch: u64, ctx: Context<A::Msg>) {
         self.trace_count = ctx.trace_count;
-        for effect in ctx.effects {
+        let mut effects = ctx.effects;
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg, trace } => self.enqueue_send(from, to, msg, trace),
                 Effect::Timer { delay, token } => {
@@ -449,6 +455,7 @@ where
                 }
             }
         }
+        self.effects = effects;
     }
 
     /// Process a single event if one is pending before `bound`; returns
@@ -482,7 +489,15 @@ where
         let skew = slot.skew;
         let incoming = match &ev.kind {
             EventKind::Deliver { trace, .. } => *trace,
-            EventKind::Timer { .. } => TraceContext::NONE,
+            EventKind::Timer {
+                epoch: timer_epoch, ..
+            } => {
+                if *timer_epoch != epoch {
+                    self.fingerprint = mix(self.fingerprint, 4);
+                    return true; // timer from a previous incarnation
+                }
+                TraceContext::NONE
+            }
         };
         let mut ctx = Context::new(
             self.now + skew,
@@ -490,6 +505,7 @@ where
             incoming,
             self.trace_base,
             self.trace_count,
+            std::mem::take(&mut self.effects),
         );
         match ev.kind {
             EventKind::Deliver { from, msg, .. } => {
@@ -499,14 +515,7 @@ where
                     .expect("up node without actor")
                     .on_message(from, msg, &mut ctx);
             }
-            EventKind::Timer {
-                token,
-                epoch: timer_epoch,
-            } => {
-                if timer_epoch != epoch {
-                    self.fingerprint = mix(self.fingerprint, 4);
-                    return true; // timer from a previous incarnation
-                }
+            EventKind::Timer { token, .. } => {
                 slot.actor
                     .as_mut()
                     .expect("up node without actor")

@@ -305,6 +305,15 @@ fn decision(value: &WireValue) -> WireValue {
     }
 }
 
+/// Drop the shard bytes of every put in `value`, keeping its metadata.
+fn drop_shards(value: &mut WireValue) {
+    match value {
+        WireValue::PutShard { shard, .. } => *shard = Bytes::new(),
+        WireValue::Batch(subs) => subs.iter_mut().for_each(drop_shards),
+        _ => {}
+    }
+}
+
 /// Give up on a read after this long without `m` shards.
 const READ_TIMEOUT: SimTime = SimTime::from_secs(5);
 
@@ -434,6 +443,13 @@ impl Service for RsService {
             }
             _ => {}
         }
+    }
+
+    /// An applied put's shard moves to the [`ShardStore`]; the log keeps it empty.
+    fn take_applied(chosen: &mut WireValue) -> WireValue {
+        let applied = chosen.clone();
+        drop_shards(chosen);
+        applied
     }
 
     fn same_decision(a: &WireValue, b: &WireValue) -> bool {
@@ -720,24 +736,9 @@ mod tests {
     }
 
     /// `wire` with its shard bytes dropped.
-    fn metadata(wire: WireValue) -> WireValue {
-        match wire {
-            WireValue::Batch(subs) => WireValue::Batch(subs.into_iter().map(metadata).collect()),
-            WireValue::PutShard {
-                client,
-                req_id,
-                key,
-                shard_idx,
-                ..
-            } => WireValue::PutShard {
-                client,
-                req_id,
-                key,
-                shard_idx,
-                shard: Bytes::new(),
-            },
-            other => other,
-        }
+    fn metadata(mut wire: WireValue) -> WireValue {
+        drop_shards(&mut wire);
+        wire
     }
 
     /// A catch-up reply re-encodes one shard, so it must be the very

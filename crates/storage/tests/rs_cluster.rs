@@ -2,8 +2,10 @@
 //! failover with value recovery, and the θ(3,5) fault-tolerance envelope.
 
 use bytes::Bytes;
+use paxos::msg::ChosenEntry;
+use paxos::Msg;
 use simnet::{NetworkConfig, SimTime};
-use storage::{RsCluster, RsConfig, StoreCmd, StoreResp};
+use storage::{RsCluster, RsConfig, StoreCmd, StoreResp, WireValue};
 
 fn cluster(seed: u64) -> RsCluster {
     RsCluster::new(5, RsConfig::default(), NetworkConfig::default(), seed)
@@ -231,4 +233,41 @@ fn lossy_network_still_converges() {
             "round {i}"
         );
     }
+}
+
+/// An applied put's shard lives in the `ShardStore` alone: a duplicate
+/// `Commit` or a catch-up entry that brings the shard again to a replica
+/// that applied the slot re-attaches no bytes to its log.
+#[test]
+fn late_chosen_entries_reattach_no_shard_to_an_applied_slot() {
+    let mut c = cluster(9);
+    let client = c.add_client();
+    c.submit(client, put("alpha", object(3, 4096)));
+    assert!(c.run_until_drained(client, SimTime::from_secs(30)));
+    let now = c.sim.now();
+    c.sim.run_until(now + SimTime::from_secs(1));
+    let leader = c.leader().expect("a leader");
+    let follower = *c.servers().iter().find(|&&id| id != leader).unwrap();
+    let applied = |c: &RsCluster| c.replica(follower).unwrap().applied_prefix();
+    let (slot, mut value) = applied(&c)
+        .into_iter()
+        .find(|(_, v)| matches!(v, WireValue::PutShard { .. }))
+        .expect("the put applied");
+    if let WireValue::PutShard { shard, .. } = &mut value {
+        assert!(shard.is_empty(), "apply moves the shard to the store");
+        *shard = object(9, 1366);
+    }
+    let entry = ChosenEntry { slot, value };
+    let entries = vec![entry.clone()];
+    c.sim.inject(leader, follower, Msg::Commit { entry });
+    let snapshot = None;
+    c.sim
+        .inject(leader, follower, Msg::CatchupReply { snapshot, entries });
+    let now = c.sim.now();
+    c.sim.run_until(now + SimTime::from_millis(100));
+    let held = applied(&c).into_iter().find(|(s, _)| *s == slot);
+    assert!(
+        matches!(held, Some((_, WireValue::PutShard { shard, .. })) if shard.is_empty()),
+        "a late chosen entry re-attached a shard"
+    );
 }

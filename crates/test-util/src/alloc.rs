@@ -11,7 +11,8 @@
 //! thread and armed only inside that call, so the test harness's own
 //! threads and output do not disturb it, and it is a property of the code,
 //! not of the host: the same build makes the same allocations on any
-//! machine.
+//! machine. Beside the traffic it tracks the bytes still live: what the
+//! call allocated and did not free, such as the state it hands back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,6 +21,7 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static COUNT: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// What [`allocations`] measured.
@@ -29,10 +31,24 @@ pub struct Allocations {
     pub count: u64,
     /// Bytes those allocations requested.
     pub bytes: u64,
+    /// Bytes allocated and not freed by the end of the call (negative
+    /// when it freed more than it allocated).
+    pub live: i64,
+}
+
+/// Record `count` allocations requesting `bytes` that change the live
+/// bytes by `live`, while [`allocations`] is armed on this thread.
+fn record(count: u64, bytes: usize, live: i64) {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = COUNT.try_with(|n| n.set(n.get() + count));
+        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+        let _ = LIVE.try_with(|n| n.set(n.get() + live));
+    }
 }
 
 /// Forwards every request to [`System`], counting allocations made on a
-/// thread while [`allocations`] is running there.
+/// thread, and the bytes they leave live, while [`allocations`] is
+/// running there. A `realloc` counts as one allocation of its new size.
 pub struct Counting;
 
 // SAFETY: every request is forwarded to `System` unchanged; the
@@ -40,15 +56,18 @@ pub struct Counting;
 // thread-locals and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.try_with(Cell::get).unwrap_or(false) {
-            let _ = COUNT.try_with(|n| n.set(n.get() + 1));
-            let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
-        }
+        record(1, layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(0, 0, -(layout.size() as i64));
         System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(1, new_size, new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
     }
 }
 
@@ -58,11 +77,13 @@ unsafe impl GlobalAlloc for Counting {
 pub fn allocations(f: impl FnOnce()) -> Allocations {
     COUNT.with(|n| n.set(0));
     BYTES.with(|n| n.set(0));
+    LIVE.with(|n| n.set(0));
     ARMED.with(|a| a.set(true));
     f();
     ARMED.with(|a| a.set(false));
     Allocations {
         count: COUNT.with(Cell::get),
         bytes: BYTES.with(Cell::get),
+        live: LIVE.with(Cell::get),
     }
 }
