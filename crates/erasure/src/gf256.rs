@@ -5,9 +5,10 @@
 //! Scalar multiplication and inversion go through compile-time log/exp
 //! tables: the field's multiplicative group is cyclic of order 255 with
 //! generator 2, so `a·b = exp[(log a + log b) mod 255]`. Bulk work — a
-//! coefficient times a whole shard — goes through `combine`, which reads
-//! one 256-entry product row per coefficient from a compile-time 64 KiB
-//! multiplication table instead.
+//! coefficient matrix times whole shards — goes through `RowTables`,
+//! which tabulates the matrix's rows two at a time: one u16 lookup per
+//! column byte gives the products of both rows of a pair, so a pair of
+//! output rows costs the table loads of one.
 
 /// The reduction polynomial, as the low 9 bits of 0x11D.
 const POLY: u16 = 0x11D;
@@ -44,24 +45,6 @@ const fn build_log() -> [u8; 256] {
     while i < 255 {
         table[exp[i] as usize] = i as u8;
         i += 1;
-    }
-    table
-}
-
-/// `MUL[c][s] = c·s`: row `c` is the product row of coefficient `c`. A
-/// `static`, so a row is a borrow of read-only data, never a copy.
-static MUL: [[u8; 256]; 256] = build_mul();
-
-const fn build_mul() -> [[u8; 256]; 256] {
-    let mut table = [[0u8; 256]; 256];
-    let mut c = 1;
-    while c < 256 {
-        let mut s = 1;
-        while s < 256 {
-            table[c][s] = EXP[LOG[c] as usize + LOG[s] as usize];
-            s += 1;
-        }
-        c += 1;
     }
     table
 }
@@ -118,39 +101,142 @@ impl Gf {
     }
 }
 
-/// The codec's one multiply-accumulate kernel: the linear combination of
-/// equal-length byte columns, `out[i] = Σⱼ coeffs[j] · cols[j][i]`.
-///
-/// Each coefficient becomes its product row (`row[s] = c·s`, a borrow of
-/// the multiplication table), so a byte costs one lookup per column.
-/// Columns go three to a pass, and every (m, n) takes this one form: the
-/// first pass writes each output byte once, a code wider than three
-/// columns XORs its further passes in, and a short last group is padded
-/// with the zero coefficient over the group's first column, whose
-/// lookups all read 0.
-pub(crate) fn combine(coeffs: &[Gf], cols: &[&[u8]]) -> Vec<u8> {
-    assert!(!cols.is_empty(), "at least one column");
-    assert_eq!(coeffs.len(), cols.len(), "one coefficient per column");
-    let len = cols[0].len();
-    assert!(cols.iter().all(|c| c.len() == len), "shard length mismatch");
-    let pass = |g: usize| {
-        let at = |j: usize| match coeffs.get(g + j) {
-            Some(c) => (&MUL[c.0 as usize], cols[g + j]),
-            None => (&MUL[0], cols[g]),
-        };
-        let ((r0, a), (r1, b), (r2, c)) = (at(0), at(1), at(2));
-        a.iter()
-            .zip(b)
-            .zip(c)
-            .map(move |((&a, &b), &c)| r0[a as usize] ^ r1[b as usize] ^ r2[c as usize])
-    };
-    let mut out: Vec<u8> = pass(0).collect();
-    for g in (3..coeffs.len()).step_by(3) {
-        for (d, x) in out.iter_mut().zip(pass(g)) {
-            *d ^= x;
+/// The products of one column byte with a pair of coefficients, one per
+/// byte lane: `tab[x] = a·x | (b·x) << 8`.
+type PairTable = [u16; 256];
+
+/// The table of the zero pair, over which a short last group of columns
+/// is padded: every lookup reads 0.
+static ZERO_PAIR: PairTable = [0; 256];
+
+/// `pair_table(a, b)[x] = a·x | (b·x) << 8`. A product is GF(2)-linear in
+/// `x` (`a·(x ⊕ y) = a·x ⊕ a·y`), so entry `2ᵏ + i` is entry `2ᵏ` XOR
+/// entry `i`: eight multiplications fill the table.
+fn pair_table(a: Gf, b: Gf) -> PairTable {
+    let mut tab = [0u16; 256];
+    for k in 0..8 {
+        let bit = 1usize << k;
+        let x = Gf(bit as u8);
+        let base = u16::from(a.mul(x).0) | u16::from(b.mul(x).0) << 8;
+        for i in 0..bit {
+            tab[bit + i] = tab[i] ^ base;
         }
     }
-    out
+    tab
+}
+
+/// Where one pair of rows' products go: both byte lanes, each to its own
+/// output, or (an odd last row, paired with the zero row) the low lane
+/// alone.
+enum Lanes<'a> {
+    Both(&'a mut [u8], &'a mut [u8]),
+    Low(&'a mut [u8]),
+}
+
+impl Lanes<'_> {
+    /// Write (`first`) or XOR in one pass's products.
+    #[inline(always)]
+    fn take(&mut self, products: impl Iterator<Item = u16>, first: bool) {
+        match self {
+            Lanes::Both(lo, hi) => {
+                let outs = lo.iter_mut().zip(hi.iter_mut()).zip(products);
+                if first {
+                    outs.for_each(|((l, h), t)| (*l, *h) = (t as u8, (t >> 8) as u8));
+                } else {
+                    outs.for_each(|((l, h), t)| {
+                        *l ^= t as u8;
+                        *h ^= (t >> 8) as u8;
+                    });
+                }
+            }
+            Lanes::Low(out) => {
+                let outs = out.iter_mut().zip(products);
+                if first {
+                    outs.for_each(|(o, t)| *o = t as u8);
+                } else {
+                    outs.for_each(|(o, t)| *o ^= t as u8);
+                }
+            }
+        }
+    }
+}
+
+/// The codec's one multiply-accumulate kernel: the rows of a coefficient
+/// matrix, tabulated for `out[r][i] = Σⱼ rows[r][j] · cols[j][i]` over
+/// equal-length byte columns.
+///
+/// Rows go in pairs: one `PairTable` per (pair, column) gives both
+/// rows' products of a byte in one u16 lookup, so two output rows cost
+/// the loads of one. An odd row count pairs its last row with the zero
+/// row. Columns go three to a pass, and every shape takes this one form:
+/// the first pass writes each output byte once, a code wider than three
+/// columns XORs its further passes in, and a short last group is padded
+/// with the zero table over the group's first column.
+#[derive(Clone, Debug)]
+pub(crate) struct RowTables {
+    rows: usize,
+    cols: usize,
+    /// `tabs[p * cols + j]`: column `j`'s table for rows `2p` and `2p + 1`.
+    tabs: Vec<PairTable>,
+}
+
+impl RowTables {
+    /// Tabulate equal-length coefficient rows.
+    pub(crate) fn new(rows: &[&[Gf]]) -> Self {
+        let cols = rows.first().map_or(0, |r| r.len());
+        assert!(rows.iter().all(|r| r.len() == cols), "ragged rows");
+        let tabs = rows
+            .chunks(2)
+            .flat_map(|pair| {
+                let (a, b) = (pair[0], pair.get(1).copied());
+                (0..cols).map(move |j| pair_table(a[j], b.map_or(Gf::ZERO, |b| b[j])))
+            })
+            .collect();
+        RowTables {
+            rows: rows.len(),
+            cols,
+            tabs,
+        }
+    }
+
+    /// Every row: `outs[r] = Σⱼ rows[r][j] · cols[j]`.
+    pub(crate) fn apply(&self, cols: &[&[u8]], outs: &mut [&mut [u8]]) {
+        assert_eq!(outs.len(), self.rows, "one output per row");
+        for (p, pair) in outs.chunks_mut(2).enumerate() {
+            let lanes = match pair {
+                [lo, hi] => Lanes::Both(lo, hi),
+                [lo] => Lanes::Low(lo),
+                _ => unreachable!("chunks of two"),
+            };
+            self.run(p, cols, lanes);
+        }
+    }
+
+    fn run(&self, pair: usize, cols: &[&[u8]], mut lanes: Lanes<'_>) {
+        assert!(!cols.is_empty(), "at least one column");
+        assert_eq!(cols.len(), self.cols, "one column per coefficient");
+        let len = cols[0].len();
+        assert!(cols.iter().all(|c| c.len() == len), "shard length mismatch");
+        let fits = match &lanes {
+            Lanes::Both(lo, hi) => lo.len() == len && hi.len() == len,
+            Lanes::Low(out) => out.len() == len,
+        };
+        assert!(fits, "output length mismatch");
+        let tabs = &self.tabs[pair * self.cols..][..self.cols];
+        for g in (0..self.cols).step_by(3) {
+            let at = |j: usize| match tabs.get(g + j) {
+                Some(t) => (t, cols[g + j]),
+                None => (&ZERO_PAIR, cols[g]),
+            };
+            let ((t0, a), (t1, b), (t2, c)) = (at(0), at(1), at(2));
+            let products = a
+                .iter()
+                .zip(b)
+                .zip(c)
+                .map(|((&a, &b), &c)| t0[a as usize] ^ t1[b as usize] ^ t2[c as usize]);
+            lanes.take(products, g == 0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -252,32 +338,68 @@ mod tests {
         }
     }
 
-    /// Every coefficient's product row against `Gf::mul`, alone and in
-    /// every column position of one- to seven-column combinations (full
-    /// passes of three, a padded tail of one and of two).
+    /// `Σⱼ rows[r][j] · cols[j][i]`, one `Gf::mul` per term.
+    fn elementwise(rows: &[Vec<Gf>], cols: &[&[u8]]) -> Vec<Vec<u8>> {
+        let len = cols[0].len();
+        rows.iter()
+            .map(|row| {
+                (0..len)
+                    .map(|i| {
+                        let terms = row.iter().zip(cols).map(|(k, col)| k.mul(Gf(col[i])));
+                        terms.fold(Gf::ZERO, Gf::add).0
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn combine_matches_elementwise() {
+    fn pair_tables_hold_both_products() {
+        for a in 0..=255u8 {
+            let b = a.wrapping_mul(97).wrapping_add(5);
+            let tab = pair_table(Gf(a), Gf(b));
+            for x in 0..=255u8 {
+                let want = u16::from(Gf(a).mul(Gf(x)).0) | u16::from(Gf(b).mul(Gf(x)).0) << 8;
+                assert_eq!(tab[x as usize], want, "a={a} b={b} x={x}");
+            }
+        }
+    }
+
+    /// Every coefficient alone, then one to five rows (whole pairs and an
+    /// odd row paired with the zero row) over one to seven columns (full
+    /// passes of three, a padded tail of one and of two), with every
+    /// coefficient in every column position of row 0.
+    #[test]
+    fn kernel_matches_elementwise() {
         let src: Vec<u8> = (0..=255).collect();
         for c in 0..=255u8 {
-            let expect: Vec<u8> = src.iter().map(|&s| Gf(c).mul(Gf(s)).0).collect();
-            assert_eq!(combine(&[Gf(c)], &[&src]), expect, "c={c}");
+            let row = [Gf(c)];
+            let mut out = vec![0xAA; 256];
+            RowTables::new(&[&row]).apply(&[&src], &mut [&mut out]);
+            assert_eq!(out, elementwise(&[row.to_vec()], &[&src])[0], "c={c}");
         }
         let cols: Vec<Vec<u8>> = (0..7usize)
             .map(|j| (0..300).map(|i| (i * (2 * j + 3) + 31 * j) as u8).collect())
             .collect();
         for width in 1..=cols.len() {
             let cols: Vec<&[u8]> = cols[..width].iter().map(Vec::as_slice).collect();
-            for c in 0..=255u8 {
-                let coeffs: Vec<Gf> = (0..width)
-                    .map(|j| Gf(c.wrapping_add(37 * j as u8)))
-                    .collect();
-                let expect: Vec<u8> = (0..300)
-                    .map(|i| {
-                        let terms = coeffs.iter().zip(&cols).map(|(k, col)| k.mul(Gf(col[i])));
-                        terms.fold(Gf::ZERO, Gf::add).0
-                    })
-                    .collect();
-                assert_eq!(combine(&coeffs, &cols), expect, "width={width} c={c}");
+            for nrows in 1..=5usize {
+                for c in 0..=255u8 {
+                    let rows: Vec<Vec<Gf>> = (0..nrows)
+                        .map(|r| {
+                            (0..width)
+                                .map(|j| Gf(c.wrapping_add(37 * j as u8).wrapping_mul(r as u8 + 1)))
+                                .collect()
+                        })
+                        .collect();
+                    let row_refs: Vec<&[Gf]> = rows.iter().map(Vec::as_slice).collect();
+                    let tables = RowTables::new(&row_refs);
+                    let want = elementwise(&rows, &cols);
+                    let mut got = vec![vec![0x55u8; 300]; nrows];
+                    let mut outs: Vec<&mut [u8]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                    tables.apply(&cols, &mut outs);
+                    assert_eq!(got, want, "width={width} rows={nrows} c={c}");
+                }
             }
         }
     }

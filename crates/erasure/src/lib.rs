@@ -8,17 +8,20 @@
 //!
 //! * [`gf256`] — the finite field GF(2⁸) with the 0x11D reduction
 //!   polynomial: log/exp-table scalar multiplication, division and
-//!   inversion, and `gf256::combine`, the one bulk kernel — a product
-//!   row per coefficient, a lookup per byte and column.
+//!   inversion, and `gf256::RowTables`, the one bulk kernel — rows of a
+//!   coefficient matrix tabulated in pairs, so one u16 lookup per byte
+//!   and column gives two output rows' products.
 //! * [`matrix`] — dense matrices over GF(2⁸): multiplication, Gauss–Jordan
 //!   inversion, Vandermonde construction.
 //! * [`rs`] — the systematic Reed–Solomon codec θ(m, n): encode data
 //!   shards into parity shards, reconstruct from any `m` survivors, plus
-//!   whole-object helpers (length framing + padding) and the single shard
-//!   of an object that a catch-up reply needs.
+//!   whole-object helpers (length framing + padding; an object's `n`
+//!   shards are slices of one buffer).
 //!
-//! The kernel is safe Rust: no `unsafe`, no `std::arch`. What SIMD would
-//! add is left on the table on purpose (ROADMAP item 5).
+//! The kernel is safe Rust with one code path: no `unsafe`, no
+//! `std::arch`, no per-shape fast path. A table kernel's cost is its
+//! loads per output byte, and pairing rows halves the table loads
+//! (ROADMAP item 5(b)).
 #![forbid(unsafe_code)]
 
 pub mod gf256;

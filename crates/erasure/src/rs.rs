@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 
-use crate::gf256::combine;
+use crate::gf256::RowTables;
 use crate::matrix::Matrix;
 
 /// Errors from encoding / reconstruction.
@@ -58,9 +58,6 @@ impl std::error::Error for ErasureError {}
 ///     .map(|(i, s)| (i != 0 && i != 3).then_some(&s[..]))
 ///     .collect();
 /// assert_eq!(rs.decode_object(&partial).unwrap(), b"replicate me cheaply");
-///
-/// // One shard of an object costs one shard's work, not five.
-/// assert_eq!(rs.encode_shard(b"replicate me cheaply", 4), shards[4]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ReedSolomon {
@@ -68,6 +65,8 @@ pub struct ReedSolomon {
     n: usize,
     /// The full n×m encoding matrix (top m rows are the identity).
     encode_matrix: Matrix,
+    /// Its parity rows `m..n`, tabulated once for the kernel.
+    parity: RowTables,
 }
 
 impl ReedSolomon {
@@ -80,10 +79,13 @@ impl ReedSolomon {
             .inverse()
             .expect("vandermonde top block invertible");
         let encode_matrix = v.mul(&top_inv);
+        let parity_rows: Vec<_> = (m..n).map(|r| encode_matrix.row(r)).collect();
+        let parity = RowTables::new(&parity_rows);
         ReedSolomon {
             m,
             n,
             encode_matrix,
+            parity,
         }
     }
 
@@ -95,12 +97,6 @@ impl ReedSolomon {
     /// Total shards `n`.
     pub fn total_shards(&self) -> usize {
         self.n
-    }
-
-    /// The `n − m` parity shards of `m` equal-length data columns, in
-    /// shard order: one kernel row each.
-    fn parity<'a>(&'a self, data: &'a [&'a [u8]]) -> impl Iterator<Item = Vec<u8>> + 'a {
-        (self.m..self.n).map(|r| combine(self.encode_matrix.row(r), data))
     }
 
     /// Encode `m` equal-length data shards into `n` shards (the first `m`
@@ -117,8 +113,11 @@ impl ReedSolomon {
             return Err(ErasureError::ShardSizeMismatch);
         }
         let cols: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let mut parity = vec![vec![0; len]; self.n - self.m];
+        let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        self.parity.apply(&cols, &mut outs);
         let mut shards = data.to_vec();
-        shards.extend(self.parity(&cols));
+        shards.extend(parity);
         Ok(shards)
     }
 
@@ -128,82 +127,95 @@ impl ReedSolomon {
         &self,
         shards: &[Option<S>],
     ) -> Result<Vec<Vec<u8>>, ErasureError> {
+        let len = self.shard_len_of(shards)?;
+        let mut data = vec![vec![0; len]; self.m];
+        let mut outs: Vec<&mut [u8]> = data.iter_mut().map(Vec::as_mut_slice).collect();
+        self.rebuild(shards, &mut outs);
+        Ok(data)
+    }
+
+    /// The common length of the survivors, once there are at least `m`
+    /// of them and they agree on it.
+    fn shard_len_of<S: AsRef<[u8]>>(&self, shards: &[Option<S>]) -> Result<usize, ErasureError> {
         assert_eq!(shards.len(), self.n, "expected {} shard slots", self.n);
-        let present: Vec<(usize, &[u8])> = shards
+        let mut present = shards.iter().flatten().map(|s| s.as_ref().len());
+        let have = present.clone().count();
+        if have < self.m {
+            return Err(ErasureError::NotEnoughShards {
+                needed: self.m,
+                have,
+            });
+        }
+        let len = present.next().expect("m ≥ 1 survivors");
+        if present.any(|l| l != len) {
+            return Err(ErasureError::ShardSizeMismatch);
+        }
+        Ok(len)
+    }
+
+    /// Write data shard `r` into `outs[r]` for every `r < m`, from
+    /// survivors `shard_len_of` accepted.
+    ///
+    /// The first m survivors decide. Every surviving data shard is among
+    /// them (shard r has at most r ≤ m − 1 survivors before it) and is
+    /// copied as it is; the lost ones are their rows of the inverse of the
+    /// survivors' encode rows, times the survivors, all in one kernel
+    /// call. With all data shards present no inverse is built.
+    fn rebuild<S: AsRef<[u8]>>(&self, shards: &[Option<S>], outs: &mut [&mut [u8]]) {
+        let (rows, survivors): (Vec<usize>, Vec<&[u8]>) = shards
             .iter()
             .enumerate()
             .filter_map(|(i, s)| Some((i, s.as_ref()?.as_ref())))
-            .collect();
-        if present.len() < self.m {
-            return Err(ErasureError::NotEnoughShards {
-                needed: self.m,
-                have: present.len(),
-            });
+            .take(self.m)
+            .unzip();
+        let mut lost = Vec::new();
+        for (r, (out, shard)) in outs.iter_mut().zip(&shards[..self.m]).enumerate() {
+            match shard {
+                Some(data) => out.copy_from_slice(data.as_ref()),
+                None => lost.push((r, &mut **out)),
+            }
         }
-        let len = present[0].1.len();
-        if present.iter().any(|(_, s)| s.len() != len) {
-            return Err(ErasureError::ShardSizeMismatch);
+        if lost.is_empty() {
+            return;
         }
-        // The first m survivors decide. Every surviving data shard is
-        // among them (shard r has at most r ≤ m − 1 survivors before it)
-        // and is returned as it is; a lost one is its row of the inverse
-        // of the survivors' encode rows, times the survivors. With all
-        // data shards present no inverse is built.
-        let (rows, survivors): (Vec<usize>, Vec<&[u8]>) = present.into_iter().take(self.m).unzip();
-        let mut inverse = None;
-        Ok(shards[..self.m]
-            .iter()
-            .enumerate()
-            .map(|(r, shard)| match shard {
-                Some(data) => data.as_ref().to_vec(),
-                None => {
-                    let inv = inverse.get_or_insert_with(|| {
-                        self.encode_matrix
-                            .select_rows(&rows)
-                            .inverse()
-                            .expect("any m rows of a normalized Vandermonde are independent")
-                    });
-                    combine(inv.row(r), &survivors)
-                }
-            })
-            .collect())
+        let inverse = self
+            .encode_matrix
+            .select_rows(&rows)
+            .inverse()
+            .expect("any m rows of a normalized Vandermonde are independent");
+        let (lost_rows, mut lost_outs): (Vec<_>, Vec<_>) = lost
+            .into_iter()
+            .map(|(r, out)| (inverse.row(r), out))
+            .unzip();
+        RowTables::new(&lost_rows).apply(&survivors, &mut lost_outs);
     }
 
-    /// The framing every object is coded under: a u64 length header, the
-    /// object, zero padding to a multiple of `m`. Returns the frame and
-    /// the shard length; data shard `i` is the frame's `i`-th chunk of
-    /// that length.
-    fn frame(&self, object: &[u8]) -> (Vec<u8>, usize) {
-        let shard_len = (8 + object.len()).div_ceil(self.m);
-        let mut framed = Vec::with_capacity(shard_len * self.m);
-        framed.extend_from_slice(&(object.len() as u64).to_le_bytes());
-        framed.extend_from_slice(object);
-        framed.resize(shard_len * self.m, 0);
-        (framed, shard_len)
+    /// The shard length of an object of `len` bytes: the frame (a u64
+    /// length header, the object, zero padding) cut into `m` chunks.
+    fn shard_len(&self, len: usize) -> usize {
+        (8 + len).div_ceil(self.m)
     }
 
     /// Encode an arbitrary byte object: frames it with a u64 length
     /// header, pads to a multiple of `m`, splits into `m` data shards and
     /// encodes. The per-shard overhead is `⌈(len+8)/m⌉ − len/m` bytes.
+    ///
+    /// All `n` shards are slices of one buffer: the frame, then the parity
+    /// rows the kernel writes behind it.
     pub fn encode_object(&self, object: &[u8]) -> Vec<Bytes> {
-        let (framed, shard_len) = self.frame(object);
-        let data: Vec<&[u8]> = framed.chunks(shard_len).collect();
-        let mut shards: Vec<Bytes> = data.iter().map(|d| Bytes::copy_from_slice(d)).collect();
-        shards.extend(self.parity(&data).map(Bytes::from));
-        shards
-    }
-
-    /// Shard `idx` of [`ReedSolomon::encode_object`]`(object)` without the
-    /// other `n − 1`: a data shard is a slice of the frame, a parity
-    /// shard one kernel row over it.
-    pub fn encode_shard(&self, object: &[u8], idx: usize) -> Bytes {
-        assert!(idx < self.n, "shard {idx} of θ({}, {})", self.m, self.n);
-        let (framed, shard_len) = self.frame(object);
-        if idx < self.m {
-            return Bytes::copy_from_slice(&framed[idx * shard_len..][..shard_len]);
-        }
-        let data: Vec<&[u8]> = framed.chunks(shard_len).collect();
-        Bytes::from(combine(self.encode_matrix.row(idx), &data))
+        let shard_len = self.shard_len(object.len());
+        let mut buf = Vec::with_capacity(self.n * shard_len);
+        buf.extend_from_slice(&(object.len() as u64).to_le_bytes());
+        buf.extend_from_slice(object);
+        buf.resize(self.n * shard_len, 0);
+        let (data, parity) = buf.split_at_mut(self.m * shard_len);
+        let cols: Vec<&[u8]> = data.chunks(shard_len).collect();
+        let mut outs: Vec<&mut [u8]> = parity.chunks_mut(shard_len).collect();
+        self.parity.apply(&cols, &mut outs);
+        let buf = Bytes::from(buf);
+        (0..self.n)
+            .map(|i| buf.slice(i * shard_len..(i + 1) * shard_len))
+            .collect()
     }
 
     /// Reassemble an object encoded by [`ReedSolomon::encode_object`] from
@@ -212,14 +224,13 @@ impl ReedSolomon {
         &self,
         shards: &[Option<S>],
     ) -> Result<Vec<u8>, ErasureError> {
-        let data = self.reconstruct(shards)?;
-        let mut framed = Vec::with_capacity(data.len() * data[0].len());
-        for d in data {
-            framed.extend_from_slice(&d);
-        }
-        if framed.len() < 8 {
+        let len = self.shard_len_of(shards)?;
+        if self.m * len < 8 {
             return Err(ErasureError::CorruptObject);
         }
+        let mut framed = vec![0; self.m * len];
+        let mut outs: Vec<&mut [u8]> = framed.chunks_mut(len).collect();
+        self.rebuild(shards, &mut outs);
         let len = u64::from_le_bytes(framed[..8].try_into().expect("8 bytes")) as usize;
         if len > framed.len() - 8 {
             return Err(ErasureError::CorruptObject);

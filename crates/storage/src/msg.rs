@@ -1,7 +1,15 @@
 //! RS-Paxos commands, slot values and service-only messages.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use simnet::NodeId;
+
+/// An object key inside the service. A client's `String` becomes one
+/// shared `Arc<str>` when the leader admits its command; every slot
+/// value, wire value, message and store entry after that clones a
+/// reference count. It prints like the `String` under `Debug`.
+pub(crate) type Key = Arc<str>;
 
 /// Client-visible store commands.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,7 +63,7 @@ pub(crate) enum SlotValue {
         /// Client request id.
         req_id: u64,
         /// Object key.
-        key: String,
+        key: Key,
         /// Full object bytes.
         object: Bytes,
     },
@@ -66,7 +74,7 @@ pub(crate) enum SlotValue {
         /// Client request id.
         req_id: u64,
         /// Object key.
-        key: String,
+        key: Key,
     },
     /// A delete.
     Delete {
@@ -75,7 +83,7 @@ pub(crate) enum SlotValue {
         /// Client request id.
         req_id: u64,
         /// Object key.
-        key: String,
+        key: Key,
     },
     /// Several commands agreed on as one slot value, applied in order
     /// and atomically within the slot. Invariants: never empty, never
@@ -98,7 +106,7 @@ pub enum WireValue {
         /// Client request id.
         req_id: u64,
         /// Object key.
-        key: String,
+        key: Key,
         /// This acceptor's shard index.
         shard_idx: u8,
         /// Shard bytes.
@@ -111,7 +119,7 @@ pub enum WireValue {
         /// Client request id.
         req_id: u64,
         /// Object key.
-        key: String,
+        key: Key,
     },
     /// A delete marker.
     Delete {
@@ -120,7 +128,7 @@ pub enum WireValue {
         /// Client request id.
         req_id: u64,
         /// Object key.
-        key: String,
+        key: Key,
     },
     /// A batch: one wire sub-value per `SlotValue::Batch` entry, in
     /// the same order (each destination gets its own shard for puts).
@@ -136,14 +144,14 @@ pub enum ShardMsg {
     /// Leader → replica: send me your shard of `(key, version)`.
     Pull {
         /// Object key.
-        key: String,
+        key: Key,
         /// Version (slot of the put).
         version: u64,
     },
     /// Replica → leader: here is my shard.
     Push {
         /// Object key.
-        key: String,
+        key: Key,
         /// Version.
         version: u64,
         /// Shard index.

@@ -11,7 +11,7 @@ use paxos::replica::PROPOSAL_RETRY;
 use paxos::{Compose, Msg, PendingOp, QuorumRule, Replica, ReplicaConfig, Service, Slot};
 use simnet::{Context, NodeId, SimTime};
 
-use crate::msg::{ShardMsg, SlotValue, StoreCmd, StoreResp, WireValue};
+use crate::msg::{Key, ShardMsg, SlotValue, StoreCmd, StoreResp, WireValue};
 use crate::store::ShardStore;
 
 /// RS-Paxos deployment parameters.
@@ -73,6 +73,16 @@ pub struct Coded {
     shards: Vec<Option<Vec<Bytes>>>,
 }
 
+/// The leader's copy of a key's latest version it saw chosen or rebuilt.
+#[derive(Clone, Debug)]
+struct Cached {
+    version: u64,
+    object: Bytes,
+    /// Its `n` shards by view position: the ones the put was proposed
+    /// with, or those of an object a read rebuilt, encoded once then.
+    shards: Vec<Bytes>,
+}
+
 #[derive(Clone, Debug)]
 struct PendingRead {
     client: NodeId,
@@ -87,12 +97,12 @@ struct PendingRead {
 pub struct RsService {
     codec: ReedSolomon,
     store: ShardStore,
-    /// Leader-side full-object cache: key → (version, object).
-    objects: HashMap<String, (u64, Bytes)>,
+    /// Leader-side full-object cache: key → its latest version.
+    objects: HashMap<Key, Cached>,
     /// Reads awaiting shard reconstruction: (key, version) → state.
     /// Ordered, not hashed: reads due in one tick are answered and
     /// re-pulled in walk order, which must not vary from run to run.
-    pending_reads: BTreeMap<(String, u64), PendingRead>,
+    pending_reads: BTreeMap<(Key, u64), PendingRead>,
     /// Lifetime count of batch slot values applied (survives reboots;
     /// chaos sweeps assert the batched path actually ran).
     batches_applied: u64,
@@ -202,24 +212,26 @@ impl RsService {
     }
 }
 
+/// The slot value of an admitted command; its key becomes the one
+/// shared `Key` every later copy clones.
 fn cmd_value(p: PendingOp<StoreCmd>) -> SlotValue {
     let PendingOp { client, req_id, .. } = p;
     match p.op {
         StoreCmd::Put { key, object } => SlotValue::Put {
             client,
             req_id,
-            key,
+            key: key.into(),
             object,
         },
         StoreCmd::Get { key } => SlotValue::Get {
             client,
             req_id,
-            key,
+            key: key.into(),
         },
         StoreCmd::Delete { key } => SlotValue::Delete {
             client,
             req_id,
-            key,
+            key: key.into(),
         },
     }
 }
@@ -383,9 +395,9 @@ impl Service for RsService {
         host.encode(value)
     }
 
-    /// Re-encode the destination's shard when the full object is at
-    /// hand, otherwise send metadata (an empty shard) so the destination
-    /// at least tracks versions.
+    /// Hand the destination its cached shard while the leader caches the
+    /// slot's put; otherwise send metadata (an empty shard) so the
+    /// destination at least tracks versions.
     fn reshape(
         host: &RsService,
         chosen: &WireValue,
@@ -408,9 +420,7 @@ impl Service for RsService {
             } => {
                 let dest_idx = dest_idx.expect("storage peers are in the fixed view");
                 let shard = match host.objects.get(key) {
-                    Some((version, object)) if *version == slot => {
-                        host.codec.encode_shard(object, dest_idx)
-                    }
+                    Some(cached) if cached.version == slot => cached.shards[dest_idx].clone(),
                     _ => Bytes::new(),
                 };
                 WireValue::PutShard {
@@ -494,16 +504,22 @@ impl Service for RsService {
         host.encode(value)
     }
 
-    /// Cache the full objects the leader just got chosen (each batched
-    /// put shares the slot as its version).
+    /// Cache the full objects the leader just got chosen, with the shards
+    /// they were proposed with (each batched put shares the slot as its
+    /// version).
     fn chosen(host: &mut RsService, slot: Slot, coded: &Coded) {
         let subs = match &coded.value {
             SlotValue::Batch(subs) => subs.as_slice(),
             single => std::slice::from_ref(single),
         };
-        for sub in subs {
-            if let SlotValue::Put { key, object, .. } = sub {
-                host.objects.insert(key.clone(), (slot, object.clone()));
+        for (sub, shards) in subs.iter().zip(&coded.shards) {
+            if let (SlotValue::Put { key, object, .. }, Some(shards)) = (sub, shards) {
+                let cached = Cached {
+                    version: slot,
+                    object: object.clone(),
+                    shards: shards.clone(),
+                };
+                host.objects.insert(key.clone(), cached);
             }
         }
     }
@@ -642,8 +658,8 @@ fn apply_one(r: &mut RsReplica, slot: Slot, value: WireValue, ctx: &mut Context<
                 return r.finish(client, req_id, Some(StoreResp::Value { object: None }), ctx);
             };
             let version = entry.version;
-            if let Some((_, object)) = host.objects.get(&key).filter(|(v, _)| *v == version) {
-                let object = Some(object.clone());
+            if let Some(cached) = host.objects.get(&key).filter(|c| c.version == version) {
+                let object = Some(cached.object.clone());
                 return r.finish(client, req_id, Some(StoreResp::Value { object }), ctx);
             }
             // Reconstruct: gather shards from peers.
@@ -672,7 +688,7 @@ fn apply_one(r: &mut RsReplica, slot: Slot, value: WireValue, ctx: &mut Context<
 fn try_finish_reads(r: &mut RsReplica, ctx: &mut Context<Msg<RsService>>) {
     let host = r.service();
     let m = host.codec.data_shards();
-    let done: Vec<(String, u64)> = host
+    let done: Vec<(Key, u64)> = host
         .pending_reads
         .iter()
         .filter(|(_, read)| read.shards.len() >= m)
@@ -687,8 +703,13 @@ fn try_finish_reads(r: &mut RsReplica, ctx: &mut Context<Msg<RsService>>) {
         }
         let resp = match host.codec.decode_object(&slots) {
             Ok(object) => {
-                let object = Bytes::from(object);
-                host.objects.insert(key_ver.0, (key_ver.1, object.clone()));
+                let cached = Cached {
+                    version: key_ver.1,
+                    shards: host.codec.encode_object(&object),
+                    object: Bytes::from(object),
+                };
+                let object = cached.object.clone();
+                host.objects.insert(key_ver.0, cached);
                 host.reads_reconstructed.inc();
                 StoreResp::Value {
                     object: Some(object),
@@ -741,11 +762,11 @@ mod tests {
         wire
     }
 
-    /// A catch-up reply re-encodes one shard, so it must be the very
-    /// value the proposal sent that destination — whichever replica's
-    /// copy the leader reshapes from — while the object is cached at the
-    /// slot; and metadata only (an empty shard, which `absorb` upgrades
-    /// later) once the cached version differs or the key is gone.
+    /// A catch-up reply must be the very value the proposal sent that
+    /// destination — whichever replica's copy the leader reshapes from —
+    /// while the object is cached at the slot; and metadata only (an empty
+    /// shard, which `absorb` upgrades later) once the cached version
+    /// differs or the key is gone.
     #[test]
     fn reshape_is_wire_for_while_the_object_is_cached() {
         const N: usize = 5;

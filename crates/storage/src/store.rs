@@ -4,6 +4,8 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
+use crate::msg::Key;
+
 /// What one replica knows about one key.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardEntry {
@@ -20,7 +22,7 @@ pub struct ShardEntry {
 /// The applied key → shard map of one replica.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStore {
-    entries: BTreeMap<String, ShardEntry>,
+    entries: BTreeMap<Key, ShardEntry>,
 }
 
 impl ShardStore {
@@ -33,7 +35,7 @@ impl ShardStore {
     /// an equal version with bytes upgrades a metadata-only record.
     pub(crate) fn apply_put(
         &mut self,
-        key: &str,
+        key: &Key,
         version: u64,
         shard_idx: u8,
         shard: Option<Bytes>,
@@ -48,7 +50,7 @@ impl ShardStore {
             }
             _ => {
                 self.entries.insert(
-                    key.to_string(),
+                    key.clone(),
                     ShardEntry {
                         version,
                         shard_idx,
@@ -90,10 +92,10 @@ mod tests {
     #[test]
     fn versions_are_monotone() {
         let mut s = ShardStore::new();
-        s.apply_put("k", 5, 1, Some(Bytes::from_static(b"v5")));
-        s.apply_put("k", 3, 1, Some(Bytes::from_static(b"v3")));
+        s.apply_put(&"k".into(), 5, 1, Some(Bytes::from_static(b"v5")));
+        s.apply_put(&"k".into(), 3, 1, Some(Bytes::from_static(b"v3")));
         assert_eq!(s.get("k").unwrap().version, 5);
-        s.apply_put("k", 9, 2, Some(Bytes::from_static(b"v9")));
+        s.apply_put(&"k".into(), 9, 2, Some(Bytes::from_static(b"v9")));
         assert_eq!(s.get("k").unwrap().version, 9);
         assert_eq!(s.get("k").unwrap().shard_idx, 2);
     }
@@ -101,19 +103,19 @@ mod tests {
     #[test]
     fn metadata_upgraded_by_shard_arrival() {
         let mut s = ShardStore::new();
-        s.apply_put("k", 4, 3, None);
+        s.apply_put(&"k".into(), 4, 3, None);
         assert!(s.get("k").unwrap().shard.is_none());
-        s.apply_put("k", 4, 3, Some(Bytes::from_static(b"late")));
+        s.apply_put(&"k".into(), 4, 3, Some(Bytes::from_static(b"late")));
         assert_eq!(s.get("k").unwrap().shard.as_deref(), Some(&b"late"[..]));
         // A second arrival does not clobber.
-        s.apply_put("k", 4, 0, Some(Bytes::from_static(b"dup")));
+        s.apply_put(&"k".into(), 4, 0, Some(Bytes::from_static(b"dup")));
         assert_eq!(s.get("k").unwrap().shard.as_deref(), Some(&b"late"[..]));
     }
 
     #[test]
     fn delete_respects_versions() {
         let mut s = ShardStore::new();
-        s.apply_put("k", 10, 0, Some(Bytes::from_static(b"x")));
+        s.apply_put(&"k".into(), 10, 0, Some(Bytes::from_static(b"x")));
         // A stale delete (version 7 < 10) is ignored.
         s.apply_delete("k", 7);
         assert!(s.get("k").is_some());
@@ -127,9 +129,9 @@ mod tests {
     #[test]
     fn shard_bytes_accounting() {
         let mut s = ShardStore::new();
-        s.apply_put("a", 1, 0, Some(Bytes::from(vec![0u8; 100])));
-        s.apply_put("b", 2, 0, None);
-        s.apply_put("c", 3, 0, Some(Bytes::from(vec![0u8; 50])));
+        s.apply_put(&"a".into(), 1, 0, Some(Bytes::from(vec![0u8; 100])));
+        s.apply_put(&"b".into(), 2, 0, None);
+        s.apply_put(&"c".into(), 3, 0, Some(Bytes::from(vec![0u8; 50])));
         assert_eq!(s.shard_bytes(), 150);
         assert_eq!(s.entries.len(), 3);
     }

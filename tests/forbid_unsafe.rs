@@ -1,7 +1,8 @@
 //! Every library and binary in the workspace is safe Rust: each crate
-//! root — `crates/*/src/lib.rs`, `crates/*/src/main.rs` and the root
-//! `src/lib.rs` — carries `#![forbid(unsafe_code)]`, so an `unsafe`
-//! block anywhere in the crate fails its build.
+//! root — `crates/*/src/lib.rs`, `crates/*/src/main.rs`, the vendored
+//! shims' `vendor/*/src/lib.rs` and the root `src/lib.rs` — carries
+//! `#![forbid(unsafe_code)]`, so an `unsafe` block anywhere in the crate
+//! fails its build.
 //!
 //! The one exception is `test-util`, a test-only crate whose counting
 //! `GlobalAlloc` (`alloc.rs`) has to implement an `unsafe` trait.
@@ -20,8 +21,9 @@ const EXCEPTIONS: &[(&str, &str)] = &[(
 /// Every crate root of the workspace: `(crate directory name, file)`.
 fn crate_roots(root: &Path) -> Vec<(String, PathBuf)> {
     let mut roots = vec![("spot-jupiter".to_string(), root.join("src/lib.rs"))];
-    let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))
-        .expect("crates/")
+    let mut crates: Vec<PathBuf> = ["crates", "vendor"]
+        .into_iter()
+        .flat_map(|dir| fs::read_dir(root.join(dir)).unwrap_or_else(|e| panic!("{dir}/: {e}")))
         .map(|e| e.expect("dir entry").path())
         .filter(|p| p.is_dir())
         .collect();
@@ -51,7 +53,13 @@ fn forbids_unsafe(text: &str) -> bool {
 fn every_crate_root_forbids_unsafe_code() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let roots = crate_roots(root);
-    assert!(roots.len() >= 12, "found only {} crate roots", roots.len());
+    assert!(roots.len() >= 17, "found only {} crate roots", roots.len());
+    for shim in ["bytes", "proptest", "rand", "rand_chacha", "serde_json"] {
+        assert!(
+            roots.iter().any(|(n, _)| n == shim),
+            "vendored shim `{shim}` not checked"
+        );
+    }
     let mut missing = Vec::new();
     for (name, path) in &roots {
         let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));

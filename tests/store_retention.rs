@@ -4,14 +4,20 @@
 //! 200 keys, half puts of 4 KiB / 16 KiB objects, seed 2014) must leave
 //! every applied put in every replica's log with an empty shard, and the
 //! heap it leaves live beyond the shard stores' bytes may come to at
-//! most `MAX_LIVE_BYTES_PER_APPLIED_SLOT` per applied slot.
+//! most `MAX_LIVE_BYTES_PER_APPLIED_SLOT` per applied slot. The run may
+//! make at most `MAX_ALLOCS_PER_REQUEST` heap allocations per scheduled
+//! request, as `tests/serving_allocations.rs` bounds the lock path's.
 //!
 //! A shard belongs to the `ShardStore` once applied; a log that keeps
 //! its own reference (or the accepted copy) holds every overwritten
-//! version too, and the live bytes grow with the puts. The count is
-//! deterministic, so that fails here on any machine. What the store
-//! costs in resident set is the repo benchmark's `store_serving`
-//! `peak_rss_mb`.
+//! version too, and the live bytes grow with the puts. A put is coded
+//! once and then only shared: its key becomes one `Arc<str>` at
+//! admission and its shards slices of one buffer, so a key, shard or
+//! object deep-copied per message, per destination or per apply shows
+//! in the allocation count. Both counts are deterministic, so either
+//! regression fails here on any machine. What the store costs in
+//! resident set and time is the repo benchmark's `store_serving`
+//! `peak_rss_mb` and `ops_per_s`.
 //!
 //! The file is its own test binary with a single test because it installs
 //! the counting `#[global_allocator]` of `test_util::alloc`.
@@ -26,9 +32,15 @@ use test_util::rng_from;
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The measured live bytes (822 per applied slot) plus 10 %; 2 657 while
-/// the log kept a reference to every shard it applied.
+/// Set at 822 measured live bytes per applied slot plus 10 % (788 measured
+/// now); 2 657 while the log kept a reference to every shard it applied.
 const MAX_LIVE_BYTES_PER_APPLIED_SLOT: f64 = 905.0;
+
+/// The measured count (19.69 per request) plus 10 %; 42.04 while every
+/// slot value, wire value and store entry cloned its key as a `String`,
+/// `Bytes` copied on every `From<Vec<u8>>` and `slice`, and every
+/// catch-up reply re-encoded its shard.
+const MAX_ALLOCS_PER_REQUEST: f64 = 21.6;
 
 const KEYS: u64 = 200;
 const START: SimTime = SimTime::from_secs(3);
@@ -83,13 +95,16 @@ fn holds_shard(value: &WireValue) -> bool {
 #[test]
 fn applied_shards_live_in_the_store_alone() {
     let mut cluster = None;
+    let mut requests = 0;
     let allocs = allocations(|| {
         let cfg = RsConfig {
             batch_max_ops: 8,
             ..RsConfig::default()
         };
         let mut c = RsCluster::new(5, cfg, NetworkConfig::default(), 2014);
-        let sessions: Vec<_> = schedules()
+        let schedules = schedules();
+        requests = schedules.iter().map(Vec::len).sum::<usize>();
+        let sessions: Vec<_> = schedules
             .into_iter()
             .map(|s| c.add_open_loop(s))
             .collect();
@@ -122,5 +137,15 @@ fn applied_shards_live_in_the_store_alone() {
         per_slot <= MAX_LIVE_BYTES_PER_APPLIED_SLOT,
         "{per_slot:.0} live bytes per applied slot (budget {MAX_LIVE_BYTES_PER_APPLIED_SLOT}); \
          is the log keeping applied shards again?"
+    );
+    let per_request = allocs.count as f64 / requests as f64;
+    println!(
+        "{per_request:.2} allocations, {:.0} bytes per request over {requests} requests",
+        allocs.bytes as f64 / requests as f64
+    );
+    assert!(
+        per_request <= MAX_ALLOCS_PER_REQUEST,
+        "{per_request:.2} allocations per request (budget {MAX_ALLOCS_PER_REQUEST}); \
+         is a key or shard being deep-copied again?"
     );
 }
