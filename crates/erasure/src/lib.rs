@@ -15,8 +15,10 @@
 //!   inversion, Vandermonde construction.
 //! * [`rs`] — the systematic Reed–Solomon codec θ(m, n): encode data
 //!   shards into parity shards, reconstruct from any `m` survivors, plus
-//!   whole-object helpers (length framing + padding; an object's `n`
-//!   shards are slices of one buffer).
+//!   whole-object helpers. An object's frame is the object, zero padding
+//!   and a u64 length trailer, so the data shards that lie wholly inside
+//!   the object are views of its `Bytes`; the rest of the frame and the
+//!   parity rows are slices of one new buffer.
 //!
 //! The kernel is safe Rust with one code path: no `unsafe`, no
 //! `std::arch`, no per-shape fast path. A table kernel's cost is its

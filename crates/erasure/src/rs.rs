@@ -24,7 +24,7 @@ pub enum ErasureError {
     },
     /// Shards disagree on length.
     ShardSizeMismatch,
-    /// The framed object is corrupt (bad length header).
+    /// The framed object is corrupt (bad length trailer).
     CorruptObject,
 }
 
@@ -45,11 +45,17 @@ impl std::error::Error for ErasureError {}
 /// A θ(m, n) systematic Reed–Solomon codec.
 ///
 /// ```
+/// use bytes::Bytes;
 /// use erasure::ReedSolomon;
 ///
 /// // The paper's storage configuration: 3 data shards, 2 parity.
 /// let rs = ReedSolomon::new(3, 5);
-/// let shards = rs.encode_object(b"replicate me cheaply");
+/// let object = Bytes::from_static(b"replicate me cheaply");
+/// let shards = rs.encode_object(&object);
+///
+/// // The frame is the object, zero padding and a u64 length trailer, so
+/// // the first data shard is a view of the object itself.
+/// assert_eq!(shards[0], object.slice(0..shards[0].len()));
 ///
 /// // Lose any two shards; the object still reconstructs.
 /// let partial: Vec<Option<&[u8]>> = shards
@@ -190,36 +196,51 @@ impl ReedSolomon {
         RowTables::new(&lost_rows).apply(&survivors, &mut lost_outs);
     }
 
-    /// The shard length of an object of `len` bytes: the frame (a u64
-    /// length header, the object, zero padding) cut into `m` chunks.
+    /// The shard length of an object of `len` bytes: its frame (the
+    /// object, zero padding, a u64 length trailer) cut into `m` chunks.
     fn shard_len(&self, len: usize) -> usize {
-        (8 + len).div_ceil(self.m)
+        (len + 8).div_ceil(self.m)
     }
 
-    /// Encode an arbitrary byte object: frames it with a u64 length
-    /// header, pads to a multiple of `m`, splits into `m` data shards and
-    /// encodes. The per-shard overhead is `⌈(len+8)/m⌉ − len/m` bytes.
+    /// Encode an arbitrary byte object: frames it as the object, zero
+    /// padding to a multiple of `m` and a u64 LE length trailer, splits the
+    /// frame into `m` data shards and encodes. The per-shard overhead is
+    /// `⌈(len+8)/m⌉ − len/m` bytes.
     ///
-    /// All `n` shards are slices of one buffer: the frame, then the parity
-    /// rows the kernel writes behind it.
-    pub fn encode_object(&self, object: &[u8]) -> Vec<Bytes> {
+    /// The first `⌊len / shard_len⌋` data shards lie wholly inside the
+    /// object, so they are slices of `object` itself and the kernel reads
+    /// them in place: `m − 1` of them once padding and trailer fit in one
+    /// shard (every object of 18 bytes or more at θ(3, 5)). The remaining
+    /// data shards (the object's tail, the padding and the trailer) and the
+    /// parity rows are slices of one new buffer.
+    pub fn encode_object(&self, object: &Bytes) -> Vec<Bytes> {
         let shard_len = self.shard_len(object.len());
-        let mut buf = Vec::with_capacity(self.n * shard_len);
+        let aliased = object.len() / shard_len;
+        let (head, rest) = object.split_at(aliased * shard_len);
+        let tail_len = (self.m - aliased) * shard_len;
+        let mut buf = Vec::with_capacity((self.n - aliased) * shard_len);
+        buf.extend_from_slice(rest);
+        buf.resize(tail_len - 8, 0);
         buf.extend_from_slice(&(object.len() as u64).to_le_bytes());
-        buf.extend_from_slice(object);
-        buf.resize(self.n * shard_len, 0);
-        let (data, parity) = buf.split_at_mut(self.m * shard_len);
-        let cols: Vec<&[u8]> = data.chunks(shard_len).collect();
+        buf.resize((self.n - aliased) * shard_len, 0);
+        let (tail, parity) = buf.split_at_mut(tail_len);
+        let cols: Vec<&[u8]> = head
+            .chunks(shard_len)
+            .chain(tail.chunks(shard_len))
+            .collect();
         let mut outs: Vec<&mut [u8]> = parity.chunks_mut(shard_len).collect();
         self.parity.apply(&cols, &mut outs);
         let buf = Bytes::from(buf);
-        (0..self.n)
-            .map(|i| buf.slice(i * shard_len..(i + 1) * shard_len))
+        let shard = |from: &Bytes, i: usize| from.slice(i * shard_len..(i + 1) * shard_len);
+        (0..aliased)
+            .map(|i| shard(object, i))
+            .chain((0..self.n - aliased).map(|i| shard(&buf, i)))
             .collect()
     }
 
     /// Reassemble an object encoded by [`ReedSolomon::encode_object`] from
-    /// any `m` surviving shards.
+    /// any `m` surviving shards: rebuild the frame, read its length
+    /// trailer and cut the frame there.
     pub fn decode_object<S: AsRef<[u8]>>(
         &self,
         shards: &[Option<S>],
@@ -231,12 +252,12 @@ impl ReedSolomon {
         let mut framed = vec![0; self.m * len];
         let mut outs: Vec<&mut [u8]> = framed.chunks_mut(len).collect();
         self.rebuild(shards, &mut outs);
-        let len = u64::from_le_bytes(framed[..8].try_into().expect("8 bytes")) as usize;
-        if len > framed.len() - 8 {
+        let body = framed.len() - 8;
+        let len = u64::from_le_bytes(framed[body..].try_into().expect("8 bytes"));
+        if len > body as u64 {
             return Err(ErasureError::CorruptObject);
         }
-        framed.drain(..8);
-        framed.truncate(len);
+        framed.truncate(len as usize);
         Ok(framed)
     }
 }
@@ -308,7 +329,7 @@ mod tests {
     fn object_round_trip_various_sizes() {
         let rs = ReedSolomon::new(3, 5);
         for size in [0usize, 1, 7, 8, 9, 24, 100, 1024, 4097] {
-            let object: Vec<u8> = (0..size).map(|i| (i * 131) as u8).collect();
+            let object = Bytes::from((0..size).map(|i| (i * 131) as u8).collect::<Vec<u8>>());
             let shards = rs.encode_object(&object);
             assert_eq!(shards.len(), 5);
             // Lose shards 1 and 3.
@@ -318,7 +339,7 @@ mod tests {
                 .map(|(i, s)| (i != 1 && i != 3).then(|| s.to_vec()))
                 .collect();
             let decoded = rs.decode_object(&partial).unwrap();
-            assert_eq!(decoded, object, "size {size}");
+            assert_eq!(decoded, object.as_ref(), "size {size}");
         }
     }
 
@@ -326,20 +347,20 @@ mod tests {
     fn replication_degenerate_code() {
         // θ(1, 3) is plain 3-way replication.
         let rs = ReedSolomon::new(1, 3);
-        let object = b"lock-service-state".to_vec();
+        let object = Bytes::from_static(b"lock-service-state");
         let shards = rs.encode_object(&object);
         for keep in 0..3 {
             let partial: Vec<Option<Vec<u8>>> = (0..3)
                 .map(|i| (i == keep).then(|| shards[i].to_vec()))
                 .collect();
-            assert_eq!(rs.decode_object(&partial).unwrap(), object);
+            assert_eq!(rs.decode_object(&partial).unwrap(), object.as_ref());
         }
     }
 
     #[test]
     fn wide_code_works() {
         let rs = ReedSolomon::new(10, 14);
-        let object: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
+        let object = Bytes::from((0..10_000).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
         let shards = rs.encode_object(&object);
         let partial: Vec<Option<Vec<u8>>> = shards
             .iter()
@@ -347,19 +368,46 @@ mod tests {
             .map(|(i, s)| (i % 3 != 1 || i >= 6).then(|| s.to_vec()))
             .collect();
         assert!(partial.iter().filter(|s| s.is_some()).count() >= 10);
-        assert_eq!(rs.decode_object(&partial).unwrap(), object);
+        assert_eq!(rs.decode_object(&partial).unwrap(), object.as_ref());
     }
 
     #[test]
     fn corrupt_length_header_detected() {
         let rs = ReedSolomon::new(2, 3);
-        let shards = rs.encode_object(b"hello");
+        let shards = rs.encode_object(&Bytes::from_static(b"hello"));
         let mut partial: Vec<Option<Vec<u8>>> = shards.iter().map(|s| Some(s.to_vec())).collect();
-        // Clobber the low byte of the length header, inflating the length
-        // far beyond the payload.
-        partial[0].as_mut().unwrap()[0] = 0xFF;
-        partial[0].as_mut().unwrap()[1] = 0xFF;
+        // The trailer ends the last data shard; clobber its top two bytes,
+        // inflating the length far beyond the payload.
+        let last = partial[1].as_mut().unwrap();
+        let end = last.len();
+        last[end - 2..].fill(0xFF);
         assert_eq!(rs.decode_object(&partial), Err(ErasureError::CorruptObject));
+    }
+
+    #[test]
+    fn data_shards_alias_the_object() {
+        for (m, n) in [(3, 5), (2, 3)] {
+            let rs = ReedSolomon::new(m, n);
+            let mut lengths: Vec<usize> = (0..=17).chain([4096, 65_536]).collect();
+            lengths.extend([10 * m - 1, 10 * m, 10 * m + 1, 100 * m - 1, 100 * m + 1]);
+            for len in lengths {
+                let object = Bytes::from((0..len).map(|i| (i * 29 + m) as u8).collect::<Vec<u8>>());
+                let shards = rs.encode_object(&object);
+                let shard_len = shards[0].len();
+                let inside = object.as_ptr_range();
+                for (i, shard) in shards.iter().enumerate() {
+                    let aliased = inside.contains(&shard.as_ptr());
+                    let ctx = format!("θ({m}, {n}), {len} bytes, shard {i}");
+                    assert_eq!(aliased, i < len / shard_len, "{ctx}");
+                    if aliased {
+                        assert!(shard.as_ptr_range().end <= inside.end, "{ctx}");
+                    }
+                }
+                let partial: Vec<Option<&[u8]>> = shards.iter().map(|s| Some(&s[..])).collect();
+                let decoded = rs.decode_object(&partial).unwrap();
+                assert_eq!(decoded, object.as_ref(), "θ({m}, {n}), {len} bytes");
+            }
+        }
     }
 
     #[test]
@@ -367,7 +415,7 @@ mod tests {
         // The RS-Paxos motivation: θ(3,5) ships 5 shards of ~len/3 instead
         // of 5 full copies — a ~3× network/storage saving.
         let rs = ReedSolomon::new(3, 5);
-        let object = vec![0xABu8; 3 * 1024];
+        let object = Bytes::from(vec![0xABu8; 3 * 1024]);
         let shards = rs.encode_object(&object);
         let total: usize = shards.iter().map(|s| s.len()).sum();
         assert!(total < 2 * object.len(), "total {total}");

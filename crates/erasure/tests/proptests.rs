@@ -7,6 +7,7 @@
 
 use std::collections::HashSet;
 
+use bytes::Bytes;
 use erasure::{Gf, Matrix, ReedSolomon};
 use proptest::prelude::*;
 
@@ -139,12 +140,13 @@ fn reconstruct_matches_gaussian_elimination() {
     }
 }
 
-/// The documented framing, spelled out: u64 LE length, the object, zeros
-/// to a multiple of `m`, cut into `m` equal data shards.
+/// The documented framing, spelled out: the object, zeros until eight
+/// bytes short of a multiple of `m`, its u64 LE length, cut into `m`
+/// equal data shards.
 fn reference_frame(m: usize, object: &[u8]) -> Vec<Vec<u8>> {
-    let mut framed = (object.len() as u64).to_le_bytes().to_vec();
-    framed.extend_from_slice(object);
-    framed.resize(framed.len().next_multiple_of(m), 0);
+    let mut framed = object.to_vec();
+    framed.resize((object.len() + 8).next_multiple_of(m) - 8, 0);
+    framed.extend_from_slice(&(object.len() as u64).to_le_bytes());
     framed
         .chunks(framed.len() / m)
         .map(<[u8]>::to_vec)
@@ -152,7 +154,7 @@ fn reference_frame(m: usize, object: &[u8]) -> Vec<Vec<u8>> {
 }
 
 /// `encode` and `encode_object` against the reference, then `reconstruct` from a random m-subset of the shards.
-fn assert_matches_reference(m: usize, n: usize, object: &[u8], subset_seed: u64) {
+fn assert_matches_reference(m: usize, n: usize, object: &Bytes, subset_seed: u64) {
     let rs = ReedSolomon::new(m, n);
     let data = reference_frame(m, object);
     let expect = reference_encode(m, n, &data);
@@ -174,13 +176,13 @@ fn assert_matches_reference(m: usize, n: usize, object: &[u8], subset_seed: u64)
     );
     assert_eq!(
         rs.decode_object(&partial).expect("m survivors"),
-        object,
+        object.as_ref(),
         "{ctx}"
     );
 }
 
 /// The lengths where framing changes shape, at every code shape up to
-/// n = 8: empty, shorter than / exactly / one past the 8-byte header's
+/// n = 8: empty, shorter than / exactly / one past the 8-byte trailer's
 /// width, and objects and frames that are exact multiples of `m` and one
 /// byte past them.
 #[test]
@@ -195,7 +197,8 @@ fn encoders_match_reference_at_the_edge_lengths() {
             }
             for len in lengths {
                 let object: Vec<u8> = (0..len).map(|i| (i * 151 + 11 * m + n) as u8).collect();
-                assert_matches_reference(m, n, &object, (len * 64 + m * 8 + n) as u64);
+                let seed = (len * 64 + m * 8 + n) as u64;
+                assert_matches_reference(m, n, &Bytes::from(object), seed);
             }
         }
     }
@@ -213,7 +216,7 @@ proptest! {
         object in proptest::collection::vec(any::<u8>(), 0..70_000),
         subset_seed in any::<u64>(),
     ) {
-        assert_matches_reference(m_seed % n + 1, n, &object, subset_seed);
+        assert_matches_reference(m_seed % n + 1, n, &Bytes::from(object), subset_seed);
     }
 }
 
@@ -230,7 +233,7 @@ proptest! {
     ) {
         let n = m + extra;
         let rs = ReedSolomon::new(m, n);
-        let shards = rs.encode_object(&data);
+        let shards = rs.encode_object(&Bytes::from(data.clone()));
         prop_assert_eq!(shards.len(), n);
 
         let keep = m_subset(m, n, subset_seed);
@@ -252,7 +255,7 @@ proptest! {
     ) {
         let n = m + extra;
         let rs = ReedSolomon::new(m, n);
-        let shards = rs.encode_object(&data);
+        let shards = rs.encode_object(&Bytes::from(data));
         let partial: Vec<Option<Vec<u8>>> = shards
             .iter()
             .enumerate()

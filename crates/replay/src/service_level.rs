@@ -263,15 +263,18 @@ fn sla_fraction(latencies: &[u64], unfinished: usize) -> f64 {
 /// interval's killed replicas in one `Reconfig`. Returns request-level
 /// metrics; every Paxos replica and this loop record into `obs`
 /// (`paxos.*`, `service.*`, `trace.*`), and a strategy built `with_obs`
-/// adds its `jupiter.*`.
+/// adds its `jupiter.*`. `Err` when no record runs at the window start:
+/// a Paxos group needs members to start from.
 pub fn lock_service_replay<S: BiddingStrategy>(
     market: &Market,
     strategy: S,
     config: ServiceReplayConfig,
     obs: &Obs,
-) -> ServiceReplayOutcome {
+) -> Result<ServiceReplayOutcome, String> {
     let (first, changes) = billed_fleet(market, &ServiceSpec::lock_service(), strategy, config);
-    assert!(!first.is_empty(), "strategy found no initial deployment");
+    if first.is_empty() {
+        return Err("the strategy found no initial deployment".to_owned());
+    }
     let replicas = ReplicaConfig {
         obs: obs.clone(),
         ..ReplicaConfig::default()
@@ -369,7 +372,7 @@ pub fn lock_service_replay<S: BiddingStrategy>(
     let traces = record_trace_metrics(obs);
     record_latency_slo(obs, &traces, config.eval_start, config.window_minutes);
 
-    ServiceReplayOutcome {
+    Ok(ServiceReplayOutcome {
         ops_completed: latencies.len(),
         ops_unfinished: unfinished,
         mean_latency_ms: latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64,
@@ -378,7 +381,7 @@ pub fn lock_service_replay<S: BiddingStrategy>(
         reconfigs,
         crashes,
         agreed_log_len: cluster.assert_log_agreement(),
-    }
+    })
 }
 
 /// Outcome of a storage-service service-level replay.
@@ -523,7 +526,7 @@ pub fn storage_service_replay<S: BiddingStrategy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jupiter::JupiterStrategy;
+    use jupiter::{BidDecision, JupiterStrategy, ZoneState};
     use spot_market::{InstanceType, MarketConfig};
 
     #[test]
@@ -552,12 +555,46 @@ mod tests {
                 seed: 9,
             },
             &Obs::disabled(),
-        );
+        )
+        .expect("the market yields an initial fleet");
         assert!(out.ops_completed > 50, "completed {}", out.ops_completed);
         assert!(out.sla_fraction > 0.95, "sla {}", out.sla_fraction);
         assert!(out.reconfigs <= 2);
         assert!(out.agreed_log_len > 0);
         assert_eq!(out.ops_unfinished, 0);
+    }
+
+    /// Bids for nothing at any boundary.
+    struct Abstain;
+
+    impl BiddingStrategy for Abstain {
+        fn name(&self) -> String {
+            "Abstain".to_owned()
+        }
+
+        fn decide(&self, _: &[ZoneState<'_>], _: &ServiceSpec, _: u32) -> BidDecision {
+            BidDecision { bids: Vec::new() }
+        }
+    }
+
+    #[test]
+    fn a_strategy_that_bids_nothing_is_an_err() {
+        let train = 2 * 7 * 24 * 60;
+        let mut cfg = MarketConfig::paper(31, train + 3 * 60);
+        cfg.zones.truncate(4);
+        cfg.types = vec![InstanceType::M1Small, InstanceType::M3Large];
+        let market = spot_market::Market::generate(cfg);
+        let config = ServiceReplayConfig {
+            eval_start: train,
+            window_minutes: 2 * 60,
+            interval_hours: 1,
+            seed: 9,
+        };
+        let out = lock_service_replay(&market, Abstain, config, &Obs::disabled());
+        assert_eq!(out.unwrap_err(), "the strategy found no initial deployment");
+        // The store starts from five down slots instead and answers nothing.
+        let out = storage_service_replay(&market, Abstain, config, &Obs::disabled());
+        assert_eq!((out.ops_completed, out.rebinds), (0, 0));
     }
 
     #[test]

@@ -244,7 +244,8 @@ fn observed_replays(
             seed,
         },
         &obs,
-    );
+    )
+    .expect("Jupiter deploys an initial fleet on this market");
     let spec = ServiceSpec::lock_service();
     let replayed = Replay::new(&market, &spec, ReplayConfig::new(train, train + eval, 6))
         .repair(repair)

@@ -703,10 +703,12 @@ fn try_finish_reads(r: &mut RsReplica, ctx: &mut Context<Msg<RsService>>) {
         }
         let resp = match host.codec.decode_object(&slots) {
             Ok(object) => {
+                // Adopted first, so its data shards are views of it.
+                let object = Bytes::from(object);
                 let cached = Cached {
                     version: key_ver.1,
                     shards: host.codec.encode_object(&object),
-                    object: Bytes::from(object),
+                    object,
                 };
                 let object = cached.object.clone();
                 host.objects.insert(key_ver.0, cached);

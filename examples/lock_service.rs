@@ -31,7 +31,8 @@ fn main() {
             seed: 99,
         },
         &Obs::disabled(),
-    );
+    )
+    .expect("Jupiter deploys an initial fleet on this market");
 
     println!("\n— service-level outcome —");
     println!("lock ops completed:   {}", out.ops_completed);

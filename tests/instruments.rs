@@ -189,7 +189,8 @@ fn every_recorded_signal_is_in_the_inventory_with_a_reader() {
         JupiterStrategy::new().with_obs(obs.clone()),
         service,
         &obs,
-    );
+    )
+    .expect("an initial fleet");
     collect(&obs, &market, &mut got);
 
     let mut cfg = MarketConfig::paper(41, EVAL_START + 5 * 60);

@@ -43,7 +43,8 @@ fn the_wedge_recipe_is_never_silent() {
         alerts: AlertSink::new(AlertSink::DEFAULT_CAPACITY),
         ..Obs::disabled()
     };
-    let out = lock_service_replay(&market, ExtraStrategy::new(0, 0.2), config, &obs);
+    let out = lock_service_replay(&market, ExtraStrategy::new(0, 0.2), config, &obs)
+        .expect("an initial fleet");
     let alarmed = obs
         .alerts
         .snapshot()
@@ -84,7 +85,8 @@ fn the_live_service_runs_the_billed_fleet() {
                 })
             })
             .count();
-        let live = lock_service_replay(&market, make(), config, &Obs::disabled());
+        let live = lock_service_replay(&market, make(), config, &Obs::disabled())
+            .expect("an initial fleet");
         assert_eq!(live.crashes, kills, "{}", billed.strategy);
         assert_eq!(live.reconfigs, changed, "{}", billed.strategy);
     }
@@ -97,7 +99,8 @@ fn killed_replicas_leave_the_view_at_the_next_boundary() {
     let (market, config) = recipe(31);
     for (n, portion) in [(0, 0.2), (2, 0.2)] {
         let strategy = ExtraStrategy::new(n, portion);
-        let out = lock_service_replay(&market, strategy, config, &Obs::disabled());
+        let out = lock_service_replay(&market, strategy, config, &Obs::disabled())
+            .expect("an initial fleet");
         assert_eq!(out.ops_unfinished, 0, "Extra({n}, {portion}): {out:?}");
     }
 }
@@ -119,7 +122,8 @@ fn service_level_replay_meets_sla() {
             seed: 4,
         },
         &Obs::disabled(),
-    );
+    )
+    .expect("an initial fleet");
     assert!(out.ops_completed > 30, "completed {}", out.ops_completed);
     assert_eq!(out.ops_unfinished, 0);
     assert!(out.sla_fraction > 0.9, "sla {}", out.sla_fraction);

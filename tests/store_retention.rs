@@ -6,18 +6,20 @@
 //! heap it leaves live beyond the shard stores' bytes may come to at
 //! most `MAX_LIVE_BYTES_PER_APPLIED_SLOT` per applied slot. The run may
 //! make at most `MAX_ALLOCS_PER_REQUEST` heap allocations per scheduled
-//! request, as `tests/serving_allocations.rs` bounds the lock path's.
+//! request, as `tests/serving_allocations.rs` bounds the lock path's, and
+//! allocate at most `MAX_BYTES_PER_REQUEST` bytes per scheduled request.
 //!
 //! A shard belongs to the `ShardStore` once applied; a log that keeps
 //! its own reference (or the accepted copy) holds every overwritten
 //! version too, and the live bytes grow with the puts. A put is coded
 //! once and then only shared: its key becomes one `Arc<str>` at
-//! admission and its shards slices of one buffer, so a key, shard or
-//! object deep-copied per message, per destination or per apply shows
-//! in the allocation count. Both counts are deterministic, so either
-//! regression fails here on any machine. What the store costs in
-//! resident set and time is the repo benchmark's `store_serving`
-//! `peak_rss_mb` and `ops_per_s`.
+//! admission, its leading data shards views of the object itself and the
+//! rest slices of one buffer, so a key, shard or object deep-copied per
+//! message, per destination or per apply shows in the allocation count,
+//! and an object copied per encode in the bytes allocated. All three are
+//! deterministic, so any such regression fails here on any machine. What
+//! the store costs in resident set and time is the repo benchmark's
+//! `store_serving` `peak_rss_mb` and `ops_per_s`.
 //!
 //! The file is its own test binary with a single test because it installs
 //! the counting `#[global_allocator]` of `test_util::alloc`.
@@ -32,15 +34,21 @@ use test_util::rng_from;
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Set at 822 measured live bytes per applied slot plus 10 % (788 measured
-/// now); 2 657 while the log kept a reference to every shard it applied.
-const MAX_LIVE_BYTES_PER_APPLIED_SLOT: f64 = 905.0;
+/// The measured 614 live bytes per applied slot plus 10 %; 788 while a
+/// put's data shards were slices of a framed copy of its object (the
+/// leader's cache keeps the object and its shards), 2 657 while the log
+/// kept a reference to every shard it applied.
+const MAX_LIVE_BYTES_PER_APPLIED_SLOT: f64 = 675.0;
 
 /// The measured count (19.69 per request) plus 10 %; 42.04 while every
 /// slot value, wire value and store entry cloned its key as a `String`,
 /// `Bytes` copied on every `From<Vec<u8>>` and `slice`, and every
 /// catch-up reply re-encoded its shard.
 const MAX_ALLOCS_PER_REQUEST: f64 = 21.6;
+
+/// The measured 6 968 bytes allocated per request plus 10 %; 9 002 while
+/// every encode copied the whole object into a framed buffer.
+const MAX_BYTES_PER_REQUEST: f64 = 7_665.0;
 
 const KEYS: u64 = 200;
 const START: SimTime = SimTime::from_secs(3);
@@ -139,13 +147,19 @@ fn applied_shards_live_in_the_store_alone() {
          is the log keeping applied shards again?"
     );
     let per_request = allocs.count as f64 / requests as f64;
+    let bytes_per_request = allocs.bytes as f64 / requests as f64;
     println!(
-        "{per_request:.2} allocations, {:.0} bytes per request over {requests} requests",
-        allocs.bytes as f64 / requests as f64
+        "{per_request:.2} allocations, {bytes_per_request:.0} bytes per request \
+         over {requests} requests"
     );
     assert!(
         per_request <= MAX_ALLOCS_PER_REQUEST,
         "{per_request:.2} allocations per request (budget {MAX_ALLOCS_PER_REQUEST}); \
          is a key or shard being deep-copied again?"
+    );
+    assert!(
+        bytes_per_request <= MAX_BYTES_PER_REQUEST,
+        "{bytes_per_request:.0} bytes allocated per request (budget {MAX_BYTES_PER_REQUEST}); \
+         is an object being copied per encode again?"
     );
 }
